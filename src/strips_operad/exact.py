@@ -34,8 +34,22 @@ def as_point(p) -> tuple[Fraction, ...]:
 
 
 def lerp(p, q, t: Fraction) -> tuple[Fraction, ...]:
-    """Point on the segment from p to q at parameter t."""
-    return tuple(a + (b - a) * t for a, b in zip(p, q))
+    """Point on the segment from p to q at parameter t.
+
+    Each coordinate ``(1 - t)·a + t·b`` is formed over one common denominator
+    and reduced once, instead of after each of three Fraction operations.
+    """
+    tn, td = t.numerator, t.denominator
+    sn = td - tn
+    out = []
+    for a, b in zip(p, q):
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        if an == bn and ad == bd:
+            out.append(a)
+        else:
+            out.append(Fraction(an * bd * sn + bn * ad * tn, ad * bd * td))
+    return tuple(out)
 
 
 def _segment_index(breaks: Sequence[Fraction], t: Fraction) -> int:
@@ -50,7 +64,10 @@ def _segment_index(breaks: Sequence[Fraction], t: Fraction) -> int:
 
 @dataclass(frozen=True)
 class AffineMap1:
-    """Increasing affine map x |-> a*x + c with a > 0."""
+    """Increasing affine map x |-> a*x + c with a > 0.
+
+    A call or an inverse forms its result as one fraction, reduced once.
+    """
 
     a: Fraction
     c: Fraction
@@ -62,14 +79,22 @@ class AffineMap1:
             raise ValueError(f"affine scale must be positive, got {self.a}")
 
     def __call__(self, x: Fraction) -> Fraction:
-        return self.a * as_rat(x) + self.c
+        x = as_rat(x)
+        a, c = self.a, self.c
+        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        xn, xd = x.numerator, x.denominator
+        return Fraction(an * xn * cd + cn * ad * xd, ad * xd * cd)
 
     def compose(self, inner: "AffineMap1") -> "AffineMap1":
         """self after inner:  x |-> self(inner(x))."""
         return AffineMap1(self.a * inner.a, self.a * inner.c + self.c)
 
     def invert(self, y: Fraction) -> Fraction:
-        return (as_rat(y) - self.c) / self.a
+        y = as_rat(y)
+        a, c = self.a, self.c
+        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        yn, yd = y.numerator, y.denominator
+        return Fraction((yn * cd - cn * yd) * ad, yd * cd * an)
 
     def image(self, lo: Fraction = ZERO, hi: Fraction = ONE) -> tuple[Fraction, Fraction]:
         """Image of [lo, hi]; defaults to the unit interval."""
@@ -191,41 +216,6 @@ def constant_path(value, dim=None) -> PLPath:
     if dim is not None and len(v) != dim:
         raise ValueError("dimension mismatch")
     return PLPath((ZERO, ONE), (v, v))
-
-
-@dataclass(frozen=True)
-class PathFragment:
-    """A piecewise-linear function on a closed subinterval of [0, 1].
-
-    Same data layout as :class:`PLPath` but the domain is
-    ``[breaks[0], breaks[-1]]``; produced by :func:`pl_precompose`.
-    """
-
-    breaks: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(as_rat(t) for t in self.breaks))
-        object.__setattr__(self, "values", tuple(as_point(v) for v in self.values))
-        _check_breaks(self.breaks)
-        if len(self.values) != len(self.breaks):
-            raise ValueError("one value per breakpoint required")
-
-    @property
-    def lo(self) -> Fraction:
-        return self.breaks[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.breaks[-1]
-
-    def at(self, t: Fraction) -> tuple:
-        t = as_rat(t)
-        if not self.lo <= t <= self.hi:
-            raise ValueError(f"argument {t} outside [{self.lo}, {self.hi}]")
-        i = _segment_index(self.breaks, t)
-        t0, t1 = self.breaks[i], self.breaks[i + 1]
-        return lerp(self.values[i], self.values[i + 1], (t - t0) / (t1 - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -358,53 +348,8 @@ def constant_sheet(value) -> GridSheet:
     return GridSheet((ZERO, ONE), (ZERO, ONE), ((v, v), (v, v)))
 
 
-@dataclass(frozen=True)
-class SheetFragment:
-    """A grid-bilinear function on a sub-rectangle of the unit square."""
-
-    x_breaks: tuple
-    y_breaks: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_breaks", tuple(as_rat(t) for t in self.x_breaks))
-        object.__setattr__(self, "y_breaks", tuple(as_rat(t) for t in self.y_breaks))
-        object.__setattr__(self, "values",
-                           tuple(tuple(as_point(v) for v in col) for col in self.values))
-        _check_breaks(self.x_breaks)
-        _check_breaks(self.y_breaks)
-
-    @property
-    def x_lo(self) -> Fraction:
-        return self.x_breaks[0]
-
-    @property
-    def x_hi(self) -> Fraction:
-        return self.x_breaks[-1]
-
-    @property
-    def y_lo(self) -> Fraction:
-        return self.y_breaks[0]
-
-    @property
-    def y_hi(self) -> Fraction:
-        return self.y_breaks[-1]
-
-    def at(self, x: Fraction, y: Fraction) -> tuple:
-        x, y = as_rat(x), as_rat(y)
-        ix = _segment_index(self.x_breaks, x)
-        iy = _segment_index(self.y_breaks, y)
-        x0, x1 = self.x_breaks[ix], self.x_breaks[ix + 1]
-        y0, y1 = self.y_breaks[iy], self.y_breaks[iy + 1]
-        u = (x - x0) / (x1 - x0)
-        w = (y - y0) / (y1 - y0)
-        lo = lerp(self.values[ix][iy], self.values[ix + 1][iy], u)
-        hi = lerp(self.values[ix][iy + 1], self.values[ix + 1][iy + 1], u)
-        return lerp(lo, hi, w)
-
-
 # ---------------------------------------------------------------------------
-# canonical form / reparametrization entry points
+# canonical form entry point
 # ---------------------------------------------------------------------------
 
 Canonicalizable = Union[PLPath, GridSheet]
@@ -420,38 +365,3 @@ def canonical_form(obj: Canonicalizable) -> Canonicalizable:
     if not isinstance(obj, (PLPath, GridSheet)):
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
     return obj.canonical()
-
-
-def pl_precompose(obj, mapping, window):
-    """Reparametrize ``obj`` by an affine embedding of its domain.
-
-    For a :class:`PLPath` ``mapping`` is an :class:`AffineMap1` and ``window``
-    its image ``(lo, hi)``; the result is the :class:`PathFragment` on the
-    window with value ``obj(mapping.invert(t))`` at ``t``.  For a
-    :class:`GridSheet`, ``mapping`` is an :class:`AffineMap2` and ``window``
-    is ``((x_lo, x_hi), (y_lo, y_hi))``.  The window argument is redundant
-    but is checked: passing a window that is not the exact image of the map,
-    or one that leaves the unit domain, is an error.
-    """
-    if isinstance(obj, PLPath):
-        if not isinstance(mapping, AffineMap1):
-            raise TypeError("paths are reparametrized by AffineMap1")
-        lo, hi = (as_rat(window[0]), as_rat(window[1]))
-        if (lo, hi) != mapping.image():
-            raise ValueError(f"window ({lo}, {hi}) is not the image {mapping.image()}")
-        if lo < ZERO or hi > ONE:
-            raise ValueError(f"window ({lo}, {hi}) leaves the unit interval")
-        return PathFragment(tuple(mapping(t) for t in obj.breaks), obj.values)
-    if isinstance(obj, GridSheet):
-        if not isinstance(mapping, AffineMap2):
-            raise TypeError("sheets are reparametrized by AffineMap2")
-        (x_lo, x_hi), (y_lo, y_hi) = window
-        win = ((as_rat(x_lo), as_rat(x_hi)), (as_rat(y_lo), as_rat(y_hi)))
-        if win != mapping.image():
-            raise ValueError(f"window {win} is not the image {mapping.image()}")
-        if win[0][0] < ZERO or win[0][1] > ONE or win[1][0] < ZERO or win[1][1] > ONE:
-            raise ValueError(f"window {win} leaves the unit square")
-        return SheetFragment(tuple(mapping.x_part(t) for t in obj.x_breaks),
-                             tuple(mapping.y_part(t) for t in obj.y_breaks),
-                             obj.values)
-    raise TypeError(f"cannot reparametrize {type(obj).__name__}")

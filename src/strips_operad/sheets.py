@@ -15,14 +15,15 @@ filling columns outside all strips with p.
 """
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, GridSheet, PLPath, as_point, as_rat,
-                    pl_precompose)
+from .exact import (ONE, ZERO, GridSheet, PLPath, _segment_index, as_point,
+                    lerp)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -136,8 +137,26 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
 # actions
 # ---------------------------------------------------------------------------
 
+def _check_order(spans: Sequence, what: str, direction: str,
+                 where: str = "") -> None:
+    """Raise unless each span ends no later than the next one starts."""
+    for k in range(len(spans) - 1):
+        (_, hi), (lo, _) = spans[k], spans[k + 1]
+        if lo < hi:
+            raise ValueError(
+                f"{where}{what}s must run {direction} without overlapping: "
+                f"{what} {k + 2} starts at {lo}, before {what} {k + 1} "
+                f"ends at {hi}")
+
+
 def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
-    """Play loop i inside interval i, rest at the basepoint elsewhere."""
+    """Play loop i inside interval i, rest at the basepoint elsewhere.
+
+    The intervals must run left to right (each ends no later than the next
+    starts); otherwise ``ValueError``.  The loops are spliced directly: the
+    result breaks at 0, 1 and the image of every loop breakpoint, and takes
+    the loop's own value there, or the basepoint outside every interval.
+    """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
                          f"got {len(loops)}")
@@ -147,18 +166,58 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     basepoints = {loop.basepoint for loop in loops}
     if len(basepoints) > 1:
         raise ValueError("loops must share a basepoint")
+    _check_order(config.images(), "interval", "left to right")
     q = loops[0].basepoint
-    frags = tuple(pl_precompose(loop.path, emb, emb.image())
-                  for loop, emb in zip(loops, config.embeddings))
-    breaks = sorted({ZERO, ONE} | {t for frag in frags for t in frag.breaks})
+    # every loop starts and ends at q, so a point shared by two neighbouring
+    # intervals, or by an interval and 0 or 1, has the value q on both sides
+    breaks, values = [ZERO], [q]
+    for loop, emb in zip(loops, config.embeddings):
+        for t, v in zip(loop.path.breaks, loop.path.values):
+            x = emb(t)
+            if x != breaks[-1]:
+                breaks.append(x)
+                values.append(v)
+    if breaks[-1] != ONE:
+        breaks.append(ONE)
+        values.append(q)
+    return Loop(PLPath(tuple(breaks), tuple(values)))
 
-    def value(t):
-        for frag in frags:
-            if frag.lo <= t <= frag.hi:
-                return frag.at(t)
-        return q
 
-    return Loop(PLPath(tuple(breaks), tuple(value(t) for t in breaks)))
+def _at_line(breaks: tuple, t: Fraction) -> tuple:
+    """(i, w): t lies at fraction w of the way from breaks[i] to breaks[i+1],
+    with w None when t is breaks[i] itself; past either end the first or
+    last segment is extended."""
+    i = _segment_index(breaks, t)
+    t0 = breaks[i]
+    if t == t0:
+        return i, None
+    t1 = breaks[i + 1]
+    if t == t1:
+        return i + 1, None
+    return i, (t - t0) / (t1 - t0)
+
+
+def _column_plan(ys: tuple, rects: tuple, sheets: tuple) -> tuple:
+    """How to read each output height in one strip, the same for every column.
+
+    Entry ``(j, k, w)``: inside rectangle j, at fraction w between the
+    sheet's y-lines k and k+1 (on line k when w is None).  Entry
+    ``(None, g, None)``: in the gap above the first g rectangles, where the
+    value is junction loop g.  A height on the edge shared by two rectangles
+    belongs to the lower one.
+    """
+    ranges = tuple(rect.y_part.image() for rect in rects)
+    plan = []
+    j, n = 0, len(rects)
+    for y in ys:
+        while j < n and ranges[j][1] < y:
+            j += 1
+        if j < n and ranges[j][0] <= y:
+            plan.append((j,) + _at_line(sheets[j].y_breaks,
+                                        rects[j].y_part.invert(y)))
+        else:
+            plan.append((None, j, None))
+    return tuple(plan)
 
 
 def act_on_sheets(f: PointedMap, config: StripConfig,
@@ -168,6 +227,18 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     ``inputs[i]`` is a sequence of ``shape[i]`` elements whose loops chain
     end-to-start (the top loop of each equals the bottom loop of the next),
     or a single :class:`Loop` when strip i is empty.
+
+    The strips must run left to right and the rectangles of each strip bottom
+    to top, each ending no later than the next starts; otherwise
+    ``ValueError``.  A point on an edge shared by two strips or two rectangles
+    belongs to the left or lower one.
+
+    The output grid is built column by column.  A column finds its strip by
+    bisection over the strip spans.  It reads each rectangle's sheet once
+    along that sheet's own y-lines, at the x given by the rectangle's inverse
+    map, and then fills the rectangle's heights with one interpolation in y
+    each.  Between rectangles it takes the junction loop pushed through f.
+    Coordinates that fall on a breakpoint are read without interpolating.
     """
     r = config.arity
     if len(inputs) != r:
@@ -211,43 +282,61 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
                 raise ValueError(f"strip {i + 1}: sheet dimension {e.sheet.dim} "
                                  f"does not match the map target {f.dim_out}")
 
-    # grid lines and per-rectangle fragments
+    spans = config.base.images()
+    _check_order(spans, "strip", "left to right")
+    for i, rects in enumerate(config.rects):
+        _check_order(tuple(rect.y_part.image() for rect in rects),
+                     "rectangle", "bottom to top", f"strip {i + 1}: ")
+
+    # grid lines
     xs = {ZERO, ONE}
     ys = {ZERO, ONE}
-    frag_rows = []
     for i in range(r):
         emb = config.base.embeddings[i]
-        xs.update(emb.image())
+        xs.update(spans[i])
         for loop in junctions[i]:
             xs.update(emb(t) for t in loop.path.breaks)
-        row = []
         for elem, rect in zip(chains[i], config.rects[i]):
-            frag = pl_precompose(elem.sheet, rect, rect.image())
-            xs.update(frag.x_breaks)
-            ys.update(frag.y_breaks)
-            row.append(frag)
-        frag_rows.append(row)
+            xs.update(rect.x_part(t) for t in elem.sheet.x_breaks)
+            ys.update(rect.y_part(t) for t in elem.sheet.y_breaks)
     xs = tuple(sorted(xs))
     ys = tuple(sorted(ys))
 
-    spans = tuple(emb.image() for emb in config.base.embeddings)
+    # per strip: the column plan and the junction loops it reads, pushed
+    # through f once (exact, since f is affine)
+    plans = []
+    pushed = []
+    for i in range(r):
+        sheets = tuple(elem.sheet for elem in chains[i])
+        plan = _column_plan(ys, config.rects[i], sheets)
+        plans.append(plan)
+        gaps = {g for j, g, _ in plan if j is None}
+        pushed.append({g: push_loop(f, junctions[i][g]) for g in gaps})
+
+    outside = tuple(p for _ in ys)
+    his = tuple(hi for _, hi in spans)
     values = []
     for x in xs:
-        strip = next((i for i, (lo, hi) in enumerate(spans) if lo <= x <= hi), None)
-        if strip is None:
-            values.append(tuple(p for _ in ys))
+        strip = bisect.bisect_left(his, x)
+        if strip == r or x < spans[strip][0]:
+            values.append(outside)
             continue
         local = config.base.embeddings[strip].invert(x)
-        jvals = tuple(f.apply(loop.path.at(local)) for loop in junctions[strip])
-        row = frag_rows[strip]
+        jvals = {g: path.at(local) for g, path in pushed[strip].items()}
+        lines = []
+        for elem, rect in zip(chains[strip], config.rects[strip]):
+            sv = elem.sheet.values
+            a, u = _at_line(elem.sheet.x_breaks, rect.x_part.invert(x))
+            lines.append(sv[a] if u is None else
+                         tuple(lerp(v0, v1, u) for v0, v1 in zip(sv[a], sv[a + 1])))
         col = []
-        for y in ys:
-            inside = next((fr for fr in row if fr.y_lo <= y <= fr.y_hi), None)
-            if inside is not None:
-                col.append(inside.at(x, y))
+        for j, k, w in plans[strip]:
+            if j is None:
+                col.append(jvals[k])
+            elif w is None:
+                col.append(lines[j][k])
             else:
-                below = sum(1 for fr in row if fr.y_hi < y)
-                col.append(jvals[below])
+                col.append(lerp(lines[j][k], lines[j][k + 1], w))
         values.append(tuple(col))
 
     bottom = act_on_loops(config.base, tuple(j[0] for j in junctions))

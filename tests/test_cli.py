@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, report files, plan documents."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,28 @@ def test_check_reports_are_byte_identical(tmp_path, capsys):
                           "--out", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of `check sheets --seed S --cases 5 --max-r 4 --max-n 6` reports,
+# keyed by (seed, --mutate).  A mutated report holds the repr of both sheet
+# sides, so these pin the assembled sheets themselves, not only the verdict.
+SHEETS_REPORT_SHA256 = {
+    ("1", False): "36b7bebc03a52effe2b6d769816af54a5e23fb9dc58c7aed2b22a2dc128c1b1a",
+    ("2", False): "602685204557245a66a51cbdd47fad8a743a24f73e9a60d74d16919cd57ca52c",
+    ("3", False): "2b45d762d0c9e6d5b9014a755d715ded089d68e8127461aacd35561107e7f26b",
+    ("1", True): "1ffd8d55260c784c50098e4e9ddca6b2caea59b449757a68e7280b4bdc531b92",
+}
+
+
+@pytest.mark.parametrize("seed,mutate", sorted(SHEETS_REPORT_SHA256))
+def test_check_sheets_report_bytes_are_pinned(tmp_path, capsys, seed, mutate):
+    out_file = tmp_path / "report.json"
+    argv = ["check", "sheets", "--seed", seed, "--cases", "5", "--max-r", "4",
+            "--max-n", "6", "--out", str(out_file)]
+    code, _, _ = run(argv + ["--mutate"] * mutate, capsys)
+    assert code == (1 if mutate else 0)
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SHEETS_REPORT_SHA256[(seed, mutate)]
 
 
 def test_check_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from strips_operad.exact import (IDENTITY_1, IDENTITY_2, AffineMap1,
                                  AffineMap2, GridSheet, PLPath,
                                  canonical_form, constant_path,
-                                 constant_sheet, pl_precompose, rect_of)
+                                 constant_sheet, rect_of)
 
 from helpers import positive_scales, rationals, unit_rationals
 
@@ -129,44 +129,6 @@ def test_path_refined_preserves_values():
             assert p.at(t) == q.at(t)
 
 
-# --- window precomposition ----------------------------------------------------
-
-def test_precompose_pushes_breakpoints_through_window():
-    p = PLPath((F(0), F(1, 2), F(1)), ((F(0),), (F(1),), (F(0),)))
-    emb = AffineMap1(F(1, 2), F(1, 4))
-    frag = pl_precompose(p, emb, (F(1, 4), F(3, 4)))
-    assert frag.breaks == (F(1, 4), F(1, 2), F(3, 4))
-    assert frag.at(F(1, 2)) == (F(1),)
-
-
-def test_precompose_preserves_values_at_probes():
-    rng = random.Random("probes")
-    for _ in range(10):
-        p = _random_path(rng)
-        a = F(rng.randint(1, 8), 16)
-        c = F(rng.randint(0, 16 - 16 * a.numerator // a.denominator), 16)
-        emb = AffineMap1(a, c)
-        frag = pl_precompose(p, emb, emb.image())
-        for _ in range(64):
-            t = F(rng.randint(0, 256), 256)
-            x = emb(t)
-            assert frag.at(x) == p.at(t)
-
-
-def test_precompose_rejects_mismatched_window():
-    p = constant_path((F(0),))
-    emb = AffineMap1(F(1, 2), F(0))
-    with pytest.raises(ValueError):
-        pl_precompose(p, emb, (F(0), F(3, 4)))
-
-
-def test_precompose_rejects_window_outside_domain():
-    p = constant_path((F(0),))
-    emb = AffineMap1(F(2), F(0))  # image [0, 2], not inside [0, 1]
-    with pytest.raises(ValueError):
-        pl_precompose(p, emb, (F(0), F(2)))
-
-
 # --- grid sheets ----------------------------------------------------------------
 
 def _random_sheet(rng: random.Random, dim: int = 2) -> GridSheet:
@@ -232,20 +194,6 @@ def test_sheet_edges():
         x = F(k, 8)
         assert bottom.at(x) == s.at(x, F(0))
         assert top.at(x) == s.at(x, F(1))
-
-
-def test_sheet_precompose_fragment_matches_probes():
-    rng = random.Random("sheetfrag")
-    s = _random_sheet(rng)
-    emb = AffineMap2(AffineMap1(F(1, 2), F(1, 4)), AffineMap1(F(1, 4), F(1, 2)))
-    window = emb.image()
-    frag = pl_precompose(s, emb, window)
-    for _ in range(64):
-        u = F(rng.randint(0, 64), 64)
-        v = F(rng.randint(0, 64), 64)
-        x = emb.x_part(u)
-        y = emb.y_part(v)
-        assert frag.at(x, y) == s.at(u, v)
 
 
 def test_canonical_form_dispatch():

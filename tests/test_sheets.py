@@ -4,17 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from strips_operad.exact import (AffineMap1, GridSheet, PLPath, constant_path,
-                                 constant_sheet)
+from strips_operad.exact import (AffineMap1, AffineMap2, GridSheet, PLPath,
+                                 constant_path, constant_sheet)
 from strips_operad.framework import ChainError, run_algebra_check
-from strips_operad.intervals import IntervalConfig, interval_unit
+from strips_operad.intervals import (IntervalConfig, interval_unit,
+                                     random_intervals)
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
                                   act_on_loops, act_on_sheets,
                                   boundary_loops, constant_loop, push_loop,
                                   random_loop, random_pointed_map,
                                   random_sheet_element, sheet_algebra,
                                   sheet_violation)
-from strips_operad.strips import random_strip, strip_unit, strips_rel_operad
+from strips_operad.strips import (StripConfig, random_strip, random_strip_over,
+                                  strip_unit, strips_rel_operad)
 
 from helpers import chain_inputs
 
@@ -262,6 +264,155 @@ def test_empty_strip_plays_the_loop_through_the_map():
         x = emb(t)
         for y in (F(0), F(1, 3), F(1)):
             assert out.sheet.at(x, y) == pushed.at(t)
+
+
+# --- pointwise reference for the actions -------------------------------------------
+
+def _reference_loop(config, loops, t):
+    """The loop action at t, point by point: the first interval holding t plays
+    its loop, anywhere else rests at the basepoint."""
+    for emb, loop in zip(config.embeddings, loops):
+        lo, hi = emb.image()
+        if lo <= t <= hi:
+            return loop.path.at(emb.invert(t))
+    return loops[0].basepoint
+
+
+def _reference_sheet(f, config, inputs, x, y):
+    """The sheet action at (x, y), point by point: the first strip holding x,
+    then the first of its rectangles holding y; in a gap, the junction loop
+    above the rectangles below y, pushed through f; outside every strip, p."""
+    for i, emb in enumerate(config.base.embeddings):
+        lo, hi = emb.image()
+        if lo <= x <= hi:
+            break
+    else:
+        return f.cod_base
+    below = 0
+    for j, rect in enumerate(config.rects[i]):
+        y_lo, y_hi = rect.y_part.image()
+        if y_lo <= y <= y_hi:
+            return inputs[i][j].sheet.at(rect.x_part.invert(x),
+                                         rect.y_part.invert(y))
+        if y_hi < y:
+            below += 1
+    chain = inputs[i]
+    if config.shape[i] == 0:
+        loop = chain
+    elif below == 0:
+        loop = chain[0].bottom
+    else:
+        loop = chain[below - 1].top
+    return f.apply(loop.path.at(emb.invert(x)))
+
+
+def _probe_lines(config, inputs):
+    """Every x and y where the reference can bend: 0, 1, strip and rectangle
+    edges and the images of all input breakpoints.  Both sides are bilinear
+    between these lines, so agreeing on their crossings is agreeing
+    everywhere."""
+    xs, ys = {F(0), F(1)}, {F(0), F(1)}
+    for i, (emb, n) in enumerate(zip(config.base.embeddings, config.shape)):
+        xs.update(emb.image())
+        loops = [inputs[i]] if n == 0 else [inputs[i][0].bottom] + [
+            e.top for e in inputs[i]]
+        for loop in loops:
+            xs.update(emb(t) for t in loop.path.breaks)
+        for rect, elem in zip(config.rects[i], inputs[i] if n else ()):
+            xs.update(rect.x_part(t) for t in elem.sheet.x_breaks)
+            ys.update(rect.y_part(t) for t in elem.sheet.y_breaks)
+    return sorted(xs), sorted(ys)
+
+
+def _assert_matches_reference(f, config, inputs):
+    out = act_on_sheets(f, config, inputs)
+    xs, ys = _probe_lines(config, inputs)
+    for x in xs:
+        for y in ys:
+            assert out.sheet.at(x, y) == _reference_sheet(f, config, inputs, x, y)
+    bottoms = [c if n == 0 else c[0].bottom for n, c in zip(config.shape, inputs)]
+    tops = [c if n == 0 else c[-1].top for n, c in zip(config.shape, inputs)]
+    for loops, edge in ((bottoms, out.bottom), (tops, out.top)):
+        assert edge == act_on_loops(config.base, loops)
+        for t in xs:
+            assert edge.at(t) == _reference_loop(config.base, loops, t)
+    return out
+
+
+def test_actions_match_pointwise_reference_on_random_configurations():
+    rng = random.Random(73)
+    hits = dict.fromkeys(("empty strip", "dim_in 0", "dim_out 0",
+                          "touches 0", "touches 1"), 0)
+    for case in range(60):
+        din, dout = rng.randint(0, 2), rng.randint(0, 2)
+        f = random_pointed_map(rng, din, dout)
+        r = rng.randint(1, 3)
+        shape = tuple(rng.randint(0, 3) for _ in range(r))
+        if not any(shape):
+            shape = shape[:-1] + (1,)
+        # coarse grids put intervals against 0 and 1 and rectangles against
+        # the bottom and top of their strip
+        base = random_intervals(r, rng, denom=rng.choice((2 * r, 2 * r + 1, 4096)))
+        config = random_strip_over(shape, base, rng,
+                                   denom=rng.choice((2 * max(shape), 16, 4096)))
+        inputs = chain_inputs(f, config, rng)
+        _assert_matches_reference(f, config, inputs)
+        spans = config.base.images()
+        hits["empty strip"] += 0 in shape
+        hits["dim_in 0"] += din == 0
+        hits["dim_out 0"] += dout == 0
+        hits["touches 0"] += spans[0][0] == 0
+        hits["touches 1"] += spans[-1][1] == 1
+    assert all(hits.values()), hits
+
+
+def test_actions_match_reference_with_shared_edges():
+    # strips and rectangles that share an edge: the point belongs to the
+    # left strip and the lower rectangle on both sides of the comparison
+    f = _map2d()
+    rng = random.Random(79)
+    half = F(1, 2)
+    base = IntervalConfig((AffineMap1(half, F(0)), AffineMap1(half, half)))
+    left = base.embeddings[0]
+    config = StripConfig((2, 0), base, (
+        (AffineMap2(left, AffineMap1(half, F(0))),
+         AffineMap2(left, AffineMap1(half, half))),
+        ()))
+    out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
+    assert sheet_violation(f, out) is None
+
+
+# --- ordering preconditions -----------------------------------------------------------
+
+def test_act_on_sheets_rejects_strips_out_of_order():
+    f = _map2d()
+    rng = random.Random(83)
+    quarter = F(1, 4)
+    base = IntervalConfig((AffineMap1(quarter, F(1, 2)), AffineMap1(quarter, F(0))))
+    config = StripConfig((1, 1), base, tuple(
+        (AffineMap2(emb, AffineMap1(quarter, quarter)),)
+        for emb in base.embeddings))
+    with pytest.raises(ValueError, match="strips must run left to right"):
+        act_on_sheets(f, config, chain_inputs(f, config, rng))
+
+
+def test_act_on_sheets_rejects_rectangles_out_of_order():
+    f = _map2d()
+    rng = random.Random(89)
+    emb = AffineMap1(F(1, 2), F(1, 4))
+    config = StripConfig((2,), IntervalConfig((emb,)), ((
+        AffineMap2(emb, AffineMap1(F(1, 4), F(1, 2))),
+        AffineMap2(emb, AffineMap1(F(1, 4), F(1, 8)))),))
+    with pytest.raises(ValueError,
+                       match="strip 1: rectangles must run bottom to top"):
+        act_on_sheets(f, config, chain_inputs(f, config, rng))
+
+
+def test_act_on_loops_rejects_overlapping_intervals():
+    cfg = IntervalConfig((AffineMap1(F(1, 2), F(0)), AffineMap1(F(1, 2), F(1, 4))))
+    loop = constant_loop((F(0),))
+    with pytest.raises(ValueError, match="intervals must run left to right"):
+        act_on_loops(cfg, [loop, loop])
 
 
 # --- degenerate regimes --------------------------------------------------------------
