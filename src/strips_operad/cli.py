@@ -49,7 +49,24 @@ def _emit(text: str, out) -> None:
 # check
 # ---------------------------------------------------------------------------
 
+def _check_args_error(args):
+    """Why the ``check`` arguments cannot give a bounded, non-empty run, or None."""
+    if args.cases < 1:
+        return f"--cases must be at least 1, got {args.cases}"
+    if args.max_r < 1:
+        return f"--max-r must be at least 1, got {args.max_r}"
+    if args.target in ("strips", "sheets") and args.max_n < 1:
+        return f"--max-n must be at least 1, got {args.max_n}"
+    if args.exhaustive and args.target != "trees":
+        return f"--exhaustive applies only to trees, not {args.target}"
+    return None
+
+
 def cmd_check(args) -> int:
+    bad = _check_args_error(args)
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     mut = MUTATION_OFFSET if args.mutate else None
     if args.target == "intervals":

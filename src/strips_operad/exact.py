@@ -11,26 +11,24 @@ property the law checkers in :mod:`strips_operad.framework` rely on.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rat = Fraction
-Point = "tuple[Fraction, ...]"
+from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def as_rat(x) -> Fraction:
-    """Coerce ints / strings like ``\"3/4\"`` to Fraction."""
-    if isinstance(x, Fraction):
+    """Coerce ints / strings like ``\"3/4\"`` to Fraction; a Fraction is kept."""
+    if type(x) is Fraction:
         return x
     return Fraction(x)
 
 
 def as_point(p) -> tuple[Fraction, ...]:
-    return tuple(as_rat(c) for c in p)
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in p])
 
 
 def lerp(p, q, t: Fraction) -> tuple[Fraction, ...]:
@@ -157,8 +155,8 @@ class PLPath:
     values: tuple
 
     def __post_init__(self):
-        breaks = tuple(as_rat(t) for t in self.breaks)
-        values = tuple(as_point(v) for v in self.values)
+        breaks = tuple([as_rat(t) for t in self.breaks])
+        values = tuple([as_point(v) for v in self.values])
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
         _check_breaks(breaks)
@@ -184,12 +182,10 @@ class PLPath:
 
     def canonical(self) -> "PLPath":
         """Drop every interior breakpoint where the slope does not change."""
-        keep = [0]
-        for k in range(1, len(self.breaks) - 1):
-            if _slope(self, keep[-1], k) != _slope(self, k, k + 1):
-                keep.append(k)
-        keep.append(len(self.breaks) - 1)
-        if len(keep) == len(self.breaks):
+        n, d = len(self.breaks), self.dim
+        flat = _scaled([c for v in self.values for c in v])
+        keep = _essential(self.breaks, [flat[k * d:k * d + d] for k in range(n)])
+        if len(keep) == n:
             return self
         return PLPath(tuple(self.breaks[k] for k in keep),
                       tuple(self.values[k] for k in keep))
@@ -204,11 +200,6 @@ class PLPath:
             pts.add(t)
         breaks = tuple(sorted(pts))
         return PLPath(breaks, tuple(self.at(t) for t in breaks))
-
-
-def _slope(path: PLPath, i: int, j: int) -> tuple:
-    dt = path.breaks[j] - path.breaks[i]
-    return tuple((b - a) / dt for a, b in zip(path.values[i], path.values[j]))
 
 
 def constant_path(value, dim=None) -> PLPath:
@@ -234,9 +225,9 @@ class GridSheet:
     values: tuple
 
     def __post_init__(self):
-        xb = tuple(as_rat(t) for t in self.x_breaks)
-        yb = tuple(as_rat(t) for t in self.y_breaks)
-        vals = tuple(tuple(as_point(v) for v in col) for col in self.values)
+        xb = tuple([as_rat(t) for t in self.x_breaks])
+        yb = tuple([as_rat(t) for t in self.y_breaks])
+        vals = tuple([tuple([as_point(v) for v in col]) for col in self.values])
         object.__setattr__(self, "x_breaks", xb)
         object.__setattr__(self, "y_breaks", yb)
         object.__setattr__(self, "values", vals)
@@ -275,11 +266,17 @@ class GridSheet:
         change across it, and symmetrically for y-lines.  Whether a line is
         redundant does not depend on redundant lines along the other axis
         (slopes are computed between retained neighbours), so both axes can
-        be pruned in one pass.
+        be pruned in one pass, over one integer scaling of the value grid.
         """
-        keep_x = _essential(self.x_breaks, self.values, by_rows=False)
-        keep_y = _essential(self.y_breaks, self.values, by_rows=True)
-        if len(keep_x) == len(self.x_breaks) and len(keep_y) == len(self.y_breaks):
+        nx, ny, d = len(self.x_breaks), len(self.y_breaks), self.dim
+        flat = _scaled([c for col in self.values for v in col for c in v])
+        m = ny * d
+        x_lines = [flat[ix * m:ix * m + m] for ix in range(nx)]
+        y_lines = [[c for line in x_lines for c in line[iy * d:iy * d + d]]
+                   for iy in range(ny)]
+        keep_x = _essential(self.x_breaks, x_lines)
+        keep_y = _essential(self.y_breaks, y_lines)
+        if len(keep_x) == nx and len(keep_y) == ny:
             return self
         vals = tuple(tuple(self.values[ix][iy] for iy in keep_y) for ix in keep_x)
         return GridSheet(tuple(self.x_breaks[i] for i in keep_x),
@@ -315,30 +312,37 @@ class GridSheet:
         return PLPath(self.x_breaks, self.row(len(self.y_breaks) - 1))
 
 
-def _essential(breaks: tuple, values: tuple, by_rows: bool) -> list:
-    """Indices of grid lines to keep along one axis.
+def _scaled(xs: Sequence[Fraction]) -> list:
+    """The Fractions ``xs`` times the LCM of their denominators, as ints.
 
-    ``by_rows=False`` prunes x-lines (scan every row of values for a slope
-    change), ``by_rows=True`` prunes y-lines.
+    One positive factor scales every entry, so ratios of differences, and with
+    them collinearity, are unchanged.
     """
-    def value(line: int, other: int):
-        return values[other][line] if by_rows else values[line][other]
+    dens = [x.denominator for x in xs]
+    m = math.lcm(*dens)
+    return [x.numerator * (m // d) for x, d in zip(xs, dens)]
 
-    n = len(breaks)
-    n_other = len(values[0]) if not by_rows else len(values)
+
+def _essential(breaks: tuple, lines: list) -> list:
+    """Indices of the breakpoints to keep along one axis.
+
+    ``lines[k]`` lists the integer-scaled value coordinates on the line at
+    ``breaks[k]`` (a path's value, or a whole row or column of a grid).  An
+    interior line is redundant when, against the last kept line ``prev`` and
+    the next line, every coordinate satisfies ``(b - a)/dt0 == (c - b)/dt1``,
+    tested as ``(b - a)·dt1 == (c - b)·dt0`` on integers.
+    """
+    ts = _scaled(breaks)
+    n = len(ts)
     keep = [0]
     for k in range(1, n - 1):
         prev = keep[-1]
-        dt0 = breaks[k] - breaks[prev]
-        dt1 = breaks[k + 1] - breaks[k]
-        needed = False
-        for o in range(n_other):
-            a, b, c = value(prev, o), value(k, o), value(k + 1, o)
-            if any((bb - aa) / dt0 != (cc - bb) / dt1 for aa, bb, cc in zip(a, b, c)):
-                needed = True
+        t = ts[k]
+        dt0, dt1 = t - ts[prev], ts[k + 1] - t
+        for a, b, c in zip(lines[prev], lines[k], lines[k + 1]):
+            if (b - a) * dt1 != (c - b) * dt0:
+                keep.append(k)
                 break
-        if needed:
-            keep.append(k)
     keep.append(n - 1)
     return keep
 
@@ -352,10 +356,7 @@ def constant_sheet(value) -> GridSheet:
 # canonical form entry point
 # ---------------------------------------------------------------------------
 
-Canonicalizable = Union[PLPath, GridSheet]
-
-
-def canonical_form(obj: Canonicalizable) -> Canonicalizable:
+def canonical_form(obj: PLPath | GridSheet) -> PLPath | GridSheet:
     """Minimal-breakpoint representative of the same function.
 
     Idempotent, and two representations of the same function canonicalize to

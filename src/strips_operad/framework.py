@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .shapes import ShapeError, check_shape, output_shape, total
+from .shapes import output_shape, total
 
 
 class FiberProductError(ValueError):
@@ -306,7 +306,8 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """No law failed, and at least one case was checked."""
+        return self.cases_run > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {

@@ -7,14 +7,11 @@ All output is plain string assembly — same input, same bytes.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact import GridSheet
 from .intervals import IntervalConfig
 from .sheets import SheetElement
 from .strips import StripConfig
-from .trees import (PlanarTree, enumerate_trees, one_step_contractions,
-                    tree_dim, tree_to_brackets)
+from .trees import enumerate_trees, one_step_contractions, tree_dim, tree_to_brackets
 
 SQUARE = 360          # pixel size of the unit square
 PAD = 24

@@ -108,6 +108,39 @@ def test_check_rejects_unknown_target(capsys):
     assert exc.value.code == 2
 
 
+def assert_usage_error(argv, capsys, flag):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+def test_check_rejects_no_cases(capsys):
+    # once reported "ok": true with "cases_run": -3
+    assert_usage_error(["check", "intervals", "--cases", "-3"], capsys, "--cases")
+    assert_usage_error(["check", "sheets", "--cases", "0"], capsys, "--cases")
+
+
+def test_check_rejects_arity_bound_below_one(capsys):
+    # once a raw randrange message
+    assert_usage_error(["check", "intervals", "--max-r", "0"], capsys, "--max-r")
+    assert_usage_error(["check", "trees", "--exhaustive", "--max-r", "0"],
+                       capsys, "--max-r")
+
+
+@pytest.mark.parametrize("target", ["strips", "sheets"])
+def test_check_rejects_total_bound_below_one(capsys, target):
+    # once looped forever drawing shapes
+    assert_usage_error(["check", target, "--max-n", "0"], capsys, "--max-n")
+
+
+@pytest.mark.parametrize("target", ["intervals", "strips", "sheets"])
+def test_check_rejects_exhaustive_outside_trees(capsys, target):
+    # once ignored silently
+    assert_usage_error(["check", target, "--exhaustive"], capsys, "--exhaustive")
+
+
 # --- enumerate ----------------------------------------------------------------------
 
 def test_enumerate_json(capsys):

@@ -212,3 +212,162 @@ def test_refinement_never_changes_constant_paths(cuts):
     p = constant_path(q)
     inner = {c for c in cuts if F(0) < c < F(1)}
     assert p.refined(inner).canonical() == p
+
+
+# --- integer canonical forms against the Fraction-division reference ----------
+
+def _reference_keep(breaks, n_other, value):
+    """Kept line indices by the direct rule: compare slopes as Fractions.
+
+    ``value(line, other)`` is the point on grid line ``line`` at position
+    ``other`` along it.  This is the division-based algorithm that the
+    integer scan in :mod:`strips_operad.exact` replaced, kept as an oracle.
+    """
+    keep = [0]
+    for k in range(1, len(breaks) - 1):
+        prev = keep[-1]
+        dt0 = breaks[k] - breaks[prev]
+        dt1 = breaks[k + 1] - breaks[k]
+        if any((b - a) / dt0 != (c - b) / dt1
+               for o in range(n_other)
+               for a, b, c in zip(value(prev, o), value(k, o), value(k + 1, o))):
+            keep.append(k)
+    keep.append(len(breaks) - 1)
+    return keep
+
+
+def reference_path_canonical(p: PLPath) -> PLPath:
+    keep = _reference_keep(p.breaks, 1, lambda k, o: p.values[k])
+    if len(keep) == len(p.breaks):
+        return p
+    return PLPath(tuple(p.breaks[k] for k in keep), tuple(p.values[k] for k in keep))
+
+
+def reference_sheet_canonical(s: GridSheet) -> GridSheet:
+    keep_x = _reference_keep(s.x_breaks, len(s.y_breaks), lambda k, o: s.values[k][o])
+    keep_y = _reference_keep(s.y_breaks, len(s.x_breaks), lambda k, o: s.values[o][k])
+    if len(keep_x) == len(s.x_breaks) and len(keep_y) == len(s.y_breaks):
+        return s
+    return GridSheet(tuple(s.x_breaks[i] for i in keep_x),
+                     tuple(s.y_breaks[i] for i in keep_y),
+                     tuple(tuple(s.values[ix][iy] for iy in keep_y) for ix in keep_x))
+
+
+def assert_canonical_matches_reference(obj, reference):
+    got = obj.canonical()
+    want = reference(obj)
+    assert got == want
+    if want is obj:
+        assert got is obj  # nothing dropped: the object itself comes back
+    assert got.canonical() is got  # idempotent, and already minimal
+    return got
+
+
+# Denominators from 1 to well above 2**40, so scaled integers outgrow machine words.
+DENOMINATORS = (1, 2, 3, 8, 2**40 + 15, 3**27, 2**61 - 1)
+
+
+def _big_rational(rng: random.Random) -> F:
+    return F(rng.randint(-2**45, 2**45), rng.choice(DENOMINATORS))
+
+
+def _big_cuts(rng: random.Random, count: int) -> list:
+    cuts = set()
+    for _ in range(count):
+        den = rng.choice(DENOMINATORS[2:])
+        cuts.add(F(rng.randint(1, den - 1), den))
+    return sorted(cuts)
+
+
+def _bumped(point: tuple, rng: random.Random) -> tuple:
+    """The point with one coordinate moved by a tiny amount (if it has one)."""
+    if not point:
+        return point
+    i = rng.randrange(len(point))
+    return point[:i] + (point[i] + F(1, rng.choice(DENOMINATORS[4:])),) + point[i + 1:]
+
+
+def test_path_canonical_matches_fraction_reference():
+    for k in range(300):
+        rng = random.Random(f"intcanon-path:{k}")
+        dim = rng.randint(0, 3)
+        breaks = (F(0), *_big_cuts(rng, rng.randint(0, 4)), F(1))
+        values = tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in breaks)
+        p = PLPath(breaks, values)
+        base = assert_canonical_matches_reference(p, reference_path_canonical)
+        refined = base.refined(_big_cuts(rng, rng.randint(1, 4)))
+        assert assert_canonical_matches_reference(refined,
+                                                  reference_path_canonical) == base
+        # one interior value moved off its line by a tiny amount
+        if len(refined.breaks) > 2:
+            j = rng.randrange(1, len(refined.breaks) - 1)
+            vals = list(refined.values)
+            vals[j] = _bumped(vals[j], rng)
+            assert_canonical_matches_reference(PLPath(refined.breaks, tuple(vals)),
+                                               reference_path_canonical)
+
+
+def test_sheet_canonical_matches_fraction_reference():
+    for k in range(120):
+        rng = random.Random(f"intcanon-sheet:{k}")
+        dim = rng.randint(0, 3)
+        xs = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
+        ys = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
+        values = tuple(tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in ys)
+                       for _ in xs)
+        s = GridSheet(xs, ys, values)
+        base = assert_canonical_matches_reference(s, reference_sheet_canonical)
+        refined = base.refined(_big_cuts(rng, rng.randint(0, 2)),
+                               _big_cuts(rng, rng.randint(0, 2)))
+        assert assert_canonical_matches_reference(refined,
+                                                  reference_sheet_canonical) == base
+        # one grid value off its lines: a redundant line bends in one row only
+        cols = [list(col) for col in refined.values]
+        ix, iy = rng.randrange(len(cols)), rng.randrange(len(cols[0]))
+        cols[ix][iy] = _bumped(cols[ix][iy], rng)
+        assert_canonical_matches_reference(
+            GridSheet(refined.x_breaks, refined.y_breaks,
+                      tuple(tuple(col) for col in cols)),
+            reference_sheet_canonical)
+
+
+big_unit_rationals = st.fractions(min_value=F(0), max_value=F(1),
+                                  max_denominator=2**50)
+big_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=2**50)
+
+
+@given(st.integers(0, 2), st.lists(big_unit_rationals, max_size=4),
+       st.lists(big_unit_rationals, max_size=3), st.data())
+def test_path_canonical_matches_reference_on_generated_paths(dim, cuts, extra, data):
+    breaks = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
+    values = data.draw(st.lists(st.tuples(*[big_rationals] * dim),
+                                min_size=len(breaks), max_size=len(breaks)))
+    p = PLPath(breaks, tuple(values))
+    assert_canonical_matches_reference(p, reference_path_canonical)
+    assert_canonical_matches_reference(p.refined(extra), reference_path_canonical)
+
+
+@given(st.integers(0, 2), st.lists(big_unit_rationals, max_size=2),
+       st.lists(big_unit_rationals, max_size=2), st.data())
+def test_sheet_canonical_matches_reference_on_generated_sheets(dim, cuts_x, cuts_y,
+                                                               data):
+    xs = (F(0), *sorted({c for c in cuts_x if F(0) < c < F(1)}), F(1))
+    ys = (F(0), *sorted({c for c in cuts_y if F(0) < c < F(1)}), F(1))
+    point = st.tuples(*[big_rationals] * dim)
+    column = st.lists(point, min_size=len(ys), max_size=len(ys)).map(tuple)
+    values = data.draw(st.lists(column, min_size=len(xs), max_size=len(xs)))
+    s = GridSheet(xs, ys, tuple(values))
+    assert_canonical_matches_reference(s, reference_sheet_canonical)
+    extra = data.draw(st.lists(big_unit_rationals, max_size=2))
+    assert_canonical_matches_reference(s.refined(extra, extra),
+                                       reference_sheet_canonical)
+
+
+def test_coercion_keeps_fractions_and_converts_the_rest():
+    half = F(1, 2)
+    p = PLPath((0, "1/2", half * 2), ((1,), (half,), ("-3/4",)))
+    assert p.breaks == (F(0), F(1, 2), F(1))
+    assert all(type(t) is F for t in p.breaks)
+    assert p.values == ((F(1),), (F(1, 2),), (F(-3, 4),))
+    assert p.values[1][0] is half
+    assert all(type(c) is F for v in p.values for c in v)

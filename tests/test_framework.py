@@ -127,6 +127,15 @@ def test_exhaustive_mode_runs_every_plan():
     assert report.cases_run == 6 + 36
 
 
+def test_run_with_no_cases_is_not_ok():
+    # `check trees --exhaustive --max-r 0` once reported ok after 0 cases
+    report = run_operad_exhaustive(trees_operad(), max_arity=0)
+    assert report.cases_run == 0
+    assert not report.failures
+    assert report.ok is False
+    assert json.loads(report.json_bytes())["ok"] is False
+
+
 def test_rel_check_runs_and_passes():
     rel = strips_rel_operad()
     report = run_rel_check(rel, seed=3, cases=10, max_r=2, max_total=4)
