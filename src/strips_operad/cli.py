@@ -15,6 +15,7 @@ variable (0 when unset); identical seeds give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
 
 MUTATION_OFFSET = Fraction(1, 1000)
+DEFAULT_CASES = 100
 
 
 def _default_seed() -> int:
@@ -51,7 +53,7 @@ def _emit(text: str, out) -> None:
 
 def _check_args_error(args):
     """Why the ``check`` arguments cannot give a bounded, non-empty run, or None."""
-    if args.cases < 1:
+    if args.cases is not None and args.cases < 1:
         return f"--cases must be at least 1, got {args.cases}"
     if args.max_r < 1:
         return f"--max-r must be at least 1, got {args.max_r}"
@@ -59,6 +61,8 @@ def _check_args_error(args):
         return f"--max-n must be at least 1, got {args.max_n}"
     if args.exhaustive and args.target != "trees":
         return f"--exhaustive applies only to trees, not {args.target}"
+    if args.exhaustive and args.cases is not None:
+        return "--cases does not apply with --exhaustive, which runs every plan"
     return None
 
 
@@ -68,20 +72,21 @@ def cmd_check(args) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else _default_seed()
+    cases = args.cases if args.cases is not None else DEFAULT_CASES
     mut = MUTATION_OFFSET if args.mutate else None
     if args.target == "intervals":
         report = run_operad_check(intervals_operad(mutation=mut), seed=seed,
-                                  cases=args.cases, max_arity=args.max_r)
+                                  cases=cases, max_arity=args.max_r)
     elif args.target == "trees":
         op = trees_operad(mutation=args.mutate)
         if args.exhaustive:
             report = run_operad_exhaustive(op, max_arity=args.max_r, seed=seed)
         else:
-            report = run_operad_check(op, seed=seed, cases=args.cases,
+            report = run_operad_check(op, seed=seed, cases=cases,
                                       max_arity=args.max_r)
     elif args.target == "strips":
         report = run_rel_check(strips_rel_operad(mutation=mut), seed=seed,
-                               cases=args.cases, max_r=args.max_r,
+                               cases=cases, max_r=args.max_r,
                                max_total=args.max_n)
     else:  # sheets
         def make_algebra(rng):
@@ -91,7 +96,7 @@ def cmd_check(args) -> int:
                                  mutation=mut)
 
         report = run_algebra_check(make_algebra, strips_rel_operad(), seed=seed,
-                                   cases=args.cases, max_r=args.max_r,
+                                   cases=cases, max_r=args.max_r,
                                    max_total=args.max_n, name="sheets")
     _emit(report.json_bytes().decode(), args.out)
     return 0 if report.ok else 1
@@ -221,7 +226,10 @@ def cmd_render(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="strips-operad",
         description="Exact operad law checking, enumeration, and rendering.")
@@ -232,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("intervals", "strips", "trees", "sheets"))
     check.add_argument("--seed", type=int, default=None,
                        help="default: $STRIPS_OPERAD_SEED or 0")
-    check.add_argument("--cases", type=int, default=100)
+    check.add_argument("--cases", type=int, default=None,
+                       help=f"seeded cases (default {DEFAULT_CASES}); "
+                            "not with --exhaustive")
     check.add_argument("--max-r", "--max-arity", dest="max_r", type=int,
                        default=3, help="arity bound")
     check.add_argument("--max-n", dest="max_n", type=int, default=5,

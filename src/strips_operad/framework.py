@@ -560,11 +560,10 @@ def run_rel_check(rel: RelTwoOperadInstance, *, seed: int, cases: int,
 
 def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
                       rel: RelTwoOperadInstance, *, seed: int, cases: int,
-                      max_r: int, max_total: int, name: str = "") -> CheckReport:
+                      max_r: int, max_total: int, name: str) -> CheckReport:
     """``make_algebra`` builds the algebra for each case, so runs can vary
     the underlying map along with the elements."""
-    first = make_algebra(_case_rng(seed, "probe"))
-    report = CheckReport(name or first.name, "seeded", seed,
+    report = CheckReport(name, "seeded", seed,
                          {"cases": cases, "max_r": max_r, "max_total": max_total},
                          cases)
     for k in range(cases):

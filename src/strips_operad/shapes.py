@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-Shape = tuple
-
-
 class ShapeError(ValueError):
     """A shape vector or a family of shapes fails the composition rules."""
 

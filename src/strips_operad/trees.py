@@ -9,25 +9,59 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+import weakref
 from typing import Iterator, Optional, Sequence
 
 from .framework import OperadInstance
 
 
-@dataclass(frozen=True)
+_TREES = weakref.WeakValueDictionary()     # children tuple -> the live tree
+
+
 class PlanarTree:
-    """A leaf when ``children`` is empty; internal vertices have >= 2 children."""
+    """A leaf when ``children`` is empty; internal vertices have >= 2 children.
 
-    children: tuple = ()
+    Trees are hash-consed: the constructor returns the one live tree with the
+    given children, so equal trees are the same object and equality is
+    identity.  ``leaves`` is the leaf count, computed once per distinct tree.
+    The table holds its trees weakly, so a tree nothing refers to is dropped.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) == 1:
-            raise ValueError("unary vertices are not allowed")
-        for c in self.children:
-            if not isinstance(c, PlanarTree):
-                raise TypeError(f"expected PlanarTree, got {type(c).__name__}")
+    __slots__ = ("children", "leaves", "__weakref__")
+
+    def __new__(cls, children=()):
+        children = tuple(children)
+        try:
+            tree = _TREES.get(children)
+        except TypeError:   # an unhashable child; reported below
+            tree = None
+        if tree is None:
+            if len(children) == 1:
+                raise ValueError("unary vertices are not allowed")
+            leaves = 0
+            for c in children:
+                if not isinstance(c, PlanarTree):
+                    raise TypeError(f"expected PlanarTree, got {type(c).__name__}")
+                leaves += c.leaves
+            tree = object.__new__(cls)
+            object.__setattr__(tree, "children", children)
+            object.__setattr__(tree, "leaves", leaves or 1)   # a leaf is one
+            _TREES[children] = tree
+        return tree
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PlanarTree is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PlanarTree is immutable")
+
+    def __eq__(self, other):
+        return self is other
+
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return (PlanarTree, (self.children,))
 
     @property
     def is_leaf(self) -> bool:
@@ -48,9 +82,7 @@ def corolla(r: int) -> PlanarTree:
 
 
 def tree_leaves(t: PlanarTree) -> int:
-    if t.is_leaf:
-        return 1
-    return sum(tree_leaves(c) for c in t.children)
+    return t.leaves
 
 
 def tree_dim(t: PlanarTree) -> int:
@@ -100,15 +132,16 @@ PlanarTree.parse = staticmethod(tree_from_brackets)
 
 def graft(outer: PlanarTree, inners: Sequence[PlanarTree]) -> PlanarTree:
     """Replace the leaves of ``outer``, left to right, by the given trees."""
-    if len(inners) != tree_leaves(outer):
+    if len(inners) != outer.leaves:
         raise ValueError(
-            f"tree with {tree_leaves(outer)} leaves grafted with {len(inners)} trees")
+            f"tree with {outer.leaves} leaves grafted with {len(inners)} trees")
+    if not outer.children:
+        return inners[0]
     it = iter(inners)
 
     def go(t: PlanarTree) -> PlanarTree:
-        if t.is_leaf:
-            return next(it)
-        return PlanarTree(tuple(go(c) for c in t.children))
+        return PlanarTree([go(c) if c.children else next(it)
+                           for c in t.children])
 
     return go(outer)
 
@@ -167,7 +200,7 @@ def random_tree(r: int, rng: random.Random) -> PlanarTree:
     parts = rng.randint(2, r)
     cuts = sorted(rng.sample(range(1, r), parts - 1))
     comp = [b - a for a, b in zip((0, *cuts), (*cuts, r))]
-    return PlanarTree(tuple(random_tree(k, rng) for k in comp))
+    return PlanarTree([random_tree(k, rng) for k in comp])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +229,7 @@ def _cut(t: PlanarTree, sizes: Sequence[int]) -> Optional[list]:
     pieces = []
     pos = 0
     for child in t.children:
-        need = tree_leaves(child)
+        need = child.leaves
         group = []
         while pos < len(sizes) and sum(group) < need:
             group.append(sizes[pos])
@@ -219,7 +252,7 @@ def contracts_to(t1: PlanarTree, t2: PlanarTree) -> bool:
     This is the face order: t1 <= t2 in the associahedron iff t1 contracts
     to t2.  Every tree contracts to itself.
     """
-    if tree_leaves(t1) != tree_leaves(t2):
+    if t1.leaves != t2.leaves:
         raise ValueError("trees must have the same number of leaves")
     if t2.is_leaf:
         return t1.is_leaf
@@ -227,7 +260,7 @@ def contracts_to(t1: PlanarTree, t2: PlanarTree) -> bool:
         return True
     if t1.is_leaf:
         return False
-    pieces = _cut(t1, [tree_leaves(c) for c in t2.children])
+    pieces = _cut(t1, [c.leaves for c in t2.children])
     if pieces is None:
         return False
     return all(contracts_to(p, c) for p, c in zip(pieces, t2.children))

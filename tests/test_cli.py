@@ -88,6 +88,44 @@ def test_check_sheets_report_bytes_are_pinned(tmp_path, capsys, seed, mutate):
     assert digest == SHEETS_REPORT_SHA256[(seed, mutate)]
 
 
+# SHA-256 of tree outputs.  A mutated `check trees` report holds the repr of
+# both tree sides, and the enumerations list or draw every face, so these pin
+# the trees themselves as well as the verdicts.
+TREES_OUTPUT_SHA256 = {
+    ("check", "trees", "--seed", "1", "--cases", "20", "--max-r", "4"):
+        "1c768278d810e687054fa23a6463948a8db468c1efb13a75d3000e7f74a14fa2",
+    ("check", "trees", "--seed", "1", "--cases", "20", "--max-r", "4",
+     "--mutate"):
+        "a60c6413d1500b535140508c8d05206564ef54e11b3befaac29fdc51e9342e6f",
+    ("check", "trees", "--seed", "2", "--cases", "20", "--max-r", "4"):
+        "e3d86676ca9aea446a604ca39de25242fa82aa8c582e08647a06e9631bc83d75",
+    ("check", "trees", "--seed", "2", "--cases", "20", "--max-r", "4",
+     "--mutate"):
+        "b769de33c822b34b8271017ad79af48bac95e8c43145e349df66b90178a9be4b",
+    ("check", "trees", "--seed", "3", "--cases", "20", "--max-r", "4"):
+        "e0d7cf4e45b591867d32424357958f6a4826db16e3e01d5fe334db57eee7bf8c",
+    ("check", "trees", "--seed", "3", "--cases", "20", "--max-r", "4",
+     "--mutate"):
+        "dd42ce1f95488534218655a65e7a586fbdd4fdbb15f5680f9a1d69c527771b7b",
+    ("check", "trees", "--exhaustive", "--max-r", "2"):
+        "3334b6f83f84cea71c47bbbb9af8fe56c636829562c1d92ff79d3a8988c7a016",
+    ("enumerate", "5", "--format", "dot"):
+        "b6e9fe1f8737c771cab870eebee986c82a7229be70b369a4c4514fc4ad14a639",
+    ("enumerate", "5", "--format", "svg"):
+        "cd8b88a6aa204c63c3a46a621a8423390bda13ad537075ea60647a42a6d2c98c",
+    ("enumerate", "8"):
+        "70dca0eea00a53d52c85a32095f05b8834b849a745545f18acf2efc9dbb287ff",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TREES_OUTPUT_SHA256), ids=" ".join)
+def test_tree_output_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(list(argv), capsys)
+    assert code == (1 if "--mutate" in argv else 0)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == TREES_OUTPUT_SHA256[argv]
+
+
 def test_check_seed_from_environment(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -139,6 +177,39 @@ def test_check_rejects_total_bound_below_one(capsys, target):
 def test_check_rejects_exhaustive_outside_trees(capsys, target):
     # once ignored silently
     assert_usage_error(["check", target, "--exhaustive"], capsys, "--exhaustive")
+
+
+def test_check_rejects_cases_with_exhaustive(capsys):
+    # once ignored silently: exhaustive runs check every plan
+    assert_usage_error(["check", "trees", "--exhaustive", "--cases", "5"],
+                       capsys, "--cases")
+
+
+def test_check_cases_default_is_one_hundred(capsys):
+    code, out, _ = run(["check", "trees", "--seed", "4"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["plan"]["cases"] == doc["cases_run"] == 100
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    valid = ["check", "trees", "--seed", "2", "--cases", "7", "--max-r", "4"]
+    other = ["check", "trees", "--seed", "5", "--mutate"]
+    code, alone, _ = run(valid, capsys)
+    assert code == 0
+    code, other_alone, _ = run(other, capsys)
+    assert code == 1
+    with pytest.raises(SystemExit) as exc:      # rejected by argparse
+        main(["check", "trees", "--cases", "many", "--exhaustive"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(valid, capsys)[1] == alone
+    # rejected by validation, after argparse accepted every option
+    assert run(["check", "strips", "--cases", "0", "--max-n", "0",
+                "--mutate", "--seed", "9"], capsys)[0] == 2
+    assert run(valid, capsys)[1] == alone
+    assert run(other, capsys)[1] == other_alone
+    assert run(valid, capsys)[1] == alone
 
 
 # --- enumerate ----------------------------------------------------------------------

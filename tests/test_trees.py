@@ -1,8 +1,13 @@
 """Planar trees, grafting, contraction order, and associahedron face counts."""
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from strips_operad.serialize import tree_from_json, tree_to_json
 from strips_operad.framework import run_operad_check, run_operad_exhaustive
 from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
                                  enumerate_trees, f_vector, graft,
@@ -32,6 +37,83 @@ def test_binary_trees_have_dimension_zero():
     t = graft(corolla(2), (corolla(2), LEAF))
     assert tree_dim(t) == 0
     assert tree_leaves(t) == 3
+
+
+def test_non_tree_children_are_rejected():
+    with pytest.raises(TypeError):
+        PlanarTree((LEAF, "*"))
+    with pytest.raises(TypeError):
+        PlanarTree((LEAF, []))      # unhashable, so never in the table
+
+
+# --- interning ------------------------------------------------------------------
+
+def test_equal_trees_are_one_object_on_every_path():
+    t = PlanarTree((PlanarTree((LEAF, LEAF)), LEAF, corolla(3)))
+    assert PlanarTree.parse("((**)*(***))") is t
+    assert tree_from_brackets(tree_to_brackets(t)) is t
+    assert tree_from_json(tree_to_json(t)) is t
+    assert graft(corolla(3), (corolla(2), LEAF, corolla(3))) is t
+    assert graft(LEAF, (t,)) is t
+    assert any(u is t for u in enumerate_trees(6))
+    # contracting the first internal edge of t
+    assert next(one_step_contractions(t)) is PlanarTree((LEAF,) * 3 + (corolla(3),))
+
+
+def test_empty_children_give_the_leaf():
+    assert PlanarTree(()) is LEAF
+    assert PlanarTree() is LEAF
+    assert PlanarTree([]) is LEAF
+
+
+def test_trees_are_immutable():
+    t = corolla(3)
+    with pytest.raises(AttributeError):
+        t.children = ()
+    with pytest.raises(AttributeError):
+        t.leaves = 7
+    with pytest.raises(AttributeError):
+        t.colour = "red"
+    with pytest.raises(AttributeError):
+        del t.children
+    assert t.children == (LEAF,) * 3 and t.leaves == 3
+
+
+def test_copies_and_pickles_give_back_the_interned_tree():
+    t = random_tree(7, random.Random("copy"))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy([t, t])[0] is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert pickle.loads(pickle.dumps(LEAF)) is LEAF
+
+
+def test_unreferenced_trees_leave_the_table():
+    # 40 leaves: too many for any enumerate_trees result to hold it
+    t = PlanarTree((corolla(20), corolla(20)))
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+
+
+def test_stored_leaf_count_matches_a_recursive_count():
+    def count(t):
+        return 1 if not t.children else sum(count(c) for c in t.children)
+
+    rng = random.Random("leaves")
+    for _ in range(200):
+        t = random_tree(rng.randint(1, 12), rng)
+        assert t.leaves == tree_leaves(t) == count(t)
+
+
+def test_equality_is_identity():
+    t = corolla(4)
+    assert t == PlanarTree((LEAF,) * 4)
+    assert hash(t) == hash(PlanarTree((LEAF,) * 4))
+    assert t != corolla(3)
+    assert t != "(****)"
+    assert len({corolla(4), corolla(4), corolla(2)}) == 2
 
 
 # --- brackets -----------------------------------------------------------------
