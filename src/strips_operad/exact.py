@@ -64,7 +64,8 @@ def _segment_index(breaks: Sequence[Fraction], t: Fraction) -> int:
 class AffineMap1:
     """Increasing affine map x |-> a*x + c with a > 0.
 
-    A call or an inverse forms its result as one fraction, reduced once.
+    A call, an inverse or a composite forms each result coefficient as one
+    fraction, reduced once.
     """
 
     a: Fraction
@@ -73,7 +74,7 @@ class AffineMap1:
     def __post_init__(self):
         object.__setattr__(self, "a", as_rat(self.a))
         object.__setattr__(self, "c", as_rat(self.c))
-        if self.a <= 0:
+        if self.a.numerator <= 0:
             raise ValueError(f"affine scale must be positive, got {self.a}")
 
     def __call__(self, x: Fraction) -> Fraction:
@@ -85,7 +86,11 @@ class AffineMap1:
 
     def compose(self, inner: "AffineMap1") -> "AffineMap1":
         """self after inner:  x |-> self(inner(x))."""
-        return AffineMap1(self.a * inner.a, self.a * inner.c + self.c)
+        a, c, ia, ic = self.a, self.c, inner.a, inner.c
+        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        icn, icd = ic.numerator, ic.denominator
+        return AffineMap1(Fraction(an * ia.numerator, ad * ia.denominator),
+                          Fraction(an * icn * cd + cn * ad * icd, ad * icd * cd))
 
     def invert(self, y: Fraction) -> Fraction:
         y = as_rat(y)

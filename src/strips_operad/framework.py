@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .shapes import output_shape, total
+from .shapes import output_shape
 
 
 class FiberProductError(ValueError):
@@ -135,9 +135,10 @@ class AlgebraPlan:
 
 
 def random_operad_plan(rng: random.Random, max_arity: int) -> OperadPlan:
-    r = rng.randint(1, max_arity)
-    middles = tuple(rng.randint(1, max_arity) for _ in range(r))
-    deep = tuple(tuple(rng.randint(1, max_arity) for _ in range(s)) for s in middles)
+    bits = rng.getrandbits
+    r = _arity(bits, max_arity)
+    middles = tuple(_arity(bits, max_arity) for _ in range(r))
+    deep = tuple(tuple(_arity(bits, max_arity) for _ in range(s)) for s in middles)
     return OperadPlan(middles, deep)
 
 
@@ -157,49 +158,96 @@ def all_operad_plans(max_arity: int) -> Iterator[OperadPlan]:
                 yield OperadPlan(middles, tuple(deep))
 
 
-def _random_shape(rng: random.Random, length: int, max_total: int) -> tuple:
+# The plan samplers read the Mersenne Twister through ``getrandbits`` the way
+# CPython's ``Random.choice`` and ``Random.randint`` do (``_randbelow``: draw
+# ``n.bit_length()`` bits, redraw while the value is at least n).  They consume
+# the same words and return the same plans as those calls would, without
+# their per-call overhead.  ``tests/test_plan_sampler.py`` checks this
+# against the running interpreter's ``random``.
+
+_SHAPE = (0, 0, 1, 1, 2)    # a shape entry is a uniform choice from these
+
+
+def _arity(bits: Callable[[int], int], n: int) -> int:
+    """``randint(1, n)``, word for word."""
+    k = n.bit_length()
+    v = bits(k)
+    while v >= n:
+        v = bits(k)
+    return v + 1
+
+
+def _random_shape(bits: Callable[[int], int], length: int,
+                  max_total: int) -> tuple:
+    """``(shape, total)``: a shape of the given length with total between 1
+    and ``max_total``, redrawn whole until it fits."""
     while True:
-        sh = tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(length))
-        if any(sh) and sum(sh) <= max_total:
-            return sh
+        sh = []
+        for _ in range(length):
+            k = bits(3)
+            while k >= 5:
+                k = bits(3)
+            sh.append(_SHAPE[k])
+        n = sum(sh)
+        if 0 < n <= max_total:
+            return tuple(sh), n
+
+
+def _random_inner(bits: Callable[[int], int], m: tuple, s: tuple,
+                  max_total: int) -> tuple:
+    """``inner[i][a]`` for every outer rectangle, redrawn whole until the
+    first-stage composite has at most ``max_total`` rectangles.  That total
+    is the sum of the inner totals (see :func:`shapes.output_shape`)."""
+    while True:
+        n = 0
+        inner = []
+        for m_i, s_i in zip(m, s):
+            row = []
+            for _ in range(m_i):
+                sh, k = _random_shape(bits, s_i, max_total)
+                row.append(sh)
+                n += k
+            inner.append(tuple(row))
+        if n <= max_total:
+            return tuple(inner)
 
 
 def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
-    r = rng.randint(1, max_r)
-    m = _random_shape(rng, r, min(3, max_total))
-    s = tuple(rng.randint(1, max_r) for _ in range(r))
+    bits = rng.getrandbits
+    r = _arity(bits, max_r)
+    m, _ = _random_shape(bits, r, min(3, max_total))
+    s = tuple(_arity(bits, max_r) for _ in range(r))
+    inner = _random_inner(bits, m, s, max_total)
+    t = tuple(tuple(_arity(bits, max_r) for _ in range(s_i)) for s_i in s)
+    # deep[i][j][a] holds inner[i][a][j] shapes of length t[i][j].  An attempt
+    # draws all of them in that order, flat, before its total is tested.
+    lengths = [t[i][j] for i in range(r) for j in range(s[i])
+               for a in range(m[i]) for _ in range(inner[i][a][j])]
     while True:
-        inner = tuple(tuple(_random_shape(rng, s[i], max_total) for _ in range(m[i]))
-                      for i in range(r))
-        mid_shape = output_shape(m, s, inner)
-        if total(mid_shape) <= max_total:
+        flat = []
+        n = 0
+        for length in lengths:
+            sh, k = _random_shape(bits, length, max_total)
+            flat.append(sh)
+            n += k
+        if n <= max_total:
             break
-    t = tuple(tuple(rng.randint(1, max_r) for _ in range(s[i])) for i in range(r))
-    while True:
-        deep = tuple(
-            tuple(
-                tuple(
-                    tuple(_random_shape(rng, t[i][j], max_total)
-                          for _ in range(inner[i][a][j]))
-                    for a in range(m[i]))
-                for j in range(s[i]))
-            for i in range(r))
-        final = sum(total(sh)
-                    for i in range(r) for j in range(len(deep[i]))
-                    for row in deep[i][j] for sh in row)
-        if final <= max_total:
-            return RelPlan(m, s, inner, t, deep)
+    shapes = iter(flat)
+    deep = tuple(
+        tuple(
+            tuple(tuple(next(shapes) for _ in range(inner[i][a][j]))
+                  for a in range(m[i]))
+            for j in range(s[i]))
+        for i in range(r))
+    return RelPlan(m, s, inner, t, deep)
 
 
 def random_algebra_plan(rng: random.Random, max_r: int, max_total: int) -> AlgebraPlan:
-    r = rng.randint(1, max_r)
-    m = _random_shape(rng, r, min(3, max_total))
-    s = tuple(rng.randint(1, max_r) for _ in range(r))
-    while True:
-        inner = tuple(tuple(_random_shape(rng, s[i], max_total) for _ in range(m[i]))
-                      for i in range(r))
-        if total(output_shape(m, s, inner)) <= max_total:
-            return AlgebraPlan(m, s, inner)
+    bits = rng.getrandbits
+    r = _arity(bits, max_r)
+    m, _ = _random_shape(bits, r, min(3, max_total))
+    s = tuple(_arity(bits, max_r) for _ in range(r))
+    return AlgebraPlan(m, s, _random_inner(bits, m, s, max_total))
 
 
 # ---------------------------------------------------------------------------

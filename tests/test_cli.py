@@ -126,6 +126,61 @@ def test_tree_output_bytes_are_pinned(capsys, argv):
     assert digest == TREES_OUTPUT_SHA256[argv]
 
 
+# SHA-256 of `check strips` and `check intervals` reports.  A mutated report
+# holds the repr of both sides, so these pin the sampled plans and the
+# composites themselves, not only the verdicts.
+STRIPS_INTERVALS_OUTPUT_SHA256 = {
+    ("check", "strips", "--seed", "1"):
+        "f7fc37fdd104f679edd516d619b29450543bc478e85398aab1e8c905ff3170f2",
+    ("check", "strips", "--seed", "1", "--mutate"):
+        "afd394eb0a76ff8b6262215b2d0c1dc8bd6dff01f341b8612f23b9f55cbb1d56",
+    ("check", "strips", "--seed", "1", "--max-r", "2", "--max-n", "4"):
+        "9ad08d2cb03434b8f9126aeaf0fa90aa0b9059c8e223718e964c1d19c34532eb",
+    ("check", "strips", "--seed", "1", "--max-r", "4", "--max-n", "6",
+     "--cases", "5"):
+        "b5ff542d7d7cfede5831f9b1276b473251f05e05208139387dc60e59c9392726",
+    ("check", "strips", "--seed", "2"):
+        "9afaeb55619beb793d960567e3a82da141aba71833738ce0d96301bd124af9f7",
+    ("check", "strips", "--seed", "2", "--mutate"):
+        "f7a47837f29099ed7948e6663d906142b98eaf49272176fabe1d5ecae8e0ea43",
+    ("check", "strips", "--seed", "2", "--max-r", "2", "--max-n", "4"):
+        "b80aa8a9df509a04310a9e676dac0a9f74e09e8373339429c0242c8cc41aa6c3",
+    ("check", "strips", "--seed", "2", "--max-r", "4", "--max-n", "6",
+     "--cases", "5"):
+        "fd9e25fe451259d1c64388f821b66893baa00d75d61c4024c8af592f98389046",
+    ("check", "strips", "--seed", "3"):
+        "b7518e2e238b4011e39a4650c3ce645ffc87ea56ace0fdf1d932fad5eadeae46",
+    ("check", "strips", "--seed", "3", "--mutate"):
+        "c8b83e4ea1fb2b45db127e8f479e834ec976b1e23fe7102a6c62096796621f77",
+    ("check", "strips", "--seed", "3", "--max-r", "2", "--max-n", "4"):
+        "fbe5011c16e9fdb6b163ae340cf661f64708eeac529ac7b1772bd04fb498fb5b",
+    ("check", "strips", "--seed", "3", "--max-r", "4", "--max-n", "6",
+     "--cases", "5"):
+        "40f179bad13b77cb7e907dba93783f32c7e3df3ee5f4e24f83eb33dbb3bf7506",
+    ("check", "intervals", "--seed", "1"):
+        "1dca3b2d1210317ed45a175a034c713a9367d8331eb2f8c8567496f8205d3004",
+    ("check", "intervals", "--seed", "1", "--mutate"):
+        "db14f97ec7d413a763bba651bcd6c16fc1f44d3938d7f6a0e2867dca52f24819",
+    ("check", "intervals", "--seed", "2"):
+        "568c670bb6061d979b70f4b4fce2b63c2795ac8a26a456d3555377900a91ed1a",
+    ("check", "intervals", "--seed", "2", "--mutate"):
+        "f07f0f0fa9ad3b188ae61d5c1dfac72727bf59fc9b365a9910aa8756b082f221",
+    ("check", "intervals", "--seed", "3"):
+        "7f184edda33dc1b0d1cdf29d23114400cd6f73884032b6d07402dc9215e0f421",
+    ("check", "intervals", "--seed", "3", "--mutate"):
+        "6d4495cccfdfac1ff266accaa1cb21a2db5729f76d98f8e5772e4f3ae5c0f729",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STRIPS_INTERVALS_OUTPUT_SHA256),
+                         ids=" ".join)
+def test_strips_and_intervals_report_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(list(argv), capsys)
+    assert code == (1 if "--mutate" in argv else 0)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STRIPS_INTERVALS_OUTPUT_SHA256[argv]
+
+
 def test_check_seed_from_environment(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -35,6 +35,28 @@ def test_affine_rejects_nonpositive_scale():
         AffineMap1(F(-1, 2), F(0))
 
 
+def test_affine_compose_matches_fraction_arithmetic():
+    # a composite's coefficients are a*a' and a*c' + c, reduced, whatever the
+    # size of the denominators or the sign of the offsets
+    rng = random.Random(1729)
+
+    def rat(lo):
+        return F(rng.randint(lo, 10 ** 12), rng.randint(1, 10 ** 12))
+
+    for _ in range(500):
+        a, c, ia, ic = rat(1), rat(-10 ** 12), rat(1), rat(-10 ** 12)
+        got = AffineMap1(a, c).compose(AffineMap1(ia, ic))
+        assert (got.a, got.c) == (a * ia, a * ic + c)
+        assert (type(got.a), type(got.c)) == (F, F)
+
+
+@pytest.mark.parametrize("scale", [F(0), F(-3, 7), 0, -2, "-1/5"])
+def test_affine_scale_error_names_the_coerced_scale(scale):
+    with pytest.raises(ValueError) as err:
+        AffineMap1(scale, F(1, 2))
+    assert str(err.value) == f"affine scale must be positive, got {F(scale)}"
+
+
 def test_affine_image_and_invert():
     f = AffineMap1(F(1, 2), F(1, 4))
     assert f.image() == (F(1, 4), F(3, 4))
