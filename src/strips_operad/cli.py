@@ -121,11 +121,7 @@ def cmd_enumerate(args) -> int:
         _emit(svg.hasse_svg(r), args.out)
     else:
         trees = enumerate_trees(r)
-        payload = {"leaves": r,
-                   "f_vector": list(f_vector(r)),
-                   "total": len(trees),
-                   "trees": [serialize.tree_to_json(t) for t in trees]}
-        _emit(serialize.dumps(payload), args.out)
+        _emit(serialize.enumeration_dumps(r, f_vector(r), trees), args.out)
     return 0
 
 
@@ -251,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corrupt the composition; the run must fail")
     check.add_argument("--exhaustive", action="store_true",
                        help="trees only: all plans up to the arity bound")
-    check.add_argument("--format", choices=("json",), default="json")
     check.add_argument("--out", default=None, help="report path (default stdout)")
     check.set_defaults(func=cmd_check)
 

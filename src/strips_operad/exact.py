@@ -89,8 +89,8 @@ class AffineMap1:
         a, c, ia, ic = self.a, self.c, inner.a, inner.c
         an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
         icn, icd = ic.numerator, ic.denominator
-        return AffineMap1(Fraction(an * ia.numerator, ad * ia.denominator),
-                          Fraction(an * icn * cd + cn * ad * icd, ad * icd * cd))
+        return _affine1(Fraction(an * ia.numerator, ad * ia.denominator),
+                        Fraction(an * icn * cd + cn * ad * icd, ad * icd * cd))
 
     def invert(self, y: Fraction) -> Fraction:
         y = as_rat(y)
@@ -102,6 +102,16 @@ class AffineMap1:
     def image(self, lo: Fraction = ZERO, hi: Fraction = ONE) -> tuple[Fraction, Fraction]:
         """Image of [lo, hi]; defaults to the unit interval."""
         return (self(lo), self(hi))
+
+
+def _affine1(a: Fraction, c: Fraction) -> AffineMap1:
+    """An :class:`AffineMap1` from two ``Fraction``s with ``a > 0``, built
+    without coercing them again or re-testing the sign."""
+    m = object.__new__(AffineMap1)
+    fields = m.__dict__          # the frozen dataclass's own storage
+    fields["a"] = a
+    fields["c"] = c
+    return m
 
 
 IDENTITY_1 = AffineMap1(ONE, ZERO)

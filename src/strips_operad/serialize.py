@@ -151,6 +151,43 @@ def tree_from_json(obj) -> PlanarTree:
     return PlanarTree(tuple(tree_from_json(c) for c in obj))
 
 
+def enumeration_dumps(leaves: int, f_vector, trees) -> str:
+    """``dumps`` of an enumeration document, written from text pieces.
+
+    Equal to ``dumps({"leaves": leaves, "f_vector": list(f_vector),
+    "total": len(trees), "trees": [tree_to_json(t) for t in trees]})``, but
+    no nested lists are built: the indented text of each distinct subtree at
+    each nesting depth is formed once per call and joined into its parents.
+    Trees are interned, so a subtree is keyed by identity.
+    """
+    memo = {}
+
+    def text(t: PlanarTree, depth: int) -> str:
+        if not t.children:
+            return "[]"
+        key = (t, depth)
+        s = memo.get(key)
+        if s is None:
+            s = _list_text([text(c, depth + 1) for c in t.children], depth)
+            memo[key] = s
+        return s
+
+    head = json.dumps({"f_vector": list(f_vector), "leaves": leaves,
+                       "total": len(trees)}, sort_keys=True, indent=2)
+    body = _list_text([text(t, 2) for t in trees], 1)
+    # "trees" sorts after every key of head, so it goes before head's "\n}"
+    return f'{head[:-2]},\n  "trees": {body}\n}}\n'
+
+
+def _list_text(items: list, depth: int) -> str:
+    """The ``indent=2`` layout of a list of already-encoded items, for a list
+    nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 # --- generic front door ----------------------------------------------------
 
 _ENCODERS = (

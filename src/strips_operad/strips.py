@@ -109,38 +109,36 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
 def strip_violation(config: StripConfig) -> Optional[str]:
     """First defect of the configuration, or None if valid.
 
-    Checked in order: the base configuration; per rectangle (i, j) the x
-    alignment with strip i and the vertical image staying inside [0, 1]; the
-    bottom-to-top order within each strip; disjointness of all rectangle
-    pairs.  Indices in messages are 1-based.
+    Checked in order: the base configuration; per strip i, each rectangle
+    (i, j)'s x alignment with strip i and its vertical image staying inside
+    [0, 1], then the bottom-to-top order within the strip.  Indices in
+    messages are 1-based.
+
+    Pairwise disjointness of the rectangles needs no check of its own.  A
+    valid base orders the strips strictly left to right, and every rectangle's
+    x part equals its strip's embedding, so rectangles in different strips are
+    x-disjoint; rectangles within one strip are strictly ordered bottom to
+    top, so they are y-disjoint.  Each vertical image is computed once, and
+    the whole check is linear in the rectangle count.
     """
     base_bad = interval_violation(config.base)
     if base_bad is not None:
         return f"base: {base_bad}"
-    for i, row in enumerate(config.rects):
+    for i, (emb, row) in enumerate(zip(config.base.embeddings, config.rects)):
+        images = []
         for j, rect in enumerate(row):
-            if rect.x_part != config.base.embeddings[i]:
+            if rect.x_part != emb:
                 return (f"rectangle ({i + 1}, {j + 1}) is not aligned with "
                         f"strip {i + 1}")
             lo, hi = rect.y_part.image()
             if lo < ZERO or hi > ONE:
                 return (f"rectangle ({i + 1}, {j + 1}) vertical image "
                         f"[{lo}, {hi}] leaves [0, 1]")
-        for j in range(len(row) - 1):
-            if not row[j].y_part.image()[1] < row[j + 1].y_part.image()[0]:
+            images.append((lo, hi))
+        for j in range(len(images) - 1):
+            if not images[j][1] < images[j + 1][0]:
                 return (f"rectangle ({i + 1}, {j + 1}) does not sit strictly "
                         f"below rectangle ({i + 1}, {j + 2})")
-    flat = [(i, j, rect) for i, row in enumerate(config.rects)
-            for j, rect in enumerate(row)]
-    for a in range(len(flat)):
-        i1, j1, r1 = flat[a]
-        (x1l, x1h), (y1l, y1h) = r1.image()
-        for b in range(a + 1, len(flat)):
-            i2, j2, r2 = flat[b]
-            (x2l, x2h), (y2l, y2h) = r2.image()
-            if x1l <= x2h and x2l <= x1h and y1l <= y2h and y2l <= y1h:
-                return (f"rectangles ({i1 + 1}, {j1 + 1}) and "
-                        f"({i2 + 1}, {j2 + 1}) intersect")
     return None
 
 

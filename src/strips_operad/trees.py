@@ -23,11 +23,12 @@ class PlanarTree:
 
     Trees are hash-consed: the constructor returns the one live tree with the
     given children, so equal trees are the same object and equality is
-    identity.  ``leaves`` is the leaf count, computed once per distinct tree.
-    The table holds its trees weakly, so a tree nothing refers to is dropped.
+    identity.  ``leaves`` is the leaf count and ``dim`` the dimension of the
+    face the tree labels, both computed once per distinct tree.  The table
+    holds its trees weakly, so a tree nothing refers to is dropped.
     """
 
-    __slots__ = ("children", "leaves", "__weakref__")
+    __slots__ = ("children", "leaves", "dim", "__weakref__")
 
     def __new__(cls, children=()):
         children = tuple(children)
@@ -39,13 +40,16 @@ class PlanarTree:
             if len(children) == 1:
                 raise ValueError("unary vertices are not allowed")
             leaves = 0
+            dim = len(children) - 2 if children else 0
             for c in children:
                 if not isinstance(c, PlanarTree):
                     raise TypeError(f"expected PlanarTree, got {type(c).__name__}")
                 leaves += c.leaves
+                dim += c.dim
             tree = object.__new__(cls)
             object.__setattr__(tree, "children", children)
             object.__setattr__(tree, "leaves", leaves or 1)   # a leaf is one
+            object.__setattr__(tree, "dim", dim)
             _TREES[children] = tree
         return tree
 
@@ -88,9 +92,7 @@ def tree_leaves(t: PlanarTree) -> int:
 def tree_dim(t: PlanarTree) -> int:
     """Dimension of the face the tree labels: sum over internal vertices of
     (number of children - 2).  Binary trees have dimension 0."""
-    if t.is_leaf:
-        return 0
-    return len(t.children) - 2 + sum(tree_dim(c) for c in t.children)
+    return t.dim
 
 
 def tree_to_brackets(t: PlanarTree) -> str:
@@ -188,7 +190,7 @@ def f_vector(r: int) -> tuple:
     """Face counts of the (r-2)-dimensional associahedron by dimension."""
     counts = [0] * max(r - 1, 1)
     for t in enumerate_trees(r):
-        counts[tree_dim(t)] += 1
+        counts[t.dim] += 1
     return tuple(counts)
 
 

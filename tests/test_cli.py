@@ -3,10 +3,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from random import Random
 
 import pytest
 
 from strips_operad.cli import main
+from strips_operad.strips import strips_rel_operad
 
 
 def run(argv, capsys):
@@ -240,6 +243,14 @@ def test_check_rejects_cases_with_exhaustive(capsys):
                        capsys, "--cases")
 
 
+def test_check_has_no_format_option(capsys):
+    # --format once offered only "json", which every report already is
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "intervals", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_check_cases_default_is_one_hundred(capsys):
     code, out, _ = run(["check", "trees", "--seed", "4"], capsys)
     assert code == 0
@@ -277,6 +288,20 @@ def test_enumerate_json(capsys):
     assert doc["total"] == 11
     assert doc["f_vector"] == [5, 5, 1]
     assert len(doc["trees"]) == 11
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_enumerate_json_equals_the_tree_json_payload(capsys, r):
+    from strips_operad.serialize import tree_to_json
+    from strips_operad.trees import enumerate_trees, f_vector
+    trees = enumerate_trees(r)
+    payload = {"leaves": r, "f_vector": list(f_vector(r)),
+               "total": len(trees), "trees": [tree_to_json(t) for t in trees]}
+    code, out, _ = run(["enumerate", str(r)], capsys)
+    assert code == 0
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # compared line by line: a failing diff of two long strings takes minutes
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_enumerate_out_of_range(capsys):
@@ -459,3 +484,233 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# --- compose and render output pins -------------------------------------------------
+#
+# Plan and sheet documents are drawn here from a seeded `random.Random`,
+# independently of the package's samplers, so the pins below hold the
+# composition, validation, serialization and SVG code alone.
+
+PIN_DENOM = 4096
+
+
+def _pin_cuts(rng, n):
+    """n disjoint closed intervals [lo, hi] inside [0, 1], left to right."""
+    pts = sorted(rng.sample(range(PIN_DENOM + 1), 2 * n))
+    return [(Fraction(pts[2 * k], PIN_DENOM), Fraction(pts[2 * k + 1], PIN_DENOM))
+            for k in range(n)]
+
+
+def _pin_intervals(rng, r):
+    return {"embeddings": [{"a": str(hi - lo), "c": str(lo)}
+                           for lo, hi in _pin_cuts(rng, r)]}
+
+
+def _pin_strip(rng, base, shape):
+    embs = base["embeddings"]
+    return {"shape": list(shape), "base": base,
+            "rects": [[{"a": embs[i]["a"], "c": embs[i]["c"],
+                        "b": str(hi - lo), "d": str(lo)}
+                       for lo, hi in _pin_cuts(rng, n)]
+                      for i, n in enumerate(shape)]}
+
+
+def _pin_split(rng, total, parts, least):
+    counts = [least] * parts
+    for _ in range(total - least * parts):
+        counts[rng.randrange(parts)] += 1
+    return counts
+
+
+def pin_strips_plan(seed, target, outer_total):
+    """A valid strips plan whose composite has ``target`` rectangles."""
+    rng = Random(seed)
+    r = rng.randint(2, 4)
+    m = _pin_split(rng, outer_total, r, 0)
+    outer = _pin_strip(rng, _pin_intervals(rng, r), m)
+    per_inner = _pin_split(rng, target, outer_total, 1)
+    blocks, k = [], 0
+    for i in range(r):
+        s = rng.randint(1, 3)
+        base = _pin_intervals(rng, s)
+        configs = []
+        for _ in range(m[i]):
+            configs.append(_pin_strip(rng, base,
+                                      _pin_split(rng, per_inner[k], s, 0)))
+            k += 1
+        blocks.append({"base": base, "configs": configs})
+    return {"kind": "strips", "outer": outer, "blocks": blocks}
+
+
+def pin_intervals_plan(seed):
+    rng = Random(seed)
+    r = rng.randint(2, 4)
+    return {"kind": "intervals", "outer": _pin_intervals(rng, r),
+            "inners": [_pin_intervals(rng, rng.randint(1, 3)) for _ in range(r)]}
+
+
+def pin_sheet(seed, dim=2):
+    """A grid sheet whose first and last columns rest at the origin."""
+    rng = Random(seed)
+
+    def breaks(n):
+        inner = sorted(rng.sample(range(1, 64), n - 2))
+        return ["0"] + [str(Fraction(t, 64)) for t in inner] + ["1"]
+
+    xb, yb = breaks(rng.randint(3, 5)), breaks(rng.randint(2, 4))
+    origin = ["0"] * dim
+    values = [[origin if ix in (0, len(xb) - 1) else
+               [str(Fraction(rng.randint(-20, 20), rng.randint(1, 4)))
+                for _ in range(dim)]
+               for _ in yb]
+              for ix in range(len(xb))]
+    return {"x_breaks": xb, "y_breaks": yb, "values": values}
+
+
+def pin_sheet_element(seed):
+    sheet = pin_sheet(seed)
+
+    def edge(iy):
+        return {"breaks": sheet["x_breaks"],
+                "values": [col[iy] for col in sheet["values"]]}
+
+    return {"sheet": sheet, "bottom": edge(0), "top": edge(-1)}
+
+
+def _write_file_plan(tmp_path):
+    """The seed-4 plan with its outer base and one inner configuration
+    moved into files, reached through ``$file``."""
+    plan = pin_strips_plan(4, 30, 6)
+    (tmp_path / "outer_base.json").write_text(
+        json.dumps(plan["outer"]["base"]))
+    plan["outer"]["base"] = {"$file": "outer_base.json"}
+    block = next(b for b in plan["blocks"] if b["configs"])
+    (tmp_path / "inner.json").write_text(json.dumps(block["configs"][0]))
+    block["configs"][0] = {"$file": "inner.json"}
+    return plan
+
+
+COMPOSE_PLANS = {
+    "strips seed 1": lambda tmp: pin_strips_plan(1, 12, 4),
+    "strips seed 2": lambda tmp: pin_strips_plan(2, 40, 8),
+    "strips seed 3 (208 rectangles)": lambda tmp: pin_strips_plan(3, 208, 20),
+    "strips seed 4 via $file": _write_file_plan,
+    "intervals seed 5": lambda tmp: pin_intervals_plan(5),
+}
+
+# SHA-256 of (the JSON `compose` writes, the `--svg` picture), per plan.
+COMPOSE_OUTPUT_SHA256 = {
+    "strips seed 1":
+        ("9fa9f8e5e003f745a346a6a07d159e8fb5892bbf4c84abc1b3a0ccaa02f1fb06",
+         "f8d4e10bbeb1f70cc05973fd3d60be8bdc4dfd143db557d4c1927522838a02e8"),
+    "strips seed 2":
+        ("3eadc9892b37ffa51c05c0502e1b065fabd5ca2556ac06f47cbdad633283f852",
+         "ec195983136bbf9b7843c3d7a79458bfa3d022d70422d1183618b0a16b251156"),
+    "strips seed 3 (208 rectangles)":
+        ("41f85b20e00610bf7f57cc4ea7ad3d3c1dff455492f199958f06293ff8166b54",
+         "b9ebc48b3529d331ec11e6912a530b7ca20065eb7b2a0c573721719bec47e660"),
+    "strips seed 4 via $file":
+        ("8bfd1538ae9d7e20d787f37f3cb72943989e3beb82b5d719e328195722a3e0ae",
+         "dcedbdf4310df61fc30d06a6c8447db9ace05594f819e831dbc62903e96d87cb"),
+    "intervals seed 5":
+        ("2796ad51623b73ab192ef062df8e9ef649b1656cc0d0b5a92017e82fa6b469ec",
+         "310cc2242b8c736ffc4265db8aac0eebfbfa9d4cd1a51a3b7737d361d7fd39dc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_PLANS))
+def test_compose_output_bytes_are_pinned(tmp_path, capsys, name):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(COMPOSE_PLANS[name](tmp_path)))
+    picture = tmp_path / "out.svg"
+    code, out, err = run(["compose", str(path), "--svg", str(picture)], capsys)
+    assert (code, err) == (0, "")
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(picture.read_bytes()).hexdigest())
+    assert digests == COMPOSE_OUTPUT_SHA256[name]
+
+
+def _composite_doc(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(pin_strips_plan(2, 40, 8)))
+    code, out, _ = run(["compose", str(path)], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+RENDER_DOCS = {
+    "composite": _composite_doc,
+    "sheet": lambda tmp, capsys: pin_sheet(6),
+    "sheet element": lambda tmp, capsys: pin_sheet_element(7),
+}
+
+RENDER_OUTPUT_SHA256 = {
+    "composite":
+        "e4caec48f85c9c53e9cd264ac35ddd236573ac9f8f958f3922f8e74e400717df",
+    "sheet":
+        "cc7664d1b4d5577f272ecaf69eca2b10637f41e65d51da4ff05dece47cd84428",
+    "sheet element":
+        "29e33803e851277d35776b17bd7fff36599886c4d33f75b66d76f38d452add8d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_DOCS))
+def test_render_output_bytes_are_pinned(tmp_path, capsys, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(RENDER_DOCS[name](tmp_path, capsys)))
+    code, out, err = run(["render", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDER_OUTPUT_SHA256[name]
+
+
+def _break_outer(plan):
+    rects = next(row for row in plan["outer"]["rects"] if len(row) >= 2)
+    rects[1]["d"] = rects[0]["d"]        # two rectangles at one height
+
+
+def _break_block_base(plan):
+    plan["blocks"][0]["base"]["embeddings"][0]["c"] = "-1/8"
+
+
+def _break_block_config(plan):
+    config = next(c for b in plan["blocks"] for c in b["configs"]
+                  if any(c["shape"]))
+    row = next(row for row in config["rects"] if row)
+    row[0]["c"] = "1/3"                  # off its strip
+
+
+COMPOSE_REJECTIONS = {
+    "outer": (_break_outer,
+              "error: outer: rectangle (1, 1) does not sit strictly below "
+              "rectangle (1, 2)\n"),
+    "block base": (_break_block_base,
+                   "error: block 1 base: interval 1 image [-1/8, 37/4096] "
+                   "leaves [0, 1]\n"),
+    "block configuration": (_break_block_config,
+                            "error: block 1 configuration 1: rectangle (1, 1) "
+                            "is not aligned with strip 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_REJECTIONS))
+def test_compose_rejection_lines_are_pinned(tmp_path, capsys, name):
+    plan = pin_strips_plan(2, 40, 8)
+    breaker, line = COMPOSE_REJECTIONS[name]
+    breaker(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (2, "", line)
+
+
+def test_compose_rejects_an_invalid_composite(tmp_path, capsys, monkeypatch):
+    # valid inputs always compose to a valid result, so break the composite
+    # by composing through the mutant that lifts the last rectangle
+    from strips_operad import cli
+    monkeypatch.setattr(cli, "strip_compose",
+                        strips_rel_operad(mutation=Fraction(2)).compose)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(pin_strips_plan(2, 40, 8)))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", "error: composed result: rectangle (5, 10) vertical image "
+               "[22093259/8388608, 11062303/4194304] leaves [0, 1]\n")

@@ -50,6 +50,27 @@ def test_affine_compose_matches_fraction_arithmetic():
         assert (type(got.a), type(got.c)) == (F, F)
 
 
+def test_affine_composites_are_like_constructed_maps():
+    # composites skip the constructor's coercion and sign test; they must
+    # still equal, hash like and hold the same field types as built maps
+    rng = random.Random(2718)
+
+    def rat(lo):
+        return F(rng.randint(lo, 10 ** 9), rng.randint(1, 10 ** 9))
+
+    for _ in range(500):
+        outer = AffineMap1(rat(1), rat(-10 ** 9))
+        inner = AffineMap1(rat(1), rat(-10 ** 9))
+        got = outer.compose(inner)
+        built = AffineMap1(got.a, got.c)
+        assert got == built and hash(got) == hash(built)
+        assert (type(got.a), type(got.c)) == (F, F)
+        assert got.a > 0 and repr(got) == repr(built)
+        assert got.compose(IDENTITY_1) == built == IDENTITY_1.compose(got)
+        with pytest.raises(AttributeError):
+            got.a = F(1)
+
+
 @pytest.mark.parametrize("scale", [F(0), F(-3, 7), 0, -2, "-1/5"])
 def test_affine_scale_error_names_the_coerced_scale(scale):
     with pytest.raises(ValueError) as err:

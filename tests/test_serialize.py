@@ -91,3 +91,17 @@ def test_to_json_dispatch():
     assert ser.to_json(cfg) == ser.intervals_to_json(cfg)
     with pytest.raises(TypeError):
         ser.to_json(object())
+
+
+def test_enumeration_text_equals_dumps_of_the_nested_lists():
+    # repeated trees and shared subtrees at several depths exercise the memo
+    rng = random.Random("enumeration text")
+    for n in (0, 1, 2, 25):
+        trees = [random_tree(rng.randint(1, 9), rng) for _ in range(n)]
+        trees += trees[: n // 2] + [LEAF, corolla(3)]
+        payload = {"leaves": 9, "f_vector": [n, 1], "total": len(trees),
+                   "trees": [ser.tree_to_json(t) for t in trees]}
+        assert (ser.enumeration_dumps(9, (n, 1), trees)
+                == ser.dumps(payload))
+    empty = {"leaves": 2, "f_vector": [], "total": 0, "trees": []}
+    assert ser.enumeration_dumps(2, (), []) == ser.dumps(empty)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strips_operad.exact import AffineMap1, AffineMap2, rect_of
 from strips_operad.framework import (Block, FiberProductError, run_rel_check)
@@ -179,3 +181,170 @@ def test_mutated_strips_fail():
                            cases=30, max_r=3, max_total=5)
     assert not report.ok
     assert len({f.case for f in report.failures}) == 30
+
+
+# --- strip_violation against the all-pairs definition ------------------------------
+
+def quadratic_strip_violation(config):
+    """The validator as it stood with an explicit all-pairs disjointness
+    pass; kept as the oracle for the linear one."""
+    from strips_operad.exact import ONE, ZERO
+    base_bad = interval_violation(config.base)
+    if base_bad is not None:
+        return f"base: {base_bad}"
+    for i, row in enumerate(config.rects):
+        for j, rect in enumerate(row):
+            if rect.x_part != config.base.embeddings[i]:
+                return (f"rectangle ({i + 1}, {j + 1}) is not aligned with "
+                        f"strip {i + 1}")
+            lo, hi = rect.y_part.image()
+            if lo < ZERO or hi > ONE:
+                return (f"rectangle ({i + 1}, {j + 1}) vertical image "
+                        f"[{lo}, {hi}] leaves [0, 1]")
+        for j in range(len(row) - 1):
+            if not row[j].y_part.image()[1] < row[j + 1].y_part.image()[0]:
+                return (f"rectangle ({i + 1}, {j + 1}) does not sit strictly "
+                        f"below rectangle ({i + 1}, {j + 2})")
+    flat = [(i, j, rect) for i, row in enumerate(config.rects)
+            for j, rect in enumerate(row)]
+    for a in range(len(flat)):
+        i1, j1, r1 = flat[a]
+        (x1l, x1h), (y1l, y1h) = r1.image()
+        for b in range(a + 1, len(flat)):
+            i2, j2, r2 = flat[b]
+            (x2l, x2h), (y2l, y2h) = r2.image()
+            if x1l <= x2h and x2l <= x1h and y1l <= y2h and y2l <= y1h:
+                return (f"rectangles ({i1 + 1}, {j1 + 1}) and "
+                        f"({i2 + 1}, {j2 + 1}) intersect")
+    return None
+
+
+def assert_same_verdict(config):
+    got = strip_violation(config)
+    assert got == quadratic_strip_violation(config)
+    return got
+
+
+def _spread(rng, total, parts, least):
+    counts = [least] * parts
+    for _ in range(total - least * parts):
+        counts[rng.randrange(parts)] += 1
+    return counts
+
+
+def large_composite(rng, target):
+    """A composite of ``target`` rectangles from a random valid plan."""
+    from strips_operad.intervals import random_intervals
+    r = rng.randint(2, 5)
+    outer_total = rng.randint(r, 20)
+    outer = random_strip_over(_spread(rng, outer_total, r, 0),
+                              random_intervals(r, rng), rng)
+    per_inner = iter(_spread(rng, target, outer_total, 1))
+    blocks = []
+    for n in outer.shape:
+        base = random_intervals(rng.randint(1, 4), rng)
+        configs = tuple(
+            random_strip_over(_spread(rng, next(per_inner), base.arity, 0),
+                              base, rng)
+            for _ in range(n))
+        blocks.append(Block(base, configs))
+    return strip_compose(outer, tuple(blocks))
+
+
+def test_linear_validator_matches_oracle_on_valid_configurations():
+    rng = random.Random("linear validator")
+    for _ in range(40):
+        shape = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        shape = shape[:-1] + (shape[-1] or 1,)
+        assert assert_same_verdict(random_strip(shape, rng.random())) is None
+    for target in (100, 137, 208, 250):
+        composite = large_composite(rng, target)
+        assert composite.total == target
+        assert assert_same_verdict(composite) is None
+
+
+def _with_rect(config, i, j, rect):
+    rows = [list(row) for row in config.rects]
+    rows[i][j] = rect
+    return StripConfig(config.shape, config.base, tuple(map(tuple, rows)))
+
+
+def test_linear_validator_matches_oracle_on_each_invalid_class():
+    rng = random.Random("invalid classes")
+    composite = large_composite(rng, 120)
+    rows = [(i, row) for i, row in enumerate(composite.rects) if len(row) >= 2]
+    bad = []
+    for i, row in rows[:3]:
+        j = rng.randrange(len(row) - 1)
+        rect, above = row[j], row[j + 1]
+        y_lo, y_hi = above.y_part.image()
+        # x-misaligned
+        bad.append(_with_rect(composite, i, j, AffineMap2(
+            AffineMap1(rect.x_part.a / 2, rect.x_part.c), rect.y_part)))
+        # vertical image leaving [0, 1], above and below
+        bad.append(_with_rect(composite, i, len(row) - 1, AffineMap2(
+            rect.x_part, AffineMap1(F(1, 2), F(3, 4)))))
+        bad.append(_with_rect(composite, i, 0, AffineMap2(
+            rect.x_part, AffineMap1(F(1, 8), F(-1, 16)))))
+        # overlapping, touching, and out of order within a strip
+        bad.append(_with_rect(composite, i, j, AffineMap2(
+            rect.x_part, AffineMap1(y_hi - rect.y_part.c, rect.y_part.c))))
+        bad.append(_with_rect(composite, i, j, AffineMap2(
+            rect.x_part, AffineMap1(y_lo - rect.y_part.c, rect.y_part.c))))
+        bad.append(_with_rect(composite, i, j + 1, rect))
+    for config in bad:
+        assert assert_same_verdict(config) is not None
+    # a bad base: an interval leaving [0, 1], and two strips that touch
+    x = emb((1, 2), (3, 4))
+    leaving = StripConfig((1,), IntervalConfig((x,)),
+                          ((AffineMap2(x, emb((1, 2), 0)),),))
+    assert assert_same_verdict(leaving).startswith("base: interval 1 image")
+    left, right = emb((1, 4), 0), emb((1, 4), (1, 4))
+    touching = StripConfig((1, 1), IntervalConfig((left, right)),
+                           ((AffineMap2(left, emb((1, 2), 0)),),
+                            (AffineMap2(right, emb((1, 2), 0)),)))
+    assert "overlaps" in assert_same_verdict(touching)
+    # empty strips, alone and between full ones
+    for shape in ((0, 0, 1), (0, 3, 0), (2, 0, 1), (1, 0, 0, 0)):
+        assert assert_same_verdict(random_strip(shape, seed=len(shape))) is None
+
+
+GRID = 8
+
+
+@st.composite
+def grid_configs(draw):
+    """Strip configurations on a small grid.  The base and each strip's
+    vertical boxes are either in strictly increasing order inside [0, 1] or
+    arbitrary boxes around it, and each rectangle's x part is its strip's
+    embedding or, one time in eight, an arbitrary box."""
+    def box():
+        lo = draw(st.integers(-1, GRID))
+        hi = draw(st.integers(lo + 1, GRID + 1))
+        return AffineMap1(F(hi - lo, GRID), F(lo, GRID))
+
+    def boxes(n):
+        if draw(st.booleans()):
+            return [box() for _ in range(n)]
+        pts = sorted(draw(st.lists(st.integers(0, GRID), min_size=2 * n,
+                                   max_size=2 * n, unique=True)))
+        return [AffineMap1(F(pts[2 * k + 1] - pts[2 * k], GRID),
+                           F(pts[2 * k], GRID)) for k in range(n)]
+
+    r = draw(st.integers(1, 3))
+    base = IntervalConfig(tuple(boxes(r)))
+    shape = tuple(draw(st.integers(0, 3)) for _ in range(r))
+    shape = shape[:-1] + (shape[-1] or 1,)       # at least one rectangle
+    rows = tuple(
+        tuple(AffineMap2(box() if draw(st.integers(0, 7)) == 0
+                         else base.embeddings[i], y)
+              for y in boxes(n))
+        for i, n in enumerate(shape))
+    return StripConfig(shape, base, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_configs())
+def test_linear_validator_matches_oracle_on_grid_boxes(config):
+    got = assert_same_verdict(config)
+    assert got is None or "intersect" not in got

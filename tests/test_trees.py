@@ -75,8 +75,12 @@ def test_trees_are_immutable():
     with pytest.raises(AttributeError):
         t.colour = "red"
     with pytest.raises(AttributeError):
+        t.dim = 0
+    with pytest.raises(AttributeError):
         del t.children
-    assert t.children == (LEAF,) * 3 and t.leaves == 3
+    with pytest.raises(AttributeError):
+        del t.dim
+    assert t.children == (LEAF,) * 3 and t.leaves == 3 and t.dim == 1
 
 
 def test_copies_and_pickles_give_back_the_interned_tree():
@@ -105,6 +109,23 @@ def test_stored_leaf_count_matches_a_recursive_count():
     for _ in range(200):
         t = random_tree(rng.randint(1, 12), rng)
         assert t.leaves == tree_leaves(t) == count(t)
+
+
+def recursive_dim(t):
+    if not t.children:
+        return 0
+    return len(t.children) - 2 + sum(recursive_dim(c) for c in t.children)
+
+
+def test_stored_dimension_matches_a_recursive_count():
+    for r in range(1, 8):
+        for t in enumerate_trees(r):
+            assert t.dim == tree_dim(t) == recursive_dim(t)
+    rng = random.Random("dimension")
+    for _ in range(200):
+        t = random_tree(rng.randint(1, 12), rng)
+        assert t.dim == tree_dim(t) == recursive_dim(t)
+    assert LEAF.dim == 0
 
 
 def test_equality_is_identity():
