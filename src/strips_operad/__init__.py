@@ -13,9 +13,9 @@ from .intervals import (IntervalConfig, interval_compose, interval_unit,
                         interval_violation, intervals_operad, random_intervals)
 from .shapes import ShapeError, check_shape, output_shape
 from .sheets import (Loop, PointedMap, SheetElement, act_on_loops,
-                     act_on_sheets, boundary_loops, constant_loop,
-                     random_loop, random_pointed_map, random_sheet_element,
-                     sheet_algebra, sheet_violation)
+                     act_on_sheets, constant_loop, random_loop,
+                     random_pointed_map, random_sheet_element, sheet_algebra,
+                     sheet_violation)
 from .strips import (StripConfig, random_strip, random_strip_over,
                      strip_compose, strip_project, strip_unit,
                      strip_violation, strips_rel_operad)

@@ -9,7 +9,10 @@ Subcommands::
     strips-operad render INPUT.json [--out F]
 
 Exit codes: 0 success, 1 at least one law failure, 2 usage or validation
-error.  The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
+error.  A ``check`` case that raises is recorded in the report as a failure
+of the law ``exception`` (exit 1), and the remaining cases still run.
+``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
+The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
 variable (0 when unset); identical seeds give byte-identical reports.
 """
 from __future__ import annotations
@@ -19,10 +22,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import serialize, svg
+from . import mutants, serialize, svg
 from .framework import (Block, ChainError, FiberProductError,
                         run_algebra_check, run_operad_check,
                         run_operad_exhaustive, run_rel_check)
@@ -32,7 +34,6 @@ from .sheets import random_pointed_map, sheet_algebra
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
 
-MUTATION_OFFSET = Fraction(1, 1000)
 DEFAULT_CASES = 100
 
 
@@ -66,6 +67,11 @@ def _check_args_error(args):
     return None
 
 
+def _random_sheet_algebra(rng):
+    return sheet_algebra(random_pointed_map(rng, rng.randint(0, 2),
+                                            rng.randint(0, 2)))
+
+
 def cmd_check(args) -> int:
     bad = _check_args_error(args)
     if bad is not None:
@@ -73,28 +79,24 @@ def cmd_check(args) -> int:
         return 2
     seed = args.seed if args.seed is not None else _default_seed()
     cases = args.cases if args.cases is not None else DEFAULT_CASES
-    mut = MUTATION_OFFSET if args.mutate else None
     if args.target == "intervals":
-        report = run_operad_check(intervals_operad(mutation=mut), seed=seed,
-                                  cases=cases, max_arity=args.max_r)
+        op = mutants.intervals_operad() if args.mutate else intervals_operad()
+        report = run_operad_check(op, seed=seed, cases=cases,
+                                  max_arity=args.max_r)
     elif args.target == "trees":
-        op = trees_operad(mutation=args.mutate)
+        op = mutants.trees_operad() if args.mutate else trees_operad()
         if args.exhaustive:
             report = run_operad_exhaustive(op, max_arity=args.max_r, seed=seed)
         else:
             report = run_operad_check(op, seed=seed, cases=cases,
                                       max_arity=args.max_r)
     elif args.target == "strips":
-        report = run_rel_check(strips_rel_operad(mutation=mut), seed=seed,
-                               cases=cases, max_r=args.max_r,
+        rel = mutants.strips_rel_operad() if args.mutate else strips_rel_operad()
+        report = run_rel_check(rel, seed=seed, cases=cases, max_r=args.max_r,
                                max_total=args.max_n)
     else:  # sheets
-        def make_algebra(rng):
-            dim_in = rng.randint(0, 2)
-            dim_out = rng.randint(1, 2) if args.mutate else rng.randint(0, 2)
-            return sheet_algebra(random_pointed_map(rng, dim_in, dim_out),
-                                 mutation=mut)
-
+        make_algebra = (mutants.random_sheet_algebra if args.mutate
+                        else _random_sheet_algebra)
         report = run_algebra_check(make_algebra, strips_rel_operad(), seed=seed,
                                    cases=cases, max_r=args.max_r,
                                    max_total=args.max_n, name="sheets")
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
                        help="total rectangle bound for strips/sheets")
     check.add_argument("--mutate", action="store_true",
-                       help="corrupt the composition; the run must fail")
+                       help="check a deliberately broken instance "
+                            "(strips_operad.mutants); the run must fail")
     check.add_argument("--exhaustive", action="store_true",
                        help="trees only: all plans up to the arity bound")
     check.add_argument("--out", default=None, help="report path (default stdout)")

@@ -99,9 +99,9 @@ class AffineMap1:
         yn, yd = y.numerator, y.denominator
         return Fraction((yn * cd - cn * yd) * ad, yd * cd * an)
 
-    def image(self, lo: Fraction = ZERO, hi: Fraction = ONE) -> tuple[Fraction, Fraction]:
-        """Image of [lo, hi]; defaults to the unit interval."""
-        return (self(lo), self(hi))
+    def image(self) -> tuple[Fraction, Fraction]:
+        """Image of the unit interval, ``(f(0), f(1))``."""
+        return (self.c, self.a + self.c)
 
 
 def _affine1(a: Fraction, c: Fraction) -> AffineMap1:

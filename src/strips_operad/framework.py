@@ -16,15 +16,16 @@ Every law is instantiated on concrete elements and both sides are compared
 with ``==``; element types are expected to make that equality decide equality
 of the underlying functions (see :mod:`strips_operad.exact`).  Failures are
 collected rather than raised, so a corrupted instance yields a report instead
-of a crash.
+of a crash.  A case that raises is recorded as a failure of the law ``exception``.
+Deliberately broken instances are in :mod:`strips_operad.mutants`.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .shapes import output_shape
 
@@ -103,10 +104,6 @@ class OperadPlan:
 
     middle_arities: tuple
     deep_arities: tuple
-
-    @property
-    def outer_arity(self) -> int:
-        return len(self.middle_arities)
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,20 @@ def _random_inner(bits: Callable[[int], int], m: tuple, s: tuple,
             return tuple(inner)
 
 
-def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
-    bits = rng.getrandbits
+def _first_stage_plan(bits: Callable[[int], int], max_r: int,
+                      max_total: int) -> tuple:
+    """``(m, s, inner)``, the first-stage draws that rel and algebra plans
+    share, in their order."""
     r = _arity(bits, max_r)
     m, _ = _random_shape(bits, r, min(3, max_total))
     s = tuple(_arity(bits, max_r) for _ in range(r))
-    inner = _random_inner(bits, m, s, max_total)
+    return m, s, _random_inner(bits, m, s, max_total)
+
+
+def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
+    bits = rng.getrandbits
+    m, s, inner = _first_stage_plan(bits, max_r, max_total)
+    r = len(m)
     t = tuple(tuple(_arity(bits, max_r) for _ in range(s_i)) for s_i in s)
     # deep[i][j][a] holds inner[i][a][j] shapes of length t[i][j].  An attempt
     # draws all of them in that order, flat, before its total is tested.
@@ -243,11 +248,7 @@ def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
 
 
 def random_algebra_plan(rng: random.Random, max_r: int, max_total: int) -> AlgebraPlan:
-    bits = rng.getrandbits
-    r = _arity(bits, max_r)
-    m, _ = _random_shape(bits, r, min(3, max_total))
-    s = tuple(_arity(bits, max_r) for _ in range(r))
-    return AlgebraPlan(m, s, _random_inner(bits, m, s, max_total))
+    return AlgebraPlan(*_first_stage_plan(rng.getrandbits, max_r, max_total))
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +281,29 @@ class AlgebraElements:
 
 def random_operad_elements(op: OperadInstance, plan: OperadPlan,
                            rng: random.Random) -> OperadElements:
-    outer = op.random_element(plan.outer_arity, rng)
+    outer = op.random_element(len(plan.middle_arities), rng)
     middles = tuple(op.random_element(s, rng) for s in plan.middle_arities)
     inners = tuple(tuple(op.random_element(a, rng) for a in row)
                    for row in plan.deep_arities)
     return OperadElements(outer, middles, inners)
 
 
+def _first_stage_elements(rel: RelTwoOperadInstance, plan,
+                          rng: random.Random) -> tuple:
+    """``(outer, bases, inners)`` over the first stage ``(m, s, inner)`` of a
+    rel or algebra plan, the draws both element samplers share."""
+    r = len(plan.m)
+    proj = rel.base.random_element(r, rng)
+    outer = rel.random_over(plan.m, proj, rng)
+    bases = tuple(rel.base.random_element(plan.s[i], rng) for i in range(r))
+    inners = tuple(tuple(rel.random_over(sh, bases[i], rng) for sh in plan.inner[i])
+                   for i in range(r))
+    return outer, bases, inners
+
+
 def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
                         rng: random.Random) -> RelElements:
-    proj = rel.base.random_element(len(plan.m), rng)
-    outer = rel.random_over(plan.m, proj, rng)
-    bases = tuple(rel.base.random_element(plan.s[i], rng) for i in range(len(plan.m)))
-    inners = tuple(tuple(rel.random_over(sh, bases[i], rng) for sh in plan.inner[i])
-                   for i in range(len(plan.m)))
+    outer, bases, inners = _first_stage_elements(rel, plan, rng)
     deep_bases = tuple(tuple(rel.base.random_element(plan.t[i][j], rng)
                              for j in range(plan.s[i]))
                        for i in range(len(plan.m)))
@@ -310,14 +320,9 @@ def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
 
 def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
                             plan: AlgebraPlan, rng: random.Random) -> AlgebraElements:
-    proj = rel.base.random_element(len(plan.m), rng)
-    outer = rel.random_over(plan.m, proj, rng)
-    bases = tuple(rel.base.random_element(plan.s[i], rng) for i in range(len(plan.m)))
-    inners = tuple(tuple(rel.random_over(sh, bases[i], rng) for sh in plan.inner[i])
-                   for i in range(len(plan.m)))
-    out_shape = output_shape(plan.m, plan.s, plan.inner)
+    outer, bases, inners = _first_stage_elements(rel, plan, rng)
     chains = []
-    for n in out_shape:
+    for n in output_shape(plan.m, plan.s, plan.inner):
         if n == 0:
             chains.append(alg.random_carrier(rng))
         else:
@@ -339,9 +344,6 @@ class CheckFailure:
     lhs: str
     rhs: str
 
-    def to_json(self) -> dict:
-        return {"case": self.case, "law": self.law, "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass
 class CheckReport:
@@ -358,15 +360,7 @@ class CheckReport:
         return self.cases_run > 0 and not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "mode": self.mode,
-            "seed": self.seed,
-            "plan": self.plan,
-            "cases_run": self.cases_run,
-            "ok": self.ok,
-            "failures": [f.to_json() for f in self.failures],
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def json_bytes(self) -> bytes:
         return (json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n").encode()
@@ -376,15 +370,16 @@ class CheckReport:
 # law checkers
 # ---------------------------------------------------------------------------
 
+def _expect(fails: list, case: str, law: str, lhs, rhs) -> None:
+    """Record a failure of ``law`` in ``fails`` unless its two sides are equal."""
+    if lhs != rhs:
+        fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
+
+
 def check_operad_laws(op: OperadInstance, elems: OperadElements,
                       case: str = "") -> list:
     """Associativity and units instantiated on the given elements."""
     fails = []
-
-    def expect(law, lhs, rhs):
-        if lhs != rhs:
-            fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
-
     r = op.arity(elems.outer)
     stage1 = op.compose(elems.outer, elems.middles)
     flat = tuple(w for row in elems.inners for w in row)
@@ -392,11 +387,13 @@ def check_operad_laws(op: OperadInstance, elems: OperadElements,
     rhs = op.compose(elems.outer,
                      tuple(op.compose(elems.middles[i], elems.inners[i])
                            for i in range(r)))
-    expect("associativity", lhs, rhs)
+    _expect(fails, case, "associativity", lhs, rhs)
 
     unit = op.unit()
-    expect("right unit", op.compose(elems.outer, (unit,) * r), elems.outer)
-    expect("left unit", op.compose(unit, (elems.outer,)), elems.outer)
+    _expect(fails, case, "right unit",
+            op.compose(elems.outer, (unit,) * r), elems.outer)
+    _expect(fails, case, "left unit",
+            op.compose(unit, (elems.outer,)), elems.outer)
     return fails
 
 
@@ -404,11 +401,6 @@ def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
                    case: str = "") -> list:
     """Projection square, shape arithmetic, associativity, and units."""
     fails = []
-
-    def expect(law, lhs, rhs):
-        if lhs != rhs:
-            fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
-
     base_op = rel.base
     outer = elems.outer
     m = rel.shape(outer)
@@ -416,14 +408,14 @@ def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
     blocks1 = tuple(Block(elems.bases[i], elems.inners[i]) for i in range(r))
     stage1 = rel.compose(outer, blocks1)
 
-    expect("projection square",
-           rel.project(stage1),
-           base_op.compose(rel.project(outer), tuple(b.base for b in blocks1)))
-    expect("shape arithmetic",
-           rel.shape(stage1),
-           output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
-                        tuple(tuple(rel.shape(q) for q in elems.inners[i])
-                              for i in range(r))))
+    _expect(fails, case, "projection square",
+            rel.project(stage1),
+            base_op.compose(rel.project(outer), tuple(b.base for b in blocks1)))
+    _expect(fails, case, "shape arithmetic",
+            rel.shape(stage1),
+            output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
+                         tuple(tuple(rel.shape(q) for q in elems.inners[i])
+                               for i in range(r))))
 
     deep_blocks = []
     for i in range(r):
@@ -444,16 +436,16 @@ def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
     rhs = rel.compose(outer,
                       tuple(Block(base_composed[i], inner_composed[i])
                             for i in range(r)))
-    expect("associativity", lhs, rhs)
+    _expect(fails, case, "associativity", lhs, rhs)
 
     unit2 = rel.unit()
     unit1 = base_op.unit()
-    expect("right unit",
-           rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i]) for i in range(r))),
-           outer)
-    expect("left unit",
-           rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
-           outer)
+    _expect(fails, case, "right unit",
+            rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i]) for i in range(r))),
+            outer)
+    _expect(fails, case, "left unit",
+            rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
+            outer)
     return fails
 
 
@@ -483,22 +475,11 @@ def _split_chain(alg: AlgebraInstance, chain_or_carrier, counts: Sequence):
     return parts
 
 
-def _strip_ends(alg: AlgebraInstance, chains: Sequence) -> tuple:
-    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c for c in chains)
-    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c for c in chains)
-    return firsts, lasts
-
-
 def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
                        elems: AlgebraElements, case: str = "") -> list:
     """Interchange of acting and composing, boundary compatibility, units,
     and closure, instantiated on the given elements."""
     fails = []
-
-    def expect(law, lhs, rhs):
-        if lhs != rhs:
-            fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
-
     base_op = rel.base
     outer = elems.outer
     m = rel.shape(outer)
@@ -530,21 +511,26 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
             outer_inputs.append(middles)
         k0 += s_i
     rhs = alg.act_sheet(outer, tuple(outer_inputs))
-    expect("interchange", lhs, rhs)
+    _expect(fails, case, "interchange", lhs, rhs)
 
     # boundary compatibility of the one-step action
-    firsts, lasts = _strip_ends(alg, elems.chains)
-    expect("source boundary", alg.source(lhs),
-           alg.act_path(rel.project(composite), firsts))
-    expect("target boundary", alg.target(lhs),
-           alg.act_path(rel.project(composite), lasts))
+    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
+                   for c in elems.chains)
+    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
+                  for c in elems.chains)
+    _expect(fails, case, "source boundary", alg.source(lhs),
+            alg.act_path(rel.project(composite), firsts))
+    _expect(fails, case, "target boundary", alg.target(lhs),
+            alg.act_path(rel.project(composite), lasts))
 
     # units
     some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
     if some is not None:
-        expect("unit", alg.act_sheet(rel.unit(), ((some,),)), some)
+        _expect(fails, case, "unit",
+                alg.act_sheet(rel.unit(), ((some,),)), some)
     carrier = firsts[0]
-    expect("path unit", alg.act_path(base_op.unit(), (carrier,)), carrier)
+    _expect(fails, case, "path unit",
+            alg.act_path(base_op.unit(), (carrier,)), carrier)
 
     # closure: composite results stay inside the carrier class
     for label, res in (("one-step", lhs), ("two-step", rhs)):
@@ -555,55 +541,69 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 
 
 # ---------------------------------------------------------------------------
-# seeded runners
+# the check engine and its four runners
 # ---------------------------------------------------------------------------
 
-def _case_rng(seed: int, k) -> random.Random:
-    return random.Random(f"{seed}:{k}")
+def _run(name: str, mode: str, seed: int, plan: dict, cases: Iterable[tuple],
+         check_case: Callable[[random.Random, Any, str], list]) -> CheckReport:
+    """The one loop over check cases.
+
+    ``cases`` yields ``(label, key, plan)``: the label its failures carry,
+    the key of its RNG ``Random(f"{seed}:{key}")``, and its plan, or None
+    when ``check_case`` samples the plan.  ``check_case(rng, plan, label)``
+    returns the case's law failures; a case that raises instead fails the
+    law ``exception``, and the run goes on.
+    """
+    report = CheckReport(name, mode, seed, plan, 0)
+    for label, key, case_plan in cases:
+        try:
+            fails = check_case(random.Random(f"{seed}:{key}"), case_plan, label)
+        except Exception as exc:
+            fails = [CheckFailure(label, "exception",
+                                  f"{type(exc).__name__}: {exc}", "None")]
+        report.failures.extend(fails)
+        report.cases_run += 1
+    return report
+
+
+def _seeded(cases: int) -> Iterator[tuple]:
+    return ((str(k), k, None) for k in range(cases))
+
+
+def _operad_case(op: OperadInstance, max_arity: int):
+    def check_case(rng, plan, label):
+        if plan is None:
+            plan = random_operad_plan(rng, max_arity)
+        return check_operad_laws(op, random_operad_elements(op, plan, rng), label)
+    return check_case
 
 
 def run_operad_check(op: OperadInstance, *, seed: int, cases: int,
                      max_arity: int) -> CheckReport:
-    report = CheckReport(op.name, "seeded", seed,
-                         {"cases": cases, "max_arity": max_arity}, cases)
-    for k in range(cases):
-        rng = _case_rng(seed, k)
-        plan = random_operad_plan(rng, max_arity)
-        elems = random_operad_elements(op, plan, rng)
-        report.failures.extend(check_operad_laws(op, elems, case=str(k)))
-    return report
+    return _run(op.name, "seeded", seed, {"cases": cases, "max_arity": max_arity},
+                _seeded(cases), _operad_case(op, max_arity))
 
 
 def run_operad_exhaustive(op: OperadInstance, *, max_arity: int, seed: int = 0,
                           samples_per_plan: int = 2) -> CheckReport:
     """Check every composition plan with arities up to ``max_arity``,
     sampling elements per plan from the given seed."""
-    report = CheckReport(op.name, "exhaustive", seed,
-                         {"max_arity": max_arity,
-                          "samples_per_plan": samples_per_plan}, 0)
-    n = 0
-    for idx, plan in enumerate(all_operad_plans(max_arity)):
-        for v in range(samples_per_plan):
-            rng = _case_rng(seed, f"{idx}:{v}")
-            elems = random_operad_elements(op, plan, rng)
-            report.failures.extend(
-                check_operad_laws(op, elems, case=f"plan{idx}:{v}"))
-            n += 1
-    report.cases_run = n
-    return report
+    cases = ((f"plan{idx}:{v}", f"{idx}:{v}", plan)
+             for idx, plan in enumerate(all_operad_plans(max_arity))
+             for v in range(samples_per_plan))
+    return _run(op.name, "exhaustive", seed,
+                {"max_arity": max_arity, "samples_per_plan": samples_per_plan},
+                cases, _operad_case(op, max_arity))
 
 
 def run_rel_check(rel: RelTwoOperadInstance, *, seed: int, cases: int,
                   max_r: int, max_total: int) -> CheckReport:
-    report = CheckReport(rel.name, "seeded", seed,
-                         {"cases": cases, "max_r": max_r, "max_total": max_total},
-                         cases)
-    for k in range(cases):
-        rng = _case_rng(seed, k)
+    def check_case(rng, _, label):
         plan = random_rel_plan(rng, max_r, max_total)
-        elems = random_rel_elements(rel, plan, rng)
-        report.failures.extend(check_rel_laws(rel, elems, case=str(k)))
-    return report
+        return check_rel_laws(rel, random_rel_elements(rel, plan, rng), label)
+    return _run(rel.name, "seeded", seed,
+                {"cases": cases, "max_r": max_r, "max_total": max_total},
+                _seeded(cases), check_case)
 
 
 def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
@@ -611,13 +611,11 @@ def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
                       max_r: int, max_total: int, name: str) -> CheckReport:
     """``make_algebra`` builds the algebra for each case, so runs can vary
     the underlying map along with the elements."""
-    report = CheckReport(name, "seeded", seed,
-                         {"cases": cases, "max_r": max_r, "max_total": max_total},
-                         cases)
-    for k in range(cases):
-        rng = _case_rng(seed, k)
+    def check_case(rng, _, label):
         alg = make_algebra(rng)
         plan = random_algebra_plan(rng, max_r, max_total)
         elems = random_algebra_elements(alg, rel, plan, rng)
-        report.failures.extend(check_algebra_laws(alg, rel, elems, case=str(k)))
-    return report
+        return check_algebra_laws(alg, rel, elems, label)
+    return _run(name, "seeded", seed,
+                {"cases": cases, "max_r": max_r, "max_total": max_total},
+                _seeded(cases), check_case)

@@ -83,27 +83,12 @@ def random_intervals(r: int, rng: random.Random,
     return IntervalConfig(embeddings)
 
 
-def intervals_operad(mutation: Optional[Fraction] = None) -> OperadInstance:
-    """The instance plugged into the framework checkers.
-
-    ``mutation`` shifts the last embedding of every composition result by the
-    given offset; used to confirm that the checkers notice a corrupted
-    composition rule.
-    """
-    compose = interval_compose
-    if mutation is not None:
-        off = Fraction(mutation)
-
-        def compose(outer, inners, _real=interval_compose):
-            result = _real(outer, inners)
-            emb = result.embeddings
-            bad = AffineMap1(emb[-1].a, emb[-1].c + off)
-            return IntervalConfig(emb[:-1] + (bad,))
-
+def intervals_operad() -> OperadInstance:
+    """The instance plugged into the framework checkers."""
     return OperadInstance(
         name="intervals",
         unit=interval_unit,
         arity=lambda c: c.arity,
-        compose=compose,
+        compose=interval_compose,
         random_element=random_intervals,
     )

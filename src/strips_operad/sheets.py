@@ -122,11 +122,6 @@ class SheetElement:
         object.__setattr__(self, "sheet", self.sheet.canonical())
 
 
-def boundary_loops(elem: SheetElement) -> tuple:
-    """(bottom, top) — the source and target of the element."""
-    return (elem.bottom, elem.top)
-
-
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:
     """The loop carried into the target space, canonicalized."""
     return PLPath(loop.path.breaks,
@@ -429,41 +424,14 @@ def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> Pointed
 # the algebra instance
 # ---------------------------------------------------------------------------
 
-HALF = Fraction(1, 2)
-
-
-def sheet_algebra(f: PointedMap,
-                  mutation: Optional[Fraction] = None) -> AlgebraInstance:
-    """Loops and sheets over ``f``, packaged for the framework checkers.
-
-    ``mutation`` adds the given offset to the assembled sheet's value at the
-    centre of the square after every action (target dimension must be
-    positive); used to confirm checker sensitivity.
-    """
-    act = partial(act_on_sheets, f)
-    if mutation is not None:
-        eps = Fraction(mutation)
-        if f.dim_out < 1:
-            raise ValueError("mutation needs at least one target dimension")
-
-        def act(config, inputs, _real=act_on_sheets):
-            res = _real(f, config, inputs)
-            sheet = res.sheet.refined(extra_x=(HALF,), extra_y=(HALF,))
-            ix = sheet.x_breaks.index(HALF)
-            iy = sheet.y_breaks.index(HALF)
-            vals = [list(col) for col in sheet.values]
-            v = vals[ix][iy]
-            vals[ix][iy] = (v[0] + eps,) + v[1:]
-            bad = GridSheet(sheet.x_breaks, sheet.y_breaks,
-                            tuple(tuple(col) for col in vals))
-            return SheetElement(bad, res.bottom, res.top)
-
+def sheet_algebra(f: PointedMap) -> AlgebraInstance:
+    """Loops and sheets over ``f``, packaged for the framework checkers."""
     return AlgebraInstance(
         name=f"sheets[{f.dim_in}->{f.dim_out}]",
         source=lambda e: e.bottom,
         target=lambda e: e.top,
         act_path=act_on_loops,
-        act_sheet=act,
+        act_sheet=partial(act_on_sheets, f),
         random_carrier=lambda rng: random_loop(rng, f.dim_in, f.dom_base),
         random_element=lambda rng, source=None: random_sheet_element(f, rng, source),
         violation=lambda e: sheet_violation(f, e),

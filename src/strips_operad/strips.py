@@ -170,36 +170,14 @@ def random_strip(shape: Sequence, seed) -> StripConfig:
     return random_strip_over(shape, random_intervals(len(shape), rng), rng)
 
 
-def strips_rel_operad(mutation: Optional[Fraction] = None) -> RelTwoOperadInstance:
-    """The strips instance over the intervals operad.
-
-    ``mutation`` shifts the vertical offset of the last rectangle of every
-    composition result; used to confirm checker sensitivity.
-    """
-    compose = strip_compose
-    if mutation is not None:
-        off = Fraction(mutation)
-
-        def compose(outer, blocks, _real=strip_compose):
-            result = _real(outer, blocks)
-            rows = list(result.rects)
-            for i in range(len(rows) - 1, -1, -1):
-                if rows[i]:
-                    row = list(rows[i])
-                    rect = row[-1]
-                    row[-1] = AffineMap2(rect.x_part,
-                                         AffineMap1(rect.y_part.a,
-                                                    rect.y_part.c + off))
-                    rows[i] = tuple(row)
-                    break
-            return StripConfig(result.shape, result.base, tuple(rows))
-
+def strips_rel_operad() -> RelTwoOperadInstance:
+    """The strips instance over the intervals operad."""
     return RelTwoOperadInstance(
         name="strips",
         base=intervals_operad(),
         unit=strip_unit,
         shape=lambda q: q.shape,
         project=strip_project,
-        compose=compose,
+        compose=strip_compose,
         random_over=random_strip_over,
     )

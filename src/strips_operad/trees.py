@@ -268,23 +268,12 @@ def contracts_to(t1: PlanarTree, t2: PlanarTree) -> bool:
     return all(contracts_to(p, c) for p, c in zip(pieces, t2.children))
 
 
-def trees_operad(mutation: bool = False) -> OperadInstance:
-    """The grafting operad instance.
-
-    With ``mutation=True`` every composition result is contracted once when
-    it has an internal edge, which breaks the laws; used to confirm checker
-    sensitivity.
-    """
-    compose = graft
-    if mutation:
-        def compose(outer, inners, _real=graft):
-            result = _real(outer, inners)
-            return next(one_step_contractions(result), result)
-
+def trees_operad() -> OperadInstance:
+    """The grafting operad instance."""
     return OperadInstance(
         name="trees",
         unit=lambda: LEAF,
         arity=tree_leaves,
-        compose=compose,
+        compose=graft,
         random_element=random_tree,
     )

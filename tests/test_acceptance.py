@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from strips_operad import mutants
 from strips_operad.framework import (Block, run_algebra_check,
                                      run_operad_check, run_operad_exhaustive,
                                      run_rel_check)
@@ -148,14 +149,14 @@ def test_criterion_5_degenerate_regimes():
 
 
 def test_criterion_6_mutation_sensitivity():
-    m1 = run_operad_check(intervals_operad(mutation=MUTATION), seed=SEED,
+    m1 = run_operad_check(mutants.intervals_operad(MUTATION), seed=SEED,
                           cases=200, max_arity=4)
-    m2 = run_rel_check(strips_rel_operad(mutation=MUTATION), seed=SEED,
+    m2 = run_rel_check(mutants.strips_rel_operad(MUTATION), seed=SEED,
                        cases=100, max_r=3, max_total=5)
 
     def make(rng):
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
-        return sheet_algebra(f, mutation=MUTATION)
+        return mutants.sheet_algebra(f, MUTATION)
 
     m4 = run_algebra_check(make, strips_rel_operad(), seed=SEED, cases=50,
                            max_r=3, max_total=4, name="sheets-mutated")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report files, plan documents."""
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from random import Random
 
 import pytest
 
+from strips_operad import mutants
 from strips_operad.cli import main
-from strips_operad.strips import strips_rel_operad
 
 
 def run(argv, capsys):
@@ -49,6 +50,43 @@ def test_check_all_targets(tmp_path, capsys, target):
     doc = json.loads(out_file.read_text())
     assert doc["ok"] is True
     assert doc["instance"]
+
+
+# the function each target's instance composes or acts through
+FAULT_SITES = {"intervals": ("intervals", "interval_compose"),
+               "strips": ("strips", "strip_compose"),
+               "trees": ("trees", "graft"),
+               "sheets": ("sheets", "act_on_sheets")}
+
+
+@pytest.mark.parametrize("target", sorted(FAULT_SITES))
+def test_check_records_a_fault_in_one_case_and_runs_the_rest(
+        tmp_path, capsys, monkeypatch, target):
+    module = importlib.import_module("strips_operad." + FAULT_SITES[target][0])
+    real = getattr(module, FAULT_SITES[target][1])
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        if len(calls) == 5:     # in case 0 or 1: each makes three or more calls
+            raise ZeroDivisionError("planted fault")
+        return real(*args)
+
+    monkeypatch.setattr(module, FAULT_SITES[target][1], faulty)
+    out_file = tmp_path / "report.json"
+    code, out, err = run(["check", target, "--seed", "5", "--cases", "6",
+                          "--out", str(out_file)], capsys)
+    assert (code, out, err) == (1, "", "")
+    assert len(calls) > 5
+    doc = json.loads(out_file.read_text())
+    assert doc["ok"] is False
+    assert doc["cases_run"] == 6
+    assert len(doc["failures"]) == 1
+    fault = doc["failures"][0]
+    assert fault["case"] in {"0", "1"}
+    assert fault["law"] == "exception"
+    assert fault["lhs"] == "ZeroDivisionError: planted fault"
+    assert fault["rhs"] == "None"
 
 
 def test_check_trees_exhaustive(capsys):
@@ -708,7 +746,7 @@ def test_compose_rejects_an_invalid_composite(tmp_path, capsys, monkeypatch):
     # by composing through the mutant that lifts the last rectangle
     from strips_operad import cli
     monkeypatch.setattr(cli, "strip_compose",
-                        strips_rel_operad(mutation=Fraction(2)).compose)
+                        mutants.strips_rel_operad(Fraction(2)).compose)
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(pin_strips_plan(2, 40, 8)))
     assert run(["compose", str(path)], capsys) == (

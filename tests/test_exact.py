@@ -81,7 +81,7 @@ def test_affine_scale_error_names_the_coerced_scale(scale):
 def test_affine_image_and_invert():
     f = AffineMap1(F(1, 2), F(1, 4))
     assert f.image() == (F(1, 4), F(3, 4))
-    assert f.image(F(1, 3), F(2, 3)) == (F(5, 12), F(7, 12))
+    assert (f(F(1, 3)), f(F(2, 3))) == (F(5, 12), F(7, 12))
     assert f.invert(f(F(5, 17))) == F(5, 17)
 
 

@@ -1,9 +1,11 @@
 """Law checkers, plan generators, and deterministic reports."""
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from strips_operad import mutants
 from strips_operad.framework import (CheckFailure, CheckReport,
                                      FiberProductError, OperadElements,
                                      OperadPlan, all_operad_plans,
@@ -77,9 +79,7 @@ def test_unit_rel_plan_has_no_failures():
 
 def _broken_intervals():
     """An intervals instance whose composition drifts: laws must fail."""
-    import dataclasses
-    from fractions import Fraction
-    op = intervals_operad(mutation=Fraction(1, 64))
+    op = mutants.intervals_operad(Fraction(1, 64))
     return op
 
 

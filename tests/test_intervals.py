@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from strips_operad import mutants
 from strips_operad.exact import AffineMap1
 from strips_operad.framework import run_operad_check
 from strips_operad.intervals import (IntervalConfig, interval_compose,
@@ -118,7 +119,7 @@ def test_associativity_and_units_seeded():
 
 
 def test_mutated_instance_fails_every_case():
-    report = run_operad_check(intervals_operad(mutation=F(1, 1000)),
+    report = run_operad_check(mutants.intervals_operad(F(1, 1000)),
                               seed=2024, cases=40, max_arity=4)
     assert not report.ok
     failed_cases = {f.case for f in report.failures}

@@ -1,0 +1,49 @@
+"""Broken instances live in one module, outside the production constructors."""
+import inspect
+import random
+
+import pytest
+
+from strips_operad import mutants
+from strips_operad.framework import (run_algebra_check, run_operad_check,
+                                     run_rel_check)
+from strips_operad.intervals import intervals_operad
+from strips_operad.sheets import random_pointed_map, sheet_algebra
+from strips_operad.strips import strips_rel_operad
+from strips_operad.trees import trees_operad
+
+
+def test_production_constructors_take_no_mutation():
+    for make in (intervals_operad, strips_rel_operad, trees_operad):
+        assert list(inspect.signature(make).parameters) == []
+    assert list(inspect.signature(sheet_algebra).parameters) == ["f"]
+
+
+def _mutant_report(target):
+    if target == "intervals":
+        return run_operad_check(mutants.intervals_operad(), seed=1, cases=5,
+                                max_arity=3)
+    if target == "trees":
+        return run_operad_check(mutants.trees_operad(), seed=1, cases=5,
+                                max_arity=4)
+    if target == "strips":
+        return run_rel_check(mutants.strips_rel_operad(), seed=1, cases=5,
+                             max_r=3, max_total=5)
+    return run_algebra_check(mutants.random_sheet_algebra, strips_rel_operad(),
+                             seed=1, cases=5, max_r=3, max_total=4,
+                             name="sheets")
+
+
+@pytest.mark.parametrize("target", ["intervals", "strips", "trees", "sheets"])
+def test_each_mutant_fails_its_laws(target):
+    report = _mutant_report(target)
+    assert report.cases_run == 5
+    assert not report.ok
+    assert report.failures
+    assert all(f.law != "exception" for f in report.failures)
+
+
+def test_sheets_mutant_needs_a_target_dimension():
+    f = random_pointed_map(random.Random(0), 1, 0)
+    with pytest.raises(ValueError):
+        mutants.sheet_algebra(f)

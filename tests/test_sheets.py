@@ -4,15 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from strips_operad import mutants
 from strips_operad.exact import (AffineMap1, AffineMap2, GridSheet, PLPath,
                                  constant_path, constant_sheet)
 from strips_operad.framework import ChainError, run_algebra_check
 from strips_operad.intervals import (IntervalConfig, interval_unit,
                                      random_intervals)
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
-                                  act_on_loops, act_on_sheets,
-                                  boundary_loops, constant_loop, push_loop,
-                                  random_loop, random_pointed_map,
+                                  act_on_loops, act_on_sheets, constant_loop,
+                                  push_loop, random_loop, random_pointed_map,
                                   random_sheet_element, sheet_algebra,
                                   sheet_violation)
 from strips_operad.strips import (StripConfig, random_strip, random_strip_over,
@@ -167,8 +167,8 @@ def test_all_basepoint_element_is_valid():
                         constant_loop(f.dom_base),
                         constant_loop(f.dom_base))
     assert sheet_violation(f, elem) is None
-    assert boundary_loops(elem) == (constant_loop(f.dom_base),
-                                    constant_loop(f.dom_base))
+    assert (elem.bottom, elem.top) == (constant_loop(f.dom_base),
+                                       constant_loop(f.dom_base))
 
 
 # --- sheet action -----------------------------------------------------------------
@@ -485,7 +485,7 @@ def test_algebra_laws_seeded():
 def test_mutated_algebra_fails():
     def make(rng):
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
-        return sheet_algebra(f, mutation=F(1, 1000))
+        return mutants.sheet_algebra(f, F(1, 1000))
 
     report = run_algebra_check(make, strips_rel_operad(), seed=71, cases=20,
                                max_r=3, max_total=4, name="sheets-mutated")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strips_operad import mutants
 from strips_operad.exact import AffineMap1, AffineMap2, rect_of
 from strips_operad.framework import (Block, FiberProductError, run_rel_check)
 from strips_operad.intervals import IntervalConfig, interval_violation
@@ -177,7 +178,7 @@ def test_projection_square_and_associativity_seeded():
 
 
 def test_mutated_strips_fail():
-    report = run_rel_check(strips_rel_operad(mutation=F(1, 1000)), seed=77,
+    report = run_rel_check(mutants.strips_rel_operad(F(1, 1000)), seed=77,
                            cases=30, max_r=3, max_total=5)
     assert not report.ok
     assert len({f.case for f in report.failures}) == 30

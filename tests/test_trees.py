@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from strips_operad import mutants
 from strips_operad.serialize import tree_from_json, tree_to_json
 from strips_operad.framework import run_operad_check, run_operad_exhaustive
 from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
@@ -309,7 +310,7 @@ def test_exhaustive_small_plans():
 
 
 def test_mutated_trees_fail():
-    report = run_operad_check(trees_operad(mutation=True), seed=8, cases=60,
+    report = run_operad_check(mutants.trees_operad(), seed=8, cases=60,
                               max_arity=6)
     assert not report.ok
 
