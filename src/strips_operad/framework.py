@@ -544,20 +544,19 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 # the check engine and its four runners
 # ---------------------------------------------------------------------------
 
-def _run(name: str, mode: str, seed: int, plan: dict, cases: Iterable[tuple],
-         check_case: Callable[[random.Random, Any, str], list]) -> CheckReport:
+def _run(name: str, mode: str, seed: int, plan: dict,
+         cases: Iterable[tuple]) -> CheckReport:
     """The one loop over check cases.
 
-    ``cases`` yields ``(label, key, plan)``: the label its failures carry,
-    the key of its RNG ``Random(f"{seed}:{key}")``, and its plan, or None
-    when ``check_case`` samples the plan.  ``check_case(rng, plan, label)``
-    returns the case's law failures; a case that raises instead fails the
-    law ``exception``, and the run goes on.
+    ``cases`` yields ``(label, key, check)``: the label its failures carry,
+    the key of its RNG ``Random(f"{seed}:{key}")``, and ``check(rng, label)``,
+    which samples the case and returns its law failures.  A case that raises
+    instead fails the law ``exception``, and the run goes on.
     """
     report = CheckReport(name, mode, seed, plan, 0)
-    for label, key, case_plan in cases:
+    for label, key, check in cases:
         try:
-            fails = check_case(random.Random(f"{seed}:{key}"), case_plan, label)
+            fails = check(random.Random(f"{seed}:{key}"), label)
         except Exception as exc:
             fails = [CheckFailure(label, "exception",
                                   f"{type(exc).__name__}: {exc}", "None")]
@@ -566,44 +565,42 @@ def _run(name: str, mode: str, seed: int, plan: dict, cases: Iterable[tuple],
     return report
 
 
-def _seeded(cases: int) -> Iterator[tuple]:
-    return ((str(k), k, None) for k in range(cases))
-
-
-def _operad_case(op: OperadInstance, max_arity: int):
-    def check_case(rng, plan, label):
-        if plan is None:
-            plan = random_operad_plan(rng, max_arity)
-        return check_operad_laws(op, random_operad_elements(op, plan, rng), label)
-    return check_case
+def _seeded(cases: int, check: Callable) -> Iterator[tuple]:
+    return ((str(k), k, check) for k in range(cases))
 
 
 def run_operad_check(op: OperadInstance, *, seed: int, cases: int,
                      max_arity: int) -> CheckReport:
+    def check(rng, label):
+        plan = random_operad_plan(rng, max_arity)
+        return check_operad_laws(op, random_operad_elements(op, plan, rng), label)
     return _run(op.name, "seeded", seed, {"cases": cases, "max_arity": max_arity},
-                _seeded(cases), _operad_case(op, max_arity))
+                _seeded(cases, check))
 
 
 def run_operad_exhaustive(op: OperadInstance, *, max_arity: int, seed: int = 0,
                           samples_per_plan: int = 2) -> CheckReport:
     """Check every composition plan with arities up to ``max_arity``,
     sampling elements per plan from the given seed."""
-    cases = ((f"plan{idx}:{v}", f"{idx}:{v}", plan)
+    def check_plan(plan):
+        return lambda rng, label: check_operad_laws(
+            op, random_operad_elements(op, plan, rng), label)
+    cases = ((f"plan{idx}:{v}", f"{idx}:{v}", check_plan(plan))
              for idx, plan in enumerate(all_operad_plans(max_arity))
              for v in range(samples_per_plan))
     return _run(op.name, "exhaustive", seed,
                 {"max_arity": max_arity, "samples_per_plan": samples_per_plan},
-                cases, _operad_case(op, max_arity))
+                cases)
 
 
 def run_rel_check(rel: RelTwoOperadInstance, *, seed: int, cases: int,
                   max_r: int, max_total: int) -> CheckReport:
-    def check_case(rng, _, label):
+    def check(rng, label):
         plan = random_rel_plan(rng, max_r, max_total)
         return check_rel_laws(rel, random_rel_elements(rel, plan, rng), label)
     return _run(rel.name, "seeded", seed,
                 {"cases": cases, "max_r": max_r, "max_total": max_total},
-                _seeded(cases), check_case)
+                _seeded(cases, check))
 
 
 def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
@@ -611,11 +608,11 @@ def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
                       max_r: int, max_total: int, name: str) -> CheckReport:
     """``make_algebra`` builds the algebra for each case, so runs can vary
     the underlying map along with the elements."""
-    def check_case(rng, _, label):
+    def check(rng, label):
         alg = make_algebra(rng)
         plan = random_algebra_plan(rng, max_r, max_total)
         elems = random_algebra_elements(alg, rel, plan, rng)
         return check_algebra_laws(alg, rel, elems, label)
     return _run(name, "seeded", seed,
                 {"cases": cases, "max_r": max_r, "max_total": max_total},
-                _seeded(cases), check_case)
+                _seeded(cases, check))

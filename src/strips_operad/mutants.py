@@ -6,13 +6,14 @@ and everything else are unchanged.  ``strips-operad check --mutate`` runs
 them, and so do the tests.
 
 * :func:`intervals_operad` -- every composite's last embedding drifts by
-  ``offset``.
+  ``DRIFT`` = 1/1000.
 * :func:`strips_rel_operad` -- every composite's last rectangle (in the last
-  non-empty strip) drifts vertically by ``offset``.
+  non-empty strip) drifts vertically by ``offset`` (``DRIFT`` unless a
+  larger lift is wanted, to push a composite out of the unit square).
 * :func:`trees_operad` -- every composite with an internal edge has one
   edge contracted; a composite that is a corolla is unchanged.
 * :func:`sheet_algebra` -- every acted sheet's value at the centre of the
-  square drifts by ``offset`` in its first coordinate, so the target
+  square drifts by ``DRIFT`` in its first coordinate, so the target
   dimension must be positive; :func:`random_sheet_algebra` draws the map
   the way ``check sheets`` does, with target dimension 1 or 2.
 """
@@ -34,12 +35,10 @@ DRIFT = Fraction(1, 1000)
 HALF = Fraction(1, 2)
 
 
-def intervals_operad(offset=DRIFT) -> OperadInstance:
-    off = Fraction(offset)
-
+def intervals_operad() -> OperadInstance:
     def compose(outer, inners):
         emb = interval_compose(outer, inners).embeddings
-        bad = AffineMap1(emb[-1].a, emb[-1].c + off)
+        bad = AffineMap1(emb[-1].a, emb[-1].c + DRIFT)
         return IntervalConfig(emb[:-1] + (bad,))
 
     return replace(intervals.intervals_operad(), compose=compose)
@@ -73,8 +72,7 @@ def trees_operad() -> OperadInstance:
     return replace(trees.trees_operad(), compose=compose)
 
 
-def sheet_algebra(f: sheets.PointedMap, offset=DRIFT) -> AlgebraInstance:
-    eps = Fraction(offset)
+def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
     if f.dim_out < 1:
         raise ValueError("the sheets mutant needs at least one target dimension")
 
@@ -85,7 +83,7 @@ def sheet_algebra(f: sheets.PointedMap, offset=DRIFT) -> AlgebraInstance:
         iy = sheet.y_breaks.index(HALF)
         vals = [list(col) for col in sheet.values]
         v = vals[ix][iy]
-        vals[ix][iy] = (v[0] + eps,) + v[1:]
+        vals[ix][iy] = (v[0] + DRIFT,) + v[1:]
         bad = GridSheet(sheet.x_breaks, sheet.y_breaks,
                         tuple(tuple(col) for col in vals))
         return SheetElement(bad, res.bottom, res.top)

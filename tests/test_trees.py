@@ -313,6 +313,7 @@ def test_mutated_trees_fail():
     report = run_operad_check(mutants.trees_operad(), seed=8, cases=60,
                               max_arity=6)
     assert not report.ok
+    assert all(f.law != "exception" for f in report.failures)
 
 
 def test_random_tree_determinism():
