@@ -9,7 +9,10 @@ Subcommands::
     strips-operad render INPUT.json [--out F]
 
 Exit codes: 0 success, 1 at least one law failure, 2 usage or validation
-error.  A ``check`` case that raises is recorded in the report as a failure
+error.  ``compose`` validates its inputs and its result; it and ``render``
+also exit 2 on a malformed document: one that is not a JSON object, a
+rational with a zero denominator, or a ``$file`` that splices in itself.
+A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
 The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
@@ -25,11 +28,9 @@ import sys
 from pathlib import Path
 
 from . import mutants, serialize, svg
-from .framework import (Block, ChainError, FiberProductError,
-                        run_algebra_check, run_operad_check,
+from .framework import (Block, run_algebra_check, run_operad_check,
                         run_operad_exhaustive, run_rel_check)
 from .intervals import interval_compose, interval_violation, intervals_operad
-from .shapes import ShapeError
 from .sheets import random_pointed_map, sheet_algebra
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
@@ -131,69 +132,71 @@ def cmd_enumerate(args) -> int:
 # compose
 # ---------------------------------------------------------------------------
 
-def _resolve(node, basedir: Path):
-    """Follow {"$file": path} indirections anywhere in a plan document.
+def _json_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"the {what} document is not a JSON object")
+    return doc
 
-    Paths are relative to the directory of the top-level plan file."""
-    if isinstance(node, dict):
-        if "$file" in node:
-            raw = json.loads((basedir / node["$file"]).read_text())
-            return _resolve(raw, basedir)
-        return {k: _resolve(v, basedir) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_resolve(v, basedir) for v in node]
-    return node
+
+def _load_plan(path: Path) -> dict:
+    """The plan at ``path`` with each {"$file": name} node replaced by the
+    document it names, relative to the plan's directory.  A file may be
+    spliced in many times, but not into itself, directly or through others."""
+    def splice(node, open_files: tuple):
+        if isinstance(node, dict):
+            if "$file" in node:
+                name = node["$file"]
+                f = (path.parent / name).resolve()
+                if f in open_files:
+                    raise ValueError(f"$file {name!r} splices in itself")
+                return splice(json.loads(f.read_text()), open_files + (f,))
+            return {k: splice(v, open_files) for k, v in node.items()}
+        if isinstance(node, list):
+            return [splice(v, open_files) for v in node]
+        return node
+
+    return _json_object(splice(json.loads(path.read_text()), (path.resolve(),)),
+                        "plan")
+
+
+def _reject_violations(checks) -> None:
+    """Raise ``ValueError`` naming the first defect among the
+    ``(label, violation, value)`` triples, if any."""
+    for label, violation, value in checks:
+        bad = violation(value)
+        if bad is not None:
+            raise ValueError(f"{label}: {bad}")
 
 
 def cmd_compose(args) -> int:
-    plan_path = Path(args.plan)
-    plan = _resolve(json.loads(plan_path.read_text()), plan_path.parent)
+    plan = _load_plan(Path(args.plan))
     kind = plan.get("kind")
     if kind == "intervals":
         outer = serialize.intervals_from_json(plan["outer"])
-        inners = [serialize.intervals_from_json(n) for n in plan["inners"]]
-        for label, config in [("outer", outer)] + [
-                (f"inner {k + 1}", c) for k, c in enumerate(inners)]:
-            bad = interval_violation(config)
-            if bad is not None:
-                print(f"error: {label}: {bad}", file=sys.stderr)
-                return 2
-        result = interval_compose(outer, inners)
-        payload = serialize.intervals_to_json(result)
+        parts = [serialize.intervals_from_json(n) for n in plan["inners"]]
+        checks = [(f"inner {k}", interval_violation, c)
+                  for k, c in enumerate(parts, 1)]
+        compose, violation = interval_compose, interval_violation
+        to_json = serialize.intervals_to_json
     elif kind == "strips":
         outer = serialize.strip_from_json(plan["outer"])
-        blocks = []
-        for blk in plan["blocks"]:
-            base = serialize.intervals_from_json(blk["base"])
-            configs = tuple(serialize.strip_from_json(c)
-                            for c in blk.get("configs", []))
-            blocks.append(Block(base, configs))
-        bad = strip_violation(outer)
-        if bad is not None:
-            print(f"error: outer: {bad}", file=sys.stderr)
-            return 2
-        for i, blk in enumerate(blocks):
-            bad = interval_violation(blk.base)
-            if bad is not None:
-                print(f"error: block {i + 1} base: {bad}", file=sys.stderr)
-                return 2
-            for a, config in enumerate(blk.configs):
-                bad = strip_violation(config)
-                if bad is not None:
-                    print(f"error: block {i + 1} configuration {a + 1}: {bad}",
-                          file=sys.stderr)
-                    return 2
-        result = strip_compose(outer, blocks)
-        bad = strip_violation(result)
-        if bad is not None:
-            print(f"error: composed result: {bad}", file=sys.stderr)
-            return 2
-        payload = serialize.strip_to_json(result)
+        parts = [Block(serialize.intervals_from_json(blk["base"]),
+                       tuple(serialize.strip_from_json(c)
+                             for c in blk.get("configs", [])))
+                 for blk in plan["blocks"]]
+        checks = []
+        for i, blk in enumerate(parts, 1):
+            checks.append((f"block {i} base", interval_violation, blk.base))
+            checks.extend((f"block {i} configuration {a}", strip_violation, c)
+                          for a, c in enumerate(blk.configs, 1))
+        compose, violation = strip_compose, strip_violation
+        to_json = serialize.strip_to_json
     else:
-        print(f"error: unknown plan kind {kind!r} (expected intervals or strips)",
-              file=sys.stderr)
-        return 2
-    _emit(serialize.dumps(payload), args.out)
+        raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
+    _reject_violations([("outer", violation, outer)] + checks)
+    result = compose(outer, parts)
+    _reject_violations([("composed result", violation, result)])
+    _emit(serialize.dumps(to_json(result)), args.out)
     if args.svg:
         Path(args.svg).write_text(svg.render_before_after(outer, result))
     return 0
@@ -204,7 +207,7 @@ def cmd_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_render(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
+    payload = _json_object(json.loads(Path(args.input).read_text()), "input")
     if "embeddings" in payload:
         picture = svg.render_intervals(serialize.intervals_from_json(payload))
     elif "shape" in payload:
@@ -278,8 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, KeyError, ShapeError, ChainError,
-            FiberProductError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

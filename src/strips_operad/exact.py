@@ -50,10 +50,31 @@ def lerp(p, q, t: Fraction) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _segment_index(breaks: Sequence[Fraction], t: Fraction) -> int:
-    """Index i with breaks[i] <= t <= breaks[i+1] (breaks strictly increasing)."""
-    i = bisect.bisect_right(breaks, t) - 1
-    return min(max(i, 0), len(breaks) - 2)
+def locate(breaks: Sequence[Fraction], t: Fraction) -> tuple:
+    """``(i, w)``: t lies at fraction w of the way from ``breaks[i]`` to
+    ``breaks[i + 1]``, with w None when t is ``breaks[i]`` itself.  The
+    breaks are strictly increasing; past either end the first or last
+    segment is extended."""
+    i = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(breaks) - 2)
+    t0 = breaks[i]
+    if t == t0:
+        return i, None
+    t1 = breaks[i + 1]
+    if t == t1:
+        return i + 1, None
+    return i, (t - t0) / (t1 - t0)
+
+
+def _merged(breaks: tuple, extra: Iterable, what: str) -> tuple:
+    """``breaks`` with the points of ``extra`` added, sorted, duplicates
+    merged; a point outside [0, 1] is a ``ValueError`` naming ``what``."""
+    pts = set(breaks)
+    for t in extra:
+        t = as_rat(t)
+        if not ZERO <= t <= ONE:
+            raise ValueError(f"{what} {t} outside [0, 1]")
+        pts.add(t)
+    return tuple(sorted(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +212,9 @@ class PLPath:
         t = as_rat(t)
         if not ZERO <= t <= ONE:
             raise ValueError(f"argument {t} outside [0, 1]")
-        i = _segment_index(self.breaks, t)
-        t0, t1 = self.breaks[i], self.breaks[i + 1]
-        return lerp(self.values[i], self.values[i + 1], (t - t0) / (t1 - t0))
+        i, w = locate(self.breaks, t)
+        v = self.values[i]
+        return v if w is None else lerp(v, self.values[i + 1], w)
 
     def canonical(self) -> "PLPath":
         """Drop every interior breakpoint where the slope does not change."""
@@ -207,13 +228,7 @@ class PLPath:
 
     def refined(self, extra: Iterable) -> "PLPath":
         """Same function presented with additional (redundant) breakpoints."""
-        pts = set(self.breaks)
-        for t in extra:
-            t = as_rat(t)
-            if not ZERO <= t <= ONE:
-                raise ValueError(f"extra breakpoint {t} outside [0, 1]")
-            pts.add(t)
-        breaks = tuple(sorted(pts))
+        breaks = _merged(self.breaks, extra, "extra breakpoint")
         return PLPath(breaks, tuple(self.at(t) for t in breaks))
 
 
@@ -264,15 +279,16 @@ class GridSheet:
         x, y = as_rat(x), as_rat(y)
         if not (ZERO <= x <= ONE and ZERO <= y <= ONE):
             raise ValueError(f"argument ({x}, {y}) outside the unit square")
-        ix = _segment_index(self.x_breaks, x)
-        iy = _segment_index(self.y_breaks, y)
-        x0, x1 = self.x_breaks[ix], self.x_breaks[ix + 1]
-        y0, y1 = self.y_breaks[iy], self.y_breaks[iy + 1]
-        u = (x - x0) / (x1 - x0)
-        w = (y - y0) / (y1 - y0)
-        lo = lerp(self.values[ix][iy], self.values[ix + 1][iy], u)
-        hi = lerp(self.values[ix][iy + 1], self.values[ix + 1][iy + 1], u)
-        return lerp(lo, hi, w)
+        ix, u = locate(self.x_breaks, x)
+        iy, w = locate(self.y_breaks, y)
+        col = self.values[ix]
+        nxt = None if u is None else self.values[ix + 1]
+
+        def on_line(k):     # the value at x on the y-line k
+            return col[k] if nxt is None else lerp(col[k], nxt[k], u)
+
+        lo = on_line(iy)
+        return lo if w is None else lerp(lo, on_line(iy + 1), w)
 
     def canonical(self) -> "GridSheet":
         """Drop redundant grid lines.
@@ -300,19 +316,8 @@ class GridSheet:
 
     def refined(self, extra_x: Iterable = (), extra_y: Iterable = ()) -> "GridSheet":
         """Same function on a finer grid (duplicates are merged)."""
-        xs = set(self.x_breaks)
-        ys = set(self.y_breaks)
-        for t in extra_x:
-            t = as_rat(t)
-            if not ZERO <= t <= ONE:
-                raise ValueError(f"extra x grid line {t} outside [0, 1]")
-            xs.add(t)
-        for t in extra_y:
-            t = as_rat(t)
-            if not ZERO <= t <= ONE:
-                raise ValueError(f"extra y grid line {t} outside [0, 1]")
-            ys.add(t)
-        xb, yb = tuple(sorted(xs)), tuple(sorted(ys))
+        xb = _merged(self.x_breaks, extra_x, "extra x grid line")
+        yb = _merged(self.y_breaks, extra_y, "extra y grid line")
         vals = tuple(tuple(self.at(x, y) for y in yb) for x in xb)
         return GridSheet(xb, yb, vals)
 

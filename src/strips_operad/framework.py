@@ -190,33 +190,31 @@ def _random_shape(bits: Callable[[int], int], length: int,
             return tuple(sh), n
 
 
-def _random_inner(bits: Callable[[int], int], m: tuple, s: tuple,
-                  max_total: int) -> tuple:
-    """``inner[i][a]`` for every outer rectangle, redrawn whole until the
-    first-stage composite has at most ``max_total`` rectangles.  That total
-    is the sum of the inner totals (see :func:`shapes.output_shape`)."""
+def _random_shapes(bits: Callable[[int], int], lengths: Sequence[int],
+                   max_total: int) -> list:
+    """Shapes of the given lengths, each drawn by :func:`_random_shape`, the
+    whole list redrawn until their totals sum to at most ``max_total``."""
     while True:
-        n = 0
-        inner = []
-        for m_i, s_i in zip(m, s):
-            row = []
-            for _ in range(m_i):
-                sh, k = _random_shape(bits, s_i, max_total)
-                row.append(sh)
-                n += k
-            inner.append(tuple(row))
+        shapes, n = [], 0
+        for length in lengths:
+            sh, k = _random_shape(bits, length, max_total)
+            shapes.append(sh)
+            n += k
         if n <= max_total:
-            return tuple(inner)
+            return shapes
 
 
 def _first_stage_plan(bits: Callable[[int], int], max_r: int,
                       max_total: int) -> tuple:
     """``(m, s, inner)``, the first-stage draws that rel and algebra plans
-    share, in their order."""
+    share, in their order.  The sum of the inner totals is the rectangle
+    count of the first-stage composite (see :func:`shapes.output_shape`)."""
     r = _arity(bits, max_r)
     m, _ = _random_shape(bits, r, min(3, max_total))
     s = tuple(_arity(bits, max_r) for _ in range(r))
-    return m, s, _random_inner(bits, m, s, max_total)
+    shapes = iter(_random_shapes(
+        bits, [s_i for m_i, s_i in zip(m, s) for _ in range(m_i)], max_total))
+    return m, s, tuple(tuple(next(shapes) for _ in range(m_i)) for m_i in m)
 
 
 def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
@@ -224,20 +222,11 @@ def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
     m, s, inner = _first_stage_plan(bits, max_r, max_total)
     r = len(m)
     t = tuple(tuple(_arity(bits, max_r) for _ in range(s_i)) for s_i in s)
-    # deep[i][j][a] holds inner[i][a][j] shapes of length t[i][j].  An attempt
-    # draws all of them in that order, flat, before its total is tested.
-    lengths = [t[i][j] for i in range(r) for j in range(s[i])
-               for a in range(m[i]) for _ in range(inner[i][a][j])]
-    while True:
-        flat = []
-        n = 0
-        for length in lengths:
-            sh, k = _random_shape(bits, length, max_total)
-            flat.append(sh)
-            n += k
-        if n <= max_total:
-            break
-    shapes = iter(flat)
+    # deep[i][j][a] holds inner[i][a][j] shapes of length t[i][j], drawn flat
+    # in that order
+    shapes = iter(_random_shapes(
+        bits, [t[i][j] for i in range(r) for j in range(s[i])
+               for a in range(m[i]) for _ in range(inner[i][a][j])], max_total))
     deep = tuple(
         tuple(
             tuple(tuple(next(shapes) for _ in range(inner[i][a][j]))
@@ -376,6 +365,14 @@ def _expect(fails: list, case: str, law: str, lhs, rhs) -> None:
         fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
 
 
+def _first_stage(rel: RelTwoOperadInstance, elems) -> tuple:
+    """``(m, composite)``: the outer shape and the first-stage composite of a
+    rel or algebra element sample, one block per outer strip."""
+    blocks = tuple(Block(base, configs)
+                   for base, configs in zip(elems.bases, elems.inners))
+    return rel.shape(elems.outer), rel.compose(elems.outer, blocks)
+
+
 def check_operad_laws(op: OperadInstance, elems: OperadElements,
                       case: str = "") -> list:
     """Associativity and units instantiated on the given elements."""
@@ -403,19 +400,18 @@ def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
     fails = []
     base_op = rel.base
     outer = elems.outer
-    m = rel.shape(outer)
+    m, stage1 = _first_stage(rel, elems)
     r = len(m)
-    blocks1 = tuple(Block(elems.bases[i], elems.inners[i]) for i in range(r))
-    stage1 = rel.compose(outer, blocks1)
 
     _expect(fails, case, "projection square",
             rel.project(stage1),
-            base_op.compose(rel.project(outer), tuple(b.base for b in blocks1)))
-    _expect(fails, case, "shape arithmetic",
-            rel.shape(stage1),
+            base_op.compose(rel.project(outer), elems.bases))
+    _expect(fails, case, "shape arithmetic", rel.shape(stage1),
             output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
                          tuple(tuple(rel.shape(q) for q in elems.inners[i])
                                for i in range(r))))
+    if fails and fails[-1].law == "shape arithmetic":
+        return fails    # the deep elements fit only the expected shape
 
     deep_blocks = []
     for i in range(r):
@@ -482,10 +478,8 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
     fails = []
     base_op = rel.base
     outer = elems.outer
-    m = rel.shape(outer)
+    m, composite = _first_stage(rel, elems)
     r = len(m)
-    blocks = tuple(Block(elems.bases[i], elems.inners[i]) for i in range(r))
-    composite = rel.compose(outer, blocks)
 
     # one-step action with the composed configuration
     lhs = alg.act_sheet(composite, elems.chains)
@@ -578,18 +572,21 @@ def run_operad_check(op: OperadInstance, *, seed: int, cases: int,
                 _seeded(cases, check))
 
 
-def run_operad_exhaustive(op: OperadInstance, *, max_arity: int, seed: int = 0,
-                          samples_per_plan: int = 2) -> CheckReport:
+SAMPLES_PER_PLAN = 2    # element samples per plan in an exhaustive run
+
+
+def run_operad_exhaustive(op: OperadInstance, *, max_arity: int,
+                          seed: int = 0) -> CheckReport:
     """Check every composition plan with arities up to ``max_arity``,
-    sampling elements per plan from the given seed."""
+    sampling ``SAMPLES_PER_PLAN`` element tuples per plan from the seed."""
     def check_plan(plan):
         return lambda rng, label: check_operad_laws(
             op, random_operad_elements(op, plan, rng), label)
     cases = ((f"plan{idx}:{v}", f"{idx}:{v}", check_plan(plan))
              for idx, plan in enumerate(all_operad_plans(max_arity))
-             for v in range(samples_per_plan))
+             for v in range(SAMPLES_PER_PLAN))
     return _run(op.name, "exhaustive", seed,
-                {"max_arity": max_arity, "samples_per_plan": samples_per_plan},
+                {"max_arity": max_arity, "samples_per_plan": SAMPLES_PER_PLAN},
                 cases)
 
 

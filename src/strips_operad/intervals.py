@@ -70,17 +70,21 @@ def interval_violation(config: IntervalConfig) -> Optional[str]:
     return None
 
 
+def grid_embeddings(n: int, rng: random.Random, denom: int) -> tuple:
+    """n embeddings of the unit interval with disjoint images, left to right,
+    their endpoints 2n distinct points of the 1/denom grid."""
+    cuts = sorted(rng.sample(range(denom + 1), 2 * n))
+    return tuple(AffineMap1(Fraction(cuts[2 * k + 1] - cuts[2 * k], denom),
+                            Fraction(cuts[2 * k], denom))
+                 for k in range(n))
+
+
 def random_intervals(r: int, rng: random.Random,
                      denom: int = DEFAULT_DENOM) -> IntervalConfig:
     """r disjoint ordered intervals with endpoints on the 1/denom grid."""
     if r < 1:
         raise ValueError("arity must be at least 1")
-    cuts = sorted(rng.sample(range(denom + 1), 2 * r))
-    embeddings = tuple(
-        AffineMap1(Fraction(cuts[2 * k + 1] - cuts[2 * k], denom),
-                   Fraction(cuts[2 * k], denom))
-        for k in range(r))
-    return IntervalConfig(embeddings)
+    return IntervalConfig(grid_embeddings(r, rng, denom))
 
 
 def intervals_operad() -> OperadInstance:

@@ -21,10 +21,11 @@ def rat_to_json(x: Fraction) -> str:
 
 
 def rat_from_json(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ValueError(f"not a rational: {s!r}")
-    if isinstance(s, (int, str)):
-        return Fraction(s)
+    if isinstance(s, (int, str)) and not isinstance(s, bool):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"not a rational: {s!r}")
 
 

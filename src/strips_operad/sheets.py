@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, GridSheet, PLPath, _segment_index, as_point,
-                    lerp)
+from .exact import ONE, ZERO, GridSheet, PLPath, as_point, lerp, locate
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -178,20 +177,6 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     return Loop(PLPath(tuple(breaks), tuple(values)))
 
 
-def _at_line(breaks: tuple, t: Fraction) -> tuple:
-    """(i, w): t lies at fraction w of the way from breaks[i] to breaks[i+1],
-    with w None when t is breaks[i] itself; past either end the first or
-    last segment is extended."""
-    i = _segment_index(breaks, t)
-    t0 = breaks[i]
-    if t == t0:
-        return i, None
-    t1 = breaks[i + 1]
-    if t == t1:
-        return i + 1, None
-    return i, (t - t0) / (t1 - t0)
-
-
 def _column_plan(ys: tuple, rects: tuple, sheets: tuple) -> tuple:
     """How to read each output height in one strip, the same for every column.
 
@@ -208,8 +193,8 @@ def _column_plan(ys: tuple, rects: tuple, sheets: tuple) -> tuple:
         while j < n and ranges[j][1] < y:
             j += 1
         if j < n and ranges[j][0] <= y:
-            plan.append((j,) + _at_line(sheets[j].y_breaks,
-                                        rects[j].y_part.invert(y)))
+            plan.append((j,) + locate(sheets[j].y_breaks,
+                                      rects[j].y_part.invert(y)))
         else:
             plan.append((None, j, None))
     return tuple(plan)
@@ -321,7 +306,7 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
         lines = []
         for elem, rect in zip(chains[strip], config.rects[strip]):
             sv = elem.sheet.values
-            a, u = _at_line(elem.sheet.x_breaks, rect.x_part.invert(x))
+            a, u = locate(elem.sheet.x_breaks, rect.x_part.invert(x))
             lines.append(sv[a] if u is None else
                          tuple(lerp(v0, v1, u) for v0, v1 in zip(sv[a], sv[a + 1])))
         col = []
@@ -386,10 +371,12 @@ def random_point(rng: random.Random, dim: int, spread: int = 8) -> tuple:
                  for _ in range(dim))
 
 
-def random_loop(rng: random.Random, dim: int, basepoint,
-                max_interior: int = 2) -> Loop:
+MAX_INTERIOR = 2    # interior breakpoints of a random loop, at most
+
+
+def random_loop(rng: random.Random, dim: int, basepoint) -> Loop:
     base = as_point(basepoint)
-    k = rng.randint(0, max_interior)
+    k = rng.randint(0, MAX_INTERIOR)
     interior = sorted(rng.sample([Fraction(i, GRID) for i in range(1, GRID)], k))
     values = (base,) + tuple(random_point(rng, dim) for _ in interior) + (base,)
     return Loop(PLPath((ZERO, *interior, ONE), values))

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ONE, ZERO, AffineMap1, AffineMap2, IDENTITY_2
+from .exact import ONE, ZERO, AffineMap2, IDENTITY_2
 from .framework import Block, FiberProductError, RelTwoOperadInstance
-from .intervals import (DEFAULT_DENOM, IntervalConfig, interval_compose,
-                        interval_unit, interval_violation, intervals_operad,
-                        random_intervals)
-from .shapes import check_shape, output_shape
+from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
+                        interval_compose, interval_unit, interval_violation,
+                        intervals_operad, random_intervals)
+from .shapes import check_shape
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,9 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
 
     ``blocks[i].configs`` supplies one inner element per rectangle of strip i
     (so none for an empty strip), all lying over ``blocks[i].base``; the i-th
-    strip then fans out into ``blocks[i].base.arity`` output strips.
+    strip then fans out into ``blocks[i].base.arity`` output strips.  The
+    composite's shape is the row lengths of the rectangles built here, so the
+    ``shape arithmetic`` law compares it with :func:`shapes.output_shape`.
     """
     r = outer.arity
     if len(blocks) != r:
@@ -89,9 +90,6 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
                     f"strip {i + 1}: inner configuration over {q.base.images()} "
                     f"does not share the block base {block.base.images()}")
 
-    shape = output_shape(outer.shape,
-                         tuple(b.base.arity for b in blocks),
-                         tuple(tuple(q.shape for q in b.configs) for b in blocks))
     base = interval_compose(outer.base, tuple(b.base for b in blocks))
     rects = []
     for i in range(r):
@@ -103,7 +101,7 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
                 for inner_rect in blocks[i].configs[a].rects[j]:
                     row.append(outer_rect.compose(inner_rect))
             rects.append(tuple(row))
-    return StripConfig(shape, base, tuple(rects))
+    return StripConfig(tuple(map(len, rects)), base, tuple(rects))
 
 
 def strip_violation(config: StripConfig) -> Optional[str]:
@@ -148,19 +146,10 @@ def random_strip_over(shape: Sequence, base: IntervalConfig, rng: random.Random,
     shape = check_shape(shape)
     if len(shape) != base.arity:
         raise ValueError("shape length must match base arity")
-    rows = []
-    for i, n in enumerate(shape):
-        if n == 0:
-            rows.append(())
-            continue
-        cuts = sorted(rng.sample(range(denom + 1), 2 * n))
-        row = tuple(
-            AffineMap2(base.embeddings[i],
-                       AffineMap1(Fraction(cuts[2 * k + 1] - cuts[2 * k], denom),
-                                  Fraction(cuts[2 * k], denom)))
-            for k in range(n))
-        rows.append(row)
-    return StripConfig(shape, base, tuple(rows))
+    rows = tuple(tuple(AffineMap2(emb, y) for y in grid_embeddings(n, rng, denom))
+                 if n else ()
+                 for emb, n in zip(base.embeddings, shape))
+    return StripConfig(shape, base, rows)
 
 
 def random_strip(shape: Sequence, seed) -> StripConfig:

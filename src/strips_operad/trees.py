@@ -8,6 +8,7 @@ operad composition whose laws the framework checkers exercise.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import weakref
 from typing import Iterator, Optional, Sequence
@@ -152,37 +153,21 @@ def graft(outer: PlanarTree, inners: Sequence[PlanarTree]) -> PlanarTree:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _compositions(n: int, parts: int) -> Iterator[tuple]:
-    """Ordered tuples of ``parts`` positive integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
 @functools.lru_cache(maxsize=None)
 def enumerate_trees(r: int) -> tuple:
-    """All planar trees with r leaves, in a fixed deterministic order."""
+    """All planar trees with r leaves, in a fixed deterministic order: by
+    root degree, then by the children's leaf counts in lexicographic order,
+    then by the children themselves in the order of their own enumeration."""
     if r < 1:
         raise ValueError("trees have at least one leaf")
     if r == 1:
         return (LEAF,)
     out = []
     for parts in range(2, r + 1):
-        for comp in _compositions(r, parts):
-            pools = [enumerate_trees(k) for k in comp]
-            idx = [0] * parts
-            while True:
-                out.append(PlanarTree(tuple(pool[i] for pool, i in zip(pools, idx))))
-                for pos in range(parts - 1, -1, -1):
-                    idx[pos] += 1
-                    if idx[pos] < len(pools[pos]):
-                        break
-                    idx[pos] = 0
-                else:
-                    break
+        for cuts in itertools.combinations(range(1, r), parts - 1):
+            comp = [b - a for a, b in zip((0, *cuts), (*cuts, r))]
+            out.extend(map(PlanarTree, itertools.product(
+                *(enumerate_trees(k) for k in comp))))
     return tuple(out)
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from strips_operad import act_on_loops  # noqa: F401  (re-exported for tests)
 from strips_operad.sheets import (PointedMap, random_loop,
                                   random_sheet_element)
 from strips_operad.strips import StripConfig

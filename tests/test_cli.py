@@ -474,6 +474,66 @@ def test_compose_fiber_product_mismatch(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc", [[], 5])
+def test_compose_rejects_a_plan_that_is_not_an_object(tmp_path, capsys, doc):
+    # once an AttributeError traceback and exit 1
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", "error: the plan document is not a JSON object\n")
+
+
+@pytest.mark.parametrize("top", ["plan.json", "other.json"])
+def test_compose_rejects_a_file_that_splices_in_itself(tmp_path, capsys, top):
+    # plan.json splices in itself directly; other.json through plan.json.
+    # Both were once a RecursionError traceback and exit 1.
+    plan = dict(INTERVALS_PLAN, outer={"$file": "plan.json"})
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "other.json").write_text(json.dumps({"$file": "plan.json"}))
+    assert run(["compose", str(tmp_path / top)], capsys) == (
+        2, "", "error: $file 'plan.json' splices in itself\n")
+
+
+def test_compose_splices_one_file_into_two_places(tmp_path, capsys):
+    unit = {"embeddings": [{"a": "1", "c": "0"}]}
+    (tmp_path / "unit.json").write_text(json.dumps(unit))
+    plan = {"kind": "intervals",
+            "outer": {"embeddings": [{"a": "1/4", "c": "0"},
+                                     {"a": "1/4", "c": "1/2"}]},
+            "inners": [{"$file": "unit.json"}, {"$file": "unit.json"}]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code, out, err = run(["compose", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == plan["outer"]
+
+
+def test_compose_and_render_reject_a_zero_denominator(tmp_path, capsys):
+    # once a ZeroDivisionError traceback and exit 1
+    line = "error: not a rational: '1/0'\n"
+    plan = dict(INTERVALS_PLAN, outer={"embeddings": [{"a": "1/0", "c": "0"}]})
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (2, "", line)
+    path.write_text(json.dumps(plan["outer"]))
+    assert run(["render", str(path)], capsys) == (2, "", line)
+
+
+def test_compose_rejects_an_invalid_intervals_composite(tmp_path, capsys,
+                                                       monkeypatch):
+    # valid inputs always compose to a valid result, so stand in a compose
+    # whose result leaves the unit interval
+    from strips_operad import cli
+    from strips_operad.exact import AffineMap1
+    from strips_operad.intervals import IntervalConfig
+    monkeypatch.setattr(cli, "interval_compose",
+                        lambda outer, inners: IntervalConfig((AffineMap1(2, 0),)))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(INTERVALS_PLAN))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", "error: composed result: interval 1 image [0, 2] leaves [0, 1]\n")
+
+
 # --- render ---------------------------------------------------------------------------
 
 def test_render_intervals(tmp_path, capsys):
@@ -512,6 +572,15 @@ def test_render_unknown_document(tmp_path, capsys):
     path.write_text(json.dumps({"widgets": 3}))
     code, _, err = run(["render", str(path)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [[], 5, "embeddings"])
+def test_render_rejects_a_document_that_is_not_an_object(tmp_path, capsys, doc):
+    # a list, a number and a string once met the key dispatch itself
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["render", str(path)], capsys) == (
+        2, "", "error: the input document is not a JSON object\n")
 
 
 # --- console script ---------------------------------------------------------------------

@@ -5,11 +5,9 @@ import random
 import pytest
 
 from strips_operad import mutants
-from strips_operad.framework import (CheckFailure, CheckReport,
-                                     FiberProductError, OperadElements,
-                                     OperadPlan, all_operad_plans,
+from strips_operad.framework import (CheckFailure, FiberProductError,
+                                     OperadElements, all_operad_plans,
                                      check_operad_laws, check_rel_laws,
-                                     random_operad_elements,
                                      random_operad_plan, random_rel_elements,
                                      random_rel_plan, run_operad_check,
                                      run_operad_exhaustive, run_rel_check)
@@ -120,10 +118,10 @@ def test_report_changes_with_seed():
 
 def test_exhaustive_mode_runs_every_plan():
     op = trees_operad()
-    report = run_operad_exhaustive(op, max_arity=2, samples_per_plan=1)
+    report = run_operad_exhaustive(op, max_arity=2)
     assert report.mode == "exhaustive"
     assert report.ok
-    assert report.cases_run == 6 + 36
+    assert report.cases_run == 2 * (6 + 36)
 
 
 def test_run_with_no_cases_is_not_ok():
@@ -140,6 +138,30 @@ def test_rel_check_runs_and_passes():
     report = run_rel_check(rel, seed=3, cases=10, max_r=2, max_total=4)
     assert report.ok
     assert report.cases_run == 10
+
+
+def test_shape_arithmetic_catches_a_lost_rectangle():
+    # A compose that loses the top rectangle of its last strip holding two
+    # or more.  The composite is still a valid configuration, so only the
+    # shape arithmetic law can see the loss; it once compared output_shape
+    # with itself, and the case raised later instead.
+    from dataclasses import replace
+    from strips_operad.strips import StripConfig, strip_compose
+
+    def compose(outer, blocks):
+        q = strip_compose(outer, blocks)
+        rows = list(q.rects)
+        k = max((i for i, row in enumerate(rows) if len(row) >= 2), default=None)
+        if k is None:
+            return q
+        rows[k] = rows[k][:-1]
+        return StripConfig(tuple(map(len, rows)), q.base, tuple(rows))
+
+    rel = replace(strips_rel_operad(), compose=compose)
+    report = run_rel_check(rel, seed=3, cases=30, max_r=3, max_total=5)
+    laws = {f.law for f in report.failures}
+    assert "shape arithmetic" in laws
+    assert "exception" not in laws
 
 
 def test_fiber_product_mismatch_is_a_precondition_error():

@@ -29,6 +29,12 @@ def test_rationals_reject_floats_and_bools():
         ser.rat_from_json(True)
 
 
+def test_rationals_reject_a_zero_denominator():
+    # once a ZeroDivisionError, which the command line did not catch
+    with pytest.raises(ValueError, match="^not a rational: '1/0'$"):
+        ser.rat_from_json("1/0")
+
+
 def test_affine_round_trip():
     e = AffineMap1(F(1, 3), F(-2, 7))
     assert ser.affine1_from_json(ser.affine1_to_json(e)) == e

@@ -303,8 +303,7 @@ def test_seeded_law_check():
 
 
 def test_exhaustive_small_plans():
-    report = run_operad_exhaustive(trees_operad(), max_arity=2,
-                                   samples_per_plan=2)
+    report = run_operad_exhaustive(trees_operad(), max_arity=2)
     assert report.ok
     assert report.cases_run == 84
 
