@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 at least one law failure, 2 usage or validation
 error.  ``compose`` validates its inputs and its result; it and ``render``
-also exit 2 on a malformed document: one that is not a JSON object, a
-rational with a zero denominator, or a ``$file`` that splices in itself.
+also exit 2 on a malformed document: one that is not a JSON object, one
+nested too deeply to read, a rational with a zero denominator, or a ``$file``
+that splices in itself.
 A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
@@ -283,6 +284,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input document nests too deeply", file=sys.stderr)
         return 2
 
 

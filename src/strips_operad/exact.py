@@ -31,13 +31,13 @@ def as_point(p) -> tuple[Fraction, ...]:
     return tuple([c if type(c) is Fraction else Fraction(c) for c in p])
 
 
-def lerp(p, q, t: Fraction) -> tuple[Fraction, ...]:
-    """Point on the segment from p to q at parameter t.
+def lerp(p, q, tn: int, td: int) -> tuple[Fraction, ...]:
+    """Point on the segment from p to q at parameter ``tn/td`` (``td > 0``;
+    the ratio need not be reduced).
 
     Each coordinate ``(1 - t)·a + t·b`` is formed over one common denominator
     and reduced once, instead of after each of three Fraction operations.
     """
-    tn, td = t.numerator, t.denominator
     sn = td - tn
     out = []
     for a, b in zip(p, q):
@@ -63,6 +63,30 @@ def locate(breaks: Sequence[Fraction], t: Fraction) -> tuple:
     if t == t1:
         return i + 1, None
     return i, (t - t0) / (t1 - t0)
+
+
+def locate_sorted(breaks: Sequence[int], ts: Iterable[int]) -> list:
+    """:func:`locate` for each of the increasing ``ts``, in one merge walk.
+
+    Entry ``(i, None)`` when t is ``breaks[i]``, else ``(i, (num, den))``
+    with t at ``num/den`` (not reduced) of the way from ``breaks[i]`` to
+    ``breaks[i + 1]``; past either end the first or last segment is extended.
+    Breaks and points are ints (rationals scaled by one common denominator),
+    so every comparison is on ints.
+    """
+    out = []
+    i, last = 0, len(breaks) - 2
+    for t in ts:
+        while i < last and breaks[i + 1] <= t:
+            i += 1
+        t0, t1 = breaks[i], breaks[i + 1]
+        if t == t0:
+            out.append((i, None))
+        elif t == t1:
+            out.append((i + 1, None))
+        else:
+            out.append((i, (t - t0, t1 - t0)))
+    return out
 
 
 def _merged(breaks: tuple, extra: Iterable, what: str) -> tuple:
@@ -214,7 +238,8 @@ class PLPath:
             raise ValueError(f"argument {t} outside [0, 1]")
         i, w = locate(self.breaks, t)
         v = self.values[i]
-        return v if w is None else lerp(v, self.values[i + 1], w)
+        return v if w is None else lerp(v, self.values[i + 1],
+                                        w.numerator, w.denominator)
 
     def canonical(self) -> "PLPath":
         """Drop every interior breakpoint where the slope does not change."""
@@ -223,13 +248,25 @@ class PLPath:
         keep = _essential(self.breaks, [flat[k * d:k * d + d] for k in range(n)])
         if len(keep) == n:
             return self
-        return PLPath(tuple(self.breaks[k] for k in keep),
-                      tuple(self.values[k] for k in keep))
+        return _path(tuple(self.breaks[k] for k in keep),
+                     tuple(self.values[k] for k in keep))
 
     def refined(self, extra: Iterable) -> "PLPath":
         """Same function presented with additional (redundant) breakpoints."""
         breaks = _merged(self.breaks, extra, "extra breakpoint")
         return PLPath(breaks, tuple(self.at(t) for t in breaks))
+
+
+def _path(breaks: tuple, values: tuple) -> PLPath:
+    """A :class:`PLPath` from parts that already hold its invariants (a tuple
+    of strictly increasing ``Fraction`` breaks from 0 to 1, and a tuple of as
+    many ``Fraction`` points of one dimension), built without coercing or
+    checking them again."""
+    path = object.__new__(PLPath)
+    fields = path.__dict__          # the frozen dataclass's own storage
+    fields["breaks"] = breaks
+    fields["values"] = values
+    return path
 
 
 def constant_path(value, dim=None) -> PLPath:
@@ -285,10 +322,13 @@ class GridSheet:
         nxt = None if u is None else self.values[ix + 1]
 
         def on_line(k):     # the value at x on the y-line k
-            return col[k] if nxt is None else lerp(col[k], nxt[k], u)
+            if nxt is None:
+                return col[k]
+            return lerp(col[k], nxt[k], u.numerator, u.denominator)
 
         lo = on_line(iy)
-        return lo if w is None else lerp(lo, on_line(iy + 1), w)
+        return lo if w is None else lerp(lo, on_line(iy + 1),
+                                         w.numerator, w.denominator)
 
     def canonical(self) -> "GridSheet":
         """Drop redundant grid lines.
@@ -310,9 +350,9 @@ class GridSheet:
         if len(keep_x) == nx and len(keep_y) == ny:
             return self
         vals = tuple(tuple(self.values[ix][iy] for iy in keep_y) for ix in keep_x)
-        return GridSheet(tuple(self.x_breaks[i] for i in keep_x),
-                         tuple(self.y_breaks[i] for i in keep_y),
-                         vals)
+        return _sheet(tuple(self.x_breaks[i] for i in keep_x),
+                      tuple(self.y_breaks[i] for i in keep_y),
+                      vals)
 
     def refined(self, extra_x: Iterable = (), extra_y: Iterable = ()) -> "GridSheet":
         """Same function on a finer grid (duplicates are merged)."""
@@ -326,10 +366,24 @@ class GridSheet:
         return tuple(col[iy] for col in self.values)
 
     def bottom_edge(self) -> PLPath:
-        return PLPath(self.x_breaks, self.row(0))
+        return _path(self.x_breaks, self.row(0))
 
     def top_edge(self) -> PLPath:
-        return PLPath(self.x_breaks, self.row(len(self.y_breaks) - 1))
+        return _path(self.x_breaks, self.row(len(self.y_breaks) - 1))
+
+
+def _sheet(x_breaks: tuple, y_breaks: tuple, values: tuple) -> GridSheet:
+    """A :class:`GridSheet` from parts that already hold its invariants (two
+    tuples of strictly increasing ``Fraction`` breaks from 0 to 1, and a
+    tuple of columns, one per x-break, each a tuple of one ``Fraction`` point
+    per y-break, all of one dimension), built without coercing or checking
+    them again."""
+    sheet = object.__new__(GridSheet)
+    fields = sheet.__dict__         # the frozen dataclass's own storage
+    fields["x_breaks"] = x_breaks
+    fields["y_breaks"] = y_breaks
+    fields["values"] = values
+    return sheet
 
 
 def _scaled(xs: Sequence[Fraction]) -> list:
@@ -341,6 +395,22 @@ def _scaled(xs: Sequence[Fraction]) -> list:
     dens = [x.denominator for x in xs]
     m = math.lcm(*dens)
     return [x.numerator * (m // d) for x, d in zip(xs, dens)]
+
+
+def scaled_by(m: int, xs: Iterable[Fraction]) -> list:
+    """The Fractions ``xs``, whose denominators divide ``m``, times m as ints."""
+    return [x.numerator * (m // x.denominator) for x in xs]
+
+
+def grid_lines(points: Iterable[Fraction]) -> tuple:
+    """``(lines, ints, m)`` for the given points: the distinct ones in
+    increasing order, the same times ``m`` as ints, and ``m``, the LCM of
+    their denominators.  Merging and sorting are done on the ints."""
+    pts = list(points)
+    m = math.lcm(*[x.denominator for x in pts])
+    by_int = dict(zip(scaled_by(m, pts), pts))
+    ints = sorted(by_int)
+    return tuple([by_int[k] for k in ints]), ints, m
 
 
 def _essential(breaks: tuple, lines: list) -> list:

@@ -377,20 +377,24 @@ def check_operad_laws(op: OperadInstance, elems: OperadElements,
                       case: str = "") -> list:
     """Associativity and units instantiated on the given elements."""
     fails = []
-    r = op.arity(elems.outer)
-    stage1 = op.compose(elems.outer, elems.middles)
-    flat = tuple(w for row in elems.inners for w in row)
-    lhs = op.compose(stage1, flat)
-    rhs = op.compose(elems.outer,
-                     tuple(op.compose(elems.middles[i], elems.inners[i])
-                           for i in range(r)))
-    _expect(fails, case, "associativity", lhs, rhs)
+    try:
+        r = op.arity(elems.outer)
+        stage1 = op.compose(elems.outer, elems.middles)
+        flat = tuple(w for row in elems.inners for w in row)
+        lhs = op.compose(stage1, flat)
+        rhs = op.compose(elems.outer,
+                         tuple(op.compose(elems.middles[i], elems.inners[i])
+                               for i in range(r)))
+        _expect(fails, case, "associativity", lhs, rhs)
 
-    unit = op.unit()
-    _expect(fails, case, "right unit",
-            op.compose(elems.outer, (unit,) * r), elems.outer)
-    _expect(fails, case, "left unit",
-            op.compose(unit, (elems.outer,)), elems.outer)
+        unit = op.unit()
+        _expect(fails, case, "right unit",
+                op.compose(elems.outer, (unit,) * r), elems.outer)
+        _expect(fails, case, "left unit",
+                op.compose(unit, (elems.outer,)), elems.outer)
+    except Exception as exc:    # the engine reports these before the fault
+        exc.law_failures = fails
+        raise
     return fails
 
 
@@ -398,50 +402,55 @@ def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
                    case: str = "") -> list:
     """Projection square, shape arithmetic, associativity, and units."""
     fails = []
-    base_op = rel.base
-    outer = elems.outer
-    m, stage1 = _first_stage(rel, elems)
-    r = len(m)
+    try:
+        base_op = rel.base
+        outer = elems.outer
+        m, stage1 = _first_stage(rel, elems)
+        r = len(m)
 
-    _expect(fails, case, "projection square",
-            rel.project(stage1),
-            base_op.compose(rel.project(outer), elems.bases))
-    _expect(fails, case, "shape arithmetic", rel.shape(stage1),
-            output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
-                         tuple(tuple(rel.shape(q) for q in elems.inners[i])
-                               for i in range(r))))
-    if fails and fails[-1].law == "shape arithmetic":
-        return fails    # the deep elements fit only the expected shape
+        _expect(fails, case, "projection square",
+                rel.project(stage1),
+                base_op.compose(rel.project(outer), elems.bases))
+        _expect(fails, case, "shape arithmetic", rel.shape(stage1),
+                output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
+                             tuple(tuple(rel.shape(q) for q in elems.inners[i])
+                                   for i in range(r))))
+        if fails and fails[-1].law == "shape arithmetic":
+            return fails    # the deep elements fit only the expected shape
 
-    deep_blocks = []
-    for i in range(r):
-        s_i = base_op.arity(elems.bases[i])
-        for j in range(s_i):
-            configs = tuple(w for a in range(m[i]) for w in elems.deep[i][j][a])
-            deep_blocks.append(Block(elems.deep_bases[i][j], configs))
-    lhs = rel.compose(stage1, tuple(deep_blocks))
+        deep_blocks = []
+        for i in range(r):
+            s_i = base_op.arity(elems.bases[i])
+            for j in range(s_i):
+                configs = tuple(w for a in range(m[i]) for w in elems.deep[i][j][a])
+                deep_blocks.append(Block(elems.deep_bases[i][j], configs))
+        lhs = rel.compose(stage1, tuple(deep_blocks))
 
-    inner_composed = tuple(
-        tuple(rel.compose(elems.inners[i][a],
-                          tuple(Block(elems.deep_bases[i][j], elems.deep[i][j][a])
-                                for j in range(base_op.arity(elems.bases[i]))))
-              for a in range(m[i]))
-        for i in range(r))
-    base_composed = tuple(base_op.compose(elems.bases[i], elems.deep_bases[i])
-                          for i in range(r))
-    rhs = rel.compose(outer,
-                      tuple(Block(base_composed[i], inner_composed[i])
-                            for i in range(r)))
-    _expect(fails, case, "associativity", lhs, rhs)
+        inner_composed = tuple(
+            tuple(rel.compose(elems.inners[i][a],
+                              tuple(Block(elems.deep_bases[i][j], elems.deep[i][j][a])
+                                    for j in range(base_op.arity(elems.bases[i]))))
+                  for a in range(m[i]))
+            for i in range(r))
+        base_composed = tuple(base_op.compose(elems.bases[i], elems.deep_bases[i])
+                              for i in range(r))
+        rhs = rel.compose(outer,
+                          tuple(Block(base_composed[i], inner_composed[i])
+                                for i in range(r)))
+        _expect(fails, case, "associativity", lhs, rhs)
 
-    unit2 = rel.unit()
-    unit1 = base_op.unit()
-    _expect(fails, case, "right unit",
-            rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i]) for i in range(r))),
-            outer)
-    _expect(fails, case, "left unit",
-            rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
-            outer)
+        unit2 = rel.unit()
+        unit1 = base_op.unit()
+        _expect(fails, case, "right unit",
+                rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i])
+                                         for i in range(r))),
+                outer)
+        _expect(fails, case, "left unit",
+                rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
+                outer)
+    except Exception as exc:    # the engine reports these before the fault
+        exc.law_failures = fails
+        raise
     return fails
 
 
@@ -476,61 +485,66 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
     """Interchange of acting and composing, boundary compatibility, units,
     and closure, instantiated on the given elements."""
     fails = []
-    base_op = rel.base
-    outer = elems.outer
-    m, composite = _first_stage(rel, elems)
-    r = len(m)
+    try:
+        base_op = rel.base
+        outer = elems.outer
+        m, composite = _first_stage(rel, elems)
+        r = len(m)
 
-    # one-step action with the composed configuration
-    lhs = alg.act_sheet(composite, elems.chains)
+        # one-step action with the composed configuration
+        lhs = alg.act_sheet(composite, elems.chains)
 
-    # two-step action: inner elements first, then the outer one
-    outer_inputs = []
-    k0 = 0
-    for i in range(r):
-        s_i = base_op.arity(elems.bases[i])
-        strip_chains = elems.chains[k0:k0 + s_i]
-        if m[i] == 0:
-            outer_inputs.append(alg.act_path(elems.bases[i], strip_chains))
-        else:
-            # parts[j][a]: strip j's share of inner element a
-            parts = [
-                _split_chain(alg, strip_chains[j],
-                             [rel.shape(elems.inners[i][a])[j] for a in range(m[i])])
-                for j in range(s_i)]
-            middles = tuple(
-                alg.act_sheet(elems.inners[i][a],
-                              tuple(parts[j][a] for j in range(s_i)))
-                for a in range(m[i]))
-            outer_inputs.append(middles)
-        k0 += s_i
-    rhs = alg.act_sheet(outer, tuple(outer_inputs))
-    _expect(fails, case, "interchange", lhs, rhs)
+        # two-step action: inner elements first, then the outer one
+        outer_inputs = []
+        k0 = 0
+        for i in range(r):
+            s_i = base_op.arity(elems.bases[i])
+            strip_chains = elems.chains[k0:k0 + s_i]
+            if m[i] == 0:
+                outer_inputs.append(alg.act_path(elems.bases[i], strip_chains))
+            else:
+                # parts[j][a]: strip j's share of inner element a
+                parts = [
+                    _split_chain(alg, strip_chains[j],
+                                 [rel.shape(elems.inners[i][a])[j]
+                                  for a in range(m[i])])
+                    for j in range(s_i)]
+                middles = tuple(
+                    alg.act_sheet(elems.inners[i][a],
+                                  tuple(parts[j][a] for j in range(s_i)))
+                    for a in range(m[i]))
+                outer_inputs.append(middles)
+            k0 += s_i
+        rhs = alg.act_sheet(outer, tuple(outer_inputs))
+        _expect(fails, case, "interchange", lhs, rhs)
 
-    # boundary compatibility of the one-step action
-    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
-                   for c in elems.chains)
-    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
-                  for c in elems.chains)
-    _expect(fails, case, "source boundary", alg.source(lhs),
-            alg.act_path(rel.project(composite), firsts))
-    _expect(fails, case, "target boundary", alg.target(lhs),
-            alg.act_path(rel.project(composite), lasts))
+        # boundary compatibility of the one-step action
+        firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
+                       for c in elems.chains)
+        lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
+                      for c in elems.chains)
+        _expect(fails, case, "source boundary", alg.source(lhs),
+                alg.act_path(rel.project(composite), firsts))
+        _expect(fails, case, "target boundary", alg.target(lhs),
+                alg.act_path(rel.project(composite), lasts))
 
-    # units
-    some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
-    if some is not None:
-        _expect(fails, case, "unit",
-                alg.act_sheet(rel.unit(), ((some,),)), some)
-    carrier = firsts[0]
-    _expect(fails, case, "path unit",
-            alg.act_path(base_op.unit(), (carrier,)), carrier)
+        # units
+        some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
+        if some is not None:
+            _expect(fails, case, "unit",
+                    alg.act_sheet(rel.unit(), ((some,),)), some)
+        carrier = firsts[0]
+        _expect(fails, case, "path unit",
+                alg.act_path(base_op.unit(), (carrier,)), carrier)
 
-    # closure: composite results stay inside the carrier class
-    for label, res in (("one-step", lhs), ("two-step", rhs)):
-        msg = alg.violation(res)
-        if msg is not None:
-            fails.append(CheckFailure(case, "closure", f"{label}: {msg}", "None"))
+        # closure: composite results stay inside the carrier class
+        for label, res in (("one-step", lhs), ("two-step", rhs)):
+            msg = alg.violation(res)
+            if msg is not None:
+                fails.append(CheckFailure(case, "closure", f"{label}: {msg}", "None"))
+    except Exception as exc:    # the engine reports these before the fault
+        exc.law_failures = fails
+        raise
     return fails
 
 
@@ -545,15 +559,16 @@ def _run(name: str, mode: str, seed: int, plan: dict,
     ``cases`` yields ``(label, key, check)``: the label its failures carry,
     the key of its RNG ``Random(f"{seed}:{key}")``, and ``check(rng, label)``,
     which samples the case and returns its law failures.  A case that raises
-    instead fails the law ``exception``, and the run goes on.
+    instead fails the law ``exception``, after the failures its law checker
+    recorded before the raise, and the run goes on.
     """
     report = CheckReport(name, mode, seed, plan, 0)
     for label, key, check in cases:
         try:
             fails = check(random.Random(f"{seed}:{key}"), label)
         except Exception as exc:
-            fails = [CheckFailure(label, "exception",
-                                  f"{type(exc).__name__}: {exc}", "None")]
+            fails = getattr(exc, "law_failures", []) + [CheckFailure(
+                label, "exception", f"{type(exc).__name__}: {exc}", "None")]
         report.failures.extend(fails)
         report.cases_run += 1
     return report

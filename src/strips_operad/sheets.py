@@ -15,14 +15,14 @@ filling columns outside all strips with p.
 """
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .exact import ONE, ZERO, GridSheet, PLPath, as_point, lerp, locate
+from .exact import (ONE, ZERO, GridSheet, PLPath, _path, _sheet, as_point,
+                    grid_lines, lerp, locate_sorted, scaled_by)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -66,9 +66,19 @@ class PointedMap:
         return len(self.cod_base)
 
     def apply(self, point) -> tuple:
-        point = as_point(point)
-        return tuple(sum(a * x for a, x in zip(row, point)) + b
-                     for row, b in zip(self.matrix, self.offset))
+        """``matrix·point + offset``; each coordinate is summed over one
+        common denominator and reduced once."""
+        point = [(x.numerator, x.denominator) for x in as_point(point)]
+        out = []
+        for row, b in zip(self.matrix, self.offset):
+            num, den = b.numerator, b.denominator
+            for a, (xn, xd) in zip(row, point):
+                tn = a.numerator * xn
+                if tn:
+                    td = a.denominator * xd
+                    num, den = num * td + tn * den, den * td
+            out.append(Fraction(num, den))
+        return tuple(out)
 
     @classmethod
     def from_basepoints(cls, matrix, dom_base, cod_base) -> "PointedMap":
@@ -122,9 +132,19 @@ class SheetElement:
 
 
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:
-    """The loop carried into the target space, canonicalized."""
-    return PLPath(loop.path.breaks,
-                  tuple(f.apply(v) for v in loop.path.values)).canonical()
+    """The loop carried into the target space, canonicalized.
+
+    Each (map, loop) pair is pushed once: the result is kept on the loop,
+    outside its fields, keyed by the identity of the map.  The entry holds
+    the map itself, so that identity cannot pass to another map while the
+    entry lives.
+    """
+    memo = loop.__dict__.setdefault("_pushed", {})
+    hit = memo.get(id(f))
+    if hit is None:
+        hit = memo[id(f)] = (f, _path(loop.path.breaks, tuple(
+            f.apply(v) for v in loop.path.values)).canonical())
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,43 +180,62 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     basepoints = {loop.basepoint for loop in loops}
     if len(basepoints) > 1:
         raise ValueError("loops must share a basepoint")
-    _check_order(config.images(), "interval", "left to right")
+    spans = config.images()
+    _check_order(spans, "interval", "left to right")
     q = loops[0].basepoint
     # every loop starts and ends at q, so a point shared by two neighbouring
-    # intervals, or by an interval and 0 or 1, has the value q on both sides
+    # intervals, or by an interval and 0 or 1, has the value q on both sides;
+    # inside one interval the images of the breaks strictly increase
     breaks, values = [ZERO], [q]
-    for loop, emb in zip(loops, config.embeddings):
-        for t, v in zip(loop.path.breaks, loop.path.values):
-            x = emb(t)
-            if x != breaks[-1]:
-                breaks.append(x)
-                values.append(v)
+    for loop, emb, (lo, _) in zip(loops, config.embeddings, spans):
+        start = 1 if lo == breaks[-1] else 0
+        breaks.extend([emb(t) for t in loop.path.breaks[start:]])
+        values.extend(loop.path.values[start:])
     if breaks[-1] != ONE:
         breaks.append(ONE)
         values.append(q)
-    return Loop(PLPath(tuple(breaks), tuple(values)))
+    inside = spans[0][0] >= ZERO and spans[-1][1] <= ONE
+    make = _path if inside else PLPath    # PLPath rejects what leaves [0, 1]
+    return Loop(make(tuple(breaks), tuple(values)))
 
 
-def _column_plan(ys: tuple, rects: tuple, sheets: tuple) -> tuple:
+def _claims(ts: list, spans: list) -> list:
+    """``(a, b)`` per span: ``ts[a:b]`` are the points of the increasing ints
+    ``ts`` that lie in that span.  The spans increase without overlapping; a
+    point on an edge shared by two spans goes to the first one, so the points
+    between the claims of spans k - 1 and k are those of gap k."""
+    out = []
+    a, n = 0, len(ts)
+    for lo, hi in spans:
+        while a < n and ts[a] < lo:
+            a += 1
+        b = a
+        while b < n and ts[b] <= hi:
+            b += 1
+        out.append((a, b))
+        a = b
+    return out
+
+
+def _column_plan(ys: list, sheet_ys: list) -> tuple:
     """How to read each output height in one strip, the same for every column.
 
-    Entry ``(j, k, w)``: inside rectangle j, at fraction w between the
-    sheet's y-lines k and k+1 (on line k when w is None).  Entry
-    ``(None, g, None)``: in the gap above the first g rectangles, where the
-    value is junction loop g.  A height on the edge shared by two rectangles
-    belongs to the lower one.
+    ``ys`` are the output heights and ``sheet_ys[j]`` the heights of the
+    y-lines of rectangle j's sheet, bottom to top, all as ints over one
+    denominator.  Entry ``(j, k, w)``: inside rectangle j, at ``w = (num,
+    den)`` of the way from the sheet's y-line k to line k+1 (on line k when w
+    is None).  Entry ``(None, g, None)``: in the gap above the first g
+    rectangles, where the value is junction loop g.  A height on the edge
+    shared by two rectangles belongs to the lower one.
     """
-    ranges = tuple(rect.y_part.image() for rect in rects)
     plan = []
-    j, n = 0, len(rects)
-    for y in ys:
-        while j < n and ranges[j][1] < y:
-            j += 1
-        if j < n and ranges[j][0] <= y:
-            plan.append((j,) + locate(sheets[j].y_breaks,
-                                      rects[j].y_part.invert(y)))
-        else:
-            plan.append((None, j, None))
+    done = 0
+    claims = _claims(ys, [(lines[0], lines[-1]) for lines in sheet_ys])
+    for j, (a, b) in enumerate(claims):
+        plan.extend((None, j, None) for _ in range(done, a))
+        plan.extend((j, k, w) for k, w in locate_sorted(sheet_ys[j], ys[a:b]))
+        done = b
+    plan.extend((None, len(sheet_ys), None) for _ in range(done, len(ys)))
     return tuple(plan)
 
 
@@ -213,12 +252,17 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     ``ValueError``.  A point on an edge shared by two strips or two rectangles
     belongs to the left or lower one.
 
-    The output grid is built column by column.  A column finds its strip by
-    bisection over the strip spans.  It reads each rectangle's sheet once
-    along that sheet's own y-lines, at the x given by the rectangle's inverse
-    map, and then fills the rectangle's heights with one interpolation in y
-    each.  Between rectangles it takes the junction loop pushed through f.
-    Coordinates that fall on a breakpoint are read without interpolating.
+    The output grid lines are the images of every input breakpoint.  They are
+    scaled to ints over one denominator per axis, and the sorted x-lines are
+    swept once, left to right: a pointer advances through the strips, and
+    inside a strip one breakpoint pointer per junction path and per
+    rectangle's sheet advances through the images of that object's breaks,
+    so that no column searches or inverts a map.  Each sheet is read once per
+    column along its own y-lines, and the rectangle's heights are filled
+    from that line with one interpolation in y each, by a plan made once per
+    strip.  Between rectangles a column takes the junction loop pushed
+    through f (:func:`push_loop` pushes each loop once per map).  Coordinates
+    that fall on a breakpoint are read without interpolating.
     """
     r = config.arity
     if len(inputs) != r:
@@ -268,60 +312,72 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
         _check_order(tuple(rect.y_part.image() for rect in rects),
                      "rectangle", "bottom to top", f"strip {i + 1}: ")
 
-    # grid lines
-    xs = {ZERO, ONE}
-    ys = {ZERO, ONE}
+    # grid lines, with the images of each sheet's breaks kept per rectangle
+    embs = config.base.embeddings
+    x_pts, y_pts = [ZERO, ONE], [ZERO, ONE]
+    x_images, y_images = [], []      # per strip, per rectangle
     for i in range(r):
-        emb = config.base.embeddings[i]
-        xs.update(spans[i])
+        x_pts.extend(spans[i])
         for loop in junctions[i]:
-            xs.update(emb(t) for t in loop.path.breaks)
-        for elem, rect in zip(chains[i], config.rects[i]):
-            xs.update(rect.x_part(t) for t in elem.sheet.x_breaks)
-            ys.update(rect.y_part(t) for t in elem.sheet.y_breaks)
-    xs = tuple(sorted(xs))
-    ys = tuple(sorted(ys))
-
-    # per strip: the column plan and the junction loops it reads, pushed
-    # through f once (exact, since f is affine)
-    plans = []
-    pushed = []
-    for i in range(r):
-        sheets = tuple(elem.sheet for elem in chains[i])
-        plan = _column_plan(ys, config.rects[i], sheets)
-        plans.append(plan)
-        gaps = {g for j, g, _ in plan if j is None}
-        pushed.append({g: push_loop(f, junctions[i][g]) for g in gaps})
+            x_pts.extend([embs[i](t) for t in loop.path.breaks])
+        pairs = tuple(zip(chains[i], config.rects[i]))
+        x_images.append([[rect.x_part(t) for t in elem.sheet.x_breaks]
+                         for elem, rect in pairs])
+        y_images.append([[rect.y_part(t) for t in elem.sheet.y_breaks]
+                         for elem, rect in pairs])
+        for images in x_images[i]:
+            x_pts.extend(images)
+        for images in y_images[i]:
+            y_pts.extend(images)
+    xs, x_ints, xm = grid_lines(x_pts)
+    ys, y_ints, ym = grid_lines(y_pts)
 
     outside = tuple(p for _ in ys)
-    his = tuple(hi for _, hi in spans)
     values = []
-    for x in xs:
-        strip = bisect.bisect_left(his, x)
-        if strip == r or x < spans[strip][0]:
-            values.append(outside)
-            continue
-        local = config.base.embeddings[strip].invert(x)
-        jvals = {g: path.at(local) for g, path in pushed[strip].items()}
+    done = 0
+    for i, (a, b) in enumerate(_claims(x_ints, [scaled_by(xm, s) for s in spans])):
+        values.extend(outside for _ in range(done, a))
+        done = b
+        cols = x_ints[a:b]
+        plan = _column_plan(y_ints, [scaled_by(ym, images)
+                                     for images in y_images[i]])
+        # the junction loops the plan reads, pushed through f (exact, since f
+        # is affine), and their values along the strip's columns
+        gaps = {}
+        for j, g, _ in plan:
+            if j is None and g not in gaps:
+                path = push_loop(f, junctions[i][g])
+                pv = path.values
+                steps = locate_sorted(
+                    scaled_by(xm, [embs[i](t) for t in path.breaks]), cols)
+                gaps[g] = [pv[k] if w is None else lerp(pv[k], pv[k + 1], *w)
+                           for k, w in steps]
+        # each rectangle's sheet along its own y-lines, one line per column
         lines = []
-        for elem, rect in zip(chains[strip], config.rects[strip]):
+        for elem, images in zip(chains[i], x_images[i]):
             sv = elem.sheet.values
-            a, u = locate(elem.sheet.x_breaks, rect.x_part.invert(x))
-            lines.append(sv[a] if u is None else
-                         tuple(lerp(v0, v1, u) for v0, v1 in zip(sv[a], sv[a + 1])))
-        col = []
-        for j, k, w in plans[strip]:
-            if j is None:
-                col.append(jvals[k])
-            elif w is None:
-                col.append(lines[j][k])
-            else:
-                col.append(lerp(lines[j][k], lines[j][k + 1], w))
-        values.append(tuple(col))
+            steps = locate_sorted(scaled_by(xm, images), cols)
+            lines.append([sv[k] if w is None else
+                          tuple([lerp(v0, v1, *w)
+                                 for v0, v1 in zip(sv[k], sv[k + 1])])
+                          for k, w in steps])
+        for c in range(b - a):
+            col = []
+            for j, k, w in plan:
+                if j is None:
+                    col.append(gaps[k][c])
+                else:
+                    line = lines[j][c]
+                    col.append(line[k] if w is None else
+                               lerp(line[k], line[k + 1], *w))
+            values.append(tuple(col))
+    values.extend(outside for _ in range(done, len(xs)))
 
     bottom = act_on_loops(config.base, tuple(j[0] for j in junctions))
     top = act_on_loops(config.base, tuple(j[-1] for j in junctions))
-    return SheetElement(GridSheet(xs, ys, tuple(values)), bottom, top)
+    square = x_ints[0] == 0 == y_ints[0] and (x_ints[-1], y_ints[-1]) == (xm, ym)
+    make = _sheet if square else GridSheet  # GridSheet rejects what leaves it
+    return SheetElement(make(xs, ys, tuple(values)), bottom, top)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,39 @@ def test_check_records_a_fault_in_one_case_and_runs_the_rest(
     assert fault["rhs"] == "None"
 
 
+def test_check_keeps_the_failures_a_case_recorded_before_it_raised(
+        tmp_path, capsys, monkeypatch):
+    # the first projection (of the first-stage composite) is wrong, so the
+    # projection square fails; the next composition (the deep one) raises
+    from strips_operad import strips
+    from strips_operad.intervals import IntervalConfig
+    real_project, real_compose = strips.strip_project, strips.strip_compose
+    projections, compositions = [], []
+
+    def project(config):
+        projections.append(None)
+        base = real_project(config)
+        return IntervalConfig(base.embeddings * 2) if len(projections) == 1 else base
+
+    def compose(outer, blocks):
+        compositions.append(None)
+        if len(compositions) == 2:
+            raise ZeroDivisionError("planted fault")
+        return real_compose(outer, blocks)
+
+    monkeypatch.setattr(strips, "strip_project", project)
+    monkeypatch.setattr(strips, "strip_compose", compose)
+    out_file = tmp_path / "report.json"
+    code, out, err = run(["check", "strips", "--seed", "5", "--cases", "1",
+                          "--out", str(out_file)], capsys)
+    assert (code, out, err) == (1, "", "")
+    doc = json.loads(out_file.read_text())
+    assert doc["cases_run"] == 1
+    assert [(f["case"], f["law"]) for f in doc["failures"]] == [
+        ("0", "projection square"), ("0", "exception")]
+    assert doc["failures"][1]["lhs"] == "ZeroDivisionError: planted fault"
+
+
 def test_check_trees_exhaustive(capsys):
     code, out, _ = run(["check", "trees", "--exhaustive", "--max-arity", "2"],
                        capsys)
@@ -532,6 +565,23 @@ def test_compose_rejects_an_invalid_intervals_composite(tmp_path, capsys,
     path.write_text(json.dumps(INTERVALS_PLAN))
     assert run(["compose", str(path)], capsys) == (
         2, "", "error: composed result: interval 1 image [0, 2] leaves [0, 1]\n")
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000        # too deep for json.loads
+# parses, but too deep for splicing in ``$file`` nodes
+DEEP_PLAN = '{"kind": "strips", "outer": ' + "[" * 800 + "]" * 800 + "}"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("compose", DEEP_ARRAY), ("render", DEEP_ARRAY), ("compose", DEEP_PLAN)],
+    ids=["compose", "render", "compose-splice"])
+def test_compose_and_render_reject_a_deeply_nested_document(tmp_path, capsys,
+                                                            command, text):
+    # once a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run([command, str(path)], capsys) == (
+        2, "", "error: the input document nests too deeply\n")
 
 
 # --- render ---------------------------------------------------------------------------

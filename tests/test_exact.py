@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, IDENTITY_2, AffineMap1,
-                                 AffineMap2, GridSheet, PLPath,
+                                 AffineMap2, GridSheet, PLPath, _path, _sheet,
                                  canonical_form, constant_path,
-                                 constant_sheet, rect_of)
+                                 constant_sheet, grid_lines, locate,
+                                 locate_sorted, rect_of)
 
 from helpers import positive_scales, rationals, unit_rationals
 
@@ -414,3 +415,59 @@ def test_coercion_keeps_fractions_and_converts_the_rest():
     assert p.values == ((F(1),), (F(1, 2),), (F(-3, 4),))
     assert p.values[1][0] is half
     assert all(type(c) is F for v in p.values for c in v)
+
+
+# --- trusted builders and the merge-walk lookups ---------------------------------
+
+def _assert_same_object(trusted, public):
+    assert trusted == public and hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+
+
+def test_trusted_builders_match_the_public_constructors():
+    for k in range(100):
+        rng = random.Random(f"trusted:{k}")
+        dim = rng.randint(0, 3)
+        xb = tuple([F(0)] + _big_cuts(rng, rng.randint(0, 4)) + [F(1)])
+        yb = tuple([F(0)] + _big_cuts(rng, rng.randint(0, 3)) + [F(1)])
+        # some values repeat a neighbour, so canonical() drops lines
+        pts = [tuple(_big_rational(rng) for _ in range(dim)) for _ in range(3)]
+        path_values = tuple(rng.choice(pts) for _ in xb)
+        grid = tuple(tuple(rng.choice(pts) for _ in yb) for _ in xb)
+
+        path = _path(xb, path_values)
+        _assert_same_object(path, PLPath(xb, path_values))
+        canon = path.canonical()
+        _assert_same_object(canon, PLPath(canon.breaks, canon.values))
+
+        sheet = _sheet(xb, yb, grid)
+        _assert_same_object(sheet, GridSheet(xb, yb, grid))
+        canon = sheet.canonical()
+        _assert_same_object(canon, GridSheet(canon.x_breaks, canon.y_breaks,
+                                             canon.values))
+        for edge, iy in ((sheet.bottom_edge(), 0), (sheet.top_edge(), -1)):
+            _assert_same_object(edge, PLPath(xb, tuple(c[iy] for c in grid)))
+
+
+def test_grid_lines_sort_and_merge_exactly():
+    rng = random.Random("grid-lines")
+    for _ in range(50):
+        pts = [_big_rational(rng) for _ in range(rng.randint(1, 8))]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))      # repeats
+        lines, ints, m = grid_lines(pts)
+        assert lines == tuple(sorted(set(pts)))
+        assert ints == [t * m for t in lines]
+        assert all(type(k) is int for k in ints)
+
+
+def test_locate_sorted_matches_locate():
+    rng = random.Random("locate-sorted")
+    for _ in range(100):
+        breaks = sorted({F(rng.randint(-40, 40), 8) for _ in range(rng.randint(2, 6))})
+        if len(breaks) < 2:
+            continue
+        ts = sorted({F(rng.randint(-60, 60), 8) for _ in range(rng.randint(0, 12))})
+        steps = locate_sorted([t * 8 for t in breaks], [t * 8 for t in ts])
+        for t, (i, w) in zip(ts, steps):
+            want = locate(breaks, t)
+            assert (i, w if w is None else F(*w)) == want

@@ -46,6 +46,34 @@ def test_pointed_map_dimension_checks():
         PointedMap(((F(1), F(0)),), (F(0), F(0)), (F(0),), (F(0), F(0)))
 
 
+def _huge_rational(rng: random.Random) -> F:
+    if rng.random() < 0.2:
+        return F(0)
+    return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+
+def test_pointed_map_apply_matches_fraction_sums():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(300):
+        din, dout = rng.randint(0, 3), rng.randint(0, 3)
+        seen.add((din, dout))
+        matrix = tuple(tuple(_huge_rational(rng) for _ in range(din))
+                       for _ in range(dout))
+        dom = tuple(_huge_rational(rng) for _ in range(din))
+        cod = tuple(_huge_rational(rng) for _ in range(dout))
+        f = PointedMap.from_basepoints(matrix, dom, cod)
+        for point in (dom, tuple(_huge_rational(rng) for _ in range(din)),
+                      tuple(rng.randint(-5, 5) for _ in range(din))):
+            got = f.apply(point)
+            want = tuple(sum(a * F(x) for a, x in zip(row, point)) + b
+                         for row, b in zip(f.matrix, f.offset))
+            assert got == want
+            assert all(type(c) is F for c in got)
+        assert f.apply(dom) == f.cod_base
+    assert len(seen) == 16      # every pair of dimensions in 0..3
+
+
 def test_random_pointed_map_is_pointed():
     rng = random.Random(5)
     for din, dout in ((0, 0), (0, 2), (2, 0), (1, 2)):
@@ -79,6 +107,30 @@ def test_push_loop_applies_map_pointwise():
 
 
 # --- loop action -----------------------------------------------------------------
+
+def test_push_loop_keeps_each_maps_own_image():
+    rng = random.Random(61)
+    loop = random_loop(rng, 2, (F(1), F(1)))
+    pristine = Loop(loop.path)
+    doubling = _map2d()
+    shearing = PointedMap.from_basepoints(((F(1), F(1)), (F(0), F(-1))),
+                                          (F(1), F(1)), (F(0), F(0)))
+
+    def image(f):
+        return PLPath(loop.path.breaks,
+                      tuple(f.apply(v) for v in loop.path.values)).canonical()
+
+    for f in (doubling, shearing, doubling, shearing):
+        assert push_loop(f, loop) == image(f)
+    assert push_loop(doubling, loop) != push_loop(shearing, loop)
+    # an equal map that is another object gets an equal image
+    twin = PointedMap(doubling.matrix, doubling.offset, doubling.dom_base,
+                      doubling.cod_base)
+    assert push_loop(twin, loop) == image(doubling)
+    # what push_loop keeps on the loop is not part of its value
+    assert loop == pristine and hash(loop) == hash(pristine)
+    assert repr(loop) == repr(pristine)
+
 
 def test_act_on_loops_unit_is_identity():
     rng = random.Random(1)
@@ -380,6 +432,60 @@ def test_actions_match_reference_with_shared_edges():
         ()))
     out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
     assert sheet_violation(f, out) is None
+
+
+def test_actions_match_reference_with_unaligned_rectangles():
+    # a rectangle's x part need not be its strip's embedding: here one spans
+    # the whole square, past its strip on both sides, and is read through
+    # its own map wherever its strip has a column
+    f = _map2d()
+    rng = random.Random(97)
+    quarter = F(1, 4)
+    emb = AffineMap1(F(1, 2), quarter)
+    config = StripConfig((2,), IntervalConfig((emb,)), ((
+        AffineMap2(AffineMap1(F(1), F(0)), AffineMap1(quarter, F(0))),
+        AffineMap2(emb, AffineMap1(quarter, F(1, 2)))),))
+    inputs = chain_inputs(f, config, rng)
+    out = _assert_matches_reference(f, config, inputs)
+    # the sheet's own x-lines outside the strip are grid lines at the basepoint
+    wide = inputs[0][0].sheet.x_breaks
+    assert set(wide) <= set(out.sheet.x_breaks)
+    assert all(out.sheet.at(x, y) == f.cod_base
+               for x in wide if not quarter <= x <= 3 * quarter
+               for y in out.sheet.y_breaks)
+
+
+# errors raised at the parent of the swept action, for intervals that leave [0, 1]
+LEAVING = [(AffineMap1(F(1, 2), F(-1, 4)),
+            "breakpoints must be strictly increasing, got 0 >= -1/4"),
+           (AffineMap1(F(1, 2), F(3, 4)),
+            "breakpoints must be strictly increasing, got 5/4 >= 1")]
+
+
+@pytest.mark.parametrize("emb, message", LEAVING)
+def test_actions_on_intervals_leaving_the_unit_interval_raise(emb, message):
+    f = _map2d()
+    loop = random_loop(random.Random(5), 2, f.dom_base)
+    with pytest.raises(ValueError) as caught:
+        act_on_loops(IntervalConfig((emb,)), [loop])
+    assert str(caught.value) == message
+    config = StripConfig((1,), IntervalConfig((emb,)),
+                         ((AffineMap2(emb, AffineMap1(F(1, 2), F(1, 4))),),))
+    with pytest.raises(ValueError) as caught:
+        act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("y_part", [AffineMap1(F(1, 2), F(-1, 4)),
+                                    AffineMap1(F(1, 2), F(3, 4))])
+def test_act_on_sheets_with_a_rectangle_leaving_the_square_raises(y_part):
+    f = _map2d()
+    emb = AffineMap1(F(1, 2), F(1, 4))
+    config = StripConfig((1,), IntervalConfig((emb,)),
+                         ((AffineMap2(emb, y_part),),))
+    with pytest.raises(ValueError) as caught:
+        act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
+    assert str(caught.value) == "sheet must be parametrized over the unit square"
 
 
 # --- ordering preconditions -----------------------------------------------------------
