@@ -13,6 +13,10 @@ error.  ``compose`` validates its inputs and its result; it and ``render``
 also exit 2 on a malformed document: one that is not a JSON object, one
 nested too deeply to read, a rational with a zero denominator, or a ``$file``
 that splices in itself.
+``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
+among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
+plans and a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw
+intervals on the 1/4096 grid.
 A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
@@ -29,14 +33,17 @@ import sys
 from pathlib import Path
 
 from . import mutants, serialize, svg
-from .framework import (Block, run_algebra_check, run_operad_check,
-                        run_operad_exhaustive, run_rel_check)
-from .intervals import interval_compose, interval_violation, intervals_operad
+from .framework import (Block, operad_plan_count, run_algebra_check,
+                        run_operad_check, run_operad_exhaustive, run_rel_check)
+from .intervals import (DEFAULT_DENOM, interval_compose, interval_violation,
+                        intervals_operad)
 from .sheets import random_pointed_map, sheet_algebra
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
 
 DEFAULT_CASES = 100
+MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
+MAX_GRID_ARITY = DEFAULT_DENOM // 2
 
 
 def _default_seed() -> int:
@@ -66,6 +73,19 @@ def _check_args_error(args):
         return f"--exhaustive applies only to trees, not {args.target}"
     if args.exhaustive and args.cases is not None:
         return "--cases does not apply with --exhaustive, which runs every plan"
+    if args.exhaustive:
+        # the plan count grows with --max-r, so the first bound over the cap
+        # decides, and a huge --max-r is never counted out
+        over = next((r for r in range(1, args.max_r + 1)
+                     if operad_plan_count(r) > MAX_EXHAUSTIVE_PLANS), None)
+        if over is not None:
+            return (f"--exhaustive --max-r {args.max_r} checks more than "
+                    f"{MAX_EXHAUSTIVE_PLANS} plans; use --max-r {over - 1} "
+                    f"or less")
+    if args.target != "trees" and args.max_r > MAX_GRID_ARITY:
+        return (f"--max-r must be at most {MAX_GRID_ARITY} for {args.target}, "
+                f"since r intervals end on 2r distinct points of the "
+                f"1/{DEFAULT_DENOM} grid; got {args.max_r}")
     return None
 
 
@@ -246,14 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"seeded cases (default {DEFAULT_CASES}); "
                             "not with --exhaustive")
     check.add_argument("--max-r", "--max-arity", dest="max_r", type=int,
-                       default=3, help="arity bound")
+                       default=3,
+                       help=f"arity bound (at most {MAX_GRID_ARITY} for "
+                            "intervals, strips and sheets)")
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
                        help="total rectangle bound for strips/sheets")
     check.add_argument("--mutate", action="store_true",
                        help="check a deliberately broken instance "
                             "(strips_operad.mutants); the run must fail")
     check.add_argument("--exhaustive", action="store_true",
-                       help="trees only: all plans up to the arity bound")
+                       help="trees only: all plans up to the arity bound "
+                            f"(at most {MAX_EXHAUSTIVE_PLANS} plans)")
     check.add_argument("--out", default=None, help="report path (default stdout)")
     check.set_defaults(func=cmd_check)
 

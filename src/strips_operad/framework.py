@@ -155,6 +155,14 @@ def all_operad_plans(max_arity: int) -> Iterator[OperadPlan]:
                 yield OperadPlan(middles, tuple(deep))
 
 
+def operad_plan_count(max_arity: int) -> int:
+    """How many plans :func:`all_operad_plans` yields.  A middle arity s
+    leaves ``max_arity ** s`` choices of deep arities, so r middle arities
+    leave ``(sum over s of max_arity ** s) ** r`` plans."""
+    per_middle = sum(max_arity ** s for s in range(1, max_arity + 1))
+    return sum(per_middle ** r for r in range(1, max_arity + 1))
+
+
 # The plan samplers read the Mersenne Twister through ``getrandbits`` the way
 # CPython's ``Random.choice`` and ``Random.randint`` do (``_randbelow``: draw
 # ``n.bit_length()`` bits, redraw while the value is at least n).  They consume
@@ -165,13 +173,18 @@ def all_operad_plans(max_arity: int) -> Iterator[OperadPlan]:
 _SHAPE = (0, 0, 1, 1, 2)    # a shape entry is a uniform choice from these
 
 
-def _arity(bits: Callable[[int], int], n: int) -> int:
-    """``randint(1, n)``, word for word."""
+def _randbelow(bits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)`` for n >= 1, word for word."""
     k = n.bit_length()
     v = bits(k)
     while v >= n:
         v = bits(k)
-    return v + 1
+    return v
+
+
+def _arity(bits: Callable[[int], int], n: int) -> int:
+    """``randint(1, n)``, word for word."""
+    return _randbelow(bits, n) + 1
 
 
 def _random_shape(bits: Callable[[int], int], length: int,

@@ -9,14 +9,29 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import weakref
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .framework import OperadInstance
+from .framework import OperadInstance, _randbelow
 
 
-_TREES = weakref.WeakValueDictionary()     # children tuple -> the live tree
+class _Ref(weakref.ref):
+    """A weak reference to a tree that remembers the tree's children tuple,
+    its key in ``_TREES``."""
+
+    __slots__ = ("key",)
+
+
+_TREES = {}     # children tuple -> _Ref to the live tree with those children
+
+
+def _drop(ref, _trees=_TREES):
+    """Remove a dead tree's entry, unless a new tree has taken its key.  The
+    table is bound here so that nothing is looked up at interpreter exit."""
+    if _trees.get(ref.key) is ref:
+        del _trees[ref.key]
 
 
 class PlanarTree:
@@ -34,24 +49,29 @@ class PlanarTree:
     def __new__(cls, children=()):
         children = tuple(children)
         try:
-            tree = _TREES.get(children)
+            ref = _TREES.get(children)
         except TypeError:   # an unhashable child; reported below
-            tree = None
-        if tree is None:
-            if len(children) == 1:
-                raise ValueError("unary vertices are not allowed")
-            leaves = 0
-            dim = len(children) - 2 if children else 0
-            for c in children:
-                if not isinstance(c, PlanarTree):
-                    raise TypeError(f"expected PlanarTree, got {type(c).__name__}")
-                leaves += c.leaves
-                dim += c.dim
-            tree = object.__new__(cls)
-            object.__setattr__(tree, "children", children)
-            object.__setattr__(tree, "leaves", leaves or 1)   # a leaf is one
-            object.__setattr__(tree, "dim", dim)
-            _TREES[children] = tree
+            ref = None
+        if ref is not None:
+            tree = ref()
+            if tree is not None:
+                return tree
+        if len(children) == 1:
+            raise ValueError("unary vertices are not allowed")
+        leaves = 0
+        dim = len(children) - 2 if children else 0
+        for c in children:
+            if not isinstance(c, PlanarTree):
+                raise TypeError(f"expected PlanarTree, got {type(c).__name__}")
+            leaves += c.leaves
+            dim += c.dim
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "children", children)
+        object.__setattr__(tree, "leaves", leaves or 1)   # a leaf is one
+        object.__setattr__(tree, "dim", dim)
+        ref = _Ref(tree, _drop)
+        ref.key = children
+        _TREES[children] = ref
         return tree
 
     def __setattr__(self, name, value):
@@ -180,14 +200,58 @@ def f_vector(r: int) -> tuple:
 
 
 def random_tree(r: int, rng: random.Random) -> PlanarTree:
+    """A random tree with r leaves: the root's degree is ``randint(2, r)``,
+    the cuts between its parts are ``sample(range(1, r), degree - 1)``, and
+    each part of more than one leaf is drawn the same way.
+
+    The draws read ``rng.getrandbits`` exactly as those two calls do on
+    CPython 3.10-3.13, so they consume the same words and give the same
+    trees; ``tests/test_trees.py`` checks this against the running
+    interpreter's ``random``.
+    """
     if r < 1:
         raise ValueError("trees have at least one leaf")
+    return _random_tree(r, rng.getrandbits)
+
+
+def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
     if r == 1:
         return LEAF
-    parts = rng.randint(2, r)
-    cuts = sorted(rng.sample(range(1, r), parts - 1))
-    comp = [b - a for a, b in zip((0, *cuts), (*cuts, r))]
-    return PlanarTree([random_tree(k, rng) for k in comp])
+    n = r - 1
+    cuts = _sample_range(bits, n, _randbelow(bits, n) + 1)   # randint(2, r) - 1
+    cuts.sort()
+    cuts.append(r)
+    children = []
+    prev = 0
+    for c in cuts:
+        children.append(LEAF if c - prev == 1 else _random_tree(c - prev, bits))
+        prev = c
+    return PlanarTree(children)
+
+
+def _sample_range(bits: Callable[[int], int], n: int, k: int) -> list:
+    """``sample(range(1, n + 1), k)`` for 1 <= k <= n, word for word: a pool
+    swap while the population is no larger than a k-element set would be,
+    else redraws against the values already taken."""
+    setsize = 21
+    if n > setsize and k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        pool = list(range(1, n + 1))
+        for m in range(n, n - k, -1):
+            j = _randbelow(bits, m)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        taken = set()
+        for _ in range(k):
+            j = _randbelow(bits, n)
+            while j in taken:
+                j = _randbelow(bits, n)
+            taken.add(j)
+            out.append(j + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

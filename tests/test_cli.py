@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 from strips_operad import mutants
-from strips_operad.cli import main
+from strips_operad.cli import _check_args_error, build_parser, main
 
 
 def run(argv, capsys):
@@ -294,6 +294,29 @@ def test_check_rejects_arity_bound_below_one(capsys):
     assert_usage_error(["check", "intervals", "--max-r", "0"], capsys, "--max-r")
     assert_usage_error(["check", "trees", "--exhaustive", "--max-r", "0"],
                        capsys, "--max-r")
+
+
+@pytest.mark.parametrize("target", ["intervals", "strips", "sheets"])
+def test_check_rejects_arity_bound_beyond_the_grid(capsys, target):
+    # once an `exception` failure: r intervals need 2r of the 4097 grid points
+    assert_usage_error(["check", target, "--max-r", "2049", "--cases", "2"],
+                       capsys, "--max-r must be at most 2048")
+
+
+def test_check_grid_bound_leaves_trees_alone():
+    args = build_parser().parse_args(["check", "trees", "--max-r", "2049"])
+    assert _check_args_error(args) is None
+
+
+def test_check_rejects_an_exhaustive_run_over_the_plan_cap(capsys):
+    # --max-r 4 would be 13 402 779 940 plans, and the run would never end
+    code, out, err = run(["check", "trees", "--exhaustive", "--max-r", "4"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: --exhaustive --max-r 4 checks more than 1000000 "
+                   "plans; use --max-r 3 or less\n")
+    assert_usage_error(["check", "trees", "--exhaustive", "--max-r", str(10 ** 9)],
+                       capsys, "--max-r 3")
 
 
 @pytest.mark.parametrize("target", ["strips", "sheets"])

@@ -8,6 +8,7 @@ from strips_operad import mutants
 from strips_operad.framework import (CheckFailure, FiberProductError,
                                      OperadElements, all_operad_plans,
                                      check_operad_laws, check_rel_laws,
+                                     operad_plan_count,
                                      random_operad_plan, random_rel_elements,
                                      random_rel_plan, run_operad_check,
                                      run_operad_exhaustive, run_rel_check)
@@ -32,6 +33,16 @@ def test_all_operad_plans_counts():
             assert all(1 <= d <= 2 for d in deeps)
     # sum over outer arity r of (sum over middle arity a of 2^a) ** r
     assert len(plans) == 6 + 36
+
+
+@pytest.mark.parametrize("max_arity", [1, 2, 3])
+def test_operad_plan_count_is_the_enumeration_length(max_arity):
+    assert operad_plan_count(max_arity) == sum(1 for _ in all_operad_plans(max_arity))
+
+
+def test_operad_plan_count_values():
+    assert [operad_plan_count(r) for r in (1, 2, 3, 4)] == [
+        1, 42, 60_879, 13_402_779_940]
 
 
 def test_random_plans_respect_bounds():

@@ -3,11 +3,13 @@ import copy
 import gc
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from strips_operad import mutants
+from strips_operad import mutants, trees
 from strips_operad.serialize import tree_from_json, tree_to_json
 from strips_operad.framework import run_operad_check, run_operad_exhaustive
 from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
@@ -17,6 +19,7 @@ from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
                                  tree_to_brackets, trees_operad)
 
 from helpers import catalan, polygon_dissection_counts
+from test_plan_sampler import ForwardingRandom
 
 
 # --- construction -------------------------------------------------------------
@@ -100,6 +103,47 @@ def test_unreferenced_trees_leave_the_table():
     del t
     gc.collect()
     assert ref() is None
+
+
+def test_the_table_forgets_every_tree_it_no_longer_holds():
+    gc.collect()
+    baseline = len(trees._TREES)
+    rng = random.Random("table")
+    built = [random_tree(rng.randint(20, 40), rng) for _ in range(50)]
+    assert len(trees._TREES) > baseline
+    del built
+    gc.collect()
+    assert len(trees._TREES) == baseline
+
+
+def test_a_dead_entry_is_replaced_and_its_late_callback_keeps_the_new_one():
+    # a tree can die before its callback runs (the collector clears weak
+    # references first); its key is then built again
+    key = (corolla(19), LEAF)
+    t = PlanarTree(key)
+    dead = trees._Ref(t)
+    dead.key = key
+    del t
+    assert dead() is None and key not in trees._TREES
+    trees._TREES[key] = dead
+    fresh = PlanarTree(key)
+    assert fresh.children == key and trees._TREES[key]() is fresh
+    trees._drop(dead)
+    assert trees._TREES[key]() is fresh
+    assert PlanarTree(key) is fresh
+
+
+def test_exit_with_live_trees_writes_nothing_to_stderr():
+    # trees held by another module, by a reference cycle and by a cache
+    script = ("import random\n"
+              "from strips_operad.trees import enumerate_trees, random_tree\n"
+              "random.kept = [random_tree(30, random.Random(s)) for s in range(20)]\n"
+              "cycle = [random_tree(30, random.Random(20))]\n"
+              "cycle.append(cycle)\n"
+              "faces = enumerate_trees(6)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_stored_leaf_count_matches_a_recursive_count():
@@ -313,6 +357,46 @@ def test_mutated_trees_fail():
                               max_arity=6)
     assert not report.ok
     assert all(f.law != "exception" for f in report.failures)
+
+
+# --- word-for-word draws --------------------------------------------------------
+#
+# ``random_tree`` reads ``getrandbits`` the way ``randint`` and ``sample`` do.
+# The reference below is the earlier sampler on top of those two calls, kept
+# only as an oracle: for a seed, both must give the same trees and leave the
+# generator in the same state.  r up to 40 reaches both branches of
+# ``sample`` (a pool swap, and redraws against a set once r - 1 > 21) and
+# samples of more than five cuts.
+
+def ref_random_tree(r, rng):
+    if r == 1:
+        return LEAF
+    parts = rng.randint(2, r)
+    cuts = sorted(rng.sample(range(1, r), parts - 1))
+    comp = [b - a for a, b in zip((0, *cuts), (*cuts, r))]
+    return PlanarTree([ref_random_tree(k, rng) for k in comp])
+
+
+@pytest.mark.parametrize("forwarded", [False, True], ids=["direct", "forwarded"])
+def test_random_tree_matches_randint_and_sample(forwarded):
+    for r in range(1, 41):
+        new, ref = random.Random(f"tree:{r}"), random.Random(f"tree:{r}")
+        drawn = ForwardingRandom(new) if forwarded else new
+        for k in range(10):
+            assert random_tree(r, drawn) is ref_random_tree(r, ref), (r, k)
+            assert new.getstate() == ref.getstate(), (r, k)
+        if forwarded and r > 1:     # a one-leaf tree draws nothing
+            assert drawn.calls > 0
+
+
+def test_sample_of_a_range_reads_getrandbits_like_the_replica():
+    for r in range(2, 41):
+        for k in range(1, r):
+            a, b = random.Random(f"sample:{r}:{k}"), random.Random(f"sample:{r}:{k}")
+            for _ in range(3):
+                assert (a.sample(range(1, r), k)
+                        == trees._sample_range(b.getrandbits, r - 1, k)), (r, k)
+            assert a.getstate() == b.getstate(), (r, k)
 
 
 def test_random_tree_determinism():
