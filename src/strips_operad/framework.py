@@ -14,9 +14,9 @@ callables:
 
 Every law is instantiated on concrete elements and both sides are compared
 with ``==``; element types are expected to make that equality decide equality
-of the underlying functions (see :mod:`strips_operad.exact`).  Failures are
-collected rather than raised, so a corrupted instance yields a report instead
-of a crash.  A case that raises is recorded as a failure of the law ``exception``.
+of the underlying functions (see :mod:`strips_operad.exact`).  Checkers append
+failures to the list they are given, so a corrupted instance yields a report
+instead of a crash; a case that raises also fails the law ``exception``.
 Deliberately broken instances are in :mod:`strips_operad.mutants`.
 """
 from __future__ import annotations
@@ -267,8 +267,7 @@ class OperadElements:
 @dataclass(frozen=True)
 class RelElements:
     outer: Any
-    bases: tuple        # bases[i]
-    inners: tuple       # inners[i][a]
+    blocks: tuple       # blocks[i]: the first-stage Block glued into strip i
     deep_bases: tuple   # deep_bases[i][j]
     deep: tuple         # deep[i][j][a][b]
 
@@ -276,8 +275,7 @@ class RelElements:
 @dataclass(frozen=True)
 class AlgebraElements:
     outer: Any
-    bases: tuple
-    inners: tuple
+    blocks: tuple       # as in RelElements
     chains: tuple       # per flattened output strip: tuple of elements, or a carrier
 
 
@@ -292,20 +290,18 @@ def random_operad_elements(op: OperadInstance, plan: OperadPlan,
 
 def _first_stage_elements(rel: RelTwoOperadInstance, plan,
                           rng: random.Random) -> tuple:
-    """``(outer, bases, inners)`` over the first stage ``(m, s, inner)`` of a
-    rel or algebra plan, the draws both element samplers share."""
-    r = len(plan.m)
-    proj = rel.base.random_element(r, rng)
+    """``(outer, blocks)`` over the first stage ``(m, s, inner)`` of a rel or
+    algebra plan, one :class:`Block` per strip: the draws both samplers share."""
+    proj = rel.base.random_element(len(plan.m), rng)
     outer = rel.random_over(plan.m, proj, rng)
-    bases = tuple(rel.base.random_element(plan.s[i], rng) for i in range(r))
-    inners = tuple(tuple(rel.random_over(sh, bases[i], rng) for sh in plan.inner[i])
-                   for i in range(r))
-    return outer, bases, inners
+    bases = tuple(rel.base.random_element(s_i, rng) for s_i in plan.s)
+    return outer, tuple(Block(base, [rel.random_over(sh, base, rng) for sh in shapes])
+                        for base, shapes in zip(bases, plan.inner))
 
 
 def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
                         rng: random.Random) -> RelElements:
-    outer, bases, inners = _first_stage_elements(rel, plan, rng)
+    outer, blocks = _first_stage_elements(rel, plan, rng)
     deep_bases = tuple(tuple(rel.base.random_element(plan.t[i][j], rng)
                              for j in range(plan.s[i]))
                        for i in range(len(plan.m)))
@@ -317,12 +313,12 @@ def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
                 for a in range(plan.m[i]))
             for j in range(plan.s[i]))
         for i in range(len(plan.m)))
-    return RelElements(outer, bases, inners, deep_bases, deep)
+    return RelElements(outer, blocks, deep_bases, deep)
 
 
 def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
                             plan: AlgebraPlan, rng: random.Random) -> AlgebraElements:
-    outer, bases, inners = _first_stage_elements(rel, plan, rng)
+    outer, blocks = _first_stage_elements(rel, plan, rng)
     chains = []
     for n in output_shape(plan.m, plan.s, plan.inner):
         if n == 0:
@@ -332,7 +328,7 @@ def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
             for _ in range(n - 1):
                 chain.append(alg.random_element(rng, source=alg.target(chain[-1])))
             chains.append(tuple(chain))
-    return AlgebraElements(outer, bases, inners, tuple(chains))
+    return AlgebraElements(outer, blocks, tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -372,98 +368,85 @@ class CheckReport:
 # law checkers
 # ---------------------------------------------------------------------------
 
-def _expect(fails: list, case: str, law: str, lhs, rhs) -> None:
-    """Record a failure of ``law`` in ``fails`` unless its two sides are equal."""
+def _expect(fails: list, case: str, law: str, lhs, rhs) -> bool:
+    """Whether the sides of ``law`` are equal; if not, record its failure."""
     if lhs != rhs:
         fails.append(CheckFailure(case, law, repr(lhs), repr(rhs)))
+        return False
+    return True
 
 
-def _first_stage(rel: RelTwoOperadInstance, elems) -> tuple:
-    """``(m, composite)``: the outer shape and the first-stage composite of a
-    rel or algebra element sample, one block per outer strip."""
-    blocks = tuple(Block(base, configs)
-                   for base, configs in zip(elems.bases, elems.inners))
-    return rel.shape(elems.outer), rel.compose(elems.outer, blocks)
+def check_operad_laws(op: OperadInstance, elems: OperadElements, case: str,
+                      fails: list) -> list:
+    """Append to ``fails`` the failures of associativity and units on the
+    given elements, and return it."""
+    r = op.arity(elems.outer)
+    stage1 = op.compose(elems.outer, elems.middles)
+    flat = tuple(w for row in elems.inners for w in row)
+    lhs = op.compose(stage1, flat)
+    rhs = op.compose(elems.outer,
+                     tuple(op.compose(elems.middles[i], elems.inners[i])
+                           for i in range(r)))
+    _expect(fails, case, "associativity", lhs, rhs)
 
-
-def check_operad_laws(op: OperadInstance, elems: OperadElements,
-                      case: str = "") -> list:
-    """Associativity and units instantiated on the given elements."""
-    fails = []
-    try:
-        r = op.arity(elems.outer)
-        stage1 = op.compose(elems.outer, elems.middles)
-        flat = tuple(w for row in elems.inners for w in row)
-        lhs = op.compose(stage1, flat)
-        rhs = op.compose(elems.outer,
-                         tuple(op.compose(elems.middles[i], elems.inners[i])
-                               for i in range(r)))
-        _expect(fails, case, "associativity", lhs, rhs)
-
-        unit = op.unit()
-        _expect(fails, case, "right unit",
-                op.compose(elems.outer, (unit,) * r), elems.outer)
-        _expect(fails, case, "left unit",
-                op.compose(unit, (elems.outer,)), elems.outer)
-    except Exception as exc:    # the engine reports these before the fault
-        exc.law_failures = fails
-        raise
+    unit = op.unit()
+    _expect(fails, case, "right unit",
+            op.compose(elems.outer, (unit,) * r), elems.outer)
+    _expect(fails, case, "left unit",
+            op.compose(unit, (elems.outer,)), elems.outer)
     return fails
 
 
-def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements,
-                   case: str = "") -> list:
-    """Projection square, shape arithmetic, associativity, and units."""
-    fails = []
-    try:
-        base_op = rel.base
-        outer = elems.outer
-        m, stage1 = _first_stage(rel, elems)
-        r = len(m)
+def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements, case: str,
+                   fails: list) -> list:
+    """Append to ``fails`` the failures of the projection square, shape
+    arithmetic, associativity and units, and return it.  A shape arithmetic
+    failure ends the check: the deep elements fit only the expected shape."""
+    base_op = rel.base
+    outer, blocks = elems.outer, elems.blocks
+    m = rel.shape(outer)
+    stage1 = rel.compose(outer, blocks)
+    r = len(m)
 
-        _expect(fails, case, "projection square",
-                rel.project(stage1),
-                base_op.compose(rel.project(outer), elems.bases))
-        _expect(fails, case, "shape arithmetic", rel.shape(stage1),
-                output_shape(m, tuple(base_op.arity(b) for b in elems.bases),
-                             tuple(tuple(rel.shape(q) for q in elems.inners[i])
-                                   for i in range(r))))
-        if fails and fails[-1].law == "shape arithmetic":
-            return fails    # the deep elements fit only the expected shape
+    _expect(fails, case, "projection square",
+            rel.project(stage1),
+            base_op.compose(rel.project(outer), tuple(b.base for b in blocks)))
+    if not _expect(fails, case, "shape arithmetic", rel.shape(stage1),
+                   output_shape(m, tuple(base_op.arity(b.base) for b in blocks),
+                                tuple(tuple(rel.shape(q) for q in b.configs)
+                                      for b in blocks))):
+        return fails
 
-        deep_blocks = []
-        for i in range(r):
-            s_i = base_op.arity(elems.bases[i])
-            for j in range(s_i):
-                configs = tuple(w for a in range(m[i]) for w in elems.deep[i][j][a])
-                deep_blocks.append(Block(elems.deep_bases[i][j], configs))
-        lhs = rel.compose(stage1, tuple(deep_blocks))
+    deep_blocks = []
+    for i in range(r):
+        s_i = base_op.arity(blocks[i].base)
+        for j in range(s_i):
+            configs = tuple(w for a in range(m[i]) for w in elems.deep[i][j][a])
+            deep_blocks.append(Block(elems.deep_bases[i][j], configs))
+    lhs = rel.compose(stage1, tuple(deep_blocks))
 
-        inner_composed = tuple(
-            tuple(rel.compose(elems.inners[i][a],
-                              tuple(Block(elems.deep_bases[i][j], elems.deep[i][j][a])
-                                    for j in range(base_op.arity(elems.bases[i]))))
-                  for a in range(m[i]))
-            for i in range(r))
-        base_composed = tuple(base_op.compose(elems.bases[i], elems.deep_bases[i])
-                              for i in range(r))
-        rhs = rel.compose(outer,
-                          tuple(Block(base_composed[i], inner_composed[i])
-                                for i in range(r)))
-        _expect(fails, case, "associativity", lhs, rhs)
+    inner_composed = tuple(
+        tuple(rel.compose(blocks[i].configs[a],
+                          tuple(Block(elems.deep_bases[i][j], elems.deep[i][j][a])
+                                for j in range(base_op.arity(blocks[i].base))))
+              for a in range(m[i]))
+        for i in range(r))
+    base_composed = tuple(base_op.compose(blocks[i].base, elems.deep_bases[i])
+                          for i in range(r))
+    rhs = rel.compose(outer,
+                      tuple(Block(base_composed[i], inner_composed[i])
+                            for i in range(r)))
+    _expect(fails, case, "associativity", lhs, rhs)
 
-        unit2 = rel.unit()
-        unit1 = base_op.unit()
-        _expect(fails, case, "right unit",
-                rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i])
-                                         for i in range(r))),
-                outer)
-        _expect(fails, case, "left unit",
-                rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
-                outer)
-    except Exception as exc:    # the engine reports these before the fault
-        exc.law_failures = fails
-        raise
+    unit2 = rel.unit()
+    unit1 = base_op.unit()
+    _expect(fails, case, "right unit",
+            rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i])
+                                     for i in range(r))),
+            outer)
+    _expect(fails, case, "left unit",
+            rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
+            outer)
     return fails
 
 
@@ -494,70 +477,63 @@ def _split_chain(alg: AlgebraInstance, chain_or_carrier, counts: Sequence):
 
 
 def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
-                       elems: AlgebraElements, case: str = "") -> list:
-    """Interchange of acting and composing, boundary compatibility, units,
-    and closure, instantiated on the given elements."""
-    fails = []
-    try:
-        base_op = rel.base
-        outer = elems.outer
-        m, composite = _first_stage(rel, elems)
-        r = len(m)
+                       elems: AlgebraElements, case: str, fails: list) -> list:
+    """Append to ``fails`` the failures of interchange of acting and
+    composing, boundary compatibility, units, and closure, and return it."""
+    base_op = rel.base
+    outer = elems.outer
+    m = rel.shape(outer)
+    composite = rel.compose(outer, elems.blocks)
 
-        # one-step action with the composed configuration
-        lhs = alg.act_sheet(composite, elems.chains)
+    # one-step action with the composed configuration
+    lhs = alg.act_sheet(composite, elems.chains)
 
-        # two-step action: inner elements first, then the outer one
-        outer_inputs = []
-        k0 = 0
-        for i in range(r):
-            s_i = base_op.arity(elems.bases[i])
-            strip_chains = elems.chains[k0:k0 + s_i]
-            if m[i] == 0:
-                outer_inputs.append(alg.act_path(elems.bases[i], strip_chains))
-            else:
-                # parts[j][a]: strip j's share of inner element a
-                parts = [
-                    _split_chain(alg, strip_chains[j],
-                                 [rel.shape(elems.inners[i][a])[j]
-                                  for a in range(m[i])])
-                    for j in range(s_i)]
-                middles = tuple(
-                    alg.act_sheet(elems.inners[i][a],
-                                  tuple(parts[j][a] for j in range(s_i)))
-                    for a in range(m[i]))
-                outer_inputs.append(middles)
-            k0 += s_i
-        rhs = alg.act_sheet(outer, tuple(outer_inputs))
-        _expect(fails, case, "interchange", lhs, rhs)
+    # two-step action: inner elements first, then the outer one
+    outer_inputs = []
+    k0 = 0
+    for m_i, block in zip(m, elems.blocks):
+        s_i = base_op.arity(block.base)
+        strip_chains = elems.chains[k0:k0 + s_i]
+        if m_i == 0:
+            outer_inputs.append(alg.act_path(block.base, strip_chains))
+        else:
+            # parts[j][a]: strip j's share of inner element a
+            parts = [
+                _split_chain(alg, strip_chains[j],
+                             [rel.shape(inner)[j] for inner in block.configs])
+                for j in range(s_i)]
+            middles = tuple(
+                alg.act_sheet(inner, tuple(parts[j][a] for j in range(s_i)))
+                for a, inner in enumerate(block.configs))
+            outer_inputs.append(middles)
+        k0 += s_i
+    rhs = alg.act_sheet(outer, tuple(outer_inputs))
+    _expect(fails, case, "interchange", lhs, rhs)
 
-        # boundary compatibility of the one-step action
-        firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
-                       for c in elems.chains)
-        lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
-                      for c in elems.chains)
-        _expect(fails, case, "source boundary", alg.source(lhs),
-                alg.act_path(rel.project(composite), firsts))
-        _expect(fails, case, "target boundary", alg.target(lhs),
-                alg.act_path(rel.project(composite), lasts))
+    # boundary compatibility of the one-step action
+    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
+                   for c in elems.chains)
+    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
+                  for c in elems.chains)
+    _expect(fails, case, "source boundary", alg.source(lhs),
+            alg.act_path(rel.project(composite), firsts))
+    _expect(fails, case, "target boundary", alg.target(lhs),
+            alg.act_path(rel.project(composite), lasts))
 
-        # units
-        some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
-        if some is not None:
-            _expect(fails, case, "unit",
-                    alg.act_sheet(rel.unit(), ((some,),)), some)
-        carrier = firsts[0]
-        _expect(fails, case, "path unit",
-                alg.act_path(base_op.unit(), (carrier,)), carrier)
+    # units
+    some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
+    if some is not None:
+        _expect(fails, case, "unit",
+                alg.act_sheet(rel.unit(), ((some,),)), some)
+    carrier = firsts[0]
+    _expect(fails, case, "path unit",
+            alg.act_path(base_op.unit(), (carrier,)), carrier)
 
-        # closure: composite results stay inside the carrier class
-        for label, res in (("one-step", lhs), ("two-step", rhs)):
-            msg = alg.violation(res)
-            if msg is not None:
-                fails.append(CheckFailure(case, "closure", f"{label}: {msg}", "None"))
-    except Exception as exc:    # the engine reports these before the fault
-        exc.law_failures = fails
-        raise
+    # closure: composite results stay inside the carrier class
+    for label, res in (("one-step", lhs), ("two-step", rhs)):
+        msg = alg.violation(res)
+        if msg is not None:
+            fails.append(CheckFailure(case, "closure", f"{label}: {msg}", "None"))
     return fails
 
 
@@ -570,19 +546,19 @@ def _run(name: str, mode: str, seed: int, plan: dict,
     """The one loop over check cases.
 
     ``cases`` yields ``(label, key, check)``: the label its failures carry,
-    the key of its RNG ``Random(f"{seed}:{key}")``, and ``check(rng, label)``,
-    which samples the case and returns its law failures.  A case that raises
-    instead fails the law ``exception``, after the failures its law checker
-    recorded before the raise, and the run goes on.
+    the key of its RNG ``Random(f"{seed}:{key}")``, and
+    ``check(rng, label, fails)``, which samples the case and appends its law
+    failures to ``fails``, the report's list.  A case that raises also fails
+    the law ``exception``, recorded after the failures it appended before the
+    raise, and the run goes on.
     """
     report = CheckReport(name, mode, seed, plan, 0)
     for label, key, check in cases:
         try:
-            fails = check(random.Random(f"{seed}:{key}"), label)
+            check(random.Random(f"{seed}:{key}"), label, report.failures)
         except Exception as exc:
-            fails = getattr(exc, "law_failures", []) + [CheckFailure(
-                label, "exception", f"{type(exc).__name__}: {exc}", "None")]
-        report.failures.extend(fails)
+            report.failures.append(CheckFailure(
+                label, "exception", f"{type(exc).__name__}: {exc}", "None"))
         report.cases_run += 1
     return report
 
@@ -593,9 +569,9 @@ def _seeded(cases: int, check: Callable) -> Iterator[tuple]:
 
 def run_operad_check(op: OperadInstance, *, seed: int, cases: int,
                      max_arity: int) -> CheckReport:
-    def check(rng, label):
-        plan = random_operad_plan(rng, max_arity)
-        return check_operad_laws(op, random_operad_elements(op, plan, rng), label)
+    def check(rng, label, fails):
+        elems = random_operad_elements(op, random_operad_plan(rng, max_arity), rng)
+        return check_operad_laws(op, elems, label, fails)
     return _run(op.name, "seeded", seed, {"cases": cases, "max_arity": max_arity},
                 _seeded(cases, check))
 
@@ -608,8 +584,8 @@ def run_operad_exhaustive(op: OperadInstance, *, max_arity: int,
     """Check every composition plan with arities up to ``max_arity``,
     sampling ``SAMPLES_PER_PLAN`` element tuples per plan from the seed."""
     def check_plan(plan):
-        return lambda rng, label: check_operad_laws(
-            op, random_operad_elements(op, plan, rng), label)
+        return lambda rng, label, fails: check_operad_laws(
+            op, random_operad_elements(op, plan, rng), label, fails)
     cases = ((f"plan{idx}:{v}", f"{idx}:{v}", check_plan(plan))
              for idx, plan in enumerate(all_operad_plans(max_arity))
              for v in range(SAMPLES_PER_PLAN))
@@ -620,9 +596,9 @@ def run_operad_exhaustive(op: OperadInstance, *, max_arity: int,
 
 def run_rel_check(rel: RelTwoOperadInstance, *, seed: int, cases: int,
                   max_r: int, max_total: int) -> CheckReport:
-    def check(rng, label):
-        plan = random_rel_plan(rng, max_r, max_total)
-        return check_rel_laws(rel, random_rel_elements(rel, plan, rng), label)
+    def check(rng, label, fails):
+        elems = random_rel_elements(rel, random_rel_plan(rng, max_r, max_total), rng)
+        return check_rel_laws(rel, elems, label, fails)
     return _run(rel.name, "seeded", seed,
                 {"cases": cases, "max_r": max_r, "max_total": max_total},
                 _seeded(cases, check))
@@ -633,11 +609,11 @@ def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
                       max_r: int, max_total: int, name: str) -> CheckReport:
     """``make_algebra`` builds the algebra for each case, so runs can vary
     the underlying map along with the elements."""
-    def check(rng, label):
+    def check(rng, label, fails):
         alg = make_algebra(rng)
         plan = random_algebra_plan(rng, max_r, max_total)
         elems = random_algebra_elements(alg, rel, plan, rng)
-        return check_algebra_laws(alg, rel, elems, label)
+        return check_algebra_laws(alg, rel, elems, label, fails)
     return _run(name, "seeded", seed,
                 {"cases": cases, "max_r": max_r, "max_total": max_total},
                 _seeded(cases, check))

@@ -111,15 +111,71 @@ def test_check_keeps_the_failures_a_case_recorded_before_it_raised(
 
     monkeypatch.setattr(strips, "strip_project", project)
     monkeypatch.setattr(strips, "strip_compose", compose)
+    assert _laws_of_one_failing_case("strips", tmp_path, capsys) == [
+        "projection square", "exception"]
+
+
+def _laws_of_one_failing_case(target, tmp_path, capsys):
+    """The laws that ``check TARGET --seed 5 --cases 1`` fails, in report
+    order, given that its last failure is the planted fault."""
     out_file = tmp_path / "report.json"
-    code, out, err = run(["check", "strips", "--seed", "5", "--cases", "1",
+    code, out, err = run(["check", target, "--seed", "5", "--cases", "1",
                           "--out", str(out_file)], capsys)
     assert (code, out, err) == (1, "", "")
     doc = json.loads(out_file.read_text())
     assert doc["cases_run"] == 1
-    assert [(f["case"], f["law"]) for f in doc["failures"]] == [
-        ("0", "projection square"), ("0", "exception")]
-    assert doc["failures"][1]["lhs"] == "ZeroDivisionError: planted fault"
+    assert {f["case"] for f in doc["failures"]} == {"0"}
+    assert doc["failures"][-1]["lhs"] == "ZeroDivisionError: planted fault"
+    return [f["law"] for f in doc["failures"]]
+
+
+def _planted_fault(*args):
+    raise ZeroDivisionError("planted fault")
+
+
+def _plant_in_intervals(monkeypatch):
+    # the second composition, the left side of associativity, drifts, so
+    # associativity fails; the unit laws then ask for the unit, which raises
+    from strips_operad import intervals
+    real_compose, compositions = intervals.interval_compose, []
+
+    def compose(outer, inners):
+        compositions.append(None)
+        if len(compositions) == 2:
+            return mutants.intervals_operad().compose(outer, inners)
+        return real_compose(outer, inners)
+
+    monkeypatch.setattr(intervals, "interval_compose", compose)
+    monkeypatch.setattr(intervals, "interval_unit", _planted_fault)
+    return "associativity"
+
+
+def _plant_in_sheets(monkeypatch):
+    # the first action, the one-step side of interchange, drifts, so
+    # interchange fails; the closure check, made last, then raises
+    from strips_operad import sheets
+    real_act, actions = sheets.act_on_sheets, []
+
+    def act(f, config, inputs):
+        actions.append(None)
+        if len(actions) == 1:
+            return mutants.sheet_algebra(f).act_sheet(config, inputs)
+        return real_act(f, config, inputs)
+
+    monkeypatch.setattr(sheets, "act_on_sheets", act)
+    monkeypatch.setattr(sheets, "sheet_violation", _planted_fault)
+    return "interchange"
+
+
+@pytest.mark.parametrize("target, plant", [("intervals", _plant_in_intervals),
+                                           ("sheets", _plant_in_sheets)])
+def test_check_keeps_the_failures_recorded_before_a_raise_for_every_checker(
+        tmp_path, capsys, monkeypatch, target, plant):
+    # the strips checker is covered above; these cover the operad and the
+    # algebra checkers
+    law = plant(monkeypatch)
+    assert _laws_of_one_failing_case(target, tmp_path, capsys) == [
+        law, "exception"]
 
 
 def test_check_trees_exhaustive(capsys):
@@ -304,7 +360,25 @@ def test_check_rejects_arity_bound_beyond_the_grid(capsys, target):
 
 
 def test_check_grid_bound_leaves_trees_alone():
+    # trees draw no grid, but --max-r 2049 is over the composite bound
     args = build_parser().parse_args(["check", "trees", "--max-r", "2049"])
+    bad = _check_args_error(args)
+    assert "2097152" in bad and "use --max-r 128 or less" in bad
+    assert "grid" not in bad
+
+
+@pytest.mark.parametrize("argv", [["intervals", "--max-r", "2048"],
+                                  ["trees", "--max-r", "129"]])
+def test_check_rejects_composites_over_the_bound(capsys, argv):
+    # once grew past 4 GB: three stages of arity 2048 compose to arity 2048**3
+    assert_usage_error(["check", *argv, "--cases", "2"], capsys,
+                       f"composites reach arity {int(argv[2]) ** 3}, "
+                       f"more than 2097152; use --max-r 128 or less")
+
+
+@pytest.mark.parametrize("target", ["intervals", "trees"])
+def test_check_composite_bound_admits_max_r_128(target):
+    args = build_parser().parse_args(["check", target, "--max-r", "128"])
     assert _check_args_error(args) is None
 
 

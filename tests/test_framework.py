@@ -72,7 +72,7 @@ def _unit_operad_elements(op):
 def test_unit_plan_has_no_failures(make):
     op = make()
     elems = _unit_operad_elements(op)
-    assert check_operad_laws(op, elems) == []
+    assert check_operad_laws(op, elems, "", []) == []
 
 
 def test_unit_rel_plan_has_no_failures():
@@ -80,7 +80,20 @@ def test_unit_rel_plan_has_no_failures():
     rng = random.Random(0)
     plan = random_rel_plan(rng, 2, 4)
     elems = random_rel_elements(rel, plan, rng)
-    assert check_rel_laws(rel, elems) == []
+    assert check_rel_laws(rel, elems, "", []) == []
+
+
+def test_rel_check_goes_on_after_an_earlier_cases_shape_failure():
+    # in a run every case appends to the report's list, so the shape
+    # arithmetic failure at its end may be another case's; case "1" must
+    # still check associativity, which the mutant breaks
+    rel = mutants.strips_rel_operad()
+    rng = random.Random(0)
+    elems = random_rel_elements(rel, random_rel_plan(rng, 2, 4), rng)
+    earlier = CheckFailure("0", "shape arithmetic", "(1,)", "(2,)")
+    fails = check_rel_laws(rel, elems, "1", [earlier])
+    assert fails[0] is earlier
+    assert ("1", "associativity") in [(f.case, f.law) for f in fails[1:]]
 
 
 # --- failure reporting -----------------------------------------------------------

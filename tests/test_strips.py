@@ -164,9 +164,7 @@ def test_compose_preserves_validity():
     for _ in range(40):
         plan = random_rel_plan(rng, 3, 5)
         elems = random_rel_elements(rel, plan, rng)
-        stage1 = rel.compose(elems.outer,
-                             tuple(Block(elems.bases[i], elems.inners[i])
-                                   for i in range(len(plan.m))))
+        stage1 = rel.compose(elems.outer, elems.blocks)
         assert strip_violation(stage1) is None
 
 
