@@ -11,8 +11,9 @@ Subcommands::
 Exit codes: 0 success, 1 at least one law failure, 2 usage or validation
 error.  ``compose`` validates its inputs and its result; it and ``render``
 also exit 2 on a malformed document: one that is not a JSON object, one
-nested too deeply to read, a rational with a zero denominator, or a ``$file``
-that splices in itself.
+nested too deeply to read, a rational that is not an int or a string such
+as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
+refused), or a ``$file`` that splices in itself.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans, a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw

@@ -2,17 +2,20 @@
 
 Everything in this package that looks like geometry bottoms out here:
 increasing affine reparametrizations of the unit interval and unit square,
-piecewise-linear paths, and grid-bilinear sheets, all with
-:class:`fractions.Fraction` coordinates.  Each function class has a canonical
-form (minimal breakpoint set), so equality *of the underlying functions* is
-decidable and reduces to ``==`` on canonical representatives.  That is the
-property the law checkers in :mod:`strips_operad.framework` rely on.
+piecewise-linear paths, and grid-bilinear sheets.  An affine map of the line
+is stored as a reduced integer triple ``(an, cn, d)`` for ``x |-> (an*x +
+cn)/d``, which is unique per map, and composed on those ints; paths and
+sheets hold :class:`fractions.Fraction` coordinates.  Each function class
+has a canonical form (the normal triple, or a minimal breakpoint set), so
+equality *of the underlying functions* is decidable and reduces to ``==`` on
+canonical representatives.  That is the property the law checkers in
+:mod:`strips_operad.framework` rely on.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -105,57 +108,106 @@ def _merged(breaks: tuple, extra: Iterable, what: str) -> tuple:
 # affine embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AffineMap1:
     """Increasing affine map x |-> a*x + c with a > 0.
 
-    A call, an inverse or a composite forms each result coefficient as one
-    fraction, reduced once.
+    The map is stored as three ints ``(an, cn, d)`` with ``a = an/d``,
+    ``c = cn/d``, ``d > 0`` and ``gcd(an, cn, d) == 1``.  Each map has exactly
+    one such triple, so equality and hashing compare triples.  A composite is
+    formed on the triples and reduced by one gcd; ``a``, ``c``, a call, an
+    inverse and ``image()`` build ``Fraction``s only when they are asked for.
+    Instances are immutable.
     """
 
-    a: Fraction
-    c: Fraction
+    __slots__ = ("an", "cn", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rat(self.a))
-        object.__setattr__(self, "c", as_rat(self.c))
-        if self.a.numerator <= 0:
-            raise ValueError(f"affine scale must be positive, got {self.a}")
+    def __init__(self, a, c):
+        a, c = as_rat(a), as_rat(c)
+        if a.numerator <= 0:
+            raise ValueError(f"affine scale must be positive, got {a}")
+        ad, cd = a.denominator, c.denominator
+        d = math.lcm(ad, cd)        # both reduced, so the triple is too
+        _SET_AN(self, a.numerator * (d // ad))
+        _SET_CN(self, c.numerator * (d // cd))
+        _SET_D(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_affine1, (self.an, self.cn, self.d))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not AffineMap1:
+            return NotImplemented
+        return self.an == other.an and self.cn == other.cn and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.an, self.cn, self.d))
+
+    def __repr__(self):
+        return f"AffineMap1(a={self.a!r}, c={self.c!r})"
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.d)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.cn, self.d)
 
     def __call__(self, x: Fraction) -> Fraction:
         x = as_rat(x)
-        a, c = self.a, self.c
-        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
         xn, xd = x.numerator, x.denominator
-        return Fraction(an * xn * cd + cn * ad * xd, ad * xd * cd)
+        return Fraction(self.an * xn + self.cn * xd, self.d * xd)
 
     def compose(self, inner: "AffineMap1") -> "AffineMap1":
         """self after inner:  x |-> self(inner(x))."""
-        a, c, ia, ic = self.a, self.c, inner.a, inner.c
-        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
-        icn, icd = ic.numerator, ic.denominator
-        return _affine1(Fraction(an * ia.numerator, ad * ia.denominator),
-                        Fraction(an * icn * cd + cn * ad * icd, ad * icd * cd))
+        an, id_ = self.an, inner.d
+        return _affine1(an * inner.an, an * inner.cn + self.cn * id_, self.d * id_)
 
     def invert(self, y: Fraction) -> Fraction:
         y = as_rat(y)
-        a, c = self.a, self.c
-        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
         yn, yd = y.numerator, y.denominator
-        return Fraction((yn * cd - cn * yd) * ad, yd * cd * an)
+        return Fraction(yn * self.d - self.cn * yd, yd * self.an)
 
     def image(self) -> tuple[Fraction, Fraction]:
         """Image of the unit interval, ``(f(0), f(1))``."""
-        return (self.c, self.a + self.c)
+        cn, d = self.cn, self.d
+        return (Fraction(cn, d), Fraction(self.an + cn, d))
+
+    def maps_into_unit(self) -> bool:
+        """Whether ``image()`` lies inside [0, 1], decided on the ints."""
+        return self.cn >= 0 and self.an + self.cn <= self.d
+
+    def ends_before(self, other: "AffineMap1") -> bool:
+        """Whether ``image()`` ends strictly before ``other.image()`` starts,
+        decided on the ints by cross-multiplying."""
+        return (self.an + self.cn) * other.d < other.cn * self.d
 
 
-def _affine1(a: Fraction, c: Fraction) -> AffineMap1:
-    """An :class:`AffineMap1` from two ``Fraction``s with ``a > 0``, built
-    without coercing them again or re-testing the sign."""
+# the slots' own setters, which the frozen ``__setattr__`` does not reach
+_SET_AN = AffineMap1.an.__set__
+_SET_CN = AffineMap1.cn.__set__
+_SET_D = AffineMap1.d.__set__
+
+
+def _affine1(an: int, cn: int, d: int) -> AffineMap1:
+    """The :class:`AffineMap1` ``x |-> (an*x + cn)/d`` from ints with
+    ``an > 0`` and ``d > 0``, reduced to its normal form by one gcd, built
+    without the constructor's coercion and sign test."""
+    g = math.gcd(an, cn, d)
+    if g != 1:
+        an, cn, d = an // g, cn // g, d // g
     m = object.__new__(AffineMap1)
-    fields = m.__dict__          # the frozen dataclass's own storage
-    fields["a"] = a
-    fields["c"] = c
+    _SET_AN(m, an)
+    _SET_CN(m, cn)
+    _SET_D(m, d)
     return m
 
 

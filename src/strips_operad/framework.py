@@ -319,8 +319,12 @@ def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
 def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
                             plan: AlgebraPlan, rng: random.Random) -> AlgebraElements:
     outer, blocks = _first_stage_elements(rel, plan, rng)
+    # output strip (i, j) holds the rectangles of strip j of every inner
+    # shape glued into strip i (see shapes.output_shape)
+    counts = [sum(sh[j] for sh in shapes)
+              for s_i, shapes in zip(plan.s, plan.inner) for j in range(s_i)]
     chains = []
-    for n in output_shape(plan.m, plan.s, plan.inner):
+    for n in counts:
         if n == 0:
             chains.append(alg.random_carrier(rng))
         else:

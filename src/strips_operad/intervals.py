@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ONE, ZERO, AffineMap1, IDENTITY_1
+from .exact import AffineMap1, IDENTITY_1, _affine1
 from .framework import OperadInstance
 
 DEFAULT_DENOM = 4096
@@ -38,6 +37,14 @@ class IntervalConfig:
         return tuple(e.image() for e in self.embeddings)
 
 
+def _intervals(embeddings: tuple) -> IntervalConfig:
+    """An :class:`IntervalConfig` from a non-empty tuple of
+    :class:`AffineMap1`, built without checking it again."""
+    config = object.__new__(IntervalConfig)
+    config.__dict__["embeddings"] = embeddings   # the frozen dataclass's storage
+    return config
+
+
 def interval_unit() -> IntervalConfig:
     return IntervalConfig((IDENTITY_1,))
 
@@ -49,24 +56,26 @@ def interval_compose(outer: IntervalConfig,
             f"arity {outer.arity} composition got {len(inners)} inner configurations")
     embeddings = []
     for out_emb, inner in zip(outer.embeddings, inners):
-        embeddings.extend(out_emb.compose(e) for e in inner.embeddings)
-    return IntervalConfig(tuple(embeddings))
+        embeddings.extend([out_emb.compose(e) for e in inner.embeddings])
+    return _intervals(tuple(embeddings))
 
 
 def interval_violation(config: IntervalConfig) -> Optional[str]:
     """First geometric defect of the configuration, or None if valid.
 
     Checked in order: each interval inside [0, 1]; each interval strictly
-    left of the next (this also forces disjointness).
+    left of the next (this also forces disjointness).  The tests are decided
+    on the maps' integer triples; an image is formed only for a message.
     """
-    images = config.images()
-    for k, (lo, hi) in enumerate(images):
-        if lo < ZERO or hi > ONE:
+    embs = config.embeddings
+    for k, e in enumerate(embs):
+        if not e.maps_into_unit():
+            lo, hi = e.image()
             return f"interval {k + 1} image [{lo}, {hi}] leaves [0, 1]"
-    for k in range(len(images) - 1):
-        if not images[k][1] < images[k + 1][0]:
-            return (f"interval {k + 1} (ends {images[k][1]}) overlaps or passes "
-                    f"interval {k + 2} (starts {images[k + 1][0]})")
+    for k, (e, f) in enumerate(zip(embs, embs[1:])):
+        if not e.ends_before(f):
+            return (f"interval {k + 1} (ends {e.image()[1]}) overlaps or passes "
+                    f"interval {k + 2} (starts {f.image()[0]})")
     return None
 
 
@@ -74,9 +83,8 @@ def grid_embeddings(n: int, rng: random.Random, denom: int) -> tuple:
     """n embeddings of the unit interval with disjoint images, left to right,
     their endpoints 2n distinct points of the 1/denom grid."""
     cuts = sorted(rng.sample(range(denom + 1), 2 * n))
-    return tuple(AffineMap1(Fraction(cuts[2 * k + 1] - cuts[2 * k], denom),
-                            Fraction(cuts[2 * k], denom))
-                 for k in range(n))
+    return tuple([_affine1(hi - lo, lo, denom)
+                  for lo, hi in zip(cuts[::2], cuts[1::2])])
 
 
 def random_intervals(r: int, rng: random.Random,
@@ -84,7 +92,7 @@ def random_intervals(r: int, rng: random.Random,
     """r disjoint ordered intervals with endpoints on the 1/denom grid."""
     if r < 1:
         raise ValueError("arity must be at least 1")
-    return IntervalConfig(grid_embeddings(r, rng, denom))
+    return _intervals(grid_embeddings(r, rng, denom))
 
 
 def intervals_operad() -> OperadInstance:

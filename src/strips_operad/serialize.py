@@ -7,6 +7,8 @@ all container encodings are plain dicts/lists so the output of
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 from .exact import AffineMap1, AffineMap2, GridSheet, PLPath
@@ -20,12 +22,33 @@ def rat_to_json(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """:func:`rat_to_json` of ``n/d`` for ints with ``d > 0``."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+# the forms rat_to_json writes: digits with an optional minus sign, optionally
+# over digits that are not all zero
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", re.ASCII)
+
+
 def rat_from_json(s) -> Fraction:
-    if isinstance(s, (int, str)) and not isinstance(s, bool):
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            pass
+    """The rational of a JSON int or of a string as :func:`rat_to_json`
+    writes it (``"-7/2"``, ``"3"``); any other value, decimals and exponents
+    included, is a ``ValueError``.  Digits are read by ``int``, so decoding
+    time depends on the length of the string alone."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if isinstance(s, str):
+        m = _RATIONAL.fullmatch(s)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                return Fraction(int(num), int(den) if den else 1)
+            except ValueError:      # more digits than int() will read
+                pass
     raise ValueError(f"not a rational: {s!r}")
 
 
@@ -40,7 +63,7 @@ def point_from_json(obj) -> tuple:
 # --- affine maps -----------------------------------------------------------
 
 def affine1_to_json(e: AffineMap1) -> dict:
-    return {"a": rat_to_json(e.a), "c": rat_to_json(e.c)}
+    return {"a": _ratio_text(e.an, e.d), "c": _ratio_text(e.cn, e.d)}
 
 
 def affine1_from_json(obj) -> AffineMap1:
@@ -48,8 +71,9 @@ def affine1_from_json(obj) -> AffineMap1:
 
 
 def affine2_to_json(e: AffineMap2) -> dict:
-    return {"a": rat_to_json(e.x_part.a), "b": rat_to_json(e.y_part.a),
-            "c": rat_to_json(e.x_part.c), "d": rat_to_json(e.y_part.c)}
+    x, y = e.x_part, e.y_part
+    return {"a": _ratio_text(x.an, x.d), "b": _ratio_text(y.an, y.d),
+            "c": _ratio_text(x.cn, x.d), "d": _ratio_text(y.cn, y.d)}
 
 
 def affine2_from_json(obj) -> AffineMap2:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import ONE, ZERO, AffineMap2, IDENTITY_2
+from .exact import AffineMap2, IDENTITY_2
 from .framework import Block, FiberProductError, RelTwoOperadInstance
 from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
                         interval_compose, interval_unit, interval_violation,
@@ -57,6 +57,19 @@ class StripConfig:
         return sum(self.shape)
 
 
+def _strip(shape: tuple, base: IntervalConfig, rects: tuple) -> StripConfig:
+    """A :class:`StripConfig` from parts that already hold its invariants (a
+    valid shape as long as the base's arity, and a tuple of rows of
+    :class:`AffineMap2`, one per strip, as long as its entry), built without
+    checking them again."""
+    config = object.__new__(StripConfig)
+    fields = config.__dict__          # the frozen dataclass's own storage
+    fields["shape"] = shape
+    fields["base"] = base
+    fields["rects"] = rects
+    return config
+
+
 def strip_unit() -> StripConfig:
     return StripConfig((1,), interval_unit(), ((IDENTITY_2,),))
 
@@ -91,17 +104,26 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
                     f"does not share the block base {block.base.images()}")
 
     base = interval_compose(outer.base, tuple(b.base for b in blocks))
+    base_embs = iter(base.embeddings)
     rects = []
     for i in range(r):
-        s_i = blocks[i].base.arity
-        for j in range(s_i):
+        out_rows, block = outer.rects[i], blocks[i]
+        for j, emb_j in enumerate(block.base.embeddings):
+            # x is ox.compose(ix), the x part of the last rectangle built.  It
+            # starts as this output strip's base embedding, the composite of
+            # the two strip embeddings; valid inputs share those objects, so
+            # their rectangles take it without composing again.
+            ox, ix, x = outer.base.embeddings[i], emb_j, next(base_embs)
             row = []
-            for a in range(outer.shape[i]):
-                outer_rect = outer.rects[i][a]
-                for inner_rect in blocks[i].configs[a].rects[j]:
-                    row.append(outer_rect.compose(inner_rect))
+            for a, outer_rect in enumerate(out_rows):
+                o_x, o_y = outer_rect.x_part, outer_rect.y_part
+                for inner_rect in block.configs[a].rects[j]:
+                    i_x = inner_rect.x_part
+                    if o_x is not ox or i_x is not ix:
+                        ox, ix, x = o_x, i_x, o_x.compose(i_x)
+                    row.append(AffineMap2(x, o_y.compose(inner_rect.y_part)))
             rects.append(tuple(row))
-    return StripConfig(tuple(map(len, rects)), base, tuple(rects))
+    return _strip(tuple(map(len, rects)), base, tuple(rects))
 
 
 def strip_violation(config: StripConfig) -> Optional[str]:
@@ -116,25 +138,24 @@ def strip_violation(config: StripConfig) -> Optional[str]:
     valid base orders the strips strictly left to right, and every rectangle's
     x part equals its strip's embedding, so rectangles in different strips are
     x-disjoint; rectangles within one strip are strictly ordered bottom to
-    top, so they are y-disjoint.  Each vertical image is computed once, and
-    the whole check is linear in the rectangle count.
+    top, so they are y-disjoint.  The tests are decided on the maps' integer
+    triples, an image is formed only for a message, and the whole check is
+    linear in the rectangle count.
     """
     base_bad = interval_violation(config.base)
     if base_bad is not None:
         return f"base: {base_bad}"
     for i, (emb, row) in enumerate(zip(config.base.embeddings, config.rects)):
-        images = []
         for j, rect in enumerate(row):
             if rect.x_part != emb:
                 return (f"rectangle ({i + 1}, {j + 1}) is not aligned with "
                         f"strip {i + 1}")
-            lo, hi = rect.y_part.image()
-            if lo < ZERO or hi > ONE:
+            if not rect.y_part.maps_into_unit():
+                lo, hi = rect.y_part.image()
                 return (f"rectangle ({i + 1}, {j + 1}) vertical image "
                         f"[{lo}, {hi}] leaves [0, 1]")
-            images.append((lo, hi))
-        for j in range(len(images) - 1):
-            if not images[j][1] < images[j + 1][0]:
+        for j in range(len(row) - 1):
+            if not row[j].y_part.ends_before(row[j + 1].y_part):
                 return (f"rectangle ({i + 1}, {j + 1}) does not sit strictly "
                         f"below rectangle ({i + 1}, {j + 2})")
     return None
@@ -149,7 +170,7 @@ def random_strip_over(shape: Sequence, base: IntervalConfig, rng: random.Random,
     rows = tuple(tuple(AffineMap2(emb, y) for y in grid_embeddings(n, rng, denom))
                  if n else ()
                  for emb, n in zip(base.embeddings, shape))
-    return StripConfig(shape, base, rows)
+    return _strip(shape, base, rows)
 
 
 def random_strip(shape: Sequence, seed) -> StripConfig:

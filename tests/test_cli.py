@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -642,6 +643,32 @@ def test_compose_and_render_reject_a_zero_denominator(tmp_path, capsys):
     # once a ZeroDivisionError traceback and exit 1
     line = "error: not a rational: '1/0'\n"
     plan = dict(INTERVALS_PLAN, outer={"embeddings": [{"a": "1/0", "c": "0"}]})
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (2, "", line)
+    path.write_text(json.dumps(plan["outer"]))
+    assert run(["render", str(path)], capsys) == (2, "", line)
+
+
+# "1e-3000000" took 1.7 s to refuse as an exponent string, and each further
+# exponent digit multiplied that
+HUGE_EXPONENT = '{"embeddings": [{"a": "1e-1000000000", "c": "0"}]}'
+
+
+def test_render_refuses_an_exponent_rational_at_once(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(HUGE_EXPONENT)
+    t0 = time.perf_counter()
+    result = run(["render", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert result == (2, "", "error: not a rational: '1e-1000000000'\n")
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "+1/2", " 1/2", "1_000", "1/-2"])
+def test_compose_and_render_refuse_what_rat_to_json_never_writes(
+        tmp_path, capsys, text):
+    line = f"error: not a rational: {text!r}\n"
+    plan = dict(INTERVALS_PLAN, outer={"embeddings": [{"a": text, "c": "0"}]})
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     assert run(["compose", str(path)], capsys) == (2, "", line)

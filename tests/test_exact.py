@@ -1,5 +1,8 @@
 """Exact arithmetic core: affine maps, piecewise-linear paths, grid sheets."""
+import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, IDENTITY_2, AffineMap1,
-                                 AffineMap2, GridSheet, PLPath, _path, _sheet,
+                                 AffineMap2, GridSheet, PLPath, _affine1,
+                                 _path, _sheet,
                                  canonical_form, constant_path,
                                  constant_sheet, grid_lines, locate,
                                  locate_sorted, rect_of)
@@ -108,6 +112,91 @@ def test_affine2_compose_componentwise():
     assert fg.x_part == f.x_part.compose(g.x_part)
     assert fg.y_part == f.y_part.compose(g.y_part)
     assert f.compose(IDENTITY_2) == f == IDENTITY_2.compose(f)
+
+
+# --- the integer triple behind AffineMap1 --------------------------------------
+# Each map is checked against the plain-Fraction map x |-> a*x + c.
+
+wide_scales = st.fractions(min_value=F(1, 10 ** 6), max_value=F(10 ** 3),
+                           max_denominator=10 ** 6)
+wide_offsets = st.fractions(min_value=F(-10 ** 3), max_value=F(10 ** 3),
+                            max_denominator=10 ** 6)
+
+
+def assert_normal_form(f):
+    assert all(type(k) is int for k in (f.an, f.cn, f.d))
+    assert f.d > 0 and f.an > 0
+    assert math.gcd(f.an, f.cn, f.d) == 1
+
+
+@given(wide_scales, wide_offsets)
+def test_triple_is_the_reduced_normal_form(a, c):
+    f = AffineMap1(a, c)
+    assert_normal_form(f)
+    assert (F(f.an, f.d), F(f.cn, f.d)) == (a, c)
+    assert (f.a, f.c) == (a, c) and (type(f.a), type(f.c)) == (F, F)
+    assert f.image() == (c, a + c)
+    assert all(type(t) is F for t in f.image())
+
+
+@given(wide_scales, wide_offsets, wide_scales, wide_offsets)
+def test_triple_compose_matches_fractions(a, c, ia, ic):
+    got = AffineMap1(a, c).compose(AffineMap1(ia, ic))
+    assert_normal_form(got)
+    assert (got.a, got.c) == (a * ia, a * ic + c)
+    assert got == AffineMap1(a * ia, a * ic + c)
+
+
+@given(wide_scales, wide_offsets, wide_offsets)
+def test_triple_call_and_invert_match_fractions(a, c, x):
+    f = AffineMap1(a, c)
+    assert f(x) == a * x + c and type(f(x)) is F
+    assert f.invert(x) == (x - c) / a and type(f.invert(x)) is F
+    assert f.invert(f(x)) == x
+    assert f(3) == 3 * a + c and f("1/2") == a / 2 + c
+
+
+@given(wide_scales, wide_offsets, st.integers(2, 10 ** 6))
+def test_triple_equality_ignores_how_the_map_was_scaled(a, c, k):
+    f = AffineMap1(a, c)
+    scaled = _affine1(k * f.an, k * f.cn, k * f.d)
+    same = [scaled, AffineMap1(str(a), str(c)),
+            AffineMap1(F(a.numerator * k, a.denominator * k), c),
+            f.compose(IDENTITY_1), IDENTITY_1.compose(f)]
+    for g in same:
+        assert_normal_form(g)
+        assert g == f and not g != f and hash(g) == hash(f)
+        assert (g.an, g.cn, g.d) == (f.an, f.cn, f.d)
+    assert len({f, *same}) == 1
+    assert f != AffineMap1(a, c + F(1, k))
+    assert f != (f.an, f.cn, f.d) and f != a
+
+
+@given(wide_scales, wide_offsets)
+def test_triple_repr_is_the_dataclass_repr(a, c):
+    # --mutate reports embed this text
+    assert repr(AffineMap1(a, c)) == f"AffineMap1(a={a!r}, c={c!r})"
+
+
+def test_triple_repr_hand_value():
+    assert repr(AffineMap1(F(1, 2), F(1, 4))) == \
+        "AffineMap1(a=Fraction(1, 2), c=Fraction(1, 4))"
+    assert repr(AffineMap2(IDENTITY_1, AffineMap1(2, "-1/3"))) == (
+        "AffineMap2(x_part=AffineMap1(a=Fraction(1, 1), c=Fraction(0, 1)), "
+        "y_part=AffineMap1(a=Fraction(2, 1), c=Fraction(-1, 3)))")
+
+
+def test_triple_is_frozen_and_pickles():
+    f = AffineMap1(F(2, 3), F(-1, 6))
+    for name in ("an", "cn", "d", "a", "c", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 1)
+    with pytest.raises(FrozenInstanceError):
+        f.an = 5
+    with pytest.raises(FrozenInstanceError):
+        del f.d
+    assert (f.an, f.cn, f.d) == (4, -1, 6)
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_rect_of_roundtrip():

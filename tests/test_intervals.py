@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strips_operad import mutants
 from strips_operad.exact import AffineMap1
 from strips_operad.framework import run_operad_check
-from strips_operad.intervals import (IntervalConfig, interval_compose,
-                                     interval_unit, interval_violation,
-                                     intervals_operad, random_intervals)
+from strips_operad.intervals import (IntervalConfig, grid_embeddings,
+                                     interval_compose, interval_unit,
+                                     interval_violation, intervals_operad,
+                                     random_intervals)
 
 
 def emb(a, c):
@@ -125,3 +128,58 @@ def test_mutated_instance_fails_every_case():
     failed_cases = {f.case for f in report.failures}
     assert len(failed_cases) == 40
     assert all(f.law != "exception" for f in report.failures)
+
+
+# --- the integer triples against plain Fractions ----------------------------------
+
+def fraction_interval_violation(config):
+    """The validator as it stood on Fraction images; the oracle for the one
+    that decides on integer triples."""
+    images = config.images()
+    for k, (lo, hi) in enumerate(images):
+        if lo < 0 or hi > 1:
+            return f"interval {k + 1} image [{lo}, {hi}] leaves [0, 1]"
+    for k in range(len(images) - 1):
+        if not images[k][1] < images[k + 1][0]:
+            return (f"interval {k + 1} (ends {images[k][1]}) overlaps or passes "
+                    f"interval {k + 2} (starts {images[k + 1][0]})")
+    return None
+
+
+loose_maps = st.builds(
+    AffineMap1,
+    st.fractions(min_value=F(1, 48), max_value=F(5, 4), max_denominator=48),
+    st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=48))
+
+
+@given(st.lists(loose_maps, min_size=1, max_size=5))
+def test_violation_matches_the_fraction_oracle(embeddings):
+    config = IntervalConfig(embeddings)
+    assert interval_violation(config) == fraction_interval_violation(config)
+
+
+@given(st.integers(1, 6), st.integers(12, 5000), st.integers(0, 2 ** 32))
+def test_grid_embeddings_match_fraction_endpoints(n, denom, seed):
+    cuts = sorted(random.Random(seed).sample(range(denom + 1), 2 * n))
+    got = grid_embeddings(n, random.Random(seed), denom)
+    assert [e.image() for e in got] == [
+        (F(cuts[2 * k], denom), F(cuts[2 * k + 1], denom)) for k in range(n)]
+    assert got == tuple(AffineMap1(hi - lo, lo) for lo, hi in
+                        (e.image() for e in got))
+
+
+@given(st.integers(0, 2 ** 32))
+def test_composites_equal_the_public_constructor(seed):
+    # interval_compose builds its result without the constructor's checks
+    rng = random.Random(seed)
+    r = rng.randint(1, 4)
+    outer = random_intervals(r, rng)
+    inners = tuple(random_intervals(rng.randint(1, 3), rng) for _ in range(r))
+    out = interval_compose(outer, inners)
+    built = IntervalConfig(list(out.embeddings))
+    assert out == built and hash(out) == hash(built)
+    assert type(out.embeddings) is tuple
+    assert all(type(e) is AffineMap1 for e in out.embeddings)
+    assert out.embeddings == tuple(o.compose(e) for o, c in
+                                   zip(outer.embeddings, inners)
+                                   for e in c.embeddings)

@@ -35,6 +35,49 @@ def test_rationals_reject_a_zero_denominator():
         ser.rat_from_json("1/0")
 
 
+def test_rationals_read_the_forms_rat_to_json_writes():
+    for x in (F(0), F(-3), F(10 ** 40, 7), F(-1, 10 ** 30), F(4095, 4096)):
+        assert ser.rat_from_json(ser.rat_to_json(x)) == x
+    assert ser.rat_from_json("6/4") == F(3, 2)
+    assert ser.rat_from_json("-0") == 0 and ser.rat_from_json("007/010") == F(7, 10)
+    assert type(ser.rat_from_json("1/2")) is F and type(ser.rat_from_json(3)) is F
+
+
+@pytest.mark.parametrize("text", [
+    "", "-", "/2", "1/", "1/0", "1/00", "0.5", ".5", "1e3", "1e-1000000000",
+    "1E3", "+1", "1/+2", "1/-2", "-1/-2", " 1", "1 ", "1 / 2", "1_000", "½",
+    "\u0661", "1/2/3", "nan", "inf", "1\n"])
+def test_rationals_refuse_every_other_string(text):
+    with pytest.raises(ValueError) as err:
+        ser.rat_from_json(text)
+    assert str(err.value) == f"not a rational: {text!r}"
+
+
+@pytest.mark.parametrize("value", [None, 0.5, [1, 2], {"n": 1}, False])
+def test_rationals_refuse_other_json_values(value):
+    with pytest.raises(ValueError, match="^not a rational: "):
+        ser.rat_from_json(value)
+
+
+def test_rationals_refuse_more_digits_than_int_reads():
+    # int() has a digit limit on Python 3.11+; its error is reported the same way
+    digits = "1" * 10 ** 5
+    try:
+        expected = F(int(digits))
+    except ValueError:
+        with pytest.raises(ValueError, match="^not a rational: '1111"):
+            ser.rat_from_json(digits)
+    else:
+        assert ser.rat_from_json(digits) == expected
+
+
+def test_affine_encoders_write_reduced_rationals():
+    e = AffineMap1(F(6, 4), F(-2, 3))
+    assert ser.affine1_to_json(e) == {"a": "3/2", "c": "-2/3"}
+    e2 = AffineMap2(AffineMap1(2, 0), AffineMap1(F(1, 4), F(3, 4)))
+    assert ser.affine2_to_json(e2) == {"a": "2", "b": "1/4", "c": "0", "d": "3/4"}
+
+
 def test_affine_round_trip():
     e = AffineMap1(F(1, 3), F(-2, 7))
     assert ser.affine1_from_json(ser.affine1_to_json(e)) == e

@@ -348,3 +348,54 @@ def grid_configs(draw):
 def test_linear_validator_matches_oracle_on_grid_boxes(config):
     got = assert_same_verdict(config)
     assert got is None or "intersect" not in got
+
+
+# --- composites built without re-validation -----------------------------------------
+
+def test_composites_equal_the_public_constructor():
+    from strips_operad.framework import random_rel_elements, random_rel_plan
+    rng = random.Random("trusted builder")
+    rel = strips_rel_operad()
+    for _ in range(60):
+        elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
+        out = strip_compose(elems.outer, elems.blocks)
+        built = StripConfig(list(out.shape), out.base,
+                            [list(row) for row in out.rects])
+        assert out == built and hash(out) == hash(built)
+        assert type(out.shape) is tuple and type(out.rects) is tuple
+        assert all(type(row) is tuple for row in out.rects)
+        assert all(type(rect) is AffineMap2 for row in out.rects for rect in row)
+        # the x part of every rectangle is its strip's embedding itself
+        for emb, row in zip(out.base.embeddings, out.rects):
+            assert all(rect.x_part is emb for rect in row)
+
+
+def _unshared(config):
+    """An equal configuration whose rectangles share no x part object."""
+    return StripConfig(config.shape, config.base, tuple(
+        tuple(AffineMap2(AffineMap1(r.x_part.a, r.x_part.c), r.y_part)
+              for r in row) for row in config.rects))
+
+
+def test_compose_does_not_depend_on_shared_x_parts():
+    # a rectangle's x part is reused only for the very same input objects;
+    # equal copies are composed one by one, to the same result
+    from strips_operad.framework import random_rel_elements, random_rel_plan
+    rng = random.Random("shared x parts")
+    rel = strips_rel_operad()
+    for _ in range(40):
+        elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
+        blocks = tuple(Block(b.base, tuple(_unshared(q) for q in b.configs))
+                       for b in elems.blocks)
+        shared = strip_compose(elems.outer, elems.blocks)
+        assert strip_compose(_unshared(elems.outer), blocks) == shared
+    # an x part that differs from its strip's embedding stays in the composite
+    outer = random_strip((2,), seed=8)
+    emb = outer.base.embeddings[0]
+    off = AffineMap2(AffineMap1(emb.a / 2, emb.c), outer.rects[0][1].y_part)
+    bad = StripConfig((2,), outer.base, ((outer.rects[0][0], off),))
+    unit = strip_unit()
+    for got in (strip_compose(bad, (Block(unit.base, (unit, unit)),)),
+                strip_compose(unit, (Block(bad.base, (bad,)),))):
+        assert got.rects == bad.rects
+        assert strip_violation(got) == strip_violation(bad) is not None
