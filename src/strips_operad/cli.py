@@ -13,7 +13,8 @@ error.  ``compose`` validates its inputs and its result; it and ``render``
 also exit 2 on a malformed document: one that is not a JSON object, one
 nested too deeply to read, a rational that is not an int or a string such
 as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
-refused), or a ``$file`` that splices in itself.
+refused), or a ``$file`` that splices in itself; ``render`` also exits 2 on
+a coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans, a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw
@@ -24,7 +25,8 @@ A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
 The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
-variable (0 when unset); identical seeds give byte-identical reports.
+variable (0 when unset; exit 2 when it is not an integer); identical seeds
+give byte-identical reports.
 """
 from __future__ import annotations
 
@@ -51,7 +53,12 @@ MAX_OPERAD_COMPOSITE = 128 ** 3     # check intervals --max-r 128 --cases 2: 9 s
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("STRIPS_OPERAD_SEED", "0"))
+    text = os.environ.get("STRIPS_OPERAD_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"STRIPS_OPERAD_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(text: str, out) -> None:
@@ -323,6 +330,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: the input document nests too deeply", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a coordinate is too large to draw", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,11 @@ callables:
   structures above (loops and sheets): interchange of acting before or after
   composing, boundary compatibility, units, and closure of the carrier class.
 
+All three check the same two-stage composition ``outer ∘ first ∘ second``.
+One :class:`Plan` holds its arities and shapes and one :class:`Elements` its
+inputs, with the second stage listed flat, one entry per slot of the
+first-stage composite; the laws cut it into runs per first-stage element.
+
 Every law is instantiated on concrete elements and both sides are compared
 with ``==``; element types are expected to make that equality decide equality
 of the underlying functions (see :mod:`strips_operad.exact`).  Checkers append
@@ -48,6 +53,15 @@ class Block:
 
     def __post_init__(self):
         object.__setattr__(self, "configs", tuple(self.configs))
+
+
+def _runs(flat: Sequence, lengths: Iterable[int]) -> list:
+    """``flat`` cut into consecutive runs of the given lengths."""
+    runs, k = [], 0
+    for n in lengths:
+        runs.append(flat[k:k + n])
+        k += n
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -90,69 +104,57 @@ class AlgebraInstance:
 
 
 # ---------------------------------------------------------------------------
-# plans: the combinatorial skeleton of one law instantiation
+# plans and elements: the skeleton and the inputs of one law instantiation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OperadPlan:
-    """Arities for a two-stage operad composition.
+class Plan:
+    """Arities and shapes for a composition ``outer ∘ first ∘ second``.
 
-    ``middle_arities[i]`` is the arity of the element glued into slot i of
-    the outer element; ``deep_arities[i][j]`` the arity glued into slot j of
-    that element.
+    ``s[i]`` -- arity of the first-stage element glued into slot i of the
+    outer one; ``t[k]`` -- arity of the second-stage element glued into slot
+    k of the first-stage composite, listed flat.  Rel and algebra plans also
+    have ``m``, the outer shape, and ``inner[i]``, the shapes over strip i.
+    A rel plan's ``deep[k]`` holds the shapes over output strip k, in the
+    order of the inner elements whose rectangles lie there.  Operad plans
+    leave ``m``, ``inner`` and ``deep`` empty, algebra plans ``t`` and
+    ``deep``.
     """
 
-    middle_arities: tuple
-    deep_arities: tuple
+    s: tuple
+    t: tuple = ()
+    m: tuple = ()
+    inner: tuple = ()
+    deep: tuple = ()
 
 
 @dataclass(frozen=True)
-class RelPlan:
-    """Shapes and arities for a two-stage block composition.
+class Elements:
+    """Elements for a :class:`Plan`.  ``first[i]`` is glued into slot i of
+    ``outer``: an operad element, or a :class:`Block`.  ``second[k]`` is glued
+    into slot k of the first-stage composite, listed flat: an operad element,
+    a :class:`Block`, or an algebra chain (a tuple) or carrier."""
 
-    ``m`` -- outer shape (length r); ``s[i]`` -- arity of the base glued into
-    strip i; ``inner[i][a]`` -- shape of the a-th element over that base;
-    ``t[i][j]`` -- arity of the base glued into output strip (i, j);
-    ``deep[i][j][a][b]`` -- shape of the element glued onto the b-th
-    rectangle that inner element a contributes to strip (i, j).
-    """
-
-    m: tuple
-    s: tuple
-    inner: tuple
-    t: tuple
-    deep: tuple
+    outer: Any
+    first: tuple
+    second: tuple
 
 
-@dataclass(frozen=True)
-class AlgebraPlan:
-    m: tuple
-    s: tuple
-    inner: tuple
-
-
-def random_operad_plan(rng: random.Random, max_arity: int) -> OperadPlan:
+def random_operad_plan(rng: random.Random, max_arity: int) -> Plan:
     bits = rng.getrandbits
     r = _arity(bits, max_arity)
-    middles = tuple(_arity(bits, max_arity) for _ in range(r))
-    deep = tuple(tuple(_arity(bits, max_arity) for _ in range(s)) for s in middles)
-    return OperadPlan(middles, deep)
+    s = tuple(_arity(bits, max_arity) for _ in range(r))
+    return Plan(s, tuple(_arity(bits, max_arity) for _ in range(sum(s))))
 
 
-def all_operad_plans(max_arity: int) -> Iterator[OperadPlan]:
-    """Every OperadPlan with all arities between 1 and max_arity, in a fixed
+def all_operad_plans(max_arity: int) -> Iterator[Plan]:
+    """Every operad Plan with all arities between 1 and max_arity, in a fixed
     deterministic order."""
     arities = range(1, max_arity + 1)
     for r in arities:
-        for middles in itertools.product(arities, repeat=r):
-            slots = sum(middles)
-            for flat in itertools.product(arities, repeat=slots):
-                deep = []
-                pos = 0
-                for s in middles:
-                    deep.append(flat[pos:pos + s])
-                    pos += s
-                yield OperadPlan(middles, tuple(deep))
+        for s in itertools.product(arities, repeat=r):
+            for t in itertools.product(arities, repeat=sum(s)):
+                yield Plan(s, t)
 
 
 def operad_plan_count(max_arity: int) -> int:
@@ -204,94 +206,57 @@ def _random_shape(bits: Callable[[int], int], length: int,
 
 
 def _random_shapes(bits: Callable[[int], int], lengths: Sequence[int],
-                   max_total: int) -> list:
-    """Shapes of the given lengths, each drawn by :func:`_random_shape`, the
-    whole list redrawn until their totals sum to at most ``max_total``."""
+                   counts: Sequence[int], max_total: int) -> tuple:
+    """Group k of ``counts[k]`` shapes of length ``lengths[k]``, for every k.
+    The shapes are drawn flat by :func:`_random_shape`, the whole list
+    redrawn until their totals sum to at most ``max_total``, and grouped
+    once it fits."""
+    flat = [length for length, n in zip(lengths, counts) for _ in range(n)]
     while True:
         shapes, n = [], 0
-        for length in lengths:
+        for length in flat:
             sh, k = _random_shape(bits, length, max_total)
             shapes.append(sh)
             n += k
         if n <= max_total:
-            return shapes
+            return tuple(map(tuple, _runs(shapes, counts)))
 
 
 def _first_stage_plan(bits: Callable[[int], int], max_r: int,
                       max_total: int) -> tuple:
     """``(m, s, inner)``, the first-stage draws that rel and algebra plans
-    share, in their order.  The sum of the inner totals is the rectangle
-    count of the first-stage composite (see :func:`shapes.output_shape`)."""
+    share, in their order."""
     r = _arity(bits, max_r)
     m, _ = _random_shape(bits, r, min(3, max_total))
     s = tuple(_arity(bits, max_r) for _ in range(r))
-    shapes = iter(_random_shapes(
-        bits, [s_i for m_i, s_i in zip(m, s) for _ in range(m_i)], max_total))
-    return m, s, tuple(tuple(next(shapes) for _ in range(m_i)) for m_i in m)
+    return m, s, _random_shapes(bits, s, m, max_total)
 
 
-def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> RelPlan:
+def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> Plan:
     bits = rng.getrandbits
     m, s, inner = _first_stage_plan(bits, max_r, max_total)
-    r = len(m)
-    t = tuple(tuple(_arity(bits, max_r) for _ in range(s_i)) for s_i in s)
-    # deep[i][j][a] holds inner[i][a][j] shapes of length t[i][j], drawn flat
-    # in that order
-    shapes = iter(_random_shapes(
-        bits, [t[i][j] for i in range(r) for j in range(s[i])
-               for a in range(m[i]) for _ in range(inner[i][a][j])], max_total))
-    deep = tuple(
-        tuple(
-            tuple(tuple(next(shapes) for _ in range(inner[i][a][j]))
-                  for a in range(m[i]))
-            for j in range(s[i]))
-        for i in range(r))
-    return RelPlan(m, s, inner, t, deep)
+    # output strip k of the first stage holds counts[k] rectangles
+    counts = output_shape(m, s, inner)
+    t = tuple(_arity(bits, max_r) for _ in counts)
+    return Plan(s, t, m, inner, _random_shapes(bits, t, counts, max_total))
 
 
-def random_algebra_plan(rng: random.Random, max_r: int, max_total: int) -> AlgebraPlan:
-    return AlgebraPlan(*_first_stage_plan(rng.getrandbits, max_r, max_total))
+def random_algebra_plan(rng: random.Random, max_r: int, max_total: int) -> Plan:
+    m, s, inner = _first_stage_plan(rng.getrandbits, max_r, max_total)
+    return Plan(s, m=m, inner=inner)
 
 
-# ---------------------------------------------------------------------------
-# elements for one law instantiation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperadElements:
-    outer: Any
-    middles: tuple
-    inners: tuple
+def random_operad_elements(op: OperadInstance, plan: Plan,
+                           rng: random.Random) -> Elements:
+    outer = op.random_element(len(plan.s), rng)
+    return Elements(outer, tuple(op.random_element(a, rng) for a in plan.s),
+                    tuple(op.random_element(a, rng) for a in plan.t))
 
 
-@dataclass(frozen=True)
-class RelElements:
-    outer: Any
-    blocks: tuple       # blocks[i]: the first-stage Block glued into strip i
-    deep_bases: tuple   # deep_bases[i][j]
-    deep: tuple         # deep[i][j][a][b]
-
-
-@dataclass(frozen=True)
-class AlgebraElements:
-    outer: Any
-    blocks: tuple       # as in RelElements
-    chains: tuple       # per flattened output strip: tuple of elements, or a carrier
-
-
-def random_operad_elements(op: OperadInstance, plan: OperadPlan,
-                           rng: random.Random) -> OperadElements:
-    outer = op.random_element(len(plan.middle_arities), rng)
-    middles = tuple(op.random_element(s, rng) for s in plan.middle_arities)
-    inners = tuple(tuple(op.random_element(a, rng) for a in row)
-                   for row in plan.deep_arities)
-    return OperadElements(outer, middles, inners)
-
-
-def _first_stage_elements(rel: RelTwoOperadInstance, plan,
+def _first_stage_elements(rel: RelTwoOperadInstance, plan: Plan,
                           rng: random.Random) -> tuple:
-    """``(outer, blocks)`` over the first stage ``(m, s, inner)`` of a rel or
-    algebra plan, one :class:`Block` per strip: the draws both samplers share."""
+    """``(outer, first)`` for a rel or algebra plan, one :class:`Block` per
+    strip of ``outer``: the draws both samplers share."""
     proj = rel.base.random_element(len(plan.m), rng)
     outer = rel.random_over(plan.m, proj, rng)
     bases = tuple(rel.base.random_element(s_i, rng) for s_i in plan.s)
@@ -299,32 +264,20 @@ def _first_stage_elements(rel: RelTwoOperadInstance, plan,
                         for base, shapes in zip(bases, plan.inner))
 
 
-def random_rel_elements(rel: RelTwoOperadInstance, plan: RelPlan,
-                        rng: random.Random) -> RelElements:
-    outer, blocks = _first_stage_elements(rel, plan, rng)
-    deep_bases = tuple(tuple(rel.base.random_element(plan.t[i][j], rng)
-                             for j in range(plan.s[i]))
-                       for i in range(len(plan.m)))
-    deep = tuple(
-        tuple(
-            tuple(
-                tuple(rel.random_over(sh, deep_bases[i][j], rng)
-                      for sh in plan.deep[i][j][a])
-                for a in range(plan.m[i]))
-            for j in range(plan.s[i]))
-        for i in range(len(plan.m)))
-    return RelElements(outer, blocks, deep_bases, deep)
+def random_rel_elements(rel: RelTwoOperadInstance, plan: Plan,
+                        rng: random.Random) -> Elements:
+    outer, first = _first_stage_elements(rel, plan, rng)
+    bases = tuple(rel.base.random_element(t_k, rng) for t_k in plan.t)
+    return Elements(outer, first, tuple(
+        Block(base, [rel.random_over(sh, base, rng) for sh in shapes])
+        for base, shapes in zip(bases, plan.deep)))
 
 
 def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
-                            plan: AlgebraPlan, rng: random.Random) -> AlgebraElements:
-    outer, blocks = _first_stage_elements(rel, plan, rng)
-    # output strip (i, j) holds the rectangles of strip j of every inner
-    # shape glued into strip i (see shapes.output_shape)
-    counts = [sum(sh[j] for sh in shapes)
-              for s_i, shapes in zip(plan.s, plan.inner) for j in range(s_i)]
+                            plan: Plan, rng: random.Random) -> Elements:
+    outer, first = _first_stage_elements(rel, plan, rng)
     chains = []
-    for n in counts:
+    for n in output_shape(plan.m, plan.s, plan.inner):
         if n == 0:
             chains.append(alg.random_carrier(rng))
         else:
@@ -332,7 +285,7 @@ def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
             for _ in range(n - 1):
                 chain.append(alg.random_element(rng, source=alg.target(chain[-1])))
             chains.append(tuple(chain))
-    return AlgebraElements(outer, blocks, tuple(chains))
+    return Elements(outer, first, tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -380,73 +333,60 @@ def _expect(fails: list, case: str, law: str, lhs, rhs) -> bool:
     return True
 
 
-def check_operad_laws(op: OperadInstance, elems: OperadElements, case: str,
+def check_operad_laws(op: OperadInstance, elems: Elements, case: str,
                       fails: list) -> list:
     """Append to ``fails`` the failures of associativity and units on the
     given elements, and return it."""
-    r = op.arity(elems.outer)
-    stage1 = op.compose(elems.outer, elems.middles)
-    flat = tuple(w for row in elems.inners for w in row)
-    lhs = op.compose(stage1, flat)
-    rhs = op.compose(elems.outer,
-                     tuple(op.compose(elems.middles[i], elems.inners[i])
-                           for i in range(r)))
+    outer, first = elems.outer, elems.first
+    r = op.arity(outer)
+    lhs = op.compose(op.compose(outer, first), elems.second)
+    rhs = op.compose(outer, tuple(
+        op.compose(middle, run)
+        for middle, run in zip(first, _runs(elems.second, map(op.arity, first)))))
     _expect(fails, case, "associativity", lhs, rhs)
 
     unit = op.unit()
-    _expect(fails, case, "right unit",
-            op.compose(elems.outer, (unit,) * r), elems.outer)
-    _expect(fails, case, "left unit",
-            op.compose(unit, (elems.outer,)), elems.outer)
+    _expect(fails, case, "right unit", op.compose(outer, (unit,) * r), outer)
+    _expect(fails, case, "left unit", op.compose(unit, (outer,)), outer)
     return fails
 
 
-def check_rel_laws(rel: RelTwoOperadInstance, elems: RelElements, case: str,
+def check_rel_laws(rel: RelTwoOperadInstance, elems: Elements, case: str,
                    fails: list) -> list:
     """Append to ``fails`` the failures of the projection square, shape
     arithmetic, associativity and units, and return it.  A shape arithmetic
-    failure ends the check: the deep elements fit only the expected shape."""
+    failure ends the check: the second stage fits only the expected shape."""
     base_op = rel.base
-    outer, blocks = elems.outer, elems.blocks
+    outer, first = elems.outer, elems.first
     m = rel.shape(outer)
-    stage1 = rel.compose(outer, blocks)
-    r = len(m)
+    stage1 = rel.compose(outer, first)
+    arities = tuple(base_op.arity(b.base) for b in first)
+    inner = tuple(tuple(rel.shape(q) for q in b.configs) for b in first)
 
     _expect(fails, case, "projection square",
             rel.project(stage1),
-            base_op.compose(rel.project(outer), tuple(b.base for b in blocks)))
+            base_op.compose(rel.project(outer), tuple(b.base for b in first)))
     if not _expect(fails, case, "shape arithmetic", rel.shape(stage1),
-                   output_shape(m, tuple(base_op.arity(b.base) for b in blocks),
-                                tuple(tuple(rel.shape(q) for q in b.configs)
-                                      for b in blocks))):
+                   output_shape(m, arities, inner)):
         return fails
 
-    deep_blocks = []
-    for i in range(r):
-        s_i = base_op.arity(blocks[i].base)
-        for j in range(s_i):
-            configs = tuple(w for a in range(m[i]) for w in elems.deep[i][j][a])
-            deep_blocks.append(Block(elems.deep_bases[i][j], configs))
-    lhs = rel.compose(stage1, tuple(deep_blocks))
-
-    inner_composed = tuple(
-        tuple(rel.compose(blocks[i].configs[a],
-                          tuple(Block(elems.deep_bases[i][j], elems.deep[i][j][a])
-                                for j in range(base_op.arity(blocks[i].base))))
-              for a in range(m[i]))
-        for i in range(r))
-    base_composed = tuple(base_op.compose(blocks[i].base, elems.deep_bases[i])
-                          for i in range(r))
-    rhs = rel.compose(outer,
-                      tuple(Block(base_composed[i], inner_composed[i])
-                            for i in range(r)))
-    _expect(fails, case, "associativity", lhs, rhs)
+    lhs = rel.compose(stage1, elems.second)
+    # strip j of inner element a is glued to its share of second-stage block j
+    rhs_blocks = []
+    for block, shapes, run in zip(first, inner, _runs(elems.second, arities)):
+        parts = [_runs(b.configs, [sh[j] for sh in shapes])
+                 for j, b in enumerate(run)]
+        configs = tuple(
+            rel.compose(q, tuple(Block(b.base, parts[j][a]) for j, b in enumerate(run)))
+            for a, q in enumerate(block.configs))
+        rhs_blocks.append(Block(base_op.compose(block.base, tuple(b.base for b in run)),
+                                configs))
+    _expect(fails, case, "associativity", lhs, rel.compose(outer, tuple(rhs_blocks)))
 
     unit2 = rel.unit()
     unit1 = base_op.unit()
     _expect(fails, case, "right unit",
-            rel.compose(outer, tuple(Block(unit1, (unit2,) * m[i])
-                                     for i in range(r))),
+            rel.compose(outer, tuple(Block(unit1, (unit2,) * m_i) for m_i in m)),
             outer)
     _expect(fails, case, "left unit",
             rel.compose(unit2, (Block(rel.project(outer), (outer,)),)),
@@ -481,51 +421,43 @@ def _split_chain(alg: AlgebraInstance, chain_or_carrier, counts: Sequence):
 
 
 def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
-                       elems: AlgebraElements, case: str, fails: list) -> list:
+                       elems: Elements, case: str, fails: list) -> list:
     """Append to ``fails`` the failures of interchange of acting and
     composing, boundary compatibility, units, and closure, and return it."""
     base_op = rel.base
-    outer = elems.outer
+    outer, first, chains = elems.outer, elems.first, elems.second
     m = rel.shape(outer)
-    composite = rel.compose(outer, elems.blocks)
+    composite = rel.compose(outer, first)
 
     # one-step action with the composed configuration
-    lhs = alg.act_sheet(composite, elems.chains)
+    lhs = alg.act_sheet(composite, chains)
 
     # two-step action: inner elements first, then the outer one
     outer_inputs = []
-    k0 = 0
-    for m_i, block in zip(m, elems.blocks):
-        s_i = base_op.arity(block.base)
-        strip_chains = elems.chains[k0:k0 + s_i]
+    for m_i, block, strip_chains in zip(
+            m, first, _runs(chains, [base_op.arity(b.base) for b in first])):
         if m_i == 0:
             outer_inputs.append(alg.act_path(block.base, strip_chains))
         else:
             # parts[j][a]: strip j's share of inner element a
-            parts = [
-                _split_chain(alg, strip_chains[j],
-                             [rel.shape(inner)[j] for inner in block.configs])
-                for j in range(s_i)]
-            middles = tuple(
-                alg.act_sheet(inner, tuple(parts[j][a] for j in range(s_i)))
-                for a, inner in enumerate(block.configs))
-            outer_inputs.append(middles)
-        k0 += s_i
+            parts = [_split_chain(alg, chain, [rel.shape(q)[j] for q in block.configs])
+                     for j, chain in enumerate(strip_chains)]
+            outer_inputs.append(tuple(
+                alg.act_sheet(inner, tuple(part[a] for part in parts))
+                for a, inner in enumerate(block.configs)))
     rhs = alg.act_sheet(outer, tuple(outer_inputs))
     _expect(fails, case, "interchange", lhs, rhs)
 
     # boundary compatibility of the one-step action
-    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c
-                   for c in elems.chains)
-    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c
-                  for c in elems.chains)
+    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c for c in chains)
+    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c for c in chains)
     _expect(fails, case, "source boundary", alg.source(lhs),
             alg.act_path(rel.project(composite), firsts))
     _expect(fails, case, "target boundary", alg.target(lhs),
             alg.act_path(rel.project(composite), lasts))
 
     # units
-    some = next((c[0] for c in elems.chains if isinstance(c, tuple)), None)
+    some = next((c[0] for c in chains if isinstance(c, tuple)), None)
     if some is not None:
         _expect(fails, case, "unit",
                 alg.act_sheet(rel.unit(), ((some,),)), some)

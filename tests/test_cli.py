@@ -326,6 +326,14 @@ def test_check_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_check_rejects_a_seed_from_environment_that_is_not_an_integer(
+        capsys, monkeypatch):
+    # once "invalid literal for int() with base 10: 'abc'"
+    monkeypatch.setenv("STRIPS_OPERAD_SEED", "abc")
+    assert run(["check", "trees", "--cases", "1"], capsys) == (
+        2, "", "error: STRIPS_OPERAD_SEED must be an integer, got 'abc'\n")
+
+
 def test_check_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "pretzels"])
@@ -755,6 +763,24 @@ def test_render_rejects_a_document_that_is_not_an_object(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run(["render", str(path)], capsys) == (
         2, "", "error: the input document is not a JSON object\n")
+
+
+HUGE = "1" + "0" * 400     # 10**400 does not fit a float
+HUGE_COORDINATE_DOCS = {
+    "intervals": {"embeddings": [{"a": "1", "c": HUGE}]},
+    "strip": {"shape": [1], "base": {"embeddings": [{"a": "1", "c": "0"}]},
+              "rects": [[{"a": "1", "b": "1", "c": "0", "d": HUGE}]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_COORDINATE_DOCS))
+def test_render_rejects_a_coordinate_too_large_for_a_float(tmp_path, capsys,
+                                                          name):
+    # once an OverflowError traceback and exit 1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(HUGE_COORDINATE_DOCS[name]))
+    assert run(["render", str(path)], capsys) == (
+        2, "", "error: a coordinate is too large to draw\n")
 
 
 # --- console script ---------------------------------------------------------------------

@@ -6,13 +6,15 @@ import pytest
 
 from strips_operad import mutants
 from strips_operad.framework import (CheckFailure, FiberProductError,
-                                     OperadElements, all_operad_plans,
+                                     Elements, all_operad_plans,
                                      check_operad_laws, check_rel_laws,
                                      operad_plan_count,
-                                     random_operad_plan, random_rel_elements,
+                                     random_algebra_plan, random_operad_plan,
+                                     random_rel_elements,
                                      random_rel_plan, run_operad_check,
                                      run_operad_exhaustive, run_rel_check)
 from strips_operad.intervals import intervals_operad
+from strips_operad.shapes import output_shape
 from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
 
@@ -23,14 +25,13 @@ def test_all_operad_plans_counts():
     # middle arities in 1..k, deep arities in 1..k for every middle slot:
     # sum over r<=k of k^r plan skeletons times their deep choices.
     plans = list(all_operad_plans(2))
-    assert len(plans) == len({(p.middle_arities, p.deep_arities) for p in plans})
+    assert len(plans) == len({(p.s, p.t) for p in plans})
     for p in plans:
-        assert 1 <= len(p.middle_arities) <= 2
-        assert all(1 <= a <= 2 for a in p.middle_arities)
-        assert len(p.deep_arities) == len(p.middle_arities)
-        for a, deeps in zip(p.middle_arities, p.deep_arities):
-            assert len(deeps) == a
-            assert all(1 <= d <= 2 for d in deeps)
+        assert 1 <= len(p.s) <= 2
+        assert all(1 <= a <= 2 for a in p.s)
+        # one deep arity per middle slot, listed flat
+        assert len(p.t) == sum(p.s)
+        assert all(1 <= d <= 2 for d in p.t)
     # sum over outer arity r of (sum over middle arity a of 2^a) ** r
     assert len(plans) == 6 + 36
 
@@ -47,25 +48,35 @@ def test_operad_plan_count_values():
 
 def test_random_plans_respect_bounds():
     rng = random.Random(7)
+    algebra_rng = random.Random(8)     # leaves rng's stream as it was
     for _ in range(50):
         p = random_operad_plan(rng, 3)
-        assert 1 <= len(p.middle_arities) <= 3
-        assert all(1 <= a <= 3 for a in p.middle_arities)
+        assert 1 <= len(p.s) <= 3
+        assert all(1 <= a <= 3 for a in p.s)
+        assert len(p.t) == sum(p.s)
+        assert p.m == p.inner == p.deep == ()
         rp = random_rel_plan(rng, 3, 5)
         assert 1 <= len(rp.m) <= 3
         assert sum(rp.m) >= 1
         stage_one = sum(sum(row) for rows in rp.inner for row in rows)
         assert stage_one <= 5
-        final = sum(sum(sh) for per_strip in rp.deep for per_col in per_strip
-                    for per_cfg in per_col for sh in per_cfg)
+        final = sum(sum(sh) for per_strip in rp.deep for sh in per_strip)
         assert final <= 5
+        # the second stage is flat, one entry per first-stage output strip
+        assert len(rp.t) == sum(rp.s)
+        assert tuple(map(len, rp.deep)) == output_shape(rp.m, rp.s, rp.inner)
+        assert all(len(sh) == t_k for t_k, shapes in zip(rp.t, rp.deep)
+                   for sh in shapes)
+        ap = random_algebra_plan(algebra_rng, 3, 5)
+        assert 1 <= len(ap.m) <= 3
+        assert ap.t == ap.deep == ()
 
 
 # --- unit plans give zero failures ---------------------------------------------
 
 def _unit_operad_elements(op):
     u = op.unit()
-    return OperadElements(outer=u, middles=(u,), inners=((u,),))
+    return Elements(outer=u, first=(u,), second=(u,))
 
 
 @pytest.mark.parametrize("make", [intervals_operad, trees_operad])

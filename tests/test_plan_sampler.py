@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from strips_operad.framework import (_SHAPE, AlgebraPlan, OperadPlan, RelPlan,
-                                     _arity, random_algebra_plan,
+from strips_operad.framework import (_SHAPE, Plan, _arity, random_algebra_plan,
                                      random_operad_plan, random_rel_plan)
 from strips_operad.shapes import output_shape, total
 
@@ -25,7 +24,7 @@ def ref_operad_plan(rng, max_arity):
     r = rng.randint(1, max_arity)
     middles = tuple(rng.randint(1, max_arity) for _ in range(r))
     deep = tuple(tuple(rng.randint(1, max_arity) for _ in range(s)) for s in middles)
-    return OperadPlan(middles, deep)
+    return Plan(middles, tuple(a for row in deep for a in row))
 
 
 def ref_random_shape(rng, length, max_total):
@@ -59,7 +58,9 @@ def ref_rel_plan(rng, max_r, max_total):
                     for i in range(r) for j in range(len(deep[i]))
                     for row in deep[i][j] for sh in row)
         if final <= max_total:
-            return RelPlan(m, s, inner, t, deep)
+            return Plan(s, tuple(a for row in t for a in row), m, inner,
+                        tuple(tuple(sh for per_cfg in per_col for sh in per_cfg)
+                              for per_strip in deep for per_col in per_strip))
 
 
 def ref_algebra_plan(rng, max_r, max_total):
@@ -70,7 +71,7 @@ def ref_algebra_plan(rng, max_r, max_total):
         inner = tuple(tuple(ref_random_shape(rng, s[i], max_total) for _ in range(m[i]))
                       for i in range(r))
         if total(output_shape(m, s, inner)) <= max_total:
-            return AlgebraPlan(m, s, inner)
+            return Plan(s, m=m, inner=inner)
 
 
 class ForwardingRandom:

@@ -164,7 +164,7 @@ def test_compose_preserves_validity():
     for _ in range(40):
         plan = random_rel_plan(rng, 3, 5)
         elems = random_rel_elements(rel, plan, rng)
-        stage1 = rel.compose(elems.outer, elems.blocks)
+        stage1 = rel.compose(elems.outer, elems.first)
         assert strip_violation(stage1) is None
 
 
@@ -358,7 +358,7 @@ def test_composites_equal_the_public_constructor():
     rel = strips_rel_operad()
     for _ in range(60):
         elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
-        out = strip_compose(elems.outer, elems.blocks)
+        out = strip_compose(elems.outer, elems.first)
         built = StripConfig(list(out.shape), out.base,
                             [list(row) for row in out.rects])
         assert out == built and hash(out) == hash(built)
@@ -386,8 +386,8 @@ def test_compose_does_not_depend_on_shared_x_parts():
     for _ in range(40):
         elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
         blocks = tuple(Block(b.base, tuple(_unshared(q) for q in b.configs))
-                       for b in elems.blocks)
-        shared = strip_compose(elems.outer, elems.blocks)
+                       for b in elems.first)
+        shared = strip_compose(elems.outer, elems.first)
         assert strip_compose(_unshared(elems.outer), blocks) == shared
     # an x part that differs from its strip's embedding stays in the composite
     outer = random_strip((2,), seed=8)
