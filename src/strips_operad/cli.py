@@ -13,8 +13,9 @@ error.  ``compose`` validates its inputs and its result; it and ``render``
 also exit 2 on a malformed document: one that is not a JSON object, one
 nested too deeply to read, a rational that is not an int or a string such
 as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
-refused), or a ``$file`` that splices in itself; ``render`` also exits 2 on
-a coordinate too large for a float.
+refused), a string or an object where an array belongs, a rectangle off its
+strip, or a ``$file`` that splices in itself; ``render`` also exits 2 on a
+coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans, a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw
@@ -198,43 +199,54 @@ def _load_plan(path: Path) -> dict:
                         "plan")
 
 
-def _reject_violations(checks) -> None:
-    """Raise ``ValueError`` naming the first defect among the
-    ``(label, violation, value)`` triples, if any."""
-    for label, violation, value in checks:
-        bad = violation(value)
-        if bad is not None:
-            raise ValueError(f"{label}: {bad}")
+def _valid(label: str, violation, value):
+    """``value``, or a ``ValueError`` naming ``label`` and its first defect."""
+    bad = violation(value)
+    if bad is not None:
+        raise ValueError(f"{label}: {bad}")
+    return value
+
+
+def _strip_doc(label: str, doc):
+    """The valid strip configuration of ``doc``; a ``ValueError`` from
+    decoding it or a defect names ``label``."""
+    try:
+        config = serialize.strip_from_json(doc)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+    return _valid(label, strip_violation, config)
 
 
 def cmd_compose(args) -> int:
+    """Each document is decoded and checked before the next one is read,
+    in document order, so the first defect in that order is reported."""
     plan = _load_plan(Path(args.plan))
     kind = plan.get("kind")
     if kind == "intervals":
-        outer = serialize.intervals_from_json(plan["outer"])
-        parts = [serialize.intervals_from_json(n) for n in plan["inners"]]
-        checks = [(f"inner {k}", interval_violation, c)
-                  for k, c in enumerate(parts, 1)]
+        outer = _valid("outer", interval_violation,
+                       serialize.intervals_from_json(plan["outer"]))
+        inners = serialize.array_from_json(plan["inners"], '"inners"')
+        parts = [_valid(f"inner {k}", interval_violation,
+                        serialize.intervals_from_json(doc))
+                 for k, doc in enumerate(inners, 1)]
         compose, violation = interval_compose, interval_violation
         to_json = serialize.intervals_to_json
     elif kind == "strips":
-        outer = serialize.strip_from_json(plan["outer"])
-        parts = [Block(serialize.intervals_from_json(blk["base"]),
-                       tuple(serialize.strip_from_json(c)
-                             for c in blk.get("configs", [])))
-                 for blk in plan["blocks"]]
-        checks = []
-        for i, blk in enumerate(parts, 1):
-            checks.append((f"block {i} base", interval_violation, blk.base))
-            checks.extend((f"block {i} configuration {a}", strip_violation, c)
-                          for a, c in enumerate(blk.configs, 1))
+        outer = _strip_doc("outer", plan["outer"])
+        parts = []
+        blocks = serialize.array_from_json(plan["blocks"], '"blocks"')
+        for i, blk in enumerate(blocks, 1):
+            base = _valid(f"block {i} base", interval_violation,
+                          serialize.intervals_from_json(blk["base"]))
+            configs = serialize.array_from_json(blk.get("configs", []), '"configs"')
+            parts.append(Block(base, tuple(
+                _strip_doc(f"block {i} configuration {a}", doc)
+                for a, doc in enumerate(configs, 1))))
         compose, violation = strip_compose, strip_violation
         to_json = serialize.strip_to_json
     else:
         raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
-    _reject_violations([("outer", violation, outer)] + checks)
-    result = compose(outer, parts)
-    _reject_violations([("composed result", violation, result)])
+    result = _valid("composed result", violation, compose(outer, parts))
     _emit(serialize.dumps(to_json(result)), args.out)
     if args.svg:
         Path(args.svg).write_text(svg.render_before_after(outer, result))

@@ -1,7 +1,8 @@
 """Exact piecewise-linear primitives over the rationals.
 
 Everything in this package that looks like geometry bottoms out here:
-increasing affine reparametrizations of the unit interval and unit square,
+increasing affine reparametrizations of the unit interval (a rectangle of a
+strip configuration is two of them: its strip's across, its own upward),
 piecewise-linear paths, and grid-bilinear sheets.  An affine map of the line
 is stored as a reduced integer triple ``(an, cn, d)`` for ``x |-> (an*x +
 cn)/d``, which is unique per map, and composed on those ints; paths and
@@ -214,35 +215,6 @@ def _affine1(an: int, cn: int, d: int) -> AffineMap1:
 IDENTITY_1 = AffineMap1(ONE, ZERO)
 
 
-@dataclass(frozen=True)
-class AffineMap2:
-    """Axis-aligned embedding (x, y) |-> (a*x + c, b*y + d), both scales > 0."""
-
-    x_part: AffineMap1
-    y_part: AffineMap1
-
-    def __call__(self, point) -> tuple[Fraction, Fraction]:
-        x, y = point
-        return (self.x_part(x), self.y_part(y))
-
-    def compose(self, inner: "AffineMap2") -> "AffineMap2":
-        return AffineMap2(self.x_part.compose(inner.x_part),
-                          self.y_part.compose(inner.y_part))
-
-    def image(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        """((x_lo, x_hi), (y_lo, y_hi)) for the image of the unit square."""
-        return (self.x_part.image(), self.y_part.image())
-
-
-IDENTITY_2 = AffineMap2(IDENTITY_1, IDENTITY_1)
-
-
-def rect_of(x_lo, x_hi, y_lo, y_hi) -> AffineMap2:
-    """The embedding of the unit square onto [x_lo,x_hi] x [y_lo,y_hi]."""
-    x_lo, x_hi, y_lo, y_hi = map(as_rat, (x_lo, x_hi, y_lo, y_hi))
-    return AffineMap2(AffineMap1(x_hi - x_lo, x_lo), AffineMap1(y_hi - y_lo, y_lo))
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear paths
 # ---------------------------------------------------------------------------
@@ -321,10 +293,8 @@ def _path(breaks: tuple, values: tuple) -> PLPath:
     return path
 
 
-def constant_path(value, dim=None) -> PLPath:
+def constant_path(value) -> PLPath:
     v = as_point(value)
-    if dim is not None and len(v) != dim:
-        raise ValueError("dimension mismatch")
     return PLPath((ZERO, ONE), (v, v))
 
 

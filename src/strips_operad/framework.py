@@ -93,7 +93,6 @@ class AlgebraInstance:
     """Carriers (one level) and elements (two levels) acted on by a
     relative two-operad and its base."""
 
-    name: str
     source: Callable[[Any], Any]
     target: Callable[[Any], Any]
     act_path: Callable[[Any, Sequence], Any]

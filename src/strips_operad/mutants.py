@@ -24,7 +24,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import intervals, sheets, strips, trees
-from .exact import AffineMap1, AffineMap2, GridSheet
+from .exact import AffineMap1, GridSheet
 from .framework import AlgebraInstance, OperadInstance, RelTwoOperadInstance
 from .intervals import IntervalConfig, interval_compose
 from .sheets import SheetElement, act_on_sheets, random_pointed_map
@@ -52,12 +52,8 @@ def strips_rel_operad(offset=DRIFT) -> RelTwoOperadInstance:
         rows = list(result.rects)
         for i in range(len(rows) - 1, -1, -1):
             if rows[i]:
-                row = list(rows[i])
-                rect = row[-1]
-                row[-1] = AffineMap2(rect.x_part,
-                                     AffineMap1(rect.y_part.a,
-                                                rect.y_part.c + off))
-                rows[i] = tuple(row)
+                rect = rows[i][-1]
+                rows[i] = rows[i][:-1] + (AffineMap1(rect.a, rect.c + off),)
                 break
         return StripConfig(result.shape, result.base, tuple(rows))
 

@@ -2,7 +2,8 @@
 
 Rationals are encoded as strings like ``"3/4"`` (or ``"2"`` when integral);
 all container encodings are plain dicts/lists so the output of
-:func:`dumps` is stable and diff-friendly.
+:func:`dumps` is stable and diff-friendly.  Decoders refuse a string or an
+object where an array belongs, rather than read its characters or keys.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 
-from .exact import AffineMap1, AffineMap2, GridSheet, PLPath
+from .exact import AffineMap1, GridSheet, PLPath
 from .intervals import IntervalConfig
 from .sheets import Loop, PointedMap, SheetElement
 from .strips import StripConfig
@@ -52,12 +53,19 @@ def rat_from_json(s) -> Fraction:
     raise ValueError(f"not a rational: {s!r}")
 
 
+def array_from_json(obj, what: str) -> list:
+    """``obj`` if it is a JSON array, else a ``ValueError`` naming ``what``."""
+    if type(obj) is not list:
+        raise ValueError(f"{what} is not a JSON array")
+    return obj
+
+
 def point_to_json(p) -> list:
     return [rat_to_json(c) for c in p]
 
 
 def point_from_json(obj) -> tuple:
-    return tuple(rat_from_json(c) for c in obj)
+    return tuple(rat_from_json(c) for c in array_from_json(obj, "a point"))
 
 
 # --- affine maps -----------------------------------------------------------
@@ -70,17 +78,6 @@ def affine1_from_json(obj) -> AffineMap1:
     return AffineMap1(rat_from_json(obj["a"]), rat_from_json(obj["c"]))
 
 
-def affine2_to_json(e: AffineMap2) -> dict:
-    x, y = e.x_part, e.y_part
-    return {"a": _ratio_text(x.an, x.d), "b": _ratio_text(y.an, y.d),
-            "c": _ratio_text(x.cn, x.d), "d": _ratio_text(y.cn, y.d)}
-
-
-def affine2_from_json(obj) -> AffineMap2:
-    return AffineMap2(AffineMap1(rat_from_json(obj["a"]), rat_from_json(obj["c"])),
-                      AffineMap1(rat_from_json(obj["b"]), rat_from_json(obj["d"])))
-
-
 # --- configurations --------------------------------------------------------
 
 def intervals_to_json(config: IntervalConfig) -> dict:
@@ -88,21 +85,39 @@ def intervals_to_json(config: IntervalConfig) -> dict:
 
 
 def intervals_from_json(obj) -> IntervalConfig:
-    return IntervalConfig(tuple(affine1_from_json(e) for e in obj["embeddings"]))
+    return IntervalConfig(tuple(affine1_from_json(e) for e in
+                                array_from_json(obj["embeddings"], '"embeddings"')))
 
 
 def strip_to_json(config: StripConfig) -> dict:
+    """Each rectangle as ``{"a", "c"}``, its strip's embedding across, and
+    ``{"b", "d"}``, its own vertical embedding."""
+    base = intervals_to_json(config.base)
     return {"shape": list(config.shape),
-            "base": intervals_to_json(config.base),
-            "rects": [[affine2_to_json(rect) for rect in row]
-                      for row in config.rects]}
+            "base": base,
+            "rects": [[dict(x, b=_ratio_text(y.an, y.d), d=_ratio_text(y.cn, y.d))
+                       for y in row]
+                      for x, row in zip(base["embeddings"], config.rects)]}
 
 
 def strip_from_json(obj) -> StripConfig:
-    return StripConfig(tuple(obj["shape"]),
-                       intervals_from_json(obj["base"]),
-                       tuple(tuple(affine2_from_json(r) for r in row)
-                             for row in obj["rects"]))
+    """The configuration of a :func:`strip_to_json` document; a rectangle
+    whose ``"a"`` and ``"c"`` are not its strip's embedding is a
+    ``ValueError``."""
+    shape = tuple(array_from_json(obj["shape"], '"shape"'))
+    base = intervals_from_json(obj["base"])
+    rows = [[(affine1_from_json(r),
+              AffineMap1(rat_from_json(r["b"]), rat_from_json(r["d"])))
+             for r in array_from_json(row, 'a row of "rects"')]
+            for row in array_from_json(obj["rects"], '"rects"')]
+    config = StripConfig(shape, base,
+                         tuple(tuple(y for _, y in row) for row in rows))
+    for i, (emb, row) in enumerate(zip(base.embeddings, rows), 1):
+        for j, (x, _) in enumerate(row, 1):
+            if x != emb:
+                raise ValueError(
+                    f"rectangle ({i}, {j}) is not aligned with strip {i}")
+    return config
 
 
 # --- paths and sheets ------------------------------------------------------
@@ -113,8 +128,8 @@ def plpath_to_json(path: PLPath) -> dict:
 
 
 def plpath_from_json(obj) -> PLPath:
-    return PLPath(tuple(rat_from_json(t) for t in obj["breaks"]),
-                  tuple(point_from_json(v) for v in obj["values"]))
+    return PLPath(tuple(rat_from_json(t) for t in array_from_json(obj["breaks"], '"breaks"')),
+                  tuple(point_from_json(v) for v in array_from_json(obj["values"], '"values"')))
 
 
 def sheet_to_json(sheet: GridSheet) -> dict:
@@ -124,10 +139,13 @@ def sheet_to_json(sheet: GridSheet) -> dict:
 
 
 def sheet_from_json(obj) -> GridSheet:
-    return GridSheet(tuple(rat_from_json(t) for t in obj["x_breaks"]),
-                     tuple(rat_from_json(t) for t in obj["y_breaks"]),
-                     tuple(tuple(point_from_json(v) for v in col)
-                           for col in obj["values"]))
+    return GridSheet(tuple(rat_from_json(t)
+                           for t in array_from_json(obj["x_breaks"], '"x_breaks"')),
+                     tuple(rat_from_json(t)
+                           for t in array_from_json(obj["y_breaks"], '"y_breaks"')),
+                     tuple(tuple(point_from_json(v)
+                                 for v in array_from_json(col, 'a column of "values"'))
+                           for col in array_from_json(obj["values"], '"values"')))
 
 
 def loop_to_json(loop: Loop) -> dict:
@@ -158,7 +176,8 @@ def pointed_map_to_json(f: PointedMap) -> dict:
 
 
 def pointed_map_from_json(obj) -> PointedMap:
-    return PointedMap(tuple(point_from_json(row) for row in obj["matrix"]),
+    return PointedMap(tuple(point_from_json(row)
+                            for row in array_from_json(obj["matrix"], '"matrix"')),
                       point_from_json(obj["offset"]),
                       point_from_json(obj["dom_base"]),
                       point_from_json(obj["cod_base"]))
@@ -171,7 +190,7 @@ def tree_to_json(t: PlanarTree) -> list:
 
 
 def tree_from_json(obj) -> PlanarTree:
-    if obj == []:
+    if array_from_json(obj, "a tree") == []:
         return LEAF
     return PlanarTree(tuple(tree_from_json(c) for c in obj))
 
@@ -213,30 +232,9 @@ def _list_text(items: list, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-# --- generic front door ----------------------------------------------------
+# --- output ----------------------------------------------------------------
 
-_ENCODERS = (
-    (AffineMap1, affine1_to_json),
-    (AffineMap2, affine2_to_json),
-    (IntervalConfig, intervals_to_json),
-    (StripConfig, strip_to_json),
-    (PLPath, plpath_to_json),
-    (GridSheet, sheet_to_json),
-    (Loop, loop_to_json),
-    (SheetElement, sheet_element_to_json),
-    (PointedMap, pointed_map_to_json),
-    (PlanarTree, tree_to_json),
-)
-
-
-def to_json(obj):
-    for cls, enc in _ENCODERS:
-        if isinstance(obj, cls):
-            return enc(obj)
-    raise TypeError(f"no JSON encoding for {type(obj).__name__}")
-
-
-def dumps(obj) -> str:
-    """Deterministic JSON text (sorted keys, two-space indent, newline)."""
-    payload = to_json(obj) if not isinstance(obj, (dict, list)) else obj
+def dumps(payload) -> str:
+    """Deterministic JSON text (sorted keys, two-space indent, newline) of
+    an encoded document."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

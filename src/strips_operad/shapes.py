@@ -25,11 +25,6 @@ def check_shape(shape: Sequence) -> tuple:
     return shape
 
 
-def total(shape: Sequence) -> int:
-    """Total rectangle count |n|."""
-    return sum(shape)
-
-
 def output_shape(m: Sequence, arities: Sequence, inner_shapes: Sequence) -> tuple:
     """Shape of a two-level composite.
 

@@ -309,7 +309,7 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     spans = config.base.images()
     _check_order(spans, "strip", "left to right")
     for i, rects in enumerate(config.rects):
-        _check_order(tuple(rect.y_part.image() for rect in rects),
+        _check_order(tuple(rect.image() for rect in rects),
                      "rectangle", "bottom to top", f"strip {i + 1}: ")
 
     # grid lines, with the images of each sheet's breaks kept per rectangle
@@ -320,11 +320,10 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
         x_pts.extend(spans[i])
         for loop in junctions[i]:
             x_pts.extend([embs[i](t) for t in loop.path.breaks])
-        pairs = tuple(zip(chains[i], config.rects[i]))
-        x_images.append([[rect.x_part(t) for t in elem.sheet.x_breaks]
-                         for elem, rect in pairs])
-        y_images.append([[rect.y_part(t) for t in elem.sheet.y_breaks]
-                         for elem, rect in pairs])
+        x_images.append([[embs[i](t) for t in elem.sheet.x_breaks]
+                         for elem in chains[i]])
+        y_images.append([[rect(t) for t in elem.sheet.y_breaks]
+                         for elem, rect in zip(chains[i], config.rects[i])])
         for images in x_images[i]:
             x_pts.extend(images)
         for images in y_images[i]:
@@ -470,7 +469,6 @@ def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> Pointed
 def sheet_algebra(f: PointedMap) -> AlgebraInstance:
     """Loops and sheets over ``f``, packaged for the framework checkers."""
     return AlgebraInstance(
-        name=f"sheets[{f.dim_in}->{f.dim_out}]",
         source=lambda e: e.bottom,
         target=lambda e: e.top,
         act_path=act_on_loops,

@@ -3,8 +3,9 @@
 An element of shape ``n = (n_1, ..., n_r)`` consists of a base configuration
 of r little intervals and, over the full-height strip of the i-th interval,
 ``n_i`` axis-aligned rectangles stacked bottom to top, all 2|n| rectangle
-images disjoint.  Each rectangle is an :class:`AffineMap2` whose x component
-equals the strip's interval embedding.
+images disjoint.  A rectangle spans its strip across, so it is stored as
+its vertical embedding alone, an :class:`AffineMap1`; its horizontal
+embedding is the strip's, ``base.embeddings[i]``.
 
 Composition glues one block per strip: a base configuration shared by all
 inner elements of that strip, each inner element replacing one rectangle.
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import AffineMap2, IDENTITY_2
+from .exact import IDENTITY_1, AffineMap1
 from .framework import Block, FiberProductError, RelTwoOperadInstance
 from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
                         interval_compose, interval_unit, interval_violation,
@@ -25,7 +26,9 @@ from .shapes import check_shape
 
 @dataclass(frozen=True)
 class StripConfig:
-    """``rects[i]`` lists the rectangles of strip i, bottom to top."""
+    """``rects[i]`` lists the vertical embeddings of the rectangles of strip
+    i, bottom to top; each rectangle's horizontal embedding is
+    ``base.embeddings[i]``."""
 
     shape: tuple
     base: IntervalConfig
@@ -45,8 +48,8 @@ class StripConfig:
             if len(row) != n:
                 raise ValueError(f"strip {i + 1} declares {n} rectangles, got {len(row)}")
             for rect in row:
-                if not isinstance(rect, AffineMap2):
-                    raise TypeError(f"expected AffineMap2, got {type(rect).__name__}")
+                if not isinstance(rect, AffineMap1):
+                    raise TypeError(f"expected AffineMap1, got {type(rect).__name__}")
 
     @property
     def arity(self) -> int:
@@ -60,7 +63,7 @@ class StripConfig:
 def _strip(shape: tuple, base: IntervalConfig, rects: tuple) -> StripConfig:
     """A :class:`StripConfig` from parts that already hold its invariants (a
     valid shape as long as the base's arity, and a tuple of rows of
-    :class:`AffineMap2`, one per strip, as long as its entry), built without
+    :class:`AffineMap1`, one per strip, as long as its entry), built without
     checking them again."""
     config = object.__new__(StripConfig)
     fields = config.__dict__          # the frozen dataclass's own storage
@@ -71,7 +74,7 @@ def _strip(shape: tuple, base: IntervalConfig, rects: tuple) -> StripConfig:
 
 
 def strip_unit() -> StripConfig:
-    return StripConfig((1,), interval_unit(), ((IDENTITY_2,),))
+    return StripConfig((1,), interval_unit(), ((IDENTITY_1,),))
 
 
 def strip_project(config: StripConfig) -> IntervalConfig:
@@ -104,58 +107,40 @@ def strip_compose(outer: StripConfig, blocks: Sequence[Block]) -> StripConfig:
                     f"does not share the block base {block.base.images()}")
 
     base = interval_compose(outer.base, tuple(b.base for b in blocks))
-    base_embs = iter(base.embeddings)
-    rects = []
-    for i in range(r):
-        out_rows, block = outer.rects[i], blocks[i]
-        for j, emb_j in enumerate(block.base.embeddings):
-            # x is ox.compose(ix), the x part of the last rectangle built.  It
-            # starts as this output strip's base embedding, the composite of
-            # the two strip embeddings; valid inputs share those objects, so
-            # their rectangles take it without composing again.
-            ox, ix, x = outer.base.embeddings[i], emb_j, next(base_embs)
-            row = []
-            for a, outer_rect in enumerate(out_rows):
-                o_x, o_y = outer_rect.x_part, outer_rect.y_part
-                for inner_rect in block.configs[a].rects[j]:
-                    i_x = inner_rect.x_part
-                    if o_x is not ox or i_x is not ix:
-                        ox, ix, x = o_x, i_x, o_x.compose(i_x)
-                    row.append(AffineMap2(x, o_y.compose(inner_rect.y_part)))
-            rects.append(tuple(row))
-    return _strip(tuple(map(len, rects)), base, tuple(rects))
+    rects = tuple(tuple(o.compose(rect)
+                        for o, q in zip(outer.rects[i], block.configs)
+                        for rect in q.rects[j])
+                  for i, block in enumerate(blocks)
+                  for j in range(block.base.arity))
+    return _strip(tuple(map(len, rects)), base, rects)
 
 
 def strip_violation(config: StripConfig) -> Optional[str]:
     """First defect of the configuration, or None if valid.
 
     Checked in order: the base configuration; per strip i, each rectangle
-    (i, j)'s x alignment with strip i and its vertical image staying inside
-    [0, 1], then the bottom-to-top order within the strip.  Indices in
-    messages are 1-based.
+    (i, j)'s vertical image staying inside [0, 1], then the bottom-to-top
+    order within the strip.  Indices in messages are 1-based.
 
     Pairwise disjointness of the rectangles needs no check of its own.  A
-    valid base orders the strips strictly left to right, and every rectangle's
-    x part equals its strip's embedding, so rectangles in different strips are
-    x-disjoint; rectangles within one strip are strictly ordered bottom to
-    top, so they are y-disjoint.  The tests are decided on the maps' integer
-    triples, an image is formed only for a message, and the whole check is
-    linear in the rectangle count.
+    valid base orders the strips strictly left to right, and every rectangle
+    spans its own strip, so rectangles in different strips are x-disjoint;
+    rectangles within one strip are strictly ordered bottom to top, so they
+    are y-disjoint.  The tests are decided on the maps' integer triples, an
+    image is formed only for a message, and the whole check is linear in the
+    rectangle count.
     """
     base_bad = interval_violation(config.base)
     if base_bad is not None:
         return f"base: {base_bad}"
-    for i, (emb, row) in enumerate(zip(config.base.embeddings, config.rects)):
+    for i, row in enumerate(config.rects):
         for j, rect in enumerate(row):
-            if rect.x_part != emb:
-                return (f"rectangle ({i + 1}, {j + 1}) is not aligned with "
-                        f"strip {i + 1}")
-            if not rect.y_part.maps_into_unit():
-                lo, hi = rect.y_part.image()
+            if not rect.maps_into_unit():
+                lo, hi = rect.image()
                 return (f"rectangle ({i + 1}, {j + 1}) vertical image "
                         f"[{lo}, {hi}] leaves [0, 1]")
         for j in range(len(row) - 1):
-            if not row[j].y_part.ends_before(row[j + 1].y_part):
+            if not row[j].ends_before(row[j + 1]):
                 return (f"rectangle ({i + 1}, {j + 1}) does not sit strictly "
                         f"below rectangle ({i + 1}, {j + 2})")
     return None
@@ -167,9 +152,7 @@ def random_strip_over(shape: Sequence, base: IntervalConfig, rng: random.Random,
     shape = check_shape(shape)
     if len(shape) != base.arity:
         raise ValueError("shape length must match base arity")
-    rows = tuple(tuple(AffineMap2(emb, y) for y in grid_embeddings(n, rng, denom))
-                 if n else ()
-                 for emb, n in zip(base.embeddings, shape))
+    rows = tuple(grid_embeddings(n, rng, denom) for n in shape)
     return _strip(shape, base, rows)
 
 

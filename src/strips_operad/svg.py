@@ -69,9 +69,10 @@ def _strip_body(config: StripConfig, x0: float, y0: float) -> str:
         lo, hi = emb.image()
         body += _rect(x0 + float(lo) * SQUARE, y0,
                       float(hi - lo) * SQUARE, SQUARE, STRIP_FILL, STRIP_EDGE)
-    for row in config.rects:
+    for emb, row in zip(config.base.embeddings, config.rects):
+        xl, xh = emb.image()
         for rect in row:
-            (xl, xh), (yl, yh) = rect.image()
+            yl, yh = rect.image()
             body += _rect(x0 + float(xl) * SQUARE,
                           y0 + (1.0 - float(yh)) * SQUARE,
                           float(xh - xl) * SQUARE, float(yh - yl) * SQUARE,

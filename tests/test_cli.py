@@ -264,7 +264,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "1"):
         "f7fc37fdd104f679edd516d619b29450543bc478e85398aab1e8c905ff3170f2",
     ("check", "strips", "--seed", "1", "--mutate"):
-        "afd394eb0a76ff8b6262215b2d0c1dc8bd6dff01f341b8612f23b9f55cbb1d56",
+        "6e29c8d165c9a62f159e4e25c7bd993408e7e4369d22970f42957f8b79bda5a8",
     ("check", "strips", "--seed", "1", "--max-r", "2", "--max-n", "4"):
         "9ad08d2cb03434b8f9126aeaf0fa90aa0b9059c8e223718e964c1d19c34532eb",
     ("check", "strips", "--seed", "1", "--max-r", "4", "--max-n", "6",
@@ -273,7 +273,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "2"):
         "9afaeb55619beb793d960567e3a82da141aba71833738ce0d96301bd124af9f7",
     ("check", "strips", "--seed", "2", "--mutate"):
-        "f7a47837f29099ed7948e6663d906142b98eaf49272176fabe1d5ecae8e0ea43",
+        "4a7e3a0d128b3e1d3b078f00d9b64e20069bad5d8575b351bb27245a8c6d85fe",
     ("check", "strips", "--seed", "2", "--max-r", "2", "--max-n", "4"):
         "b80aa8a9df509a04310a9e676dac0a9f74e09e8373339429c0242c8cc41aa6c3",
     ("check", "strips", "--seed", "2", "--max-r", "4", "--max-n", "6",
@@ -282,7 +282,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "3"):
         "b7518e2e238b4011e39a4650c3ce645ffc87ea56ace0fdf1d932fad5eadeae46",
     ("check", "strips", "--seed", "3", "--mutate"):
-        "c8b83e4ea1fb2b45db127e8f479e834ec976b1e23fe7102a6c62096796621f77",
+        "7945aceedb8cb88d964dd31a14e8570d43e86e0da0085ec30d081c39ad27aea9",
     ("check", "strips", "--seed", "3", "--max-r", "2", "--max-n", "4"):
         "fbe5011c16e9fdb6b163ae340cf661f64708eeac529ac7b1772bd04fb498fb5b",
     ("check", "strips", "--seed", "3", "--max-r", "4", "--max-n", "6",
@@ -781,6 +781,92 @@ def test_render_rejects_a_coordinate_too_large_for_a_float(tmp_path, capsys,
     path.write_text(json.dumps(HUGE_COORDINATE_DOCS[name]))
     assert run(["render", str(path)], capsys) == (
         2, "", "error: a coordinate is too large to draw\n")
+
+
+# A string or an object where an array belongs once iterated as characters or
+# keys, so these documents rendered: "01" as the breaks 0, 1 and "12" as the
+# point (1, 2).
+UNIT_LOOP = {"breaks": ["0", "1"], "values": [["1"], ["1"]]}
+NOT_ARRAY_DOCS = {
+    "sheet": ({"x_breaks": "01", "y_breaks": ["0", "1"],
+               "values": [["12", "34"], ["56", "78"]]},
+              'error: "x_breaks" is not a JSON array\n'),
+    "sheet point": ({"x_breaks": ["0", "1"], "y_breaks": ["0", "1"],
+                     "values": [["12", "34"], ["56", "78"]]},
+                    "error: a point is not a JSON array\n"),
+    "sheet element": ({"sheet": {"x_breaks": ["0", "1"], "y_breaks": ["0", "1"],
+                                 "values": [[["1"], ["1"]], [["1"], ["1"]]]},
+                       "bottom": dict(UNIT_LOOP, breaks="01"), "top": UNIT_LOOP},
+                      'error: "breaks" is not a JSON array\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ARRAY_DOCS))
+def test_render_refuses_strings_and_objects_as_arrays(tmp_path, capsys, name):
+    doc, line = NOT_ARRAY_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["render", str(path)], capsys) == (2, "", line)
+
+
+def test_compose_refuses_strings_and_objects_as_arrays(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    plan = dict(INTERVALS_PLAN, outer={"embeddings": "ab"})
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", 'error: "embeddings" is not a JSON array\n')
+    path.write_text(json.dumps(dict(INTERVALS_PLAN, inners="ab")))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", 'error: "inners" is not a JSON array\n')
+    plan = pin_strips_plan(2, 40, 8)
+    plan["outer"]["rects"] = dict(enumerate(plan["outer"]["rects"]))
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", 'error: outer: "rects" is not a JSON array\n')
+    # an empty string or object once passed as the configurations of an
+    # empty strip
+    unit = {"embeddings": [{"a": "1", "c": "0"}]}
+    rect = {"a": "1", "c": "0", "b": "1/2", "d": "0"}
+    for empty in ("", {}):
+        plan = {"kind": "strips",
+                "outer": {"shape": [1, 0],
+                          "base": {"embeddings": [{"a": "1/4", "c": "0"},
+                                                  {"a": "1/4", "c": "1/2"}]},
+                          "rects": [[dict(rect, a="1/4")], []]},
+                "blocks": [{"base": unit, "configs": [
+                               {"shape": [1], "base": unit, "rects": [[rect]]}]},
+                           {"base": unit, "configs": empty}]}
+        path.write_text(json.dumps(plan))
+        assert run(["compose", str(path)], capsys) == (
+            2, "", 'error: "configs" is not a JSON array\n')
+        plan["blocks"][1]["configs"] = []
+        path.write_text(json.dumps(plan))
+        assert run(["compose", str(path)], capsys)[0] == 0
+
+
+def test_render_refuses_a_rectangle_off_its_strip(tmp_path, capsys):
+    doc = {"shape": [1, 1],
+           "base": {"embeddings": [{"a": "1/4", "c": "0"},
+                                   {"a": "1/4", "c": "1/2"}]},
+           "rects": [[{"a": "1/4", "c": "0", "b": "1/2", "d": "0"}],
+                     [{"a": "1/4", "c": "1/2", "b": "1/2", "d": "0"}]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["render", str(path)], capsys)
+    assert (code, err) == (0, "")
+    doc["rects"][0][0]["c"] = "1/2"         # strip 2's offset
+    path.write_text(json.dumps(doc))
+    assert run(["render", str(path)], capsys) == (
+        2, "", "error: rectangle (1, 1) is not aligned with strip 1\n")
+
+
+def test_strips_mutate_report_prints_each_rectangle_once(capsys):
+    # a rectangle's repr is its vertical embedding alone; the horizontal one
+    # is its strip's, printed once in the base
+    code, out, _ = run(["check", "strips", "--seed", "1", "--mutate"], capsys)
+    assert code == 1
+    assert len(out.encode()) < 400_000
+    assert "x_part" not in out and "AffineMap2" not in out
 
 
 # --- console script ---------------------------------------------------------------------

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strips_operad.exact import (IDENTITY_1, IDENTITY_2, AffineMap1,
-                                 AffineMap2, GridSheet, PLPath, _affine1,
-                                 _path, _sheet,
-                                 canonical_form, constant_path,
-                                 constant_sheet, grid_lines, locate,
-                                 locate_sorted, rect_of)
+from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
+                                 _affine1, _path, _sheet, canonical_form,
+                                 constant_path, constant_sheet, grid_lines,
+                                 locate, locate_sorted)
 
 from helpers import positive_scales, rationals, unit_rationals
 
@@ -105,15 +103,6 @@ def test_affine_compose_pointwise(a1, c1, a2, c2, x):
     assert f.compose(g)(x) == f(g(x))
 
 
-def test_affine2_compose_componentwise():
-    f = AffineMap2(AffineMap1(F(1, 2), F(1, 4)), AffineMap1(F(1, 3), F(1, 2)))
-    g = AffineMap2(AffineMap1(F(1, 3), F(0)), AffineMap1(F(1, 2), F(1, 8)))
-    fg = f.compose(g)
-    assert fg.x_part == f.x_part.compose(g.x_part)
-    assert fg.y_part == f.y_part.compose(g.y_part)
-    assert f.compose(IDENTITY_2) == f == IDENTITY_2.compose(f)
-
-
 # --- the integer triple behind AffineMap1 --------------------------------------
 # Each map is checked against the plain-Fraction map x |-> a*x + c.
 
@@ -181,9 +170,8 @@ def test_triple_repr_is_the_dataclass_repr(a, c):
 def test_triple_repr_hand_value():
     assert repr(AffineMap1(F(1, 2), F(1, 4))) == \
         "AffineMap1(a=Fraction(1, 2), c=Fraction(1, 4))"
-    assert repr(AffineMap2(IDENTITY_1, AffineMap1(2, "-1/3"))) == (
-        "AffineMap2(x_part=AffineMap1(a=Fraction(1, 1), c=Fraction(0, 1)), "
-        "y_part=AffineMap1(a=Fraction(2, 1), c=Fraction(-1, 3)))")
+    assert repr(AffineMap1(2, "-1/3")) == \
+        "AffineMap1(a=Fraction(2, 1), c=Fraction(-1, 3))"
 
 
 def test_triple_is_frozen_and_pickles():
@@ -197,12 +185,6 @@ def test_triple_is_frozen_and_pickles():
         del f.d
     assert (f.an, f.cn, f.d) == (4, -1, 6)
     assert pickle.loads(pickle.dumps(f)) == f
-
-
-def test_rect_of_roundtrip():
-    r = rect_of(F(1, 4), F(3, 4), F(1, 4), F(3, 8))
-    assert r.x_part.image() == (F(1, 4), F(3, 4))
-    assert r.y_part.image() == (F(1, 4), F(3, 8))
 
 
 # --- piecewise-linear paths ---------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from strips_operad.framework import (_SHAPE, Plan, _arity, random_algebra_plan,
                                      random_operad_plan, random_rel_plan)
-from strips_operad.shapes import output_shape, total
+from strips_operad.shapes import output_shape
 
 
 # --- reference samplers (choice / randint) ----------------------------------------
@@ -42,7 +42,7 @@ def ref_rel_plan(rng, max_r, max_total):
         inner = tuple(tuple(ref_random_shape(rng, s[i], max_total) for _ in range(m[i]))
                       for i in range(r))
         mid_shape = output_shape(m, s, inner)
-        if total(mid_shape) <= max_total:
+        if sum(mid_shape) <= max_total:
             break
     t = tuple(tuple(rng.randint(1, max_r) for _ in range(s[i])) for i in range(r))
     while True:
@@ -54,7 +54,7 @@ def ref_rel_plan(rng, max_r, max_total):
                     for a in range(m[i]))
                 for j in range(s[i]))
             for i in range(r))
-        final = sum(total(sh)
+        final = sum(sum(sh)
                     for i in range(r) for j in range(len(deep[i]))
                     for row in deep[i][j] for sh in row)
         if final <= max_total:
@@ -70,7 +70,7 @@ def ref_algebra_plan(rng, max_r, max_total):
     while True:
         inner = tuple(tuple(ref_random_shape(rng, s[i], max_total) for _ in range(m[i]))
                       for i in range(r))
-        if total(output_shape(m, s, inner)) <= max_total:
+        if sum(output_shape(m, s, inner)) <= max_total:
             return Plan(s, m=m, inner=inner)
 
 

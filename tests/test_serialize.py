@@ -7,10 +7,12 @@ import pytest
 
 from strips_operad.sheets import (random_loop, random_pointed_map,
                                   random_sheet_element)
-from strips_operad.strips import random_strip
+from strips_operad.framework import random_rel_elements, random_rel_plan
+from strips_operad.strips import (StripConfig, random_strip, strip_compose,
+                                  strips_rel_operad)
 from strips_operad.trees import LEAF, corolla, graft, random_tree
-from strips_operad.intervals import random_intervals
-from strips_operad.exact import AffineMap1, AffineMap2, constant_path
+from strips_operad.intervals import IntervalConfig, random_intervals
+from strips_operad.exact import AffineMap1, constant_path
 from strips_operad import serialize as ser
 
 
@@ -74,15 +76,15 @@ def test_rationals_refuse_more_digits_than_int_reads():
 def test_affine_encoders_write_reduced_rationals():
     e = AffineMap1(F(6, 4), F(-2, 3))
     assert ser.affine1_to_json(e) == {"a": "3/2", "c": "-2/3"}
-    e2 = AffineMap2(AffineMap1(2, 0), AffineMap1(F(1, 4), F(3, 4)))
-    assert ser.affine2_to_json(e2) == {"a": "2", "b": "1/4", "c": "0", "d": "3/4"}
+    cfg = StripConfig((1,), IntervalConfig((AffineMap1(F(2, 4), 0),)),
+                      ((AffineMap1(F(2, 8), F(6, 8)),),))
+    assert ser.strip_to_json(cfg)["rects"] == [
+        [{"a": "1/2", "b": "1/4", "c": "0", "d": "3/4"}]]
 
 
 def test_affine_round_trip():
     e = AffineMap1(F(1, 3), F(-2, 7))
     assert ser.affine1_from_json(ser.affine1_to_json(e)) == e
-    e2 = AffineMap2(e, AffineMap1(F(2), F(0)))
-    assert ser.affine2_from_json(ser.affine2_to_json(e2)) == e2
 
 
 def test_intervals_round_trip():
@@ -96,6 +98,73 @@ def test_strip_round_trip():
     assert ser.strip_from_json(doc) == cfg
     # survive a JSON print/parse cycle too
     assert ser.strip_from_json(json.loads(json.dumps(doc))) == cfg
+
+
+def _assert_strip_round_trip(q):
+    doc = ser.strip_to_json(q)
+    assert ser.strip_from_json(doc) == q
+    for emb, row in zip(doc["base"]["embeddings"], doc["rects"]):
+        assert all({"a": r["a"], "c": r["c"]} == emb for r in row)
+
+
+def test_strip_round_trip_on_random_configurations_and_composites():
+    rng = random.Random("strip codec")
+    rel = strips_rel_operad()
+    big = 0
+    for _ in range(60):
+        shape = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        _assert_strip_round_trip(random_strip(shape[:-1] + (shape[-1] or 1,),
+                                              rng.random()))
+        elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
+        q = strip_compose(elems.outer, elems.first)
+        _assert_strip_round_trip(q)
+        big += any(y.d > 4096 for row in q.rects for y in row)
+    assert big > 10        # composites leave the 1/4096 grid
+
+
+def _path(doc, keys):
+    for k in keys:
+        doc = doc[k]
+    return doc
+
+
+NOT_ARRAYS = ["01", {"0": "0", "1": "1"}, 5, None]
+ARRAY_FIELDS = {
+    "intervals": (lambda: ser.intervals_to_json(random_intervals(2, random.Random(1))),
+                  ser.intervals_from_json, [("embeddings",)]),
+    "strip": (lambda: ser.strip_to_json(random_strip((1, 2), seed=2)),
+              ser.strip_from_json,
+              [("shape",), ("rects",), ("rects", 1), ("base", "embeddings")]),
+    "sheet element": (
+        lambda: ser.sheet_element_to_json(random_sheet_element(
+            random_pointed_map(random.Random(3), 1, 2), random.Random(4))),
+        ser.sheet_element_from_json,
+        [("sheet", "x_breaks"), ("sheet", "y_breaks"), ("sheet", "values"),
+         ("sheet", "values", 0), ("sheet", "values", 0, 0),
+         ("bottom", "breaks"), ("top", "values"), ("top", "values", 1)]),
+    "pointed map": (
+        lambda: ser.pointed_map_to_json(random_pointed_map(random.Random(5), 2, 2)),
+        ser.pointed_map_from_json,
+        [("matrix",), ("matrix", 0), ("offset",), ("dom_base",), ("cod_base",)]),
+    "tree": (lambda: ser.tree_to_json(graft(corolla(2), (corolla(3), LEAF))),
+             ser.tree_from_json, [(), (0,), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FIELDS))
+def test_decoders_refuse_strings_and_objects_as_arrays(name):
+    # a string or an object iterates too, as characters or keys; "01" once
+    # read as the breaks 0, 1 and "12" as the point (1, 2)
+    make, decode, paths = ARRAY_FIELDS[name]
+    for keys in paths:
+        for bad in NOT_ARRAYS:
+            doc = make()
+            if keys:
+                _path(doc, keys[:-1])[keys[-1]] = bad
+            else:
+                doc = bad
+            with pytest.raises(ValueError, match=" is not a JSON array$"):
+                decode(doc)
 
 
 def test_path_and_sheet_round_trip():
@@ -127,19 +196,12 @@ def test_tree_round_trip():
 
 def test_dumps_is_deterministic_and_sorted():
     cfg = random_strip((1, 1), seed=6)
-    a = ser.dumps(cfg)
-    b = ser.dumps(cfg)
+    a = ser.dumps(ser.strip_to_json(cfg))
+    b = ser.dumps(ser.strip_to_json(cfg))
     assert a == b
     assert a.endswith("\n")
     doc = json.loads(a)
     assert list(doc) == sorted(doc)
-
-
-def test_to_json_dispatch():
-    cfg = random_intervals(2, random.Random(7))
-    assert ser.to_json(cfg) == ser.intervals_to_json(cfg)
-    with pytest.raises(TypeError):
-        ser.to_json(object())
 
 
 def test_enumeration_text_equals_dumps_of_the_nested_lists():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from strips_operad.shapes import ShapeError, check_shape, output_shape, total
+from strips_operad.shapes import ShapeError, check_shape, output_shape
 
 
 def test_check_shape_accepts_mixed_counts():
@@ -22,10 +22,6 @@ def test_check_shape_rejects_bad_vectors():
         check_shape((1, True))
     with pytest.raises(ShapeError):
         check_shape((1.0, 2))
-
-
-def test_total():
-    assert total((2, 0, 3)) == 5
 
 
 def test_output_shape_basic():
@@ -65,7 +61,7 @@ def test_output_shape_preserves_total_counts():
         except ShapeError:
             continue
         assert len(out) == sum(arities)
-        assert total(out) == sum(total(row) for rows in inner for row in rows)
+        assert sum(out) == sum(sum(row) for rows in inner for row in rows)
 
 
 def _nonzero_row(rng, width):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from strips_operad import mutants
-from strips_operad.exact import (AffineMap1, AffineMap2, GridSheet, PLPath,
-                                 constant_path, constant_sheet)
+from strips_operad.exact import (AffineMap1, GridSheet, PLPath, constant_path,
+                                 constant_sheet)
 from strips_operad.framework import ChainError, run_algebra_check
 from strips_operad.intervals import (IntervalConfig, interval_unit,
                                      random_intervals)
@@ -342,10 +342,9 @@ def _reference_sheet(f, config, inputs, x, y):
         return f.cod_base
     below = 0
     for j, rect in enumerate(config.rects[i]):
-        y_lo, y_hi = rect.y_part.image()
+        y_lo, y_hi = rect.image()
         if y_lo <= y <= y_hi:
-            return inputs[i][j].sheet.at(rect.x_part.invert(x),
-                                         rect.y_part.invert(y))
+            return inputs[i][j].sheet.at(emb.invert(x), rect.invert(y))
         if y_hi < y:
             below += 1
     chain = inputs[i]
@@ -371,8 +370,8 @@ def _probe_lines(config, inputs):
         for loop in loops:
             xs.update(emb(t) for t in loop.path.breaks)
         for rect, elem in zip(config.rects[i], inputs[i] if n else ()):
-            xs.update(rect.x_part(t) for t in elem.sheet.x_breaks)
-            ys.update(rect.y_part(t) for t in elem.sheet.y_breaks)
+            xs.update(emb(t) for t in elem.sheet.x_breaks)
+            ys.update(rect(t) for t in elem.sheet.y_breaks)
     return sorted(xs), sorted(ys)
 
 
@@ -425,34 +424,10 @@ def test_actions_match_reference_with_shared_edges():
     rng = random.Random(79)
     half = F(1, 2)
     base = IntervalConfig((AffineMap1(half, F(0)), AffineMap1(half, half)))
-    left = base.embeddings[0]
     config = StripConfig((2, 0), base, (
-        (AffineMap2(left, AffineMap1(half, F(0))),
-         AffineMap2(left, AffineMap1(half, half))),
-        ()))
+        (AffineMap1(half, F(0)), AffineMap1(half, half)), ()))
     out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
     assert sheet_violation(f, out) is None
-
-
-def test_actions_match_reference_with_unaligned_rectangles():
-    # a rectangle's x part need not be its strip's embedding: here one spans
-    # the whole square, past its strip on both sides, and is read through
-    # its own map wherever its strip has a column
-    f = _map2d()
-    rng = random.Random(97)
-    quarter = F(1, 4)
-    emb = AffineMap1(F(1, 2), quarter)
-    config = StripConfig((2,), IntervalConfig((emb,)), ((
-        AffineMap2(AffineMap1(F(1), F(0)), AffineMap1(quarter, F(0))),
-        AffineMap2(emb, AffineMap1(quarter, F(1, 2)))),))
-    inputs = chain_inputs(f, config, rng)
-    out = _assert_matches_reference(f, config, inputs)
-    # the sheet's own x-lines outside the strip are grid lines at the basepoint
-    wide = inputs[0][0].sheet.x_breaks
-    assert set(wide) <= set(out.sheet.x_breaks)
-    assert all(out.sheet.at(x, y) == f.cod_base
-               for x in wide if not quarter <= x <= 3 * quarter
-               for y in out.sheet.y_breaks)
 
 
 # errors raised at the parent of the swept action, for intervals that leave [0, 1]
@@ -470,7 +445,7 @@ def test_actions_on_intervals_leaving_the_unit_interval_raise(emb, message):
         act_on_loops(IntervalConfig((emb,)), [loop])
     assert str(caught.value) == message
     config = StripConfig((1,), IntervalConfig((emb,)),
-                         ((AffineMap2(emb, AffineMap1(F(1, 2), F(1, 4))),),))
+                         ((AffineMap1(F(1, 2), F(1, 4)),),))
     with pytest.raises(ValueError) as caught:
         act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
     assert str(caught.value) == message
@@ -482,7 +457,7 @@ def test_act_on_sheets_with_a_rectangle_leaving_the_square_raises(y_part):
     f = _map2d()
     emb = AffineMap1(F(1, 2), F(1, 4))
     config = StripConfig((1,), IntervalConfig((emb,)),
-                         ((AffineMap2(emb, y_part),),))
+                         ((y_part,),))
     with pytest.raises(ValueError) as caught:
         act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
     assert str(caught.value) == "sheet must be parametrized over the unit square"
@@ -495,9 +470,7 @@ def test_act_on_sheets_rejects_strips_out_of_order():
     rng = random.Random(83)
     quarter = F(1, 4)
     base = IntervalConfig((AffineMap1(quarter, F(1, 2)), AffineMap1(quarter, F(0))))
-    config = StripConfig((1, 1), base, tuple(
-        (AffineMap2(emb, AffineMap1(quarter, quarter)),)
-        for emb in base.embeddings))
+    config = StripConfig((1, 1), base, ((AffineMap1(quarter, quarter),),) * 2)
     with pytest.raises(ValueError, match="strips must run left to right"):
         act_on_sheets(f, config, chain_inputs(f, config, rng))
 
@@ -507,8 +480,7 @@ def test_act_on_sheets_rejects_rectangles_out_of_order():
     rng = random.Random(89)
     emb = AffineMap1(F(1, 2), F(1, 4))
     config = StripConfig((2,), IntervalConfig((emb,)), ((
-        AffineMap2(emb, AffineMap1(F(1, 4), F(1, 2))),
-        AffineMap2(emb, AffineMap1(F(1, 4), F(1, 8)))),))
+        AffineMap1(F(1, 4), F(1, 2)), AffineMap1(F(1, 4), F(1, 8))),))
     with pytest.raises(ValueError,
                        match="strip 1: rectangles must run bottom to top"):
         act_on_sheets(f, config, chain_inputs(f, config, rng))
@@ -540,13 +512,14 @@ def test_source_dimension_zero_reduces_to_rectangle_insertion():
             x = F(rng.randint(0, 32), 32)
             y = F(rng.randint(0, 32), 32)
             expected = p
-            for i, strip in enumerate(config.rects):
+            for i, (emb, strip) in enumerate(zip(config.base.embeddings,
+                                                 config.rects)):
                 for j, rect in enumerate(strip):
-                    (xl, xh) = rect.x_part.image()
-                    (yl, yh) = rect.y_part.image()
+                    (xl, xh) = emb.image()
+                    (yl, yh) = rect.image()
                     if xl <= x <= xh and yl <= y <= yh:
-                        u = rect.x_part.invert(x)
-                        v = rect.y_part.invert(y)
+                        u = emb.invert(x)
+                        v = rect.invert(y)
                         expected = inputs[i][j].sheet.at(u, v)
                         break
                 else:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strips_operad import mutants
-from strips_operad.exact import AffineMap1, AffineMap2, rect_of
+from strips_operad import serialize
+from strips_operad.exact import AffineMap1
 from strips_operad.framework import (Block, FiberProductError, run_rel_check)
 from strips_operad.intervals import IntervalConfig, interval_violation
 from strips_operad.strips import (StripConfig, random_strip,
@@ -30,20 +31,16 @@ def test_unit_projects_to_unit_interval():
 
 def test_compose_hand_example():
     base = IntervalConfig((emb((1, 2), (1, 4)),))
-    outer = StripConfig((1,), base,
-                        ((rect_of(F(1, 4), F(3, 4), F(1, 4), F(3, 4)),),))
+    outer = StripConfig((1,), base, ((emb((1, 2), (1, 4)),),))
     inner_base = IntervalConfig((emb(1, 0),))
     inner = StripConfig((2,), inner_base,
-                        ((rect_of(F(0), F(1), F(0), F(1, 4)),
-                          rect_of(F(0), F(1), F(1, 2), F(1)),),))
+                        ((emb((1, 4), 0), emb((1, 2), (1, 2))),))
     out = strip_compose(outer, (Block(inner_base, (inner,)),))
     assert out.shape == (2,)
     assert strip_project(out).images() == ((F(1, 4), F(3, 4)),)
     r1, r2 = out.rects[0]
-    assert r1.x_part.image() == (F(1, 4), F(3, 4))
-    assert r1.y_part.image() == (F(1, 4), F(3, 8))
-    assert r2.x_part.image() == (F(1, 4), F(3, 4))
-    assert r2.y_part.image() == (F(1, 2), F(3, 4))
+    assert r1.image() == (F(1, 4), F(3, 8))
+    assert r2.image() == (F(1, 2), F(3, 4))
     assert strip_violation(out) is None
 
 
@@ -71,36 +68,41 @@ def test_unit_laws():
 
 
 def test_validator_catches_x_misalignment():
+    # a rectangle spans its strip by construction, so only a document can
+    # put one off its strip, and the decoder refuses it
+    doc = {"shape": [1], "base": {"embeddings": [{"a": "1/2", "c": "0"}]},
+           "rects": [[{"a": "1/2", "b": "1/4", "c": "1/4", "d": "1/4"}]]}
+    with pytest.raises(ValueError, match=r"^rectangle \(1, 1\) is not aligned "
+                                         r"with strip 1$"):
+        serialize.strip_from_json(doc)
+    # alignment is decided on values, not on their text
+    doc["rects"][0][0].update(a="2/4", c="0/3")
+    assert serialize.strip_from_json(doc).rects == ((emb((1, 4), (1, 4)),),)
+
+
+def test_rectangles_must_be_vertical_embeddings():
     base = IntervalConfig((emb((1, 2), 0),))
-    bad = StripConfig((1,), base,
-                      ((AffineMap2(emb((1, 2), (1, 4)), emb((1, 4), (1, 4))),),))
-    msg = strip_violation(bad)
-    assert msg is not None and "(1, 1)" in msg
+    for rect in ((emb((1, 2), 0), emb((1, 4), 0)), F(1, 4), None):
+        with pytest.raises(TypeError, match="expected AffineMap1"):
+            StripConfig((1,), base, ((rect,),))
 
 
 def test_validator_catches_vertical_overlap():
     base = IntervalConfig((emb((1, 2), 0),))
-    x = emb((1, 2), 0)
-    bad = StripConfig((2,), base,
-                      ((AffineMap2(x, emb((1, 2), 0)),
-                        AffineMap2(x, emb((1, 2), (1, 4))),),))
+    bad = StripConfig((2,), base, ((emb((1, 2), 0), emb((1, 2), (1, 4))),))
     assert strip_violation(bad) is not None
 
 
 def test_validator_catches_touching_rects():
     base = IntervalConfig((emb((1, 2), 0),))
-    x = emb((1, 2), 0)
-    bad = StripConfig((2,), base,
-                      ((AffineMap2(x, emb((1, 4), 0)),
-                        AffineMap2(x, emb((1, 4), (1, 4))),),))
+    bad = StripConfig((2,), base, ((emb((1, 4), 0), emb((1, 4), (1, 4))),))
     assert strip_violation(bad) is not None
 
 
 def test_validator_catches_bad_base():
     base = IntervalConfig((emb(2, 0),))
     assert interval_violation(base) is not None
-    cfg = StripConfig((1,), base,
-                      ((AffineMap2(emb(2, 0), emb((1, 2), (1, 4))),),))
+    cfg = StripConfig((1,), base, ((emb((1, 2), (1, 4)),),))
     msg = strip_violation(cfg)
     assert msg is not None and msg.startswith("base")
 
@@ -113,8 +115,8 @@ def test_validator_accepts_empty_strips():
 
 def test_rects_in_different_strips_must_not_collide():
     # two strips whose rectangles overlap horizontally cannot exist, since
-    # each rectangle's x-part equals its strip's embedding and the strips are
-    # disjoint; build a malformed value by lying about the shape instead.
+    # each rectangle spans its own strip and the strips are disjoint; only
+    # overlapping strips, a bad base, can make them collide.
     base = IntervalConfig((emb((1, 4), 0), emb((1, 4), (1, 8))))
     assert interval_violation(base) is not None
 
@@ -138,7 +140,7 @@ def test_random_strip_denominators_are_bounded():
     cfg = random_strip((2, 2), seed=123)
     for strip in cfg.rects:
         for r in strip:
-            for v in (r.y_part.a, r.y_part.c):
+            for v in (r.a, r.c):
                 assert v.denominator <= 2 ** 16
 
 
@@ -194,25 +196,22 @@ def quadratic_strip_violation(config):
         return f"base: {base_bad}"
     for i, row in enumerate(config.rects):
         for j, rect in enumerate(row):
-            if rect.x_part != config.base.embeddings[i]:
-                return (f"rectangle ({i + 1}, {j + 1}) is not aligned with "
-                        f"strip {i + 1}")
-            lo, hi = rect.y_part.image()
+            lo, hi = rect.image()
             if lo < ZERO or hi > ONE:
                 return (f"rectangle ({i + 1}, {j + 1}) vertical image "
                         f"[{lo}, {hi}] leaves [0, 1]")
         for j in range(len(row) - 1):
-            if not row[j].y_part.image()[1] < row[j + 1].y_part.image()[0]:
+            if not row[j].image()[1] < row[j + 1].image()[0]:
                 return (f"rectangle ({i + 1}, {j + 1}) does not sit strictly "
                         f"below rectangle ({i + 1}, {j + 2})")
-    flat = [(i, j, rect) for i, row in enumerate(config.rects)
+    flat = [(i, j, emb.image(), rect.image())
+            for i, (emb, row) in enumerate(zip(config.base.embeddings,
+                                               config.rects))
             for j, rect in enumerate(row)]
     for a in range(len(flat)):
-        i1, j1, r1 = flat[a]
-        (x1l, x1h), (y1l, y1h) = r1.image()
+        i1, j1, (x1l, x1h), (y1l, y1h) = flat[a]
         for b in range(a + 1, len(flat)):
-            i2, j2, r2 = flat[b]
-            (x2l, x2h), (y2l, y2h) = r2.image()
+            i2, j2, (x2l, x2h), (y2l, y2h) = flat[b]
             if x1l <= x2h and x2l <= x1h and y1l <= y2h and y2l <= y1h:
                 return (f"rectangles ({i1 + 1}, {j1 + 1}) and "
                         f"({i2 + 1}, {j2 + 1}) intersect")
@@ -277,32 +276,26 @@ def test_linear_validator_matches_oracle_on_each_invalid_class():
     for i, row in rows[:3]:
         j = rng.randrange(len(row) - 1)
         rect, above = row[j], row[j + 1]
-        y_lo, y_hi = above.y_part.image()
-        # x-misaligned
-        bad.append(_with_rect(composite, i, j, AffineMap2(
-            AffineMap1(rect.x_part.a / 2, rect.x_part.c), rect.y_part)))
+        y_lo, y_hi = above.image()
         # vertical image leaving [0, 1], above and below
-        bad.append(_with_rect(composite, i, len(row) - 1, AffineMap2(
-            rect.x_part, AffineMap1(F(1, 2), F(3, 4)))))
-        bad.append(_with_rect(composite, i, 0, AffineMap2(
-            rect.x_part, AffineMap1(F(1, 8), F(-1, 16)))))
+        bad.append(_with_rect(composite, i, len(row) - 1,
+                              AffineMap1(F(1, 2), F(3, 4))))
+        bad.append(_with_rect(composite, i, 0, AffineMap1(F(1, 8), F(-1, 16))))
         # overlapping, touching, and out of order within a strip
-        bad.append(_with_rect(composite, i, j, AffineMap2(
-            rect.x_part, AffineMap1(y_hi - rect.y_part.c, rect.y_part.c))))
-        bad.append(_with_rect(composite, i, j, AffineMap2(
-            rect.x_part, AffineMap1(y_lo - rect.y_part.c, rect.y_part.c))))
+        bad.append(_with_rect(composite, i, j,
+                              AffineMap1(y_hi - rect.c, rect.c)))
+        bad.append(_with_rect(composite, i, j,
+                              AffineMap1(y_lo - rect.c, rect.c)))
         bad.append(_with_rect(composite, i, j + 1, rect))
     for config in bad:
         assert assert_same_verdict(config) is not None
     # a bad base: an interval leaving [0, 1], and two strips that touch
     x = emb((1, 2), (3, 4))
-    leaving = StripConfig((1,), IntervalConfig((x,)),
-                          ((AffineMap2(x, emb((1, 2), 0)),),))
+    leaving = StripConfig((1,), IntervalConfig((x,)), ((emb((1, 2), 0),),))
     assert assert_same_verdict(leaving).startswith("base: interval 1 image")
     left, right = emb((1, 4), 0), emb((1, 4), (1, 4))
     touching = StripConfig((1, 1), IntervalConfig((left, right)),
-                           ((AffineMap2(left, emb((1, 2), 0)),),
-                            (AffineMap2(right, emb((1, 2), 0)),)))
+                           ((emb((1, 2), 0),), (emb((1, 2), 0),)))
     assert "overlaps" in assert_same_verdict(touching)
     # empty strips, alone and between full ones
     for shape in ((0, 0, 1), (0, 3, 0), (2, 0, 1), (1, 0, 0, 0)):
@@ -316,8 +309,7 @@ GRID = 8
 def grid_configs(draw):
     """Strip configurations on a small grid.  The base and each strip's
     vertical boxes are either in strictly increasing order inside [0, 1] or
-    arbitrary boxes around it, and each rectangle's x part is its strip's
-    embedding or, one time in eight, an arbitrary box."""
+    arbitrary boxes around it."""
     def box():
         lo = draw(st.integers(-1, GRID))
         hi = draw(st.integers(lo + 1, GRID + 1))
@@ -335,12 +327,7 @@ def grid_configs(draw):
     base = IntervalConfig(tuple(boxes(r)))
     shape = tuple(draw(st.integers(0, 3)) for _ in range(r))
     shape = shape[:-1] + (shape[-1] or 1,)       # at least one rectangle
-    rows = tuple(
-        tuple(AffineMap2(box() if draw(st.integers(0, 7)) == 0
-                         else base.embeddings[i], y)
-              for y in boxes(n))
-        for i, n in enumerate(shape))
-    return StripConfig(shape, base, rows)
+    return StripConfig(shape, base, tuple(tuple(boxes(n)) for n in shape))
 
 
 @settings(max_examples=400, deadline=None)
@@ -364,38 +351,33 @@ def test_composites_equal_the_public_constructor():
         assert out == built and hash(out) == hash(built)
         assert type(out.shape) is tuple and type(out.rects) is tuple
         assert all(type(row) is tuple for row in out.rects)
-        assert all(type(rect) is AffineMap2 for row in out.rects for rect in row)
-        # the x part of every rectangle is its strip's embedding itself
-        for emb, row in zip(out.base.embeddings, out.rects):
-            assert all(rect.x_part is emb for rect in row)
+        assert all(type(rect) is AffineMap1 for row in out.rects for rect in row)
+
+
+def _copy(e):
+    return AffineMap1(e.a, e.c)
+
+
+def _unshared_base(base):
+    return IntervalConfig(tuple(map(_copy, base.embeddings)))
 
 
 def _unshared(config):
-    """An equal configuration whose rectangles share no x part object."""
-    return StripConfig(config.shape, config.base, tuple(
-        tuple(AffineMap2(AffineMap1(r.x_part.a, r.x_part.c), r.y_part)
-              for r in row) for row in config.rects))
+    """An equal configuration that shares no embedding object with ``config``."""
+    return StripConfig(config.shape, _unshared_base(config.base),
+                       tuple(tuple(map(_copy, row)) for row in config.rects))
 
 
 def test_compose_does_not_depend_on_shared_x_parts():
-    # a rectangle's x part is reused only for the very same input objects;
-    # equal copies are composed one by one, to the same result
+    # equal copies of every strip embedding (the x part of its rectangles)
+    # and of every vertical embedding compose to the same result
     from strips_operad.framework import random_rel_elements, random_rel_plan
     rng = random.Random("shared x parts")
     rel = strips_rel_operad()
     for _ in range(40):
         elems = random_rel_elements(rel, random_rel_plan(rng, 3, 5), rng)
-        blocks = tuple(Block(b.base, tuple(_unshared(q) for q in b.configs))
+        blocks = tuple(Block(_unshared_base(b.base),
+                             tuple(_unshared(q) for q in b.configs))
                        for b in elems.first)
         shared = strip_compose(elems.outer, elems.first)
         assert strip_compose(_unshared(elems.outer), blocks) == shared
-    # an x part that differs from its strip's embedding stays in the composite
-    outer = random_strip((2,), seed=8)
-    emb = outer.base.embeddings[0]
-    off = AffineMap2(AffineMap1(emb.a / 2, emb.c), outer.rects[0][1].y_part)
-    bad = StripConfig((2,), outer.base, ((outer.rects[0][0], off),))
-    unit = strip_unit()
-    for got in (strip_compose(bad, (Block(unit.base, (unit, unit)),)),
-                strip_compose(unit, (Block(bad.base, (bad,)),))):
-        assert got.rects == bad.rects
-        assert strip_violation(got) == strip_violation(bad) is not None
