@@ -2,8 +2,7 @@
 loop/sheet algebras they act on, associahedron face enumeration, and seeded
 law-checking tools."""
 
-from .exact import (AffineMap1, GridSheet, PLPath, canonical_form,
-                    constant_path, constant_sheet)
+from .exact import AffineMap1, GridSheet, PLPath, constant_path, constant_sheet
 from .framework import (AlgebraInstance, Block, ChainError, CheckFailure,
                         CheckReport, FiberProductError, OperadInstance,
                         RelTwoOperadInstance, check_algebra_laws,

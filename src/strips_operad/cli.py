@@ -222,22 +222,24 @@ def cmd_compose(args) -> int:
     in document order, so the first defect in that order is reported."""
     plan = _load_plan(Path(args.plan))
     kind = plan.get("kind")
+    field = functools.partial(serialize.key_from_json, plan, what="the plan")
     if kind == "intervals":
         outer = _valid("outer", interval_violation,
-                       serialize.intervals_from_json(plan["outer"]))
-        inners = serialize.array_from_json(plan["inners"], '"inners"')
+                       serialize.intervals_from_json(field("outer")))
+        inners = serialize.array_from_json(field("inners"), '"inners"')
         parts = [_valid(f"inner {k}", interval_violation,
                         serialize.intervals_from_json(doc))
                  for k, doc in enumerate(inners, 1)]
         compose, violation = interval_compose, interval_violation
         to_json = serialize.intervals_to_json
     elif kind == "strips":
-        outer = _strip_doc("outer", plan["outer"])
+        outer = _strip_doc("outer", field("outer"))
         parts = []
-        blocks = serialize.array_from_json(plan["blocks"], '"blocks"')
+        blocks = serialize.array_from_json(field("blocks"), '"blocks"')
         for i, blk in enumerate(blocks, 1):
             base = _valid(f"block {i} base", interval_violation,
-                          serialize.intervals_from_json(blk["base"]))
+                          serialize.intervals_from_json(
+                              serialize.key_from_json(blk, "base", f"block {i}")))
             configs = serialize.array_from_json(blk.get("configs", []), '"configs"')
             parts.append(Block(base, tuple(
                 _strip_doc(f"block {i} configuration {a}", doc)

@@ -6,11 +6,11 @@ strip configuration is two of them: its strip's across, its own upward),
 piecewise-linear paths, and grid-bilinear sheets.  An affine map of the line
 is stored as a reduced integer triple ``(an, cn, d)`` for ``x |-> (an*x +
 cn)/d``, which is unique per map, and composed on those ints; paths and
-sheets hold :class:`fractions.Fraction` coordinates.  Each function class
-has a canonical form (the normal triple, or a minimal breakpoint set), so
-equality *of the underlying functions* is decidable and reduces to ``==`` on
-canonical representatives.  That is the property the law checkers in
-:mod:`strips_operad.framework` rely on.
+sheets hold :class:`fractions.Fraction` coordinates.  Every value is stored
+in the one form its function has (the normal triple, or the minimal
+breakpoint set, which each constructor prunes to), so ``==`` and ``hash``
+are those of the underlying functions.  That is the property the law
+checkers in :mod:`strips_operad.framework` rely on.
 """
 from __future__ import annotations
 
@@ -91,18 +91,6 @@ def locate_sorted(breaks: Sequence[int], ts: Iterable[int]) -> list:
         else:
             out.append((i, (t - t0, t1 - t0)))
     return out
-
-
-def _merged(breaks: tuple, extra: Iterable, what: str) -> tuple:
-    """``breaks`` with the points of ``extra`` added, sorted, duplicates
-    merged; a point outside [0, 1] is a ``ValueError`` naming ``what``."""
-    pts = set(breaks)
-    for t in extra:
-        t = as_rat(t)
-        if not ZERO <= t <= ONE:
-            raise ValueError(f"{what} {t} outside [0, 1]")
-        pts.add(t)
-    return tuple(sorted(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,9 @@ class PLPath:
     """Piecewise-linear function [0,1] -> Q^d, linear between breakpoints.
 
     ``values[k]`` is the value at ``breaks[k]``; breaks are strictly
-    increasing with ``breaks[0] == 0`` and ``breaks[-1] == 1``.
+    increasing with ``breaks[0] == 0`` and ``breaks[-1] == 1``.  An interior
+    breakpoint where the slope does not change is dropped on construction,
+    so two paths are ``==`` exactly when they are the same function.
     """
 
     breaks: tuple
@@ -241,8 +231,6 @@ class PLPath:
     def __post_init__(self):
         breaks = tuple([as_rat(t) for t in self.breaks])
         values = tuple([as_point(v) for v in self.values])
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", values)
         _check_breaks(breaks)
         if breaks[0] != ZERO or breaks[-1] != ONE:
             raise ValueError("path must be parametrized over [0, 1]")
@@ -251,6 +239,7 @@ class PLPath:
         d = len(values[0])
         if any(len(v) != d for v in values):
             raise ValueError("all values must have the same dimension")
+        _store_path(self, breaks, values)
 
     @property
     def dim(self) -> int:
@@ -266,31 +255,31 @@ class PLPath:
                                         w.numerator, w.denominator)
 
     def canonical(self) -> "PLPath":
-        """Drop every interior breakpoint where the slope does not change."""
-        n, d = len(self.breaks), self.dim
-        flat = _scaled([c for v in self.values for c in v])
-        keep = _essential(self.breaks, [flat[k * d:k * d + d] for k in range(n)])
-        if len(keep) == n:
-            return self
-        return _path(tuple(self.breaks[k] for k in keep),
-                     tuple(self.values[k] for k in keep))
+        """``self``, since a path is stored in its minimal form.  Kept only
+        because the benchmark harness in ``bench/`` still calls it."""
+        return self
 
-    def refined(self, extra: Iterable) -> "PLPath":
-        """Same function presented with additional (redundant) breakpoints."""
-        breaks = _merged(self.breaks, extra, "extra breakpoint")
-        return PLPath(breaks, tuple(self.at(t) for t in breaks))
+
+def _store_path(path: PLPath, breaks: tuple, values: tuple) -> PLPath:
+    """Store ``breaks`` and ``values`` as the fields of ``path``, less every
+    interior breakpoint where the slope does not change; return ``path``."""
+    n, d = len(breaks), len(values[0])
+    flat = _scaled([c for v in values for c in v])
+    keep = _essential(breaks, [flat[k * d:k * d + d] for k in range(n)])
+    if len(keep) < n:
+        breaks = tuple([breaks[k] for k in keep])
+        values = tuple([values[k] for k in keep])
+    fields = path.__dict__          # the frozen dataclass's own storage
+    fields["breaks"], fields["values"] = breaks, values
+    return path
 
 
 def _path(breaks: tuple, values: tuple) -> PLPath:
     """A :class:`PLPath` from parts that already hold its invariants (a tuple
     of strictly increasing ``Fraction`` breaks from 0 to 1, and a tuple of as
     many ``Fraction`` points of one dimension), built without coercing or
-    checking them again."""
-    path = object.__new__(PLPath)
-    fields = path.__dict__          # the frozen dataclass's own storage
-    fields["breaks"] = breaks
-    fields["values"] = values
-    return path
+    checking them again, and pruned to its minimal form."""
+    return _store_path(object.__new__(PLPath), breaks, values)
 
 
 def constant_path(value) -> PLPath:
@@ -306,7 +295,9 @@ def constant_path(value) -> PLPath:
 class GridSheet:
     """Function [0,1]^2 -> Q^d, bilinear on each cell of a rectangular grid.
 
-    ``values[ix][iy]`` is the value at ``(x_breaks[ix], y_breaks[iy])``.
+    ``values[ix][iy]`` is the value at ``(x_breaks[ix], y_breaks[iy])``.  A
+    redundant grid line is dropped on construction, so two sheets are ``==``
+    exactly when they are the same function.
     """
 
     x_breaks: tuple
@@ -317,9 +308,6 @@ class GridSheet:
         xb = tuple([as_rat(t) for t in self.x_breaks])
         yb = tuple([as_rat(t) for t in self.y_breaks])
         vals = tuple([tuple([as_point(v) for v in col]) for col in self.values])
-        object.__setattr__(self, "x_breaks", xb)
-        object.__setattr__(self, "y_breaks", yb)
-        object.__setattr__(self, "values", vals)
         for breaks in (xb, yb):
             _check_breaks(breaks)
             if breaks[0] != ZERO or breaks[-1] != ONE:
@@ -329,6 +317,7 @@ class GridSheet:
         d = len(vals[0][0])
         if any(len(v) != d for col in vals for v in col):
             raise ValueError("all values must have the same dimension")
+        _store_sheet(self, xb, yb, vals)
 
     @property
     def dim(self) -> int:
@@ -353,35 +342,9 @@ class GridSheet:
                                          w.numerator, w.denominator)
 
     def canonical(self) -> "GridSheet":
-        """Drop redundant grid lines.
-
-        An interior x-line is kept iff some row of grid values has a slope
-        change across it, and symmetrically for y-lines.  Whether a line is
-        redundant does not depend on redundant lines along the other axis
-        (slopes are computed between retained neighbours), so both axes can
-        be pruned in one pass, over one integer scaling of the value grid.
-        """
-        nx, ny, d = len(self.x_breaks), len(self.y_breaks), self.dim
-        flat = _scaled([c for col in self.values for v in col for c in v])
-        m = ny * d
-        x_lines = [flat[ix * m:ix * m + m] for ix in range(nx)]
-        y_lines = [[c for line in x_lines for c in line[iy * d:iy * d + d]]
-                   for iy in range(ny)]
-        keep_x = _essential(self.x_breaks, x_lines)
-        keep_y = _essential(self.y_breaks, y_lines)
-        if len(keep_x) == nx and len(keep_y) == ny:
-            return self
-        vals = tuple(tuple(self.values[ix][iy] for iy in keep_y) for ix in keep_x)
-        return _sheet(tuple(self.x_breaks[i] for i in keep_x),
-                      tuple(self.y_breaks[i] for i in keep_y),
-                      vals)
-
-    def refined(self, extra_x: Iterable = (), extra_y: Iterable = ()) -> "GridSheet":
-        """Same function on a finer grid (duplicates are merged)."""
-        xb = _merged(self.x_breaks, extra_x, "extra x grid line")
-        yb = _merged(self.y_breaks, extra_y, "extra y grid line")
-        vals = tuple(tuple(self.at(x, y) for y in yb) for x in xb)
-        return GridSheet(xb, yb, vals)
+        """``self``, since a sheet is stored in its minimal form.  Kept only
+        because the benchmark harness in ``bench/`` still calls it."""
+        return self
 
     def row(self, iy: int) -> tuple:
         """Values along the iy-th y grid line, indexed by x."""
@@ -394,18 +357,42 @@ class GridSheet:
         return _path(self.x_breaks, self.row(len(self.y_breaks) - 1))
 
 
+def _store_sheet(sheet: GridSheet, x_breaks: tuple, y_breaks: tuple,
+                 values: tuple) -> GridSheet:
+    """Store the parts as the fields of ``sheet``, less every redundant grid
+    line; return ``sheet``.
+
+    An interior x-line is kept iff some row of grid values has a slope
+    change across it, and symmetrically for y-lines.  Whether a line is
+    redundant does not depend on redundant lines along the other axis
+    (slopes are computed between retained neighbours), so both axes can be
+    pruned in one pass, over one integer scaling of the value grid.
+    """
+    nx, ny, d = len(x_breaks), len(y_breaks), len(values[0][0])
+    flat = _scaled([c for col in values for v in col for c in v])
+    m = ny * d
+    x_lines = [flat[ix * m:ix * m + m] for ix in range(nx)]
+    y_lines = [[c for line in x_lines for c in line[iy * d:iy * d + d]]
+               for iy in range(ny)]
+    keep_x = _essential(x_breaks, x_lines)
+    keep_y = _essential(y_breaks, y_lines)
+    if len(keep_x) < nx or len(keep_y) < ny:
+        values = tuple([tuple([values[ix][iy] for iy in keep_y]) for ix in keep_x])
+        x_breaks = tuple([x_breaks[i] for i in keep_x])
+        y_breaks = tuple([y_breaks[i] for i in keep_y])
+    fields = sheet.__dict__         # the frozen dataclass's own storage
+    fields["x_breaks"], fields["y_breaks"] = x_breaks, y_breaks
+    fields["values"] = values
+    return sheet
+
+
 def _sheet(x_breaks: tuple, y_breaks: tuple, values: tuple) -> GridSheet:
     """A :class:`GridSheet` from parts that already hold its invariants (two
     tuples of strictly increasing ``Fraction`` breaks from 0 to 1, and a
     tuple of columns, one per x-break, each a tuple of one ``Fraction`` point
     per y-break, all of one dimension), built without coercing or checking
-    them again."""
-    sheet = object.__new__(GridSheet)
-    fields = sheet.__dict__         # the frozen dataclass's own storage
-    fields["x_breaks"] = x_breaks
-    fields["y_breaks"] = y_breaks
-    fields["values"] = values
-    return sheet
+    them again, and pruned to its minimal form."""
+    return _store_sheet(object.__new__(GridSheet), x_breaks, y_breaks, values)
 
 
 def _scaled(xs: Sequence[Fraction]) -> list:
@@ -462,19 +449,3 @@ def _essential(breaks: tuple, lines: list) -> list:
 def constant_sheet(value) -> GridSheet:
     v = as_point(value)
     return GridSheet((ZERO, ONE), (ZERO, ONE), ((v, v), (v, v)))
-
-
-# ---------------------------------------------------------------------------
-# canonical form entry point
-# ---------------------------------------------------------------------------
-
-def canonical_form(obj: PLPath | GridSheet) -> PLPath | GridSheet:
-    """Minimal-breakpoint representative of the same function.
-
-    Idempotent, and two representations of the same function canonicalize to
-    equal objects, so ``canonical_form(f) == canonical_form(g)`` decides
-    function equality.
-    """
-    if not isinstance(obj, (PLPath, GridSheet)):
-        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
-    return obj.canonical()

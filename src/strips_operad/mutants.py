@@ -74,15 +74,13 @@ def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
 
     def act(config, inputs):
         res = act_on_sheets(f, config, inputs)
-        sheet = res.sheet.refined(extra_x=(HALF,), extra_y=(HALF,))
-        ix = sheet.x_breaks.index(HALF)
-        iy = sheet.y_breaks.index(HALF)
-        vals = [list(col) for col in sheet.values]
-        v = vals[ix][iy]
-        vals[ix][iy] = (v[0] + DRIFT,) + v[1:]
-        bad = GridSheet(sheet.x_breaks, sheet.y_breaks,
-                        tuple(tuple(col) for col in vals))
-        return SheetElement(bad, res.bottom, res.top)
+        # the same function on a grid with lines at HALF, centre value moved
+        xs = sorted({*res.sheet.x_breaks, HALF})
+        ys = sorted({*res.sheet.y_breaks, HALF})
+        vals = [[res.sheet.at(x, y) for y in ys] for x in xs]
+        ix, iy = xs.index(HALF), ys.index(HALF)
+        vals[ix][iy] = (vals[ix][iy][0] + DRIFT,) + vals[ix][iy][1:]
+        return SheetElement(GridSheet(xs, ys, vals), res.bottom, res.top)
 
     return replace(sheets.sheet_algebra(f), act_sheet=act)
 

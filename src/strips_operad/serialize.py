@@ -2,8 +2,8 @@
 
 Rationals are encoded as strings like ``"3/4"`` (or ``"2"`` when integral);
 all container encodings are plain dicts/lists so the output of
-:func:`dumps` is stable and diff-friendly.  Decoders refuse a string or an
-object where an array belongs, rather than read its characters or keys.
+:func:`dumps` is stable and diff-friendly.  Decoders refuse, naming the node
+or key, a non-array where an array belongs and a non-object or missing key.
 """
 from __future__ import annotations
 
@@ -60,6 +60,16 @@ def array_from_json(obj, what: str) -> list:
     return obj
 
 
+def key_from_json(obj, key: str, what: str):
+    """``obj[key]``; a ``ValueError`` names ``what`` if it is not a JSON
+    object, or the key if it is missing."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f'missing key "{key}"')
+    return obj[key]
+
+
 def point_to_json(p) -> list:
     return [rat_to_json(c) for c in p]
 
@@ -75,7 +85,8 @@ def affine1_to_json(e: AffineMap1) -> dict:
 
 
 def affine1_from_json(obj) -> AffineMap1:
-    return AffineMap1(rat_from_json(obj["a"]), rat_from_json(obj["c"]))
+    return AffineMap1(rat_from_json(key_from_json(obj, "a", "an embedding")),
+                      rat_from_json(key_from_json(obj, "c", "an embedding")))
 
 
 # --- configurations --------------------------------------------------------
@@ -85,8 +96,9 @@ def intervals_to_json(config: IntervalConfig) -> dict:
 
 
 def intervals_from_json(obj) -> IntervalConfig:
+    embeddings = key_from_json(obj, "embeddings", "an interval configuration")
     return IntervalConfig(tuple(affine1_from_json(e) for e in
-                                array_from_json(obj["embeddings"], '"embeddings"')))
+                                array_from_json(embeddings, '"embeddings"')))
 
 
 def strip_to_json(config: StripConfig) -> dict:
@@ -104,12 +116,14 @@ def strip_from_json(obj) -> StripConfig:
     """The configuration of a :func:`strip_to_json` document; a rectangle
     whose ``"a"`` and ``"c"`` are not its strip's embedding is a
     ``ValueError``."""
-    shape = tuple(array_from_json(obj["shape"], '"shape"'))
-    base = intervals_from_json(obj["base"])
-    rows = [[(affine1_from_json(r),
-              AffineMap1(rat_from_json(r["b"]), rat_from_json(r["d"])))
+    what = "a strip configuration"
+    shape = tuple(array_from_json(key_from_json(obj, "shape", what), '"shape"'))
+    base = intervals_from_json(key_from_json(obj, "base", what))
+    rows = [[(affine1_from_json(r),     # a rectangle embeds the square
+              AffineMap1(rat_from_json(key_from_json(r, "b", "an embedding")),
+                         rat_from_json(key_from_json(r, "d", "an embedding"))))
              for r in array_from_json(row, 'a row of "rects"')]
-            for row in array_from_json(obj["rects"], '"rects"')]
+            for row in array_from_json(key_from_json(obj, "rects", what), '"rects"')]
     config = StripConfig(shape, base,
                          tuple(tuple(y for _, y in row) for row in rows))
     for i, (emb, row) in enumerate(zip(base.embeddings, rows), 1):
@@ -128,8 +142,10 @@ def plpath_to_json(path: PLPath) -> dict:
 
 
 def plpath_from_json(obj) -> PLPath:
-    return PLPath(tuple(rat_from_json(t) for t in array_from_json(obj["breaks"], '"breaks"')),
-                  tuple(point_from_json(v) for v in array_from_json(obj["values"], '"values"')))
+    breaks, values = (array_from_json(key_from_json(obj, k, "a path"), f'"{k}"')
+                      for k in ("breaks", "values"))
+    return PLPath(tuple(rat_from_json(t) for t in breaks),
+                  tuple(point_from_json(v) for v in values))
 
 
 def sheet_to_json(sheet: GridSheet) -> dict:
@@ -139,13 +155,13 @@ def sheet_to_json(sheet: GridSheet) -> dict:
 
 
 def sheet_from_json(obj) -> GridSheet:
-    return GridSheet(tuple(rat_from_json(t)
-                           for t in array_from_json(obj["x_breaks"], '"x_breaks"')),
-                     tuple(rat_from_json(t)
-                           for t in array_from_json(obj["y_breaks"], '"y_breaks"')),
+    xb, yb, values = (array_from_json(key_from_json(obj, k, "a sheet"), f'"{k}"')
+                      for k in ("x_breaks", "y_breaks", "values"))
+    return GridSheet(tuple(rat_from_json(t) for t in xb),
+                     tuple(rat_from_json(t) for t in yb),
                      tuple(tuple(point_from_json(v)
                                  for v in array_from_json(col, 'a column of "values"'))
-                           for col in array_from_json(obj["values"], '"values"')))
+                           for col in values))
 
 
 def loop_to_json(loop: Loop) -> dict:
@@ -163,24 +179,22 @@ def sheet_element_to_json(elem: SheetElement) -> dict:
 
 
 def sheet_element_from_json(obj) -> SheetElement:
-    return SheetElement(sheet_from_json(obj["sheet"]),
-                        loop_from_json(obj["bottom"]),
-                        loop_from_json(obj["top"]))
+    return SheetElement(sheet_from_json(key_from_json(obj, "sheet", "a sheet element")),
+                        loop_from_json(key_from_json(obj, "bottom", "a sheet element")),
+                        loop_from_json(key_from_json(obj, "top", "a sheet element")))
 
 
 def pointed_map_to_json(f: PointedMap) -> dict:
     return {"matrix": [point_to_json(row) for row in f.matrix],
-            "offset": point_to_json(f.offset),
             "dom_base": point_to_json(f.dom_base),
             "cod_base": point_to_json(f.cod_base)}
 
 
 def pointed_map_from_json(obj) -> PointedMap:
-    return PointedMap(tuple(point_from_json(row)
-                            for row in array_from_json(obj["matrix"], '"matrix"')),
-                      point_from_json(obj["offset"]),
-                      point_from_json(obj["dom_base"]),
-                      point_from_json(obj["cod_base"]))
+    matrix = array_from_json(key_from_json(obj, "matrix", "a pointed map"), '"matrix"')
+    return PointedMap(tuple(point_from_json(row) for row in matrix),
+                      point_from_json(key_from_json(obj, "dom_base", "a pointed map")),
+                      point_from_json(key_from_json(obj, "cod_base", "a pointed map")))
 
 
 # --- trees -----------------------------------------------------------------

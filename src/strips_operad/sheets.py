@@ -1,22 +1,24 @@
 """Loops and sheets over a pointed affine map, and the strip actions on them.
 
 Fix an affine map f from one rational affine space to another carrying a
-basepoint q to a basepoint p.  The carriers here are piecewise-linear loops
-at q in the source space; over them sit *sheet elements*: grid-bilinear
-squares in the target space whose bottom and top edges are the images under f
-of two such loops and whose left and right edges are constantly p.
+basepoint q to a basepoint p.  The carriers here are piecewise-linear loops at
+q in the source space; over them sit *sheet elements*: grid-bilinear squares
+in the target space whose bottom and top edges are the images under f of two
+such loops and whose left and right edges are constantly p.  Paths and sheets
+are stored in their minimal form (:mod:`strips_operad.exact`), so ``==`` on
+loops and sheet elements is equality of functions.
 
 An interval configuration acts on a list of loops by playing each loop inside
-its interval and resting at q elsewhere.  A strip configuration acts on
-chains of sheet elements (one chain per strip, matched end-to-start;
-a bare loop for an empty strip) by inserting each sheet into its rectangle,
-filling the rest of its strip with the junction loops pushed through f, and
-filling columns outside all strips with p.
+its interval and resting at q elsewhere.  A strip configuration acts on chains
+of sheet elements (one chain per strip, matched end-to-start; a bare loop for
+an empty strip) by inserting each sheet into its rectangle, filling the rest
+of its strip with the junction loops pushed through f, and filling columns
+outside all strips with p.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
@@ -33,29 +35,28 @@ class PointedMap:
     """Affine map between rational affine spaces with chosen basepoints.
 
     ``matrix`` has one row per output coordinate; ``apply(v) = matrix·v +
-    offset``; the basepoint of the source must land on the basepoint of the
-    target."""
+    offset``, where the offset is fixed by carrying the source basepoint to
+    the target one."""
 
     matrix: tuple
-    offset: tuple
     dom_base: tuple
     cod_base: tuple
+    offset: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = tuple(as_point(row) for row in self.matrix)
-        offset = as_point(self.offset)
         dom = as_point(self.dom_base)
         cod = as_point(self.cod_base)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "dom_base", dom)
-        object.__setattr__(self, "cod_base", cod)
-        if len(matrix) != len(offset) or len(offset) != len(cod):
-            raise ValueError("matrix rows, offset and target basepoint must match")
+        if len(matrix) != len(cod):
+            raise ValueError("matrix rows must match the target dimension")
         if any(len(row) != len(dom) for row in matrix):
             raise ValueError("matrix columns must match the source dimension")
-        if self.apply(dom) != cod:
-            raise ValueError("the map must carry the source basepoint to the target one")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "dom_base", dom)
+        object.__setattr__(self, "cod_base", cod)
+        object.__setattr__(self, "offset", tuple(
+            c - sum(a * x for a, x in zip(row, dom))
+            for row, c in zip(matrix, cod)))
 
     @property
     def dim_in(self) -> int:
@@ -80,25 +81,14 @@ class PointedMap:
             out.append(Fraction(num, den))
         return tuple(out)
 
-    @classmethod
-    def from_basepoints(cls, matrix, dom_base, cod_base) -> "PointedMap":
-        """Build the unique affine map with this linear part and basepoints."""
-        matrix = tuple(as_point(row) for row in matrix)
-        dom = as_point(dom_base)
-        cod = as_point(cod_base)
-        offset = tuple(c - sum(a * x for a, x in zip(row, dom))
-                       for row, c in zip(matrix, cod))
-        return cls(matrix, offset, dom, cod)
-
 
 @dataclass(frozen=True)
 class Loop:
-    """A closed PL path, stored in canonical form."""
+    """A closed PL path."""
 
     path: PLPath
 
     def __post_init__(self):
-        object.__setattr__(self, "path", self.path.canonical())
         if self.path.values[0] != self.path.values[-1]:
             raise ValueError("a loop must end where it starts")
 
@@ -121,18 +111,15 @@ def constant_loop(basepoint) -> Loop:
 
 @dataclass(frozen=True)
 class SheetElement:
-    """A sheet with its two boundary loops; the sheet is kept canonical."""
+    """A sheet with its two boundary loops."""
 
     sheet: GridSheet
     bottom: Loop
     top: Loop
 
-    def __post_init__(self):
-        object.__setattr__(self, "sheet", self.sheet.canonical())
-
 
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:
-    """The loop carried into the target space, canonicalized.
+    """The loop carried into the target space.
 
     Each (map, loop) pair is pushed once: the result is kept on the loop,
     outside its fields, keyed by the identity of the map.  The entry holds
@@ -143,7 +130,7 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
     hit = memo.get(id(f))
     if hit is None:
         hit = memo[id(f)] = (f, _path(loop.path.breaks, tuple(
-            f.apply(v) for v in loop.path.values)).canonical())
+            f.apply(v) for v in loop.path.values)))
     return hit[1]
 
 
@@ -407,9 +394,9 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
             if v != p:
                 return (f"{edge} edge value {v} at height {sheet.y_breaks[iy]}, "
                         f"expected the basepoint {p}")
-    if sheet.bottom_edge().canonical() != push_loop(f, elem.bottom):
+    if sheet.bottom_edge() != push_loop(f, elem.bottom):
         return "bottom edge differs from the mapped bottom loop"
-    if sheet.top_edge().canonical() != push_loop(f, elem.top):
+    if sheet.top_edge() != push_loop(f, elem.top):
         return "top edge differs from the mapped top loop"
     return None
 
@@ -457,9 +444,8 @@ def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> Pointed
     matrix = tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
                          for _ in range(dim_in))
                    for _ in range(dim_out))
-    return PointedMap.from_basepoints(matrix,
-                                      random_point(rng, dim_in, spread=4),
-                                      random_point(rng, dim_out, spread=4))
+    return PointedMap(matrix, random_point(rng, dim_in, spread=4),
+                      random_point(rng, dim_out, spread=4))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,23 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
+# --- redundant presentations of paths and sheets -----------------------------
+
+def path_presentation(path, extra) -> tuple:
+    """``(breaks, values)`` of ``path``'s function on its breaks and the
+    points of ``extra`` in [0, 1]: a presentation with redundant breaks."""
+    breaks = tuple(sorted({*path.breaks, *map(Fraction, extra)}))
+    return breaks, tuple(path.at(t) for t in breaks)
+
+
+def sheet_presentation(sheet, extra_x, extra_y) -> tuple:
+    """``(x_breaks, y_breaks, values)`` of ``sheet``'s function on its grid
+    lines and the extra ones: a presentation with redundant grid lines."""
+    xb = tuple(sorted({*sheet.x_breaks, *map(Fraction, extra_x)}))
+    yb = tuple(sorted({*sheet.y_breaks, *map(Fraction, extra_y)}))
+    return xb, yb, tuple(tuple(sheet.at(x, y) for y in yb) for x in xb)
+
+
 # --- chain inputs for sheet actions ------------------------------------------
 
 def chain_inputs(f: PointedMap, config: StripConfig, rng: random.Random):

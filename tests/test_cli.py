@@ -844,6 +844,69 @@ def test_compose_refuses_strings_and_objects_as_arrays(tmp_path, capsys):
         assert run(["compose", str(path)], capsys)[0] == 0
 
 
+def _plan_without_b():
+    plan = pin_strips_plan(2, 40, 8)
+    del plan["outer"]["rects"][0][0]["b"]
+    return plan
+
+
+def _element_without_values():
+    doc = pin_sheet_element(7)
+    del doc["bottom"]["values"]
+    return doc
+
+
+# A missing key or a non-object once printed Python's own text: "error: 'b'"
+# or "error: list indices must be integers or slices, not str".
+DECODING_ERRORS = {
+    "compose rectangle without b": ("compose", _plan_without_b,
+                                    'error: outer: missing key "b"\n'),
+    "compose block as a list": (
+        "compose", lambda: dict(pin_strips_plan(2, 40, 8), blocks=[[1]]),
+        "error: block 1 is not a JSON object\n"),
+    "compose without outer": ("compose", lambda: {"kind": "intervals", "inners": []},
+                              'error: missing key "outer"\n'),
+    "render embedding as a list": ("render", lambda: {"embeddings": [["1/2", "0"]]},
+                                   "error: an embedding is not a JSON object\n"),
+    "render loop without values": ("render", _element_without_values,
+                                   'error: missing key "values"\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODING_ERRORS))
+def test_decoding_errors_name_the_key_or_the_node(tmp_path, capsys, name):
+    command, make, line = DECODING_ERRORS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make()))
+    assert run([command, str(path)], capsys) == (2, "", line)
+
+
+def test_render_of_a_bare_sheet_draws_its_minimal_grid(tmp_path, capsys):
+    # a bare sheet was once drawn with every grid line of its document
+    from strips_operad import serialize as ser
+
+    from helpers import sheet_presentation
+
+    redundant = {"x_breaks": ["0", "1/2", "1"], "y_breaks": ["0", "1"],
+                 "values": [[["0"], ["0"]], [["1"], ["2"]], [["2"], ["4"]]]}
+    minimal = {"x_breaks": ["0", "1"], "y_breaks": ["0", "1"],
+               "values": [[["0"], ["0"]], [["2"], ["4"]]]}
+    xb, yb, values = sheet_presentation(ser.sheet_from_json(pin_sheet(6)),
+                                        {Fraction(1, 3)}, {Fraction(5, 7)})
+    refined = {"x_breaks": [ser.rat_to_json(t) for t in xb],
+               "y_breaks": [ser.rat_to_json(t) for t in yb],
+               "values": [[ser.point_to_json(v) for v in col] for col in values]}
+    for doc, want in ((redundant, minimal), (refined, pin_sheet(6))):
+        pictures = []
+        for d in (doc, want):
+            path = tmp_path / "sheet.json"
+            path.write_text(json.dumps(d))
+            code, out, err = run(["render", str(path)], capsys)
+            assert (code, err) == (0, "")
+            pictures.append(out)
+        assert pictures[0] == pictures[1]
+
+
 def test_render_refuses_a_rectangle_off_its_strip(tmp_path, capsys):
     doc = {"shape": [1, 1],
            "base": {"embeddings": [{"a": "1/4", "c": "0"},

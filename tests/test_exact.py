@@ -2,7 +2,7 @@
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
-                                 _affine1, _path, _sheet, canonical_form,
-                                 constant_path, constant_sheet, grid_lines,
-                                 locate, locate_sorted)
+                                 _affine1, _path, _sheet, constant_path,
+                                 constant_sheet, grid_lines, locate,
+                                 locate_sorted)
 
-from helpers import positive_scales, rationals, unit_rationals
+from helpers import (path_presentation, positive_scales, rationals,
+                     sheet_presentation, unit_rationals)
 
 
 # --- 1d affine maps ----------------------------------------------------------
@@ -200,17 +201,19 @@ def test_path_evaluation_is_linear_interpolation():
 
 def test_path_canonical_drops_collinear_breakpoint():
     p = PLPath((F(0), F(1, 2), F(1)), ((F(0),), (F(1, 2),), (F(1),)))
-    assert p.canonical() == PLPath((F(0), F(1)), ((F(0),), (F(1),)))
+    assert p.breaks == (F(0), F(1))
+    assert p == PLPath((F(0), F(1)), ((F(0),), (F(1),)))
 
 
 def test_path_canonical_keeps_slope_changes():
     p = PLPath((F(0), F(1, 2), F(1)), ((F(0),), (F(1),), (F(0),)))
-    assert p.canonical() == p
+    assert p.breaks == (F(0), F(1, 2), F(1))
+    assert p.values == ((F(0),), (F(1),), (F(0),))
 
 
 def test_constant_path_canonical_has_two_breakpoints():
     q = (F(2), F(-1, 3))
-    assert constant_path(q).canonical().breaks == (F(0), F(1))
+    assert constant_path(q).breaks == (F(0), F(1))
 
 
 def _random_path(rng: random.Random, dim: int = 2, interior: int = 3) -> PLPath:
@@ -222,23 +225,28 @@ def _random_path(rng: random.Random, dim: int = 2, interior: int = 3) -> PLPath:
 
 
 def test_path_canonical_is_complete_for_equality():
-    """Redundantly refined copies of one path agree after canonicalisation."""
+    """Redundant presentations of one path build equal, equally hashed paths."""
     for k in range(200):
         rng = random.Random(f"canon:{k}")
-        base = _random_path(rng).canonical()
+        base = _random_path(rng)
         extra1 = {F(rng.randint(1, 31), 32) for _ in range(3)}
         extra2 = {F(rng.randint(1, 63), 64) for _ in range(3)}
-        left = base.refined(extra1)
-        right = base.refined(extra2)
-        assert left.canonical() == right.canonical() == base
-        assert base.canonical() == base  # idempotent
+        for extra in (extra1, extra2):
+            for build in (PLPath, _path):
+                p = build(*path_presentation(base, extra))
+                assert p == base and hash(p) == hash(base)
+                assert (p.breaks, p.values) == (base.breaks, base.values)
+        assert PLPath(base.breaks, base.values) == base  # idempotent
+        assert base.canonical() is base
 
 
 def test_path_refined_preserves_values():
     rng = random.Random("refine")
     for _ in range(20):
         p = _random_path(rng)
-        q = p.refined({F(1, 3), F(2, 3), F(1, 7)})
+        breaks, values = path_presentation(p, {F(1, 3), F(2, 3), F(1, 7)})
+        q = PLPath(breaks, values)
+        assert len(q.breaks) < len(breaks)
         for _ in range(16):
             t = F(rng.randint(0, 128), 128)
             assert p.at(t) == q.at(t)
@@ -267,11 +275,14 @@ def test_sheet_bilinear_evaluation():
 def test_sheet_canonical_merges_redundant_lines():
     rng = random.Random("sheetcanon")
     for k in range(200):
-        base = _random_sheet(rng).canonical()
-        refined = base.refined({F(rng.randint(1, 15), 16)},
-                               {F(rng.randint(1, 15), 16)})
-        assert refined.canonical() == base
-        assert base.canonical() == base
+        base = _random_sheet(rng)
+        parts = sheet_presentation(base, {F(rng.randint(1, 15), 16)},
+                                   {F(rng.randint(1, 15), 16)})
+        for build in (GridSheet, _sheet):
+            refined = build(*parts)
+            assert refined == base and hash(refined) == hash(base)
+        assert GridSheet(base.x_breaks, base.y_breaks, base.values) == base
+        assert base.canonical() is base
         for _ in range(8):
             x = F(rng.randint(0, 32), 32)
             y = F(rng.randint(0, 32), 32)
@@ -280,17 +291,17 @@ def test_sheet_canonical_merges_redundant_lines():
 
 def test_sheet_line_essential_if_any_row_bends():
     # value bends across x = 1/2 only in the y = 1 row; the line must survive.
-    s = GridSheet((F(0), F(1, 2), F(1)), (F(0), F(1)),
-                  (((F(0),), (F(0),)),
-                   ((F(0),), (F(1),)),
-                   ((F(0),), (F(0),))))
-    assert s.canonical() == s
+    values = (((F(0),), (F(0),)),
+              ((F(0),), (F(1),)),
+              ((F(0),), (F(0),)))
+    s = GridSheet((F(0), F(1, 2), F(1)), (F(0), F(1)), values)
+    assert (s.x_breaks, s.y_breaks) == ((F(0), F(1, 2), F(1)), (F(0), F(1)))
+    assert s.values == values
 
 
 def test_sheet_axes_canonicalise_independently():
     # a redundant line on one axis disappears without touching the other
-    s = constant_sheet((F(3),)).refined({F(1, 2)}, set())
-    t = s.canonical()
+    t = GridSheet(*sheet_presentation(constant_sheet((F(3),)), {F(1, 2)}, set()))
     assert t.x_breaks == (F(0), F(1))
     assert t.y_breaks == (F(0), F(1))
 
@@ -298,7 +309,9 @@ def test_sheet_axes_canonicalise_independently():
 def test_constant_sheet_dim_zero():
     s = constant_sheet(())
     assert s.at(F(1, 3), F(2, 3)) == ()
-    assert s.canonical() == s
+    refined = GridSheet(*sheet_presentation(s, {F(1, 3)}, {F(1, 2)}))
+    assert refined == s and hash(refined) == hash(s)
+    assert (s.x_breaks, s.y_breaks) == ((F(0), F(1)), (F(0), F(1)))
 
 
 def test_sheet_edges():
@@ -311,22 +324,13 @@ def test_sheet_edges():
         assert top.at(x) == s.at(x, F(1))
 
 
-def test_canonical_form_dispatch():
-    p = constant_path((F(1),)).refined({F(1, 2)})
-    assert canonical_form(p).breaks == (F(0), F(1))
-    s = constant_sheet((F(1),)).refined({F(1, 3)}, {F(1, 2)})
-    assert canonical_form(s).x_breaks == (F(0), F(1))
-    with pytest.raises(TypeError):
-        canonical_form("nope")
-
-
 @given(st.lists(unit_rationals, min_size=2, max_size=5))
 def test_refinement_never_changes_constant_paths(cuts):
-    # law: refine then canonicalise is the identity on canonical paths
+    # law: a redundant presentation of a path builds that path
     q = (F(5, 7),)
     p = constant_path(q)
     inner = {c for c in cuts if F(0) < c < F(1)}
-    assert p.refined(inner).canonical() == p
+    assert PLPath(*path_presentation(p, inner)) == p
 
 
 # --- integer canonical forms against the Fraction-division reference ----------
@@ -351,30 +355,39 @@ def _reference_keep(breaks, n_other, value):
     return keep
 
 
-def reference_path_canonical(p: PLPath) -> PLPath:
-    keep = _reference_keep(p.breaks, 1, lambda k, o: p.values[k])
-    if len(keep) == len(p.breaks):
-        return p
-    return PLPath(tuple(p.breaks[k] for k in keep), tuple(p.values[k] for k in keep))
+def reference_path_canonical(breaks, values) -> tuple:
+    """The minimal ``(breaks, values)`` of a path presentation, as raw tuples."""
+    keep = _reference_keep(breaks, 1, lambda k, o: values[k])
+    return tuple(breaks[k] for k in keep), tuple(values[k] for k in keep)
 
 
-def reference_sheet_canonical(s: GridSheet) -> GridSheet:
-    keep_x = _reference_keep(s.x_breaks, len(s.y_breaks), lambda k, o: s.values[k][o])
-    keep_y = _reference_keep(s.y_breaks, len(s.x_breaks), lambda k, o: s.values[o][k])
-    if len(keep_x) == len(s.x_breaks) and len(keep_y) == len(s.y_breaks):
-        return s
-    return GridSheet(tuple(s.x_breaks[i] for i in keep_x),
-                     tuple(s.y_breaks[i] for i in keep_y),
-                     tuple(tuple(s.values[ix][iy] for iy in keep_y) for ix in keep_x))
+def reference_sheet_canonical(x_breaks, y_breaks, values) -> tuple:
+    """The minimal ``(x_breaks, y_breaks, values)`` of a sheet presentation,
+    as raw tuples."""
+    keep_x = _reference_keep(x_breaks, len(y_breaks), lambda k, o: values[k][o])
+    keep_y = _reference_keep(y_breaks, len(x_breaks), lambda k, o: values[o][k])
+    return (tuple(x_breaks[i] for i in keep_x), tuple(y_breaks[i] for i in keep_y),
+            tuple(tuple(values[ix][iy] for iy in keep_y) for ix in keep_x))
 
 
-def assert_canonical_matches_reference(obj, reference):
-    got = obj.canonical()
-    want = reference(obj)
-    assert got == want
-    if want is obj:
-        assert got is obj  # nothing dropped: the object itself comes back
-    assert got.canonical() is got  # idempotent, and already minimal
+def _stored(obj) -> tuple:
+    """The fields of a path or sheet, in declaration order."""
+    return tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+PATH_BUILDERS = (PLPath, _path)
+SHEET_BUILDERS = (GridSheet, _sheet)
+
+
+def assert_canonical_matches_reference(parts, reference, builders):
+    """Every builder stores the reference's minimal form of ``parts``, and
+    building that form again gives an equal object with an equal hash."""
+    want = reference(*parts)
+    for build in builders:
+        got = build(*parts)
+        assert _stored(got) == want
+        again = build(*want)
+        assert again == got and hash(again) == hash(got)
     return got
 
 
@@ -408,18 +421,21 @@ def test_path_canonical_matches_fraction_reference():
         dim = rng.randint(0, 3)
         breaks = (F(0), *_big_cuts(rng, rng.randint(0, 4)), F(1))
         values = tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in breaks)
-        p = PLPath(breaks, values)
-        base = assert_canonical_matches_reference(p, reference_path_canonical)
-        refined = base.refined(_big_cuts(rng, rng.randint(1, 4)))
-        assert assert_canonical_matches_reference(refined,
-                                                  reference_path_canonical) == base
+        base = assert_canonical_matches_reference((breaks, values),
+                                                  reference_path_canonical,
+                                                  PATH_BUILDERS)
+        refined = path_presentation(base, _big_cuts(rng, rng.randint(1, 4)))
+        got = assert_canonical_matches_reference(refined, reference_path_canonical,
+                                                 PATH_BUILDERS)
+        assert got == base and hash(got) == hash(base)
         # one interior value moved off its line by a tiny amount
-        if len(refined.breaks) > 2:
-            j = rng.randrange(1, len(refined.breaks) - 1)
-            vals = list(refined.values)
+        if len(refined[0]) > 2:
+            j = rng.randrange(1, len(refined[0]) - 1)
+            vals = list(refined[1])
             vals[j] = _bumped(vals[j], rng)
-            assert_canonical_matches_reference(PLPath(refined.breaks, tuple(vals)),
-                                               reference_path_canonical)
+            assert_canonical_matches_reference((refined[0], tuple(vals)),
+                                               reference_path_canonical,
+                                               PATH_BUILDERS)
 
 
 def test_sheet_canonical_matches_fraction_reference():
@@ -430,20 +446,21 @@ def test_sheet_canonical_matches_fraction_reference():
         ys = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
         values = tuple(tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in ys)
                        for _ in xs)
-        s = GridSheet(xs, ys, values)
-        base = assert_canonical_matches_reference(s, reference_sheet_canonical)
-        refined = base.refined(_big_cuts(rng, rng.randint(0, 2)),
-                               _big_cuts(rng, rng.randint(0, 2)))
-        assert assert_canonical_matches_reference(refined,
-                                                  reference_sheet_canonical) == base
+        base = assert_canonical_matches_reference((xs, ys, values),
+                                                  reference_sheet_canonical,
+                                                  SHEET_BUILDERS)
+        refined = sheet_presentation(base, _big_cuts(rng, rng.randint(0, 2)),
+                                     _big_cuts(rng, rng.randint(0, 2)))
+        got = assert_canonical_matches_reference(refined, reference_sheet_canonical,
+                                                 SHEET_BUILDERS)
+        assert got == base and hash(got) == hash(base)
         # one grid value off its lines: a redundant line bends in one row only
-        cols = [list(col) for col in refined.values]
+        cols = [list(col) for col in refined[2]]
         ix, iy = rng.randrange(len(cols)), rng.randrange(len(cols[0]))
         cols[ix][iy] = _bumped(cols[ix][iy], rng)
         assert_canonical_matches_reference(
-            GridSheet(refined.x_breaks, refined.y_breaks,
-                      tuple(tuple(col) for col in cols)),
-            reference_sheet_canonical)
+            (refined[0], refined[1], tuple(tuple(col) for col in cols)),
+            reference_sheet_canonical, SHEET_BUILDERS)
 
 
 big_unit_rationals = st.fractions(min_value=F(0), max_value=F(1),
@@ -457,9 +474,12 @@ def test_path_canonical_matches_reference_on_generated_paths(dim, cuts, extra, d
     breaks = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
     values = data.draw(st.lists(st.tuples(*[big_rationals] * dim),
                                 min_size=len(breaks), max_size=len(breaks)))
-    p = PLPath(breaks, tuple(values))
-    assert_canonical_matches_reference(p, reference_path_canonical)
-    assert_canonical_matches_reference(p.refined(extra), reference_path_canonical)
+    p = assert_canonical_matches_reference((breaks, tuple(values)),
+                                           reference_path_canonical, PATH_BUILDERS)
+    refined = assert_canonical_matches_reference(path_presentation(p, extra),
+                                                 reference_path_canonical,
+                                                 PATH_BUILDERS)
+    assert refined == p and hash(refined) == hash(p)
 
 
 @given(st.integers(0, 2), st.lists(big_unit_rationals, max_size=2),
@@ -471,11 +491,13 @@ def test_sheet_canonical_matches_reference_on_generated_sheets(dim, cuts_x, cuts
     point = st.tuples(*[big_rationals] * dim)
     column = st.lists(point, min_size=len(ys), max_size=len(ys)).map(tuple)
     values = data.draw(st.lists(column, min_size=len(xs), max_size=len(xs)))
-    s = GridSheet(xs, ys, tuple(values))
-    assert_canonical_matches_reference(s, reference_sheet_canonical)
+    s = assert_canonical_matches_reference((xs, ys, tuple(values)),
+                                           reference_sheet_canonical, SHEET_BUILDERS)
     extra = data.draw(st.lists(big_unit_rationals, max_size=2))
-    assert_canonical_matches_reference(s.refined(extra, extra),
-                                       reference_sheet_canonical)
+    refined = assert_canonical_matches_reference(sheet_presentation(s, extra, extra),
+                                                 reference_sheet_canonical,
+                                                 SHEET_BUILDERS)
+    assert refined == s and hash(refined) == hash(s)
 
 
 def test_coercion_keeps_fractions_and_converts_the_rest():
@@ -501,21 +523,19 @@ def test_trusted_builders_match_the_public_constructors():
         dim = rng.randint(0, 3)
         xb = tuple([F(0)] + _big_cuts(rng, rng.randint(0, 4)) + [F(1)])
         yb = tuple([F(0)] + _big_cuts(rng, rng.randint(0, 3)) + [F(1)])
-        # some values repeat a neighbour, so canonical() drops lines
+        # some values repeat a neighbour, so the builders drop lines
         pts = [tuple(_big_rational(rng) for _ in range(dim)) for _ in range(3)]
         path_values = tuple(rng.choice(pts) for _ in xb)
         grid = tuple(tuple(rng.choice(pts) for _ in yb) for _ in xb)
 
         path = _path(xb, path_values)
         _assert_same_object(path, PLPath(xb, path_values))
-        canon = path.canonical()
-        _assert_same_object(canon, PLPath(canon.breaks, canon.values))
+        _assert_same_object(path, _path(path.breaks, path.values))
 
         sheet = _sheet(xb, yb, grid)
         _assert_same_object(sheet, GridSheet(xb, yb, grid))
-        canon = sheet.canonical()
-        _assert_same_object(canon, GridSheet(canon.x_breaks, canon.y_breaks,
-                                             canon.values))
+        _assert_same_object(sheet, _sheet(sheet.x_breaks, sheet.y_breaks,
+                                          sheet.values))
         for edge, iy in ((sheet.bottom_edge(), 0), (sheet.top_edge(), -1)):
             _assert_same_object(edge, PLPath(xb, tuple(c[iy] for c in grid)))
 

@@ -145,7 +145,7 @@ ARRAY_FIELDS = {
     "pointed map": (
         lambda: ser.pointed_map_to_json(random_pointed_map(random.Random(5), 2, 2)),
         ser.pointed_map_from_json,
-        [("matrix",), ("matrix", 0), ("offset",), ("dom_base",), ("cod_base",)]),
+        [("matrix",), ("matrix", 0), ("dom_base",), ("cod_base",)]),
     "tree": (lambda: ser.tree_to_json(graft(corolla(2), (corolla(3), LEAF))),
              ser.tree_from_json, [(), (0,), (0, 1)]),
 }
@@ -167,6 +167,41 @@ def test_decoders_refuse_strings_and_objects_as_arrays(name):
                 decode(doc)
 
 
+NOT_OBJECTS = [["a", "c"], "ac", 5, None]
+# per decoder: the object nodes of its document, each with the keys it needs
+OBJECT_FIELDS = {
+    "intervals": {(): ["embeddings"], ("embeddings", 1): ["a", "c"]},
+    "strip": {(): ["shape", "base", "rects"], ("base",): ["embeddings"],
+              ("base", "embeddings", 0): ["a", "c"],
+              ("rects", 1, 0): ["a", "b", "c", "d"]},
+    "sheet element": {(): ["sheet", "bottom", "top"],
+                      ("sheet",): ["x_breaks", "y_breaks", "values"],
+                      ("bottom",): ["breaks", "values"],
+                      ("top",): ["breaks", "values"]},
+    "pointed map": {(): ["matrix", "dom_base", "cod_base"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_FIELDS))
+def test_decoders_refuse_non_objects_and_missing_keys(name):
+    # a missing key was once a bare KeyError, and a list a TypeError
+    make, decode, _ = ARRAY_FIELDS[name]
+    for keys, required in OBJECT_FIELDS[name].items():
+        for key in required:
+            doc = make()
+            del _path(doc, keys)[key]
+            with pytest.raises(ValueError, match=f'^missing key "{key}"$'):
+                decode(doc)
+        for bad in NOT_OBJECTS:
+            doc = make()
+            if keys:
+                _path(doc, keys[:-1])[keys[-1]] = bad
+            else:
+                doc = bad
+            with pytest.raises(ValueError, match=" is not a JSON object$"):
+                decode(doc)
+
+
 def test_path_and_sheet_round_trip():
     rng = random.Random(3)
     f = random_pointed_map(rng, 2, 2)
@@ -180,7 +215,10 @@ def test_path_and_sheet_round_trip():
 
 def test_pointed_map_round_trip():
     f = random_pointed_map(random.Random(4), 1, 2)
-    assert ser.pointed_map_from_json(ser.pointed_map_to_json(f)) == f
+    doc = ser.pointed_map_to_json(f)
+    assert sorted(doc) == ["cod_base", "dom_base", "matrix"]   # no offset
+    g = ser.pointed_map_from_json(doc)
+    assert g == f and g.offset == f.offset
 
 
 def test_tree_round_trip():
