@@ -19,9 +19,9 @@ coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans, a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw
-intervals on the 1/4096 grid, and for ``intervals`` and ``trees`` a
-``--max-r`` whose cube, the largest composite arity, is above
-``MAX_OPERAD_COMPOSITE``.
+intervals on the 1/4096 grid, and a ``--max-r`` above ``MAX_CHECK_ARITY``:
+three stages of arity r compose to arity r³, and ``sheets`` acts on up to
+r² carriers.
 A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
@@ -50,7 +50,7 @@ from .trees import enumerate_trees, f_vector, trees_operad
 DEFAULT_CASES = 100
 MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
 MAX_GRID_ARITY = DEFAULT_DENOM // 2
-MAX_OPERAD_COMPOSITE = 128 ** 3     # check intervals --max-r 128 --cases 2: 9 s
+MAX_CHECK_ARITY = 128   # check intervals|strips|sheets --max-r 128 --cases 2: 9, 5, 6 s
 
 
 def _default_seed() -> int:
@@ -98,13 +98,16 @@ def _check_args_error(args):
         return (f"--max-r must be at most {MAX_GRID_ARITY} for {args.target}, "
                 f"since r intervals end on 2r distinct points of the "
                 f"1/{DEFAULT_DENOM} grid; got {args.max_r}")
-    composite = args.max_r ** 3     # three stages of arity max_r compose to this
-    if args.target in ("intervals", "trees") and composite > MAX_OPERAD_COMPOSITE:
-        top = next(r for r in range(args.max_r)
-                   if (r + 1) ** 3 > MAX_OPERAD_COMPOSITE)
-        return (f"--max-r {args.max_r} lets {args.target} composites reach "
-                f"arity {composite}, more than {MAX_OPERAD_COMPOSITE}; "
-                f"use --max-r {top} or less")
+    if args.max_r > MAX_CHECK_ARITY:
+        if args.target == "sheets":
+            # one carrier or chain per output strip of the first stage
+            reach, bound = f"draw {args.max_r ** 2} carriers", MAX_CHECK_ARITY ** 2
+        else:
+            # three stages of arity r compose to arity r**3
+            reach = f"composites reach arity {args.max_r ** 3}"
+            bound = MAX_CHECK_ARITY ** 3
+        return (f"--max-r {args.max_r} lets {args.target} {reach}, more than "
+                f"{bound}; use --max-r {MAX_CHECK_ARITY} or less")
     return None
 
 
@@ -299,10 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "not with --exhaustive")
     check.add_argument("--max-r", "--max-arity", dest="max_r", type=int,
                        default=3,
-                       help=f"arity bound (at most {MAX_GRID_ARITY} for "
-                            "strips and sheets; intervals and trees "
-                            "composites reach arity max_r**3, at most "
-                            f"{MAX_OPERAD_COMPOSITE})")
+                       help=f"arity bound, at most {MAX_CHECK_ARITY}: "
+                            "composites reach arity max_r**3, and sheets act "
+                            "on up to max_r**2 carriers")
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
                        help="total rectangle bound for strips/sheets")
     check.add_argument("--mutate", action="store_true",

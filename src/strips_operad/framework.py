@@ -26,6 +26,7 @@ Deliberately broken instances are in :mod:`strips_operad.mutants`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -164,14 +165,15 @@ def operad_plan_count(max_arity: int) -> int:
     return sum(per_middle ** r for r in range(1, max_arity + 1))
 
 
-# The plan samplers read the Mersenne Twister through ``getrandbits`` the way
-# CPython's ``Random.choice`` and ``Random.randint`` do (``_randbelow``: draw
-# ``n.bit_length()`` bits, redraw while the value is at least n).  They consume
-# the same words and return the same plans as those calls would, without
-# their per-call overhead.  ``tests/test_plan_sampler.py`` checks this
-# against the running interpreter's ``random``.
+# The plan samplers read the Mersenne Twister through ``getrandbits``.  An
+# arity is drawn word for word as CPython's ``Random.randint`` draws it.  The
+# shapes of one call are drawn from the law of entries chosen uniformly from
+# ``_SHAPE`` and conditioned on the totals fitting, exactly and with no retry,
+# by the recursive method (Nijenhuis and Wilf, *Combinatorial Algorithms*).
+# ``tests/test_plan_sampler.py`` checks both, the second law exactly.
 
 _SHAPE = (0, 0, 1, 1, 2)    # a shape entry is a uniform choice from these
+_WEIGHTS = tuple((e, _SHAPE.count(e)) for e in range(3))   # (entry, weight)
 
 
 def _randbelow(bits: Callable[[int], int], n: int) -> int:
@@ -188,37 +190,60 @@ def _arity(bits: Callable[[int], int], n: int) -> int:
     return _randbelow(bits, n) + 1
 
 
-def _random_shape(bits: Callable[[int], int], length: int,
-                  max_total: int) -> tuple:
-    """``(shape, total)``: a shape of the given length with total between 1
-    and ``max_total``, redrawn whole until it fits."""
-    while True:
-        sh = []
-        for _ in range(length):
-            k = bits(3)
-            while k >= 5:
-                k = bits(3)
-            sh.append(_SHAPE[k])
-        n = sum(sh)
-        if 0 < n <= max_total:
-            return tuple(sh), n
+@functools.lru_cache(maxsize=256)     # 900 plans at the CLI defaults use 161
+def _shape_counts(flat: tuple, budget: int) -> tuple:
+    """``(c, fits)``: ``c[L][n]`` weighs the shapes of length L and total n,
+    the coefficient of x**n in (2 + 2x + x**2)**L, for n <= budget, and
+    ``fits[j][b]`` the shapes of lengths ``flat[j:]`` whose totals are at
+    least 1 and sum to at most b."""
+    c = [(1,)]
+    for _ in range(max(flat, default=0)):
+        row = c[-1]
+        c.append(tuple(sum(w * row[n - e] for e, w in _WEIGHTS
+                           if 0 <= n - e < len(row))
+                       for n in range(min(len(row) + 2, budget + 1))))
+    fits = [(1,) * (budget + 1)]
+    for length in reversed(flat):
+        row, rest = c[length], fits[-1]
+        fits.append(tuple(sum(row[n] * rest[b - n]
+                              for n in range(1, min(b + 1, len(row))))
+                          for b in range(budget + 1)))
+    return tuple(c), tuple(reversed(fits))
 
 
 def _random_shapes(bits: Callable[[int], int], lengths: Sequence[int],
                    counts: Sequence[int], max_total: int) -> tuple:
-    """Group k of ``counts[k]`` shapes of length ``lengths[k]``, for every k.
-    The shapes are drawn flat by :func:`_random_shape`, the whole list
-    redrawn until their totals sum to at most ``max_total``, and grouped
-    once it fits."""
-    flat = [length for length, n in zip(lengths, counts) for _ in range(n)]
-    while True:
-        shapes, n = [], 0
-        for length in flat:
-            sh, k = _random_shape(bits, length, max_total)
-            shapes.append(sh)
-            n += k
-        if n <= max_total:
-            return tuple(map(tuple, _runs(shapes, counts)))
+    """Group k of ``counts[k]`` shapes of length ``lengths[k]``, for every k,
+    the totals at least 1 and summing to at most ``max_total``.  One
+    ``_randbelow`` per shape picks its total n, with weight
+    ``c[L][n] * fits[j + 1][budget - n]``, and the rest of the value its
+    entries e, each with weight ``_SHAPE.count(e) * c[left][n - e]``."""
+    flat = tuple(length for length, n in zip(lengths, counts) for _ in range(n))
+    budget = min(max_total, 2 * sum(flat))     # no shape total exceeds 2 * L
+    c, fits = _shape_counts(flat, budget)
+    if not fits[0][budget]:
+        raise ValueError(f"{len(flat)} shapes, each of total at least 1, "
+                         f"exceed a total of {max_total}")
+    shapes = []
+    for length, fit, rest in zip(flat, fits, fits[1:]):
+        v, n = _randbelow(bits, fit[budget]), 1
+        while v >= c[length][n] * rest[budget - n]:
+            v -= c[length][n] * rest[budget - n]
+            n += 1
+        v //= rest[budget - n]      # now uniform below c[length][n]
+        budget -= n
+        shape = []
+        for left in reversed(range(length)):
+            for e, w in _WEIGHTS:
+                block = w * c[left][n - e] if 0 <= n - e < len(c[left]) else 0
+                if v < block:
+                    break
+                v -= block
+            v //= w
+            n -= e
+            shape.append(e)
+        shapes.append(tuple(shape))
+    return tuple(map(tuple, _runs(shapes, counts)))
 
 
 def _first_stage_plan(bits: Callable[[int], int], max_r: int,
@@ -226,7 +251,7 @@ def _first_stage_plan(bits: Callable[[int], int], max_r: int,
     """``(m, s, inner)``, the first-stage draws that rel and algebra plans
     share, in their order."""
     r = _arity(bits, max_r)
-    m, _ = _random_shape(bits, r, min(3, max_total))
+    m = _random_shapes(bits, (r,), (1,), min(3, max_total))[0][0]
     s = tuple(_arity(bits, max_r) for _ in range(r))
     return m, s, _random_shapes(bits, s, m, max_total)
 

@@ -204,7 +204,7 @@ SHEETS_REPORT_SHA256 = {
     ("1", False): "36b7bebc03a52effe2b6d769816af54a5e23fb9dc58c7aed2b22a2dc128c1b1a",
     ("2", False): "602685204557245a66a51cbdd47fad8a743a24f73e9a60d74d16919cd57ca52c",
     ("3", False): "2b45d762d0c9e6d5b9014a755d715ded089d68e8127461aacd35561107e7f26b",
-    ("1", True): "1ffd8d55260c784c50098e4e9ddca6b2caea59b449757a68e7280b4bdc531b92",
+    ("1", True): "ac120b7f66d4807142c775c59732d0818d85baad1d032820c0286e966dbf2a4d",
 }
 
 
@@ -264,7 +264,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "1"):
         "f7fc37fdd104f679edd516d619b29450543bc478e85398aab1e8c905ff3170f2",
     ("check", "strips", "--seed", "1", "--mutate"):
-        "6e29c8d165c9a62f159e4e25c7bd993408e7e4369d22970f42957f8b79bda5a8",
+        "a96f699541639660fc1cf901a57f0970afdeb8477af01216dc2c0fa0434fce3e",
     ("check", "strips", "--seed", "1", "--max-r", "2", "--max-n", "4"):
         "9ad08d2cb03434b8f9126aeaf0fa90aa0b9059c8e223718e964c1d19c34532eb",
     ("check", "strips", "--seed", "1", "--max-r", "4", "--max-n", "6",
@@ -273,7 +273,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "2"):
         "9afaeb55619beb793d960567e3a82da141aba71833738ce0d96301bd124af9f7",
     ("check", "strips", "--seed", "2", "--mutate"):
-        "4a7e3a0d128b3e1d3b078f00d9b64e20069bad5d8575b351bb27245a8c6d85fe",
+        "65c3027ac10de223469112df0e16c708a5ce10b682a286aca720be5afd9b5d94",
     ("check", "strips", "--seed", "2", "--max-r", "2", "--max-n", "4"):
         "b80aa8a9df509a04310a9e676dac0a9f74e09e8373339429c0242c8cc41aa6c3",
     ("check", "strips", "--seed", "2", "--max-r", "4", "--max-n", "6",
@@ -282,7 +282,7 @@ STRIPS_INTERVALS_OUTPUT_SHA256 = {
     ("check", "strips", "--seed", "3"):
         "b7518e2e238b4011e39a4650c3ce645ffc87ea56ace0fdf1d932fad5eadeae46",
     ("check", "strips", "--seed", "3", "--mutate"):
-        "7945aceedb8cb88d964dd31a14e8570d43e86e0da0085ec30d081c39ad27aea9",
+        "504debe7338e661ce2d380eae5adc3133a0ac4c2008c3ef98f95979039a71e39",
     ("check", "strips", "--seed", "3", "--max-r", "2", "--max-n", "4"):
         "fbe5011c16e9fdb6b163ae340cf661f64708eeac529ac7b1772bd04fb498fb5b",
     ("check", "strips", "--seed", "3", "--max-r", "4", "--max-n", "6",
@@ -377,18 +377,49 @@ def test_check_grid_bound_leaves_trees_alone():
 
 
 @pytest.mark.parametrize("argv", [["intervals", "--max-r", "2048"],
-                                  ["trees", "--max-r", "129"]])
+                                  ["trees", "--max-r", "129"],
+                                  ["strips", "--max-r", "2048"],
+                                  ["sheets", "--max-r", "129"]])
 def test_check_rejects_composites_over_the_bound(capsys, argv):
-    # once grew past 4 GB: three stages of arity 2048 compose to arity 2048**3
+    # once grew past 4 GB: three stages of arity 2048 compose to arity 2048**3;
+    # strips and sheets once spun in the rejection sampler instead
+    target, r = argv[0], int(argv[2])
+    reach = (f"draw {r ** 2} carriers, more than 16384" if target == "sheets"
+             else f"composites reach arity {r ** 3}, more than 2097152")
     assert_usage_error(["check", *argv, "--cases", "2"], capsys,
-                       f"composites reach arity {int(argv[2]) ** 3}, "
-                       f"more than 2097152; use --max-r 128 or less")
+                       f"lets {target} {reach}; use --max-r 128 or less")
 
 
-@pytest.mark.parametrize("target", ["intervals", "trees"])
+@pytest.mark.parametrize("target", ["intervals", "trees", "strips", "sheets"])
 def test_check_composite_bound_admits_max_r_128(target):
     args = build_parser().parse_args(["check", target, "--max-r", "128"])
     assert _check_args_error(args) is None
+
+
+def _timed_check(argv, capsys):
+    start = time.perf_counter()
+    code, out, _ = run(["check", *argv], capsys)
+    return code, json.loads(out), time.perf_counter() - start
+
+
+def test_check_strips_with_wide_plans_runs_in_seconds(capsys):
+    # the rejection sampler redrew shapes here for about two minutes
+    code, report, seconds = _timed_check(
+        ["strips", "--seed", "1105", "--cases", "100", "--max-r", "4",
+         "--max-n", "8"], capsys)
+    assert (code, report["ok"], report["cases_run"]) == (0, True, 100)
+    assert seconds < 5
+
+
+@pytest.mark.parametrize("target", ["strips", "sheets"])
+def test_check_with_a_huge_total_bound_runs_in_seconds(capsys, target):
+    # shape tables sized by --max-n would never finish; they are sized by
+    # the largest total the shapes can reach
+    code, report, seconds = _timed_check(
+        [target, "--max-n", "1000000000", "--max-r", "4", "--cases", "3"],
+        capsys)
+    assert (code, report["ok"], report["cases_run"]) == (0, True, 3)
+    assert seconds < 2
 
 
 def test_check_rejects_an_exhaustive_run_over_the_plan_cap(capsys):

@@ -1,24 +1,38 @@
-"""Plan samplers: the same plans and the same RNG stream as ``choice`` and
-``randint``.
+"""Plan samplers: arities word for word as ``randint``, shapes exactly from
+the rejection sampler's law.
 
-The samplers in :mod:`strips_operad.framework` read shape entries and arities
-straight from ``getrandbits``.  The reference samplers below are the earlier
-implementation on top of ``Random.choice`` and ``Random.randint``, kept here
-only as an oracle: for a seed, both must give equal plans and leave the
-generator in the same state.  The guard tests pin the ``random`` behaviour
-this rests on, so an interpreter whose ``random`` draws differently fails
-here rather than silently changing every report.
+The samplers in :mod:`strips_operad.framework` read arities straight from
+``getrandbits``.  The reference operad sampler below is the earlier
+implementation on top of ``Random.randint``, kept here only as an oracle: for
+a seed, both must give equal plans and leave the generator in the same state.
+The guard tests pin the ``random`` behaviour this rests on, so an interpreter
+whose ``random`` draws differently fails here rather than silently changing
+every report.
+
+Shapes are drawn with no retry from the law of the earlier rejection sampler:
+every entry uniform on ``(0, 0, 1, 1, 2)``, the whole list kept only if every
+shape total is at least 1 and the totals sum to at most the bound.  The
+oracle runs the sampler with a scripted ``_randbelow`` that takes every
+branch, so each outcome gets its exact ``Fraction`` probability, and compares
+that with the product measure restricted to the same set, enumerated.
 """
+import functools
+import itertools
 import random
+from collections import defaultdict
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from strips_operad.framework import (_SHAPE, Plan, _arity, random_algebra_plan,
+from strips_operad import framework
+from strips_operad.framework import (_SHAPE, Plan, _arity, _runs,
+                                     _random_shapes, random_algebra_plan,
                                      random_operad_plan, random_rel_plan)
 from strips_operad.shapes import output_shape
 
 
-# --- reference samplers (choice / randint) ----------------------------------------
+# --- reference samplers and laws ------------------------------------------------
 
 def ref_operad_plan(rng, max_arity):
     r = rng.randint(1, max_arity)
@@ -27,51 +41,131 @@ def ref_operad_plan(rng, max_arity):
     return Plan(middles, tuple(a for row in deep for a in row))
 
 
-def ref_random_shape(rng, length, max_total):
-    while True:
-        sh = tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(length))
-        if any(sh) and sum(sh) <= max_total:
-            return sh
+@functools.lru_cache(maxsize=None)
+def ref_shapes_law(lengths, counts, max_total):
+    """The rejection sampler's law of ``_random_shapes``: the product measure
+    on entries, restricted to the lists that fit, by enumeration."""
+    flat = [length for length, n in zip(lengths, counts) for _ in range(n)]
+    law = defaultdict(int)
+    for entries in itertools.product(_SHAPE, repeat=sum(flat)):
+        shapes = [tuple(sh) for sh in _runs(entries, flat)]
+        totals = [sum(sh) for sh in shapes]
+        if min(totals, default=1) >= 1 and sum(totals) <= max_total:
+            law[tuple(map(tuple, _runs(shapes, counts)))] += 1
+    weight = sum(law.values())
+    return {shapes: Fraction(n, weight) for shapes, n in law.items()}
 
 
-def ref_rel_plan(rng, max_r, max_total):
-    r = rng.randint(1, max_r)
-    m = ref_random_shape(rng, r, min(3, max_total))
-    s = tuple(rng.randint(1, max_r) for _ in range(r))
-    while True:
-        inner = tuple(tuple(ref_random_shape(rng, s[i], max_total) for _ in range(m[i]))
-                      for i in range(r))
-        mid_shape = output_shape(m, s, inner)
-        if sum(mid_shape) <= max_total:
-            break
-    t = tuple(tuple(rng.randint(1, max_r) for _ in range(s[i])) for i in range(r))
-    while True:
-        deep = tuple(
-            tuple(
-                tuple(
-                    tuple(ref_random_shape(rng, t[i][j], max_total)
-                          for _ in range(inner[i][a][j]))
-                    for a in range(m[i]))
-                for j in range(s[i]))
-            for i in range(r))
-        final = sum(sum(sh)
-                    for i in range(r) for j in range(len(deep[i]))
-                    for row in deep[i][j] for sh in row)
-        if final <= max_total:
-            return Plan(s, tuple(a for row in t for a in row), m, inner,
-                        tuple(tuple(sh for per_cfg in per_col for sh in per_cfg)
-                              for per_strip in deep for per_col in per_strip))
+def ref_plan_law(max_r, max_total, rel):
+    """The law of the rejection sampler's rel (or algebra) plans."""
+    arities = range(1, max_r + 1)
+    law = defaultdict(Fraction)
+    for r in arities:
+        for ((m,),), p_m in ref_shapes_law((r,), (1,), min(3, max_total)).items():
+            for s in itertools.product(arities, repeat=r):
+                for inner, p_inner in ref_shapes_law(s, m, max_total).items():
+                    p = p_m * p_inner / max_r ** (r + 1)
+                    if not rel:
+                        law[Plan(s, m=m, inner=inner)] += p
+                        continue
+                    counts = output_shape(m, s, inner)
+                    for t in itertools.product(arities, repeat=len(counts)):
+                        for deep, p_deep in ref_shapes_law(t, counts, max_total).items():
+                            law[Plan(s, t, m, inner, deep)] += (
+                                p * p_deep / max_r ** len(counts))
+    return dict(law)
 
 
-def ref_algebra_plan(rng, max_r, max_total):
-    r = rng.randint(1, max_r)
-    m = ref_random_shape(rng, r, min(3, max_total))
-    s = tuple(rng.randint(1, max_r) for _ in range(r))
-    while True:
-        inner = tuple(tuple(ref_random_shape(rng, s[i], max_total) for _ in range(m[i]))
-                      for i in range(r))
-        if sum(output_shape(m, s, inner)) <= max_total:
-            return Plan(s, m=m, inner=inner)
+# --- the sampler's exact law ------------------------------------------------------
+
+def exact_law(sample):
+    """``{outcome: probability}`` of ``sample(pick)``, where each call
+    ``pick(weights)`` returns i with probability ``weights[i]``.  Every branch
+    is run once, from a script of the picks before it."""
+    law = defaultdict(Fraction)
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        calls = []
+
+        def pick(weights):
+            calls.append(weights)
+            return script[len(calls) - 1] if len(calls) <= len(script) else 0
+        outcome = sample(pick)
+        path = script + (0,) * (len(calls) - len(script))
+        for k in range(len(script), len(calls)):
+            pending.extend(path[:k] + (i,) for i in range(1, len(calls[k])))
+        p = Fraction(1)
+        for weights, i in zip(calls, path):
+            p *= weights[i]
+        law[outcome] += p
+    return dict(law)
+
+
+def _scripted_randbelow(pick):
+    return mock.patch.object(framework, "_randbelow",
+                             lambda bits, n: pick([Fraction(1, n)] * n))
+
+
+@functools.lru_cache(maxsize=None)
+def shapes_law(lengths, counts, max_total):
+    def sample(pick):
+        with _scripted_randbelow(pick):
+            return _random_shapes(None, lengths, counts, max_total)
+    return exact_law(sample)
+
+
+def plan_law(sampler, max_r, max_total):
+    """The exact law of ``sampler``'s plans.  Each ``_random_shapes`` call
+    picks its outcome from :func:`shapes_law`, the law of the same call run
+    on every branch, so the branches of one call are run once per scope."""
+    def sample(pick):
+        def shapes(bits, lengths, counts, bound):
+            law = list(shapes_law(tuple(lengths), tuple(counts), bound).items())
+            return law[pick([p for _, p in law])][0]
+        with _scripted_randbelow(pick), \
+                mock.patch.object(framework, "_random_shapes", shapes):
+            return sampler(random.Random(0), max_r, max_total)
+    return exact_law(sample)
+
+
+# (lengths, counts, max_total): one shape as for the outer shape, a binding
+# total, an empty group, repeated lengths, and bounds past every total
+SHAPES_SCOPES = [((1,), (1,), 1), ((3,), (1,), 3), ((1, 2, 1), (2, 0, 1), 4),
+                 ((2,), (2,), 3), ((3, 1), (1, 1), 3), ((1, 2), (1, 1), 4),
+                 ((5,), (1,), 10), ((2, 1), (1, 2), 10 ** 9)]
+
+
+@pytest.mark.parametrize("lengths,counts,max_total", SHAPES_SCOPES)
+def test_shapes_law_is_the_rejection_law(lengths, counts, max_total):
+    law = shapes_law(lengths, counts, max_total)
+    assert law == ref_shapes_law(lengths, counts, max_total)
+    assert sum(law.values()) == 1
+
+
+@pytest.mark.parametrize("max_r,max_total,plans", [(1, 1, 1), (2, 2, 1681)])
+def test_rel_plan_law_is_the_rejection_law(max_r, max_total, plans):
+    law = plan_law(random_rel_plan, max_r, max_total)
+    assert len(law) == plans
+    assert law == ref_plan_law(max_r, max_total, rel=True)
+
+
+@pytest.mark.parametrize("max_r,max_total", [(1, 1), (2, 2)])
+def test_algebra_plan_law_is_the_rejection_law(max_r, max_total):
+    law = plan_law(random_algebra_plan, max_r, max_total)
+    assert law == ref_plan_law(max_r, max_total, rel=False)
+
+
+def test_shapes_that_cannot_fit_raise():
+    # the rejection sampler spun here for ever
+    with pytest.raises(ValueError, match="exceed a total of 1"):
+        _random_shapes(random.Random(0).getrandbits, (1,), (2,), 1)
+
+
+# --- equivalence ---------------------------------------------------------------
+
+def _pairs(seed):
+    return random.Random(seed), random.Random(seed)
 
 
 class ForwardingRandom:
@@ -91,29 +185,6 @@ class ForwardingRandom:
         return counted
 
 
-# --- equivalence ---------------------------------------------------------------
-
-# (max_r, max_n) -> plans drawn of each kind.  (4, 6) has a heavy rejection
-# tail under the reference sampler, so it draws fewer.
-GRID = {(3, 5): 60, (2, 4): 60, (4, 6): 8, (3, 8): 40, (1, 1): 40,
-        (3, 1): 40, (4, 3): 40}
-
-
-def _pairs(seed):
-    return random.Random(seed), random.Random(seed)
-
-
-@pytest.mark.parametrize("max_r,max_n", sorted(GRID))
-def test_rel_and_algebra_plans_match_reference(max_r, max_n):
-    new, ref = _pairs(f"plans:{max_r}:{max_n}")
-    for k in range(GRID[max_r, max_n]):
-        assert random_rel_plan(new, max_r, max_n) == ref_rel_plan(ref, max_r, max_n), k
-        assert new.getstate() == ref.getstate(), k
-        assert (random_algebra_plan(new, max_r, max_n)
-                == ref_algebra_plan(ref, max_r, max_n)), k
-        assert new.getstate() == ref.getstate(), k
-
-
 @pytest.mark.parametrize("max_arity", [1, 2, 3, 4, 7])
 def test_operad_plans_match_reference(max_arity):
     new, ref = _pairs(f"operad:{max_arity}")
@@ -126,8 +197,8 @@ def test_plans_through_forwarding_wrapper_match_reference():
     new, ref = _pairs("forwarded")
     wrapped = ForwardingRandom(new)
     for k in range(40):
-        assert random_rel_plan(wrapped, 3, 5) == ref_rel_plan(ref, 3, 5), k
-        assert random_algebra_plan(wrapped, 3, 5) == ref_algebra_plan(ref, 3, 5), k
+        assert random_rel_plan(wrapped, 3, 5) == random_rel_plan(ref, 3, 5), k
+        assert random_algebra_plan(wrapped, 3, 5) == random_algebra_plan(ref, 3, 5), k
         assert random_operad_plan(wrapped, 3) == ref_operad_plan(ref, 3), k
         assert new.getstate() == ref.getstate(), k
     assert wrapped.calls > 0
