@@ -18,10 +18,8 @@ strip, or a ``$file`` that splices in itself; ``render`` also exits 2 on a
 coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
-plans, a ``--max-r`` above ``MAX_GRID_ARITY`` for the targets that draw
-intervals on the 1/4096 grid, and a ``--max-r`` above ``MAX_CHECK_ARITY``:
-three stages of arity r compose to arity r³, and ``sheets`` acts on up to
-r² carriers.
+plans and a ``--max-r`` above ``MAX_CHECK_ARITY``: three stages of arity r
+compose to arity r³, and ``sheets`` acts on up to r² carriers.
 A ``check`` case that raises is recorded in the report as a failure
 of the law ``exception`` (exit 1), and the remaining cases still run.
 ``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
@@ -41,15 +39,13 @@ from pathlib import Path
 from . import mutants, serialize, svg
 from .framework import (Block, operad_plan_count, run_algebra_check,
                         run_operad_check, run_operad_exhaustive, run_rel_check)
-from .intervals import (DEFAULT_DENOM, interval_compose, interval_violation,
-                        intervals_operad)
+from .intervals import interval_compose, interval_violation, intervals_operad
 from .sheets import random_pointed_map, sheet_algebra
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
 
 DEFAULT_CASES = 100
 MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
-MAX_GRID_ARITY = DEFAULT_DENOM // 2
 MAX_CHECK_ARITY = 128   # check intervals|strips|sheets --max-r 128 --cases 2: 9, 5, 6 s
 
 
@@ -94,10 +90,6 @@ def _check_args_error(args):
             return (f"--exhaustive --max-r {args.max_r} checks more than "
                     f"{MAX_EXHAUSTIVE_PLANS} plans; use --max-r {over - 1} "
                     f"or less")
-    if args.target != "trees" and args.max_r > MAX_GRID_ARITY:
-        return (f"--max-r must be at most {MAX_GRID_ARITY} for {args.target}, "
-                f"since r intervals end on 2r distinct points of the "
-                f"1/{DEFAULT_DENOM} grid; got {args.max_r}")
     if args.max_r > MAX_CHECK_ARITY:
         if args.target == "sheets":
             # one carrier or chain per output strip of the first stage
@@ -300,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cases", type=int, default=None,
                        help=f"seeded cases (default {DEFAULT_CASES}); "
                             "not with --exhaustive")
-    check.add_argument("--max-r", "--max-arity", dest="max_r", type=int,
+    check.add_argument("--max-r", dest="max_r", type=int,
                        default=3,
                        help=f"arity bound, at most {MAX_CHECK_ARITY}: "
                             "composites reach arity max_r**3, and sheets act "

@@ -14,8 +14,8 @@ checkers in :mod:`strips_operad.framework` rely on.
 """
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,43 +54,28 @@ def lerp(p, q, tn: int, td: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def locate(breaks: Sequence[Fraction], t: Fraction) -> tuple:
-    """``(i, w)``: t lies at fraction w of the way from ``breaks[i]`` to
-    ``breaks[i + 1]``, with w None when t is ``breaks[i]`` itself.  The
-    breaks are strictly increasing; past either end the first or last
-    segment is extended."""
-    i = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(breaks) - 2)
+def locate(breaks: Sequence, t) -> tuple:
+    """``(i, None)`` when t is ``breaks[i]``, else ``(i, (t - t0, t1 - t0))``
+    with t at that ratio of the way from ``t0 = breaks[i]`` to ``t1 =
+    breaks[i + 1]``.  The breaks strictly increase; past either end the first
+    or last segment is extended.  Breaks and t are all ints (rationals scaled
+    by one common denominator) or all Fractions, found by one bisection."""
+    i = bisect_right(breaks, t, 1, len(breaks) - 1) - 1
     t0 = breaks[i]
     if t == t0:
         return i, None
     t1 = breaks[i + 1]
     if t == t1:
         return i + 1, None
-    return i, (t - t0) / (t1 - t0)
+    return i, (t - t0, t1 - t0)
 
 
-def locate_sorted(breaks: Sequence[int], ts: Iterable[int]) -> list:
-    """:func:`locate` for each of the increasing ``ts``, in one merge walk.
-
-    Entry ``(i, None)`` when t is ``breaks[i]``, else ``(i, (num, den))``
-    with t at ``num/den`` (not reduced) of the way from ``breaks[i]`` to
-    ``breaks[i + 1]``; past either end the first or last segment is extended.
-    Breaks and points are ints (rationals scaled by one common denominator),
-    so every comparison is on ints.
-    """
-    out = []
-    i, last = 0, len(breaks) - 2
-    for t in ts:
-        while i < last and breaks[i + 1] <= t:
-            i += 1
-        t0, t1 = breaks[i], breaks[i + 1]
-        if t == t0:
-            out.append((i, None))
-        elif t == t1:
-            out.append((i + 1, None))
-        else:
-            out.append((i, (t - t0, t1 - t0)))
-    return out
+def _lerp_at(p, q, w) -> tuple:
+    """:func:`lerp` at the ratio ``w = (num, den)`` of two Fractions from
+    :func:`locate`, passed on as ints without dividing them."""
+    num, den = w
+    return lerp(p, q, num.numerator * den.denominator,
+                num.denominator * den.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +236,7 @@ class PLPath:
             raise ValueError(f"argument {t} outside [0, 1]")
         i, w = locate(self.breaks, t)
         v = self.values[i]
-        return v if w is None else lerp(v, self.values[i + 1],
-                                        w.numerator, w.denominator)
+        return v if w is None else _lerp_at(v, self.values[i + 1], w)
 
     def canonical(self) -> "PLPath":
         """``self``, since a path is stored in its minimal form.  Kept only
@@ -335,11 +319,10 @@ class GridSheet:
         def on_line(k):     # the value at x on the y-line k
             if nxt is None:
                 return col[k]
-            return lerp(col[k], nxt[k], u.numerator, u.denominator)
+            return _lerp_at(col[k], nxt[k], u)
 
         lo = on_line(iy)
-        return lo if w is None else lerp(lo, on_line(iy + 1),
-                                         w.numerator, w.denominator)
+        return lo if w is None else _lerp_at(lo, on_line(iy + 1), w)
 
     def canonical(self) -> "GridSheet":
         """``self``, since a sheet is stored in its minimal form.  Kept only

@@ -87,12 +87,11 @@ def grid_embeddings(n: int, rng: random.Random, denom: int) -> tuple:
                   for lo, hi in zip(cuts[::2], cuts[1::2])])
 
 
-def random_intervals(r: int, rng: random.Random,
-                     denom: int = DEFAULT_DENOM) -> IntervalConfig:
-    """r disjoint ordered intervals with endpoints on the 1/denom grid."""
+def random_intervals(r: int, rng: random.Random) -> IntervalConfig:
+    """r disjoint ordered intervals with endpoints on the 1/DEFAULT_DENOM grid."""
     if r < 1:
         raise ValueError("arity must be at least 1")
-    return _intervals(grid_embeddings(r, rng, denom))
+    return _intervals(grid_embeddings(r, rng, DEFAULT_DENOM))
 
 
 def intervals_operad() -> OperadInstance:

@@ -8,8 +8,8 @@ them, and so do the tests.
 * :func:`intervals_operad` -- every composite's last embedding drifts by
   ``DRIFT`` = 1/1000.
 * :func:`strips_rel_operad` -- every composite's last rectangle (in the last
-  non-empty strip) drifts vertically by ``offset`` (``DRIFT`` unless a
-  larger lift is wanted, to push a composite out of the unit square).
+  non-empty strip) drifts vertically by ``DRIFT``, read when the composite
+  is made.
 * :func:`trees_operad` -- every composite with an internal edge has one
   edge contracted; a composite that is a corolla is unchanged.
 * :func:`sheet_algebra` -- every acted sheet's value at the centre of the
@@ -44,16 +44,14 @@ def intervals_operad() -> OperadInstance:
     return replace(intervals.intervals_operad(), compose=compose)
 
 
-def strips_rel_operad(offset=DRIFT) -> RelTwoOperadInstance:
-    off = Fraction(offset)
-
+def strips_rel_operad() -> RelTwoOperadInstance:
     def compose(outer, blocks):
         result = strip_compose(outer, blocks)
         rows = list(result.rects)
         for i in range(len(rows) - 1, -1, -1):
             if rows[i]:
                 rect = rows[i][-1]
-                rows[i] = rows[i][:-1] + (AffineMap1(rect.a, rect.c + off),)
+                rows[i] = rows[i][:-1] + (AffineMap1(rect.a, rect.c + DRIFT),)
                 break
         return StripConfig(result.shape, result.base, tuple(rows))
 

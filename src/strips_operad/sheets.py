@@ -18,13 +18,14 @@ outside all strips with p.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
 from .exact import (ONE, ZERO, GridSheet, PLPath, _path, _sheet, as_point,
-                    grid_lines, lerp, locate_sorted, scaled_by)
+                    grid_lines, lerp, locate, scaled_by)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -138,25 +139,29 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
 # actions
 # ---------------------------------------------------------------------------
 
-def _check_order(spans: Sequence, what: str, direction: str,
+def _check_spans(spans: Sequence, what: str, direction: str,
                  where: str = "") -> None:
-    """Raise unless each span ends no later than the next one starts."""
-    for k in range(len(spans) - 1):
-        (_, hi), (lo, _) = spans[k], spans[k + 1]
-        if lo < hi:
+    """Raise unless each span of Fractions lies in [0, 1] and ends no later
+    than the next one starts."""
+    for k, (lo, hi) in enumerate(spans):
+        if lo.numerator < 0 or hi.numerator > hi.denominator:
+            raise ValueError(f"{where}{what} {k + 1} image [{lo}, {hi}] "
+                             f"leaves [0, 1]")
+        if k and lo < spans[k - 1][1]:
             raise ValueError(
                 f"{where}{what}s must run {direction} without overlapping: "
-                f"{what} {k + 2} starts at {lo}, before {what} {k + 1} "
-                f"ends at {hi}")
+                f"{what} {k + 1} starts at {lo}, before {what} {k} "
+                f"ends at {spans[k - 1][1]}")
 
 
 def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     """Play loop i inside interval i, rest at the basepoint elsewhere.
 
-    The intervals must run left to right (each ends no later than the next
-    starts); otherwise ``ValueError``.  The loops are spliced directly: the
-    result breaks at 0, 1 and the image of every loop breakpoint, and takes
-    the loop's own value there, or the basepoint outside every interval.
+    The intervals must lie in [0, 1] and run left to right (each ends no
+    later than the next starts); otherwise ``ValueError``.  The loops are
+    spliced directly: the result breaks at 0, 1 and the image of every loop
+    breakpoint, and takes the loop's own value there, or the basepoint
+    outside every interval.
     """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
@@ -168,7 +173,7 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     if len(basepoints) > 1:
         raise ValueError("loops must share a basepoint")
     spans = config.images()
-    _check_order(spans, "interval", "left to right")
+    _check_spans(spans, "interval", "left to right")
     q = loops[0].basepoint
     # every loop starts and ends at q, so a point shared by two neighbouring
     # intervals, or by an interval and 0 or 1, has the value q on both sides;
@@ -181,27 +186,7 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     if breaks[-1] != ONE:
         breaks.append(ONE)
         values.append(q)
-    inside = spans[0][0] >= ZERO and spans[-1][1] <= ONE
-    make = _path if inside else PLPath    # PLPath rejects what leaves [0, 1]
-    return Loop(make(tuple(breaks), tuple(values)))
-
-
-def _claims(ts: list, spans: list) -> list:
-    """``(a, b)`` per span: ``ts[a:b]`` are the points of the increasing ints
-    ``ts`` that lie in that span.  The spans increase without overlapping; a
-    point on an edge shared by two spans goes to the first one, so the points
-    between the claims of spans k - 1 and k are those of gap k."""
-    out = []
-    a, n = 0, len(ts)
-    for lo, hi in spans:
-        while a < n and ts[a] < lo:
-            a += 1
-        b = a
-        while b < n and ts[b] <= hi:
-            b += 1
-        out.append((a, b))
-        a = b
-    return out
+    return Loop(_path(tuple(breaks), tuple(values)))
 
 
 def _column_plan(ys: list, sheet_ys: list) -> tuple:
@@ -212,17 +197,20 @@ def _column_plan(ys: list, sheet_ys: list) -> tuple:
     denominator.  Entry ``(j, k, w)``: inside rectangle j, at ``w = (num,
     den)`` of the way from the sheet's y-line k to line k+1 (on line k when w
     is None).  Entry ``(None, g, None)``: in the gap above the first g
-    rectangles, where the value is junction loop g.  A height on the edge
-    shared by two rectangles belongs to the lower one.
+    rectangles, where the value is junction loop g.  A height y is placed by
+    one bisection, ``j = bisect_left(tops, y)``: it is in rectangle j when
+    that rectangle starts at or below y, else in gap j, so a height on the
+    edge shared by two rectangles belongs to the lower one.
     """
+    bottoms = [lines[0] for lines in sheet_ys]
+    tops = [lines[-1] for lines in sheet_ys]
     plan = []
-    done = 0
-    claims = _claims(ys, [(lines[0], lines[-1]) for lines in sheet_ys])
-    for j, (a, b) in enumerate(claims):
-        plan.extend((None, j, None) for _ in range(done, a))
-        plan.extend((j, k, w) for k, w in locate_sorted(sheet_ys[j], ys[a:b]))
-        done = b
-    plan.extend((None, len(sheet_ys), None) for _ in range(done, len(ys)))
+    for y in ys:
+        j = bisect_left(tops, y)
+        if j < len(tops) and bottoms[j] <= y:
+            plan.append((j, *locate(sheet_ys[j], y)))
+        else:
+            plan.append((None, j, None))
     return tuple(plan)
 
 
@@ -234,22 +222,23 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     end-to-start (the top loop of each equals the bottom loop of the next),
     or a single :class:`Loop` when strip i is empty.
 
-    The strips must run left to right and the rectangles of each strip bottom
-    to top, each ending no later than the next starts; otherwise
-    ``ValueError``.  A point on an edge shared by two strips or two rectangles
-    belongs to the left or lower one.
+    The strips must lie in [0, 1] and run left to right, and the rectangles
+    of each strip must lie in [0, 1] and run bottom to top, each ending no
+    later than the next starts; otherwise ``ValueError``.  A point on an edge
+    shared by two strips or two rectangles belongs to the left or lower one.
 
-    The output grid lines are the images of every input breakpoint.  They are
-    scaled to ints over one denominator per axis, and the sorted x-lines are
-    swept once, left to right: a pointer advances through the strips, and
-    inside a strip one breakpoint pointer per junction path and per
-    rectangle's sheet advances through the images of that object's breaks,
-    so that no column searches or inverts a map.  Each sheet is read once per
-    column along its own y-lines, and the rectangle's heights are filled
-    from that line with one interpolation in y each, by a plan made once per
-    strip.  Between rectangles a column takes the junction loop pushed
-    through f (:func:`push_loop` pushes each loop once per map).  Coordinates
-    that fall on a breakpoint are read without interpolating.
+    The output grid lines are the images of every input breakpoint, scaled
+    to ints over one denominator per axis, so every lookup is a bisection on
+    ints (:func:`~strips_operad.exact.locate`) and no column inverts a map.
+    Each strip takes the x-lines from its left edge to its right one, less
+    any an earlier strip took; each junction path and each rectangle's sheet
+    is read at those columns through the images of its own breaks.  Each
+    sheet is read once per column along its own y-lines, and the
+    rectangle's heights are filled from that line with one interpolation in
+    y each, by a plan made once per strip.  Between rectangles a column
+    takes the junction loop pushed through f (:func:`push_loop` pushes each
+    loop once per map).  Coordinates that fall on a breakpoint are read
+    without interpolating.
     """
     r = config.arity
     if len(inputs) != r:
@@ -294,9 +283,9 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
                                  f"does not match the map target {f.dim_out}")
 
     spans = config.base.images()
-    _check_order(spans, "strip", "left to right")
+    _check_spans(spans, "strip", "left to right")
     for i, rects in enumerate(config.rects):
-        _check_order(tuple(rect.image() for rect in rects),
+        _check_spans(tuple(rect.image() for rect in rects),
                      "rectangle", "bottom to top", f"strip {i + 1}: ")
 
     # grid lines, with the images of each sheet's breaks kept per rectangle
@@ -321,7 +310,10 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     outside = tuple(p for _ in ys)
     values = []
     done = 0
-    for i, (a, b) in enumerate(_claims(x_ints, [scaled_by(xm, s) for s in spans])):
+    for i, span in enumerate(spans):
+        lo, hi = scaled_by(xm, span)
+        a = max(done, bisect_left(x_ints, lo))
+        b = bisect_right(x_ints, hi, a)
         values.extend(outside for _ in range(done, a))
         done = b
         cols = x_ints[a:b]
@@ -334,19 +326,18 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
             if j is None and g not in gaps:
                 path = push_loop(f, junctions[i][g])
                 pv = path.values
-                steps = locate_sorted(
-                    scaled_by(xm, [embs[i](t) for t in path.breaks]), cols)
+                breaks = scaled_by(xm, [embs[i](t) for t in path.breaks])
                 gaps[g] = [pv[k] if w is None else lerp(pv[k], pv[k + 1], *w)
-                           for k, w in steps]
+                           for k, w in [locate(breaks, x) for x in cols]]
         # each rectangle's sheet along its own y-lines, one line per column
         lines = []
         for elem, images in zip(chains[i], x_images[i]):
             sv = elem.sheet.values
-            steps = locate_sorted(scaled_by(xm, images), cols)
+            breaks = scaled_by(xm, images)
             lines.append([sv[k] if w is None else
                           tuple([lerp(v0, v1, *w)
                                  for v0, v1 in zip(sv[k], sv[k + 1])])
-                          for k, w in steps])
+                          for k, w in [locate(breaks, x) for x in cols]])
         for c in range(b - a):
             col = []
             for j, k, w in plan:
@@ -361,9 +352,7 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
 
     bottom = act_on_loops(config.base, tuple(j[0] for j in junctions))
     top = act_on_loops(config.base, tuple(j[-1] for j in junctions))
-    square = x_ints[0] == 0 == y_ints[0] and (x_ints[-1], y_ints[-1]) == (xm, ym)
-    make = _sheet if square else GridSheet  # GridSheet rejects what leaves it
-    return SheetElement(make(xs, ys, tuple(values)), bottom, top)
+    return SheetElement(_sheet(xs, ys, tuple(values)), bottom, top)
 
 
 # ---------------------------------------------------------------------------

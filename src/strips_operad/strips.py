@@ -146,13 +146,13 @@ def strip_violation(config: StripConfig) -> Optional[str]:
     return None
 
 
-def random_strip_over(shape: Sequence, base: IntervalConfig, rng: random.Random,
-                      denom: int = DEFAULT_DENOM) -> StripConfig:
+def random_strip_over(shape: Sequence, base: IntervalConfig,
+                      rng: random.Random) -> StripConfig:
     """A random valid configuration of the given shape over the given base."""
     shape = check_shape(shape)
     if len(shape) != base.arity:
         raise ValueError("shape length must match base arity")
-    rows = tuple(grid_embeddings(n, rng, denom) for n in shape)
+    rows = tuple(grid_embeddings(n, rng, DEFAULT_DENOM) for n in shape)
     return _strip(shape, base, rows)
 
 

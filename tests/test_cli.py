@@ -180,7 +180,7 @@ def test_check_keeps_the_failures_recorded_before_a_raise_for_every_checker(
 
 
 def test_check_trees_exhaustive(capsys):
-    code, out, _ = run(["check", "trees", "--exhaustive", "--max-arity", "2"],
+    code, out, _ = run(["check", "trees", "--exhaustive", "--max-r", "2"],
                        capsys)
     assert code == 0
     doc = json.loads(out)
@@ -340,6 +340,13 @@ def test_check_rejects_unknown_target(capsys):
     assert exc.value.code == 2
 
 
+def test_check_has_no_max_arity_synonym(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "trees", "--max-arity", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-arity 2" in capsys.readouterr().err
+
+
 def assert_usage_error(argv, capsys, flag):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -361,28 +368,16 @@ def test_check_rejects_arity_bound_below_one(capsys):
                        capsys, "--max-r")
 
 
-@pytest.mark.parametrize("target", ["intervals", "strips", "sheets"])
-def test_check_rejects_arity_bound_beyond_the_grid(capsys, target):
-    # once an `exception` failure: r intervals need 2r of the 4097 grid points
-    assert_usage_error(["check", target, "--max-r", "2049", "--cases", "2"],
-                       capsys, "--max-r must be at most 2048")
-
-
-def test_check_grid_bound_leaves_trees_alone():
-    # trees draw no grid, but --max-r 2049 is over the composite bound
-    args = build_parser().parse_args(["check", "trees", "--max-r", "2049"])
-    bad = _check_args_error(args)
-    assert "2097152" in bad and "use --max-r 128 or less" in bad
-    assert "grid" not in bad
-
-
 @pytest.mark.parametrize("argv", [["intervals", "--max-r", "2048"],
                                   ["trees", "--max-r", "129"],
                                   ["strips", "--max-r", "2048"],
-                                  ["sheets", "--max-r", "129"]])
+                                  ["sheets", "--max-r", "129"],
+                                  *[[target, "--max-r", "2049"] for target in
+                                    ("intervals", "trees", "strips", "sheets")]])
 def test_check_rejects_composites_over_the_bound(capsys, argv):
     # once grew past 4 GB: three stages of arity 2048 compose to arity 2048**3;
-    # strips and sheets once spun in the rejection sampler instead
+    # strips and sheets once spun in the rejection sampler instead; at 2049,
+    # intervals need more than the 4097 points of the 1/4096 grid
     target, r = argv[0], int(argv[2])
     reach = (f"draw {r ** 2} carriers, more than 16384" if target == "sheets"
              else f"composites reach arity {r ** 3}, more than 2097152")
@@ -1192,10 +1187,10 @@ def test_compose_rejection_lines_are_pinned(tmp_path, capsys, name):
 
 def test_compose_rejects_an_invalid_composite(tmp_path, capsys, monkeypatch):
     # valid inputs always compose to a valid result, so break the composite
-    # by composing through the mutant that lifts the last rectangle
+    # by composing through the mutant that lifts the last rectangle by 2
     from strips_operad import cli
-    monkeypatch.setattr(cli, "strip_compose",
-                        mutants.strips_rel_operad(Fraction(2)).compose)
+    monkeypatch.setattr(mutants, "DRIFT", Fraction(2))
+    monkeypatch.setattr(cli, "strip_compose", mutants.strips_rel_operad().compose)
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(pin_strips_plan(2, 40, 8)))
     assert run(["compose", str(path)], capsys) == (

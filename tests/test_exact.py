@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
                                  _affine1, _path, _sheet, constant_path,
-                                 constant_sheet, grid_lines, locate,
-                                 locate_sorted)
+                                 constant_sheet, grid_lines, locate)
 
 from helpers import (path_presentation, positive_scales, rationals,
                      sheet_presentation, unit_rationals)
@@ -510,7 +509,7 @@ def test_coercion_keeps_fractions_and_converts_the_rest():
     assert all(type(c) is F for v in p.values for c in v)
 
 
-# --- trusted builders and the merge-walk lookups ---------------------------------
+# --- trusted builders and the grid lookups ----------------------------------------
 
 def _assert_same_object(trusted, public):
     assert trusted == public and hash(trusted) == hash(public)
@@ -551,14 +550,42 @@ def test_grid_lines_sort_and_merge_exactly():
         assert all(type(k) is int for k in ints)
 
 
-def test_locate_sorted_matches_locate():
-    rng = random.Random("locate-sorted")
-    for _ in range(100):
-        breaks = sorted({F(rng.randint(-40, 40), 8) for _ in range(rng.randint(2, 6))})
+def _assert_locate_agrees_on_ints(breaks: list, ts: list) -> None:
+    # the same points scaled to ints by one common denominator give the same
+    # index and the same ratio, and the ratio puts t where it is
+    m = math.lcm(*[x.denominator for x in breaks + ts])
+    ints = [(b * m).numerator for b in breaks]
+    for t in ts:
+        i, w = locate(breaks, t)
+        j, v = locate(ints, (t * m).numerator)
+        assert j == i
+        if w is None:
+            assert v is None and i >= 0 and t == breaks[i]
+            continue
+        assert 0 <= i <= len(breaks) - 2
+        if breaks[0] < t < breaks[-1]:
+            assert breaks[i] < t < breaks[i + 1]
+        assert all(type(x) is int for x in v)
+        assert all(type(x) is F for x in w)
+        assert F(*v) == w[0] / w[1]
+        assert breaks[i] + F(*v) * (breaks[i + 1] - breaks[i]) == t
+
+
+def test_locate_on_ints_matches_locate_on_fractions():
+    rng = random.Random("locate-ints")
+    for _ in range(200):
+        breaks = sorted({_big_rational(rng) for _ in range(rng.randint(2, 6))})
         if len(breaks) < 2:
             continue
-        ts = sorted({F(rng.randint(-60, 60), 8) for _ in range(rng.randint(0, 12))})
-        steps = locate_sorted([t * 8 for t in breaks], [t * 8 for t in ts])
-        for t, (i, w) in zip(ts, steps):
-            want = locate(breaks, t)
-            assert (i, w if w is None else F(*w)) == want
+        # the breaks themselves, points between them, and points past either end
+        ts = breaks + [_big_rational(rng) for _ in range(rng.randint(0, 12))]
+        ts += [breaks[0] - 1, breaks[-1] + F(1, 3)]
+        _assert_locate_agrees_on_ints(breaks, ts)
+
+
+@given(st.lists(st.fractions(max_denominator=2**50), min_size=2, max_size=6,
+                unique=True),
+       st.lists(st.fractions(max_denominator=2**50), max_size=8))
+def test_locate_on_ints_matches_locate_on_fractions_hypothesis(breaks, ts):
+    breaks.sort()
+    _assert_locate_agrees_on_ints(breaks, breaks + ts)

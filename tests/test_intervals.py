@@ -108,7 +108,7 @@ def test_random_intervals_is_seed_deterministic():
 
 
 def test_random_intervals_denominator_bound():
-    cfg = random_intervals(4, random.Random(1), denom=64)
+    cfg = IntervalConfig(grid_embeddings(4, random.Random(1), 64))
     for e in cfg.embeddings:
         lo, hi = e.image()
         assert lo.denominator <= 64 and hi.denominator <= 64

@@ -8,15 +8,15 @@ from strips_operad import mutants
 from strips_operad.exact import (AffineMap1, GridSheet, PLPath, constant_path,
                                  constant_sheet)
 from strips_operad.framework import ChainError, run_algebra_check
-from strips_operad.intervals import (IntervalConfig, interval_unit,
-                                     random_intervals)
+from strips_operad.intervals import (IntervalConfig, grid_embeddings,
+                                     interval_unit)
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
                                   act_on_loops, act_on_sheets, constant_loop,
                                   push_loop, random_loop, random_pointed_map,
                                   random_sheet_element, sheet_algebra,
                                   sheet_violation)
-from strips_operad.strips import (StripConfig, random_strip, random_strip_over,
-                                  strip_unit, strips_rel_operad)
+from strips_operad.strips import (StripConfig, random_strip, strip_unit,
+                                  strips_rel_operad)
 
 from helpers import chain_inputs, path_presentation, sheet_presentation
 
@@ -395,9 +395,11 @@ def test_actions_match_pointwise_reference_on_random_configurations():
             shape = shape[:-1] + (1,)
         # coarse grids put intervals against 0 and 1 and rectangles against
         # the bottom and top of their strip
-        base = random_intervals(r, rng, denom=rng.choice((2 * r, 2 * r + 1, 4096)))
-        config = random_strip_over(shape, base, rng,
-                                   denom=rng.choice((2 * max(shape), 16, 4096)))
+        base = IntervalConfig(grid_embeddings(
+            r, rng, rng.choice((2 * r, 2 * r + 1, 4096))))
+        d = rng.choice((2 * max(shape), 16, 4096))
+        config = StripConfig(shape, base,
+                             tuple(grid_embeddings(n, rng, d) for n in shape))
         inputs = chain_inputs(f, config, rng)
         _assert_matches_reference(f, config, inputs)
         spans = config.base.images()
@@ -422,11 +424,25 @@ def test_actions_match_reference_with_shared_edges():
     assert sheet_violation(f, out) is None
 
 
-# errors raised at the parent of the swept action, for intervals that leave [0, 1]
-LEAVING = [(AffineMap1(F(1, 2), F(-1, 4)),
-            "breakpoints must be strictly increasing, got 0 >= -1/4"),
-           (AffineMap1(F(1, 2), F(3, 4)),
-            "breakpoints must be strictly increasing, got 5/4 >= 1")]
+def test_actions_match_reference_when_strips_with_rectangles_share_edges():
+    # a column on an edge shared by two strips is read once, for the left
+    # strip, so the columns of every strip to its right stay in place
+    f = _map2d()
+    rng = random.Random(89)
+    quarter, half = F(1, 4), F(1, 2)
+    base = IntervalConfig((AffineMap1(quarter, F(0)), AffineMap1(quarter, quarter),
+                           AffineMap1(half, half)))
+    config = StripConfig((1, 2, 1), base, (
+        (AffineMap1(half, quarter),),
+        (AffineMap1(half, F(0)), AffineMap1(half, half)),
+        (AffineMap1(quarter, F(0)),)))
+    out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
+    assert sheet_violation(f, out) is None
+
+
+# an interval or a strip that leaves [0, 1] is named, with its image
+LEAVING = [(AffineMap1(F(1, 2), F(-1, 4)), "1 image [-1/4, 1/4] leaves [0, 1]"),
+           (AffineMap1(F(1, 2), F(3, 4)), "1 image [3/4, 5/4] leaves [0, 1]")]
 
 
 @pytest.mark.parametrize("emb, message", LEAVING)
@@ -435,12 +451,17 @@ def test_actions_on_intervals_leaving_the_unit_interval_raise(emb, message):
     loop = random_loop(random.Random(5), 2, f.dom_base)
     with pytest.raises(ValueError) as caught:
         act_on_loops(IntervalConfig((emb,)), [loop])
-    assert str(caught.value) == message
+    assert str(caught.value) == "interval " + message
     config = StripConfig((1,), IntervalConfig((emb,)),
                          ((AffineMap1(F(1, 2), F(1, 4)),),))
     with pytest.raises(ValueError) as caught:
         act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
-    assert str(caught.value) == message
+    assert str(caught.value) == "strip " + message
+
+
+# the message for a rectangle with each offset below
+RECTANGLE_LEAVING = {F(-1, 4): "strip 1: rectangle 1 image [-1/4, 1/4] leaves [0, 1]",
+                     F(3, 4): "strip 1: rectangle 1 image [3/4, 5/4] leaves [0, 1]"}
 
 
 @pytest.mark.parametrize("y_part", [AffineMap1(F(1, 2), F(-1, 4)),
@@ -452,7 +473,7 @@ def test_act_on_sheets_with_a_rectangle_leaving_the_square_raises(y_part):
                          ((y_part,),))
     with pytest.raises(ValueError) as caught:
         act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
-    assert str(caught.value) == "sheet must be parametrized over the unit square"
+    assert str(caught.value) == RECTANGLE_LEAVING[y_part.c]
 
 
 # --- ordering preconditions -----------------------------------------------------------
