@@ -5,20 +5,26 @@ increasing affine reparametrizations of the unit interval (a rectangle of a
 strip configuration is two of them: its strip's across, its own upward),
 piecewise-linear paths, and grid-bilinear sheets.  An affine map of the line
 is stored as a reduced integer triple ``(an, cn, d)`` for ``x |-> (an*x +
-cn)/d``, which is unique per map, and composed on those ints; paths and
-sheets hold :class:`fractions.Fraction` coordinates.  Every value is stored
-in the one form its function has (the normal triple, or the minimal
-breakpoint set, which each constructor prunes to), so ``==`` and ``hash``
-are those of the underlying functions.  That is the property the law
-checkers in :mod:`strips_operad.framework` rely on.
+cn)/d``, which is unique per map, and composed on those ints.  A path or a
+sheet is stored as ints too: each axis's breakpoints over one denominator,
+and all its value coordinates over one more, so the actions in
+:mod:`strips_operad.sheets` evaluate, prune and compare them on ints.
+Every value is stored in the one form its function has (the normal triple,
+or the minimal breakpoint set, which each constructor prunes to, with every
+denominator reduced), so ``==`` and ``hash`` are those of the underlying
+functions.  That is the property the law checkers in
+:mod:`strips_operad.framework` rely on.  ``Fraction``s are built only where
+a coordinate is read: in the public accessors, ``at``, ``repr`` and the
+JSON codecs.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,23 +41,12 @@ def as_point(p) -> tuple[Fraction, ...]:
     return tuple([c if type(c) is Fraction else Fraction(c) for c in p])
 
 
-def lerp(p, q, tn: int, td: int) -> tuple[Fraction, ...]:
-    """Point on the segment from p to q at parameter ``tn/td`` (``td > 0``;
-    the ratio need not be reduced).
-
-    Each coordinate ``(1 - t)·a + t·b`` is formed over one common denominator
-    and reduced once, instead of after each of three Fraction operations.
-    """
+def lerp(p, q, tn: int, td: int) -> tuple:
+    """The point ``tn/td`` of the way from p to q (``td > 0``; the ratio need
+    not be reduced), for points of ints over one denominator m: the result
+    holds ints over ``m·td``, one product sum per coordinate."""
     sn = td - tn
-    out = []
-    for a, b in zip(p, q):
-        an, ad = a.numerator, a.denominator
-        bn, bd = b.numerator, b.denominator
-        if an == bn and ad == bd:
-            out.append(a)
-        else:
-            out.append(Fraction(an * bd * sn + bn * ad * tn, ad * bd * td))
-    return tuple(out)
+    return tuple([a * sn + b * tn for a, b in zip(p, q)])
 
 
 def locate(breaks: Sequence, t) -> tuple:
@@ -70,19 +65,50 @@ def locate(breaks: Sequence, t) -> tuple:
     return i, (t - t0, t1 - t0)
 
 
-def _lerp_at(p, q, w) -> tuple:
-    """:func:`lerp` at the ratio ``w = (num, den)`` of two Fractions from
-    :func:`locate`, passed on as ints without dividing them."""
-    num, den = w
-    return lerp(p, q, num.numerator * den.denominator,
-                num.denominator * den.numerator)
+def _over_lcm(xs: Sequence[Fraction]) -> tuple[tuple, int]:
+    """``(ints, m)``: the Fractions ``xs`` times m, the LCM of their
+    denominators, as a tuple of ints.  This is where a public constructor
+    leaves Fractions behind."""
+    dens = [x.denominator for x in xs]
+    m = math.lcm(*dens)
+    return tuple([x.numerator * (m // d) for x, d in zip(xs, dens)]), m
+
+
+def _points(flat: tuple, d: int, n: int) -> list:
+    """The n points of dimension d that ``flat`` lists one after another."""
+    return [flat[k * d:k * d + d] for k in range(n)]
+
+
+def _locate_rat(ts: tuple, t: Fraction) -> tuple:
+    """:func:`locate` of the Fraction t among the ints ``ts`` over their
+    denominator ``ts[-1]``, on ints: both sides times ``ts[-1]`` times the
+    denominator of t."""
+    n, d = t.numerator, t.denominator
+    return locate([k * d for k in ts], n * ts[-1])
+
+
+def _fractions(point, den: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(c, den) for c in point])
 
 
 # ---------------------------------------------------------------------------
 # affine embeddings
 # ---------------------------------------------------------------------------
 
-class AffineMap1:
+class _Frozen:
+    """Immutable instances: each slot is written once, through the slot's
+    own setter, by the constructor or a private builder."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class AffineMap1(_Frozen):
     """Increasing affine map x |-> a*x + c with a > 0.
 
     The map is stored as three ints ``(an, cn, d)`` with ``a = an/d``,
@@ -104,12 +130,6 @@ class AffineMap1:
         _SET_AN(self, a.numerator * (d // ad))
         _SET_CN(self, c.numerator * (d // cd))
         _SET_D(self, d)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (_affine1, (self.an, self.cn, self.d))
@@ -192,7 +212,7 @@ IDENTITY_1 = AffineMap1(ONE, ZERO)
 # piecewise-linear paths
 # ---------------------------------------------------------------------------
 
-def _check_breaks(breaks: tuple) -> None:
+def _check_breaks(breaks: Sequence) -> None:
     if len(breaks) < 2:
         raise ValueError("need at least two breakpoints")
     for u, v in zip(breaks, breaks[1:]):
@@ -200,22 +220,27 @@ def _check_breaks(breaks: tuple) -> None:
             raise ValueError(f"breakpoints must be strictly increasing, got {u} >= {v}")
 
 
-@dataclass(frozen=True)
-class PLPath:
+class PLPath(_Frozen):
     """Piecewise-linear function [0,1] -> Q^d, linear between breakpoints.
 
     ``values[k]`` is the value at ``breaks[k]``; breaks are strictly
     increasing with ``breaks[0] == 0`` and ``breaks[-1] == 1``.  An interior
     breakpoint where the slope does not change is dropped on construction,
     so two paths are ``==`` exactly when they are the same function.
+
+    The path is stored as ints: ``_t`` holds the breaks times their least
+    common denominator, which is ``_t[-1]``, and ``_v`` the values times
+    ``_vm``, the least common denominator of all their coordinates.  That
+    form is unique, so ``==`` and ``hash`` compare the three fields.
+    ``breaks``, ``values``, ``at`` and ``repr`` build ``Fraction``s when
+    they are called.
     """
 
-    breaks: tuple
-    values: tuple
+    __slots__ = ("_t", "_v", "_vm")
 
-    def __post_init__(self):
-        breaks = tuple([as_rat(t) for t in self.breaks])
-        values = tuple([as_point(v) for v in self.values])
+    def __init__(self, breaks, values):
+        breaks = [as_rat(t) for t in breaks]
+        values = [as_point(v) for v in values]
         _check_breaks(breaks)
         if breaks[0] != ZERO or breaks[-1] != ONE:
             raise ValueError("path must be parametrized over [0, 1]")
@@ -224,19 +249,48 @@ class PLPath:
         d = len(values[0])
         if any(len(v) != d for v in values):
             raise ValueError("all values must have the same dimension")
-        _store_path(self, breaks, values)
+        flat, vm = _over_lcm([c for v in values for c in v])
+        _store_path(self, _over_lcm(breaks)[0], _points(flat, d, len(values)), vm)
+
+    def __reduce__(self):
+        return (_path, (self._t, self._v, self._vm))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not PLPath:
+            return NotImplemented
+        return self._t == other._t and self._vm == other._vm and self._v == other._v
+
+    def __hash__(self):
+        return hash((self._t, self._v, self._vm))
+
+    def __repr__(self):
+        return f"PLPath(breaks={self.breaks!r}, values={self.values!r})"
+
+    @property
+    def breaks(self) -> tuple:
+        m = self._t[-1]
+        return tuple([Fraction(t, m) for t in self._t])
+
+    @property
+    def values(self) -> tuple:
+        vm = self._vm
+        return tuple([_fractions(v, vm) for v in self._v])
 
     @property
     def dim(self) -> int:
-        return len(self.values[0])
+        return len(self._v[0])
 
     def at(self, t: Fraction) -> tuple:
         t = as_rat(t)
         if not ZERO <= t <= ONE:
             raise ValueError(f"argument {t} outside [0, 1]")
-        i, w = locate(self.breaks, t)
-        v = self.values[i]
-        return v if w is None else _lerp_at(v, self.values[i + 1], w)
+        i, w = _locate_rat(self._t, t)
+        v = self._v[i]
+        if w is None:
+            return _fractions(v, self._vm)
+        return _fractions(lerp(v, self._v[i + 1], *w), self._vm * w[1])
 
     def canonical(self) -> "PLPath":
         """``self``, since a path is stored in its minimal form.  Kept only
@@ -244,26 +298,38 @@ class PLPath:
         return self
 
 
-def _store_path(path: PLPath, breaks: tuple, values: tuple) -> PLPath:
-    """Store ``breaks`` and ``values`` as the fields of ``path``, less every
-    interior breakpoint where the slope does not change; return ``path``."""
-    n, d = len(breaks), len(values[0])
-    flat = _scaled([c for v in values for c in v])
-    keep = _essential(breaks, [flat[k * d:k * d + d] for k in range(n)])
-    if len(keep) < n:
-        breaks = tuple([breaks[k] for k in keep])
-        values = tuple([values[k] for k in keep])
-    fields = path.__dict__          # the frozen dataclass's own storage
-    fields["breaks"], fields["values"] = breaks, values
+_SET_T = PLPath._t.__set__
+_SET_PV = PLPath._v.__set__
+_SET_PVM = PLPath._vm.__set__
+
+
+def _store_path(path: PLPath, ts: Sequence, vals: Sequence, vm: int) -> PLPath:
+    """Store the path with breaks ``ts[k]/ts[-1]`` and values ``vals[k]/vm``
+    (tuples of ints) in ``path``, less every interior breakpoint where the
+    slope does not change, each side over its least denominator; return
+    ``path``."""
+    keep = _essential(ts, vals)
+    if len(keep) < len(ts):
+        ts = [ts[k] for k in keep]
+        vals = [vals[k] for k in keep]
+    g = math.gcd(*ts)
+    _SET_T(path, tuple(ts) if g == 1 else tuple([t // g for t in ts]))
+    g = math.gcd(vm, *[c for v in vals for c in v])
+    if g != 1:
+        vm //= g
+        vals = [tuple([c // g for c in v]) for v in vals]
+    _SET_PV(path, tuple(vals))
+    _SET_PVM(path, vm)
     return path
 
 
-def _path(breaks: tuple, values: tuple) -> PLPath:
-    """A :class:`PLPath` from parts that already hold its invariants (a tuple
-    of strictly increasing ``Fraction`` breaks from 0 to 1, and a tuple of as
-    many ``Fraction`` points of one dimension), built without coercing or
-    checking them again, and pruned to its minimal form."""
-    return _store_path(object.__new__(PLPath), breaks, values)
+def _path(ts: Sequence, vals: Sequence, vm: int) -> PLPath:
+    """The :class:`PLPath` with breaks ``ts[k]/ts[-1]`` and values
+    ``vals[k]/vm``, from ints that already hold its invariants (breaks
+    strictly increasing from 0, one tuple of ints of one dimension per
+    break, ``vm > 0``), built without checking them again, and pruned and
+    reduced to its stored form."""
+    return _store_path(object.__new__(PLPath), ts, vals, vm)
 
 
 def constant_path(value) -> PLPath:
@@ -275,146 +341,173 @@ def constant_path(value) -> PLPath:
 # grid-bilinear sheets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSheet:
+class GridSheet(_Frozen):
     """Function [0,1]^2 -> Q^d, bilinear on each cell of a rectangular grid.
 
     ``values[ix][iy]`` is the value at ``(x_breaks[ix], y_breaks[iy])``.  A
     redundant grid line is dropped on construction, so two sheets are ``==``
     exactly when they are the same function.
+
+    Stored as ints like :class:`PLPath`: ``_x`` and ``_y`` hold each axis's
+    breaks over its least common denominator (``_x[-1]``, ``_y[-1]``), and
+    ``_v`` the value grid, column by column, over ``_vm``.
     """
 
-    x_breaks: tuple
-    y_breaks: tuple
-    values: tuple
+    __slots__ = ("_x", "_y", "_v", "_vm")
 
-    def __post_init__(self):
-        xb = tuple([as_rat(t) for t in self.x_breaks])
-        yb = tuple([as_rat(t) for t in self.y_breaks])
-        vals = tuple([tuple([as_point(v) for v in col]) for col in self.values])
+    def __init__(self, x_breaks, y_breaks, values):
+        xb = [as_rat(t) for t in x_breaks]
+        yb = [as_rat(t) for t in y_breaks]
+        vals = [[as_point(v) for v in col] for col in values]
         for breaks in (xb, yb):
             _check_breaks(breaks)
             if breaks[0] != ZERO or breaks[-1] != ONE:
                 raise ValueError("sheet must be parametrized over the unit square")
-        if len(vals) != len(xb) or any(len(col) != len(yb) for col in vals):
+        nx, ny = len(xb), len(yb)
+        if len(vals) != nx or any(len(col) != ny for col in vals):
             raise ValueError("value grid must be len(x_breaks) x len(y_breaks)")
         d = len(vals[0][0])
         if any(len(v) != d for col in vals for v in col):
             raise ValueError("all values must have the same dimension")
-        _store_sheet(self, xb, yb, vals)
+        flat, vm = _over_lcm([c for col in vals for v in col for c in v])
+        points = _points(flat, d, nx * ny)
+        _store_sheet(self, _over_lcm(xb)[0], _over_lcm(yb)[0],
+                     [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
+
+    def __reduce__(self):
+        return (_sheet, (self._x, self._y, self._v, self._vm))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not GridSheet:
+            return NotImplemented
+        return (self._x == other._x and self._y == other._y
+                and self._vm == other._vm and self._v == other._v)
+
+    def __hash__(self):
+        return hash((self._x, self._y, self._v, self._vm))
+
+    def __repr__(self):
+        return (f"GridSheet(x_breaks={self.x_breaks!r}, "
+                f"y_breaks={self.y_breaks!r}, values={self.values!r})")
+
+    @property
+    def x_breaks(self) -> tuple:
+        m = self._x[-1]
+        return tuple([Fraction(t, m) for t in self._x])
+
+    @property
+    def y_breaks(self) -> tuple:
+        m = self._y[-1]
+        return tuple([Fraction(t, m) for t in self._y])
+
+    @property
+    def values(self) -> tuple:
+        vm = self._vm
+        return tuple([tuple([_fractions(v, vm) for v in col]) for col in self._v])
 
     @property
     def dim(self) -> int:
-        return len(self.values[0][0])
+        return len(self._v[0][0])
 
     def at(self, x: Fraction, y: Fraction) -> tuple:
         x, y = as_rat(x), as_rat(y)
         if not (ZERO <= x <= ONE and ZERO <= y <= ONE):
             raise ValueError(f"argument ({x}, {y}) outside the unit square")
-        ix, u = locate(self.x_breaks, x)
-        iy, w = locate(self.y_breaks, y)
-        col = self.values[ix]
-        nxt = None if u is None else self.values[ix + 1]
+        ix, u = _locate_rat(self._x, x)
+        iy, w = _locate_rat(self._y, y)
+        col = self._v[ix]
+        den = self._vm
+        if u is not None:
+            nxt = self._v[ix + 1]
+            den *= u[1]
 
-        def on_line(k):     # the value at x on the y-line k
-            if nxt is None:
-                return col[k]
-            return _lerp_at(col[k], nxt[k], u)
+        def on_line(k):     # the value at x on the y-line k, over den
+            return col[k] if u is None else lerp(col[k], nxt[k], *u)
 
-        lo = on_line(iy)
-        return lo if w is None else _lerp_at(lo, on_line(iy + 1), w)
+        v = on_line(iy)
+        if w is not None:
+            v = lerp(v, on_line(iy + 1), *w)
+            den *= w[1]
+        return _fractions(v, den)
 
     def canonical(self) -> "GridSheet":
         """``self``, since a sheet is stored in its minimal form.  Kept only
         because the benchmark harness in ``bench/`` still calls it."""
         return self
 
-    def row(self, iy: int) -> tuple:
-        """Values along the iy-th y grid line, indexed by x."""
-        return tuple(col[iy] for col in self.values)
-
     def bottom_edge(self) -> PLPath:
-        return _path(self.x_breaks, self.row(0))
+        return _path(self._x, [col[0] for col in self._v], self._vm)
 
     def top_edge(self) -> PLPath:
-        return _path(self.x_breaks, self.row(len(self.y_breaks) - 1))
+        return _path(self._x, [col[-1] for col in self._v], self._vm)
 
 
-def _store_sheet(sheet: GridSheet, x_breaks: tuple, y_breaks: tuple,
-                 values: tuple) -> GridSheet:
-    """Store the parts as the fields of ``sheet``, less every redundant grid
-    line; return ``sheet``.
+_SET_X = GridSheet._x.__set__
+_SET_Y = GridSheet._y.__set__
+_SET_SV = GridSheet._v.__set__
+_SET_SVM = GridSheet._vm.__set__
+
+
+def _store_sheet(sheet: GridSheet, xs: Sequence, ys: Sequence, cols: Sequence,
+                 vm: int) -> GridSheet:
+    """Store the sheet with grid lines ``xs[i]/xs[-1]`` and ``ys[j]/ys[-1]``
+    and values ``cols[i][j]/vm`` (tuples of ints) in ``sheet``, less every
+    redundant grid line, each axis and the values over their least
+    denominators; return ``sheet``.
 
     An interior x-line is kept iff some row of grid values has a slope
     change across it, and symmetrically for y-lines.  Whether a line is
     redundant does not depend on redundant lines along the other axis
-    (slopes are computed between retained neighbours), so both axes can be
-    pruned in one pass, over one integer scaling of the value grid.
+    (slopes are computed between retained neighbours), so both axes are
+    pruned in one pass.
     """
-    nx, ny, d = len(x_breaks), len(y_breaks), len(values[0][0])
-    flat = _scaled([c for col in values for v in col for c in v])
-    m = ny * d
-    x_lines = [flat[ix * m:ix * m + m] for ix in range(nx)]
-    y_lines = [[c for line in x_lines for c in line[iy * d:iy * d + d]]
-               for iy in range(ny)]
-    keep_x = _essential(x_breaks, x_lines)
-    keep_y = _essential(y_breaks, y_lines)
-    if len(keep_x) < nx or len(keep_y) < ny:
-        values = tuple([tuple([values[ix][iy] for iy in keep_y]) for ix in keep_x])
-        x_breaks = tuple([x_breaks[i] for i in keep_x])
-        y_breaks = tuple([y_breaks[i] for i in keep_y])
-    fields = sheet.__dict__         # the frozen dataclass's own storage
-    fields["x_breaks"], fields["y_breaks"] = x_breaks, y_breaks
-    fields["values"] = values
+    x_lines = [[c for v in col for c in v] for col in cols]
+    y_lines = [[c for v in row for c in v] for row in zip(*cols)]
+    keep_x = _essential(xs, x_lines)
+    keep_y = _essential(ys, y_lines)
+    if len(keep_x) < len(xs) or len(keep_y) < len(ys):
+        cols = [[cols[ix][iy] for iy in keep_y] for ix in keep_x]
+        x_lines = [[c for v in col for c in v] for col in cols]
+        xs = [xs[i] for i in keep_x]
+        ys = [ys[i] for i in keep_y]
+    g = math.gcd(*xs)
+    _SET_X(sheet, tuple(xs) if g == 1 else tuple([t // g for t in xs]))
+    g = math.gcd(*ys)
+    _SET_Y(sheet, tuple(ys) if g == 1 else tuple([t // g for t in ys]))
+    g = math.gcd(vm, *chain.from_iterable(x_lines))
+    if g == 1:
+        _SET_SV(sheet, tuple([tuple(col) for col in cols]))
+    else:
+        vm //= g
+        _SET_SV(sheet, tuple([tuple([tuple([c // g for c in v]) for v in col])
+                              for col in cols]))
+    _SET_SVM(sheet, vm)
     return sheet
 
 
-def _sheet(x_breaks: tuple, y_breaks: tuple, values: tuple) -> GridSheet:
-    """A :class:`GridSheet` from parts that already hold its invariants (two
-    tuples of strictly increasing ``Fraction`` breaks from 0 to 1, and a
-    tuple of columns, one per x-break, each a tuple of one ``Fraction`` point
-    per y-break, all of one dimension), built without coercing or checking
-    them again, and pruned to its minimal form."""
-    return _store_sheet(object.__new__(GridSheet), x_breaks, y_breaks, values)
+def _sheet(xs: Sequence, ys: Sequence, cols: Sequence, vm: int) -> GridSheet:
+    """The :class:`GridSheet` with grid lines ``xs[i]/xs[-1]`` and
+    ``ys[j]/ys[-1]`` and values ``cols[i][j]/vm``, from ints that already
+    hold its invariants (breaks strictly increasing from 0 on each axis, one
+    column per x-break holding one tuple of ints of one dimension per
+    y-break, ``vm > 0``), built without checking them again, and pruned and
+    reduced to its stored form."""
+    return _store_sheet(object.__new__(GridSheet), xs, ys, cols, vm)
 
 
-def _scaled(xs: Sequence[Fraction]) -> list:
-    """The Fractions ``xs`` times the LCM of their denominators, as ints.
-
-    One positive factor scales every entry, so ratios of differences, and with
-    them collinearity, are unchanged.
-    """
-    dens = [x.denominator for x in xs]
-    m = math.lcm(*dens)
-    return [x.numerator * (m // d) for x, d in zip(xs, dens)]
-
-
-def scaled_by(m: int, xs: Iterable[Fraction]) -> list:
-    """The Fractions ``xs``, whose denominators divide ``m``, times m as ints."""
-    return [x.numerator * (m // x.denominator) for x in xs]
-
-
-def grid_lines(points: Iterable[Fraction]) -> tuple:
-    """``(lines, ints, m)`` for the given points: the distinct ones in
-    increasing order, the same times ``m`` as ints, and ``m``, the LCM of
-    their denominators.  Merging and sorting are done on the ints."""
-    pts = list(points)
-    m = math.lcm(*[x.denominator for x in pts])
-    by_int = dict(zip(scaled_by(m, pts), pts))
-    ints = sorted(by_int)
-    return tuple([by_int[k] for k in ints]), ints, m
-
-
-def _essential(breaks: tuple, lines: list) -> list:
+def _essential(ts: Sequence, lines: Sequence) -> list:
     """Indices of the breakpoints to keep along one axis.
 
-    ``lines[k]`` lists the integer-scaled value coordinates on the line at
-    ``breaks[k]`` (a path's value, or a whole row or column of a grid).  An
-    interior line is redundant when, against the last kept line ``prev`` and
-    the next line, every coordinate satisfies ``(b - a)/dt0 == (c - b)/dt1``,
-    tested as ``(b - a)·dt1 == (c - b)·dt0`` on integers.
+    ``ts`` are the breakpoints and ``lines[k]`` the value coordinates on the
+    line at ``ts[k]`` (a path's value, or a whole row or column of a grid),
+    each side as ints over one denominator.  An interior line is redundant
+    when, against the last kept line ``prev`` and the next line, every
+    coordinate satisfies ``(b - a)/dt0 == (c - b)/dt1``, tested as ``(b -
+    a)·dt1 == (c - b)·dt0`` on integers.  One positive factor per side
+    leaves that test unchanged, so the denominators play no part.
     """
-    ts = _scaled(breaks)
     n = len(ts)
     keep = [0]
     for k in range(1, n - 1):

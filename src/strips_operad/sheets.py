@@ -5,8 +5,10 @@ basepoint q to a basepoint p.  The carriers here are piecewise-linear loops at
 q in the source space; over them sit *sheet elements*: grid-bilinear squares
 in the target space whose bottom and top edges are the images under f of two
 such loops and whose left and right edges are constantly p.  Paths and sheets
-are stored in their minimal form (:mod:`strips_operad.exact`), so ``==`` on
-loops and sheet elements is equality of functions.
+are stored in their minimal form, as ints over one denominator per axis and
+one for the values (:mod:`strips_operad.exact`), so ``==`` on loops and sheet
+elements is equality of functions, and the actions, the samplers and the
+validity check below compute on those ints and build no ``Fraction``.
 
 An interval configuration acts on a list of loops by playing each loop inside
 its interval and resting at q elsewhere.  A strip configuration acts on chains
@@ -17,15 +19,17 @@ outside all strips with p.
 """
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, GridSheet, PLPath, _path, _sheet, as_point,
-                    grid_lines, lerp, locate, scaled_by)
+from .exact import (ONE, ZERO, AffineMap1, GridSheet, PLPath, _fractions,
+                    _over_lcm, _path, _points, _sheet, as_point, lerp, locate)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -37,12 +41,19 @@ class PointedMap:
 
     ``matrix`` has one row per output coordinate; ``apply(v) = matrix·v +
     offset``, where the offset is fixed by carrying the source basepoint to
-    the target one."""
+    the target one.  The map is also kept on ints, for the actions: the
+    point ``v/m`` (ints v) goes to ``(_rows·v + _shift·m) / (_den·m)``, and
+    each basepoint is held as ``(ints, denominator)`` in ``_q`` and ``_p``."""
 
     matrix: tuple
     dom_base: tuple
     cod_base: tuple
     offset: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _shift: tuple = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    _q: tuple = field(init=False, repr=False, compare=False)
+    _p: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = tuple(as_point(row) for row in self.matrix)
@@ -52,12 +63,16 @@ class PointedMap:
             raise ValueError("matrix rows must match the target dimension")
         if any(len(row) != len(dom) for row in matrix):
             raise ValueError("matrix columns must match the source dimension")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "dom_base", dom)
-        object.__setattr__(self, "cod_base", cod)
-        object.__setattr__(self, "offset", tuple(
-            c - sum(a * x for a, x in zip(row, dom))
-            for row, c in zip(matrix, cod)))
+        offset = tuple(c - sum(a * x for a, x in zip(row, dom))
+                       for row, c in zip(matrix, cod))
+        flat, den = _over_lcm([a for row in matrix for a in row] + list(offset))
+        cells = len(dom) * len(cod)
+        fields = {"matrix": matrix, "dom_base": dom, "cod_base": cod,
+                  "offset": offset, "_den": den, "_q": _over_lcm(dom),
+                  "_p": _over_lcm(cod), "_shift": flat[cells:],
+                  "_rows": tuple(_points(flat, len(dom), len(cod)))}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim_in(self) -> int:
@@ -67,20 +82,21 @@ class PointedMap:
     def dim_out(self) -> int:
         return len(self.cod_base)
 
+    def _image(self, v: tuple, m: int) -> tuple:
+        """The image of the point ``v/m`` (ints), as ints over ``_den·m``:
+        one integer matrix product."""
+        if len(v) != len(self.dom_base):
+            raise ValueError(f"point dimension {len(v)} does not match the "
+                             f"map source {len(self.dom_base)}")
+        return tuple([sum([a * x for a, x in zip(row, v)], s * m)
+                      for row, s in zip(self._rows, self._shift)])
+
     def apply(self, point) -> tuple:
-        """``matrix·point + offset``; each coordinate is summed over one
-        common denominator and reduced once."""
-        point = [(x.numerator, x.denominator) for x in as_point(point)]
-        out = []
-        for row, b in zip(self.matrix, self.offset):
-            num, den = b.numerator, b.denominator
-            for a, (xn, xd) in zip(row, point):
-                tn = a.numerator * xn
-                if tn:
-                    td = a.denominator * xd
-                    num, den = num * td + tn * den, den * td
-            out.append(Fraction(num, den))
-        return tuple(out)
+        """``matrix·point + offset``, computed on ints and read out as one
+        Fraction per coordinate.  A point whose dimension is not the
+        source's is a ``ValueError``."""
+        v, m = _over_lcm(as_point(point))
+        return _fractions(self._image(v, m), self._den * m)
 
 
 @dataclass(frozen=True)
@@ -90,12 +106,12 @@ class Loop:
     path: PLPath
 
     def __post_init__(self):
-        if self.path.values[0] != self.path.values[-1]:
+        if self.path._v[0] != self.path._v[-1]:
             raise ValueError("a loop must end where it starts")
 
     @property
     def basepoint(self) -> tuple:
-        return self.path.values[0]
+        return _fractions(self.path._v[0], self.path._vm)
 
     @property
     def dim(self) -> int:
@@ -103,6 +119,14 @@ class Loop:
 
     def at(self, t) -> tuple:
         return self.path.at(t)
+
+
+def _based_at(loop: Loop, base: tuple) -> bool:
+    """Whether the loop starts at ``base = (ints, m)`` of its dimension,
+    decided by cross-multiplying."""
+    (q, m), path = base, loop.path
+    vm = path._vm
+    return [c * m for c in path._v[0]] == [c * vm for c in q]
 
 
 def constant_loop(basepoint) -> Loop:
@@ -120,7 +144,8 @@ class SheetElement:
 
 
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:
-    """The loop carried into the target space.
+    """The loop carried into the target space, its breaks kept and each
+    value mapped on ints.
 
     Each (map, loop) pair is pushed once: the result is kept on the loop,
     outside its fields, keyed by the identity of the map.  The entry holds
@@ -130,8 +155,10 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
     memo = loop.__dict__.setdefault("_pushed", {})
     hit = memo.get(id(f))
     if hit is None:
-        hit = memo[id(f)] = (f, _path(loop.path.breaks, tuple(
-            f.apply(v) for v in loop.path.values)))
+        path = loop.path
+        vm = path._vm
+        hit = memo[id(f)] = (f, _path(path._t, [f._image(v, vm) for v in path._v],
+                                      f._den * vm))
     return hit[1]
 
 
@@ -139,19 +166,92 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
 # actions
 # ---------------------------------------------------------------------------
 
-def _check_spans(spans: Sequence, what: str, direction: str,
+def _check_spans(maps: Sequence[AffineMap1], what: str, direction: str,
                  where: str = "") -> None:
-    """Raise unless each span of Fractions lies in [0, 1] and ends no later
-    than the next one starts."""
-    for k, (lo, hi) in enumerate(spans):
-        if lo.numerator < 0 or hi.numerator > hi.denominator:
+    """Raise unless the image of each map lies in [0, 1] and ends no later
+    than the next one starts, decided on the integer triples."""
+    for k, m in enumerate(maps):
+        if not m.maps_into_unit():
+            lo, hi = m.image()
             raise ValueError(f"{where}{what} {k + 1} image [{lo}, {hi}] "
                              f"leaves [0, 1]")
-        if k and lo < spans[k - 1][1]:
-            raise ValueError(
-                f"{where}{what}s must run {direction} without overlapping: "
-                f"{what} {k + 1} starts at {lo}, before {what} {k} "
-                f"ends at {spans[k - 1][1]}")
+        if k:
+            prev = maps[k - 1]
+            if m.cn * prev.d < (prev.an + prev.cn) * m.d:
+                raise ValueError(
+                    f"{where}{what}s must run {direction} without overlapping: "
+                    f"{what} {k + 1} starts at {m.image()[0]}, before {what} {k} "
+                    f"ends at {prev.image()[1]}")
+
+
+def _embedded(emb: AffineMap1, ts: Sequence, m: int) -> list:
+    """The images under ``emb`` of the points ``ts`` (ints over ``ts[-1]``),
+    as ints over m, a multiple of ``emb.d * ts[-1]``."""
+    den = ts[-1]
+    s = m // (emb.d * den)
+    a, c = emb.an * s, emb.cn * den * s
+    return [a * t + c for t in ts]
+
+
+def _rescaled(ts: Sequence, m: int) -> Sequence:
+    """The points ``ts`` (ints over ``ts[-1]``) as ints over m, a multiple
+    of ``ts[-1]``."""
+    k = m // ts[-1]
+    return ts if k == 1 else [t * k for t in ts]
+
+
+def _reduced_locate(breaks: Sequence, t: int) -> tuple:
+    """:func:`~strips_operad.exact.locate` with its ratio in lowest terms."""
+    i, w = locate(breaks, t)
+    if w is not None:
+        g = math.gcd(*w)
+        if g != 1:
+            w = (w[0] // g, w[1] // g)
+    return i, w
+
+
+def _value_at(points: Sequence, m: int, k: int, w) -> tuple:
+    """``(point, denominator)``: the path with values ``points`` over m, at
+    w of the way from break k to break k+1 (at break k when w is None).
+    Between equal values the point is kept over m, so a flat stretch adds
+    no factor to the denominator."""
+    v = points[k]
+    if w is None or v == points[k + 1]:
+        return v, m
+    return _lowest(lerp(v, points[k + 1], *w), m * w[1])
+
+
+def _lowest(v: tuple, d: int) -> tuple:
+    """``(point, denominator)`` for the point ``v/d`` (ints) in lowest terms."""
+    g = math.gcd(d, *v)
+    if g == 1:
+        return v, d
+    return tuple([c // g for c in v]), d // g
+
+
+def _over_one(grid: list, dens: list) -> tuple:
+    """``(values, m)``: the points of ``grid`` (columns of tuples of ints,
+    each over the matching entry of ``dens``) as ints over m, the LCM of
+    all the denominators.  A point object met again with the same
+    denominator (a gap's value at every height of the gap, p in every
+    column outside the strips) is scaled once and its copy shared."""
+    every = set(chain.from_iterable(dens))
+    m = math.lcm(*every)
+    scale = {d: m // d for d in every}
+    done = {}       # id(point) -> (denominator, the point over m)
+    values = []
+    for col, cd in zip(grid, dens):
+        out = []
+        for v, d in zip(col, cd):
+            k = scale[d]
+            if k != 1:
+                hit = done.get(id(v))
+                if hit is None or hit[0] != d:
+                    hit = done[id(v)] = (d, tuple([c * k for c in v]))
+                v = hit[1]
+            out.append(v)
+        values.append(out)
+    return values, m
 
 
 def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
@@ -161,7 +261,8 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     later than the next starts); otherwise ``ValueError``.  The loops are
     spliced directly: the result breaks at 0, 1 and the image of every loop
     breakpoint, and takes the loop's own value there, or the basepoint
-    outside every interval.
+    outside every interval.  Breaks and values are brought to one
+    denominator each as ints.
     """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
@@ -169,24 +270,31 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     dims = {loop.dim for loop in loops}
     if len(dims) > 1:
         raise ValueError("loops live in different dimensions")
-    basepoints = {loop.basepoint for loop in loops}
-    if len(basepoints) > 1:
+    first = loops[0].path
+    base = (first._v[0], first._vm)
+    if not all(_based_at(loop, base) for loop in loops):
         raise ValueError("loops must share a basepoint")
-    spans = config.images()
-    _check_spans(spans, "interval", "left to right")
-    q = loops[0].basepoint
+    embs = config.embeddings
+    _check_spans(embs, "interval", "left to right")
+    paths = [loop.path for loop in loops]
+    xm = math.lcm(*[e.d * path._t[-1] for e, path in zip(embs, paths)])
+    vm = math.lcm(*[path._vm for path in paths])
+    q = tuple([c * (vm // first._vm) for c in first._v[0]])
     # every loop starts and ends at q, so a point shared by two neighbouring
     # intervals, or by an interval and 0 or 1, has the value q on both sides;
     # inside one interval the images of the breaks strictly increase
-    breaks, values = [ZERO], [q]
-    for loop, emb, (lo, _) in zip(loops, config.embeddings, spans):
-        start = 1 if lo == breaks[-1] else 0
-        breaks.extend([emb(t) for t in loop.path.breaks[start:]])
-        values.extend(loop.path.values[start:])
-    if breaks[-1] != ONE:
-        breaks.append(ONE)
+    ts, values = [0], [q]
+    for emb, path in zip(embs, paths):
+        images = _embedded(emb, path._t, xm)
+        k = vm // path._vm
+        points = path._v if k == 1 else [tuple([c * k for c in v]) for v in path._v]
+        start = 1 if images[0] == ts[-1] else 0
+        ts.extend(images[start:])
+        values.extend(points[start:])
+    if ts[-1] != xm:
+        ts.append(xm)
         values.append(q)
-    return Loop(_path(tuple(breaks), tuple(values)))
+    return Loop(_path(ts, values, vm))
 
 
 def _column_plan(ys: list, sheet_ys: list) -> tuple:
@@ -195,12 +303,13 @@ def _column_plan(ys: list, sheet_ys: list) -> tuple:
     ``ys`` are the output heights and ``sheet_ys[j]`` the heights of the
     y-lines of rectangle j's sheet, bottom to top, all as ints over one
     denominator.  Entry ``(j, k, w)``: inside rectangle j, at ``w = (num,
-    den)`` of the way from the sheet's y-line k to line k+1 (on line k when w
-    is None).  Entry ``(None, g, None)``: in the gap above the first g
-    rectangles, where the value is junction loop g.  A height y is placed by
-    one bisection, ``j = bisect_left(tops, y)``: it is in rectangle j when
-    that rectangle starts at or below y, else in gap j, so a height on the
-    edge shared by two rectangles belongs to the lower one.
+    den)`` (in lowest terms) of the way from the sheet's y-line k to line
+    k+1 (on line k when w is None).  Entry ``(None, g, None)``: in the gap
+    above the first g rectangles, where the value is junction loop g.  A
+    height y is placed by one bisection, ``j = bisect_left(tops, y)``: it is
+    in rectangle j when that rectangle starts at or below y, else in gap j,
+    so a height on the edge shared by two rectangles belongs to the lower
+    one.
     """
     bottoms = [lines[0] for lines in sheet_ys]
     tops = [lines[-1] for lines in sheet_ys]
@@ -208,7 +317,7 @@ def _column_plan(ys: list, sheet_ys: list) -> tuple:
     for y in ys:
         j = bisect_left(tops, y)
         if j < len(tops) and bottoms[j] <= y:
-            plan.append((j, *locate(sheet_ys[j], y)))
+            plan.append((j, *_reduced_locate(sheet_ys[j], y)))
         else:
             plan.append((None, j, None))
     return tuple(plan)
@@ -227,23 +336,22 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     later than the next starts; otherwise ``ValueError``.  A point on an edge
     shared by two strips or two rectangles belongs to the left or lower one.
 
-    The output grid lines are the images of every input breakpoint, scaled
-    to ints over one denominator per axis, so every lookup is a bisection on
-    ints (:func:`~strips_operad.exact.locate`) and no column inverts a map.
-    Each strip takes the x-lines from its left edge to its right one, less
-    any an earlier strip took; each junction path and each rectangle's sheet
-    is read at those columns through the images of its own breaks.  Each
-    sheet is read once per column along its own y-lines, and the
+    Everything is computed on the stored ints.  The output's y-lines are
+    the images of every sheet's y-lines, over one denominator.  Each strip
+    takes its columns in its own units (the LCM of the denominators of its
+    loops' and sheets' x-breaks, so every lookup there is a bisection on
+    small ints, :func:`~strips_operad.exact.locate`), less a first column
+    that the strip to its left took; the output's x-lines are their images.
+    Each sheet is read once per column along its own y-lines, and the
     rectangle's heights are filled from that line with one interpolation in
     y each, by a plan made once per strip.  Between rectangles a column
     takes the junction loop pushed through f (:func:`push_loop` pushes each
-    loop once per map).  Coordinates that fall on a breakpoint are read
-    without interpolating.
+    loop once per map).  Each value is kept with its own denominator, and
+    all are brought to their LCM once, at the end.
     """
     r = config.arity
     if len(inputs) != r:
         raise ValueError(f"{r} strips need {r} inputs, got {len(inputs)}")
-    q, p = f.dom_base, f.cod_base
 
     junctions = []   # per strip: n_i + 1 loops (bottom of the stack upward)
     chains = []      # per strip: the sheet elements themselves
@@ -273,86 +381,99 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
             if loop.dim != f.dim_in:
                 raise ValueError(f"strip {i + 1}: loop dimension {loop.dim} "
                                  f"does not match the map source {f.dim_in}")
-            if loop.basepoint != q:
+            if not _based_at(loop, f._q):
                 raise ValueError(f"strip {i + 1}: loop based at {loop.basepoint}, "
-                                 f"expected {q}")
+                                 f"expected {f.dom_base}")
     for i, elems in enumerate(chains):
         for e in elems:
             if e.sheet.dim != f.dim_out:
                 raise ValueError(f"strip {i + 1}: sheet dimension {e.sheet.dim} "
                                  f"does not match the map target {f.dim_out}")
 
-    spans = config.base.images()
-    _check_spans(spans, "strip", "left to right")
-    for i, rects in enumerate(config.rects):
-        _check_spans(tuple(rect.image() for rect in rects),
-                     "rectangle", "bottom to top", f"strip {i + 1}: ")
-
-    # grid lines, with the images of each sheet's breaks kept per rectangle
     embs = config.base.embeddings
-    x_pts, y_pts = [ZERO, ONE], [ZERO, ONE]
-    x_images, y_images = [], []      # per strip, per rectangle
-    for i in range(r):
-        x_pts.extend(spans[i])
-        for loop in junctions[i]:
-            x_pts.extend([embs[i](t) for t in loop.path.breaks])
-        x_images.append([[embs[i](t) for t in elem.sheet.x_breaks]
-                         for elem in chains[i]])
-        y_images.append([[rect(t) for t in elem.sheet.y_breaks]
-                         for elem, rect in zip(chains[i], config.rects[i])])
-        for images in x_images[i]:
-            x_pts.extend(images)
-        for images in y_images[i]:
-            y_pts.extend(images)
-    xs, x_ints, xm = grid_lines(x_pts)
-    ys, y_ints, ym = grid_lines(y_pts)
+    _check_spans(embs, "strip", "left to right")
+    for i, rects in enumerate(config.rects):
+        _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
 
-    outside = tuple(p for _ in ys)
-    values = []
-    done = 0
-    for i, span in enumerate(spans):
-        lo, hi = scaled_by(xm, span)
-        a = max(done, bisect_left(x_ints, lo))
-        b = bisect_right(x_ints, hi, a)
-        values.extend(outside for _ in range(done, a))
-        done = b
-        cols = x_ints[a:b]
-        plan = _column_plan(y_ints, [scaled_by(ym, images)
-                                     for images in y_images[i]])
+    # y-lines: the images of each sheet's y-lines, kept per rectangle
+    ym = math.lcm(*[rect.d * e.sheet._y[-1] for rects, elems in
+                    zip(config.rects, chains) for rect, e in zip(rects, elems)])
+    y_images = [[_embedded(rect, e.sheet._y, ym) for rect, e in zip(rects, elems)]
+                for rects, elems in zip(config.rects, chains)]
+    ys = sorted({0, ym, *[y for images in y_images for lines in images
+                          for y in lines]})
+
+    # each strip's columns, in its own units
+    units, columns = [], []
+    for loops, elems in zip(junctions, chains):
+        unit = math.lcm(*[loop.path._t[-1] for loop in loops],
+                        *[e.sheet._x[-1] for e in elems])
+        cols = set()
+        for loop in loops:
+            cols.update(_rescaled(loop.path._t, unit))
+        for e in elems:
+            cols.update(_rescaled(e.sheet._x, unit))
+        units.append(unit)
+        columns.append(sorted(cols))
+    xm = math.lcm(*[emb.d * unit for emb, unit in zip(embs, units)])
+
+    p, pm = f._p
+    outside = ([p] * len(ys), [pm] * len(ys))
+    xs, grid, dens = [], [], []
+    if embs[0].cn:                  # the first strip starts right of 0
+        xs.append(0)
+        grid.append(outside[0])
+        dens.append(outside[1])
+    for i, emb in enumerate(embs):
+        unit, cols = units[i], columns[i]
+        images = _embedded(emb, cols, xm)
+        if xs and images[0] == xs[-1]:      # taken by the strip to the left
+            cols, images = cols[1:], images[1:]
+        xs.extend(images)
+        plan = _column_plan(ys, y_images[i])
         # the junction loops the plan reads, pushed through f (exact, since f
         # is affine), and their values along the strip's columns
         gaps = {}
         for j, g, _ in plan:
             if j is None and g not in gaps:
                 path = push_loop(f, junctions[i][g])
-                pv = path.values
-                breaks = scaled_by(xm, [embs[i](t) for t in path.breaks])
-                gaps[g] = [pv[k] if w is None else lerp(pv[k], pv[k + 1], *w)
-                           for k, w in [locate(breaks, x) for x in cols]]
+                pv, vm = path._v, path._vm
+                breaks = _rescaled(path._t, unit)
+                gaps[g] = [_value_at(pv, vm, k, w) for k, w in
+                           [_reduced_locate(breaks, x) for x in cols]]
         # each rectangle's sheet along its own y-lines, one line per column
         lines = []
-        for elem, images in zip(chains[i], x_images[i]):
-            sv = elem.sheet.values
-            breaks = scaled_by(xm, images)
-            lines.append([sv[k] if w is None else
-                          tuple([lerp(v0, v1, *w)
-                                 for v0, v1 in zip(sv[k], sv[k + 1])])
-                          for k, w in [locate(breaks, x) for x in cols]])
-        for c in range(b - a):
-            col = []
+        for elem in chains[i]:
+            sheet = elem.sheet
+            sv, vm = sheet._v, sheet._vm
+            breaks = _rescaled(sheet._x, unit)
+            lines.append([(sv[k], vm) if w is None or sv[k] == sv[k + 1] else
+                          ([lerp(a, b, *w) for a, b in zip(sv[k], sv[k + 1])],
+                           vm * w[1])
+                          for k, w in [_reduced_locate(breaks, x) for x in cols]])
+        for c in range(len(cols)):
+            col, cd = [], []
             for j, k, w in plan:
                 if j is None:
-                    col.append(gaps[k][c])
+                    v, d = gaps[k][c]
                 else:
-                    line = lines[j][c]
-                    col.append(line[k] if w is None else
-                               lerp(line[k], line[k + 1], *w))
-            values.append(tuple(col))
-    values.extend(outside for _ in range(done, len(xs)))
+                    line, d = lines[j][c]
+                    v = line[k]
+                    if w is not None and v != line[k + 1]:
+                        v, d = _lowest(lerp(v, line[k + 1], *w), d * w[1])
+                col.append(v)
+                cd.append(d)
+            grid.append(col)
+            dens.append(cd)
+    if xs[-1] != xm:                # the last strip ends left of 1
+        xs.append(xm)
+        grid.append(outside[0])
+        dens.append(outside[1])
 
+    values, m = _over_one(grid, dens)
     bottom = act_on_loops(config.base, tuple(j[0] for j in junctions))
     top = act_on_loops(config.base, tuple(j[-1] for j in junctions))
-    return SheetElement(_sheet(xs, ys, tuple(values)), bottom, top)
+    return SheetElement(_sheet(xs, ys, values, m), bottom, top)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +485,7 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
 
     Checked in order: dimensions, loop basepoints, constant-p left and right
     edges, bottom edge against the mapped bottom loop, top edge against the
-    mapped top loop.
+    mapped top loop.  Points are compared on ints by cross-multiplying.
     """
     if elem.bottom.dim != f.dim_in:
         return f"bottom loop dimension {elem.bottom.dim}, expected {f.dim_in}"
@@ -372,17 +493,18 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
         return f"top loop dimension {elem.top.dim}, expected {f.dim_in}"
     if elem.sheet.dim != f.dim_out:
         return f"sheet dimension {elem.sheet.dim}, expected {f.dim_out}"
-    if elem.bottom.basepoint != f.dom_base:
+    if not _based_at(elem.bottom, f._q):
         return f"bottom loop based at {elem.bottom.basepoint}, expected {f.dom_base}"
-    if elem.top.basepoint != f.dom_base:
+    if not _based_at(elem.top, f._q):
         return f"top loop based at {elem.top.basepoint}, expected {f.dom_base}"
-    p = f.cod_base
-    sheet = elem.sheet
-    for edge, ix in (("left", 0), ("right", len(sheet.x_breaks) - 1)):
-        for iy, v in enumerate(sheet.values[ix]):
-            if v != p:
-                return (f"{edge} edge value {v} at height {sheet.y_breaks[iy]}, "
-                        f"expected the basepoint {p}")
+    (p, pm), sheet = f._p, elem.sheet
+    vm = sheet._vm
+    want = [c * vm for c in p]
+    for edge, col in (("left", sheet._v[0]), ("right", sheet._v[-1])):
+        for iy, v in enumerate(col):
+            if [c * pm for c in v] != want:
+                return (f"{edge} edge value {_fractions(v, vm)} at height "
+                        f"{sheet.y_breaks[iy]}, expected the basepoint {f.cod_base}")
     if sheet.bottom_edge() != push_loop(f, elem.bottom):
         return "bottom edge differs from the mapped bottom loop"
     if sheet.top_edge() != push_loop(f, elem.top):
@@ -397,36 +519,78 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
 GRID = 16
 
 
+def _random_quarters(rng: random.Random, dim: int, spread: int = 8) -> tuple:
+    """The draws of :func:`random_point`, as the ints of the point over 4."""
+    return tuple([rng.randint(-spread, spread) * (4 // rng.choice((1, 2, 4)))
+                  for _ in range(dim)])
+
+
 def random_point(rng: random.Random, dim: int, spread: int = 8) -> tuple:
-    return tuple(Fraction(rng.randint(-spread, spread), rng.choice((1, 2, 4)))
-                 for _ in range(dim))
+    return _fractions(_random_quarters(rng, dim, spread), 4)
 
 
 MAX_INTERIOR = 2    # interior breakpoints of a random loop, at most
 
 
+def _random_loop(rng: random.Random, dim: int, base: tuple) -> Loop:
+    """:func:`random_loop` at the basepoint ``base = (ints, m)``."""
+    q, qm = base
+    k = rng.randint(0, MAX_INTERIOR)
+    interior = sorted(rng.sample(range(1, GRID), k))
+    m = math.lcm(qm, 4)
+    s = m // 4
+    q = tuple([c * (m // qm) for c in q])
+    points = [tuple([c * s for c in _random_quarters(rng, dim)]) for _ in interior]
+    return Loop(_path((0, *interior, GRID), (q, *points, q), m))
+
+
 def random_loop(rng: random.Random, dim: int, basepoint) -> Loop:
     base = as_point(basepoint)
-    k = rng.randint(0, MAX_INTERIOR)
-    interior = sorted(rng.sample([Fraction(i, GRID) for i in range(1, GRID)], k))
-    values = (base,) + tuple(random_point(rng, dim) for _ in interior) + (base,)
-    return Loop(PLPath((ZERO, *interior, ONE), values))
+    if len(base) != dim:
+        raise ValueError(f"basepoint dimension {len(base)}, expected {dim}")
+    return _random_loop(rng, dim, _over_lcm(base))
 
 
 def random_sheet_element(f: PointedMap, rng: random.Random,
                          source: Optional[Loop] = None) -> SheetElement:
-    bottom = source if source is not None else random_loop(rng, f.dim_in, f.dom_base)
-    top = random_loop(rng, f.dim_in, f.dom_base)
-    xs = tuple(sorted({ZERO, ONE}
-                      | set(bottom.path.breaks) | set(top.path.breaks)
-                      | {Fraction(rng.randint(1, GRID - 1), GRID)}))
-    ys = (ZERO, Fraction(rng.randint(1, GRID - 1), GRID), ONE)
-    p = f.cod_base
-    cols = []
-    for x in xs:
-        inner = p if x in (ZERO, ONE) else random_point(rng, f.dim_out)
-        cols.append((f.apply(bottom.at(x)), inner, f.apply(top.at(x))))
-    return SheetElement(GridSheet(xs, ys, tuple(cols)), bottom, top)
+    """A random element over ``f``: its bottom loop is ``source`` or drawn,
+    its top loop is drawn, and the sheet runs through f of both along its
+    bottom and top edges, p along its sides, with one random interior
+    point per interior column.  A ``source`` of the wrong dimension or
+    basepoint is a ``ValueError``, raised before anything is drawn."""
+    if source is None:
+        bottom = _random_loop(rng, f.dim_in, f._q)
+    elif source.dim != f.dim_in:
+        raise ValueError(f"source loop dimension {source.dim}, expected {f.dim_in}")
+    elif not _based_at(source, f._q):
+        raise ValueError(f"source loop based at {source.basepoint}, "
+                         f"expected {f.dom_base}")
+    else:
+        bottom = source
+    top = _random_loop(rng, f.dim_in, f._q)
+    x_cut = rng.randint(1, GRID - 1)
+    y_cut = rng.randint(1, GRID - 1)
+    xm = math.lcm(GRID, bottom.path._t[-1], top.path._t[-1])
+    xs = sorted({*_rescaled(bottom.path._t, xm), *_rescaled(top.path._t, xm),
+                 x_cut * (xm // GRID)})
+    edges = []      # f of each loop at every column, as (ints, denominator)
+    for loop in (bottom, top):
+        path = push_loop(f, loop)
+        pv, vm = path._v, path._vm
+        breaks = _rescaled(path._t, xm)
+        edges.append([_value_at(pv, vm, k, w) for k, w in
+                      [_reduced_locate(breaks, x) for x in xs]])
+    p, pm = f._p
+    grid, dens = [], []
+    for x, (low, low_d), (high, high_d) in zip(xs, *edges):
+        if x == 0 or x == xm:
+            inner, inner_d = p, pm
+        else:
+            inner, inner_d = _random_quarters(rng, f.dim_out), 4
+        grid.append((low, inner, high))
+        dens.append((low_d, inner_d, high_d))
+    values, m = _over_one(grid, dens)
+    return SheetElement(_sheet(xs, (0, y_cut, GRID), values, m), bottom, top)
 
 
 def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> PointedMap:
@@ -448,7 +612,7 @@ def sheet_algebra(f: PointedMap) -> AlgebraInstance:
         target=lambda e: e.top,
         act_path=act_on_loops,
         act_sheet=partial(act_on_sheets, f),
-        random_carrier=lambda rng: random_loop(rng, f.dim_in, f.dom_base),
+        random_carrier=lambda rng: _random_loop(rng, f.dim_in, f._q),
         random_element=lambda rng, source=None: random_sheet_element(f, rng, source),
         violation=lambda e: sheet_violation(f, e),
     )

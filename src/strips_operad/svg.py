@@ -116,32 +116,36 @@ def _ramp(t: float) -> str:
 
 
 def render_sheet(sheet: GridSheet) -> str:
+    """A heat grid of the first coordinate, one cell per grid cell, read off
+    the stored ints: each float is one correctly rounded int division, so
+    it is the float of the exact rational."""
     width = SQUARE + 2 * PAD
     height = SQUARE + 2 * PAD
     if sheet.dim == 0:
         body = _rect(PAD, PAD, SQUARE, SQUARE, "#cccccc", "#888888")
         return _doc(width, height, body)
-    flat = [v[0] for col in sheet.values for v in col]
+    xs, ys, vals = sheet._x, sheet._y, sheet._v
+    xm, ym = xs[-1], ys[-1]
+    flat = [v[0] for col in vals for v in col]
     lo, hi = min(flat), max(flat)
     span = hi - lo
     body = ""
-    for ix in range(len(sheet.x_breaks) - 1):
-        for iy in range(len(sheet.y_breaks) - 1):
-            corners = (sheet.values[ix][iy][0], sheet.values[ix + 1][iy][0],
-                       sheet.values[ix][iy + 1][0], sheet.values[ix + 1][iy + 1][0])
-            mean = sum(corners) / 4
-            t = 0.5 if span == 0 else float((mean - lo) / span)
-            x = PAD + float(sheet.x_breaks[ix]) * SQUARE
-            w = float(sheet.x_breaks[ix + 1] - sheet.x_breaks[ix]) * SQUARE
-            y = PAD + (1.0 - float(sheet.y_breaks[iy + 1])) * SQUARE
-            h = float(sheet.y_breaks[iy + 1] - sheet.y_breaks[iy]) * SQUARE
+    for ix in range(len(xs) - 1):
+        left, right = vals[ix], vals[ix + 1]
+        for iy in range(len(ys) - 1):
+            total = left[iy][0] + right[iy][0] + left[iy + 1][0] + right[iy + 1][0]
+            t = 0.5 if span == 0 else (total - 4 * lo) / (4 * span)
+            x = PAD + xs[ix] / xm * SQUARE
+            w = (xs[ix + 1] - xs[ix]) / xm * SQUARE
+            y = PAD + (1.0 - ys[iy + 1] / ym) * SQUARE
+            h = (ys[iy + 1] - ys[iy]) / ym * SQUARE
             body += _rect(x, y, w, h, _ramp(t))
-    for t in sheet.x_breaks:
-        x = PAD + float(t) * SQUARE
+    for t in xs:
+        x = PAD + t / xm * SQUARE
         body += (f'<line x1="{_n(x)}" y1="{PAD}" x2="{_n(x)}" '
                  f'y2="{PAD + SQUARE}" stroke="white" stroke-width="0.5"/>\n')
-    for t in sheet.y_breaks:
-        y = PAD + (1.0 - float(t)) * SQUARE
+    for t in ys:
+        y = PAD + (1.0 - t / ym) * SQUARE
         body += (f'<line x1="{PAD}" y1="{_n(y)}" x2="{PAD + SQUARE}" '
                  f'y2="{_n(y)}" stroke="white" stroke-width="0.5"/>\n')
     body += _rect(PAD, PAD, SQUARE, SQUARE, "none", "#888888")

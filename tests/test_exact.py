@@ -2,7 +2,7 @@
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
                                  _affine1, _path, _sheet, constant_path,
-                                 constant_sheet, grid_lines, locate)
+                                 constant_sheet, locate)
 
 from helpers import (path_presentation, positive_scales, rationals,
                      sheet_presentation, unit_rationals)
@@ -189,6 +189,37 @@ def test_triple_is_frozen_and_pickles():
 
 # --- piecewise-linear paths ---------------------------------------------------
 
+def _ints(xs, k: int = 1) -> tuple:
+    """``(ints, m)``: the Fractions xs over m, k times the LCM of their
+    denominators, computed with Fraction arithmetic."""
+    m = math.lcm(*[x.denominator for x in xs]) * k
+    return [(x * m).numerator for x in xs], m
+
+
+def _flat_points(points, k: int) -> tuple:
+    """``(tuples of ints, m)`` for points of Fractions over one m."""
+    points = list(points)
+    d = len(points[0])
+    flat, m = _ints([c for v in points for c in v], k)
+    return [tuple(flat[i * d:i * d + d]) for i in range(len(points))], m
+
+
+def _path_ints(breaks, values, k: int = 6) -> PLPath:
+    """:func:`_path`, the trusted builder on ints, given a Fraction
+    presentation over denominators k times too large, so that it has to
+    reduce them."""
+    points, vm = _flat_points(values, k)
+    return _path(_ints(breaks, k)[0], points, vm)
+
+
+def _sheet_ints(x_breaks, y_breaks, values, k: int = 6) -> GridSheet:
+    """:func:`_sheet` given a Fraction presentation, as :func:`_path_ints`."""
+    ny = len(y_breaks)
+    points, vm = _flat_points([v for col in values for v in col], k)
+    return _sheet(_ints(x_breaks, k)[0], _ints(y_breaks, k)[0],
+                  [points[i:i + ny] for i in range(0, len(points), ny)], vm)
+
+
 def test_path_evaluation_is_linear_interpolation():
     p = PLPath((F(0), F(1, 2), F(1)), ((F(0),), (F(1),), (F(0),)))
     assert p.at(F(1, 4)) == (F(1, 2),)
@@ -231,7 +262,7 @@ def test_path_canonical_is_complete_for_equality():
         extra1 = {F(rng.randint(1, 31), 32) for _ in range(3)}
         extra2 = {F(rng.randint(1, 63), 64) for _ in range(3)}
         for extra in (extra1, extra2):
-            for build in (PLPath, _path):
+            for build in (PLPath, _path_ints):
                 p = build(*path_presentation(base, extra))
                 assert p == base and hash(p) == hash(base)
                 assert (p.breaks, p.values) == (base.breaks, base.values)
@@ -277,7 +308,7 @@ def test_sheet_canonical_merges_redundant_lines():
         base = _random_sheet(rng)
         parts = sheet_presentation(base, {F(rng.randint(1, 15), 16)},
                                    {F(rng.randint(1, 15), 16)})
-        for build in (GridSheet, _sheet):
+        for build in (GridSheet, _sheet_ints):
             refined = build(*parts)
             assert refined == base and hash(refined) == hash(base)
         assert GridSheet(base.x_breaks, base.y_breaks, base.values) == base
@@ -370,12 +401,14 @@ def reference_sheet_canonical(x_breaks, y_breaks, values) -> tuple:
 
 
 def _stored(obj) -> tuple:
-    """The fields of a path or sheet, in declaration order."""
-    return tuple(getattr(obj, f.name) for f in fields(obj))
+    """The parts of a path or sheet, as the accessors read them."""
+    if isinstance(obj, PLPath):
+        return obj.breaks, obj.values
+    return obj.x_breaks, obj.y_breaks, obj.values
 
 
-PATH_BUILDERS = (PLPath, _path)
-SHEET_BUILDERS = (GridSheet, _sheet)
+PATH_BUILDERS = (PLPath, _path_ints)
+SHEET_BUILDERS = (GridSheet, _sheet_ints)
 
 
 def assert_canonical_matches_reference(parts, reference, builders):
@@ -505,11 +538,11 @@ def test_coercion_keeps_fractions_and_converts_the_rest():
     assert p.breaks == (F(0), F(1, 2), F(1))
     assert all(type(t) is F for t in p.breaks)
     assert p.values == ((F(1),), (F(1, 2),), (F(-3, 4),))
-    assert p.values[1][0] is half
+    assert p.values[1][0] == half
     assert all(type(c) is F for v in p.values for c in v)
 
 
-# --- trusted builders and the grid lookups ----------------------------------------
+# --- trusted builders and the grid lookup ----------------------------------------
 
 def _assert_same_object(trusted, public):
     assert trusted == public and hash(trusted) == hash(public)
@@ -527,27 +560,18 @@ def test_trusted_builders_match_the_public_constructors():
         path_values = tuple(rng.choice(pts) for _ in xb)
         grid = tuple(tuple(rng.choice(pts) for _ in yb) for _ in xb)
 
-        path = _path(xb, path_values)
+        path = _path_ints(xb, path_values)
         _assert_same_object(path, PLPath(xb, path_values))
-        _assert_same_object(path, _path(path.breaks, path.values))
+        _assert_same_object(path, _path(path._t, path._v, path._vm))
+        _assert_same_object(path, _path_ints(path.breaks, path.values, 1))
 
-        sheet = _sheet(xb, yb, grid)
+        sheet = _sheet_ints(xb, yb, grid)
         _assert_same_object(sheet, GridSheet(xb, yb, grid))
-        _assert_same_object(sheet, _sheet(sheet.x_breaks, sheet.y_breaks,
-                                          sheet.values))
+        _assert_same_object(sheet, _sheet(sheet._x, sheet._y, sheet._v, sheet._vm))
+        _assert_same_object(sheet, _sheet_ints(sheet.x_breaks, sheet.y_breaks,
+                                               sheet.values, 1))
         for edge, iy in ((sheet.bottom_edge(), 0), (sheet.top_edge(), -1)):
             _assert_same_object(edge, PLPath(xb, tuple(c[iy] for c in grid)))
-
-
-def test_grid_lines_sort_and_merge_exactly():
-    rng = random.Random("grid-lines")
-    for _ in range(50):
-        pts = [_big_rational(rng) for _ in range(rng.randint(1, 8))]
-        pts += rng.sample(pts, rng.randint(0, len(pts)))      # repeats
-        lines, ints, m = grid_lines(pts)
-        assert lines == tuple(sorted(set(pts)))
-        assert ints == [t * m for t in lines]
-        assert all(type(k) is int for k in ints)
 
 
 def _assert_locate_agrees_on_ints(breaks: list, ts: list) -> None:
@@ -589,3 +613,165 @@ def test_locate_on_ints_matches_locate_on_fractions():
 def test_locate_on_ints_matches_locate_on_fractions_hypothesis(breaks, ts):
     breaks.sort()
     _assert_locate_agrees_on_ints(breaks, breaks + ts)
+
+
+# --- the int storage against plain Fraction arithmetic -------------------------
+
+def _old_repr(name: str, **parts) -> str:
+    """The repr of a frozen dataclass called ``name`` with these fields, as
+    paths and sheets printed when they were dataclasses holding Fractions."""
+    cls = dataclass(frozen=True)(type(name, (), {"__annotations__":
+                                                 dict.fromkeys(parts, "tuple")}))
+    return repr(cls(**parts))
+
+
+def _reference_segment(breaks, t) -> tuple:
+    """``(k, s)``: t lies in segment k, at ``s`` of the way along, in Fractions."""
+    k = max(i for i in range(len(breaks) - 1) if breaks[i] <= t)
+    return k, (t - breaks[k]) / (breaks[k + 1] - breaks[k])
+
+
+def _reference_path_at(breaks, values, t) -> tuple:
+    k, s = _reference_segment(breaks, t)
+    return tuple(a + s * (b - a) for a, b in zip(values[k], values[k + 1]))
+
+
+def _reference_sheet_at(x_breaks, y_breaks, values, x, y) -> tuple:
+    i, u = _reference_segment(x_breaks, x)
+    j, w = _reference_segment(y_breaks, y)
+    return tuple((1 - u) * (1 - w) * a + u * (1 - w) * b + (1 - u) * w * c + u * w * e
+                 for a, b, c, e in zip(values[i][j], values[i + 1][j],
+                                       values[i][j + 1], values[i + 1][j + 1]))
+
+
+def _assert_int_form(obj) -> None:
+    """Every stored part is an int, and each denominator is the LCM of the
+    denominators of the Fractions it stands for, so none can be reduced."""
+    if isinstance(obj, PLPath):
+        axes = ((obj._t, obj.breaks),)
+        points = obj._v
+        fracs = [c for v in obj.values for c in v]
+    else:
+        axes = ((obj._x, obj.x_breaks), (obj._y, obj.y_breaks))
+        points = [v for col in obj._v for v in col]
+        fracs = [c for col in obj.values for v in col for c in v]
+    for ints, breaks in axes:
+        assert all(type(t) is int for t in ints) and ints[0] == 0
+        assert ints[-1] == math.lcm(*[t.denominator for t in breaks])
+        assert math.gcd(*ints) == 1
+    assert all(type(c) is int for v in points for c in v)
+    assert type(obj._vm) is int
+    assert obj._vm == math.lcm(*[c.denominator for c in fracs])
+    assert math.gcd(obj._vm, *[c for v in points for c in v]) == 1
+
+
+def _probes(breaks, rng: random.Random, count: int = 4) -> list:
+    """The breaks, the middle of each segment and a few random points."""
+    mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+    return list(breaks) + mids + [F(rng.randint(0, 2**62), 2**62) for _ in range(count)]
+
+
+def _assert_path_storage(breaks, values, rng: random.Random) -> PLPath:
+    """Both builders store the same minimal int form of the presentation;
+    ``at``, the accessors and ``repr`` agree with Fraction arithmetic."""
+    want_breaks, want_values = reference_path_canonical(breaks, values)
+    got = [build(breaks, values) for build in PATH_BUILDERS]
+    for p in got:
+        _assert_int_form(p)
+        assert (p._t, p._v, p._vm) == (got[0]._t, got[0]._v, got[0]._vm)
+        assert p.breaks == want_breaks and p.values == want_values
+        assert all(type(c) is F for c in p.breaks)
+        assert all(type(c) is F for v in p.values for c in v)
+        assert p == got[0] and hash(p) == hash(got[0])
+        assert repr(p) == _old_repr("PLPath", breaks=want_breaks, values=want_values)
+        for t in _probes(breaks, rng):
+            assert p.at(t) == _reference_path_at(breaks, values, t)
+    return got[0]
+
+
+def _assert_sheet_storage(x_breaks, y_breaks, values, rng: random.Random) -> GridSheet:
+    want = reference_sheet_canonical(x_breaks, y_breaks, values)
+    got = [build(x_breaks, y_breaks, values) for build in SHEET_BUILDERS]
+    for s in got:
+        _assert_int_form(s)
+        assert (s._x, s._y, s._v, s._vm) == (got[0]._x, got[0]._y, got[0]._v,
+                                             got[0]._vm)
+        assert _stored(s) == want
+        assert s == got[0] and hash(s) == hash(got[0])
+        assert repr(s) == _old_repr("GridSheet", x_breaks=want[0],
+                                    y_breaks=want[1], values=want[2])
+        for x in _probes(x_breaks, rng, 1):
+            for y in _probes(y_breaks, rng, 1):
+                assert s.at(x, y) == _reference_sheet_at(x_breaks, y_breaks,
+                                                         values, x, y)
+    return got[0]
+
+
+def test_path_int_storage_matches_fraction_arithmetic():
+    for k in range(100):
+        rng = random.Random(f"int-path:{k}")
+        dim = k % 4
+        breaks = (F(0), *_big_cuts(rng, rng.randint(0, 4)), F(1))
+        values = tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in breaks)
+        base = _assert_path_storage(breaks, values, rng)
+        redundant = path_presentation(base, _big_cuts(rng, rng.randint(1, 3)))
+        assert _assert_path_storage(*redundant, rng) == base
+
+
+def test_sheet_int_storage_matches_fraction_arithmetic():
+    for k in range(40):
+        rng = random.Random(f"int-sheet:{k}")
+        dim = k % 4
+        xs = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
+        ys = (F(0), *_big_cuts(rng, rng.randint(0, 2)), F(1))
+        values = tuple(tuple(tuple(_big_rational(rng) for _ in range(dim)) for _ in ys)
+                       for _ in xs)
+        base = _assert_sheet_storage(xs, ys, values, rng)
+        redundant = sheet_presentation(base, _big_cuts(rng, rng.randint(0, 2)),
+                                       _big_cuts(rng, rng.randint(0, 2)))
+        assert _assert_sheet_storage(*redundant, rng) == base
+
+
+huge_denominator_rationals = st.builds(
+    F, st.integers(-2**64, 2**64), st.sampled_from(DENOMINATORS))
+
+
+@given(st.integers(0, 3), st.lists(big_unit_rationals, max_size=4),
+       st.lists(big_unit_rationals, max_size=3), st.data())
+def test_path_int_storage_matches_fraction_arithmetic_on_generated_paths(
+        dim, cuts, extra, data):
+    breaks = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
+    values = data.draw(st.lists(st.tuples(*[huge_denominator_rationals] * dim),
+                                min_size=len(breaks), max_size=len(breaks)))
+    rng = random.Random(len(breaks))
+    base = _assert_path_storage(breaks, tuple(values), rng)
+    assert _assert_path_storage(*path_presentation(base, extra), rng) == base
+
+
+@given(st.integers(0, 3), st.lists(big_unit_rationals, max_size=2),
+       st.lists(big_unit_rationals, max_size=2), st.data())
+def test_sheet_int_storage_matches_fraction_arithmetic_on_generated_sheets(
+        dim, cuts_x, cuts_y, data):
+    xs = (F(0), *sorted({c for c in cuts_x if F(0) < c < F(1)}), F(1))
+    ys = (F(0), *sorted({c for c in cuts_y if F(0) < c < F(1)}), F(1))
+    point = st.tuples(*[huge_denominator_rationals] * dim)
+    column = st.lists(point, min_size=len(ys), max_size=len(ys)).map(tuple)
+    values = data.draw(st.lists(column, min_size=len(xs), max_size=len(xs)))
+    rng = random.Random(len(xs) * len(ys))
+    base = _assert_sheet_storage(xs, ys, tuple(values), rng)
+    extra = data.draw(st.lists(big_unit_rationals, max_size=2))
+    assert _assert_sheet_storage(*sheet_presentation(base, extra, extra), rng) == base
+
+
+def test_paths_and_sheets_are_frozen_and_pickle():
+    rng = random.Random("frozen")
+    p = _random_path(rng)
+    s = _random_sheet(rng)
+    for obj, name in ((p, "_t"), (p, "breaks"), (s, "_v"), (s, "x_breaks")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    for obj in (p, s, constant_path(()), constant_sheet((F(1, 3),))):
+        again = pickle.loads(pickle.dumps(obj))
+        assert again == obj and hash(again) == hash(obj) and repr(again) == repr(obj)

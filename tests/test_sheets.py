@@ -69,6 +69,23 @@ def test_pointed_map_apply_matches_fraction_sums():
     assert len(seen) == 16      # every pair of dimensions in 0..3
 
 
+def test_pointed_map_apply_rejects_a_point_of_the_wrong_dimension():
+    f = _map2d()
+    for point in ((F(3),), (F(1), F(2), F(3))):
+        with pytest.raises(ValueError) as caught:
+            f.apply(point)
+        assert str(caught.value) == (f"point dimension {len(point)} does not "
+                                     f"match the map source 2")
+
+
+def test_push_loop_rejects_a_loop_of_the_wrong_dimension():
+    f = _map2d()
+    loop = Loop(PLPath((F(0), F(1, 2), F(1)), ((F(1),), (F(3),), (F(1),))))
+    with pytest.raises(ValueError, match="point dimension 1 does not match "
+                                         "the map source 2"):
+        push_loop(f, loop)
+
+
 def test_random_pointed_map_is_pointed():
     rng = random.Random(5)
     for din, dout in ((0, 0), (0, 2), (2, 0), (1, 2)):
@@ -172,6 +189,22 @@ def test_random_sheet_element_is_valid():
         for _ in range(10):
             elem = random_sheet_element(f, rng)
             assert sheet_violation(f, elem) is None
+
+
+def test_random_sheet_element_rejects_a_foreign_source_before_drawing():
+    f = _map2d()
+    rng = random.Random(97)
+    flat = random_loop(random.Random(1), 1, (F(1),))
+    elsewhere = random_loop(random.Random(2), 2, (F(5), F(5)))
+    for source, message in ((flat, "source loop dimension 1, expected 2"),
+                            (elsewhere, "source loop based at (Fraction(5, 1), "
+                                        "Fraction(5, 1)), expected (Fraction(1, 1), "
+                                        "Fraction(1, 1))")):
+        state = rng.getstate()
+        with pytest.raises(ValueError) as caught:
+            random_sheet_element(f, rng, source)
+        assert str(caught.value) == message
+        assert rng.getstate() == state
 
 
 def test_sheet_violation_catches_broken_side():
