@@ -141,10 +141,10 @@ class Elements:
 
 
 def random_operad_plan(rng: random.Random, max_arity: int) -> Plan:
+    _check_arity_bound(max_arity)
     bits = rng.getrandbits
-    r = _arity(bits, max_arity)
-    s = tuple(_arity(bits, max_arity) for _ in range(r))
-    return Plan(s, tuple(_arity(bits, max_arity) for _ in range(sum(s))))
+    s = _arities(bits, max_arity, _arity(bits, max_arity))
+    return Plan(s, _arities(bits, max_arity, sum(s)))
 
 
 def all_operad_plans(max_arity: int) -> Iterator[Plan]:
@@ -188,6 +188,27 @@ def _randbelow(bits: Callable[[int], int], n: int) -> int:
 def _arity(bits: Callable[[int], int], n: int) -> int:
     """``randint(1, n)``, word for word."""
     return _randbelow(bits, n) + 1
+
+
+def _arities(bits: Callable[[int], int], n: int, count: int) -> tuple:
+    """``count`` draws of ``randint(1, n)``, word for word, in one loop.
+    Rel and algebra plans draw through ``_arity`` instead, so that a
+    scripted ``_randbelow`` sees every one of their draws."""
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
+        out.append(v + 1)
+    return tuple(out)
+
+
+def _check_arity_bound(n: int) -> None:
+    """Refuse an arity bound below 1 before anything is drawn, as
+    ``randint(1, n)`` does: ``_randbelow(bits, 0)`` would redraw for ever."""
+    if n < 1:
+        raise ValueError(f"no arity lies between 1 and {n}")
 
 
 @functools.lru_cache(maxsize=256)     # 900 plans at the CLI defaults use 161
@@ -250,6 +271,7 @@ def _first_stage_plan(bits: Callable[[int], int], max_r: int,
                       max_total: int) -> tuple:
     """``(m, s, inner)``, the first-stage draws that rel and algebra plans
     share, in their order."""
+    _check_arity_bound(max_r)
     r = _arity(bits, max_r)
     m = _random_shapes(bits, (r,), (1,), min(3, max_total))[0][0]
     s = tuple(_arity(bits, max_r) for _ in range(r))

@@ -154,17 +154,23 @@ PlanarTree.parse = staticmethod(tree_from_brackets)
 
 
 def graft(outer: PlanarTree, inners: Sequence[PlanarTree]) -> PlanarTree:
-    """Replace the leaves of ``outer``, left to right, by the given trees."""
+    """Replace the leaves of ``outer``, left to right, by the given trees.
+
+    Grafted onto a corolla, the given trees are the result's children."""
     if len(inners) != outer.leaves:
         raise ValueError(
             f"tree with {outer.leaves} leaves grafted with {len(inners)} trees")
     if not outer.children:
         return inners[0]
-    it = iter(inners)
+    if len(outer.children) == len(inners):     # every child is a leaf
+        return PlanarTree(inners)
+    take = iter(inners).__next__
 
     def go(t: PlanarTree) -> PlanarTree:
-        return PlanarTree([go(c) if c.children else next(it)
-                           for c in t.children])
+        kids = []
+        for c in t.children:
+            kids.append(go(c) if c.children else take())
+        return PlanarTree(kids)
 
     return go(outer)
 
@@ -207,16 +213,68 @@ def random_tree(r: int, rng: random.Random) -> PlanarTree:
     The draws read ``rng.getrandbits`` exactly as those two calls do on
     CPython 3.10-3.13, so they consume the same words and give the same
     trees; ``tests/test_trees.py`` checks this against the running
-    interpreter's ``random``.
+    interpreter's ``random``.  A tree of at most four leaves, and every part
+    of at most four leaves, is read off a table of those draws (see
+    ``_draw_trie``), word for word.
     """
     if r < 1:
         raise ValueError("trees have at least one leaf")
     return _random_tree(r, rng.getrandbits)
 
 
-def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
+def _draw_trie(r: int, then: Callable[[PlanarTree], object]):
+    """The trie of the draws of an r-leaf tree, each leaf ``then(tree)``.
+
+    A node ``(k, n, children)`` is one ``_randbelow(n)``: a word of
+    ``k = n.bit_length()`` bits, redrawn at the same node while it is at
+    least n, and the word v leads to ``children[v]``.  The degree comes
+    first, then the pool swaps of ``_sample_range``, then the parts, left to
+    right."""
     if r == 1:
-        return LEAF
+        return then(LEAF)
+
+    def cuts(pool, taken, count):
+        if len(taken) == count:
+            ends = sorted(taken) + [r]
+            return parts([b - a for a, b in zip([0] + ends, ends)], ())
+        return _trie_node(len(pool), [cuts(swapped(pool, j), taken + [pool[j]], count)
+                                      for j in range(len(pool))])
+
+    def swapped(pool, j):       # the pool once pool[j] is taken
+        rest = pool[:-1]
+        if j < len(rest):
+            rest[j] = pool[-1]
+        return rest
+
+    def parts(sizes, done):
+        if not sizes:
+            return then(PlanarTree(done))
+        return _draw_trie(sizes[0], lambda t: parts(sizes[1:], done + (t,)))
+
+    return _trie_node(r - 1, [cuts(list(range(1, r)), [], d)
+                              for d in range(1, r)])
+
+
+def _trie_node(n: int, children: list) -> tuple:
+    return (n.bit_length(), n, tuple(children))
+
+
+# the draw tries of trees of up to four leaves (3, 13 and 71 nodes and
+# leaves for r = 2, 3, 4); ``_TRIES[1]`` is the leaf, which draws nothing
+_TRIES = (None, LEAF, *(_draw_trie(r, lambda t: t) for r in range(2, 5)))
+_TRIE_MAX = len(_TRIES) - 1
+
+
+def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
+    if r <= _TRIE_MAX:
+        node = _TRIES[r]
+        while node.__class__ is tuple:
+            k, n, children = node
+            v = bits(k)
+            while v >= n:
+                v = bits(k)
+            node = children[v]
+        return node
     n = r - 1
     cuts = _sample_range(bits, n, _randbelow(bits, n) + 1)   # randint(2, r) - 1
     cuts.sort()
@@ -224,7 +282,7 @@ def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
     children = []
     prev = 0
     for c in cuts:
-        children.append(LEAF if c - prev == 1 else _random_tree(c - prev, bits))
+        children.append(_random_tree(c - prev, bits))
         prev = c
     return PlanarTree(children)
 

@@ -240,6 +240,8 @@ TREES_OUTPUT_SHA256 = {
         "dd42ce1f95488534218655a65e7a586fbdd4fdbb15f5680f9a1d69c527771b7b",
     ("check", "trees", "--exhaustive", "--max-r", "2"):
         "3334b6f83f84cea71c47bbbb9af8fe56c636829562c1d92ff79d3a8988c7a016",
+    ("check", "trees", "--exhaustive", "--max-r", "2", "--mutate"):
+        "dfc5cd67075633f3b91d5c48ad3b696376d258b743191fa6e8e387c07940e063",
     ("enumerate", "5", "--format", "dot"):
         "b6e9fe1f8737c771cab870eebee986c82a7229be70b369a4c4514fc4ad14a639",
     ("enumerate", "5", "--format", "svg"):

@@ -204,6 +204,20 @@ def test_plans_through_forwarding_wrapper_match_reference():
     assert wrapped.calls > 0
 
 
+@pytest.mark.parametrize("sample", [
+    lambda rng: random_operad_plan(rng, 0),
+    lambda rng: random_rel_plan(rng, 0, 5),
+    lambda rng: random_algebra_plan(rng, 0, 5),
+], ids=["operad", "rel", "algebra"])
+def test_an_arity_bound_below_one_raises_before_any_draw(sample):
+    # ``_randbelow(bits, 0)`` once redrew here for ever
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="between 1 and 0"):
+        sample(rng)
+    assert rng.getstate() == state
+
+
 # --- guards on the interpreter's random ---------------------------------------------
 
 def _entry(bits):

@@ -399,6 +399,70 @@ def test_sample_of_a_range_reads_getrandbits_like_the_replica():
             assert a.getstate() == b.getstate(), (r, k)
 
 
+# Trees of up to four leaves are read off a trie of their draws.  The oracle
+# below walks every branch of each trie with a scripted ``getrandbits``,
+# putting a rejected word (at least the node's bound) before every other
+# accepted word, and runs ``ref_random_tree`` on the same script.
+
+class ScriptedRandom(random.Random):
+    """A ``Random`` whose ``getrandbits`` returns the words of a script in
+    order, and records each call as ``(bit count, word)``."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+        self.calls = []
+
+    def getrandbits(self, k):
+        word = self.words[len(self.calls)]
+        assert 0 <= word < 1 << k, (k, word)
+        self.calls.append((k, word))
+        return word
+
+
+def trie_paths(node, path=()):
+    """``(path, tree)`` for every leaf of a draw trie, ``path`` listing the
+    ``(k, n, v)`` of each node on the way: v is the accepted word."""
+    if not isinstance(node, tuple):
+        yield path, node
+        return
+    k, n, children = node
+    for v, child in enumerate(children):
+        yield from trie_paths(child, path + ((k, n, v),))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_the_draw_table_reads_words_like_the_reference(r):
+    paths = list(trie_paths(trees._TRIES[r]))
+    rejected = 0
+    for index, (path, tree) in enumerate(paths):
+        words = []
+        for depth, (k, n, v) in enumerate(path):
+            if (index + depth) % 2:
+                words.append(n)     # n.bit_length() == k, so n < 2 ** k
+                rejected += 1
+            words.append(v)
+        table, ref = ScriptedRandom(words), ScriptedRandom(words)
+        assert random_tree(r, table) is tree, path
+        assert ref_random_tree(r, ref) is tree, path
+        assert table.calls == ref.calls, path
+        assert len(table.calls) == len(words), path
+    assert rejected > 0 or r == 1
+
+
+def test_the_draw_tables_hold_every_tree_of_up_to_four_leaves():
+    sizes = {2: 3, 3: 13, 4: 71}    # nodes and leaves of each trie
+
+    def size(node):
+        return 1 + (sum(map(size, node[2])) if isinstance(node, tuple) else 0)
+
+    assert trees._TRIES[1] is LEAF
+    for r in (2, 3, 4):
+        drawn = [tree for _, tree in trie_paths(trees._TRIES[r])]
+        assert set(drawn) == set(enumerate_trees(r)), r
+        assert size(trees._TRIES[r]) == sizes[r], r
+
+
 def test_random_tree_determinism():
     a = random_tree(6, random.Random(4))
     b = random_tree(6, random.Random(4))
