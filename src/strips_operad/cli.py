@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total rectangle bound for strips/sheets")
     check.add_argument("--mutate", action="store_true",
                        help="check a deliberately broken instance "
-                            "(strips_operad.mutants); the run must fail")
+                            "(strips_operad.mutants); every target fails at "
+                            "the defaults, but a small trees scope can miss "
+                            "the mutant")
     check.add_argument("--exhaustive", action="store_true",
                        help="trees only: all plans up to the arity bound "
                             f"(at most {MAX_EXHAUSTIVE_PLANS} plans)")

@@ -191,9 +191,7 @@ def _arity(bits: Callable[[int], int], n: int) -> int:
 
 
 def _arities(bits: Callable[[int], int], n: int, count: int) -> tuple:
-    """``count`` draws of ``randint(1, n)``, word for word, in one loop.
-    Rel and algebra plans draw through ``_arity`` instead, so that a
-    scripted ``_randbelow`` sees every one of their draws."""
+    """``count`` draws of ``randint(1, n)``, word for word, in one loop."""
     k = n.bit_length()
     out = []
     for _ in range(count):
@@ -274,7 +272,7 @@ def _first_stage_plan(bits: Callable[[int], int], max_r: int,
     _check_arity_bound(max_r)
     r = _arity(bits, max_r)
     m = _random_shapes(bits, (r,), (1,), min(3, max_total))[0][0]
-    s = tuple(_arity(bits, max_r) for _ in range(r))
+    s = _arities(bits, max_r, r)
     return m, s, _random_shapes(bits, s, m, max_total)
 
 
@@ -283,7 +281,7 @@ def random_rel_plan(rng: random.Random, max_r: int, max_total: int) -> Plan:
     m, s, inner = _first_stage_plan(bits, max_r, max_total)
     # output strip k of the first stage holds counts[k] rectangles
     counts = output_shape(m, s, inner)
-    t = tuple(_arity(bits, max_r) for _ in counts)
+    t = _arities(bits, max_r, len(counts))
     return Plan(s, t, m, inner, _random_shapes(bits, t, counts, max_total))
 
 

@@ -129,6 +129,16 @@ def _based_at(loop: Loop, base: tuple) -> bool:
     return [c * m for c in path._v[0]] == [c * vm for c in q]
 
 
+def _loop_defect(f: PointedMap, loop: Loop, what: str) -> Optional[str]:
+    """Why ``loop``, named ``what`` in the message, is no loop at q in f's
+    source (its dimension first, then its basepoint), or None when it is."""
+    if loop.dim != f.dim_in:
+        return f"{what} dimension {loop.dim}, expected {f.dim_in}"
+    if not _based_at(loop, f._q):
+        return f"{what} based at {loop.basepoint}, expected {f.dom_base}"
+    return None
+
+
 def constant_loop(basepoint) -> Loop:
     v = as_point(basepoint)
     return Loop(PLPath((ZERO, ONE), (v, v)))
@@ -210,23 +220,36 @@ def _reduced_locate(breaks: Sequence, t: int) -> tuple:
     return i, w
 
 
-def _value_at(points: Sequence, m: int, k: int, w) -> tuple:
-    """``(point, denominator)``: the path with values ``points`` over m, at
-    w of the way from break k to break k+1 (at break k when w is None).
-    Between equal values the point is kept over m, so a flat stretch adds
-    no factor to the denominator."""
-    v = points[k]
-    if w is None or v == points[k + 1]:
-        return v, m
-    return _lowest(lerp(v, points[k + 1], *w), m * w[1])
-
-
 def _lowest(v: tuple, d: int) -> tuple:
     """``(point, denominator)`` for the point ``v/d`` (ints) in lowest terms."""
     g = math.gcd(d, *v)
     if g == 1:
         return v, d
     return tuple([c // g for c in v]), d // g
+
+
+def _along(ts: Sequence, vals: Sequence, vm: int, unit: int, cols: Sequence) -> list:
+    """One source read along a strip's columns: ``(line, d)`` for each column
+    x of ``cols`` (ints over ``unit``, a multiple of ``ts[-1]``), the source's
+    line of points at x as ints over d.  The source has one line per break
+    ``ts[k]``, ``vals[k]``, over ``vm``: a sheet passes its columns, a path
+    its points as 1-tuples.  Between two equal lines the line is kept over
+    ``vm``, so a flat stretch adds no factor to the denominator; a line
+    interpolated between two others is put over its least denominator."""
+    breaks = _rescaled(ts, unit)
+    out = []
+    for k, w in [_reduced_locate(breaks, x) for x in cols]:
+        line = vals[k]
+        if w is None or line == vals[k + 1]:
+            out.append((line, vm))
+        else:
+            line = [lerp(a, b, *w) for a, b in zip(line, vals[k + 1])]
+            d = vm * w[1]
+            g = math.gcd(d, *chain.from_iterable(line))
+            if g != 1:
+                line, d = [tuple([c // g for c in v]) for v in line], d // g
+            out.append((line, d))
+    return out
 
 
 def _over_one(grid: list, dens: list) -> tuple:
@@ -302,24 +325,27 @@ def _column_plan(ys: list, sheet_ys: list) -> tuple:
 
     ``ys`` are the output heights and ``sheet_ys[j]`` the heights of the
     y-lines of rectangle j's sheet, bottom to top, all as ints over one
-    denominator.  Entry ``(j, k, w)``: inside rectangle j, at ``w = (num,
-    den)`` (in lowest terms) of the way from the sheet's y-line k to line
-    k+1 (on line k when w is None).  Entry ``(None, g, None)``: in the gap
-    above the first g rectangles, where the value is junction loop g.  A
-    height y is placed by one bisection, ``j = bisect_left(tops, y)``: it is
-    in rectangle j when that rectangle starts at or below y, else in gap j,
-    so a height on the edge shared by two rectangles belongs to the lower
-    one.
+    denominator.  With n rectangles, the strip's sources are their sheets,
+    0 to n-1, and its junction loops, n to 2n.  Entry ``(j, k, w)``: in
+    source j, at ``w = (num, den)`` (in lowest terms) of the way from its
+    line k to line k+1 (on line k when w is None).  Inside rectangle j that
+    is the sheet's y-line k; in the gap above the first g rectangles it is
+    ``(n + g, 0, None)``, junction loop g, whose lines are single points.
+    A height y is placed by one bisection, ``j = bisect_left(tops, y)``: it
+    is in rectangle j when that rectangle starts at or below y, else in gap
+    j, so a height on the edge shared by two rectangles belongs to the
+    lower one.
     """
+    n = len(sheet_ys)
     bottoms = [lines[0] for lines in sheet_ys]
     tops = [lines[-1] for lines in sheet_ys]
     plan = []
     for y in ys:
         j = bisect_left(tops, y)
-        if j < len(tops) and bottoms[j] <= y:
+        if j < n and bottoms[j] <= y:
             plan.append((j, *_reduced_locate(sheet_ys[j], y)))
         else:
-            plan.append((None, j, None))
+            plan.append((n + j, 0, None))
     return tuple(plan)
 
 
@@ -338,16 +364,19 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
 
     Everything is computed on the stored ints.  The output's y-lines are
     the images of every sheet's y-lines, over one denominator.  Each strip
-    takes its columns in its own units (the LCM of the denominators of its
-    loops' and sheets' x-breaks, so every lookup there is a bisection on
-    small ints, :func:`~strips_operad.exact.locate`), less a first column
-    that the strip to its left took; the output's x-lines are their images.
-    Each sheet is read once per column along its own y-lines, and the
-    rectangle's heights are filled from that line with one interpolation in
-    y each, by a plan made once per strip.  Between rectangles a column
-    takes the junction loop pushed through f (:func:`push_loop` pushes each
-    loop once per map).  Each value is kept with its own denominator, and
-    all are brought to their LCM once, at the end.
+    is a stack of sources: its rectangles' sheets and its junction loops
+    pushed through f (:func:`push_loop` pushes each loop once per map).  A
+    plan made once per strip (:func:`_column_plan`) says which source each
+    height reads.  The strip's columns are its sources' x-breaks, in its
+    own units (the LCM of their denominators, so every lookup there is a
+    bisection on small ints, :func:`~strips_operad.exact.locate`), less a
+    first column that the strip to its left took; the output's x-lines are
+    their images.  A row of the output bends only where its source does,
+    and a pushed loop breaks only where f∘loop bends, so no column is
+    missed.  Each source is read once per column (:func:`_along`), and each
+    height is filled from its source's line with one interpolation in y.
+    Each value keeps its own denominator until all go to their LCM at the
+    end.
     """
     r = config.arity
     if len(inputs) != r:
@@ -378,12 +407,9 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
 
     for i, loops in enumerate(junctions):
         for loop in loops:
-            if loop.dim != f.dim_in:
-                raise ValueError(f"strip {i + 1}: loop dimension {loop.dim} "
-                                 f"does not match the map source {f.dim_in}")
-            if not _based_at(loop, f._q):
-                raise ValueError(f"strip {i + 1}: loop based at {loop.basepoint}, "
-                                 f"expected {f.dom_base}")
+            defect = _loop_defect(f, loop, f"strip {i + 1}: loop")
+            if defect:
+                raise ValueError(defect)
     for i, elems in enumerate(chains):
         for e in elems:
             if e.sheet.dim != f.dim_out:
@@ -403,18 +429,10 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     ys = sorted({0, ym, *[y for images in y_images for lines in images
                           for y in lines]})
 
-    # each strip's columns, in its own units
-    units, columns = [], []
-    for loops, elems in zip(junctions, chains):
-        unit = math.lcm(*[loop.path._t[-1] for loop in loops],
-                        *[e.sheet._x[-1] for e in elems])
-        cols = set()
-        for loop in loops:
-            cols.update(_rescaled(loop.path._t, unit))
-        for e in elems:
-            cols.update(_rescaled(e.sheet._x, unit))
-        units.append(unit)
-        columns.append(sorted(cols))
+    # each strip's own units: the LCM of its sources' x denominators
+    units = [math.lcm(*[e.sheet._x[-1] for e in elems],
+                      *[push_loop(f, loop)._t[-1] for loop in loops])
+             for loops, elems in zip(junctions, chains)]
     xm = math.lcm(*[emb.d * unit for emb, unit in zip(embs, units)])
 
     p, pm = f._p
@@ -424,43 +442,31 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
         xs.append(0)
         grid.append(outside[0])
         dens.append(outside[1])
-    for i, emb in enumerate(embs):
-        unit, cols = units[i], columns[i]
+    for emb, unit, loops, elems, sheet_ys in zip(embs, units, junctions, chains,
+                                                 y_images):
+        # the strip's stack of sources, as its plan numbers them: rectangle
+        # j's sheet at j, and junction loop g pushed through f (exact, since
+        # f is affine) at n + g; the strip's columns are their x-breaks
+        stack = [(e.sheet._x, e.sheet._v, e.sheet._vm) for e in elems]
+        for loop in loops:
+            path = push_loop(f, loop)
+            stack.append((path._t, [(v,) for v in path._v], path._vm))
+        cols = sorted({x for ts, _, _ in stack for x in _rescaled(ts, unit)})
         images = _embedded(emb, cols, xm)
         if xs and images[0] == xs[-1]:      # taken by the strip to the left
             cols, images = cols[1:], images[1:]
         xs.extend(images)
-        plan = _column_plan(ys, y_images[i])
-        # the junction loops the plan reads, pushed through f (exact, since f
-        # is affine), and their values along the strip's columns
-        gaps = {}
-        for j, g, _ in plan:
-            if j is None and g not in gaps:
-                path = push_loop(f, junctions[i][g])
-                pv, vm = path._v, path._vm
-                breaks = _rescaled(path._t, unit)
-                gaps[g] = [_value_at(pv, vm, k, w) for k, w in
-                           [_reduced_locate(breaks, x) for x in cols]]
-        # each rectangle's sheet along its own y-lines, one line per column
-        lines = []
-        for elem in chains[i]:
-            sheet = elem.sheet
-            sv, vm = sheet._v, sheet._vm
-            breaks = _rescaled(sheet._x, unit)
-            lines.append([(sv[k], vm) if w is None or sv[k] == sv[k + 1] else
-                          ([lerp(a, b, *w) for a, b in zip(sv[k], sv[k + 1])],
-                           vm * w[1])
-                          for k, w in [_reduced_locate(breaks, x) for x in cols]])
+        # each source read once per column, then each height filled from its
+        # source's line with one interpolation in y
+        lines = [_along(*source, unit, cols) for source in stack]
+        plan = _column_plan(ys, sheet_ys)
         for c in range(len(cols)):
             col, cd = [], []
             for j, k, w in plan:
-                if j is None:
-                    v, d = gaps[k][c]
-                else:
-                    line, d = lines[j][c]
-                    v = line[k]
-                    if w is not None and v != line[k + 1]:
-                        v, d = _lowest(lerp(v, line[k + 1], *w), d * w[1])
+                line, d = lines[j][c]
+                v = line[k]
+                if w is not None and v != line[k + 1]:
+                    v, d = _lowest(lerp(v, line[k + 1], *w), d * w[1])
                 col.append(v)
                 cd.append(d)
             grid.append(col)
@@ -483,20 +489,17 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
 def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
     """First broken boundary condition, or None when the element is valid.
 
-    Checked in order: dimensions, loop basepoints, constant-p left and right
-    edges, bottom edge against the mapped bottom loop, top edge against the
-    mapped top loop.  Points are compared on ints by cross-multiplying.
+    Checked in order: the bottom loop's dimension and basepoint, the top
+    loop's, the sheet's dimension, constant-p left and right edges, bottom
+    edge against the mapped bottom loop, top edge against the mapped top
+    loop.  Points are compared on ints by cross-multiplying.
     """
-    if elem.bottom.dim != f.dim_in:
-        return f"bottom loop dimension {elem.bottom.dim}, expected {f.dim_in}"
-    if elem.top.dim != f.dim_in:
-        return f"top loop dimension {elem.top.dim}, expected {f.dim_in}"
+    for what, loop in (("bottom loop", elem.bottom), ("top loop", elem.top)):
+        defect = _loop_defect(f, loop, what)
+        if defect:
+            return defect
     if elem.sheet.dim != f.dim_out:
         return f"sheet dimension {elem.sheet.dim}, expected {f.dim_out}"
-    if not _based_at(elem.bottom, f._q):
-        return f"bottom loop based at {elem.bottom.basepoint}, expected {f.dom_base}"
-    if not _based_at(elem.top, f._q):
-        return f"top loop based at {elem.top.basepoint}, expected {f.dom_base}"
     (p, pm), sheet = f._p, elem.sheet
     vm = sheet._vm
     want = [c * vm for c in p]
@@ -560,12 +563,10 @@ def random_sheet_element(f: PointedMap, rng: random.Random,
     basepoint is a ``ValueError``, raised before anything is drawn."""
     if source is None:
         bottom = _random_loop(rng, f.dim_in, f._q)
-    elif source.dim != f.dim_in:
-        raise ValueError(f"source loop dimension {source.dim}, expected {f.dim_in}")
-    elif not _based_at(source, f._q):
-        raise ValueError(f"source loop based at {source.basepoint}, "
-                         f"expected {f.dom_base}")
     else:
+        defect = _loop_defect(f, source, "source loop")
+        if defect:
+            raise ValueError(defect)
         bottom = source
     top = _random_loop(rng, f.dim_in, f._q)
     x_cut = rng.randint(1, GRID - 1)
@@ -573,16 +574,12 @@ def random_sheet_element(f: PointedMap, rng: random.Random,
     xm = math.lcm(GRID, bottom.path._t[-1], top.path._t[-1])
     xs = sorted({*_rescaled(bottom.path._t, xm), *_rescaled(top.path._t, xm),
                  x_cut * (xm // GRID)})
-    edges = []      # f of each loop at every column, as (ints, denominator)
-    for loop in (bottom, top):
-        path = push_loop(f, loop)
-        pv, vm = path._v, path._vm
-        breaks = _rescaled(path._t, xm)
-        edges.append([_value_at(pv, vm, k, w) for k, w in
-                      [_reduced_locate(breaks, x) for x in xs]])
+    # f of each loop at every column, as (1-tuple, denominator)
+    edges = [_along(path._t, [(v,) for v in path._v], path._vm, xm, xs)
+             for path in (push_loop(f, bottom), push_loop(f, top))]
     p, pm = f._p
     grid, dens = [], []
-    for x, (low, low_d), (high, high_d) in zip(xs, *edges):
+    for x, ((low,), low_d), ((high,), high_d) in zip(xs, *edges):
         if x == 0 or x == xm:
             inner, inner_d = p, pm
         else:

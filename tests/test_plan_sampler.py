@@ -12,9 +12,10 @@ every report.
 Shapes are drawn with no retry from the law of the earlier rejection sampler:
 every entry uniform on ``(0, 0, 1, 1, 2)``, the whole list kept only if every
 shape total is at least 1 and the totals sum to at most the bound.  The
-oracle runs the sampler with a scripted ``_randbelow`` that takes every
-branch, so each outcome gets its exact ``Fraction`` probability, and compares
-that with the product measure restricted to the same set, enumerated.
+oracle runs the sampler with a scripted ``_randbelow`` and ``_arities`` that
+take every branch, so each outcome gets its exact ``Fraction`` probability,
+and compares that with the product measure restricted to the same set,
+enumerated.
 """
 import functools
 import itertools
@@ -103,8 +104,10 @@ def exact_law(sample):
 
 
 def _scripted_randbelow(pick):
-    return mock.patch.object(framework, "_randbelow",
-                             lambda bits, n: pick([Fraction(1, n)] * n))
+    return mock.patch.multiple(
+        framework, _randbelow=lambda bits, n: pick([Fraction(1, n)] * n),
+        _arities=lambda bits, n, count: tuple(pick([Fraction(1, n)] * n) + 1
+                                              for _ in range(count)))
 
 
 @functools.lru_cache(maxsize=None)

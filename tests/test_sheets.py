@@ -473,6 +473,81 @@ def test_actions_match_reference_when_strips_with_rectangles_share_edges():
     assert sheet_violation(f, out) is None
 
 
+def _flattening_map() -> PointedMap:
+    # reads only the first coordinate, so a loop that moves along the second
+    # moves its image less, or not at all
+    return PointedMap(((F(1), F(0)),), (F(0), F(0)), (F(3),))
+
+
+def _loop(ts, *points) -> Loop:
+    origin = (F(0), F(0))
+    return Loop(PLPath(ts, (origin, *points, origin)))
+
+
+# f keeps only the first coordinate: BEND pushes to 3, 4, 5, 3, so its break
+# at 1/4 is gone, and STILL pushes to the constant loop at p
+BEND = _loop((0, F(1, 4), F(1, 2), 1), (F(1), F(0)), (F(2), F(5)))
+STILL = _loop((0, F(1, 3), F(2, 3), 1), (F(0), F(1)), (F(0), F(-2)))
+
+
+def test_actions_match_reference_when_the_map_flattens_a_loop():
+    # the junction loops in the gaps push to paths with fewer breaks than
+    # they have, and the strips take their columns from the pushed paths
+    f = _flattening_map()
+    for loop in (BEND, STILL):
+        assert len(push_loop(f, loop).breaks) < len(loop.path.breaks)
+    quarter, half = F(1, 4), F(1, 2)
+    base = IntervalConfig((AffineMap1(half, F(0)), AffineMap1(half, half)))
+    config = StripConfig((1, 0), base, ((AffineMap1(half, quarter),), ()))
+    rng = random.Random(101)
+    for bottom in (BEND, STILL):
+        elem = random_sheet_element(f, rng, source=bottom)
+        for empty in (BEND, STILL):
+            out = _assert_matches_reference(f, config, ((elem,), empty))
+            assert sheet_violation(f, out) is None
+
+
+def test_an_empty_strip_sees_only_the_pushed_loop():
+    # two loops with one pushforward give one sheet, but their own edges
+    f = _flattening_map()
+    still = constant_loop(f.dom_base)
+    bend = _loop((0, F(1, 4), F(1, 2), 1), (F(1), F(7)), (F(2), F(5)))
+    assert push_loop(f, still) == push_loop(f, STILL)
+    assert push_loop(f, bend) == push_loop(f, BEND)
+    config = random_strip((0, 1), seed=109)
+    elem = random_sheet_element(f, random.Random(113))
+    for one, other in ((still, STILL), (bend, BEND)):
+        a = act_on_sheets(f, config, (one, (elem,)))
+        b = act_on_sheets(f, config, (other, (elem,)))
+        assert a.sheet == b.sheet
+        assert a.bottom != b.bottom and a.top != b.top
+
+
+def test_a_foreign_loop_is_named_alike_by_action_check_and_sampler():
+    f = _map2d()
+    rng = random.Random(127)
+    config = random_strip((1, 0), seed=131)
+    elem = random_sheet_element(f, rng)
+    flat = random_loop(random.Random(1), 1, (F(1),))
+    elsewhere = random_loop(random.Random(2), 2, (F(5), F(5)))
+    based = ("based at (Fraction(5, 1), Fraction(5, 1)), "
+             "expected (Fraction(1, 1), Fraction(1, 1))")
+    for loop, defect in ((flat, "dimension 1, expected 2"), (elsewhere, based)):
+        with pytest.raises(ValueError) as caught:
+            act_on_sheets(f, config, ((elem,), loop))
+        assert str(caught.value) == "strip 2: loop " + defect
+        foreign = SheetElement(elem.sheet, loop, elem.top)
+        with pytest.raises(ValueError) as caught:
+            act_on_sheets(f, config, ((foreign,), elem.top))
+        assert str(caught.value) == "strip 1: loop " + defect
+        assert sheet_violation(f, foreign) == "bottom loop " + defect
+        assert sheet_violation(f, SheetElement(elem.sheet, elem.bottom, loop)) == (
+            "top loop " + defect)
+        with pytest.raises(ValueError) as caught:
+            random_sheet_element(f, rng, loop)
+        assert str(caught.value) == "source loop " + defect
+
+
 # an interval or a strip that leaves [0, 1] is named, with its image
 LEAVING = [(AffineMap1(F(1, 2), F(-1, 4)), "1 image [-1/4, 1/4] leaves [0, 1]"),
            (AffineMap1(F(1, 2), F(3, 4)), "1 image [3/4, 5/4] leaves [0, 1]")]
