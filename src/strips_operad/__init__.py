@@ -2,7 +2,7 @@
 loop/sheet algebras they act on, associahedron face enumeration, and seeded
 law-checking tools."""
 
-from .exact import AffineMap1, GridSheet, PLPath, constant_path, constant_sheet
+from .exact import AffineMap1, GridSheet, PLPath
 from .framework import (AlgebraInstance, Block, ChainError, CheckFailure,
                         CheckReport, FiberProductError, OperadInstance,
                         RelTwoOperadInstance, check_algebra_laws,
@@ -12,9 +12,8 @@ from .intervals import (IntervalConfig, interval_compose, interval_unit,
                         interval_violation, intervals_operad, random_intervals)
 from .shapes import ShapeError, check_shape, output_shape
 from .sheets import (Loop, PointedMap, SheetElement, act_on_loops,
-                     act_on_sheets, constant_loop, random_loop,
-                     random_pointed_map, random_sheet_element, sheet_algebra,
-                     sheet_violation)
+                     act_on_sheets, random_loop, random_pointed_map,
+                     random_sheet_element, sheet_algebra, sheet_violation)
 from .strips import (StripConfig, random_strip, random_strip_over,
                      strip_compose, strip_project, strip_unit,
                      strip_violation, strips_rel_operad)

@@ -5,17 +5,21 @@ increasing affine reparametrizations of the unit interval (a rectangle of a
 strip configuration is two of them: its strip's across, its own upward),
 piecewise-linear paths, and grid-bilinear sheets.  An affine map of the line
 is stored as a reduced integer triple ``(an, cn, d)`` for ``x |-> (an*x +
-cn)/d``, which is unique per map, and composed on those ints.  A path or a
-sheet is stored as ints too: each axis's breakpoints over one denominator,
-and all its value coordinates over one more, so the actions in
-:mod:`strips_operad.sheets` evaluate, prune and compare them on ints.
-Every value is stored in the one form its function has (the normal triple,
-or the minimal breakpoint set, which each constructor prunes to, with every
-denominator reduced), so ``==`` and ``hash`` are those of the underlying
-functions.  That is the property the law checkers in
-:mod:`strips_operad.framework` rely on.  ``Fraction``s are built only where
-a coordinate is read: in the public accessors, ``at``, ``repr`` and the
-JSON codecs.
+cn)/d``, which is unique per map, and composed on those ints.  A path is
+stored as ints too: its breakpoints over one denominator, and all its value
+coordinates over one more.  A sheet is stored as its x-lines over one
+denominator and, per x-line, its column: the path in y it runs along that
+line, stored like a path, with only the y-lines where that column bends (a
+T-mesh, in the sense of Sederberg et al., *T-splines and T-NURCCs*, 2003:
+a grid line may stop instead of crossing the square).  So the actions in
+:mod:`strips_operad.sheets` evaluate, prune, compare and build them on ints,
+one column at a time.  Every value is stored in the one form its function
+has (the normal triple, or the minimal breakpoint sets, which each
+constructor prunes to, with every denominator reduced), so ``==`` and
+``hash`` are those of the underlying functions.  That is the property the
+law checkers in :mod:`strips_operad.framework` rely on.  ``Fraction``s are
+built only where a coordinate is read: in the public accessors, ``at``,
+``repr`` and the JSON codecs.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ import math
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -82,9 +85,30 @@ def _points(flat: tuple, d: int, n: int) -> list:
 def _locate_rat(ts: tuple, t: Fraction) -> tuple:
     """:func:`locate` of the Fraction t among the ints ``ts`` over their
     denominator ``ts[-1]``, on ints: both sides times ``ts[-1]`` times the
-    denominator of t."""
-    n, d = t.numerator, t.denominator
-    return locate([k * d for k in ts], n * ts[-1])
+    denominator of t.  The floor of ``t·ts[-1]`` is placed by one bisection
+    of ``ts``, so only the two breaks around t are scaled."""
+    d = t.denominator
+    nm = t.numerator * ts[-1]
+    i = bisect_right(ts, nm // d, 1, len(ts) - 1) - 1
+    j, w = locate((ts[i] * d, ts[i + 1] * d), nm)
+    return i + j, w
+
+
+def _read(ts: Sequence, vals: Sequence, vm: int, t: Fraction) -> tuple:
+    """``(point, d)``: the value at the Fraction t of the path with breaks
+    ``ts`` (ints over ``ts[-1]``) and values ``vals`` (ints over vm), as
+    ints over d."""
+    i, w = _locate_rat(ts, t)
+    if w is None:
+        return vals[i], vm
+    return lerp(vals[i], vals[i + 1], *w), vm * w[1]
+
+
+def _rescaled(ts: Sequence, m: int) -> Sequence:
+    """The points ``ts`` (ints over ``ts[-1]``) as ints over m, a multiple
+    of ``ts[-1]``."""
+    k = m // ts[-1]
+    return ts if k == 1 else [t * k for t in ts]
 
 
 def _fractions(point, den: int) -> tuple[Fraction, ...]:
@@ -286,11 +310,7 @@ class PLPath(_Frozen):
         t = as_rat(t)
         if not ZERO <= t <= ONE:
             raise ValueError(f"argument {t} outside [0, 1]")
-        i, w = _locate_rat(self._t, t)
-        v = self._v[i]
-        if w is None:
-            return _fractions(v, self._vm)
-        return _fractions(lerp(v, self._v[i + 1], *w), self._vm * w[1])
+        return _fractions(*_read(self._t, self._v, self._vm, t))
 
     def canonical(self) -> "PLPath":
         """``self``, since a path is stored in its minimal form.  Kept only
@@ -303,22 +323,36 @@ _SET_PV = PLPath._v.__set__
 _SET_PVM = PLPath._vm.__set__
 
 
-def _store_path(path: PLPath, ts: Sequence, vals: Sequence, vm: int) -> PLPath:
-    """Store the path with breaks ``ts[k]/ts[-1]`` and values ``vals[k]/vm``
-    (tuples of ints) in ``path``, less every interior breakpoint where the
-    slope does not change, each side over its least denominator; return
-    ``path``."""
-    keep = _essential(ts, vals)
-    if len(keep) < len(ts):
-        ts = [ts[k] for k in keep]
-        vals = [vals[k] for k in keep]
+def _minimal(ts: Sequence, vals: Sequence, vm: int) -> tuple:
+    """``(ts, vals, vm)`` as tuples: the path with breaks ``ts[k]/ts[-1]``
+    and values ``vals[k]/vm`` (tuples of ints) less every interior
+    breakpoint where the slope does not change, each side over its least
+    denominator.  That is the one stored form of the path."""
+    if len(ts) > 2:
+        keep = _essential(ts, vals)
+        if len(keep) < len(ts):
+            ts = [ts[k] for k in keep]
+            vals = [vals[k] for k in keep]
     g = math.gcd(*ts)
-    _SET_T(path, tuple(ts) if g == 1 else tuple([t // g for t in ts]))
-    g = math.gcd(vm, *[c for v in vals for c in v])
+    ts = tuple(ts) if g == 1 else tuple([t // g for t in ts])
+    g = vm
+    for v in vals:
+        g = math.gcd(g, *v)
+        if g == 1:
+            break
     if g != 1:
         vm //= g
         vals = [tuple([c // g for c in v]) for v in vals]
-    _SET_PV(path, tuple(vals))
+    return ts, tuple(vals), vm
+
+
+def _store_path(path: PLPath, ts: Sequence, vals: Sequence, vm: int) -> PLPath:
+    """Store the :func:`_minimal` form of the path with breaks
+    ``ts[k]/ts[-1]`` and values ``vals[k]/vm`` in ``path``; return
+    ``path``."""
+    ts, vals, vm = _minimal(ts, vals, vm)
+    _SET_T(path, ts)
+    _SET_PV(path, vals)
     _SET_PVM(path, vm)
     return path
 
@@ -332,28 +366,31 @@ def _path(ts: Sequence, vals: Sequence, vm: int) -> PLPath:
     return _store_path(object.__new__(PLPath), ts, vals, vm)
 
 
-def constant_path(value) -> PLPath:
-    v = as_point(value)
-    return PLPath((ZERO, ONE), (v, v))
-
-
 # ---------------------------------------------------------------------------
 # grid-bilinear sheets
 # ---------------------------------------------------------------------------
 
 class GridSheet(_Frozen):
-    """Function [0,1]^2 -> Q^d, bilinear on each cell of a rectangular grid.
+    """Function [0,1]^2 -> Q^d, linear in x between its x-lines and
+    piecewise linear in y along each of them.
 
-    ``values[ix][iy]`` is the value at ``(x_breaks[ix], y_breaks[iy])``.  A
-    redundant grid line is dropped on construction, so two sheets are ``==``
-    exactly when they are the same function.
+    Built from a product grid: ``values[ix][iy]`` is the value at
+    ``(x_breaks[ix], y_breaks[iy])``, bilinear on each cell.  It is stored
+    as its x-lines and one column per x-line, the path in y that the sheet
+    runs along that line, with only the y-lines where that path bends: a
+    y-line may stop instead of crossing the square.  An x-line is kept iff
+    its column is not the linear interpolation of its kept neighbours', and
+    each column is a minimal path, so two sheets are ``==`` exactly when
+    they are the same function.
 
-    Stored as ints like :class:`PLPath`: ``_x`` and ``_y`` hold each axis's
-    breaks over its least common denominator (``_x[-1]``, ``_y[-1]``), and
-    ``_v`` the value grid, column by column, over ``_vm``.
+    ``_x`` holds the x-lines over their least common denominator
+    (``_x[-1]``), and ``_c`` the columns, each stored like a
+    :class:`PLPath` as a triple ``(ts, vals, vm)`` of ints with its own
+    denominators.  ``x_breaks``, ``y_breaks`` and ``values`` give the
+    minimal product grid, whose y-lines are the union of the columns'.
     """
 
-    __slots__ = ("_x", "_y", "_v", "_vm")
+    __slots__ = ("_x", "_c")
 
     def __init__(self, x_breaks, y_breaks, values):
         xb = [as_rat(t) for t in x_breaks]
@@ -371,22 +408,21 @@ class GridSheet(_Frozen):
             raise ValueError("all values must have the same dimension")
         flat, vm = _over_lcm([c for col in vals for v in col for c in v])
         points = _points(flat, d, nx * ny)
-        _store_sheet(self, _over_lcm(xb)[0], _over_lcm(yb)[0],
-                     [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
+        _store_grid(self, _over_lcm(xb)[0], _over_lcm(yb)[0],
+                    [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
 
     def __reduce__(self):
-        return (_sheet, (self._x, self._y, self._v, self._vm))
+        return (_sheet, (self._x, self._c))
 
     def __eq__(self, other):
         if other is self:
             return True
         if type(other) is not GridSheet:
             return NotImplemented
-        return (self._x == other._x and self._y == other._y
-                and self._vm == other._vm and self._v == other._v)
+        return self._x == other._x and self._c == other._c
 
     def __hash__(self):
-        return hash((self._x, self._y, self._v, self._vm))
+        return hash((self._x, self._c))
 
     def __repr__(self):
         return (f"GridSheet(x_breaks={self.x_breaks!r}, "
@@ -399,129 +435,180 @@ class GridSheet(_Frozen):
 
     @property
     def y_breaks(self) -> tuple:
-        m = self._y[-1]
-        return tuple([Fraction(t, m) for t in self._y])
+        ys = _align(self._c)[0]
+        m = ys[-1]
+        return tuple([Fraction(t, m) for t in ys])
 
     @property
     def values(self) -> tuple:
-        vm = self._vm
-        return tuple([tuple([_fractions(v, vm) for v in col]) for col in self._v])
+        return tuple([tuple([_fractions(v, vm) for v in col])
+                      for col, vm in _align(self._c)[1]])
 
     @property
     def dim(self) -> int:
-        return len(self._v[0][0])
+        return len(self._c[0][1][0])
 
     def at(self, x: Fraction, y: Fraction) -> tuple:
         x, y = as_rat(x), as_rat(y)
         if not (ZERO <= x <= ONE and ZERO <= y <= ONE):
             raise ValueError(f"argument ({x}, {y}) outside the unit square")
         ix, u = _locate_rat(self._x, x)
-        iy, w = _locate_rat(self._y, y)
-        col = self._v[ix]
-        den = self._vm
-        if u is not None:
-            nxt = self._v[ix + 1]
-            den *= u[1]
-
-        def on_line(k):     # the value at x on the y-line k, over den
-            return col[k] if u is None else lerp(col[k], nxt[k], *u)
-
-        v = on_line(iy)
-        if w is not None:
-            v = lerp(v, on_line(iy + 1), *w)
-            den *= w[1]
-        return _fractions(v, den)
+        v, d = _read(*self._c[ix], y)
+        if u is not None:       # between two columns: lerp their values at y
+            w, e = _read(*self._c[ix + 1], y)
+            v, d = lerp([c * e for c in v], [c * d for c in w], *u), d * e * u[1]
+        return _fractions(v, d)
 
     def canonical(self) -> "GridSheet":
         """``self``, since a sheet is stored in its minimal form.  Kept only
         because the benchmark harness in ``bench/`` still calls it."""
         return self
 
+    def _edge(self, k: int) -> PLPath:
+        vm = math.lcm(*[m for _, _, m in self._c])
+        return _path(self._x, [tuple([c * (vm // m) for c in vals[k]])
+                               for _, vals, m in self._c], vm)
+
     def bottom_edge(self) -> PLPath:
-        return _path(self._x, [col[0] for col in self._v], self._vm)
+        return self._edge(0)
 
     def top_edge(self) -> PLPath:
-        return _path(self._x, [col[-1] for col in self._v], self._vm)
+        return self._edge(-1)
 
 
 _SET_X = GridSheet._x.__set__
-_SET_Y = GridSheet._y.__set__
-_SET_SV = GridSheet._v.__set__
-_SET_SVM = GridSheet._vm.__set__
+_SET_C = GridSheet._c.__set__
 
 
-def _store_sheet(sheet: GridSheet, xs: Sequence, ys: Sequence, cols: Sequence,
-                 vm: int) -> GridSheet:
-    """Store the sheet with grid lines ``xs[i]/xs[-1]`` and ``ys[j]/ys[-1]``
-    and values ``cols[i][j]/vm`` (tuples of ints) in ``sheet``, less every
-    redundant grid line, each axis and the values over their least
-    denominators; return ``sheet``.
-
-    An interior x-line is kept iff some row of grid values has a slope
-    change across it, and symmetrically for y-lines.  Whether a line is
-    redundant does not depend on redundant lines along the other axis
-    (slopes are computed between retained neighbours), so both axes are
-    pruned in one pass.
-    """
-    x_lines = [[c for v in col for c in v] for col in cols]
-    y_lines = [[c for v in row for c in v] for row in zip(*cols)]
-    keep_x = _essential(xs, x_lines)
-    keep_y = _essential(ys, y_lines)
-    if len(keep_x) < len(xs) or len(keep_y) < len(ys):
-        cols = [[cols[ix][iy] for iy in keep_y] for ix in keep_x]
-        x_lines = [[c for v in col for c in v] for col in cols]
-        xs = [xs[i] for i in keep_x]
-        ys = [ys[i] for i in keep_y]
+def _store_sheet(sheet: GridSheet, xs: Sequence, cols: Sequence,
+                 tests) -> GridSheet:
+    """Store the sheet with x-lines ``xs[i]/xs[-1]`` and columns ``cols[i]``
+    (minimal path triples) in ``sheet``, the x-lines over their least
+    denominator; return ``sheet``.  An interior x-line whose index is in
+    ``tests`` is dropped when its column is the linear interpolation of the
+    last kept column and the next one (:func:`_bends`); the caller knows
+    that every other one bends."""
+    keep = [0]
+    for k in range(1, len(xs) - 1):
+        if k in tests:
+            prev, t = keep[-1], xs[k]
+            if not _bends((cols[prev], cols[k], cols[k + 1]), t - xs[prev],
+                          xs[k + 1] - t):
+                continue
+        keep.append(k)
+    keep.append(len(xs) - 1)
+    if len(keep) < len(xs):
+        xs = [xs[k] for k in keep]
+        cols = [cols[k] for k in keep]
     g = math.gcd(*xs)
     _SET_X(sheet, tuple(xs) if g == 1 else tuple([t // g for t in xs]))
-    g = math.gcd(*ys)
-    _SET_Y(sheet, tuple(ys) if g == 1 else tuple([t // g for t in ys]))
-    g = math.gcd(vm, *chain.from_iterable(x_lines))
-    if g == 1:
-        _SET_SV(sheet, tuple([tuple(col) for col in cols]))
-    else:
-        vm //= g
-        _SET_SV(sheet, tuple([tuple([tuple([c // g for c in v]) for v in col])
-                              for col in cols]))
-    _SET_SVM(sheet, vm)
+    _SET_C(sheet, tuple(cols))
     return sheet
 
 
-def _sheet(xs: Sequence, ys: Sequence, cols: Sequence, vm: int) -> GridSheet:
-    """The :class:`GridSheet` with grid lines ``xs[i]/xs[-1]`` and
-    ``ys[j]/ys[-1]`` and values ``cols[i][j]/vm``, from ints that already
-    hold its invariants (breaks strictly increasing from 0 on each axis, one
-    column per x-break holding one tuple of ints of one dimension per
-    y-break, ``vm > 0``), built without checking them again, and pruned and
-    reduced to its stored form."""
-    return _store_sheet(object.__new__(GridSheet), xs, ys, cols, vm)
+def _store_grid(sheet: GridSheet, xs: Sequence, ys: Sequence, grid: Sequence,
+                vm: int) -> GridSheet:
+    """Store the sheet with grid lines ``xs[i]/xs[-1]`` and ``ys[j]/ys[-1]``
+    and values ``grid[i][j]/vm`` (tuples of ints) in ``sheet``; return
+    ``sheet``.  An x-line is redundant iff no row of the grid bends across
+    it, so the x-lines are pruned on the grid at once, and then each kept
+    column is brought to its stored form."""
+    keep = _essential(xs, [[c for v in col for c in v] for col in grid])
+    return _store_sheet(sheet, [xs[k] for k in keep],
+                        [_minimal(ys, grid[k], vm) for k in keep], ())
+
+
+def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
+    """The :class:`GridSheet` with x-lines ``xs[i]/xs[-1]`` and columns
+    ``cols[i]``, from ints that already hold its invariants (x-lines
+    strictly increasing from 0, one :func:`_minimal` path triple of one
+    dimension per x-line), built without checking them again, less the
+    x-lines it does not need among ``tests`` (all interior ones when
+    None)."""
+    if tests is None:
+        tests = range(1, len(xs) - 1)
+    return _store_sheet(object.__new__(GridSheet), xs, cols, tests)
 
 
 def _essential(ts: Sequence, lines: Sequence) -> list:
-    """Indices of the breakpoints to keep along one axis.
+    """Indices of the breakpoints of a path to keep.
 
-    ``ts`` are the breakpoints and ``lines[k]`` the value coordinates on the
-    line at ``ts[k]`` (a path's value, or a whole row or column of a grid),
-    each side as ints over one denominator.  An interior line is redundant
-    when, against the last kept line ``prev`` and the next line, every
+    ``ts`` are the breakpoints and ``lines[k]`` the value at ``ts[k]``, each
+    side as ints over one denominator.  An interior point is redundant
+    when, against the last kept point ``prev`` and the next point, every
     coordinate satisfies ``(b - a)/dt0 == (c - b)/dt1``, tested as ``(b -
     a)·dt1 == (c - b)·dt0`` on integers.  One positive factor per side
     leaves that test unchanged, so the denominators play no part.
     """
     n = len(ts)
     keep = [0]
+    t0, prev = ts[0], lines[0]      # the last kept line
     for k in range(1, n - 1):
-        prev = keep[-1]
-        t = ts[k]
-        dt0, dt1 = t - ts[prev], ts[k + 1] - t
-        for a, b, c in zip(lines[prev], lines[k], lines[k + 1]):
+        t, line = ts[k], lines[k]
+        dt0, dt1 = t - t0, ts[k + 1] - t
+        for a, b, c in zip(prev, line, lines[k + 1]):
             if (b - a) * dt1 != (c - b) * dt0:
                 keep.append(k)
+                t0, prev = t, line
                 break
     keep.append(n - 1)
     return keep
 
 
-def constant_sheet(value) -> GridSheet:
-    v = as_point(value)
-    return GridSheet((ZERO, ONE), (ZERO, ONE), ((v, v), (v, v)))
+# ---------------------------------------------------------------------------
+# reading paths at other paths' breaks
+# ---------------------------------------------------------------------------
+
+def _reduced_locate(breaks: Sequence, t: int) -> tuple:
+    """:func:`locate` with its ratio in lowest terms."""
+    i, w = locate(breaks, t)
+    if w is not None:
+        g = math.gcd(*w)
+        if g != 1:
+            w = (w[0] // g, w[1] // g)
+    return i, w
+
+
+def _values_at(ts: Sequence, vals: Sequence, vm: int, us: Sequence) -> list:
+    """``[(point, d), ...]``: the values of the path with breaks ``ts`` and
+    values ``vals`` over vm at the points ``us`` (ints in the units of
+    ``ts``), each as ints over a d of its own."""
+    return [(vals[i], vm) if w is None else
+            (lerp(vals[i], vals[i + 1], *w), vm * w[1])
+            for i, w in [_reduced_locate(ts, u) for u in us]]
+
+
+def _align(paths: Sequence) -> tuple:
+    """``(us, [(vals, vm), ...])``: the path triples ``paths`` read at the
+    union ``us`` of their breaks (ints over ``us[-1]``), each over a
+    denominator of its own."""
+    first = paths[0][0]
+    if all(ts == first for ts, _, _ in paths):
+        return first, [(vals, vm) for _, vals, vm in paths]
+    m = math.lcm(*[ts[-1] for ts, _, _ in paths])
+    us = sorted({t for ts, _, _ in paths for t in _rescaled(ts, m)})
+    out = []
+    for ts, vals, vm in paths:
+        if len(ts) < len(us):       # read it at the others' breaks too
+            read = _values_at(_rescaled(ts, m), vals, vm, us)
+            vm = math.lcm(*[d for _, d in read])
+            vals = [tuple([c * (vm // d) for c in v]) for v, d in read]
+        out.append((vals, vm))
+    return us, out
+
+
+def _bends(cols: Sequence, dt0: int, dt1: int) -> bool:
+    """Whether the middle one of three columns (path triples), ``dt0``
+    after the first and ``dt1`` before the last, is not the linear
+    interpolation of the other two.  Equal columns are stored alike, so
+    when the middle one equals a neighbour it bends iff the other one
+    differs.  Else all three are linear between the union of their breaks,
+    so ``b·(dt0 + dt1) == a·dt1 + c·dt0`` is tested there, on ints: each
+    side times the three denominators."""
+    left, mid, right = cols
+    if mid == left or mid == right:
+        return left != right
+    _, ((va, ma), (vb, mb), (vc, mc)) = _align(cols)
+    ka, kb, kc = mb * mc * dt1, ma * mc * (dt0 + dt1), ma * mb * dt0
+    return any(b * kb != a * ka + c * kc
+               for p, q, r in zip(va, vb, vc) for a, b, c in zip(p, q, r))

@@ -5,8 +5,8 @@ basepoint q to a basepoint p.  The carriers here are piecewise-linear loops at
 q in the source space; over them sit *sheet elements*: grid-bilinear squares
 in the target space whose bottom and top edges are the images under f of two
 such loops and whose left and right edges are constantly p.  Paths and sheets
-are stored in their minimal form, as ints over one denominator per axis and
-one for the values (:mod:`strips_operad.exact`), so ``==`` on loops and sheet
+are stored in their minimal form, as ints (:mod:`strips_operad.exact`: a
+sheet as one minimal column in y per x-line), so ``==`` on loops and sheet
 elements is equality of functions, and the actions, the samplers and the
 validity check below compute on those ints and build no ``Fraction``.
 
@@ -15,21 +15,22 @@ its interval and resting at q elsewhere.  A strip configuration acts on chains
 of sheet elements (one chain per strip, matched end-to-start; a bare loop for
 an empty strip) by inserting each sheet into its rectangle, filling the rest
 of its strip with the junction loops pushed through f, and filling columns
-outside all strips with p.
+outside all strips with p.  Both are one splice (:func:`_splice`): lay paths
+into disjoint subintervals and rest at a given value between them, in x for
+loops, and in y for each column of the output sheet.
 """
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, AffineMap1, GridSheet, PLPath, _fractions,
-                    _over_lcm, _path, _points, _sheet, as_point, lerp, locate)
+from .exact import (AffineMap1, GridSheet, PLPath, _align, _fractions,
+                    _minimal, _over_lcm, _path, _points, _reduced_locate,
+                    _rescaled, _sheet, _store_grid, _values_at, as_point)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -82,21 +83,22 @@ class PointedMap:
     def dim_out(self) -> int:
         return len(self.cod_base)
 
-    def _image(self, v: tuple, m: int) -> tuple:
-        """The image of the point ``v/m`` (ints), as ints over ``_den·m``:
-        one integer matrix product."""
-        if len(v) != len(self.dom_base):
-            raise ValueError(f"point dimension {len(v)} does not match the "
+    def _images(self, vs: Sequence, m: int) -> list:
+        """The images of the points ``v/m`` of ``vs`` (ints, one dimension),
+        as ints over ``_den·m``: one integer matrix product each."""
+        if len(vs[0]) != len(self.dom_base):
+            raise ValueError(f"point dimension {len(vs[0])} does not match the "
                              f"map source {len(self.dom_base)}")
-        return tuple([sum([a * x for a, x in zip(row, v)], s * m)
-                      for row, s in zip(self._rows, self._shift)])
+        rows, shift = self._rows, [s * m for s in self._shift]
+        return [tuple([sum([a * x for a, x in zip(row, v)], s)
+                       for row, s in zip(rows, shift)]) for v in vs]
 
     def apply(self, point) -> tuple:
         """``matrix·point + offset``, computed on ints and read out as one
         Fraction per coordinate.  A point whose dimension is not the
         source's is a ``ValueError``."""
         v, m = _over_lcm(as_point(point))
-        return _fractions(self._image(v, m), self._den * m)
+        return _fractions(self._images([v], m)[0], self._den * m)
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,6 @@ def _loop_defect(f: PointedMap, loop: Loop, what: str) -> Optional[str]:
     return None
 
 
-def constant_loop(basepoint) -> Loop:
-    v = as_point(basepoint)
-    return Loop(PLPath((ZERO, ONE), (v, v)))
-
-
 @dataclass(frozen=True)
 class SheetElement:
     """A sheet with its two boundary loops."""
@@ -167,8 +164,7 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
     if hit is None:
         path = loop.path
         vm = path._vm
-        hit = memo[id(f)] = (f, _path(path._t, [f._image(v, vm) for v in path._v],
-                                      f._den * vm))
+        hit = memo[id(f)] = (f, _path(path._t, f._images(path._v, vm), f._den * vm))
     return hit[1]
 
 
@@ -203,78 +199,28 @@ def _embedded(emb: AffineMap1, ts: Sequence, m: int) -> list:
     return [a * t + c for t in ts]
 
 
-def _rescaled(ts: Sequence, m: int) -> Sequence:
-    """The points ``ts`` (ints over ``ts[-1]``) as ints over m, a multiple
-    of ``ts[-1]``."""
-    k = m // ts[-1]
-    return ts if k == 1 else [t * k for t in ts]
-
-
-def _reduced_locate(breaks: Sequence, t: int) -> tuple:
-    """:func:`~strips_operad.exact.locate` with its ratio in lowest terms."""
-    i, w = locate(breaks, t)
-    if w is not None:
-        g = math.gcd(*w)
-        if g != 1:
-            w = (w[0] // g, w[1] // g)
-    return i, w
-
-
-def _lowest(v: tuple, d: int) -> tuple:
-    """``(point, denominator)`` for the point ``v/d`` (ints) in lowest terms."""
-    g = math.gcd(d, *v)
-    if g == 1:
-        return v, d
-    return tuple([c // g for c in v]), d // g
-
-
-def _along(ts: Sequence, vals: Sequence, vm: int, unit: int, cols: Sequence) -> list:
-    """One source read along a strip's columns: ``(line, d)`` for each column
-    x of ``cols`` (ints over ``unit``, a multiple of ``ts[-1]``), the source's
-    line of points at x as ints over d.  The source has one line per break
-    ``ts[k]``, ``vals[k]``, over ``vm``: a sheet passes its columns, a path
-    its points as 1-tuples.  Between two equal lines the line is kept over
-    ``vm``, so a flat stretch adds no factor to the denominator; a line
-    interpolated between two others is put over its least denominator."""
-    breaks = _rescaled(ts, unit)
-    out = []
-    for k, w in [_reduced_locate(breaks, x) for x in cols]:
-        line = vals[k]
-        if w is None or line == vals[k + 1]:
-            out.append((line, vm))
-        else:
-            line = [lerp(a, b, *w) for a, b in zip(line, vals[k + 1])]
-            d = vm * w[1]
-            g = math.gcd(d, *chain.from_iterable(line))
-            if g != 1:
-                line, d = [tuple([c // g for c in v]) for v in line], d // g
-            out.append((line, d))
-    return out
-
-
-def _over_one(grid: list, dens: list) -> tuple:
-    """``(values, m)``: the points of ``grid`` (columns of tuples of ints,
-    each over the matching entry of ``dens``) as ints over m, the LCM of
-    all the denominators.  A point object met again with the same
-    denominator (a gap's value at every height of the gap, p in every
-    column outside the strips) is scaled once and its copy shared."""
-    every = set(chain.from_iterable(dens))
-    m = math.lcm(*every)
-    scale = {d: m // d for d in every}
-    done = {}       # id(point) -> (denominator, the point over m)
-    values = []
-    for col, cd in zip(grid, dens):
-        out = []
-        for v, d in zip(col, cd):
-            k = scale[d]
-            if k != 1:
-                hit = done.get(id(v))
-                if hit is None or hit[0] != d:
-                    hit = done[id(v)] = (d, tuple([c * k for c in v]))
-                v = hit[1]
-            out.append(v)
-        values.append(out)
-    return values, m
+def _splice(pieces: Sequence, below: tuple, above: tuple, m: int) -> tuple:
+    """``(ts, vals, vm)``: the path on [0, m] that plays each piece ``(ts,
+    vals, vm)`` over its own span and runs straight from one piece's end to
+    the next one's start.  Where no piece reaches 0 or m it starts at
+    ``below`` or ends at ``above``, each ``(point, d)``.  Breaks are ints
+    over m, strictly increasing within a piece, and each piece ends no
+    later than the next starts; a point two pieces share takes the lower
+    one's value.  The values go to the LCM of the denominators met."""
+    parts = pieces       # the caller's own list, which this grows
+    if not parts or parts[0][0][0]:
+        parts.insert(0, ((0,), (below[0],), below[1]))
+    if parts[-1][0][-1] != m:
+        parts.append(((m,), (above[0],), above[1]))
+    vm = math.lcm(*[part[2] for part in parts])
+    ts, vals = [], []
+    for pts, points, pm in parts:
+        start = 1 if ts and pts[0] == ts[-1] else 0
+        ts.extend(pts[start:])
+        k = vm // pm
+        vals.extend(points[start:] if k == 1 else
+                    [tuple([c * k for c in v]) for v in points[start:]])
+    return ts, vals, vm
 
 
 def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
@@ -282,10 +228,10 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
 
     The intervals must lie in [0, 1] and run left to right (each ends no
     later than the next starts); otherwise ``ValueError``.  The loops are
-    spliced directly: the result breaks at 0, 1 and the image of every loop
-    breakpoint, and takes the loop's own value there, or the basepoint
-    outside every interval.  Breaks and values are brought to one
-    denominator each as ints.
+    spliced directly (:func:`_splice`): the result breaks at 0, 1 and the
+    image of every loop breakpoint, and takes the loop's own value there,
+    or the basepoint outside every interval.  Every loop starts and ends
+    at the basepoint, so the splice rests there between two intervals.
     """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
@@ -297,56 +243,42 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     base = (first._v[0], first._vm)
     if not all(_based_at(loop, base) for loop in loops):
         raise ValueError("loops must share a basepoint")
-    embs = config.embeddings
-    _check_spans(embs, "interval", "left to right")
-    paths = [loop.path for loop in loops]
+    _check_spans(config.embeddings, "interval", "left to right")
+    return _play(config.embeddings, [loop.path for loop in loops])
+
+
+def _play(embs: Sequence[AffineMap1], paths: Sequence[PLPath]) -> Loop:
+    """:func:`act_on_loops` of the loops ``paths`` (one dimension, one
+    basepoint) in the intervals ``embs`` (checked), without checking them
+    again."""
     xm = math.lcm(*[e.d * path._t[-1] for e, path in zip(embs, paths)])
-    vm = math.lcm(*[path._vm for path in paths])
-    q = tuple([c * (vm // first._vm) for c in first._v[0]])
-    # every loop starts and ends at q, so a point shared by two neighbouring
-    # intervals, or by an interval and 0 or 1, has the value q on both sides;
-    # inside one interval the images of the breaks strictly increase
-    ts, values = [0], [q]
-    for emb, path in zip(embs, paths):
-        images = _embedded(emb, path._t, xm)
-        k = vm // path._vm
-        points = path._v if k == 1 else [tuple([c * k for c in v]) for v in path._v]
-        start = 1 if images[0] == ts[-1] else 0
-        ts.extend(images[start:])
-        values.extend(points[start:])
-    if ts[-1] != xm:
-        ts.append(xm)
-        values.append(q)
-    return Loop(_path(ts, values, vm))
+    base = (paths[0]._v[0], paths[0]._vm)
+    pieces = [(_embedded(emb, path._t, xm), path._v, path._vm)
+              for emb, path in zip(embs, paths)]
+    loop = object.__new__(Loop)     # closed: it starts and ends at base
+    object.__setattr__(loop, "path", _path(*_splice(pieces, base, base, xm)))
+    return loop
 
 
-def _column_plan(ys: list, sheet_ys: list) -> tuple:
-    """How to read each output height in one strip, the same for every column.
-
-    ``ys`` are the output heights and ``sheet_ys[j]`` the heights of the
-    y-lines of rectangle j's sheet, bottom to top, all as ints over one
-    denominator.  With n rectangles, the strip's sources are their sheets,
-    0 to n-1, and its junction loops, n to 2n.  Entry ``(j, k, w)``: in
-    source j, at ``w = (num, den)`` (in lowest terms) of the way from its
-    line k to line k+1 (on line k when w is None).  Inside rectangle j that
-    is the sheet's y-line k; in the gap above the first g rectangles it is
-    ``(n + g, 0, None)``, junction loop g, whose lines are single points.
-    A height y is placed by one bisection, ``j = bisect_left(tops, y)``: it
-    is in rectangle j when that rectangle starts at or below y, else in gap
-    j, so a height on the edge shared by two rectangles belongs to the
-    lower one.
-    """
-    n = len(sheet_ys)
-    bottoms = [lines[0] for lines in sheet_ys]
-    tops = [lines[-1] for lines in sheet_ys]
-    plan = []
-    for y in ys:
-        j = bisect_left(tops, y)
-        if j < n and bottoms[j] <= y:
-            plan.append((j, *_reduced_locate(sheet_ys[j], y)))
-        else:
-            plan.append((n + j, 0, None))
-    return tuple(plan)
+def _columns_at(sheet: GridSheet, unit: int, xs: Sequence) -> list:
+    """The sheet's column at each x of ``xs`` (ints over ``unit``), as a
+    path triple: the stored column on an x-line, else the one n/d of the
+    way from the column before x to the next, on the union of their
+    breaks."""
+    cols = sheet._c
+    breaks = _rescaled(sheet._x, unit)
+    out = []
+    for i, w in [_reduced_locate(breaks, x) for x in xs]:
+        col = cols[i]
+        if w is not None and col != cols[i + 1]:
+            n, d = w
+            us, ((va, ma), (vb, mb)) = _align((col, cols[i + 1]))
+            m = math.lcm(ma, mb)
+            sa, sb = (m // ma) * (d - n), (m // mb) * n
+            col = (us, [tuple([x * sa + y * sb for x, y in zip(p, q)])
+                        for p, q in zip(va, vb)], m * d)
+        out.append(col)
+    return out
 
 
 def act_on_sheets(f: PointedMap, config: StripConfig,
@@ -362,21 +294,21 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     later than the next starts; otherwise ``ValueError``.  A point on an edge
     shared by two strips or two rectangles belongs to the left or lower one.
 
-    Everything is computed on the stored ints.  The output's y-lines are
-    the images of every sheet's y-lines, over one denominator.  Each strip
-    is a stack of sources: its rectangles' sheets and its junction loops
-    pushed through f (:func:`push_loop` pushes each loop once per map).  A
-    plan made once per strip (:func:`_column_plan`) says which source each
-    height reads.  The strip's columns are its sources' x-breaks, in its
-    own units (the LCM of their denominators, so every lookup there is a
-    bisection on small ints, :func:`~strips_operad.exact.locate`), less a
-    first column that the strip to its left took; the output's x-lines are
-    their images.  A row of the output bends only where its source does,
-    and a pushed loop breaks only where f∘loop bends, so no column is
-    missed.  Each source is read once per column (:func:`_along`), and each
-    height is filled from its source's line with one interpolation in y.
-    Each value keeps its own denominator until all go to their LCM at the
-    end.
+    Everything is computed on the stored ints, one output column at a
+    time.  A strip's columns are the x-lines of its rectangles' sheets and
+    the breaks of the junction loops it rests at, in its own units (the
+    LCM of their denominators); the first is left out when the strip to its
+    left took it.  Each column is one splice in y (:func:`_splice`): inside
+    rectangle j it reads sheet j's column at that x (:func:`_columns_at`),
+    rescaled into the rectangle; below the first rectangle and above the
+    last it rests at junction loop 0 or n pushed through f (once per map,
+    :func:`push_loop`), read at x; between two rectangles it runs from the
+    lower sheet's top to the upper one's bottom, which for valid inputs is
+    junction loop g's value, so it rests there.  Outside every strip the
+    column is p.  Each column carries its own denominators.  A sheet's
+    interior x-line bends in the output, and so does a break of a loop a
+    column rests at, so only the columns on the strips' edges can turn out
+    redundant (:func:`~strips_operad.exact._store_sheet`).
     """
     r = config.arity
     if len(inputs) != r:
@@ -421,65 +353,61 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     for i, rects in enumerate(config.rects):
         _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
 
-    # y-lines: the images of each sheet's y-lines, kept per rectangle
-    ym = math.lcm(*[rect.d * e.sheet._y[-1] for rects, elems in
-                    zip(config.rects, chains) for rect, e in zip(rects, elems)])
-    y_images = [[_embedded(rect, e.sheet._y, ym) for rect, e in zip(rects, elems)]
-                for rects, elems in zip(config.rects, chains)]
-    ys = sorted({0, ym, *[y for images in y_images for lines in images
-                          for y in lines]})
-
+    # per strip, the pushed junction loops its columns rest at: loop 0 below
+    # the first rectangle and loop n above the last, where those leave room
+    rests = []
+    for loops, rects in zip(junctions, config.rects):
+        low = not rects or rects[0].cn
+        high = not rects or rects[-1].an + rects[-1].cn < rects[-1].d
+        rests.append((push_loop(f, loops[0]) if low else None,
+                      push_loop(f, loops[-1]) if high else None))
     # each strip's own units: the LCM of its sources' x denominators
     units = [math.lcm(*[e.sheet._x[-1] for e in elems],
-                      *[push_loop(f, loop)._t[-1] for loop in loops])
-             for loops, elems in zip(junctions, chains)]
+                      *[path._t[-1] for path in ends if path])
+             for elems, ends in zip(chains, rests)]
     xm = math.lcm(*[emb.d * unit for emb, unit in zip(embs, units)])
 
     p, pm = f._p
-    outside = ([p] * len(ys), [pm] * len(ys))
-    xs, grid, dens = [], [], []
-    if embs[0].cn:                  # the first strip starts right of 0
+    outside = _minimal((0, 1), (p, p), pm)
+    xs, cols, edges = [], [], set()
+    strips = zip(embs, units, chains, config.rects, rests)
+    if not f.dim_out:               # Q^0 is a point, so is every sheet in it
+        xs, cols, strips = [0, xm], [outside, outside], ()
+    elif embs[0].cn:                # the first strip starts right of 0
         xs.append(0)
-        grid.append(outside[0])
-        dens.append(outside[1])
-    for emb, unit, loops, elems, sheet_ys in zip(embs, units, junctions, chains,
-                                                 y_images):
-        # the strip's stack of sources, as its plan numbers them: rectangle
-        # j's sheet at j, and junction loop g pushed through f (exact, since
-        # f is affine) at n + g; the strip's columns are their x-breaks
-        stack = [(e.sheet._x, e.sheet._v, e.sheet._vm) for e in elems]
-        for loop in loops:
-            path = push_loop(f, loop)
-            stack.append((path._t, [(v,) for v in path._v], path._vm))
-        cols = sorted({x for ts, _, _ in stack for x in _rescaled(ts, unit)})
-        images = _embedded(emb, cols, xm)
-        if xs and images[0] == xs[-1]:      # taken by the strip to the left
-            cols, images = cols[1:], images[1:]
-        xs.extend(images)
-        # each source read once per column, then each height filled from its
-        # source's line with one interpolation in y
-        lines = [_along(*source, unit, cols) for source in stack]
-        plan = _column_plan(ys, sheet_ys)
-        for c in range(len(cols)):
-            col, cd = [], []
-            for j, k, w in plan:
-                line, d = lines[j][c]
-                v = line[k]
-                if w is not None and v != line[k + 1]:
-                    v, d = _lowest(lerp(v, line[k + 1], *w), d * w[1])
-                col.append(v)
-                cd.append(d)
-            grid.append(col)
-            dens.append(cd)
+        cols.append(outside)
+    for emb, unit, elems, rects, ends in strips:
+        sheets = [e.sheet for e in elems]
+        xcols = sorted({x for ts in [s._x for s in sheets] + [
+            path._t for path in ends if path] for x in _rescaled(ts, unit)})
+        images = _embedded(emb, xcols, xm)
+        first = 1 if xs and images[0] == xs[-1] else 0  # the left strip's
+        xs.extend(images[first:])
+        edges.add(len(cols) - first)      # the strip's left edge
+        if not sheets:      # the pushed loop at its own breaks, constant in y
+            path = ends[0]
+            cols.extend([_minimal((0, 1), (v, v), path._vm)
+                         for v in path._v[first:]])
+            edges.add(len(cols) - 1)
+            continue
+        # each rest loop and each sheet read once along the strip's columns
+        low, high = [_values_at(_rescaled(path._t, unit), path._v, path._vm, xcols)
+                     if path else [None] * len(xcols) for path in ends]
+        reads = [_columns_at(s, unit, xcols) for s in sheets]
+        ym = math.lcm(*[rect.d * math.lcm(*[ts[-1] for ts, _, _ in s._c])
+                        for rect, s in zip(rects, sheets)])
+        for c in range(first, len(xcols)):
+            pieces = [(_embedded(rect, read[c][0], ym), read[c][1], read[c][2])
+                      for rect, read in zip(rects, reads)]
+            cols.append(_minimal(*_splice(pieces, low[c], high[c], ym)))
+        edges.add(len(cols) - 1)
     if xs[-1] != xm:                # the last strip ends left of 1
         xs.append(xm)
-        grid.append(outside[0])
-        dens.append(outside[1])
+        cols.append(outside)
 
-    values, m = _over_one(grid, dens)
-    bottom = act_on_loops(config.base, tuple(j[0] for j in junctions))
-    top = act_on_loops(config.base, tuple(j[-1] for j in junctions))
-    return SheetElement(_sheet(xs, ys, values, m), bottom, top)
+    bottom = _play(embs, [loops[0].path for loops in junctions])
+    top = _play(embs, [loops[-1].path for loops in junctions])
+    return SheetElement(_sheet(xs, cols, edges), bottom, top)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +429,17 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
     if elem.sheet.dim != f.dim_out:
         return f"sheet dimension {elem.sheet.dim}, expected {f.dim_out}"
     (p, pm), sheet = f._p, elem.sheet
-    vm = sheet._vm
-    want = [c * vm for c in p]
-    for edge, col in (("left", sheet._v[0]), ("right", sheet._v[-1])):
-        for iy, v in enumerate(col):
-            if [c * pm for c in v] != want:
-                return (f"{edge} edge value {_fractions(v, vm)} at height "
-                        f"{sheet.y_breaks[iy]}, expected the basepoint {f.cod_base}")
+    for edge, k in (("left", 0), ("right", -1)):
+        _, vals, vm = sheet._c[k]
+        if any([c * pm for c in v] != [c * vm for c in p] for v in vals):
+            # name the first height of the product grid where it is not p
+            ys, read = _align(sheet._c)
+            col, vm = read[k]
+            for y, v in zip(ys, col):
+                if [c * pm for c in v] != [c * vm for c in p]:
+                    return (f"{edge} edge value {_fractions(v, vm)} at height "
+                            f"{Fraction(y, ys[-1])}, expected the basepoint "
+                            f"{f.cod_base}")
     if sheet.bottom_edge() != push_loop(f, elem.bottom):
         return "bottom edge differs from the mapped bottom loop"
     if sheet.top_edge() != push_loop(f, elem.top):
@@ -574,20 +506,22 @@ def random_sheet_element(f: PointedMap, rng: random.Random,
     xm = math.lcm(GRID, bottom.path._t[-1], top.path._t[-1])
     xs = sorted({*_rescaled(bottom.path._t, xm), *_rescaled(top.path._t, xm),
                  x_cut * (xm // GRID)})
-    # f of each loop at every column, as (1-tuple, denominator)
-    edges = [_along(path._t, [(v,) for v in path._v], path._vm, xm, xs)
-             for path in (push_loop(f, bottom), push_loop(f, top))]
+    # f of each loop at every column, and the grid's values over one
+    # denominator, the LCM of theirs
+    lows, highs = [_values_at(_rescaled(path._t, xm), path._v, path._vm, xs)
+                   for path in (push_loop(f, bottom), push_loop(f, top))]
     p, pm = f._p
-    grid, dens = [], []
-    for x, ((low,), low_d), ((high,), high_d) in zip(xs, *edges):
+    m = math.lcm(pm, 4, *[d for _, d in lows], *[d for _, d in highs])
+    grid = []
+    for x, (low, low_d), (high, high_d) in zip(xs, lows, highs):
         if x == 0 or x == xm:
-            inner, inner_d = p, pm
+            inner = tuple([c * (m // pm) for c in p])
         else:
-            inner, inner_d = _random_quarters(rng, f.dim_out), 4
-        grid.append((low, inner, high))
-        dens.append((low_d, inner_d, high_d))
-    values, m = _over_one(grid, dens)
-    return SheetElement(_sheet(xs, (0, y_cut, GRID), values, m), bottom, top)
+            inner = tuple([c * (m // 4) for c in _random_quarters(rng, f.dim_out)])
+        grid.append((tuple([c * (m // low_d) for c in low]), inner,
+                     tuple([c * (m // high_d) for c in high])))
+    sheet = _store_grid(object.__new__(GridSheet), xs, (0, y_cut, GRID), grid, m)
+    return SheetElement(sheet, bottom, top)
 
 
 def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> PointedMap:

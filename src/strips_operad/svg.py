@@ -7,7 +7,9 @@ All output is plain string assembly — same input, same bytes.
 """
 from __future__ import annotations
 
-from .exact import GridSheet
+import math
+
+from .exact import GridSheet, _align
 from .intervals import IntervalConfig
 from .sheets import SheetElement
 from .strips import StripConfig
@@ -116,24 +118,27 @@ def _ramp(t: float) -> str:
 
 
 def render_sheet(sheet: GridSheet) -> str:
-    """A heat grid of the first coordinate, one cell per grid cell, read off
-    the stored ints: each float is one correctly rounded int division, so
-    it is the float of the exact rational."""
+    """A heat grid of the first coordinate, one cell per cell of the
+    minimal product grid, read off its ints: each float is one correctly
+    rounded int division, so it is the float of the exact rational."""
     width = SQUARE + 2 * PAD
     height = SQUARE + 2 * PAD
     if sheet.dim == 0:
         body = _rect(PAD, PAD, SQUARE, SQUARE, "#cccccc", "#888888")
         return _doc(width, height, body)
-    xs, ys, vals = sheet._x, sheet._y, sheet._v
+    xs = sheet._x
+    ys, read = _align(sheet._c)
+    m = math.lcm(*[vm for _, vm in read])
+    vals = [[v[0] * (m // vm) for v in col] for col, vm in read]
     xm, ym = xs[-1], ys[-1]
-    flat = [v[0] for col in vals for v in col]
+    flat = [c for col in vals for c in col]
     lo, hi = min(flat), max(flat)
     span = hi - lo
     body = ""
     for ix in range(len(xs) - 1):
         left, right = vals[ix], vals[ix + 1]
         for iy in range(len(ys) - 1):
-            total = left[iy][0] + right[iy][0] + left[iy + 1][0] + right[iy + 1][0]
+            total = left[iy] + right[iy] + left[iy + 1] + right[iy + 1]
             t = 0.5 if span == 0 else (total - 4 * lo) / (4 * span)
             x = PAD + xs[ix] / xm * SQUARE
             w = (xs[ix + 1] - xs[ix]) / xm * SQUARE

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from strips_operad.sheets import (PointedMap, random_loop,
+from strips_operad.exact import ONE, ZERO, GridSheet, PLPath, as_point
+from strips_operad.sheets import (Loop, PointedMap, random_loop,
                                   random_sheet_element)
 from strips_operad.strips import StripConfig
 
@@ -59,6 +60,22 @@ def polygon_dissection_counts(r: int) -> dict:
 def catalan(k: int) -> int:
     import math
     return math.comb(2 * k, k) // (k + 1)
+
+
+# --- constant paths, sheets and loops ---------------------------------------
+
+def constant_path(value) -> PLPath:
+    v = as_point(value)
+    return PLPath((ZERO, ONE), (v, v))
+
+
+def constant_sheet(value) -> GridSheet:
+    v = as_point(value)
+    return GridSheet((ZERO, ONE), (ZERO, ONE), ((v, v), (v, v)))
+
+
+def constant_loop(basepoint) -> Loop:
+    return Loop(constant_path(basepoint))
 
 
 # --- redundant presentations of paths and sheets -----------------------------

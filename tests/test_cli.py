@@ -219,6 +219,26 @@ def test_check_sheets_report_bytes_are_pinned(tmp_path, capsys, seed, mutate):
     assert digest == SHEETS_REPORT_SHA256[(seed, mutate)]
 
 
+# SHA-256 of `check sheets` reports at larger scopes, where a product grid of
+# the assembled sheets would hold up to 39 times the values of their columns.
+SHEETS_LARGE_REPORT_SHA256 = {
+    ("--seed", "3", "--cases", "3", "--max-r", "32", "--max-n", "256"):
+        "a9f520f136b2867f323f9f7932f891764f11a5cd3629ca4429fc5440eb8dbc75",
+    ("--seed", "1", "--cases", "2", "--max-r", "8", "--max-n", "32", "--mutate"):
+        "9e261ac170163a900e0bcfc0159d8b0172235aebb14be747bbe7a91a73dd9569",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SHEETS_LARGE_REPORT_SHA256))
+def test_check_sheets_report_bytes_are_pinned_at_larger_scopes(tmp_path, capsys,
+                                                              args):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(["check", "sheets", *args, "--out", str(out_file)], capsys)
+    assert code == (1 if "--mutate" in args else 0)
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SHEETS_LARGE_REPORT_SHA256[args]
+
+
 # SHA-256 of tree outputs.  A mutated `check trees` report holds the repr of
 # both tree sides, and the enumerations list or draw every face, so these pin
 # the trees themselves as well as the verdicts.

@@ -10,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
-                                 _affine1, _path, _sheet, constant_path,
-                                 constant_sheet, locate)
+                                 _affine1, _locate_rat, _minimal, _path,
+                                 _sheet, locate)
 
-from helpers import (path_presentation, positive_scales, rationals,
-                     sheet_presentation, unit_rationals)
+from helpers import (constant_path, constant_sheet, path_presentation,
+                     positive_scales, rationals, sheet_presentation,
+                     unit_rationals)
 
 
 # --- 1d affine maps ----------------------------------------------------------
@@ -213,11 +214,13 @@ def _path_ints(breaks, values, k: int = 6) -> PLPath:
 
 
 def _sheet_ints(x_breaks, y_breaks, values, k: int = 6) -> GridSheet:
-    """:func:`_sheet` given a Fraction presentation, as :func:`_path_ints`."""
+    """:func:`_sheet` given a Fraction presentation, as :func:`_path_ints`,
+    with each column first brought to its stored form by :func:`_minimal`."""
     ny = len(y_breaks)
     points, vm = _flat_points([v for col in values for v in col], k)
-    return _sheet(_ints(x_breaks, k)[0], _ints(y_breaks, k)[0],
-                  [points[i:i + ny] for i in range(0, len(points), ny)], vm)
+    ys = _ints(y_breaks, k)[0]
+    return _sheet(_ints(x_breaks, k)[0],
+                  [_minimal(ys, points[i:i + ny], vm) for i in range(0, len(points), ny)])
 
 
 def test_path_evaluation_is_linear_interpolation():
@@ -567,7 +570,7 @@ def test_trusted_builders_match_the_public_constructors():
 
         sheet = _sheet_ints(xb, yb, grid)
         _assert_same_object(sheet, GridSheet(xb, yb, grid))
-        _assert_same_object(sheet, _sheet(sheet._x, sheet._y, sheet._v, sheet._vm))
+        _assert_same_object(sheet, _sheet(sheet._x, sheet._c))
         _assert_same_object(sheet, _sheet_ints(sheet.x_breaks, sheet.y_breaks,
                                                sheet.values, 1))
         for edge, iy in ((sheet.bottom_edge(), 0), (sheet.top_edge(), -1)):
@@ -615,6 +618,40 @@ def test_locate_on_ints_matches_locate_on_fractions_hypothesis(breaks, ts):
     _assert_locate_agrees_on_ints(breaks, breaks + ts)
 
 
+
+def _assert_locate_rat_agrees(breaks: tuple, ts: list) -> None:
+    # _locate_rat on the stored ints gives what locate gives on the breaks
+    # scaled by the denominator of t, and puts t where locate on the
+    # Fractions does, at the same ratio
+    m = math.lcm(*[b.denominator for b in breaks])
+    ints = tuple((b * m).numerator for b in breaks)
+    for t in ts:
+        got = _locate_rat(ints, t)
+        assert got == locate([k * t.denominator for k in ints], t.numerator * m)
+        i, w = locate(breaks, t)
+        assert got[0] == i and (got[1] is None) == (w is None)
+        if w is not None:
+            assert F(*got[1]) == w[0] / w[1]
+
+
+def test_locate_rat_matches_locate_on_fractions():
+    rng = random.Random("locate-rat")
+    for _ in range(300):
+        breaks = (F(0), *_big_cuts(rng, rng.randint(0, 6)), F(1))
+        # on the breaks, halfway between them, anywhere between, at the ends
+        mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+        ts = list(breaks) + mids + _big_cuts(rng, rng.randint(0, 8)) + [F(0), F(1)]
+        _assert_locate_rat_agrees(breaks, ts)
+
+
+@given(st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=6,
+                unique=True),
+       st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=8))
+def test_locate_rat_matches_locate_on_fractions_hypothesis(cuts, ts):
+    breaks = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
+    _assert_locate_rat_agrees(breaks, list(breaks) + ts)
+
+
 # --- the int storage against plain Fraction arithmetic -------------------------
 
 def _old_repr(name: str, **parts) -> str:
@@ -646,23 +683,23 @@ def _reference_sheet_at(x_breaks, y_breaks, values, x, y) -> tuple:
 
 def _assert_int_form(obj) -> None:
     """Every stored part is an int, and each denominator is the LCM of the
-    denominators of the Fractions it stands for, so none can be reduced."""
+    denominators of the Fractions it stands for, so none can be reduced.
+    A sheet's x-lines are one axis, and each of its columns is stored like
+    a path, with its own denominators."""
     if isinstance(obj, PLPath):
-        axes = ((obj._t, obj.breaks),)
-        points = obj._v
-        fracs = [c for v in obj.values for c in v]
+        parts = [((obj._t, obj.breaks), obj._v, obj._vm)]
     else:
-        axes = ((obj._x, obj.x_breaks), (obj._y, obj.y_breaks))
-        points = [v for col in obj._v for v in col]
-        fracs = [c for col in obj.values for v in col for c in v]
-    for ints, breaks in axes:
+        parts = [((obj._x, obj.x_breaks), vals, vm) for _, vals, vm in obj._c]
+        parts += [((ts, tuple(F(t, ts[-1]) for t in ts)), (), 1)
+                  for ts, _, _ in obj._c]
+    for (ints, breaks), points, vm in parts:
         assert all(type(t) is int for t in ints) and ints[0] == 0
         assert ints[-1] == math.lcm(*[t.denominator for t in breaks])
         assert math.gcd(*ints) == 1
-    assert all(type(c) is int for v in points for c in v)
-    assert type(obj._vm) is int
-    assert obj._vm == math.lcm(*[c.denominator for c in fracs])
-    assert math.gcd(obj._vm, *[c for v in points for c in v]) == 1
+        assert all(type(c) is int for v in points for c in v)
+        assert type(vm) is int
+        assert vm == math.lcm(*[F(c, vm).denominator for v in points for c in v])
+        assert math.gcd(vm, *[c for v in points for c in v]) == 1
 
 
 def _probes(breaks, rng: random.Random, count: int = 4) -> list:
@@ -694,8 +731,7 @@ def _assert_sheet_storage(x_breaks, y_breaks, values, rng: random.Random) -> Gri
     got = [build(x_breaks, y_breaks, values) for build in SHEET_BUILDERS]
     for s in got:
         _assert_int_form(s)
-        assert (s._x, s._y, s._v, s._vm) == (got[0]._x, got[0]._y, got[0]._v,
-                                             got[0]._vm)
+        assert (s._x, s._c) == (got[0]._x, got[0]._c)
         assert _stored(s) == want
         assert s == got[0] and hash(s) == hash(got[0])
         assert repr(s) == _old_repr("GridSheet", x_breaks=want[0],
@@ -767,7 +803,7 @@ def test_paths_and_sheets_are_frozen_and_pickle():
     rng = random.Random("frozen")
     p = _random_path(rng)
     s = _random_sheet(rng)
-    for obj, name in ((p, "_t"), (p, "breaks"), (s, "_v"), (s, "x_breaks")):
+    for obj, name in ((p, "_t"), (p, "breaks"), (s, "_c"), (s, "x_breaks")):
         with pytest.raises(AttributeError):
             setattr(obj, name, ())
         with pytest.raises(AttributeError):
@@ -775,3 +811,152 @@ def test_paths_and_sheets_are_frozen_and_pickle():
     for obj in (p, s, constant_path(()), constant_sheet((F(1, 3),))):
         again = pickle.loads(pickle.dumps(obj))
         assert again == obj and hash(again) == hash(obj) and repr(again) == repr(obj)
+
+
+# --- the column store against a product grid ------------------------------------
+
+class ProductSheet:
+    """A grid sheet stored as its minimal product grid of Fractions, pruned
+    by the reference rule: the form sheets had before they were stored as
+    columns, kept as the oracle for the column store."""
+
+    def __init__(self, x_breaks, y_breaks, values):
+        self.parts = reference_sheet_canonical(x_breaks, y_breaks, values)
+        self.x_breaks, self.y_breaks, self.values = self.parts
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return _old_repr("GridSheet", x_breaks=self.x_breaks,
+                         y_breaks=self.y_breaks, values=self.values)
+
+    def at(self, x, y):
+        return _reference_sheet_at(*self.parts, x, y)
+
+    def bottom_edge(self):
+        return PLPath(self.x_breaks, [col[0] for col in self.values])
+
+    def top_edge(self):
+        return PLPath(self.x_breaks, [col[-1] for col in self.values])
+
+
+def _assert_column_store(x_breaks, y_breaks, values, rng) -> tuple:
+    """``(sheet, oracle)`` for the presentation, after checking that the
+    column store reads like the product grid, keeps every column minimal
+    and keeps no x-line that its neighbours' columns already give."""
+    s = GridSheet(x_breaks, y_breaks, values)
+    o = ProductSheet(x_breaks, y_breaks, values)
+    assert repr(s) == repr(o)
+    assert (s.x_breaks, s.y_breaks, s.values) == o.parts
+    assert (s.bottom_edge(), s.top_edge()) == (o.bottom_edge(), o.top_edge())
+    for x in _probes(x_breaks, rng, 1):
+        for y in _probes(y_breaks, rng, 1):
+            assert s.at(x, y) == o.at(x, y)
+    assert len(s._c) == len(s.x_breaks)
+    for ts, vals, vm in s._c:
+        assert _minimal(ts, vals, vm) == (ts, vals, vm)
+        column = (tuple(F(t, ts[-1]) for t in ts),
+                  tuple(tuple(F(c, vm) for c in v) for v in vals))
+        assert reference_path_canonical(*column) == column
+    xb = s.x_breaks
+    for k in range(1, len(xb) - 1):
+        u = (xb[k] - xb[k - 1]) / (xb[k + 1] - xb[k - 1])
+        assert any(s.at(xb[k], y) != tuple(a + u * (b - a) for a, b in
+                                           zip(s.at(xb[k - 1], y), s.at(xb[k + 1], y)))
+                   for y in s.y_breaks)
+    return s, o
+
+
+def _column_grid(rng: random.Random, xs, ys, dim: int) -> tuple:
+    """Values on the grid ``xs`` by ``ys`` whose columns each bend at their
+    own few y-lines, so that y-lines stop (T-junctions); some columns repeat
+    or interpolate their left neighbours, so that some x-lines are
+    redundant."""
+    cols = []
+    for k in range(len(xs)):
+        kind = rng.random()
+        if cols and kind < 0.15:
+            cols.append(cols[-1])
+            continue
+        if len(cols) > 1 and kind < 0.3:
+            u = (xs[k] - xs[k - 2]) / (xs[k - 1] - xs[k - 2])
+            cols.append(tuple(tuple(a + u * (b - a) for a, b in zip(p, q))
+                              for p, q in zip(cols[-2], cols[-1])))
+            continue
+        bends = [0] + sorted(rng.sample(range(1, len(ys) - 1),
+                                        rng.randint(0, len(ys) - 2))) + [len(ys) - 1]
+        path = PLPath([ys[i] for i in bends],
+                      [tuple(_big_rational(rng) for _ in range(dim)) for _ in bends])
+        cols.append(tuple(path.at(y) for y in ys))
+    return tuple(cols)
+
+
+def test_column_store_matches_the_product_grid():
+    sheets = []
+    hits = dict.fromkeys(("T-junction", "x-line dropped", "dim 0"), 0)
+    for k in range(60):
+        rng = random.Random(f"columns:{k}")
+        dim = k % 4
+        xs = (F(0), *_big_cuts(rng, rng.randint(0, 4)), F(1))
+        ys = (F(0), *_big_cuts(rng, rng.randint(0, 4)), F(1))
+        values = _column_grid(rng, xs, ys, dim)
+        s, o = _assert_column_store(xs, ys, values, rng)
+        hits["T-junction"] += len({ts for ts, _, _ in s._c}) > 1
+        hits["x-line dropped"] += len(s.x_breaks) < len(xs)
+        hits["dim 0"] += dim == 0
+        redundant = sheet_presentation(s, _big_cuts(rng, rng.randint(0, 2)),
+                                       _big_cuts(rng, rng.randint(0, 2)))
+        again, _ = _assert_column_store(*redundant, rng)
+        assert again == s and hash(again) == hash(s)
+        assert (again._x, again._c) == (s._x, s._c)
+        sheets.append((s, o))
+    # the same function twice, and two functions that differ by little
+    s, o = sheets[5]
+    sheets.append((GridSheet(s.x_breaks, s.y_breaks, s.values), o))
+    for a, oa in sheets:
+        for b, ob in sheets:
+            assert (a == b) == (oa == ob)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert all(hits.values()), hits
+
+
+def test_columns_stop_where_they_stop_bending():
+    # column 0 bends at y = 1/3 only, column 1 at y = 1/2 only and column 2
+    # nowhere: each keeps only its own y-lines, and the product grid has both
+    ys = (F(0), F(1, 3), F(1, 2), F(1))
+    values = (tuple((v,) for v in (F(0), F(3), F(9, 4), F(0))),
+              tuple((v,) for v in (F(0), F(4, 3), F(2), F(0))),
+              ((F(0),),) * 4)
+    s, _ = _assert_column_store((F(0), F(1, 2), F(1)), ys, values,
+                                random.Random("tee"))
+    assert [tuple(F(t, ts[-1]) for t in ts) for ts, _, _ in s._c] == [
+        (F(0), F(1, 3), F(1)), (F(0), F(1, 2), F(1)), (F(0), F(1))]
+    assert s.y_breaks == ys and s.values == values
+
+
+def test_column_store_in_dimension_zero():
+    rng = random.Random("columns-dim0")
+    xs = (F(0), F(1, 3), F(1))
+    ys = (F(0), F(1, 5), F(1))
+    s, o = _assert_column_store(xs, ys, (((),) * 3,) * 3, rng)
+    assert s == constant_sheet(()) and hash(s) == hash(constant_sheet(()))
+    assert s._c == (((0, 1), ((), ()), 1),) * 2
+    assert (s.x_breaks, s.y_breaks, s.dim) == ((F(0), F(1)), (F(0), F(1)), 0)
+
+
+@given(st.integers(0, 2), st.lists(big_unit_rationals, max_size=3),
+       st.lists(big_unit_rationals, max_size=3), st.integers(0, 2**32), st.data())
+def test_column_store_matches_the_product_grid_on_generated_sheets(
+        dim, cuts_x, cuts_y, seed, data):
+    xs = (F(0), *sorted({c for c in cuts_x if F(0) < c < F(1)}), F(1))
+    ys = (F(0), *sorted({c for c in cuts_y if F(0) < c < F(1)}), F(1))
+    rng = random.Random(seed)
+    s, _ = _assert_column_store(xs, ys, _column_grid(rng, xs, ys, dim), rng)
+    extra = data.draw(st.lists(big_unit_rationals, max_size=2))
+    again, _ = _assert_column_store(*sheet_presentation(s, extra, extra), rng)
+    assert again == s and hash(again) == hash(s)

@@ -12,8 +12,10 @@ from strips_operad.strips import (StripConfig, random_strip, strip_compose,
                                   strips_rel_operad)
 from strips_operad.trees import LEAF, corolla, graft, random_tree
 from strips_operad.intervals import IntervalConfig, random_intervals
-from strips_operad.exact import AffineMap1, constant_path
+from strips_operad.exact import AffineMap1
 from strips_operad import serialize as ser
+
+from helpers import constant_path
 
 
 def test_rationals_use_exact_strings():

@@ -5,20 +5,21 @@ from fractions import Fraction as F
 import pytest
 
 from strips_operad import mutants
-from strips_operad.exact import (AffineMap1, GridSheet, PLPath, constant_path,
-                                 constant_sheet)
-from strips_operad.framework import ChainError, run_algebra_check
+from strips_operad.exact import AffineMap1, GridSheet, PLPath
+from strips_operad.framework import (ChainError, random_algebra_elements,
+                                     random_algebra_plan, run_algebra_check)
 from strips_operad.intervals import (IntervalConfig, grid_embeddings,
                                      interval_unit)
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
-                                  act_on_loops, act_on_sheets, constant_loop,
+                                  act_on_loops, act_on_sheets,
                                   push_loop, random_loop, random_pointed_map,
                                   random_sheet_element, sheet_algebra,
                                   sheet_violation)
 from strips_operad.strips import (StripConfig, random_strip, strip_unit,
                                   strips_rel_operad)
 
-from helpers import chain_inputs, path_presentation, sheet_presentation
+from helpers import (chain_inputs, constant_loop, constant_path, constant_sheet,
+                     path_presentation, sheet_presentation)
 
 
 def _map2d() -> PointedMap:
@@ -217,6 +218,23 @@ def test_sheet_violation_catches_broken_side():
     broken = GridSheet(xb, yb, tuple(tuple(col) for col in values))
     msg = sheet_violation(f, SheetElement(broken, elem.bottom, elem.top))
     assert msg is not None and "left edge" in msg
+
+
+
+def test_sheet_violation_names_the_first_height_of_the_product_grid():
+    # the left column bends only at 1/2, but the middle one bends at 1/4, so
+    # the product grid's first height off p on the left edge is 1/4
+    f = _map2d()
+    p, v = f.cod_base, (F(2), F(1))
+    half = tuple((a + b) / 2 for a, b in zip(p, v))
+    left = (p, half, v, p)
+    middle = (p, (F(5), F(1)), (F(11, 3), F(1)), p)
+    sheet = GridSheet((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1, 2), F(1)),
+                      (left, middle, (p,) * 4))
+    assert [len(ts) for ts, _, _ in sheet._c] == [3, 3, 2]
+    still = constant_loop(f.dom_base)
+    assert sheet_violation(f, SheetElement(sheet, still, still)) == (
+        f"left edge value {half} at height 1/4, expected the basepoint {p}")
 
 
 def test_sheet_violation_catches_edge_mismatch():
@@ -442,6 +460,34 @@ def test_actions_match_pointwise_reference_on_random_configurations():
         hits["touches 0"] += spans[0][0] == 0
         hits["touches 1"] += spans[-1][1] == 1
     assert all(hits.values()), hits
+
+
+
+def test_actions_match_pointwise_reference_at_check_scope():
+    # configurations and inputs drawn as `check sheets --max-r 8 --max-n 32`
+    # draws them; the assembled sheets, whose columns stop at different
+    # y-lines, are then acted on again beside a fresh element
+    rel = strips_rel_operad()
+    rng = random.Random(137)
+    tees = 0
+    for case in range(10):
+        f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
+        alg = sheet_algebra(f)
+        plan = random_algebra_plan(rng, 8, 32)
+        elems = random_algebra_elements(alg, rel, plan, rng)
+        composite = rel.compose(elems.outer, elems.first)
+        out = _assert_matches_reference(f, composite, elems.second)
+        assert sheet_violation(f, out) is None
+        # the action stores what the constructor stores for its product grid:
+        # every column minimal, and only the x-lines that bend
+        s = out.sheet
+        again = GridSheet(s.x_breaks, s.y_breaks, s.values)
+        assert (again._x, again._c) == (s._x, s._c)
+        above = random_sheet_element(f, rng, source=out.top)
+        config = random_strip((2, 0, 1), seed=139 + case)
+        _assert_matches_reference(f, config, ((out, above), out.bottom, (out,)))
+        tees += len({ts for ts, _, _ in out.sheet._c}) > 1
+    assert tees >= 3
 
 
 def test_actions_match_reference_with_shared_edges():
