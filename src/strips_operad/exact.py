@@ -17,9 +17,10 @@ one column at a time.  Every value is stored in the one form its function
 has (the normal triple, or the minimal breakpoint sets, which each
 constructor prunes to, with every denominator reduced), so ``==`` and
 ``hash`` are those of the underlying functions.  That is the property the
-law checkers in :mod:`strips_operad.framework` rely on.  ``Fraction``s are
-built only where a coordinate is read: in the public accessors, ``at``,
-``repr`` and the JSON codecs.
+law checkers in :mod:`strips_operad.framework` rely on.  A public
+constructor and a JSON decoder check and store through the same routines
+on reduced int pairs, so ``Fraction``s are built only where a coordinate is
+read: in the public accessors, ``at``, ``repr`` and error messages.
 """
 from __future__ import annotations
 
@@ -68,13 +69,18 @@ def locate(breaks: Sequence, t) -> tuple:
     return i, (t - t0, t1 - t0)
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> tuple[tuple, int]:
-    """``(ints, m)``: the Fractions ``xs`` times m, the LCM of their
-    denominators, as a tuple of ints.  This is where a public constructor
-    leaves Fractions behind."""
-    dens = [x.denominator for x in xs]
-    m = math.lcm(*dens)
-    return tuple([x.numerator * (m // d) for x, d in zip(xs, dens)]), m
+def _ratios(xs) -> list:
+    """The rationals ``xs``, as :func:`as_rat` reads them, as reduced
+    ``(n, d)`` pairs with ``d > 0``."""
+    return [as_rat(x).as_integer_ratio() for x in xs]
+
+
+def _over_lcm(ratios: Sequence[tuple]) -> tuple[tuple, int]:
+    """``(ints, m)``: the rationals ``n/d`` of the reduced pairs ``ratios``
+    times m, the LCM of their denominators, as a tuple of ints.  This is
+    where a public constructor or a JSON decoder leaves rationals behind."""
+    m = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (m // d) for n, d in ratios]), m
 
 
 def _points(flat: tuple, d: int, n: int) -> list:
@@ -146,14 +152,8 @@ class AffineMap1(_Frozen):
     __slots__ = ("an", "cn", "d")
 
     def __init__(self, a, c):
-        a, c = as_rat(a), as_rat(c)
-        if a.numerator <= 0:
-            raise ValueError(f"affine scale must be positive, got {a}")
-        ad, cd = a.denominator, c.denominator
-        d = math.lcm(ad, cd)        # both reduced, so the triple is too
-        _SET_AN(self, a.numerator * (d // ad))
-        _SET_CN(self, c.numerator * (d // cd))
-        _SET_D(self, d)
+        _init_affine1(self, as_rat(a).as_integer_ratio(),
+                      as_rat(c).as_integer_ratio())
 
     def __reduce__(self):
         return (_affine1, (self.an, self.cn, self.d))
@@ -215,6 +215,19 @@ _SET_CN = AffineMap1.cn.__set__
 _SET_D = AffineMap1.d.__set__
 
 
+def _init_affine1(m: AffineMap1, a: tuple, c: tuple) -> AffineMap1:
+    """Check and store in ``m`` the map ``x |-> a*x + c`` for reduced pairs
+    ``(n, d)``, which make the triple reduced too; return ``m``."""
+    (an, ad), (cn, cd) = a, c
+    if an <= 0:
+        raise ValueError(f"affine scale must be positive, got {Fraction(an, ad)}")
+    d = math.lcm(ad, cd)
+    _SET_AN(m, an * (d // ad))
+    _SET_CN(m, cn * (d // cd))
+    _SET_D(m, d)
+    return m
+
+
 def _affine1(an: int, cn: int, d: int) -> AffineMap1:
     """The :class:`AffineMap1` ``x |-> (an*x + cn)/d`` from ints with
     ``an > 0`` and ``d > 0``, reduced to its normal form by one gcd, built
@@ -236,12 +249,24 @@ IDENTITY_1 = AffineMap1(ONE, ZERO)
 # piecewise-linear paths
 # ---------------------------------------------------------------------------
 
-def _check_breaks(breaks: Sequence) -> None:
-    if len(breaks) < 2:
+def _check_axis(ts: Sequence, m: int, where: str) -> None:
+    """Refuse breakpoints ``ts`` (ints over m) unless there are two or more,
+    strictly increasing from 0 to 1; ``where`` is the text of the last."""
+    if len(ts) < 2:
         raise ValueError("need at least two breakpoints")
-    for u, v in zip(breaks, breaks[1:]):
-        if not u < v:
-            raise ValueError(f"breakpoints must be strictly increasing, got {u} >= {v}")
+    for u, v in zip(ts, ts[1:]):
+        if u >= v:
+            raise ValueError("breakpoints must be strictly increasing, "
+                             f"got {Fraction(u, m)} >= {Fraction(v, m)}")
+    if ts[0] != 0 or ts[-1] != m:
+        raise ValueError(where)
+
+
+def _check_dim(points) -> int:
+    d = len(points[0])      # the one length of all points
+    if any(len(v) != d for v in points):
+        raise ValueError("all values must have the same dimension")
+    return d
 
 
 class PLPath(_Frozen):
@@ -263,18 +288,7 @@ class PLPath(_Frozen):
     __slots__ = ("_t", "_v", "_vm")
 
     def __init__(self, breaks, values):
-        breaks = [as_rat(t) for t in breaks]
-        values = [as_point(v) for v in values]
-        _check_breaks(breaks)
-        if breaks[0] != ZERO or breaks[-1] != ONE:
-            raise ValueError("path must be parametrized over [0, 1]")
-        if len(values) != len(breaks):
-            raise ValueError("one value per breakpoint required")
-        d = len(values[0])
-        if any(len(v) != d for v in values):
-            raise ValueError("all values must have the same dimension")
-        flat, vm = _over_lcm([c for v in values for c in v])
-        _store_path(self, _over_lcm(breaks)[0], _points(flat, d, len(values)), vm)
+        _init_path(self, _ratios(breaks), [_ratios(v) for v in values])
 
     def __reduce__(self):
         return (_path, (self._t, self._v, self._vm))
@@ -357,6 +371,17 @@ def _store_path(path: PLPath, ts: Sequence, vals: Sequence, vm: int) -> PLPath:
     return path
 
 
+def _init_path(path: PLPath, breaks: Sequence, points: Sequence) -> PLPath:
+    """Check on ints and store in ``path`` the path with breaks ``breaks``
+    and values ``points``, as reduced ``(n, d)`` pairs; return ``path``."""
+    ts, m = _over_lcm(breaks)
+    _check_axis(ts, m, "path must be parametrized over [0, 1]")
+    if len(points) != len(ts):
+        raise ValueError("one value per breakpoint required")
+    flat, vm = _over_lcm([c for v in points for c in v])
+    return _store_path(path, ts, _points(flat, _check_dim(points), len(ts)), vm)
+
+
 def _path(ts: Sequence, vals: Sequence, vm: int) -> PLPath:
     """The :class:`PLPath` with breaks ``ts[k]/ts[-1]`` and values
     ``vals[k]/vm``, from ints that already hold its invariants (breaks
@@ -393,23 +418,8 @@ class GridSheet(_Frozen):
     __slots__ = ("_x", "_c")
 
     def __init__(self, x_breaks, y_breaks, values):
-        xb = [as_rat(t) for t in x_breaks]
-        yb = [as_rat(t) for t in y_breaks]
-        vals = [[as_point(v) for v in col] for col in values]
-        for breaks in (xb, yb):
-            _check_breaks(breaks)
-            if breaks[0] != ZERO or breaks[-1] != ONE:
-                raise ValueError("sheet must be parametrized over the unit square")
-        nx, ny = len(xb), len(yb)
-        if len(vals) != nx or any(len(col) != ny for col in vals):
-            raise ValueError("value grid must be len(x_breaks) x len(y_breaks)")
-        d = len(vals[0][0])
-        if any(len(v) != d for col in vals for v in col):
-            raise ValueError("all values must have the same dimension")
-        flat, vm = _over_lcm([c for col in vals for v in col for c in v])
-        points = _points(flat, d, nx * ny)
-        _store_grid(self, _over_lcm(xb)[0], _over_lcm(yb)[0],
-                    [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
+        _init_sheet(self, _ratios(x_breaks), _ratios(y_breaks),
+                    [[_ratios(v) for v in col] for col in values])
 
     def __reduce__(self):
         return (_sheet, (self._x, self._c))
@@ -435,7 +445,7 @@ class GridSheet(_Frozen):
 
     @property
     def y_breaks(self) -> tuple:
-        ys = _align(self._c)[0]
+        ys = _union(self._c)
         m = ys[-1]
         return tuple([Fraction(t, m) for t in ys])
 
@@ -506,6 +516,23 @@ def _store_sheet(sheet: GridSheet, xs: Sequence, cols: Sequence,
     return sheet
 
 
+def _init_sheet(sheet: GridSheet, xb: Sequence, yb: Sequence,
+                grid: Sequence) -> GridSheet:
+    """:func:`_init_path` for the sheet with x-lines ``xb``, y-lines ``yb``
+    and values ``grid[ix][iy]``."""
+    (xs, mx), (ys, my) = _over_lcm(xb), _over_lcm(yb)
+    for ts, m in ((xs, mx), (ys, my)):
+        _check_axis(ts, m, "sheet must be parametrized over the unit square")
+    nx, ny = len(xs), len(ys)
+    if len(grid) != nx or any(len(col) != ny for col in grid):
+        raise ValueError("value grid must be len(x_breaks) x len(y_breaks)")
+    points = [v for col in grid for v in col]
+    flat, vm = _over_lcm([c for v in points for c in v])
+    points = _points(flat, _check_dim(points), nx * ny)
+    return _store_grid(sheet, xs, ys,
+                       [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
+
+
 def _store_grid(sheet: GridSheet, xs: Sequence, ys: Sequence, grid: Sequence,
                 vm: int) -> GridSheet:
     """Store the sheet with grid lines ``xs[i]/xs[-1]`` and ``ys[j]/ys[-1]``
@@ -571,22 +598,37 @@ def _reduced_locate(breaks: Sequence, t: int) -> tuple:
 
 def _values_at(ts: Sequence, vals: Sequence, vm: int, us: Sequence) -> list:
     """``[(point, d), ...]``: the values of the path with breaks ``ts`` and
-    values ``vals`` over vm at the points ``us`` (ints in the units of
-    ``ts``), each as ints over a d of its own."""
-    return [(vals[i], vm) if w is None else
-            (lerp(vals[i], vals[i + 1], *w), vm * w[1])
-            for i, w in [_reduced_locate(ts, u) for u in us]]
+    values ``vals`` over vm at the ascending ints ``us``, each over a d of
+    its own; one walk along both finds the segments :func:`locate` finds."""
+    out, i, last = [], 0, len(ts) - 2
+    for u in us:
+        while i < last and ts[i + 1] <= u:
+            i += 1
+        t0, t1 = ts[i], ts[i + 1]
+        if u == t0 or u == t1:
+            out.append((vals[i if u == t0 else i + 1], vm))
+        else:       # lerp inline, as this loop reads whole grids
+            g = math.gcd(u - t0, t1 - t0)
+            a, b = (u - t0) // g, (t1 - t0) // g
+            out.append((tuple([x * (b - a) + y * a
+                               for x, y in zip(vals[i], vals[i + 1])]), vm * b))
+    return out
+
+
+def _union(paths: Sequence) -> Sequence:
+    """The union of the breaks of the path triples ``paths``, over its last."""
+    first = paths[0][0]
+    if all(ts == first for ts, _, _ in paths):
+        return first
+    m = math.lcm(*[ts[-1] for ts, _, _ in paths])
+    return sorted({t for ts, _, _ in paths for t in _rescaled(ts, m)})
 
 
 def _align(paths: Sequence) -> tuple:
     """``(us, [(vals, vm), ...])``: the path triples ``paths`` read at the
-    union ``us`` of their breaks (ints over ``us[-1]``), each over a
-    denominator of its own."""
-    first = paths[0][0]
-    if all(ts == first for ts, _, _ in paths):
-        return first, [(vals, vm) for _, vals, vm in paths]
-    m = math.lcm(*[ts[-1] for ts, _, _ in paths])
-    us = sorted({t for ts, _, _ in paths for t in _rescaled(ts, m)})
+    :func:`_union` ``us`` of their breaks, each over a denominator of its own."""
+    us = _union(paths)
+    m = us[-1]
     out = []
     for ts, vals, vm in paths:
         if len(ts) < len(us):       # read it at the others' breaks too

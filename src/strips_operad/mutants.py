@@ -19,20 +19,22 @@ them, and so do the tests.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 from . import intervals, sheets, strips, trees
-from .exact import AffineMap1, GridSheet
+from .exact import (AffineMap1, GridSheet, _align, _minimal, _rescaled, _sheet,
+                    _union, locate)
 from .framework import AlgebraInstance, OperadInstance, RelTwoOperadInstance
 from .intervals import IntervalConfig, interval_compose
-from .sheets import SheetElement, act_on_sheets, random_pointed_map
+from .sheets import (SheetElement, _columns_at, act_on_sheets,
+                     random_pointed_map)
 from .strips import StripConfig, strip_compose
 from .trees import graft, one_step_contractions
 
 DRIFT = Fraction(1, 1000)
-HALF = Fraction(1, 2)
 
 
 def intervals_operad() -> OperadInstance:
@@ -72,15 +74,43 @@ def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
 
     def act(config, inputs):
         res = act_on_sheets(f, config, inputs)
-        # the same function on a grid with lines at HALF, centre value moved
-        xs = sorted({*res.sheet.x_breaks, HALF})
-        ys = sorted({*res.sheet.y_breaks, HALF})
-        vals = [[res.sheet.at(x, y) for y in ys] for x in xs]
-        ix, iy = xs.index(HALF), ys.index(HALF)
-        vals[ix][iy] = (vals[ix][iy][0] + DRIFT,) + vals[ix][iy][1:]
-        return SheetElement(GridSheet(xs, ys, vals), res.bottom, res.top)
+        return SheetElement(_drifted(res.sheet), res.bottom, res.top)
 
     return replace(sheets.sheet_algebra(f), act_sheet=act)
+
+
+def _drifted(sheet: GridSheet) -> GridSheet:
+    """The sheet with its value at the centre moved by DRIFT in the first
+    coordinate, on its minimal product grid with lines at 1/2 added, and
+    bilinear on each cell of that grid.  The sheet is bilinear on those
+    cells already, so this adds DRIFT times the grid's hat function at the
+    centre.  The hat is 0 on every x-line but 1/2, so only the column at
+    1/2 changes: it gains a tent in y, DRIFT at 1/2 and 0 from the product
+    grid's y-lines on either side.  Built on the stored ints."""
+    unit = math.lcm(sheet._x[-1], 2)
+    xs, half = list(_rescaled(sheet._x, unit)), unit // 2
+    (col,) = _columns_at(sheet, unit, [half])
+    ys = _union(sheet._c)
+    ym = math.lcm(ys[-1], 2)
+    ys = sorted({ym // 2, *_rescaled(ys, ym)})
+    k = ys.index(ym // 2)
+    zero = (0,) * len(col[1][0])
+    lo, hi = ys[k - 1], ys[k + 1]
+    tent = ([0] * (lo > 0) + [lo, ym // 2, hi] + [ym] * (hi < ym),
+            [zero] * (lo > 0) + [zero, (DRIFT.numerator, *zero[1:]), zero]
+            + [zero] * (hi < ym), DRIFT.denominator)
+    us, ((va, ma), (vb, mb)) = _align((col, tent))
+    m = math.lcm(ma, mb)
+    col = _minimal(us, [tuple([a * (m // ma) + b * (m // mb) for a, b in zip(p, q)])
+                        for p, q in zip(va, vb)], m)
+    cols = list(sheet._c)
+    i, w = locate(xs, half)
+    if w is None:
+        cols[i] = col
+    else:
+        xs.insert(i + 1, half)
+        cols.insert(i + 1, col)
+    return _sheet(xs, cols)
 
 
 def random_sheet_algebra(rng: random.Random) -> AlgebraInstance:

@@ -1,9 +1,12 @@
-"""JSON encoding and decoding for every value class in the package.
+"""JSON encoding and decoding for the value classes of the package (trees
+are only encoded).
 
 Rationals are encoded as strings like ``"3/4"`` (or ``"2"`` when integral);
 all container encodings are plain dicts/lists so the output of
 :func:`dumps` is stable and diff-friendly.  Decoders refuse, naming the node
 or key, a non-array where an array belongs and a non-object or missing key.
+Maps, paths and sheets are decoded with no ``Fraction``: each rational is read
+as a reduced int pair, checked and stored as the public constructors do.
 """
 from __future__ import annotations
 
@@ -12,11 +15,12 @@ import math
 import re
 from fractions import Fraction
 
-from .exact import AffineMap1, GridSheet, PLPath
+from .exact import (AffineMap1, GridSheet, PLPath, _init_affine1, _init_path,
+                    _init_sheet)
 from .intervals import IntervalConfig
 from .sheets import Loop, PointedMap, SheetElement
 from .strips import StripConfig
-from .trees import LEAF, PlanarTree
+from .trees import PlanarTree
 
 
 def rat_to_json(x: Fraction) -> str:
@@ -35,22 +39,31 @@ def _ratio_text(n: int, d: int) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", re.ASCII)
 
 
-def rat_from_json(s) -> Fraction:
+def _ratio(s) -> tuple[int, int]:
     """The rational of a JSON int or of a string as :func:`rat_to_json`
-    writes it (``"-7/2"``, ``"3"``); any other value, decimals and exponents
-    included, is a ``ValueError``.  Digits are read by ``int``, so decoding
-    time depends on the length of the string alone."""
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+    writes it (``"-7/2"``, ``"3"``), as a reduced pair ``(n, d)`` with ``d >
+    0``; any other value, decimals and exponents included, is a
+    ``ValueError``.  Digits are read by ``int``, so decoding time depends on
+    the length of the string alone."""
     if isinstance(s, str):
         m = _RATIONAL.fullmatch(s)
         if m is not None:
             num, den = m.groups()
             try:
-                return Fraction(int(num), int(den) if den else 1)
+                n, d = int(num), int(den) if den else 1
             except ValueError:      # more digits than int() will read
                 pass
+            else:
+                g = math.gcd(n, d)
+                return n // g, d // g
+    elif isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
     raise ValueError(f"not a rational: {s!r}")
+
+
+def rat_from_json(s) -> Fraction:
+    """The ``Fraction`` of :func:`_ratio`."""
+    return Fraction(*_ratio(s))
 
 
 def array_from_json(obj, what: str) -> list:
@@ -78,6 +91,10 @@ def point_from_json(obj) -> tuple:
     return tuple(rat_from_json(c) for c in array_from_json(obj, "a point"))
 
 
+def _point_ratios(obj) -> list:
+    return [_ratio(c) for c in array_from_json(obj, "a point")]
+
+
 # --- affine maps -----------------------------------------------------------
 
 def affine1_to_json(e: AffineMap1) -> dict:
@@ -85,8 +102,14 @@ def affine1_to_json(e: AffineMap1) -> dict:
 
 
 def affine1_from_json(obj) -> AffineMap1:
-    return AffineMap1(rat_from_json(key_from_json(obj, "a", "an embedding")),
-                      rat_from_json(key_from_json(obj, "c", "an embedding")))
+    return _embedding(obj, "a", "c")
+
+
+def _embedding(obj, a: str, c: str) -> AffineMap1:
+    """The map with scale ``obj[a]`` and offset ``obj[c]``."""
+    return _init_affine1(object.__new__(AffineMap1),
+                         _ratio(key_from_json(obj, a, "an embedding")),
+                         _ratio(key_from_json(obj, c, "an embedding")))
 
 
 # --- configurations --------------------------------------------------------
@@ -120,8 +143,7 @@ def strip_from_json(obj) -> StripConfig:
     shape = tuple(array_from_json(key_from_json(obj, "shape", what), '"shape"'))
     base = intervals_from_json(key_from_json(obj, "base", what))
     rows = [[(affine1_from_json(r),     # a rectangle embeds the square
-              AffineMap1(rat_from_json(key_from_json(r, "b", "an embedding")),
-                         rat_from_json(key_from_json(r, "d", "an embedding"))))
+              _embedding(r, "b", "d"))
              for r in array_from_json(row, 'a row of "rects"')]
             for row in array_from_json(key_from_json(obj, "rects", what), '"rects"')]
     config = StripConfig(shape, base,
@@ -144,8 +166,8 @@ def plpath_to_json(path: PLPath) -> dict:
 def plpath_from_json(obj) -> PLPath:
     breaks, values = (array_from_json(key_from_json(obj, k, "a path"), f'"{k}"')
                       for k in ("breaks", "values"))
-    return PLPath(tuple(rat_from_json(t) for t in breaks),
-                  tuple(point_from_json(v) for v in values))
+    return _init_path(object.__new__(PLPath), [_ratio(t) for t in breaks],
+                      [_point_ratios(v) for v in values])
 
 
 def sheet_to_json(sheet: GridSheet) -> dict:
@@ -157,11 +179,11 @@ def sheet_to_json(sheet: GridSheet) -> dict:
 def sheet_from_json(obj) -> GridSheet:
     xb, yb, values = (array_from_json(key_from_json(obj, k, "a sheet"), f'"{k}"')
                       for k in ("x_breaks", "y_breaks", "values"))
-    return GridSheet(tuple(rat_from_json(t) for t in xb),
-                     tuple(rat_from_json(t) for t in yb),
-                     tuple(tuple(point_from_json(v)
-                                 for v in array_from_json(col, 'a column of "values"'))
-                           for col in values))
+    return _init_sheet(object.__new__(GridSheet), [_ratio(t) for t in xb],
+                       [_ratio(t) for t in yb],
+                       [[_point_ratios(v)
+                         for v in array_from_json(col, 'a column of "values"')]
+                        for col in values])
 
 
 def loop_to_json(loop: Loop) -> dict:
@@ -201,12 +223,6 @@ def pointed_map_from_json(obj) -> PointedMap:
 
 def tree_to_json(t: PlanarTree) -> list:
     return [tree_to_json(c) for c in t.children]
-
-
-def tree_from_json(obj) -> PlanarTree:
-    if array_from_json(obj, "a tree") == []:
-        return LEAF
-    return PlanarTree(tuple(tree_from_json(c) for c in obj))
 
 
 def enumeration_dumps(leaves: int, f_vector, trees) -> str:

@@ -29,8 +29,9 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .exact import (AffineMap1, GridSheet, PLPath, _align, _fractions,
-                    _minimal, _over_lcm, _path, _points, _reduced_locate,
-                    _rescaled, _sheet, _store_grid, _values_at, as_point)
+                    _minimal, _over_lcm, _path, _points, _ratios,
+                    _reduced_locate, _rescaled, _sheet, _store_grid,
+                    _values_at, as_point)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -66,11 +67,12 @@ class PointedMap:
             raise ValueError("matrix columns must match the source dimension")
         offset = tuple(c - sum(a * x for a, x in zip(row, dom))
                        for row, c in zip(matrix, cod))
-        flat, den = _over_lcm([a for row in matrix for a in row] + list(offset))
+        flat, den = _over_lcm(_ratios([a for row in matrix for a in row]
+                                      + list(offset)))
         cells = len(dom) * len(cod)
         fields = {"matrix": matrix, "dom_base": dom, "cod_base": cod,
-                  "offset": offset, "_den": den, "_q": _over_lcm(dom),
-                  "_p": _over_lcm(cod), "_shift": flat[cells:],
+                  "offset": offset, "_den": den, "_q": _over_lcm(_ratios(dom)),
+                  "_p": _over_lcm(_ratios(cod)), "_shift": flat[cells:],
                   "_rows": tuple(_points(flat, len(dom), len(cod)))}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -97,7 +99,7 @@ class PointedMap:
         """``matrix·point + offset``, computed on ints and read out as one
         Fraction per coordinate.  A point whose dimension is not the
         source's is a ``ValueError``."""
-        v, m = _over_lcm(as_point(point))
+        v, m = _over_lcm(_ratios(point))
         return _fractions(self._images([v], m)[0], self._den * m)
 
 
@@ -483,7 +485,7 @@ def random_loop(rng: random.Random, dim: int, basepoint) -> Loop:
     base = as_point(basepoint)
     if len(base) != dim:
         raise ValueError(f"basepoint dimension {len(base)}, expected {dim}")
-    return _random_loop(rng, dim, _over_lcm(base))
+    return _random_loop(rng, dim, _over_lcm(_ratios(base)))
 
 
 def random_sheet_element(f: PointedMap, rng: random.Random,

@@ -3,7 +3,9 @@
 Strip configurations are drawn as a unit square above a horizontal interval
 bar: full-height bands mark the strips, the rectangles sit inside them, and
 the bar below shows the base intervals.  Sheets are drawn as heat grids.
-All output is plain string assembly — same input, same bytes.
+Each coordinate is one correctly rounded int division of stored ints, such
+as ``cn / d``, so it is the float of the exact rational.  All output is
+plain string assembly — same input, same bytes.
 """
 from __future__ import annotations
 
@@ -51,10 +53,9 @@ def _text(x, y, s, size=11, anchor="middle") -> str:
 
 def _bar(config: IntervalConfig, x0: float, y0: float, width: float) -> str:
     body = _rect(x0, y0 + BAR_H / 3, width, BAR_H / 3, "#eeeeee", "#999999")
-    for emb in config.embeddings:
-        lo, hi = emb.image()
-        body += _rect(x0 + float(lo) * width, y0,
-                      float(hi - lo) * width, BAR_H, BAR_FILL)
+    for e in config.embeddings:
+        body += _rect(x0 + e.cn / e.d * width, y0, e.an / e.d * width,
+                      BAR_H, BAR_FILL)
     return body
 
 
@@ -67,18 +68,14 @@ def render_intervals(config: IntervalConfig) -> str:
 def _strip_body(config: StripConfig, x0: float, y0: float) -> str:
     """Square above an interval bar, origin of the square at (x0, y0)."""
     body = _rect(x0, y0, SQUARE, SQUARE, "none", "#888888")
-    for emb in config.base.embeddings:
-        lo, hi = emb.image()
-        body += _rect(x0 + float(lo) * SQUARE, y0,
-                      float(hi - lo) * SQUARE, SQUARE, STRIP_FILL, STRIP_EDGE)
-    for emb, row in zip(config.base.embeddings, config.rects):
-        xl, xh = emb.image()
-        for rect in row:
-            yl, yh = rect.image()
-            body += _rect(x0 + float(xl) * SQUARE,
-                          y0 + (1.0 - float(yh)) * SQUARE,
-                          float(xh - xl) * SQUARE, float(yh - yl) * SQUARE,
-                          RECT_FILL, RECT_EDGE)
+    strips = [(x0 + emb.cn / emb.d * SQUARE, emb.an / emb.d * SQUARE)
+              for emb in config.base.embeddings]
+    for x, w in strips:
+        body += _rect(x, y0, w, SQUARE, STRIP_FILL, STRIP_EDGE)
+    for (x, w), row in zip(strips, config.rects):
+        for r in row:
+            body += _rect(x, y0 + (1.0 - (r.an + r.cn) / r.d) * SQUARE, w,
+                          r.an / r.d * SQUARE, RECT_FILL, RECT_EDGE)
     body += _bar(config.base, x0, y0 + SQUARE + GAP, SQUARE)
     return body
 
@@ -119,8 +116,7 @@ def _ramp(t: float) -> str:
 
 def render_sheet(sheet: GridSheet) -> str:
     """A heat grid of the first coordinate, one cell per cell of the
-    minimal product grid, read off its ints: each float is one correctly
-    rounded int division, so it is the float of the exact rational."""
+    minimal product grid."""
     width = SQUARE + 2 * PAD
     height = SQUARE + 2 * PAD
     if sheet.dim == 0:

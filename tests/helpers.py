@@ -7,9 +7,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from strips_operad.exact import ONE, ZERO, GridSheet, PLPath, as_point
+from strips_operad.serialize import array_from_json
 from strips_operad.sheets import (Loop, PointedMap, random_loop,
                                   random_sheet_element)
 from strips_operad.strips import StripConfig
+from strips_operad.trees import LEAF, PlanarTree
 
 # --- hypothesis strategies --------------------------------------------------
 
@@ -76,6 +78,16 @@ def constant_sheet(value) -> GridSheet:
 
 def constant_loop(basepoint) -> Loop:
     return Loop(constant_path(basepoint))
+
+
+# --- trees from JSON ---------------------------------------------------------
+
+def tree_from_json(obj) -> PlanarTree:
+    """The tree of a ``serialize.tree_to_json`` document: a leaf is ``[]``,
+    any other tree the list of its children."""
+    if array_from_json(obj, "a tree") == []:
+        return LEAF
+    return PlanarTree(tuple(tree_from_json(c) for c in obj))
 
 
 # --- redundant presentations of paths and sheets -----------------------------

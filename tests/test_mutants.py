@@ -1,14 +1,17 @@
 """Broken instances live in one module, outside the production constructors."""
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
 from strips_operad import mutants
+from strips_operad.exact import GridSheet
 from strips_operad.framework import (run_algebra_check, run_operad_check,
                                      run_rel_check)
 from strips_operad.intervals import intervals_operad
-from strips_operad.sheets import random_pointed_map, sheet_algebra
+from strips_operad.sheets import (random_pointed_map, random_sheet_element,
+                                  sheet_algebra)
 from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
 
@@ -47,3 +50,29 @@ def test_sheets_mutant_needs_a_target_dimension():
     f = random_pointed_map(random.Random(0), 1, 0)
     with pytest.raises(ValueError):
         mutants.sheet_algebra(f)
+
+
+def _drifted_on_the_grid(sheet):
+    """The sheets mutant's sheet as a product grid: the sheet read at every
+    point of its grid with lines at 1/2 added, the centre value moved."""
+    half = Fraction(1, 2)
+    xs = sorted({*sheet.x_breaks, half})
+    ys = sorted({*sheet.y_breaks, half})
+    vals = [[sheet.at(x, y) for y in ys] for x in xs]
+    ix, iy = xs.index(half), ys.index(half)
+    vals[ix][iy] = (vals[ix][iy][0] + mutants.DRIFT,) + vals[ix][iy][1:]
+    return GridSheet(xs, ys, vals)
+
+
+def test_sheets_mutant_moves_the_centre_of_the_grid_sheet():
+    # 1/2 on a grid line or not, on either axis
+    q = Fraction(1, 4)
+    sheets = [GridSheet(xb, yb, [[(x * y - 3 * x, y) for y in yb] for x in xb])
+              for xb in ((0, 1), (0, q, 1), (0, 2 * q, 1))
+              for yb in ((0, 1), (0, 3 * q, 1), (0, 2 * q, 3 * q, 1))]
+    rng = random.Random("sheets mutant")
+    for _ in range(40):
+        f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
+        sheets.append(random_sheet_element(f, rng).sheet)
+    for sheet in sheets:
+        assert mutants._drifted(sheet) == _drifted_on_the_grid(sheet)

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from strips_operad import mutants, trees
-from strips_operad.serialize import tree_from_json, tree_to_json
+from strips_operad.serialize import tree_to_json
 from strips_operad.framework import run_operad_check, run_operad_exhaustive
 from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
                                  enumerate_trees, f_vector, graft,
@@ -18,7 +18,7 @@ from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
                                  tree_dim, tree_from_brackets, tree_leaves,
                                  tree_to_brackets, trees_operad)
 
-from helpers import catalan, polygon_dissection_counts
+from helpers import catalan, polygon_dissection_counts, tree_from_json
 from test_plan_sampler import ForwardingRandom
 
 
