@@ -13,7 +13,10 @@ line, stored like a path, with only the y-lines where that column bends (a
 T-mesh, in the sense of Sederberg et al., *T-splines and T-NURCCs*, 2003:
 a grid line may stop instead of crossing the square).  So the actions in
 :mod:`strips_operad.sheets` evaluate, prune, compare and build them on ints,
-one column at a time.  Every value is stored in the one form its function
+one column at a time: one walk, :func:`_segments`, finds where points fall
+among breaks, one weighted sum, :func:`_sum`, mixes two columns, and every
+sheet is stored from minimal columns by :func:`_store_sheet`, which alone
+decides which x-lines stay.  Every value is stored in the one form its function
 has (the normal triple, or the minimal breakpoint sets, which each
 constructor prunes to, with every denominator reduced), so ``==`` and
 ``hash`` are those of the underlying functions.  That is the property the
@@ -25,7 +28,6 @@ read: in the public accessors, ``at``, ``repr`` and error messages.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Sequence
@@ -43,30 +45,6 @@ def as_rat(x) -> Fraction:
 
 def as_point(p) -> tuple[Fraction, ...]:
     return tuple([c if type(c) is Fraction else Fraction(c) for c in p])
-
-
-def lerp(p, q, tn: int, td: int) -> tuple:
-    """The point ``tn/td`` of the way from p to q (``td > 0``; the ratio need
-    not be reduced), for points of ints over one denominator m: the result
-    holds ints over ``m·td``, one product sum per coordinate."""
-    sn = td - tn
-    return tuple([a * sn + b * tn for a, b in zip(p, q)])
-
-
-def locate(breaks: Sequence, t) -> tuple:
-    """``(i, None)`` when t is ``breaks[i]``, else ``(i, (t - t0, t1 - t0))``
-    with t at that ratio of the way from ``t0 = breaks[i]`` to ``t1 =
-    breaks[i + 1]``.  The breaks strictly increase; past either end the first
-    or last segment is extended.  Breaks and t are all ints (rationals scaled
-    by one common denominator) or all Fractions, found by one bisection."""
-    i = bisect_right(breaks, t, 1, len(breaks) - 1) - 1
-    t0 = breaks[i]
-    if t == t0:
-        return i, None
-    t1 = breaks[i + 1]
-    if t == t1:
-        return i + 1, None
-    return i, (t - t0, t1 - t0)
 
 
 def _ratios(xs) -> list:
@@ -88,26 +66,14 @@ def _points(flat: tuple, d: int, n: int) -> list:
     return [flat[k * d:k * d + d] for k in range(n)]
 
 
-def _locate_rat(ts: tuple, t: Fraction) -> tuple:
-    """:func:`locate` of the Fraction t among the ints ``ts`` over their
-    denominator ``ts[-1]``, on ints: both sides times ``ts[-1]`` times the
-    denominator of t.  The floor of ``t·ts[-1]`` is placed by one bisection
-    of ``ts``, so only the two breaks around t are scaled."""
-    d = t.denominator
-    nm = t.numerator * ts[-1]
-    i = bisect_right(ts, nm // d, 1, len(ts) - 1) - 1
-    j, w = locate((ts[i] * d, ts[i + 1] * d), nm)
-    return i + j, w
-
-
 def _read(ts: Sequence, vals: Sequence, vm: int, t: Fraction) -> tuple:
-    """``(point, d)``: the value at the Fraction t of the path with breaks
-    ``ts`` (ints over ``ts[-1]``) and values ``vals`` (ints over vm), as
-    ints over d."""
-    i, w = _locate_rat(ts, t)
-    if w is None:
-        return vals[i], vm
-    return lerp(vals[i], vals[i + 1], *w), vm * w[1]
+    """The value at the Fraction t of the path with breaks ``ts`` (ints
+    over ``ts[-1]``) and values ``vals`` (ints over vm), as Fractions: the
+    breaks are scaled by the denominator of t."""
+    m = ts[-1]
+    ((v, d),) = _values_at(_rescaled(ts, m * t.denominator), vals, vm,
+                           [t.numerator * m])
+    return _fractions(v, d)
 
 
 def _rescaled(ts: Sequence, m: int) -> Sequence:
@@ -324,7 +290,7 @@ class PLPath(_Frozen):
         t = as_rat(t)
         if not ZERO <= t <= ONE:
             raise ValueError(f"argument {t} outside [0, 1]")
-        return _fractions(*_read(self._t, self._v, self._vm, t))
+        return _read(self._t, self._v, self._vm, t)
 
     def canonical(self) -> "PLPath":
         """``self``, since a path is stored in its minimal form.  Kept only
@@ -462,12 +428,9 @@ class GridSheet(_Frozen):
         x, y = as_rat(x), as_rat(y)
         if not (ZERO <= x <= ONE and ZERO <= y <= ONE):
             raise ValueError(f"argument ({x}, {y}) outside the unit square")
-        ix, u = _locate_rat(self._x, x)
-        v, d = _read(*self._c[ix], y)
-        if u is not None:       # between two columns: lerp their values at y
-            w, e = _read(*self._c[ix + 1], y)
-            v, d = lerp([c * e for c in v], [c * d for c in w], *u), d * e * u[1]
-        return _fractions(v, d)
+        m = self._x[-1]
+        (col,) = _columns_at(self, m * x.denominator, [x.numerator * m])
+        return _read(*col, y)
 
     def canonical(self) -> "GridSheet":
         """``self``, since a sheet is stored in its minimal form.  Kept only
@@ -519,7 +482,8 @@ def _store_sheet(sheet: GridSheet, xs: Sequence, cols: Sequence,
 def _init_sheet(sheet: GridSheet, xb: Sequence, yb: Sequence,
                 grid: Sequence) -> GridSheet:
     """:func:`_init_path` for the sheet with x-lines ``xb``, y-lines ``yb``
-    and values ``grid[ix][iy]``."""
+    and values ``grid[ix][iy]``: each column is made minimal, and
+    :func:`_store_sheet` keeps the x-lines where the sheet bends."""
     (xs, mx), (ys, my) = _over_lcm(xb), _over_lcm(yb)
     for ts, m in ((xs, mx), (ys, my)):
         _check_axis(ts, m, "sheet must be parametrized over the unit square")
@@ -529,20 +493,8 @@ def _init_sheet(sheet: GridSheet, xb: Sequence, yb: Sequence,
     points = [v for col in grid for v in col]
     flat, vm = _over_lcm([c for v in points for c in v])
     points = _points(flat, _check_dim(points), nx * ny)
-    return _store_grid(sheet, xs, ys,
-                       [points[ix * ny:ix * ny + ny] for ix in range(nx)], vm)
-
-
-def _store_grid(sheet: GridSheet, xs: Sequence, ys: Sequence, grid: Sequence,
-                vm: int) -> GridSheet:
-    """Store the sheet with grid lines ``xs[i]/xs[-1]`` and ``ys[j]/ys[-1]``
-    and values ``grid[i][j]/vm`` (tuples of ints) in ``sheet``; return
-    ``sheet``.  An x-line is redundant iff no row of the grid bends across
-    it, so the x-lines are pruned on the grid at once, and then each kept
-    column is brought to its stored form."""
-    keep = _essential(xs, [[c for v in col for c in v] for col in grid])
-    return _store_sheet(sheet, [xs[k] for k in keep],
-                        [_minimal(ys, grid[k], vm) for k in keep], ())
+    return _store_sheet(sheet, xs, [_minimal(ys, points[ix * ny:ix * ny + ny], vm)
+                                    for ix in range(nx)], range(1, nx - 1))
 
 
 def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
@@ -586,32 +538,37 @@ def _essential(ts: Sequence, lines: Sequence) -> list:
 # reading paths at other paths' breaks
 # ---------------------------------------------------------------------------
 
-def _reduced_locate(breaks: Sequence, t: int) -> tuple:
-    """:func:`locate` with its ratio in lowest terms."""
-    i, w = locate(breaks, t)
-    if w is not None:
-        g = math.gcd(*w)
-        if g != 1:
-            w = (w[0] // g, w[1] // g)
-    return i, w
-
-
-def _values_at(ts: Sequence, vals: Sequence, vm: int, us: Sequence) -> list:
-    """``[(point, d), ...]``: the values of the path with breaks ``ts`` and
-    values ``vals`` over vm at the ascending ints ``us``, each over a d of
-    its own; one walk along both finds the segments :func:`locate` finds."""
+def _segments(ts: Sequence, us: Sequence) -> list:
+    """Where each of the ascending ints ``us`` lies among the strictly
+    increasing ints ``ts``, with ``ts[0] <= us[0]`` and ``us[-1] <= ts[-1]``:
+    ``(i, None)`` when u is ``ts[i]``, else ``(i, (n, d))`` with u the
+    ratio ``n/d``, in lowest terms, of the way from ``ts[i]`` to ``ts[i +
+    1]``.  One walk along both lists."""
     out, i, last = [], 0, len(ts) - 2
     for u in us:
         while i < last and ts[i + 1] <= u:
             i += 1
         t0, t1 = ts[i], ts[i + 1]
         if u == t0 or u == t1:
-            out.append((vals[i if u == t0 else i + 1], vm))
-        else:       # lerp inline, as this loop reads whole grids
+            out.append((i if u == t0 else i + 1, None))
+        else:
             g = math.gcd(u - t0, t1 - t0)
-            a, b = (u - t0) // g, (t1 - t0) // g
-            out.append((tuple([x * (b - a) + y * a
-                               for x, y in zip(vals[i], vals[i + 1])]), vm * b))
+            out.append((i, ((u - t0) // g, (t1 - t0) // g)))
+    return out
+
+
+def _values_at(ts: Sequence, vals: Sequence, vm: int, us: Sequence) -> list:
+    """``[(point, d), ...]``: the values of the path with breaks ``ts`` and
+    values ``vals`` over vm at the ascending ints ``us`` (:func:`_segments`),
+    each over a d of its own."""
+    out = []
+    for i, w in _segments(ts, us):
+        if w is None:
+            out.append((vals[i], vm))
+        else:
+            n, d = w
+            out.append((tuple([x * (d - n) + y * n
+                               for x, y in zip(vals[i], vals[i + 1])]), vm * d))
     return out
 
 
@@ -637,6 +594,33 @@ def _align(paths: Sequence) -> tuple:
             vals = [tuple([c * (vm // d) for c in v]) for v, d in read]
         out.append((vals, vm))
     return us, out
+
+
+def _sum(a: tuple, ka: int, b: tuple, kb: int, k: int) -> tuple:
+    """The path triple ``(ka·a + kb·b)/k`` of the path triples a and b, for
+    ints ``ka``, ``kb`` and ``k > 0``, on the :func:`_union` of their
+    breaks."""
+    us, ((va, ma), (vb, mb)) = _align((a, b))
+    m = math.lcm(ma, mb)
+    sa, sb = ka * (m // ma), kb * (m // mb)
+    return us, [tuple([x * sa + y * sb for x, y in zip(p, q)])
+                for p, q in zip(va, vb)], m * k
+
+
+def _columns_at(sheet: GridSheet, unit: int, xs: Sequence) -> list:
+    """The sheet's column at each of the ascending ints ``xs`` over
+    ``unit``, a multiple of ``sheet._x[-1]``, as a path triple: the stored
+    column on an x-line, else the one n/d of the way from the column before
+    x to the next (:func:`_sum`)."""
+    cols = sheet._c
+    out = []
+    for i, w in _segments(_rescaled(sheet._x, unit), xs):
+        col = cols[i]
+        if w is not None and col != cols[i + 1]:
+            n, d = w
+            col = _sum(col, d - n, cols[i + 1], n, d)
+        out.append(col)
+    return out
 
 
 def _bends(cols: Sequence, dt0: int, dt1: int) -> bool:

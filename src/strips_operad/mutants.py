@@ -25,12 +25,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import intervals, sheets, strips, trees
-from .exact import (AffineMap1, GridSheet, _align, _minimal, _rescaled, _sheet,
-                    _union, locate)
+from .exact import (AffineMap1, GridSheet, _columns_at, _minimal, _rescaled,
+                    _segments, _sheet, _sum, _union)
 from .framework import AlgebraInstance, OperadInstance, RelTwoOperadInstance
 from .intervals import IntervalConfig, interval_compose
-from .sheets import (SheetElement, _columns_at, act_on_sheets,
-                     random_pointed_map)
+from .sheets import SheetElement, act_on_sheets, random_pointed_map
 from .strips import StripConfig, strip_compose
 from .trees import graft, one_step_contractions
 
@@ -86,7 +85,8 @@ def _drifted(sheet: GridSheet) -> GridSheet:
     cells already, so this adds DRIFT times the grid's hat function at the
     centre.  The hat is 0 on every x-line but 1/2, so only the column at
     1/2 changes: it gains a tent in y, DRIFT at 1/2 and 0 from the product
-    grid's y-lines on either side.  Built on the stored ints."""
+    grid's y-lines on either side, added to the column at 1/2 by
+    :func:`~strips_operad.exact._sum`.  Built on the stored ints."""
     unit = math.lcm(sheet._x[-1], 2)
     xs, half = list(_rescaled(sheet._x, unit)), unit // 2
     (col,) = _columns_at(sheet, unit, [half])
@@ -99,12 +99,9 @@ def _drifted(sheet: GridSheet) -> GridSheet:
     tent = ([0] * (lo > 0) + [lo, ym // 2, hi] + [ym] * (hi < ym),
             [zero] * (lo > 0) + [zero, (DRIFT.numerator, *zero[1:]), zero]
             + [zero] * (hi < ym), DRIFT.denominator)
-    us, ((va, ma), (vb, mb)) = _align((col, tent))
-    m = math.lcm(ma, mb)
-    col = _minimal(us, [tuple([a * (m // ma) + b * (m // mb) for a, b in zip(p, q)])
-                        for p, q in zip(va, vb)], m)
+    col = _minimal(*_sum(col, 1, tent, 1, 1))
     cols = list(sheet._c)
-    i, w = locate(xs, half)
+    ((i, w),) = _segments(xs, [half])
     if w is None:
         cols[i] = col
     else:

@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .exact import (AffineMap1, GridSheet, PLPath, _align, _fractions,
-                    _minimal, _over_lcm, _path, _points, _ratios,
-                    _reduced_locate, _rescaled, _sheet, _store_grid,
-                    _values_at, as_point)
+from .exact import (AffineMap1, GridSheet, PLPath, _align, _columns_at,
+                    _fractions, _minimal, _over_lcm, _path, _points, _ratios,
+                    _rescaled, _sheet, _values_at, as_point)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig
 from .strips import StripConfig
@@ -262,27 +261,6 @@ def _play(embs: Sequence[AffineMap1], paths: Sequence[PLPath]) -> Loop:
     return loop
 
 
-def _columns_at(sheet: GridSheet, unit: int, xs: Sequence) -> list:
-    """The sheet's column at each x of ``xs`` (ints over ``unit``), as a
-    path triple: the stored column on an x-line, else the one n/d of the
-    way from the column before x to the next, on the union of their
-    breaks."""
-    cols = sheet._c
-    breaks = _rescaled(sheet._x, unit)
-    out = []
-    for i, w in [_reduced_locate(breaks, x) for x in xs]:
-        col = cols[i]
-        if w is not None and col != cols[i + 1]:
-            n, d = w
-            us, ((va, ma), (vb, mb)) = _align((col, cols[i + 1]))
-            m = math.lcm(ma, mb)
-            sa, sb = (m // ma) * (d - n), (m // mb) * n
-            col = (us, [tuple([x * sa + y * sb for x, y in zip(p, q)])
-                        for p, q in zip(va, vb)], m * d)
-        out.append(col)
-    return out
-
-
 def act_on_sheets(f: PointedMap, config: StripConfig,
                   inputs: Sequence) -> SheetElement:
     """Assemble one sheet element from a chain of them per strip.
@@ -301,7 +279,8 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     the breaks of the junction loops it rests at, in its own units (the
     LCM of their denominators); the first is left out when the strip to its
     left took it.  Each column is one splice in y (:func:`_splice`): inside
-    rectangle j it reads sheet j's column at that x (:func:`_columns_at`),
+    rectangle j it reads sheet j's column at that x
+    (:func:`~strips_operad.exact._columns_at`),
     rescaled into the rectangle; below the first rectangle and above the
     last it rests at junction loop 0 or n pushed through f (once per map,
     :func:`push_loop`), read at x; between two rectangles it runs from the
@@ -508,22 +487,17 @@ def random_sheet_element(f: PointedMap, rng: random.Random,
     xm = math.lcm(GRID, bottom.path._t[-1], top.path._t[-1])
     xs = sorted({*_rescaled(bottom.path._t, xm), *_rescaled(top.path._t, xm),
                  x_cut * (xm // GRID)})
-    # f of each loop at every column, and the grid's values over one
-    # denominator, the LCM of theirs
+    # f of each loop at every column; each column is stored over the LCM of
+    # its own three values' denominators
     lows, highs = [_values_at(_rescaled(path._t, xm), path._v, path._vm, xs)
                    for path in (push_loop(f, bottom), push_loop(f, top))]
-    p, pm = f._p
-    m = math.lcm(pm, 4, *[d for _, d in lows], *[d for _, d in highs])
-    grid = []
-    for x, (low, low_d), (high, high_d) in zip(xs, lows, highs):
-        if x == 0 or x == xm:
-            inner = tuple([c * (m // pm) for c in p])
-        else:
-            inner = tuple([c * (m // 4) for c in _random_quarters(rng, f.dim_out)])
-        grid.append((tuple([c * (m // low_d) for c in low]), inner,
-                     tuple([c * (m // high_d) for c in high])))
-    sheet = _store_grid(object.__new__(GridSheet), xs, (0, y_cut, GRID), grid, m)
-    return SheetElement(sheet, bottom, top)
+    cols = []
+    for x, low, high in zip(xs, lows, highs):
+        inner = f._p if x == 0 or x == xm else (_random_quarters(rng, f.dim_out), 4)
+        m = math.lcm(low[1], inner[1], high[1])
+        cols.append(_minimal((0, y_cut, GRID), [tuple([c * (m // d) for c in v])
+                                                for v, d in (low, inner, high)], m))
+    return SheetElement(_sheet(xs, cols), bottom, top)
 
 
 def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> PointedMap:

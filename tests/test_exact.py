@@ -10,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
-                                 _affine1, _locate_rat, _minimal, _path,
-                                 _sheet, locate)
+                                 _affine1, _minimal, _path, _segments, _sheet)
 
 from helpers import (constant_path, constant_sheet, path_presentation,
                      positive_scales, rationals, sheet_presentation,
@@ -577,79 +576,119 @@ def test_trusted_builders_match_the_public_constructors():
             _assert_same_object(edge, PLPath(xb, tuple(c[iy] for c in grid)))
 
 
-def _assert_locate_agrees_on_ints(breaks: list, ts: list) -> None:
-    # the same points scaled to ints by one common denominator give the same
-    # index and the same ratio, and the ratio puts t where it is
-    m = math.lcm(*[x.denominator for x in breaks + ts])
-    ints = [(b * m).numerator for b in breaks]
-    for t in ts:
-        i, w = locate(breaks, t)
-        j, v = locate(ints, (t * m).numerator)
-        assert j == i
-        if w is None:
-            assert v is None and i >= 0 and t == breaks[i]
-            continue
-        assert 0 <= i <= len(breaks) - 2
-        if breaks[0] < t < breaks[-1]:
-            assert breaks[i] < t < breaks[i + 1]
-        assert all(type(x) is int for x in v)
-        assert all(type(x) is F for x in w)
-        assert F(*v) == w[0] / w[1]
-        assert breaks[i] + F(*v) * (breaks[i + 1] - breaks[i]) == t
+def _bisect_segment(breaks: tuple, t: F) -> tuple:
+    """The segment of t among the increasing Fractions ``breaks``, by a
+    plain bisection: ``(i, None)`` when t is ``breaks[i]``, else ``(i, r)``
+    with t the ratio r of the way from ``breaks[i]`` to ``breaks[i + 1]``."""
+    lo, hi = 0, len(breaks) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if breaks[mid] <= t:
+            lo = mid
+        else:
+            hi = mid
+    for i in (lo, hi):
+        if t == breaks[i]:
+            return i, None
+    return lo, (t - breaks[lo]) / (breaks[lo + 1] - breaks[lo])
 
 
-def test_locate_on_ints_matches_locate_on_fractions():
-    rng = random.Random("locate-ints")
-    for _ in range(200):
-        breaks = sorted({_big_rational(rng) for _ in range(rng.randint(2, 6))})
-        if len(breaks) < 2:
-            continue
-        # the breaks themselves, points between them, and points past either end
-        ts = breaks + [_big_rational(rng) for _ in range(rng.randint(0, 12))]
-        ts += [breaks[0] - 1, breaks[-1] + F(1, 3)]
-        _assert_locate_agrees_on_ints(breaks, ts)
+def _interpolate(breaks: tuple, values: tuple, t: F) -> tuple:
+    """The value at t of the path through ``values`` at ``breaks``, on
+    Fractions."""
+    i, r = _bisect_segment(breaks, t)
+    if r is None:
+        return values[i]
+    return tuple(a + r * (b - a) for a, b in zip(values[i], values[i + 1]))
 
 
-@given(st.lists(st.fractions(max_denominator=2**50), min_size=2, max_size=6,
-                unique=True),
-       st.lists(st.fractions(max_denominator=2**50), max_size=8))
-def test_locate_on_ints_matches_locate_on_fractions_hypothesis(breaks, ts):
-    breaks.sort()
-    _assert_locate_agrees_on_ints(breaks, breaks + ts)
+def _unit_points(rng: random.Random, breaks: tuple) -> list:
+    """Points of [0, 1] to read at: the breaks, halfway between them,
+    anywhere between, and both ends again."""
+    mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+    return list(breaks) + mids + _big_cuts(rng, rng.randint(0, 8)) + [F(0), F(1)]
 
 
+def _assert_segments_agree(breaks: tuple, ts: list) -> None:
+    # _segments on the breaks and points over one denominator puts each
+    # point where the bisection on Fractions does, its ratio in lowest terms
+    m = math.lcm(*[x.denominator for x in (*breaks, *ts)])
+    us = sorted(ts)
+    got = _segments([(b * m).numerator for b in breaks],
+                    [(t * m).numerator for t in us])
+    assert len(got) == len(us)
+    for t, (i, w) in zip(us, got):
+        j, r = _bisect_segment(breaks, t)
+        assert i == j
+        if r is None:
+            assert w is None
+        else:
+            n, d = w
+            assert type(n) is int and type(d) is int
+            assert 0 < n < d and math.gcd(n, d) == 1
+            assert F(n, d) == r
 
-def _assert_locate_rat_agrees(breaks: tuple, ts: list) -> None:
-    # _locate_rat on the stored ints gives what locate gives on the breaks
-    # scaled by the denominator of t, and puts t where locate on the
-    # Fractions does, at the same ratio
-    m = math.lcm(*[b.denominator for b in breaks])
-    ints = tuple((b * m).numerator for b in breaks)
-    for t in ts:
-        got = _locate_rat(ints, t)
-        assert got == locate([k * t.denominator for k in ints], t.numerator * m)
-        i, w = locate(breaks, t)
-        assert got[0] == i and (got[1] is None) == (w is None)
-        if w is not None:
-            assert F(*got[1]) == w[0] / w[1]
 
-
-def test_locate_rat_matches_locate_on_fractions():
-    rng = random.Random("locate-rat")
+def test_segments_match_fraction_bisection():
+    rng = random.Random("segments")
     for _ in range(300):
         breaks = (F(0), *_big_cuts(rng, rng.randint(0, 6)), F(1))
-        # on the breaks, halfway between them, anywhere between, at the ends
-        mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
-        ts = list(breaks) + mids + _big_cuts(rng, rng.randint(0, 8)) + [F(0), F(1)]
-        _assert_locate_rat_agrees(breaks, ts)
+        _assert_segments_agree(breaks, _unit_points(rng, breaks))
+    for _ in range(100):    # breaks anywhere on the line, points between them
+        breaks = tuple(sorted({_big_rational(rng) for _ in range(rng.randint(2, 6))}))
+        if len(breaks) < 2:
+            continue
+        lo, hi = breaks[0], breaks[-1]
+        ts = [lo + c * (hi - lo) for c in _unit_points(rng, (F(0), F(1)))]
+        _assert_segments_agree(breaks, list(breaks) + ts)
 
 
 @given(st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=6,
                 unique=True),
        st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=8))
-def test_locate_rat_matches_locate_on_fractions_hypothesis(cuts, ts):
+def test_segments_match_fraction_bisection_hypothesis(cuts, ts):
     breaks = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
-    _assert_locate_rat_agrees(breaks, list(breaks) + ts)
+    _assert_segments_agree(breaks, list(breaks) + ts)
+
+
+def _assert_at_interpolates(xb: tuple, yb: tuple, grid: tuple, xs: list,
+                            ys: list) -> None:
+    # a path and a sheet read at a Fraction give plain Fraction interpolation
+    # of the presentation they were built from
+    path = PLPath(yb, grid[0])
+    for y in ys:
+        assert path.at(y) == _interpolate(yb, grid[0], y)
+    sheet = GridSheet(xb, yb, grid)
+    for x in xs:
+        for y in ys:
+            across = tuple(_interpolate(yb, col, y) for col in grid)
+            assert sheet.at(x, y) == _interpolate(xb, across, x)
+
+
+def test_at_matches_fraction_interpolation():
+    rng = random.Random("at")
+    for _ in range(60):
+        dim = rng.randint(0, 2)
+        xb = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
+        yb = (F(0), *_big_cuts(rng, rng.randint(0, 3)), F(1))
+        pts = [tuple(_big_rational(rng) for _ in range(dim)) for _ in range(3)]
+        grid = tuple(tuple(rng.choice(pts) for _ in yb) for _ in xb)
+        _assert_at_interpolates(xb, yb, grid, _unit_points(rng, xb),
+                                _unit_points(rng, yb))
+
+
+@given(st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=3,
+                unique=True),
+       st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=3,
+                unique=True),
+       st.lists(st.fractions(F(0), F(1), max_denominator=2**61 - 1), max_size=4),
+       st.randoms(use_true_random=False))
+def test_at_matches_fraction_interpolation_hypothesis(xcuts, ycuts, ts, rng):
+    xb = (F(0), *sorted({c for c in xcuts if F(0) < c < F(1)}), F(1))
+    yb = (F(0), *sorted({c for c in ycuts if F(0) < c < F(1)}), F(1))
+    grid = tuple(tuple((F(rng.randint(-9, 9), rng.choice(DENOMINATORS)),)
+                       for _ in yb) for _ in xb)
+    _assert_at_interpolates(xb, yb, grid, list(xb) + ts, list(yb) + ts)
 
 
 # --- the int storage against plain Fraction arithmetic -------------------------

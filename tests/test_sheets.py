@@ -10,6 +10,7 @@ from strips_operad.framework import (ChainError, random_algebra_elements,
                                      random_algebra_plan, run_algebra_check)
 from strips_operad.intervals import (IntervalConfig, grid_embeddings,
                                      interval_unit)
+from strips_operad.serialize import sheet_from_json, sheet_to_json
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
                                   act_on_loops, act_on_sheets,
                                   push_loop, random_loop, random_pointed_map,
@@ -190,6 +191,12 @@ def test_random_sheet_element_is_valid():
         for _ in range(10):
             elem = random_sheet_element(f, rng)
             assert sheet_violation(f, elem) is None
+            # the columns built directly are stored as the constructor and
+            # the JSON decoder store the product grid they present
+            s = elem.sheet
+            for twin in (GridSheet(s.x_breaks, s.y_breaks, s.values),
+                         sheet_from_json(sheet_to_json(s))):
+                assert twin == s and hash(twin) == hash(s)
 
 
 def test_random_sheet_element_rejects_a_foreign_source_before_drawing():
