@@ -15,9 +15,12 @@ its interval and resting at q elsewhere.  A strip configuration acts on chains
 of sheet elements (one chain per strip, matched end-to-start; a bare loop for
 an empty strip) by inserting each sheet into its rectangle, filling the rest
 of its strip with the junction loops pushed through f, and filling columns
-outside all strips with p.  Both are one splice (:func:`_splice`): lay paths
-into disjoint subintervals and rest at a given value between them, in x for
-loops, and in y for each column of the output sheet.
+outside all strips with p.  For a valid element the pushed junction loops
+are its sheets' bottom and top edges, so a strip with rectangles is read
+from its sheets alone, and only an empty strip shows a pushed loop.  Both
+actions are one splice (:func:`_splice`): lay paths into disjoint
+subintervals, run straight between them and rest at the ends of the first
+and the last, in x for loops, and in y for each column of the output sheet.
 """
 from __future__ import annotations
 
@@ -124,12 +127,11 @@ class Loop:
         return self.path.at(t)
 
 
-def _based_at(loop: Loop, base: tuple) -> bool:
-    """Whether the loop starts at ``base = (ints, m)`` of its dimension,
-    decided by cross-multiplying."""
-    (q, m), path = base, loop.path
-    vm = path._vm
-    return [c * m for c in path._v[0]] == [c * vm for c in q]
+def _is_point(v: tuple, vm: int, point: tuple) -> bool:
+    """Whether the point ``v/vm`` (ints) is ``point = (ints, m)`` of its
+    dimension, decided by cross-multiplying."""
+    q, m = point
+    return [c * m for c in v] == [c * vm for c in q]
 
 
 def _loop_defect(f: PointedMap, loop: Loop, what: str) -> Optional[str]:
@@ -137,7 +139,7 @@ def _loop_defect(f: PointedMap, loop: Loop, what: str) -> Optional[str]:
     source (its dimension first, then its basepoint), or None when it is."""
     if loop.dim != f.dim_in:
         return f"{what} dimension {loop.dim}, expected {f.dim_in}"
-    if not _based_at(loop, f._q):
+    if not _is_point(loop.path._v[0], loop.path._vm, f._q):
         return f"{what} based at {loop.basepoint}, expected {f.dom_base}"
     return None
 
@@ -153,20 +155,11 @@ class SheetElement:
 
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:
     """The loop carried into the target space, its breaks kept and each
-    value mapped on ints.
-
-    Each (map, loop) pair is pushed once: the result is kept on the loop,
-    outside its fields, keyed by the identity of the map.  The entry holds
-    the map itself, so that identity cannot pass to another map while the
-    entry lives.
-    """
-    memo = loop.__dict__.setdefault("_pushed", {})
-    hit = memo.get(id(f))
-    if hit is None:
-        path = loop.path
-        vm = path._vm
-        hit = memo[id(f)] = (f, _path(path._t, f._images(path._v, vm), f._den * vm))
-    return hit[1]
+    value mapped on ints, less the breaks where the image does not bend.
+    Nothing is kept on the loop: each call maps it again."""
+    path = loop.path
+    vm = path._vm
+    return _path(path._t, f._images(path._v, vm), f._den * vm)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +193,22 @@ def _embedded(emb: AffineMap1, ts: Sequence, m: int) -> list:
     return [a * t + c for t in ts]
 
 
-def _splice(pieces: Sequence, below: tuple, above: tuple, m: int) -> tuple:
+def _splice(pieces: Sequence, m: int) -> tuple:
     """``(ts, vals, vm)``: the path on [0, m] that plays each piece ``(ts,
     vals, vm)`` over its own span and runs straight from one piece's end to
-    the next one's start.  Where no piece reaches 0 or m it starts at
-    ``below`` or ends at ``above``, each ``(point, d)``.  Breaks are ints
-    over m, strictly increasing within a piece, and each piece ends no
-    later than the next starts; a point two pieces share takes the lower
-    one's value.  The values go to the LCM of the denominators met."""
+    the next one's start.  Before the first piece it rests at that piece's
+    start, and after the last at that piece's end.  There is at least one
+    piece; breaks are ints over m, strictly increasing within a piece, and
+    each piece ends no later than the next starts; a point two pieces share
+    takes the lower one's value.  The values go to the LCM of the
+    denominators met."""
     parts = pieces       # the caller's own list, which this grows
-    if not parts or parts[0][0][0]:
-        parts.insert(0, ((0,), (below[0],), below[1]))
+    if parts[0][0][0]:
+        _, vals, vm = parts[0]
+        parts.insert(0, ((0,), vals[:1], vm))
     if parts[-1][0][-1] != m:
-        parts.append(((m,), (above[0],), above[1]))
+        _, vals, vm = parts[-1]
+        parts.append(((m,), vals[-1:], vm))
     vm = math.lcm(*[part[2] for part in parts])
     ts, vals = [], []
     for pts, points, pm in parts:
@@ -242,7 +238,7 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
         raise ValueError("loops live in different dimensions")
     first = loops[0].path
     base = (first._v[0], first._vm)
-    if not all(_based_at(loop, base) for loop in loops):
+    if not all(_is_point(loop.path._v[0], loop.path._vm, base) for loop in loops):
         raise ValueError("loops must share a basepoint")
     _check_spans(config.embeddings, "interval", "left to right")
     return _play(config.embeddings, [loop.path for loop in loops])
@@ -253,11 +249,10 @@ def _play(embs: Sequence[AffineMap1], paths: Sequence[PLPath]) -> Loop:
     basepoint) in the intervals ``embs`` (checked), without checking them
     again."""
     xm = math.lcm(*[e.d * path._t[-1] for e, path in zip(embs, paths)])
-    base = (paths[0]._v[0], paths[0]._vm)
     pieces = [(_embedded(emb, path._t, xm), path._v, path._vm)
               for emb, path in zip(embs, paths)]
-    loop = object.__new__(Loop)     # closed: it starts and ends at base
-    object.__setattr__(loop, "path", _path(*_splice(pieces, base, base, xm)))
+    loop = object.__new__(Loop)     # closed: every path starts and ends at base
+    object.__setattr__(loop, "path", _path(*_splice(pieces, xm)))
     return loop
 
 
@@ -275,21 +270,26 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     shared by two strips or two rectangles belongs to the left or lower one.
 
     Everything is computed on the stored ints, one output column at a
-    time.  A strip's columns are the x-lines of its rectangles' sheets and
-    the breaks of the junction loops it rests at, in its own units (the
-    LCM of their denominators); the first is left out when the strip to its
+    time.  A strip with rectangles is read from its sheets alone: its
+    columns are the union of its sheets' x-lines, in its own units (the LCM
+    of their denominators); the first is left out when the strip to its
     left took it.  Each column is one splice in y (:func:`_splice`): inside
     rectangle j it reads sheet j's column at that x
-    (:func:`~strips_operad.exact._columns_at`),
-    rescaled into the rectangle; below the first rectangle and above the
-    last it rests at junction loop 0 or n pushed through f (once per map,
-    :func:`push_loop`), read at x; between two rectangles it runs from the
-    lower sheet's top to the upper one's bottom, which for valid inputs is
-    junction loop g's value, so it rests there.  Outside every strip the
-    column is p.  Each column carries its own denominators.  A sheet's
-    interior x-line bends in the output, and so does a break of a loop a
-    column rests at, so only the columns on the strips' edges can turn out
-    redundant (:func:`~strips_operad.exact._store_sheet`).
+    (:func:`~strips_operad.exact._columns_at`), rescaled into the
+    rectangle; below the first rectangle it rests at the lowest sheet's
+    bottom value and above the last at the highest sheet's top value;
+    between two rectangles it runs from the lower sheet's top to the upper
+    one's bottom.  For a valid element those values are junction loop 0, n
+    and g pushed through f, and a minimal sheet keeps an x-line wherever its
+    bottom or top edge bends, so the pushed loops add no column.  An element
+    whose sheet edge is not f of its loop yields the sheet's edge there.
+    An empty strip is its junction loop pushed through f
+    (:func:`push_loop`), constant in y, with a column at each of its
+    breaks.  Outside every strip the column is p.  Each column carries its
+    own denominators.  A sheet's interior x-line bends in the output, and
+    so does a break of a pushed loop, so only the columns on the strips'
+    edges can turn out redundant
+    (:func:`~strips_operad.exact._store_sheet`).
     """
     r = config.arity
     if len(inputs) != r:
@@ -334,53 +334,43 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     for i, rects in enumerate(config.rects):
         _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
 
-    # per strip, the pushed junction loops its columns rest at: loop 0 below
-    # the first rectangle and loop n above the last, where those leave room
-    rests = []
-    for loops, rects in zip(junctions, config.rects):
-        low = not rects or rects[0].cn
-        high = not rects or rects[-1].an + rects[-1].cn < rects[-1].d
-        rests.append((push_loop(f, loops[0]) if low else None,
-                      push_loop(f, loops[-1]) if high else None))
-    # each strip's own units: the LCM of its sources' x denominators
-    units = [math.lcm(*[e.sheet._x[-1] for e in elems],
-                      *[path._t[-1] for path in ends if path])
-             for elems, ends in zip(chains, rests)]
+    # an empty strip shows its loop pushed through f, and each strip has
+    # its own units: the LCM of its sheets' x denominators, or the pushed
+    # loop's
+    pushed = [None if elems else push_loop(f, loops[0])
+              for loops, elems in zip(junctions, chains)]
+    units = [path._t[-1] if path else math.lcm(*[e.sheet._x[-1] for e in elems])
+             for elems, path in zip(chains, pushed)]
     xm = math.lcm(*[emb.d * unit for emb, unit in zip(embs, units)])
 
     p, pm = f._p
     outside = _minimal((0, 1), (p, p), pm)
     xs, cols, edges = [], [], set()
-    strips = zip(embs, units, chains, config.rects, rests)
+    strips = zip(embs, units, chains, config.rects, pushed)
     if not f.dim_out:               # Q^0 is a point, so is every sheet in it
         xs, cols, strips = [0, xm], [outside, outside], ()
     elif embs[0].cn:                # the first strip starts right of 0
         xs.append(0)
         cols.append(outside)
-    for emb, unit, elems, rects, ends in strips:
+    for emb, unit, elems, rects, path in strips:
         sheets = [e.sheet for e in elems]
-        xcols = sorted({x for ts in [s._x for s in sheets] + [
-            path._t for path in ends if path] for x in _rescaled(ts, unit)})
+        xcols = path._t if path else sorted(
+            {x for s in sheets for x in _rescaled(s._x, unit)})
         images = _embedded(emb, xcols, xm)
         first = 1 if xs and images[0] == xs[-1] else 0  # the left strip's
         xs.extend(images[first:])
         edges.add(len(cols) - first)      # the strip's left edge
-        if not sheets:      # the pushed loop at its own breaks, constant in y
-            path = ends[0]
+        if path:            # the pushed loop at its own breaks, constant in y
             cols.extend([_minimal((0, 1), (v, v), path._vm)
                          for v in path._v[first:]])
-            edges.add(len(cols) - 1)
-            continue
-        # each rest loop and each sheet read once along the strip's columns
-        low, high = [_values_at(_rescaled(path._t, unit), path._v, path._vm, xcols)
-                     if path else [None] * len(xcols) for path in ends]
-        reads = [_columns_at(s, unit, xcols) for s in sheets]
-        ym = math.lcm(*[rect.d * math.lcm(*[ts[-1] for ts, _, _ in s._c])
-                        for rect, s in zip(rects, sheets)])
-        for c in range(first, len(xcols)):
-            pieces = [(_embedded(rect, read[c][0], ym), read[c][1], read[c][2])
-                      for rect, read in zip(rects, reads)]
-            cols.append(_minimal(*_splice(pieces, low[c], high[c], ym)))
+        else:               # each sheet read once along the strip's columns
+            reads = [_columns_at(s, unit, xcols) for s in sheets]
+            ym = math.lcm(*[rect.d * math.lcm(*[ts[-1] for ts, _, _ in s._c])
+                            for rect, s in zip(rects, sheets)])
+            for c in range(first, len(xcols)):
+                cols.append(_minimal(*_splice(
+                    [(_embedded(rect, read[c][0], ym), read[c][1], read[c][2])
+                     for rect, read in zip(rects, reads)], ym)))
         edges.add(len(cols) - 1)
     if xs[-1] != xm:                # the last strip ends left of 1
         xs.append(xm)
@@ -409,15 +399,15 @@ def sheet_violation(f: PointedMap, elem: SheetElement) -> Optional[str]:
             return defect
     if elem.sheet.dim != f.dim_out:
         return f"sheet dimension {elem.sheet.dim}, expected {f.dim_out}"
-    (p, pm), sheet = f._p, elem.sheet
+    sheet = elem.sheet
     for edge, k in (("left", 0), ("right", -1)):
         _, vals, vm = sheet._c[k]
-        if any([c * pm for c in v] != [c * vm for c in p] for v in vals):
+        if not all(_is_point(v, vm, f._p) for v in vals):
             # name the first height of the product grid where it is not p
             ys, read = _align(sheet._c)
             col, vm = read[k]
             for y, v in zip(ys, col):
-                if [c * pm for c in v] != [c * vm for c in p]:
+                if not _is_point(v, vm, f._p):
                     return (f"{edge} edge value {_fractions(v, vm)} at height "
                             f"{Fraction(y, ys[-1])}, expected the basepoint "
                             f"{f.cod_base}")

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 import weakref
 from typing import Callable, Iterator, Optional, Sequence
 
-from .framework import OperadInstance, _randbelow
+from .framework import OperadInstance
 
 
 class _Ref(weakref.ref):
@@ -210,26 +209,27 @@ def random_tree(r: int, rng: random.Random) -> PlanarTree:
     the cuts between its parts are ``sample(range(1, r), degree - 1)``, and
     each part of more than one leaf is drawn the same way.
 
-    The draws read ``rng.getrandbits`` exactly as those two calls do on
-    CPython 3.10-3.13, so they consume the same words and give the same
-    trees; ``tests/test_trees.py`` checks this against the running
-    interpreter's ``random``.  A tree of at most four leaves, and every part
-    of at most four leaves, is read off a table of those draws (see
-    ``_draw_trie``), word for word.
+    A tree of more than four leaves makes those two calls on ``rng``.  A
+    tree of at most four leaves, and every part of at most four leaves, is
+    read off a table of their draws (see ``_draw_trie``): it reads
+    ``rng.getrandbits`` exactly as the two calls do on CPython 3.10-3.13, so
+    it consumes the same words and gives the same trees;
+    ``tests/test_trees.py`` checks this against the running interpreter's
+    ``random``.
     """
     if r < 1:
         raise ValueError("trees have at least one leaf")
-    return _random_tree(r, rng.getrandbits)
+    return _random_tree(r, rng)
 
 
 def _draw_trie(r: int, then: Callable[[PlanarTree], object]):
     """The trie of the draws of an r-leaf tree, each leaf ``then(tree)``.
 
-    A node ``(k, n, children)`` is one ``_randbelow(n)``: a word of
+    A node ``(k, n, children)`` is one ``Random._randbelow(n)``: a word of
     ``k = n.bit_length()`` bits, redrawn at the same node while it is at
     least n, and the word v leads to ``children[v]``.  The degree comes
-    first, then the pool swaps of ``_sample_range``, then the parts, left to
-    right."""
+    first, then the pool swaps of ``random.sample``, then the parts, left
+    to right."""
     if r == 1:
         return then(LEAF)
 
@@ -265,9 +265,9 @@ _TRIES = (None, LEAF, *(_draw_trie(r, lambda t: t) for r in range(2, 5)))
 _TRIE_MAX = len(_TRIES) - 1
 
 
-def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
+def _random_tree(r: int, rng: random.Random) -> PlanarTree:
     if r <= _TRIE_MAX:
-        node = _TRIES[r]
+        node, bits = _TRIES[r], rng.getrandbits
         while node.__class__ is tuple:
             k, n, children = node
             v = bits(k)
@@ -275,41 +275,15 @@ def _random_tree(r: int, bits: Callable[[int], int]) -> PlanarTree:
                 v = bits(k)
             node = children[v]
         return node
-    n = r - 1
-    cuts = _sample_range(bits, n, _randbelow(bits, n) + 1)   # randint(2, r) - 1
+    cuts = rng.sample(range(1, r), rng.randint(2, r) - 1)
     cuts.sort()
     cuts.append(r)
     children = []
     prev = 0
     for c in cuts:
-        children.append(_random_tree(c - prev, bits))
+        children.append(_random_tree(c - prev, rng))
         prev = c
     return PlanarTree(children)
-
-
-def _sample_range(bits: Callable[[int], int], n: int, k: int) -> list:
-    """``sample(range(1, n + 1), k)`` for 1 <= k <= n, word for word: a pool
-    swap while the population is no larger than a k-element set would be,
-    else redraws against the values already taken."""
-    setsize = 21
-    if n > setsize and k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    out = []
-    if n <= setsize:
-        pool = list(range(1, n + 1))
-        for m in range(n, n - k, -1):
-            j = _randbelow(bits, m)
-            out.append(pool[j])
-            pool[j] = pool[m - 1]
-    else:
-        taken = set()
-        for _ in range(k):
-            j = _randbelow(bits, n)
-            while j in taken:
-                j = _randbelow(bits, n)
-            taken.add(j)
-            out.append(j + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

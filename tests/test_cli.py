@@ -258,6 +258,17 @@ TREES_OUTPUT_SHA256 = {
     ("check", "trees", "--seed", "3", "--cases", "20", "--max-r", "4",
      "--mutate"):
         "dd42ce1f95488534218655a65e7a586fbdd4fdbb15f5680f9a1d69c527771b7b",
+    # past four leaves a tree is drawn by ``random.sample``, not a draw table
+    ("check", "trees", "--seed", "1", "--cases", "5", "--max-r", "6"):
+        "2d0be1c0617ab1e0f3f32a8461a602698d0e5d3d0d696620e801d6b3f213a844",
+    ("check", "trees", "--seed", "1", "--cases", "5", "--max-r", "6",
+     "--mutate"):
+        "2883a389759afabe56b15378cee0801f0dfa788193f348ea8c979dae3465fc5c",
+    ("check", "trees", "--seed", "2", "--cases", "5", "--max-r", "6"):
+        "1579c9c2c16437229b3224bb2805fa2248a7a319f64da2b6525724ee700fc910",
+    ("check", "trees", "--seed", "2", "--cases", "5", "--max-r", "6",
+     "--mutate"):
+        "a8d4001fe5f65cea803dad5df4b2a64916e40195e67d313f8effbcf9794a32c7",
     ("check", "trees", "--exhaustive", "--max-r", "2"):
         "3334b6f83f84cea71c47bbbb9af8fe56c636829562c1d92ff79d3a8988c7a016",
     ("check", "trees", "--exhaustive", "--max-r", "2", "--mutate"):

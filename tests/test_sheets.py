@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from strips_operad import mutants
+from strips_operad import mutants, sheets
 from strips_operad.exact import AffineMap1, GridSheet, PLPath
 from strips_operad.framework import (ChainError, random_algebra_elements,
                                      random_algebra_plan, run_algebra_check)
@@ -544,8 +544,8 @@ STILL = _loop((0, F(1, 3), F(2, 3), 1), (F(0), F(1)), (F(0), F(-2)))
 
 
 def test_actions_match_reference_when_the_map_flattens_a_loop():
-    # the junction loops in the gaps push to paths with fewer breaks than
-    # they have, and the strips take their columns from the pushed paths
+    # the junction loops push to paths with fewer breaks than they have,
+    # and an empty strip takes its columns from its pushed path
     f = _flattening_map()
     for loop in (BEND, STILL):
         assert len(push_loop(f, loop).breaks) < len(loop.path.breaks)
@@ -574,6 +574,40 @@ def test_an_empty_strip_sees_only_the_pushed_loop():
         b = act_on_sheets(f, config, (other, (elem,)))
         assert a.sheet == b.sheet
         assert a.bottom != b.bottom and a.top != b.top
+
+
+def test_strips_with_rectangles_push_no_loop(monkeypatch):
+    # a strip with rectangles is read from its sheets alone, also where its
+    # rectangles leave room below or above it; only an empty strip pushes
+    # its loop through f
+    pushes = []
+
+    def counted(f, loop):
+        pushes.append(loop)
+        return push_loop(f, loop)
+
+    monkeypatch.setattr(sheets, "push_loop", counted)
+    rng = random.Random(149)
+    gaps = 0
+    for _ in range(30):
+        f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
+        r = rng.randint(1, 3)
+        shape = tuple(rng.randint(1, 3) for _ in range(r))
+        base = IntervalConfig(grid_embeddings(r, rng, rng.choice((2 * r, 4096))))
+        config = StripConfig(shape, base, tuple(
+            grid_embeddings(n, rng, rng.choice((2 * n, 4096))) for n in shape))
+        inputs = chain_inputs(f, config, rng)     # the sampler pushes loops
+        pushes.clear()
+        act_on_sheets(f, config, inputs)
+        assert pushes == []
+        gaps += any(rects[0].cn or rects[-1].an + rects[-1].cn < rects[-1].d
+                    for rects in config.rects)
+    assert gaps >= 10
+    config = random_strip((1, 0), seed=151)
+    chain, loop = chain_inputs(f, config, rng)
+    pushes.clear()
+    act_on_sheets(f, config, (chain, loop))
+    assert pushes == [loop]
 
 
 def test_a_foreign_loop_is_named_alike_by_action_check_and_sampler():

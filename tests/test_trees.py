@@ -389,16 +389,6 @@ def test_random_tree_matches_randint_and_sample(forwarded):
             assert drawn.calls > 0
 
 
-def test_sample_of_a_range_reads_getrandbits_like_the_replica():
-    for r in range(2, 41):
-        for k in range(1, r):
-            a, b = random.Random(f"sample:{r}:{k}"), random.Random(f"sample:{r}:{k}")
-            for _ in range(3):
-                assert (a.sample(range(1, r), k)
-                        == trees._sample_range(b.getrandbits, r - 1, k)), (r, k)
-            assert a.getstate() == b.getstate(), (r, k)
-
-
 # Trees of up to four leaves are read off a trie of their draws.  The oracle
 # below walks every branch of each trie with a scripted ``getrandbits``,
 # putting a rejected word (at least the node's bound) before every other
