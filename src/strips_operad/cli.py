@@ -14,8 +14,8 @@ also exit 2 on a malformed document: one that is not a JSON object, one
 nested too deeply to read, a rational that is not an int or a string such
 as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
 refused), a string or an object where an array belongs, a rectangle off its
-strip, or a ``$file`` that splices in itself; ``render`` also exits 2 on a
-coordinate too large for a float.
+strip, or a ``$file`` that is not a string or splices in itself;
+``render`` also exits 2 on a coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans and a ``--max-r`` above ``MAX_CHECK_ARITY``: three stages of arity r
@@ -183,6 +183,8 @@ def _load_plan(path: Path) -> dict:
         if isinstance(node, dict):
             if "$file" in node:
                 name = node["$file"]
+                if not isinstance(name, str):
+                    raise ValueError(f"$file {name!r} is not a file name")
                 f = (path.parent / name).resolve()
                 if f in open_files:
                     raise ValueError(f"$file {name!r} splices in itself")

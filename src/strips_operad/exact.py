@@ -15,15 +15,17 @@ a grid line may stop instead of crossing the square).  So the actions in
 :mod:`strips_operad.sheets` evaluate, prune, compare and build them on ints,
 one column at a time: one walk, :func:`_segments`, finds where points fall
 among breaks, one weighted sum, :func:`_sum`, mixes two columns, and every
-sheet is stored from minimal columns by :func:`_store_sheet`, which alone
-decides which x-lines stay.  Every value is stored in the one form its function
-has (the normal triple, or the minimal breakpoint sets, which each
-constructor prunes to, with every denominator reduced), so ``==`` and
-``hash`` are those of the underlying functions.  That is the property the
-law checkers in :mod:`strips_operad.framework` rely on.  A public
-constructor and a JSON decoder check and store through the same routines
-on reduced int pairs, so ``Fraction``s are built only where a coordinate is
-read: in the public accessors, ``at``, ``repr`` and error messages.
+sheet is stored from minimal columns by :func:`_sheet`, which alone decides
+which x-lines stay.  Every value is stored in the one form its function has
+(the normal triple, or the minimal breakpoint sets, with every denominator
+reduced), so ``==`` and ``hash`` are those of the underlying functions.
+That is the property the law checkers in :mod:`strips_operad.framework`
+rely on.  Each class has one private builder on ints, :func:`_affine1`,
+:func:`_path` or :func:`_sheet`.  A constructor and a JSON decoder check
+reduced int pairs in one ``_init_*`` routine, which hands them to the
+builder (:func:`_init_affine1`, whose pairs are reduced, sets the slots
+itself), so ``Fraction``s are built only where a coordinate is read: in
+the public accessors, ``at``, ``repr`` and error messages.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ def _fractions(point, den: int) -> tuple[Fraction, ...]:
 
 class _Frozen:
     """Immutable instances: each slot is written once, through the slot's
-    own setter, by the constructor or a private builder."""
+    own setter, by a private builder of its class."""
 
     __slots__ = ()
 
@@ -117,9 +119,9 @@ class AffineMap1(_Frozen):
 
     __slots__ = ("an", "cn", "d")
 
-    def __init__(self, a, c):
-        _init_affine1(self, as_rat(a).as_integer_ratio(),
-                      as_rat(c).as_integer_ratio())
+    def __new__(cls, a, c):
+        return _init_affine1(as_rat(a).as_integer_ratio(),
+                             as_rat(c).as_integer_ratio())
 
     def __reduce__(self):
         return (_affine1, (self.an, self.cn, self.d))
@@ -181,13 +183,14 @@ _SET_CN = AffineMap1.cn.__set__
 _SET_D = AffineMap1.d.__set__
 
 
-def _init_affine1(m: AffineMap1, a: tuple, c: tuple) -> AffineMap1:
-    """Check and store in ``m`` the map ``x |-> a*x + c`` for reduced pairs
-    ``(n, d)``, which make the triple reduced too; return ``m``."""
+def _init_affine1(a: tuple, c: tuple) -> AffineMap1:
+    """The map ``x |-> a*x + c``, checked, for reduced pairs ``(n, d)``,
+    which make the triple reduced too, so no gcd is taken."""
     (an, ad), (cn, cd) = a, c
     if an <= 0:
         raise ValueError(f"affine scale must be positive, got {Fraction(an, ad)}")
     d = math.lcm(ad, cd)
+    m = object.__new__(AffineMap1)
     _SET_AN(m, an * (d // ad))
     _SET_CN(m, cn * (d // cd))
     _SET_D(m, d)
@@ -196,8 +199,8 @@ def _init_affine1(m: AffineMap1, a: tuple, c: tuple) -> AffineMap1:
 
 def _affine1(an: int, cn: int, d: int) -> AffineMap1:
     """The :class:`AffineMap1` ``x |-> (an*x + cn)/d`` from ints with
-    ``an > 0`` and ``d > 0``, reduced to its normal form by one gcd, built
-    without the constructor's coercion and sign test."""
+    ``an > 0`` and ``d > 0``, reduced to its normal form by one gcd, with
+    no coercion and no sign test."""
     g = math.gcd(an, cn, d)
     if g != 1:
         an, cn, d = an // g, cn // g, d // g
@@ -253,8 +256,8 @@ class PLPath(_Frozen):
 
     __slots__ = ("_t", "_v", "_vm")
 
-    def __init__(self, breaks, values):
-        _init_path(self, _ratios(breaks), [_ratios(v) for v in values])
+    def __new__(cls, breaks, values):
+        return _init_path(_ratios(breaks), [_ratios(v) for v in values])
 
     def __reduce__(self):
         return (_path, (self._t, self._v, self._vm))
@@ -326,35 +329,29 @@ def _minimal(ts: Sequence, vals: Sequence, vm: int) -> tuple:
     return ts, tuple(vals), vm
 
 
-def _store_path(path: PLPath, ts: Sequence, vals: Sequence, vm: int) -> PLPath:
-    """Store the :func:`_minimal` form of the path with breaks
-    ``ts[k]/ts[-1]`` and values ``vals[k]/vm`` in ``path``; return
-    ``path``."""
-    ts, vals, vm = _minimal(ts, vals, vm)
-    _SET_T(path, ts)
-    _SET_PV(path, vals)
-    _SET_PVM(path, vm)
-    return path
-
-
-def _init_path(path: PLPath, breaks: Sequence, points: Sequence) -> PLPath:
-    """Check on ints and store in ``path`` the path with breaks ``breaks``
-    and values ``points``, as reduced ``(n, d)`` pairs; return ``path``."""
+def _init_path(breaks: Sequence, points: Sequence) -> PLPath:
+    """The path with breaks ``breaks`` and values ``points``, as reduced
+    ``(n, d)`` pairs, checked on ints and built by :func:`_path`."""
     ts, m = _over_lcm(breaks)
     _check_axis(ts, m, "path must be parametrized over [0, 1]")
     if len(points) != len(ts):
         raise ValueError("one value per breakpoint required")
     flat, vm = _over_lcm([c for v in points for c in v])
-    return _store_path(path, ts, _points(flat, _check_dim(points), len(ts)), vm)
+    return _path(ts, _points(flat, _check_dim(points), len(ts)), vm)
 
 
 def _path(ts: Sequence, vals: Sequence, vm: int) -> PLPath:
     """The :class:`PLPath` with breaks ``ts[k]/ts[-1]`` and values
     ``vals[k]/vm``, from ints that already hold its invariants (breaks
     strictly increasing from 0, one tuple of ints of one dimension per
-    break, ``vm > 0``), built without checking them again, and pruned and
-    reduced to its stored form."""
-    return _store_path(object.__new__(PLPath), ts, vals, vm)
+    break, ``vm > 0``), stored in its :func:`_minimal` form without
+    checking them again."""
+    ts, vals, vm = _minimal(ts, vals, vm)
+    path = object.__new__(PLPath)
+    _SET_T(path, ts)
+    _SET_PV(path, vals)
+    _SET_PVM(path, vm)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +380,9 @@ class GridSheet(_Frozen):
 
     __slots__ = ("_x", "_c")
 
-    def __init__(self, x_breaks, y_breaks, values):
-        _init_sheet(self, _ratios(x_breaks), _ratios(y_breaks),
-                    [[_ratios(v) for v in col] for col in values])
+    def __new__(cls, x_breaks, y_breaks, values):
+        return _init_sheet(_ratios(x_breaks), _ratios(y_breaks),
+                           [[_ratios(v) for v in col] for col in values])
 
     def __reduce__(self):
         return (_sheet, (self._x, self._c))
@@ -453,14 +450,34 @@ _SET_X = GridSheet._x.__set__
 _SET_C = GridSheet._c.__set__
 
 
-def _store_sheet(sheet: GridSheet, xs: Sequence, cols: Sequence,
-                 tests) -> GridSheet:
-    """Store the sheet with x-lines ``xs[i]/xs[-1]`` and columns ``cols[i]``
-    (minimal path triples) in ``sheet``, the x-lines over their least
-    denominator; return ``sheet``.  An interior x-line whose index is in
-    ``tests`` is dropped when its column is the linear interpolation of the
-    last kept column and the next one (:func:`_bends`); the caller knows
-    that every other one bends."""
+def _init_sheet(xb: Sequence, yb: Sequence, grid: Sequence) -> GridSheet:
+    """:func:`_init_path` for the sheet with x-lines ``xb``, y-lines ``yb``
+    and values ``grid[ix][iy]``: each column is made minimal, and
+    :func:`_sheet` keeps the x-lines where the sheet bends."""
+    (xs, mx), (ys, my) = _over_lcm(xb), _over_lcm(yb)
+    for ts, m in ((xs, mx), (ys, my)):
+        _check_axis(ts, m, "sheet must be parametrized over the unit square")
+    nx, ny = len(xs), len(ys)
+    if len(grid) != nx or any(len(col) != ny for col in grid):
+        raise ValueError("value grid must be len(x_breaks) x len(y_breaks)")
+    points = [v for col in grid for v in col]
+    flat, vm = _over_lcm([c for v in points for c in v])
+    points = _points(flat, _check_dim(points), nx * ny)
+    return _sheet(xs, [_minimal(ys, points[ix * ny:ix * ny + ny], vm)
+                       for ix in range(nx)])
+
+
+def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
+    """The :class:`GridSheet` with x-lines ``xs[i]/xs[-1]`` and columns
+    ``cols[i]``, from ints that already hold its invariants (x-lines
+    strictly increasing from 0, one :func:`_minimal` path triple of one
+    dimension per x-line), stored with its x-lines over their least
+    denominator without checking them again.  An interior x-line whose
+    index is in ``tests`` (all interior ones when None) is dropped when its
+    column is the linear interpolation of the last kept column and the next
+    one (:func:`_bends`); the caller knows that every other one bends."""
+    if tests is None:
+        tests = range(1, len(xs) - 1)
     keep = [0]
     for k in range(1, len(xs) - 1):
         if k in tests:
@@ -474,39 +491,10 @@ def _store_sheet(sheet: GridSheet, xs: Sequence, cols: Sequence,
         xs = [xs[k] for k in keep]
         cols = [cols[k] for k in keep]
     g = math.gcd(*xs)
+    sheet = object.__new__(GridSheet)
     _SET_X(sheet, tuple(xs) if g == 1 else tuple([t // g for t in xs]))
     _SET_C(sheet, tuple(cols))
     return sheet
-
-
-def _init_sheet(sheet: GridSheet, xb: Sequence, yb: Sequence,
-                grid: Sequence) -> GridSheet:
-    """:func:`_init_path` for the sheet with x-lines ``xb``, y-lines ``yb``
-    and values ``grid[ix][iy]``: each column is made minimal, and
-    :func:`_store_sheet` keeps the x-lines where the sheet bends."""
-    (xs, mx), (ys, my) = _over_lcm(xb), _over_lcm(yb)
-    for ts, m in ((xs, mx), (ys, my)):
-        _check_axis(ts, m, "sheet must be parametrized over the unit square")
-    nx, ny = len(xs), len(ys)
-    if len(grid) != nx or any(len(col) != ny for col in grid):
-        raise ValueError("value grid must be len(x_breaks) x len(y_breaks)")
-    points = [v for col in grid for v in col]
-    flat, vm = _over_lcm([c for v in points for c in v])
-    points = _points(flat, _check_dim(points), nx * ny)
-    return _store_sheet(sheet, xs, [_minimal(ys, points[ix * ny:ix * ny + ny], vm)
-                                    for ix in range(nx)], range(1, nx - 1))
-
-
-def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
-    """The :class:`GridSheet` with x-lines ``xs[i]/xs[-1]`` and columns
-    ``cols[i]``, from ints that already hold its invariants (x-lines
-    strictly increasing from 0, one :func:`_minimal` path triple of one
-    dimension per x-line), built without checking them again, less the
-    x-lines it does not need among ``tests`` (all interior ones when
-    None)."""
-    if tests is None:
-        tests = range(1, len(xs) - 1)
-    return _store_sheet(object.__new__(GridSheet), xs, cols, tests)
 
 
 def _essential(ts: Sequence, lines: Sequence) -> list:

@@ -15,8 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .exact import (AffineMap1, GridSheet, PLPath, _init_affine1, _init_path,
-                    _init_sheet)
+from .exact import AffineMap1, GridSheet, PLPath, _init_affine1, _init_path, _init_sheet
 from .intervals import IntervalConfig
 from .sheets import Loop, PointedMap, SheetElement
 from .strips import StripConfig
@@ -107,8 +106,7 @@ def affine1_from_json(obj) -> AffineMap1:
 
 def _embedding(obj, a: str, c: str) -> AffineMap1:
     """The map with scale ``obj[a]`` and offset ``obj[c]``."""
-    return _init_affine1(object.__new__(AffineMap1),
-                         _ratio(key_from_json(obj, a, "an embedding")),
+    return _init_affine1(_ratio(key_from_json(obj, a, "an embedding")),
                          _ratio(key_from_json(obj, c, "an embedding")))
 
 
@@ -166,7 +164,7 @@ def plpath_to_json(path: PLPath) -> dict:
 def plpath_from_json(obj) -> PLPath:
     breaks, values = (array_from_json(key_from_json(obj, k, "a path"), f'"{k}"')
                       for k in ("breaks", "values"))
-    return _init_path(object.__new__(PLPath), [_ratio(t) for t in breaks],
+    return _init_path([_ratio(t) for t in breaks],
                       [_point_ratios(v) for v in values])
 
 
@@ -179,8 +177,7 @@ def sheet_to_json(sheet: GridSheet) -> dict:
 def sheet_from_json(obj) -> GridSheet:
     xb, yb, values = (array_from_json(key_from_json(obj, k, "a sheet"), f'"{k}"')
                       for k in ("x_breaks", "y_breaks", "values"))
-    return _init_sheet(object.__new__(GridSheet), [_ratio(t) for t in xb],
-                       [_ratio(t) for t in yb],
+    return _init_sheet([_ratio(t) for t in xb], [_ratio(t) for t in yb],
                        [[_point_ratios(v)
                          for v in array_from_json(col, 'a column of "values"')]
                         for col in values])

@@ -251,9 +251,7 @@ def _play(embs: Sequence[AffineMap1], paths: Sequence[PLPath]) -> Loop:
     xm = math.lcm(*[e.d * path._t[-1] for e, path in zip(embs, paths)])
     pieces = [(_embedded(emb, path._t, xm), path._v, path._vm)
               for emb, path in zip(embs, paths)]
-    loop = object.__new__(Loop)     # closed: every path starts and ends at base
-    object.__setattr__(loop, "path", _path(*_splice(pieces, xm)))
-    return loop
+    return Loop(_path(*_splice(pieces, xm)))
 
 
 def act_on_sheets(f: PointedMap, config: StripConfig,
@@ -289,7 +287,7 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     own denominators.  A sheet's interior x-line bends in the output, and
     so does a break of a pushed loop, so only the columns on the strips'
     edges can turn out redundant
-    (:func:`~strips_operad.exact._store_sheet`).
+    (:func:`~strips_operad.exact._sheet`).
     """
     r = config.arity
     if len(inputs) != r:

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from random import Random
 
@@ -692,6 +693,16 @@ def test_compose_rejects_a_file_that_splices_in_itself(tmp_path, capsys, top):
         2, "", "error: $file 'plan.json' splices in itself\n")
 
 
+@pytest.mark.parametrize("name, text", [(5, "5"), (["plan.json"], "['plan.json']")])
+def test_compose_rejects_a_file_name_that_is_not_a_string(tmp_path, capsys,
+                                                         name, text):
+    # once Python's own TypeError text: "unsupported operand type(s) for /"
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dict(INTERVALS_PLAN, outer={"$file": name})))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", f"error: $file {text} is not a file name\n")
+
+
 def test_compose_splices_one_file_into_two_places(tmp_path, capsys):
     unit = {"embeddings": [{"a": "1", "c": "0"}]}
     (tmp_path / "unit.json").write_text(json.dumps(unit))
@@ -806,6 +817,24 @@ def test_render_strip_and_sheet(tmp_path, capsys):
     p2.write_text(json.dumps(elem_doc))
     code, out, _ = run(["render", str(p2)], capsys)
     assert code == 0 and out.lstrip().startswith("<svg")
+
+
+DIM0_SHEET = {"x_breaks": ["0", "1"], "y_breaks": ["0", "1"],
+              "values": [[[], []], [[], []]]}
+DIM0_LOOP = {"breaks": ["0", "1"], "values": [[], []]}
+
+
+@pytest.mark.parametrize("doc", [
+    DIM0_SHEET, {"sheet": DIM0_SHEET, "bottom": DIM0_LOOP, "top": DIM0_LOOP}],
+    ids=["sheet", "element"])
+def test_render_of_a_dimension_0_sheet_is_one_grey_square(tmp_path, capsys, doc):
+    # Q^0 is a point, so there is no coordinate to colour the square by
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["render", str(path)], capsys)
+    assert (code, err) == (0, "")
+    rects = ET.fromstring(out).findall("{http://www.w3.org/2000/svg}rect")
+    assert [r.get("fill") for r in rects] == ["white", "#cccccc"]
 
 
 def test_render_unknown_document(tmp_path, capsys):
