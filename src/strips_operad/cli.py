@@ -14,7 +14,10 @@ also exit 2 on a malformed document: one that is not a JSON object, one
 nested too deeply to read, a rational that is not an int or a string such
 as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
 refused), a string or an object where an array belongs, a rectangle off its
-strip, or a ``$file`` that is not a string or splices in itself;
+strip, or a ``$file`` that is not a file name (not a string, or one with a
+null byte), names no readable file (``""`` and ``"."`` name the plan's
+directory; a missing file; a symlink loop), names a file that is not JSON,
+or splices in itself;
 ``render`` also exits 2 on a coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
@@ -183,12 +186,21 @@ def _load_plan(path: Path) -> dict:
         if isinstance(node, dict):
             if "$file" in node:
                 name = node["$file"]
-                if not isinstance(name, str):
+                if not isinstance(name, str) or "\0" in name:
                     raise ValueError(f"$file {name!r} is not a file name")
-                f = (path.parent / name).resolve()
+                # realpath, unlike Path.resolve before Python 3.13, raises no
+                # RuntimeError on a symlink loop: reading it is an OSError
+                f = Path(os.path.realpath(path.parent / name))
                 if f in open_files:
                     raise ValueError(f"$file {name!r} splices in itself")
-                return splice(json.loads(f.read_text()), open_files + (f,))
+                try:    # "" and "." name the plan's own directory
+                    doc = json.loads(f.read_text())
+                except OSError as exc:
+                    raise ValueError(f"$file {name!r} names no readable file: "
+                                     f"{exc.strerror}") from None
+                except ValueError as exc:   # not UTF-8 text, or not JSON
+                    raise ValueError(f"$file {name!r} is not JSON: {exc}") from None
+                return splice(doc, open_files + (f,))
             return {k: splice(v, open_files) for k, v in node.items()}
         if isinstance(node, list):
             return [splice(v, open_files) for v in node]

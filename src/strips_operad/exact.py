@@ -11,12 +11,12 @@ coordinates over one more.  A sheet is stored as its x-lines over one
 denominator and, per x-line, its column: the path in y it runs along that
 line, stored like a path, with only the y-lines where that column bends (a
 T-mesh, in the sense of Sederberg et al., *T-splines and T-NURCCs*, 2003:
-a grid line may stop instead of crossing the square).  So the actions in
-:mod:`strips_operad.sheets` evaluate, prune, compare and build them on ints,
-one column at a time: one walk, :func:`_segments`, finds where points fall
-among breaks, one weighted sum, :func:`_sum`, mixes two columns, and every
-sheet is stored from minimal columns by :func:`_sheet`, which alone decides
-which x-lines stay.  Every value is stored in the one form its function has
+a grid line may stop instead of crossing the square): a path whose values
+are columns.  So :mod:`strips_operad.sheets` evaluates, prunes, compares and
+builds sheets on ints, one column at a time.  One pruning walk,
+:func:`_pruned`, serves paths and sheets alike, one walk, :func:`_segments`,
+finds where points fall among breaks, and one weighted sum, :func:`_sum`,
+mixes two columns.  Every value is stored in the one form its function has
 (the normal triple, or the minimal breakpoint sets, with every denominator
 reduced), so ``==`` and ``hash`` are those of the underlying functions.
 That is the property the law checkers in :mod:`strips_operad.framework`
@@ -277,8 +277,7 @@ class PLPath(_Frozen):
 
     @property
     def breaks(self) -> tuple:
-        m = self._t[-1]
-        return tuple([Fraction(t, m) for t in self._t])
+        return _fractions(self._t, self._t[-1])
 
     @property
     def values(self) -> tuple:
@@ -308,16 +307,10 @@ _SET_PVM = PLPath._vm.__set__
 
 def _minimal(ts: Sequence, vals: Sequence, vm: int) -> tuple:
     """``(ts, vals, vm)`` as tuples: the path with breaks ``ts[k]/ts[-1]``
-    and values ``vals[k]/vm`` (tuples of ints) less every interior
-    breakpoint where the slope does not change, each side over its least
-    denominator.  That is the one stored form of the path."""
-    if len(ts) > 2:
-        keep = _essential(ts, vals)
-        if len(keep) < len(ts):
-            ts = [ts[k] for k in keep]
-            vals = [vals[k] for k in keep]
-    g = math.gcd(*ts)
-    ts = tuple(ts) if g == 1 else tuple([t // g for t in ts])
+    and values ``vals[k]/vm`` (tuples of ints), :func:`_pruned` of every
+    interior breakpoint where the slope does not change, each side over its
+    least denominator.  That is the one stored form of the path."""
+    ts, vals = _pruned(ts, vals, _point_bends)
     g = vm
     for v in vals:
         g = math.gcd(g, *v)
@@ -325,8 +318,42 @@ def _minimal(ts: Sequence, vals: Sequence, vm: int) -> tuple:
             break
     if g != 1:
         vm //= g
-        vals = [tuple([c // g for c in v]) for v in vals]
-    return ts, tuple(vals), vm
+        vals = tuple([tuple([c // g for c in v]) for v in vals])
+    return ts, vals, vm
+
+
+def _point_bends(a: tuple, b: tuple, c: tuple, dt0: int, dt1: int) -> bool:
+    """Whether the point b, ``dt0`` after a and ``dt1`` before c (all over
+    one denominator), is off their line: ``(b - a)·dt1 != (c - b)·dt0``."""
+    for x, y, z in zip(a, b, c):
+        if (y - x) * dt1 != (z - y) * dt0:
+            return True
+    return False
+
+
+def _pruned(ts: Sequence, vals: Sequence, bends, tests=None) -> tuple:
+    """``(ts, vals)`` as tuples, less each interior break k in ``tests``
+    (all when None) where ``bends(last, vals[k], vals[k + 1], dt0, dt1)`` is
+    false: its value is on the line through the last kept value, ``dt0``
+    before, and the next, ``dt1`` after.  The breaks are ints over
+    ``ts[-1]`` and come back over their least denominator.  The one walk
+    for a path's points (:func:`_minimal`) and a sheet's x-lines."""
+    if len(ts) > 2:
+        t0, last = ts[0], vals[0]
+        kept_ts, kept = [t0], [last]
+        for k in range(1, len(ts) - 1):
+            t, v = ts[k], vals[k]
+            if ((tests is None or k in tests)
+                    and not bends(last, v, vals[k + 1], t - t0, ts[k + 1] - t)):
+                continue
+            t0, last = t, v
+            kept_ts.append(t)
+            kept.append(v)
+        kept_ts.append(ts[-1])
+        kept.append(vals[-1])
+        ts, vals = kept_ts, kept
+    g = math.gcd(*ts)
+    return (tuple(ts) if g == 1 else tuple([t // g for t in ts])), tuple(vals)
 
 
 def _init_path(breaks: Sequence, points: Sequence) -> PLPath:
@@ -403,14 +430,12 @@ class GridSheet(_Frozen):
 
     @property
     def x_breaks(self) -> tuple:
-        m = self._x[-1]
-        return tuple([Fraction(t, m) for t in self._x])
+        return _fractions(self._x, self._x[-1])
 
     @property
     def y_breaks(self) -> tuple:
         ys = _union(self._c)
-        m = ys[-1]
-        return tuple([Fraction(t, m) for t in ys])
+        return _fractions(ys, ys[-1])
 
     @property
     def values(self) -> tuple:
@@ -471,55 +496,14 @@ def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
     """The :class:`GridSheet` with x-lines ``xs[i]/xs[-1]`` and columns
     ``cols[i]``, from ints that already hold its invariants (x-lines
     strictly increasing from 0, one :func:`_minimal` path triple of one
-    dimension per x-line), stored with its x-lines over their least
-    denominator without checking them again.  An interior x-line whose
-    index is in ``tests`` (all interior ones when None) is dropped when its
-    column is the linear interpolation of the last kept column and the next
-    one (:func:`_bends`); the caller knows that every other one bends."""
-    if tests is None:
-        tests = range(1, len(xs) - 1)
-    keep = [0]
-    for k in range(1, len(xs) - 1):
-        if k in tests:
-            prev, t = keep[-1], xs[k]
-            if not _bends((cols[prev], cols[k], cols[k + 1]), t - xs[prev],
-                          xs[k + 1] - t):
-                continue
-        keep.append(k)
-    keep.append(len(xs) - 1)
-    if len(keep) < len(xs):
-        xs = [xs[k] for k in keep]
-        cols = [cols[k] for k in keep]
-    g = math.gcd(*xs)
+    dimension per x-line), without checking them again.  :func:`_pruned`
+    tests the interior x-lines in ``tests`` (all when None) with
+    :func:`_bends`; the caller knows that every other one bends."""
+    xs, cols = _pruned(xs, cols, _bends, tests)
     sheet = object.__new__(GridSheet)
-    _SET_X(sheet, tuple(xs) if g == 1 else tuple([t // g for t in xs]))
-    _SET_C(sheet, tuple(cols))
+    _SET_X(sheet, xs)
+    _SET_C(sheet, cols)
     return sheet
-
-
-def _essential(ts: Sequence, lines: Sequence) -> list:
-    """Indices of the breakpoints of a path to keep.
-
-    ``ts`` are the breakpoints and ``lines[k]`` the value at ``ts[k]``, each
-    side as ints over one denominator.  An interior point is redundant
-    when, against the last kept point ``prev`` and the next point, every
-    coordinate satisfies ``(b - a)/dt0 == (c - b)/dt1``, tested as ``(b -
-    a)·dt1 == (c - b)·dt0`` on integers.  One positive factor per side
-    leaves that test unchanged, so the denominators play no part.
-    """
-    n = len(ts)
-    keep = [0]
-    t0, prev = ts[0], lines[0]      # the last kept line
-    for k in range(1, n - 1):
-        t, line = ts[k], lines[k]
-        dt0, dt1 = t - t0, ts[k + 1] - t
-        for a, b, c in zip(prev, line, lines[k + 1]):
-            if (b - a) * dt1 != (c - b) * dt0:
-                keep.append(k)
-                t0, prev = t, line
-                break
-    keep.append(n - 1)
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +571,9 @@ def _align(paths: Sequence) -> tuple:
 def _sum(a: tuple, ka: int, b: tuple, kb: int, k: int) -> tuple:
     """The path triple ``(ka·a + kb·b)/k`` of the path triples a and b, for
     ints ``ka``, ``kb`` and ``k > 0``, on the :func:`_union` of their
-    breaks."""
+    breaks; a itself when that is a."""
+    if ka + kb == k and a == b:
+        return a
     us, ((va, ma), (vb, mb)) = _align((a, b))
     m = math.lcm(ma, mb)
     sa, sb = ka * (m // ma), kb * (m // mb)
@@ -601,28 +587,20 @@ def _columns_at(sheet: GridSheet, unit: int, xs: Sequence) -> list:
     column on an x-line, else the one n/d of the way from the column before
     x to the next (:func:`_sum`)."""
     cols = sheet._c
-    out = []
-    for i, w in _segments(_rescaled(sheet._x, unit), xs):
-        col = cols[i]
-        if w is not None and col != cols[i + 1]:
-            n, d = w
-            col = _sum(col, d - n, cols[i + 1], n, d)
-        out.append(col)
-    return out
+    return [cols[i] if w is None else _sum(cols[i], w[1] - w[0], cols[i + 1], *w)
+            for i, w in _segments(_rescaled(sheet._x, unit), xs)]
 
 
-def _bends(cols: Sequence, dt0: int, dt1: int) -> bool:
-    """Whether the middle one of three columns (path triples), ``dt0``
-    after the first and ``dt1`` before the last, is not the linear
-    interpolation of the other two.  Equal columns are stored alike, so
-    when the middle one equals a neighbour it bends iff the other one
-    differs.  Else all three are linear between the union of their breaks,
-    so ``b·(dt0 + dt1) == a·dt1 + c·dt0`` is tested there, on ints: each
-    side times the three denominators."""
-    left, mid, right = cols
+def _bends(left: tuple, mid: tuple, right: tuple, dt0: int, dt1: int) -> bool:
+    """Whether the column (path triple) mid, ``dt0`` after left and ``dt1``
+    before right, is not the linear interpolation of the other two.  Equal
+    columns are stored alike, so when mid equals a neighbour it bends iff
+    the other one differs.  Else all three are linear between the union of
+    their breaks, so ``b·(dt0 + dt1) == a·dt1 + c·dt0`` is tested there, on
+    ints: each side times the three denominators."""
     if mid == left or mid == right:
         return left != right
-    _, ((va, ma), (vb, mb), (vc, mc)) = _align(cols)
+    _, ((va, ma), (vb, mb), (vc, mc)) = _align((left, mid, right))
     ka, kb, kc = mb * mc * dt1, ma * mc * (dt0 + dt1), ma * mb * dt0
     return any(b * kb != a * ka + c * kc
                for p, q, r in zip(va, vb, vc) for a, b, c in zip(p, q, r))

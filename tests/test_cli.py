@@ -703,6 +703,29 @@ def test_compose_rejects_a_file_name_that_is_not_a_string(tmp_path, capsys,
         2, "", f"error: $file {text} is not a file name\n")
 
 
+@pytest.mark.parametrize("name, line", [
+    ("", "$file '' names no readable file: Is a directory"),
+    (".", "$file '.' names no readable file: Is a directory"),
+    ("a\u0000b", "$file 'a\\x00b' is not a file name"),
+    ("missing.json",
+     "$file 'missing.json' names no readable file: No such file or directory"),
+    ("loop.json",
+     "$file 'loop.json' names no readable file: Too many levels of symbolic links"),
+    ("text.json", "$file 'text.json' is not JSON: "
+                  "Expecting value: line 1 column 1 (char 0)"),
+], ids=["empty", "dot", "null-byte", "missing", "symlink-loop", "not-json"])
+def test_compose_rejects_a_file_that_is_no_json_document(tmp_path, capsys,
+                                                         name, line):
+    # once Python's own text, such as "[Errno 21] Is a directory: '<dir>'"
+    # or "embedded null byte", which did not name $file, and for a symlink
+    # loop a RuntimeError traceback and exit 1
+    (tmp_path / "text.json").write_text("not JSON")
+    (tmp_path / "loop.json").symlink_to("loop.json")
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dict(INTERVALS_PLAN, outer={"$file": name})))
+    assert run(["compose", str(path)], capsys) == (2, "", f"error: {line}\n")
+
+
 def test_compose_splices_one_file_into_two_places(tmp_path, capsys):
     unit = {"embeddings": [{"a": "1", "c": "0"}]}
     (tmp_path / "unit.json").write_text(json.dumps(unit))

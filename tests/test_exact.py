@@ -999,3 +999,47 @@ def test_column_store_matches_the_product_grid_on_generated_sheets(
     extra = data.draw(st.lists(big_unit_rationals, max_size=2))
     again, _ = _assert_column_store(*sheet_presentation(s, extra, extra), rng)
     assert again == s and hash(again) == hash(s)
+
+
+def test_sheet_tests_only_the_x_lines_it_is_given():
+    # the column at x = 1/2 is the average of its neighbours', and only the
+    # first of them bends in y, so the test has to align the columns
+    def col(*v):
+        return _minimal(tuple(range(len(v))), tuple((c,) for c in v), 1)
+
+    xs, cols = (0, 1, 2), (col(0, 2, 0), col(0, 1, 0), col(0, 0))
+    assert (_sheet(xs, cols, set())._x, _sheet(xs, cols, set())._c) == (xs, cols)
+    assert _sheet(xs, cols) == _sheet(xs, cols, {1})
+    assert (_sheet(xs, cols)._x, _sheet(xs, cols)._c) == ((0, 1), cols[::2])
+    # four columns along one line: an untested x-line stays, and a tested
+    # one is judged against the last kept one
+    xs, cols = (0, 1, 2, 3), tuple(col(k, 2 * k) for k in range(4))
+    assert _sheet(xs, cols, {1})._x == (0, 2, 3)
+    assert _sheet(xs, cols, {2})._x == (0, 1, 3)
+    assert _sheet(xs, cols)._x == (0, 1)       # (0, 3) over its least denominator
+
+
+huge_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=2**64)
+huge_unit_rationals = st.fractions(min_value=F(0), max_value=F(1),
+                                   max_denominator=2**64)
+
+
+@given(st.integers(0, 2), st.lists(huge_unit_rationals, max_size=5), st.data())
+def test_a_sheet_constant_in_y_keeps_the_breaks_of_its_minimal_path(dim, cuts, data):
+    # one pruning walk serves both levels: a sheet whose columns are constant
+    # keeps exactly the x-lines that the path of their values keeps.  Values
+    # between drawn knots are interpolated, so that some of them go.
+    xs = (F(0), *sorted({c for c in cuts if F(0) < c < F(1)}), F(1))
+    knots = [0, *[k for k in range(1, len(xs) - 1) if data.draw(st.booleans())],
+             len(xs) - 1]
+    points = {k: data.draw(st.tuples(*[huge_rationals] * dim)) for k in knots}
+    values = []
+    for i, j in zip(knots, knots[1:]):
+        for k in range(i, j):
+            u = (xs[k] - xs[i]) / (xs[j] - xs[i])
+            values.append(tuple(a + u * (b - a) for a, b in zip(points[i], points[j])))
+    values.append(points[knots[-1]])
+    path = PLPath(xs, values)
+    sheet = GridSheet(xs, (F(0), F(1)), [(v, v) for v in values])
+    assert sheet._x == path._t
+    assert sheet.bottom_edge() == path == sheet.top_edge()
