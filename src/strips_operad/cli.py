@@ -10,15 +10,16 @@ Subcommands::
 
 Exit codes: 0 success, 1 at least one law failure, 2 usage or validation
 error.  ``compose`` validates its inputs and its result; it and ``render``
-also exit 2 on a malformed document: one that is not a JSON object, one
-nested too deeply to read, a rational that is not an int or a string such
-as ``"-7/2"`` with a nonzero denominator (decimals and exponents are
-refused), a string or an object where an array belongs, a rectangle off its
-strip, or a ``$file`` that is not a file name (not a string, or one with a
-null byte), names no readable file (``""`` and ``"."`` name the plan's
-directory; a missing file; a symlink loop), names a file that is not JSON,
-or splices in itself;
-``render`` also exits 2 on a coordinate too large for a float.
+exit 2 with a line naming the file when the plan, the input or a ``$file``
+is no readable file (a directory, a missing file, a symlink loop; ``""``
+and ``"."`` name the plan's directory) or holds no JSON document (text
+that is not UTF-8, say), and also on a malformed document: one that is not
+a JSON object, one nested too deeply to read, a rational that is not an int
+or a string such as ``"-7/2"`` with a nonzero denominator (decimals and
+exponents are refused), a string or an object where an array belongs, a
+rectangle off its strip, or a ``$file`` that is not a file name (not a
+string, or one with a null byte) or splices in itself; ``render`` also
+exits 2 on a coordinate too large for a float.
 ``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
 among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
 plans and a ``--max-r`` above ``MAX_CHECK_ARITY``: three stages of arity r
@@ -178,10 +179,25 @@ def _json_object(doc, what: str) -> dict:
     return doc
 
 
-def _load_plan(path: Path) -> dict:
-    """The plan at ``path`` with each {"$file": name} node replaced by the
-    document it names, relative to the plan's directory.  A file may be
-    spliced in many times, but not into itself, directly or through others."""
+def _read_json(f: Path, what: str):
+    """The JSON document in the file f; a ``ValueError`` names ``what``
+    when f is no readable file or holds no JSON document."""
+    try:    # a directory is an OSError too
+        return json.loads(f.read_text())
+    except OSError as exc:
+        raise ValueError(f"{what} names no readable file: "
+                         f"{exc.strerror}") from None
+    except ValueError as exc:   # not UTF-8 text, or not JSON
+        raise ValueError(f"{what} is not JSON: {exc}") from None
+
+
+def _load_plan(plan: str) -> dict:
+    """The plan in the file ``plan`` with each {"$file": name} node replaced
+    by the document it names, relative to the plan's directory.  A file may
+    be spliced in many times, but not into itself, directly or through
+    others."""
+    path = Path(plan)
+
     def splice(node, open_files: tuple):
         if isinstance(node, dict):
             if "$file" in node:
@@ -193,21 +209,15 @@ def _load_plan(path: Path) -> dict:
                 f = Path(os.path.realpath(path.parent / name))
                 if f in open_files:
                     raise ValueError(f"$file {name!r} splices in itself")
-                try:    # "" and "." name the plan's own directory
-                    doc = json.loads(f.read_text())
-                except OSError as exc:
-                    raise ValueError(f"$file {name!r} names no readable file: "
-                                     f"{exc.strerror}") from None
-                except ValueError as exc:   # not UTF-8 text, or not JSON
-                    raise ValueError(f"$file {name!r} is not JSON: {exc}") from None
-                return splice(doc, open_files + (f,))
+                # "" and "." name the plan's own directory
+                return splice(_read_json(f, f"$file {name!r}"), open_files + (f,))
             return {k: splice(v, open_files) for k, v in node.items()}
         if isinstance(node, list):
             return [splice(v, open_files) for v in node]
         return node
 
-    return _json_object(splice(json.loads(path.read_text()), (path.resolve(),)),
-                        "plan")
+    return _json_object(splice(_read_json(path, f"plan {plan!r}"),
+                               (path.resolve(),)), "plan")
 
 
 def _valid(label: str, violation, value):
@@ -231,7 +241,7 @@ def _strip_doc(label: str, doc):
 def cmd_compose(args) -> int:
     """Each document is decoded and checked before the next one is read,
     in document order, so the first defect in that order is reported."""
-    plan = _load_plan(Path(args.plan))
+    plan = _load_plan(args.plan)
     kind = plan.get("kind")
     field = functools.partial(serialize.key_from_json, plan, what="the plan")
     if kind == "intervals":
@@ -271,7 +281,8 @@ def cmd_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_render(args) -> int:
-    payload = _json_object(json.loads(Path(args.input).read_text()), "input")
+    payload = _json_object(_read_json(Path(args.input), f"input {args.input!r}"),
+                           "input")
     if "embeddings" in payload:
         picture = svg.render_intervals(serialize.intervals_from_json(payload))
     elif "shape" in payload:

@@ -18,10 +18,11 @@ builds sheets on ints, one column at a time.  One pruning walk,
 finds where points fall among breaks, and one weighted sum, :func:`_sum`,
 mixes two columns.  Every value is stored in the one form its function has
 (the normal triple, or the minimal breakpoint sets, with every denominator
-reduced), so ``==`` and ``hash`` are those of the underlying functions.
-That is the property the law checkers in :mod:`strips_operad.framework`
-rely on.  Each class has one private builder on ints, :func:`_affine1`,
-:func:`_path` or :func:`_sheet`.  A constructor and a JSON decoder check
+reduced), so ``==`` and ``hash``, defined once in ``_Frozen`` on the
+stored slots, are those of the underlying functions.  That is the property
+the law checkers in :mod:`strips_operad.framework` rely on.  Each class
+has one private builder on ints, :func:`_affine1`, :func:`_path` or
+:func:`_sheet`.  A constructor and a JSON decoder check
 reduced int pairs in one ``_init_*`` routine, which hands them to the
 builder (:func:`_init_affine1`, whose pairs are reduced, sets the slots
 itself), so ``Fraction``s are built only where a coordinate is read: in
@@ -30,6 +31,7 @@ the public accessors, ``at``, ``repr`` and error messages.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Sequence
@@ -95,9 +97,21 @@ def _fractions(point, den: int) -> tuple[Fraction, ...]:
 
 class _Frozen:
     """Immutable instances: each slot is written once, through the slot's
-    own setter, by a private builder of its class."""
+    own setter, by a private builder of its class.  Every value has one
+    stored form, so equality and hashing are those of ``_key``, the tuple
+    of its slots, and a value of another class is never equal."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -118,6 +132,7 @@ class AffineMap1(_Frozen):
     """
 
     __slots__ = ("an", "cn", "d")
+    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, a, c):
         return _init_affine1(as_rat(a).as_integer_ratio(),
@@ -125,16 +140,6 @@ class AffineMap1(_Frozen):
 
     def __reduce__(self):
         return (_affine1, (self.an, self.cn, self.d))
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not AffineMap1:
-            return NotImplemented
-        return self.an == other.an and self.cn == other.cn and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.an, self.cn, self.d))
 
     def __repr__(self):
         return f"AffineMap1(a={self.a!r}, c={self.c!r})"
@@ -255,22 +260,13 @@ class PLPath(_Frozen):
     """
 
     __slots__ = ("_t", "_v", "_vm")
+    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, breaks, values):
         return _init_path(_ratios(breaks), [_ratios(v) for v in values])
 
     def __reduce__(self):
         return (_path, (self._t, self._v, self._vm))
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not PLPath:
-            return NotImplemented
-        return self._t == other._t and self._vm == other._vm and self._v == other._v
-
-    def __hash__(self):
-        return hash((self._t, self._v, self._vm))
 
     def __repr__(self):
         return f"PLPath(breaks={self.breaks!r}, values={self.values!r})"
@@ -406,6 +402,7 @@ class GridSheet(_Frozen):
     """
 
     __slots__ = ("_x", "_c")
+    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, x_breaks, y_breaks, values):
         return _init_sheet(_ratios(x_breaks), _ratios(y_breaks),
@@ -413,16 +410,6 @@ class GridSheet(_Frozen):
 
     def __reduce__(self):
         return (_sheet, (self._x, self._c))
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not GridSheet:
-            return NotImplemented
-        return self._x == other._x and self._c == other._c
-
-    def __hash__(self):
-        return hash((self._x, self._c))
 
     def __repr__(self):
         return (f"GridSheet(x_breaks={self.x_breaks!r}, "

@@ -726,6 +726,25 @@ def test_compose_rejects_a_file_that_is_no_json_document(tmp_path, capsys,
     assert run(["compose", str(path)], capsys) == (2, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize("command, what", [("compose", "plan"), ("render", "input")])
+@pytest.mark.parametrize("name, line", [
+    ("nope.json", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("bytes.json", "is not JSON: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte"),
+    (".", "names no readable file: Is a directory"),
+    ("missing.json", "names no readable file: No such file or directory"),
+], ids=["not-json", "not-utf-8", "directory", "missing"])
+def test_compose_and_render_name_a_file_that_is_no_json_document(
+        tmp_path, capsys, monkeypatch, command, what, name, line):
+    # once Python's own text, such as "Expecting value: ..." or "'utf-8'
+    # codec can't decode ...", which did not name the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nope.json").write_text("nope")
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    assert run([command, name], capsys) == (
+        2, "", f"error: {what} {name!r} {line}\n")
+
+
 def test_compose_splices_one_file_into_two_places(tmp_path, capsys):
     unit = {"embeddings": [{"a": "1", "c": "0"}]}
     (tmp_path / "unit.json").write_text(json.dumps(unit))

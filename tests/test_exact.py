@@ -852,6 +852,29 @@ def test_paths_and_sheets_are_frozen_and_pickle():
         assert again == obj and hash(again) == hash(obj) and repr(again) == repr(obj)
 
 
+def test_every_value_compares_and_hashes_its_stored_slots():
+    """One equality for all three classes: a value hashes as the tuple of
+    its slots, which it does not equal, and never equals a value of
+    another class."""
+    stored = {AffineMap1: lambda m: (m.an, m.cn, m.d),
+              PLPath: lambda p: (p._t, p._v, p._vm),
+              GridSheet: lambda s: (s._x, s._c)}
+    rng = random.Random("one equality")
+    values = []
+    for _ in range(30):
+        values += [AffineMap1(F(rng.randint(1, 8), rng.randint(1, 8)),
+                              F(rng.randint(-8, 8), rng.randint(1, 8))),
+                   _random_path(rng, rng.randint(0, 2)),
+                   _random_sheet(rng, rng.randint(0, 2))]
+    for x in values:
+        key = x._key(x)
+        assert key == stored[type(x)](x) and hash(x) == hash(key)
+        assert not x == key and x != key
+        for y in values:
+            if type(y) is not type(x):
+                assert not x == y and x != y
+
+
 # --- the column store against a product grid ------------------------------------
 
 class ProductSheet:

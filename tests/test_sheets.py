@@ -1,4 +1,5 @@
 """Loops, sheets, and the action of strip diagrams on them."""
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -779,3 +780,39 @@ def test_mutated_algebra_fails():
     assert not report.ok
     assert len({fl.case for fl in report.failures}) == 20
     assert all(fl.law != "exception" for fl in report.failures)
+
+
+# --- every sheets law can fail ---------------------------------------------------------
+
+def _swap_ends(alg):
+    """``alg`` with an ``act_sheet`` whose results have their bottom and top
+    loops swapped."""
+    def act_sheet(config, inputs):
+        out = alg.act_sheet(config, inputs)
+        return dataclasses.replace(out, bottom=out.top, top=out.bottom)
+    return dataclasses.replace(alg, act_sheet=act_sheet)
+
+
+def _unit_plays_in_half(alg):
+    """``alg`` with an ``act_path`` that plays the unit's loop in [0, 1/2]."""
+    half = IntervalConfig((AffineMap1(F(1, 2), 0),))
+
+    def act_path(config, loops):
+        return alg.act_path(half if config == interval_unit() else config, loops)
+    return dataclasses.replace(alg, act_path=act_path)
+
+
+@pytest.mark.parametrize("law, broken", [
+    ("source boundary", _swap_ends), ("target boundary", _swap_ends),
+    ("unit", _swap_ends), ("path unit", _unit_plays_in_half)])
+def test_each_sheets_law_fails_on_an_instance_that_breaks_it(law, broken):
+    # act_on_sheets builds its boundary loops as act_on_loops plays loops, so
+    # a fault in that shared routine passes both boundary laws; these
+    # instances break the action's result instead
+    def make(rng):
+        f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
+        return broken(sheet_algebra(f))
+
+    report = run_algebra_check(make, strips_rel_operad(), seed=71, cases=20,
+                               max_r=3, max_total=4, name="sheets-broken")
+    assert law in {fl.law for fl in report.failures}
