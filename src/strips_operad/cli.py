@@ -228,14 +228,14 @@ def _valid(label: str, violation, value):
     return value
 
 
-def _strip_doc(label: str, doc):
-    """The valid strip configuration of ``doc``; a ``ValueError`` from
-    decoding it or a defect names ``label``."""
+def _decoded(label: str, decode, violation, doc):
+    """The valid value ``decode(doc)``; a ``ValueError`` from decoding it
+    or a defect names ``label``."""
     try:
-        config = serialize.strip_from_json(doc)
+        value = decode(doc)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None
-    return _valid(label, strip_violation, config)
+    return _valid(label, violation, value)
 
 
 def cmd_compose(args) -> int:
@@ -244,26 +244,25 @@ def cmd_compose(args) -> int:
     plan = _load_plan(args.plan)
     kind = plan.get("kind")
     field = functools.partial(serialize.key_from_json, plan, what="the plan")
+    intervals = (serialize.intervals_from_json, interval_violation)
+    strips = (serialize.strip_from_json, strip_violation)
     if kind == "intervals":
-        outer = _valid("outer", interval_violation,
-                       serialize.intervals_from_json(field("outer")))
+        outer = _decoded("outer", *intervals, field("outer"))
         inners = serialize.array_from_json(field("inners"), '"inners"')
-        parts = [_valid(f"inner {k}", interval_violation,
-                        serialize.intervals_from_json(doc))
+        parts = [_decoded(f"inner {k}", *intervals, doc)
                  for k, doc in enumerate(inners, 1)]
         compose, violation = interval_compose, interval_violation
         to_json = serialize.intervals_to_json
     elif kind == "strips":
-        outer = _strip_doc("outer", field("outer"))
+        outer = _decoded("outer", *strips, field("outer"))
         parts = []
         blocks = serialize.array_from_json(field("blocks"), '"blocks"')
         for i, blk in enumerate(blocks, 1):
-            base = _valid(f"block {i} base", interval_violation,
-                          serialize.intervals_from_json(
-                              serialize.key_from_json(blk, "base", f"block {i}")))
+            base = _decoded(f"block {i} base", *intervals,
+                            serialize.key_from_json(blk, "base", f"block {i}"))
             configs = serialize.array_from_json(blk.get("configs", []), '"configs"')
             parts.append(Block(base, tuple(
-                _strip_doc(f"block {i} configuration {a}", doc)
+                _decoded(f"block {i} configuration {a}", *strips, doc)
                 for a, doc in enumerate(configs, 1))))
         compose, violation = strip_compose, strip_violation
         to_json = serialize.strip_to_json

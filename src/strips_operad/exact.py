@@ -328,18 +328,19 @@ def _point_bends(a: tuple, b: tuple, c: tuple, dt0: int, dt1: int) -> bool:
 
 
 def _pruned(ts: Sequence, vals: Sequence, bends, tests=None) -> tuple:
-    """``(ts, vals)`` as tuples, less each interior break k in ``tests``
-    (all when None) where ``bends(last, vals[k], vals[k + 1], dt0, dt1)`` is
-    false: its value is on the line through the last kept value, ``dt0``
-    before, and the next, ``dt1`` after.  The breaks are ints over
-    ``ts[-1]`` and come back over their least denominator.  The one walk
-    for a path's points (:func:`_minimal`) and a sheet's x-lines."""
+    """``(ts, vals)`` as tuples, less each interior break ``ts[k]`` in
+    ``tests`` (all when None) where ``bends(last, vals[k], vals[k + 1],
+    dt0, dt1)`` is false: its value is on the line through the last kept
+    value, ``dt0`` before, and the next, ``dt1`` after.  The breaks are
+    ints over ``ts[-1]``, as are the values in ``tests``, and come back over
+    their least denominator.  The one walk for a path's points
+    (:func:`_minimal`) and a sheet's x-lines."""
     if len(ts) > 2:
         t0, last = ts[0], vals[0]
         kept_ts, kept = [t0], [last]
         for k in range(1, len(ts) - 1):
             t, v = ts[k], vals[k]
-            if ((tests is None or k in tests)
+            if ((tests is None or t in tests)
                     and not bends(last, v, vals[k + 1], t - t0, ts[k + 1] - t)):
                 continue
             t0, last = t, v
@@ -484,8 +485,9 @@ def _sheet(xs: Sequence, cols: Sequence, tests=None) -> GridSheet:
     ``cols[i]``, from ints that already hold its invariants (x-lines
     strictly increasing from 0, one :func:`_minimal` path triple of one
     dimension per x-line), without checking them again.  :func:`_pruned`
-    tests the interior x-lines in ``tests`` (all when None) with
-    :func:`_bends`; the caller knows that every other one bends."""
+    tests the interior x-lines whose values ``xs[i]`` are in ``tests`` (all
+    when None) with :func:`_bends`; the caller knows that every other one
+    bends."""
     xs, cols = _pruned(xs, cols, _bends, tests)
     sheet = object.__new__(GridSheet)
     _SET_X(sheet, xs)

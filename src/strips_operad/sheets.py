@@ -13,14 +13,15 @@ validity check below compute on those ints and build no ``Fraction``.
 An interval configuration acts on a list of loops by playing each loop inside
 its interval and resting at q elsewhere.  A strip configuration acts on chains
 of sheet elements (one chain per strip, matched end-to-start; a bare loop for
-an empty strip) by inserting each sheet into its rectangle, filling the rest
-of its strip with the junction loops pushed through f, and filling columns
-outside all strips with p.  For a valid element the pushed junction loops
-are its sheets' bottom and top edges, so a strip with rectangles is read
-from its sheets alone, and only an empty strip shows a pushed loop.  Both
-actions are one splice (:func:`_splice`): lay paths into disjoint
-subintervals, run straight between them and rest at the ends of the first
-and the last, in x for loops, and in y for each column of the output sheet.
+an empty strip) by inserting each sheet into its rectangle and filling the
+rest of its strip with the junction loops pushed through f.  For a valid
+element the pushed junction loops are its sheets' bottom and top edges, so
+a strip with rectangles is read from its sheets alone, and only an empty
+strip shows a pushed loop.  Both actions are one splice (:func:`_splice`):
+lay paths into disjoint subintervals, run straight between them and rest at
+the ends of the first and the last.  Loops are spliced in x; the output
+sheet is a splice in x of its strips' columns, each column a splice in y,
+so outside all strips it is p for valid inputs, whose side columns are p.
 """
 from __future__ import annotations
 
@@ -184,39 +185,32 @@ def _check_spans(maps: Sequence[AffineMap1], what: str, direction: str,
                     f"ends at {prev.image()[1]}")
 
 
-def _embedded(emb: AffineMap1, ts: Sequence, m: int) -> list:
-    """The images under ``emb`` of the points ``ts`` (ints over ``ts[-1]``),
-    as ints over m, a multiple of ``emb.d * ts[-1]``."""
-    den = ts[-1]
-    s = m // (emb.d * den)
-    a, c = emb.an * s, emb.cn * den * s
-    return [a * t + c for t in ts]
-
-
-def _splice(pieces: Sequence, m: int) -> tuple:
+def _splice(embs: Sequence[AffineMap1], pieces: Sequence) -> tuple:
     """``(ts, vals, vm)``: the path on [0, m] that plays each piece ``(ts,
-    vals, vm)`` over its own span and runs straight from one piece's end to
-    the next one's start.  Before the first piece it rests at that piece's
-    start, and after the last at that piece's end.  There is at least one
-    piece; breaks are ints over m, strictly increasing within a piece, and
-    each piece ends no later than the next starts; a point two pieces share
-    takes the lower one's value.  The values go to the LCM of the
-    denominators met."""
-    parts = pieces       # the caller's own list, which this grows
-    if parts[0][0][0]:
-        _, vals, vm = parts[0]
-        parts.insert(0, ((0,), vals[:1], vm))
-    if parts[-1][0][-1] != m:
-        _, vals, vm = parts[-1]
-        parts.append(((m,), vals[-1:], vm))
-    vm = math.lcm(*[part[2] for part in parts])
+    vals, vm)`` (breaks ints over ``ts[-1]`` from 0, strictly increasing)
+    over ``embs[k]`` of its own span and runs straight from one piece's end
+    to the next one's start, m the LCM of ``emb.d * ts[-1]``.  Before the
+    first piece it rests at that piece's start, and after the last at that
+    piece's end.  There is at least one piece, and each piece ends no later
+    than the next starts; a point two pieces share takes the lower one's
+    value.  The values go to the LCM of the denominators met."""
+    m = math.lcm(*[emb.d * piece[0][-1] for emb, piece in zip(embs, pieces)])
+    vm = math.lcm(*[piece[2] for piece in pieces])
     ts, vals = [], []
-    for pts, points, pm in parts:
-        start = 1 if ts and pts[0] == ts[-1] else 0
-        ts.extend(pts[start:])
+    for emb, (pts, points, pm) in zip(embs, pieces):
+        s = m // (emb.d * pts[-1])
+        a, c = emb.an * s, emb.cn * pts[-1] * s
+        start = 1 if ts and c == ts[-1] else 0
+        ts.extend([a * t + c for t in pts[start:]])
         k = vm // pm
         vals.extend(points[start:] if k == 1 else
-                    [tuple([c * k for c in v]) for v in points[start:]])
+                    [tuple([x * k for x in v]) for v in points[start:]])
+    if ts[0]:
+        ts.insert(0, 0)
+        vals.insert(0, vals[0])
+    if ts[-1] != m:
+        ts.append(m)
+        vals.append(vals[-1])
     return ts, vals, vm
 
 
@@ -247,11 +241,8 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
 def _play(embs: Sequence[AffineMap1], paths: Sequence[PLPath]) -> Loop:
     """:func:`act_on_loops` of the loops ``paths`` (one dimension, one
     basepoint) in the intervals ``embs`` (checked), without checking them
-    again."""
-    xm = math.lcm(*[e.d * path._t[-1] for e, path in zip(embs, paths)])
-    pieces = [(_embedded(emb, path._t, xm), path._v, path._vm)
-              for emb, path in zip(embs, paths)]
-    return Loop(_path(*_splice(pieces, xm)))
+    again: one :func:`_splice` of the paths in x."""
+    return Loop(_path(*_splice(embs, [(p._t, p._v, p._vm) for p in paths])))
 
 
 def act_on_sheets(f: PointedMap, config: StripConfig,
@@ -264,119 +255,93 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
 
     The strips must lie in [0, 1] and run left to right, and the rectangles
     of each strip must lie in [0, 1] and run bottom to top, each ending no
-    later than the next starts; otherwise ``ValueError``.  A point on an edge
-    shared by two strips or two rectangles belongs to the left or lower one.
+    later than the next starts; otherwise ``ValueError``.  The strips are
+    checked first, then each strip in turn: its chain, its loops, its
+    sheets' dimension and its rectangles.  A point on an edge shared by two
+    strips or two rectangles belongs to the left or lower one.
 
-    Everything is computed on the stored ints, one output column at a
-    time.  A strip with rectangles is read from its sheets alone: its
-    columns are the union of its sheets' x-lines, in its own units (the LCM
-    of their denominators); the first is left out when the strip to its
-    left took it.  Each column is one splice in y (:func:`_splice`): inside
-    rectangle j it reads sheet j's column at that x
+    Everything is computed on the stored ints.  The output sheet is one
+    splice in x (:func:`_splice`) of one piece per strip: its columns, at
+    x-lines in the strip's own units.  A strip with rectangles is read from
+    its sheets alone: its x-lines are the union of its sheets' x-lines, in
+    the LCM of their denominators, and each column is one splice in y:
+    inside rectangle j it reads sheet j's column at that x
     (:func:`~strips_operad.exact._columns_at`), rescaled into the
     rectangle; below the first rectangle it rests at the lowest sheet's
     bottom value and above the last at the highest sheet's top value;
     between two rectangles it runs from the lower sheet's top to the upper
     one's bottom.  For a valid element those values are junction loop 0, n
     and g pushed through f, and a minimal sheet keeps an x-line wherever its
-    bottom or top edge bends, so the pushed loops add no column.  An element
+    bottom or top edge bends, so the pushed loops add no x-line.  An element
     whose sheet edge is not f of its loop yields the sheet's edge there.
     An empty strip is its junction loop pushed through f
     (:func:`push_loop`), constant in y, with a column at each of its
-    breaks.  Outside every strip the column is p.  Each column carries its
-    own denominators.  A sheet's interior x-line bends in the output, and
-    so does a break of a pushed loop, so only the columns on the strips'
-    edges can turn out redundant
-    (:func:`~strips_operad.exact._sheet`).
+    breaks.  Left of the first strip the sheet rests at that strip's left
+    column, right of the last at that strip's right column, and between two
+    strips it runs straight from one's right column to the next one's left
+    column; for valid inputs every such column is p, so the sheet is p
+    outside all strips.  A sheet's interior x-line bends in the output, and
+    so does a break of a pushed loop, so only the x-lines on the strips'
+    edges can turn out redundant (:func:`~strips_operad.exact._sheet`).
     """
     r = config.arity
     if len(inputs) != r:
         raise ValueError(f"{r} strips need {r} inputs, got {len(inputs)}")
+    embs = config.base.embeddings
+    _check_spans(embs, "strip", "left to right")
 
-    junctions = []   # per strip: n_i + 1 loops (bottom of the stack upward)
-    chains = []      # per strip: the sheet elements themselves
-    for i, (n, inp) in enumerate(zip(config.shape, inputs)):
+    bottoms, tops, pieces = [], [], []
+    for i, (n, inp, rects) in enumerate(zip(config.shape, inputs, config.rects)):
         if n == 0:
             if not isinstance(inp, Loop):
                 raise ChainError(f"strip {i + 1} is empty and takes a single loop")
-            junctions.append((inp,))
-            chains.append(())
-            continue
-        if isinstance(inp, (Loop, SheetElement)):
+            elems, loops = (), (inp,)
+        elif isinstance(inp, (Loop, SheetElement)):
             raise ChainError(f"strip {i + 1} takes a sequence of {n} elements")
-        elems = tuple(inp)
-        if len(elems) != n:
-            raise ChainError(f"strip {i + 1} takes {n} chained elements, "
-                             f"got {len(elems)}")
-        for a in range(n - 1):
-            if elems[a].top != elems[a + 1].bottom:
-                raise ChainError(
-                    f"strip {i + 1}: top loop of element {a + 1} differs from "
-                    f"bottom loop of element {a + 2}")
-        junctions.append((elems[0].bottom,) + tuple(e.top for e in elems))
-        chains.append(elems)
-
-    for i, loops in enumerate(junctions):
+        else:
+            elems = tuple(inp)
+            if len(elems) != n:
+                raise ChainError(f"strip {i + 1} takes {n} chained elements, "
+                                 f"got {len(elems)}")
+            for a in range(n - 1):
+                if elems[a].top != elems[a + 1].bottom:
+                    raise ChainError(
+                        f"strip {i + 1}: top loop of element {a + 1} differs "
+                        f"from bottom loop of element {a + 2}")
+            loops = (elems[0].bottom,) + tuple(e.top for e in elems)
         for loop in loops:
             defect = _loop_defect(f, loop, f"strip {i + 1}: loop")
             if defect:
                 raise ValueError(defect)
-    for i, elems in enumerate(chains):
-        for e in elems:
-            if e.sheet.dim != f.dim_out:
-                raise ValueError(f"strip {i + 1}: sheet dimension {e.sheet.dim} "
-                                 f"does not match the map target {f.dim_out}")
-
-    embs = config.base.embeddings
-    _check_spans(embs, "strip", "left to right")
-    for i, rects in enumerate(config.rects):
-        _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
-
-    # an empty strip shows its loop pushed through f, and each strip has
-    # its own units: the LCM of its sheets' x denominators, or the pushed
-    # loop's
-    pushed = [None if elems else push_loop(f, loops[0])
-              for loops, elems in zip(junctions, chains)]
-    units = [path._t[-1] if path else math.lcm(*[e.sheet._x[-1] for e in elems])
-             for elems, path in zip(chains, pushed)]
-    xm = math.lcm(*[emb.d * unit for emb, unit in zip(embs, units)])
-
-    p, pm = f._p
-    outside = _minimal((0, 1), (p, p), pm)
-    xs, cols, edges = [], [], set()
-    strips = zip(embs, units, chains, config.rects, pushed)
-    if not f.dim_out:               # Q^0 is a point, so is every sheet in it
-        xs, cols, strips = [0, xm], [outside, outside], ()
-    elif embs[0].cn:                # the first strip starts right of 0
-        xs.append(0)
-        cols.append(outside)
-    for emb, unit, elems, rects, path in strips:
         sheets = [e.sheet for e in elems]
-        xcols = path._t if path else sorted(
-            {x for s in sheets for x in _rescaled(s._x, unit)})
-        images = _embedded(emb, xcols, xm)
-        first = 1 if xs and images[0] == xs[-1] else 0  # the left strip's
-        xs.extend(images[first:])
-        edges.add(len(cols) - first)      # the strip's left edge
-        if path:            # the pushed loop at its own breaks, constant in y
-            cols.extend([_minimal((0, 1), (v, v), path._vm)
-                         for v in path._v[first:]])
-        else:               # each sheet read once along the strip's columns
+        for sheet in sheets:
+            if sheet.dim != f.dim_out:
+                raise ValueError(f"strip {i + 1}: sheet dimension {sheet.dim} "
+                                 f"does not match the map target {f.dim_out}")
+        _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
+        bottoms.append(loops[0].path)
+        tops.append(loops[-1].path)
+        if not f.dim_out:
+            continue
+        if sheets:          # each sheet read once along the strip's columns
+            unit = math.lcm(*[s._x[-1] for s in sheets])
+            xcols = sorted({x for s in sheets for x in _rescaled(s._x, unit)})
             reads = [_columns_at(s, unit, xcols) for s in sheets]
-            ym = math.lcm(*[rect.d * math.lcm(*[ts[-1] for ts, _, _ in s._c])
-                            for rect, s in zip(rects, sheets)])
-            for c in range(first, len(xcols)):
-                cols.append(_minimal(*_splice(
-                    [(_embedded(rect, read[c][0], ym), read[c][1], read[c][2])
-                     for rect, read in zip(rects, reads)], ym)))
-        edges.add(len(cols) - 1)
-    if xs[-1] != xm:                # the last strip ends left of 1
-        xs.append(xm)
-        cols.append(outside)
+            cols = [_minimal(*_splice(rects, col)) for col in zip(*reads)]
+        else:               # the pushed loop at its own breaks, constant in y
+            path = push_loop(f, inp)
+            xcols = path._t
+            cols = [_minimal((0, 1), (v, v), path._vm) for v in path._v]
+        pieces.append((xcols, cols, 1))     # each column has its own denominators
 
-    bottom = _play(embs, [loops[0].path for loops in junctions])
-    top = _play(embs, [loops[-1].path for loops in junctions])
-    return SheetElement(_sheet(xs, cols, edges), bottom, top)
+    if f.dim_out:
+        xs, cols, _ = _splice(embs, pieces)
+        sheet = _sheet(xs, cols, {c * (xs[-1] // e.d) for e in embs
+                                  for c in (e.cn, e.an + e.cn)})
+    else:                           # Q^0 is a point, so is every sheet in it
+        point = _minimal((0, 1), ((), ()), 1)
+        sheet = _sheet((0, 1), (point, point))
+    return SheetElement(sheet, _play(embs, bottoms), _play(embs, tops))
 
 
 # ---------------------------------------------------------------------------

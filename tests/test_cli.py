@@ -765,7 +765,8 @@ def test_compose_and_render_reject_a_zero_denominator(tmp_path, capsys):
     plan = dict(INTERVALS_PLAN, outer={"embeddings": [{"a": "1/0", "c": "0"}]})
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
-    assert run(["compose", str(path)], capsys) == (2, "", line)
+    assert run(["compose", str(path)], capsys) == (
+        2, "", "error: outer: not a rational: '1/0'\n")
     path.write_text(json.dumps(plan["outer"]))
     assert run(["render", str(path)], capsys) == (2, "", line)
 
@@ -791,9 +792,55 @@ def test_compose_and_render_refuse_what_rat_to_json_never_writes(
     plan = dict(INTERVALS_PLAN, outer={"embeddings": [{"a": text, "c": "0"}]})
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
-    assert run(["compose", str(path)], capsys) == (2, "", line)
+    assert run(["compose", str(path)], capsys) == (
+        2, "", f"error: outer: not a rational: {text!r}\n")
     path.write_text(json.dumps(plan["outer"]))
     assert run(["render", str(path)], capsys) == (2, "", line)
+
+
+HALVES = {"embeddings": [{"a": "1/4", "c": "0"}, {"a": "1/4", "c": "1/2"}]}
+UNIT_INTERVALS = {"embeddings": [{"a": "1", "c": "0"}]}
+INTERVALS_HALVES = {"kind": "intervals", "outer": HALVES,
+                    "inners": [UNIT_INTERVALS, UNIT_INTERVALS]}
+STRIPS_HALVES = {
+    "kind": "strips",
+    "outer": {"shape": [1, 0], "base": HALVES,
+              "rects": [[{"a": "1/4", "c": "0", "b": "1/2", "d": "0"}], []]},
+    "blocks": [{"base": UNIT_INTERVALS, "configs": [
+                   {"shape": [1], "base": UNIT_INTERVALS,
+                    "rects": [[{"a": "1", "c": "0", "b": "1/2", "d": "0"}]]}]},
+               {"base": UNIT_INTERVALS, "configs": []}]}
+# where each label sits in two plans that compose: the path to an intervals
+# document, decoded by itself or as a strip configuration's base
+LABELED_INTERVALS = {
+    "outer": (INTERVALS_HALVES, ("outer",)),
+    "inner 2": (INTERVALS_HALVES, ("inners", 1)),
+    "block 2 base": (STRIPS_HALVES, ("blocks", 1, "base")),
+    "block 1 configuration 1": (STRIPS_HALVES,
+                                ("blocks", 0, "configs", 0, "base")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LABELED_INTERVALS))
+@pytest.mark.parametrize("embeddings, message", [
+    ([{"a": "x", "c": "0"}], "not a rational: 'x'"),
+    ("ab", '"embeddings" is not a JSON array')], ids=["rational", "array"])
+def test_compose_names_the_document_a_decoding_error_is_in(
+        tmp_path, capsys, label, embeddings, message):
+    # interval documents were once decoded without their label, so only a
+    # strip configuration's errors named the document
+    plan, where = LABELED_INTERVALS[label]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys)[0] == 0
+    plan = json.loads(json.dumps(plan))
+    doc = plan
+    for key in where:
+        doc = doc[key]
+    doc["embeddings"] = embeddings
+    path.write_text(json.dumps(plan))
+    assert run(["compose", str(path)], capsys) == (
+        2, "", f"error: {label}: {message}\n")
 
 
 def test_compose_rejects_an_invalid_intervals_composite(tmp_path, capsys,
@@ -944,7 +991,7 @@ def test_compose_refuses_strings_and_objects_as_arrays(tmp_path, capsys):
     plan = dict(INTERVALS_PLAN, outer={"embeddings": "ab"})
     path.write_text(json.dumps(plan))
     assert run(["compose", str(path)], capsys) == (
-        2, "", 'error: "embeddings" is not a JSON array\n')
+        2, "", 'error: outer: "embeddings" is not a JSON array\n')
     path.write_text(json.dumps(dict(INTERVALS_PLAN, inners="ab")))
     assert run(["compose", str(path)], capsys) == (
         2, "", 'error: "inners" is not a JSON array\n')

@@ -1042,6 +1042,18 @@ def test_sheet_tests_only_the_x_lines_it_is_given():
     assert _sheet(xs, cols)._x == (0, 1)       # (0, 3) over its least denominator
 
 
+def test_sheet_tests_x_lines_by_their_break_value():
+    # the x-line at 3 (over 4), interior index 1, is the interpolation of its
+    # neighbours: ``tests`` names it by its break value, not by its index
+    def col(v):
+        return _minimal((0, 1), ((v,), (v,)), 1)
+
+    xs, cols = (0, 3, 4), (col(0), col(3), col(4))
+    assert _sheet(xs, cols, set())._x == xs
+    assert _sheet(xs, cols, {xs[1]})._x == (0, 1)
+    assert _sheet(xs, cols, {1})._x == xs
+
+
 huge_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=2**64)
 huge_unit_rationals = st.fractions(min_value=F(0), max_value=F(1),
                                    max_denominator=2**64)

@@ -327,6 +327,37 @@ def test_act_on_sheets_outside_strips_is_basepoint():
         assert out.sheet.at(x, y) == p
 
 
+def test_act_on_sheets_rests_at_the_outer_strips_and_runs_straight_between():
+    # the output is one splice in x of its strips' columns: left of the first
+    # strip it rests at that strip's left column, right of the last at that
+    # strip's right column, and between two strips it runs straight from one
+    # strip's edge column to the next one's.  For a valid element each of
+    # those columns is p, so only an element whose sides are not p shows it.
+    f = _map2d()
+    left, right = (F(3), F(-2)), (F(5), F(7))
+    sheet = GridSheet((F(0), F(1)), (F(0), F(1)), ((left, left), (right, right)))
+    loop = constant_loop(f.dom_base)
+    elem = SheetElement(sheet, loop, loop)
+    assert sheet_violation(f, elem).startswith("left edge value (Fraction(3, 1)")
+    quarter = F(1, 4)
+    base = IntervalConfig((AffineMap1(quarter, F(1, 8)), AffineMap1(quarter, F(1, 2))))
+    config = StripConfig((1, 1), base, ((AffineMap1(F(1, 2), quarter),),) * 2)
+    out = act_on_sheets(f, config, ((elem,), (elem,))).sheet
+    for k in range(33):
+        x = F(k, 32)
+        if x <= F(1, 8):                   # left of strip 1: its left column
+            want = left
+        elif F(3, 8) <= x <= F(1, 2):      # from strip 1's right to 2's left
+            s = (x - F(3, 8)) / F(1, 8)
+            want = tuple(a + (b - a) * s for a, b in zip(right, left))
+        elif x >= F(3, 4):                 # right of strip 2: its right column
+            want = right
+        else:
+            continue
+        for y in (F(0), F(1, 3), F(1)):
+            assert out.at(x, y) == want
+
+
 def test_act_on_sheets_chain_mismatch_raises():
     f = _map2d()
     rng = random.Random(37)
