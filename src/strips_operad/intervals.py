@@ -74,8 +74,8 @@ def interval_violation(config: IntervalConfig) -> Optional[str]:
             return f"interval {k + 1} image [{lo}, {hi}] leaves [0, 1]"
     for k, (e, f) in enumerate(zip(embs, embs[1:])):
         if not e.ends_before(f):
-            return (f"interval {k + 1} (ends {e.image()[1]}) overlaps or passes "
-                    f"interval {k + 2} (starts {f.image()[0]})")
+            return (f"interval {k + 1} (ends {e.image()[1]}) does not sit strictly "
+                    f"left of interval {k + 2} (starts {f.image()[0]})")
     return None
 
 

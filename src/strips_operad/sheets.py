@@ -18,10 +18,10 @@ rest of its strip with the junction loops pushed through f.  For a valid
 element the pushed junction loops are its sheets' bottom and top edges, so
 a strip with rectangles is read from its sheets alone, and only an empty
 strip shows a pushed loop.  Both actions are one splice (:func:`_splice`):
-lay paths into disjoint subintervals, run straight between them and rest at
-the ends of the first and the last.  Loops are spliced in x; the output
-sheet is a splice in x of its strips' columns, each column a splice in y,
-so outside all strips it is p for valid inputs, whose side columns are p.
+lay paths into subintervals, each piece ending strictly before the next
+starts, run straight between them and rest at the ends of the first and
+the last.  Loops are spliced in x; the output sheet is a splice in x of its
+strips' columns, each column a splice in y.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from .exact import (AffineMap1, GridSheet, PLPath, _align, _columns_at,
                     _fractions, _minimal, _over_lcm, _path, _points, _ratios,
                     _rescaled, _sheet, _values_at, as_point)
 from .framework import AlgebraInstance, ChainError
-from .intervals import IntervalConfig
-from .strips import StripConfig
+from .intervals import IntervalConfig, interval_violation
+from .strips import StripConfig, strip_violation
 
 
 @dataclass(frozen=True)
@@ -167,44 +167,24 @@ def push_loop(f: PointedMap, loop: Loop) -> PLPath:
 # actions
 # ---------------------------------------------------------------------------
 
-def _check_spans(maps: Sequence[AffineMap1], what: str, direction: str,
-                 where: str = "") -> None:
-    """Raise unless the image of each map lies in [0, 1] and ends no later
-    than the next one starts, decided on the integer triples."""
-    for k, m in enumerate(maps):
-        if not m.maps_into_unit():
-            lo, hi = m.image()
-            raise ValueError(f"{where}{what} {k + 1} image [{lo}, {hi}] "
-                             f"leaves [0, 1]")
-        if k:
-            prev = maps[k - 1]
-            if m.cn * prev.d < (prev.an + prev.cn) * m.d:
-                raise ValueError(
-                    f"{where}{what}s must run {direction} without overlapping: "
-                    f"{what} {k + 1} starts at {m.image()[0]}, before {what} {k} "
-                    f"ends at {prev.image()[1]}")
-
-
 def _splice(embs: Sequence[AffineMap1], pieces: Sequence) -> tuple:
     """``(ts, vals, vm)``: the path on [0, m] that plays each piece ``(ts,
     vals, vm)`` (breaks ints over ``ts[-1]`` from 0, strictly increasing)
     over ``embs[k]`` of its own span and runs straight from one piece's end
     to the next one's start, m the LCM of ``emb.d * ts[-1]``.  Before the
     first piece it rests at that piece's start, and after the last at that
-    piece's end.  There is at least one piece, and each piece ends no later
-    than the next starts; a point two pieces share takes the lower one's
-    value.  The values go to the LCM of the denominators met."""
+    piece's end.  There is at least one piece, and each piece ends strictly
+    before the next starts.  Values go to the LCM of the denominators met."""
     m = math.lcm(*[emb.d * piece[0][-1] for emb, piece in zip(embs, pieces)])
     vm = math.lcm(*[piece[2] for piece in pieces])
     ts, vals = [], []
     for emb, (pts, points, pm) in zip(embs, pieces):
         s = m // (emb.d * pts[-1])
         a, c = emb.an * s, emb.cn * pts[-1] * s
-        start = 1 if ts and c == ts[-1] else 0
-        ts.extend([a * t + c for t in pts[start:]])
+        ts.extend([a * t + c for t in pts])
         k = vm // pm
-        vals.extend(points[start:] if k == 1 else
-                    [tuple([x * k for x in v]) for v in points[start:]])
+        vals.extend(points if k == 1 else
+                    [tuple([x * k for x in v]) for v in points])
     if ts[0]:
         ts.insert(0, 0)
         vals.insert(0, vals[0])
@@ -217,12 +197,13 @@ def _splice(embs: Sequence[AffineMap1], pieces: Sequence) -> tuple:
 def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     """Play loop i inside interval i, rest at the basepoint elsewhere.
 
-    The intervals must lie in [0, 1] and run left to right (each ends no
-    later than the next starts); otherwise ``ValueError``.  The loops are
-    spliced directly (:func:`_splice`): the result breaks at 0, 1 and the
-    image of every loop breakpoint, and takes the loop's own value there,
-    or the basepoint outside every interval.  Every loop starts and ends
-    at the basepoint, so the splice rests there between two intervals.
+    The intervals must lie in [0, 1] and run left to right, each piece
+    ending strictly before the next starts; otherwise ``ValueError`` with
+    the message of :func:`~strips_operad.intervals.interval_violation`.
+    The loops are spliced directly (:func:`_splice`): the result breaks at
+    0, 1 and the image of every loop breakpoint and takes the loop's own
+    value there; every loop starts and ends at the basepoint, so the splice
+    rests there outside every interval.
     """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
@@ -234,7 +215,9 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     base = (first._v[0], first._vm)
     if not all(_is_point(loop.path._v[0], loop.path._vm, base) for loop in loops):
         raise ValueError("loops must share a basepoint")
-    _check_spans(config.embeddings, "interval", "left to right")
+    defect = interval_violation(config)
+    if defect is not None:
+        raise ValueError(defect)
     return _play(config.embeddings, [loop.path for loop in loops])
 
 
@@ -254,11 +237,11 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     or a single :class:`Loop` when strip i is empty.
 
     The strips must lie in [0, 1] and run left to right, and the rectangles
-    of each strip must lie in [0, 1] and run bottom to top, each ending no
-    later than the next starts; otherwise ``ValueError``.  The strips are
-    checked first, then each strip in turn: its chain, its loops, its
-    sheets' dimension and its rectangles.  A point on an edge shared by two
-    strips or two rectangles belongs to the left or lower one.
+    of each strip must lie in [0, 1] and run bottom to top, each piece
+    ending strictly before the next starts; otherwise ``ValueError`` with
+    the message of :func:`~strips_operad.strips.strip_violation`.  The
+    input count is checked first, then the configuration, then each strip
+    in turn: its chain, its loops and its sheets' dimension.
 
     Everything is computed on the stored ints.  The output sheet is one
     splice in x (:func:`_splice`) of one piece per strip: its columns, at
@@ -287,8 +270,10 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
     r = config.arity
     if len(inputs) != r:
         raise ValueError(f"{r} strips need {r} inputs, got {len(inputs)}")
+    defect = strip_violation(config)
+    if defect is not None:
+        raise ValueError(defect)
     embs = config.base.embeddings
-    _check_spans(embs, "strip", "left to right")
 
     bottoms, tops, pieces = [], [], []
     for i, (n, inp, rects) in enumerate(zip(config.shape, inputs, config.rects)):
@@ -318,7 +303,6 @@ def act_on_sheets(f: PointedMap, config: StripConfig,
             if sheet.dim != f.dim_out:
                 raise ValueError(f"strip {i + 1}: sheet dimension {sheet.dim} "
                                  f"does not match the map target {f.dim_out}")
-        _check_spans(rects, "rectangle", "bottom to top", f"strip {i + 1}: ")
         bottoms.append(loops[0].path)
         tops.append(loops[-1].path)
         if not f.dim_out:

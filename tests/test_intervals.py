@@ -141,8 +141,8 @@ def fraction_interval_violation(config):
             return f"interval {k + 1} image [{lo}, {hi}] leaves [0, 1]"
     for k in range(len(images) - 1):
         if not images[k][1] < images[k + 1][0]:
-            return (f"interval {k + 1} (ends {images[k][1]}) overlaps or passes "
-                    f"interval {k + 2} (starts {images[k + 1][0]})")
+            return (f"interval {k + 1} (ends {images[k][1]}) does not sit strictly "
+                    f"left of interval {k + 2} (starts {images[k + 1][0]})")
     return None
 
 

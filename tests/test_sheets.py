@@ -1,24 +1,29 @@
 """Loops, sheets, and the action of strip diagrams on them."""
 import dataclasses
+import json
 import random
+import re
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from strips_operad import mutants, sheets
+from strips_operad.cli import main
 from strips_operad.exact import AffineMap1, GridSheet, PLPath
 from strips_operad.framework import (ChainError, random_algebra_elements,
                                      random_algebra_plan, run_algebra_check)
 from strips_operad.intervals import (IntervalConfig, grid_embeddings,
-                                     interval_unit)
-from strips_operad.serialize import sheet_from_json, sheet_to_json
+                                     interval_unit, interval_violation)
+from strips_operad.serialize import (intervals_to_json, sheet_from_json,
+                                     sheet_to_json, strip_to_json)
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
                                   act_on_loops, act_on_sheets,
                                   push_loop, random_loop, random_pointed_map,
                                   random_sheet_element, sheet_algebra,
                                   sheet_violation)
 from strips_operad.strips import (StripConfig, random_strip, strip_unit,
-                                  strips_rel_operad)
+                                  strip_violation, strips_rel_operad)
 
 from helpers import (chain_inputs, constant_loop, constant_path, constant_sheet,
                      path_presentation, sheet_presentation)
@@ -529,35 +534,6 @@ def test_actions_match_pointwise_reference_at_check_scope():
     assert tees >= 3
 
 
-def test_actions_match_reference_with_shared_edges():
-    # strips and rectangles that share an edge: the point belongs to the
-    # left strip and the lower rectangle on both sides of the comparison
-    f = _map2d()
-    rng = random.Random(79)
-    half = F(1, 2)
-    base = IntervalConfig((AffineMap1(half, F(0)), AffineMap1(half, half)))
-    config = StripConfig((2, 0), base, (
-        (AffineMap1(half, F(0)), AffineMap1(half, half)), ()))
-    out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
-    assert sheet_violation(f, out) is None
-
-
-def test_actions_match_reference_when_strips_with_rectangles_share_edges():
-    # a column on an edge shared by two strips is read once, for the left
-    # strip, so the columns of every strip to its right stay in place
-    f = _map2d()
-    rng = random.Random(89)
-    quarter, half = F(1, 4), F(1, 2)
-    base = IntervalConfig((AffineMap1(quarter, F(0)), AffineMap1(quarter, quarter),
-                           AffineMap1(half, half)))
-    config = StripConfig((1, 2, 1), base, (
-        (AffineMap1(half, quarter),),
-        (AffineMap1(half, F(0)), AffineMap1(half, half)),
-        (AffineMap1(quarter, F(0)),)))
-    out = _assert_matches_reference(f, config, chain_inputs(f, config, rng))
-    assert sheet_violation(f, out) is None
-
-
 def _flattening_map() -> PointedMap:
     # reads only the first coordinate, so a loop that moves along the second
     # moves its image less, or not at all
@@ -582,7 +558,7 @@ def test_actions_match_reference_when_the_map_flattens_a_loop():
     for loop in (BEND, STILL):
         assert len(push_loop(f, loop).breaks) < len(loop.path.breaks)
     quarter, half = F(1, 4), F(1, 2)
-    base = IntervalConfig((AffineMap1(half, F(0)), AffineMap1(half, half)))
+    base = IntervalConfig((AffineMap1(half, 0), AffineMap1(quarter, F(3, 4))))
     config = StripConfig((1, 0), base, ((AffineMap1(half, quarter),), ()))
     rng = random.Random(101)
     for bottom in (BEND, STILL):
@@ -642,6 +618,31 @@ def test_strips_with_rectangles_push_no_loop(monkeypatch):
     assert pushes == [loop]
 
 
+def test_a_column_runs_straight_across_the_gap_between_two_rectangles():
+    # the lower sheet's top edge is a and the upper sheet's bottom edge is
+    # b != a, and the chain's shared loop pushes to p, which is neither:
+    # between the rectangles each column runs from a to b, read from the
+    # sheets alone
+    f = PointedMap(((F(1),),), (F(0),), (F(0),))
+    a, b = (F(2),), (F(5),)
+    p = f.cod_base
+    lower = GridSheet((0, 1), (0, 1), ((p, a), (p, a)))
+    upper = GridSheet((0, 1), (0, 1), ((b, p), (b, p)))
+    loop = constant_loop(f.dom_base)
+    chain = (SheetElement(lower, loop, loop), SheetElement(upper, loop, loop))
+    y_lo, y_hi = F(3, 8), F(5, 8)
+    strip = IntervalConfig((AffineMap1(F(1, 2), F(1, 4)),))
+    config = StripConfig((2,), strip, ((AffineMap1(y_lo - F(1, 8), F(1, 8)),
+                                        AffineMap1(F(7, 8) - y_hi, y_hi)),))
+    out = act_on_sheets(f, config, (chain,)).sheet
+    assert not any(y_lo < y < y_hi for y in out.y_breaks)
+    for x in (F(1, 4), F(3, 8), F(1, 2), F(3, 4)):
+        for k in range(5):
+            t = F(k, 4)
+            y = y_lo + t * (y_hi - y_lo)
+            assert out.at(x, y) == (a[0] + t * (b[0] - a[0]),)
+
+
 def test_a_foreign_loop_is_named_alike_by_action_check_and_sampler():
     f = _map2d()
     rng = random.Random(127)
@@ -683,12 +684,13 @@ def test_actions_on_intervals_leaving_the_unit_interval_raise(emb, message):
                          ((AffineMap1(F(1, 2), F(1, 4)),),))
     with pytest.raises(ValueError) as caught:
         act_on_sheets(f, config, chain_inputs(f, config, random.Random(7)))
-    assert str(caught.value) == "strip " + message
+    assert str(caught.value) == "base: interval " + message
 
 
 # the message for a rectangle with each offset below
-RECTANGLE_LEAVING = {F(-1, 4): "strip 1: rectangle 1 image [-1/4, 1/4] leaves [0, 1]",
-                     F(3, 4): "strip 1: rectangle 1 image [3/4, 5/4] leaves [0, 1]"}
+RECTANGLE_LEAVING = {
+    F(-1, 4): "rectangle (1, 1) vertical image [-1/4, 1/4] leaves [0, 1]",
+    F(3, 4): "rectangle (1, 1) vertical image [3/4, 5/4] leaves [0, 1]"}
 
 
 @pytest.mark.parametrize("y_part", [AffineMap1(F(1, 2), F(-1, 4)),
@@ -711,7 +713,9 @@ def test_act_on_sheets_rejects_strips_out_of_order():
     quarter = F(1, 4)
     base = IntervalConfig((AffineMap1(quarter, F(1, 2)), AffineMap1(quarter, F(0))))
     config = StripConfig((1, 1), base, ((AffineMap1(quarter, quarter),),) * 2)
-    with pytest.raises(ValueError, match="strips must run left to right"):
+    with pytest.raises(ValueError, match=re.escape(
+            "base: interval 1 (ends 3/4) does not sit strictly left of "
+            "interval 2 (starts 0)")):
         act_on_sheets(f, config, chain_inputs(f, config, rng))
 
 
@@ -721,16 +725,95 @@ def test_act_on_sheets_rejects_rectangles_out_of_order():
     emb = AffineMap1(F(1, 2), F(1, 4))
     config = StripConfig((2,), IntervalConfig((emb,)), ((
         AffineMap1(F(1, 4), F(1, 2)), AffineMap1(F(1, 4), F(1, 8))),))
-    with pytest.raises(ValueError,
-                       match="strip 1: rectangles must run bottom to top"):
+    with pytest.raises(ValueError, match=re.escape(
+            "rectangle (1, 1) does not sit strictly below rectangle (1, 2)")):
         act_on_sheets(f, config, chain_inputs(f, config, rng))
 
 
 def test_act_on_loops_rejects_overlapping_intervals():
     cfg = IntervalConfig((AffineMap1(F(1, 2), F(0)), AffineMap1(F(1, 2), F(1, 4))))
     loop = constant_loop((F(0),))
-    with pytest.raises(ValueError, match="intervals must run left to right"):
+    with pytest.raises(ValueError, match=re.escape(
+            "interval 1 (ends 1/2) does not sit strictly left of "
+            "interval 2 (starts 1/4)")):
         act_on_loops(cfg, [loop, loop])
+
+
+# --- one placement rule --------------------------------------------------------------
+
+HALF, QUARTER = F(1, 2), F(1, 4)
+MIDDLE = IntervalConfig((AffineMap1(HALF, QUARTER),))
+
+# hand-made configurations the validators refuse, each with its defect:
+# touching endpoints count, so pieces that share an edge are refused too
+REFUSED = {
+    "touching intervals": (IntervalConfig((
+        AffineMap1(HALF, 0), AffineMap1(HALF, HALF))),
+        "interval 1 (ends 1/2) does not sit strictly left of interval 2 "
+        "(starts 1/2)"),
+    "overlapping intervals": (IntervalConfig((
+        AffineMap1(HALF, 0), AffineMap1(HALF, QUARTER))),
+        "interval 1 (ends 1/2) does not sit strictly left of interval 2 "
+        "(starts 1/4)"),
+    "intervals out of order": (IntervalConfig((
+        AffineMap1(QUARTER, HALF), AffineMap1(QUARTER, 0))),
+        "interval 1 (ends 3/4) does not sit strictly left of interval 2 "
+        "(starts 0)"),
+    "leaving interval": (IntervalConfig((AffineMap1(HALF, F(3, 4)),)),
+                         "interval 1 image [3/4, 5/4] leaves [0, 1]"),
+    "touching strips with touching rectangles": (StripConfig(
+        (2, 0), IntervalConfig((AffineMap1(HALF, 0), AffineMap1(HALF, HALF))),
+        ((AffineMap1(HALF, 0), AffineMap1(HALF, HALF)), ())),
+        "base: interval 1 (ends 1/2) does not sit strictly left of "
+        "interval 2 (starts 1/2)"),
+    "three touching strips": (StripConfig(
+        (1, 2, 1), IntervalConfig((AffineMap1(QUARTER, 0),
+                                   AffineMap1(QUARTER, QUARTER),
+                                   AffineMap1(HALF, HALF))),
+        ((AffineMap1(HALF, QUARTER),),
+         (AffineMap1(HALF, 0), AffineMap1(HALF, HALF)),
+         (AffineMap1(QUARTER, 0),))),
+        "base: interval 1 (ends 1/4) does not sit strictly left of "
+        "interval 2 (starts 1/4)"),
+    "strips out of order": (StripConfig(
+        (1, 1), IntervalConfig((AffineMap1(QUARTER, HALF),
+                                AffineMap1(QUARTER, 0))),
+        ((AffineMap1(QUARTER, QUARTER),),) * 2),
+        "base: interval 1 (ends 3/4) does not sit strictly left of "
+        "interval 2 (starts 0)"),
+    "touching rectangles": (StripConfig(
+        (2,), MIDDLE, ((AffineMap1(HALF, 0), AffineMap1(HALF, HALF)),)),
+        "rectangle (1, 1) does not sit strictly below rectangle (1, 2)"),
+    "leaving rectangle": (StripConfig(
+        (1,), MIDDLE, ((AffineMap1(HALF, F(3, 4)),),)),
+        "rectangle (1, 1) vertical image [3/4, 5/4] leaves [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("config, defect", REFUSED.values(), ids=list(REFUSED))
+def test_compose_and_both_actions_refuse_what_the_validators_refuse(
+        config, defect, tmp_path, capsys):
+    # one placement rule: each action raises the validator's message, and
+    # compose names it for the plan's outer configuration
+    if isinstance(config, IntervalConfig):
+        assert interval_violation(config) == defect
+        loops = [constant_loop((F(0),))] * config.arity
+        act = partial(act_on_loops, config, loops)
+        plan = {"kind": "intervals", "outer": intervals_to_json(config),
+                "inners": []}
+    else:
+        assert strip_violation(config) == defect
+        f = _map2d()
+        act = partial(act_on_sheets, f, config,
+                      chain_inputs(f, config, random.Random(79)))
+        plan = {"kind": "strips", "outer": strip_to_json(config), "blocks": []}
+    with pytest.raises(ValueError) as caught:
+        act()
+    assert str(caught.value) == defect
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["compose", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: outer: {defect}\n")
 
 
 # --- degenerate regimes --------------------------------------------------------------
