@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    strips-operad check {intervals,strips,trees,sheets} [--seed N] [--cases N]
-                  [--max-r N] [--max-n N] [--mutate] [--exhaustive] [--out F]
+    strips-operad check TARGET [--seed N] [--cases N] [--max-r N] [--max-n N]
+                  [--mutate] [--exhaustive] [--out F]
     strips-operad enumerate R [--format json|dot|svg] [--out F]
     strips-operad compose PLAN.json [--out F] [--svg F]
     strips-operad render INPUT.json [--out F]
@@ -20,13 +20,13 @@ exponents are refused), a string or an object where an array belongs, a
 rectangle off its strip, or a ``$file`` that is not a file name (not a
 string, or one with a null byte) or splices in itself; ``render`` also
 exits 2 on a coordinate too large for a float.
-``check`` exits 2 on arguments that cannot give a bounded, non-empty run,
-among them an ``--exhaustive`` run of more than ``MAX_EXHAUSTIVE_PLANS``
-plans and a ``--max-r`` above ``MAX_CHECK_ARITY``: three stages of arity r
-compose to arity r³, and ``sheets`` acts on up to r² carriers.
-A ``check`` case that raises is recorded in the report as a failure
-of the law ``exception`` (exit 1), and the remaining cases still run.
-``check --mutate`` checks the broken instances of :mod:`strips_operad.mutants`.
+``check`` checks one entry of ``TARGETS`` (with ``--mutate``, its broken
+twin in :mod:`strips_operad.mutants`); it exits 2 on arguments that cannot
+give a bounded, non-empty run, among them an ``--exhaustive`` run of more
+than ``MAX_EXHAUSTIVE_PLANS`` plans and a ``--max-r`` above
+``MAX_CHECK_ARITY``, the bound on each target's ``reach``.  A case that
+raises is recorded in the report as a failure of the law ``exception``
+(exit 1), and the remaining cases still run.
 The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
 variable (0 when unset; exit 2 when it is not an integer); identical seeds
 give byte-identical reports.
@@ -38,13 +38,14 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from . import mutants, serialize, svg
+from . import mutants, serialize, sheets, svg
 from .framework import (Block, operad_plan_count, run_algebra_check,
                         run_operad_check, run_operad_exhaustive, run_rel_check)
 from .intervals import interval_compose, interval_violation, intervals_operad
-from .sheets import random_pointed_map, sheet_algebra
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
 
@@ -75,16 +76,61 @@ def _emit(text: str, out) -> None:
 # check
 # ---------------------------------------------------------------------------
 
+def _operad(make, args, seed: int, cases: int):
+    if args.exhaustive:
+        return run_operad_exhaustive(make(), max_arity=args.max_r, seed=seed)
+    return run_operad_check(make(), seed=seed, cases=cases, max_arity=args.max_r)
+
+
+def _rel(make, args, seed: int, cases: int):
+    return run_rel_check(make(), seed=seed, cases=cases, max_r=args.max_r,
+                         max_total=args.max_n)
+
+
+def _algebra(make, args, seed: int, cases: int):
+    return run_algebra_check(make, strips_rel_operad(), seed=seed, cases=cases,
+                             max_r=args.max_r, max_total=args.max_n,
+                             name=args.target)
+
+
+@dataclass(frozen=True)
+class Target:
+    """A ``check`` target; ``--mutate`` runs ``mutant`` in place of ``make``."""
+    run: Callable
+    make: Callable
+    mutant: Callable
+    max_n: bool = False         # --max-n bounds the run
+    exhaustive: bool = False    # the target takes --exhaustive
+    # (text, power): --max-r r reaches text of r ** power, bounded at
+    # MAX_CHECK_ARITY ** power; three stages of arity r compose to r ** 3
+    reach: tuple = ("composites reach arity {}", 3)
+
+
+TARGETS = {
+    "intervals": Target(_operad, intervals_operad, mutants.intervals_operad),
+    "strips": Target(_rel, strips_rel_operad, mutants.strips_rel_operad,
+                     max_n=True),
+    "trees": Target(_operad, trees_operad, mutants.trees_operad,
+                    exhaustive=True),
+    # one carrier or chain per output strip of the first stage
+    "sheets": Target(_algebra, sheets.random_sheet_algebra,
+                     mutants.random_sheet_algebra, max_n=True,
+                     reach=("draw {} carriers", 2)),
+}
+
+
 def _check_args_error(args):
     """Why the ``check`` arguments cannot give a bounded, non-empty run, or None."""
+    target = TARGETS[args.target]
     if args.cases is not None and args.cases < 1:
         return f"--cases must be at least 1, got {args.cases}"
     if args.max_r < 1:
         return f"--max-r must be at least 1, got {args.max_r}"
-    if args.target in ("strips", "sheets") and args.max_n < 1:
+    if target.max_n and args.max_n < 1:
         return f"--max-n must be at least 1, got {args.max_n}"
-    if args.exhaustive and args.target != "trees":
-        return f"--exhaustive applies only to trees, not {args.target}"
+    if args.exhaustive and not target.exhaustive:
+        takes = ", ".join(name for name, t in TARGETS.items() if t.exhaustive)
+        return f"--exhaustive applies only to {takes}, not {args.target}"
     if args.exhaustive and args.cases is not None:
         return "--cases does not apply with --exhaustive, which runs every plan"
     if args.exhaustive:
@@ -97,21 +143,12 @@ def _check_args_error(args):
                     f"{MAX_EXHAUSTIVE_PLANS} plans; use --max-r {over - 1} "
                     f"or less")
     if args.max_r > MAX_CHECK_ARITY:
-        if args.target == "sheets":
-            # one carrier or chain per output strip of the first stage
-            reach, bound = f"draw {args.max_r ** 2} carriers", MAX_CHECK_ARITY ** 2
-        else:
-            # three stages of arity r compose to arity r**3
-            reach = f"composites reach arity {args.max_r ** 3}"
-            bound = MAX_CHECK_ARITY ** 3
-        return (f"--max-r {args.max_r} lets {args.target} {reach}, more than "
-                f"{bound}; use --max-r {MAX_CHECK_ARITY} or less")
+        reach, power = target.reach
+        return (f"--max-r {args.max_r} lets {args.target} "
+                f"{reach.format(args.max_r ** power)}, more than "
+                f"{MAX_CHECK_ARITY ** power}; use --max-r {MAX_CHECK_ARITY} "
+                f"or less")
     return None
-
-
-def _random_sheet_algebra(rng):
-    return sheet_algebra(random_pointed_map(rng, rng.randint(0, 2),
-                                            rng.randint(0, 2)))
 
 
 def cmd_check(args) -> int:
@@ -121,27 +158,9 @@ def cmd_check(args) -> int:
         return 2
     seed = args.seed if args.seed is not None else _default_seed()
     cases = args.cases if args.cases is not None else DEFAULT_CASES
-    if args.target == "intervals":
-        op = mutants.intervals_operad() if args.mutate else intervals_operad()
-        report = run_operad_check(op, seed=seed, cases=cases,
-                                  max_arity=args.max_r)
-    elif args.target == "trees":
-        op = mutants.trees_operad() if args.mutate else trees_operad()
-        if args.exhaustive:
-            report = run_operad_exhaustive(op, max_arity=args.max_r, seed=seed)
-        else:
-            report = run_operad_check(op, seed=seed, cases=cases,
-                                      max_arity=args.max_r)
-    elif args.target == "strips":
-        rel = mutants.strips_rel_operad() if args.mutate else strips_rel_operad()
-        report = run_rel_check(rel, seed=seed, cases=cases, max_r=args.max_r,
-                               max_total=args.max_n)
-    else:  # sheets
-        make_algebra = (mutants.random_sheet_algebra if args.mutate
-                        else _random_sheet_algebra)
-        report = run_algebra_check(make_algebra, strips_rel_operad(), seed=seed,
-                                   cases=cases, max_r=args.max_r,
-                                   max_total=args.max_n, name="sheets")
+    target = TARGETS[args.target]
+    report = target.run(target.mutant if args.mutate else target.make, args,
+                        seed, cases)
     _emit(report.json_bytes().decode(), args.out)
     return 0 if report.ok else 1
 
@@ -311,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="fuzz the laws of one instance")
-    check.add_argument("target",
-                       choices=("intervals", "strips", "trees", "sheets"))
+    check.add_argument("target", choices=tuple(TARGETS))
     check.add_argument("--seed", type=int, default=None,
                        help="default: $STRIPS_OPERAD_SEED or 0")
     check.add_argument("--cases", type=int, default=None,

@@ -14,8 +14,8 @@ them, and so do the tests.
   edge contracted; a composite that is a corolla is unchanged.
 * :func:`sheet_algebra` -- every acted sheet's value at the centre of the
   square drifts by ``DRIFT`` in its first coordinate, so the target
-  dimension must be positive; :func:`random_sheet_algebra` draws the map
-  the way ``check sheets`` does, with target dimension 1 or 2.
+  dimension must be positive; :func:`random_sheet_algebra` is
+  ``sheets.random_sheet_algebra`` with target dimension 1 or 2.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ def _drifted(sheet: GridSheet) -> GridSheet:
 
 
 def random_sheet_algebra(rng: random.Random) -> AlgebraInstance:
-    """:func:`sheet_algebra` over a map drawn as ``check sheets`` draws one,
-    but with target dimension 1 or 2."""
+    """:func:`strips_operad.sheets.random_sheet_algebra` with the mutant
+    :func:`sheet_algebra` and target dimension 1 or 2."""
     return sheet_algebra(random_pointed_map(rng, rng.randint(0, 2),
                                             rng.randint(1, 2)))

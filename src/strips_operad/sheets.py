@@ -200,14 +200,18 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     The intervals must lie in [0, 1] and run left to right, each piece
     ending strictly before the next starts; otherwise ``ValueError`` with
     the message of :func:`~strips_operad.intervals.interval_violation`.
-    The loops are spliced directly (:func:`_splice`): the result breaks at
-    0, 1 and the image of every loop breakpoint and takes the loop's own
-    value there; every loop starts and ends at the basepoint, so the splice
-    rests there outside every interval.
+    Checked in order: the loop count, the configuration, the loops'
+    dimensions, their basepoint.  The loops are spliced directly
+    (:func:`_splice`): the result breaks at 0, 1 and the image of every
+    loop breakpoint and takes the loop's own value there; every loop starts
+    and ends at the basepoint, so the splice rests there outside the intervals.
     """
     if len(loops) != config.arity:
         raise ValueError(f"{config.arity} intervals need {config.arity} loops, "
                          f"got {len(loops)}")
+    defect = interval_violation(config)
+    if defect is not None:
+        raise ValueError(defect)
     dims = {loop.dim for loop in loops}
     if len(dims) > 1:
         raise ValueError("loops live in different dimensions")
@@ -215,9 +219,6 @@ def act_on_loops(config: IntervalConfig, loops: Sequence[Loop]) -> Loop:
     base = (first._v[0], first._vm)
     if not all(_is_point(loop.path._v[0], loop.path._vm, base) for loop in loops):
         raise ValueError("loops must share a basepoint")
-    defect = interval_violation(config)
-    if defect is not None:
-        raise ValueError(defect)
     return _play(config.embeddings, [loop.path for loop in loops])
 
 
@@ -460,3 +461,9 @@ def sheet_algebra(f: PointedMap) -> AlgebraInstance:
         random_element=lambda rng, source=None: random_sheet_element(f, rng, source),
         violation=lambda e: sheet_violation(f, e),
     )
+
+
+def random_sheet_algebra(rng: random.Random) -> AlgebraInstance:
+    """The algebra over a random map from dimension 0, 1 or 2 to 0, 1 or 2."""
+    return sheet_algebra(random_pointed_map(rng, rng.randint(0, 2),
+                                            rng.randint(0, 2)))

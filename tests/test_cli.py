@@ -11,8 +11,11 @@ from random import Random
 
 import pytest
 
-from strips_operad import mutants
-from strips_operad.cli import _check_args_error, build_parser, main
+from strips_operad import cli, mutants
+from strips_operad.cli import (TARGETS, Target, _check_args_error, _operad,
+                               build_parser, main)
+from strips_operad.framework import run_operad_exhaustive, run_rel_check
+from strips_operad.intervals import intervals_operad
 
 
 def run(argv, capsys):
@@ -478,6 +481,81 @@ def test_check_rejects_cases_with_exhaustive(capsys):
     # once ignored silently: exhaustive runs check every plan
     assert_usage_error(["check", "trees", "--exhaustive", "--cases", "5"],
                        capsys, "--cases")
+
+
+def _over_the_bound(target, r):
+    return (f"error: --max-r {r} lets {target} composites reach arity "
+            f"{r ** 3}, more than 2097152; use --max-r 128 or less\n")
+
+
+# every check rejection, argv to the whole of stderr; the empty ones exit 0
+CHECK_STDERR = {
+    **{(target, "--cases", "0"): "error: --cases must be at least 1, got 0\n"
+       for target in ("intervals", "strips", "trees", "sheets")},
+    **{(target, "--max-r", "0"): "error: --max-r must be at least 1, got 0\n"
+       for target in ("intervals", "strips", "trees", "sheets")},
+    **{(target, "--max-r", str(r)): _over_the_bound(target, r)
+       for target in ("intervals", "strips", "trees") for r in (129, 2049)},
+    ("sheets", "--max-r", "129"): "error: --max-r 129 lets sheets draw 16641 "
+                                  "carriers, more than 16384; use --max-r 128 "
+                                  "or less\n",
+    ("sheets", "--max-r", "2049"): "error: --max-r 2049 lets sheets draw "
+                                   "4198401 carriers, more than 16384; use "
+                                   "--max-r 128 or less\n",
+    ("strips", "--max-n", "0"): "error: --max-n must be at least 1, got 0\n",
+    ("sheets", "--max-n", "0"): "error: --max-n must be at least 1, got 0\n",
+    **{(target, "--exhaustive"): "error: --exhaustive applies only to trees, "
+                                 f"not {target}\n"
+       for target in ("intervals", "strips", "sheets")},
+    ("trees", "--exhaustive", "--cases", "3"):
+        "error: --cases does not apply with --exhaustive, which runs every plan\n",
+    ("trees", "--exhaustive", "--max-r", "4"):
+        "error: --exhaustive --max-r 4 checks more than 1000000 plans; use "
+        "--max-r 3 or less\n",
+    # --max-n bounds only the strips a run draws
+    ("intervals", "--max-n", "0", "--cases", "1"): "",
+    ("trees", "--max-n", "0", "--cases", "1"): "",
+}
+
+
+@pytest.mark.parametrize("argv", list(CHECK_STDERR), ids=" ".join)
+def test_check_rejection_lines_are_pinned(capsys, argv):
+    code, out, err = run(["check", *argv], capsys)
+    assert err == CHECK_STDERR[argv]
+    assert (code, out == "") == ((2, True) if err else (0, False))
+
+
+def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
+    # the usage line and argparse's invalid-choice message print this order
+    assert tuple(TARGETS) == ("intervals", "strips", "trees", "sheets")
+    monkeypatch.delenv("STRIPS_OPERAD_SEED", raising=False)
+    build_parser.cache_clear()      # the parser reads the table when built
+    monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
+        _operad, intervals_operad, mutants.intervals_operad, exhaustive=True))
+    try:
+        argv = ["check", "intervals-x", "--exhaustive", "--max-r", "2"]
+        report = run_operad_exhaustive(intervals_operad(), max_arity=2)
+        assert run(argv, capsys) == (0, report.json_bytes().decode(), "")
+        assert run([*argv, "--mutate"], capsys)[0] == 1
+        assert run(["check", "intervals", "--exhaustive"], capsys) == (
+            2, "", "error: --exhaustive applies only to trees, intervals-x, "
+                   "not intervals\n")
+    finally:
+        build_parser.cache_clear()
+
+
+def test_check_looks_its_runner_up_when_it_runs(capsys, monkeypatch):
+    # the benchmark's tracer rebinds module attributes: a table holding the
+    # runners themselves would hide every run from it
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return run_rel_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_rel_check", counting)
+    assert run(["check", "strips", "--cases", "1"], capsys)[0] == 0
+    assert len(calls) == 1
 
 
 def test_check_has_no_format_option(capsys):

@@ -739,6 +739,19 @@ def test_act_on_loops_rejects_overlapping_intervals():
         act_on_loops(cfg, [loop, loop])
 
 
+@pytest.mark.parametrize("other", [constant_loop((F(0), F(0))),
+                                   constant_loop((F(1),))],
+                         ids=["two dimensions", "two basepoints"])
+def test_act_on_loops_names_the_configuration_before_the_loops(other):
+    # act_on_sheets checks its configuration before its inputs; act_on_loops
+    # once named the loops' defect first
+    cfg = IntervalConfig((AffineMap1(F(1, 2), F(0)), AffineMap1(F(1, 2), F(1, 4))))
+    with pytest.raises(ValueError, match=re.escape(
+            "interval 1 (ends 1/2) does not sit strictly left of "
+            "interval 2 (starts 1/4)")):
+        act_on_loops(cfg, [constant_loop((F(0),)), other])
+
+
 # --- one placement rule --------------------------------------------------------------
 
 HALF, QUARTER = F(1, 2), F(1, 4)
