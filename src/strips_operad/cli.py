@@ -36,13 +36,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from . import mutants, serialize, sheets, svg
+from .exact import _Frozen, _set_slots
 from .framework import (Block, operad_plan_count, run_algebra_check,
                         run_operad_check, run_operad_exhaustive, run_rel_check)
 from .intervals import interval_compose, interval_violation, intervals_operad
@@ -93,17 +94,20 @@ def _algebra(make, args, seed: int, cases: int):
                              name=args.target)
 
 
-@dataclass(frozen=True)
-class Target:
-    """A ``check`` target; ``--mutate`` runs ``mutant`` in place of ``make``."""
-    run: Callable
-    make: Callable
-    mutant: Callable
-    max_n: bool = False         # --max-n bounds the run
-    exhaustive: bool = False    # the target takes --exhaustive
-    # (text, power): --max-r r reaches text of r ** power, bounded at
-    # MAX_CHECK_ARITY ** power; three stages of arity r compose to r ** 3
-    reach: tuple = ("composites reach arity {}", 3)
+class Target(_Frozen):
+    """A ``check`` target; ``--mutate`` runs ``mutant`` in place of ``make``.
+    ``max_n``: --max-n bounds the run; ``exhaustive``: the target takes
+    --exhaustive; ``reach``, a pair (text, power): --max-r r reaches text of
+    r ** power, bounded at MAX_CHECK_ARITY ** power (three stages of arity r
+    compose to r ** 3)."""
+
+    __slots__ = _fields = ("run", "make", "mutant", "max_n", "exhaustive", "reach")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, run: Callable, make: Callable, mutant: Callable,
+                 max_n: bool = False, exhaustive: bool = False,
+                 reach: tuple = ("composites reach arity {}", 3)):
+        _set_slots(self, self._fields, (run, make, mutant, max_n, exhaustive, reach))
 
 
 TARGETS = {
@@ -119,6 +123,11 @@ TARGETS = {
 }
 
 
+def _targets_with(flag: str) -> list:
+    """The names of the targets whose ``Target`` sets ``flag``."""
+    return [name for name, target in TARGETS.items() if getattr(target, flag)]
+
+
 def _check_args_error(args):
     """Why the ``check`` arguments cannot give a bounded, non-empty run, or None."""
     target = TARGETS[args.target]
@@ -129,7 +138,7 @@ def _check_args_error(args):
     if target.max_n and args.max_n < 1:
         return f"--max-n must be at least 1, got {args.max_n}"
     if args.exhaustive and not target.exhaustive:
-        takes = ", ".join(name for name, t in TARGETS.items() if t.exhaustive)
+        takes = ", ".join(_targets_with("exhaustive"))
         return f"--exhaustive applies only to {takes}, not {args.target}"
     if args.exhaustive and args.cases is not None:
         return "--cases does not apply with --exhaustive, which runs every plan"
@@ -342,14 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "composites reach arity max_r**3, and sheets act "
                             "on up to max_r**2 carriers")
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
-                       help="total rectangle bound for strips/sheets")
+                       help="total rectangle bound for "
+                            + "/".join(_targets_with("max_n")))
     check.add_argument("--mutate", action="store_true",
                        help="check a deliberately broken instance "
                             "(strips_operad.mutants); every target fails at "
                             "the defaults, but a small trees scope can miss "
                             "the mutant")
     check.add_argument("--exhaustive", action="store_true",
-                       help="trees only: all plans up to the arity bound "
+                       help="/".join(_targets_with("exhaustive"))
+                            + " only: all plans up to the arity bound "
                             f"(at most {MAX_EXHAUSTIVE_PLANS} plans)")
     check.add_argument("--out", default=None, help="report path (default stdout)")
     check.set_defaults(func=cmd_check)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Sequence
 
@@ -97,11 +96,18 @@ def _fractions(point, den: int) -> tuple[Fraction, ...]:
 
 class _Frozen:
     """Immutable instances: each slot is written once, through the slot's
-    own setter, by a private builder of its class.  Every value has one
-    stored form, so equality and hashing are those of ``_key``, the tuple
-    of its slots, and a value of another class is never equal."""
+    own setter, by a private builder or the constructor of its class.
+    Every value has one stored form, so equality and hashing are those of
+    ``_key``, the tuple of its slots or of its ``_fields``, and a value of
+    another class is never equal.
+
+    The base of every record type in the package.  A record lists its
+    constructor's arguments in ``_fields``, and gets from here the repr a
+    frozen dataclass prints over them, pickling and copying by its slots,
+    and ``_replace``, a new record with some arguments changed."""
 
     __slots__ = ()
+    _fields = ()
 
     def __eq__(self, other):
         if other is self:
@@ -114,10 +120,46 @@ class _Frozen:
         return hash(self._key(self))
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise _frozen_error(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise _frozen_error(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return (_restored, (type(self), tuple([getattr(self, name)
+                                               for name in self.__slots__])))
+
+    def _replace(self, **changes):
+        """A new record of this class, built by its constructor from this
+        one's ``_fields``, with ``changes`` in place of some of them."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+
+def _frozen_error(message: str) -> Exception:
+    """``dataclasses.FrozenInstanceError(message)``, the error a frozen
+    dataclass raises; its module is imported only when one is raised."""
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(message)
+
+
+def _restored(cls: type, values: tuple) -> _Frozen:
+    """The record of class ``cls`` whose slots hold ``values``, in the order
+    of ``cls.__slots__``: what ``_Frozen.__reduce__`` pickles."""
+    obj = object.__new__(cls)
+    _set_slots(obj, cls.__slots__, values)
+    return obj
+
+
+def _set_slots(obj: _Frozen, names: Sequence[str], values: Sequence) -> None:
+    """Write ``values`` into the slots ``names`` of ``obj``, through the
+    slots' own setters, which the frozen ``__setattr__`` does not reach."""
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
 
 
 class AffineMap1(_Frozen):
@@ -137,9 +179,6 @@ class AffineMap1(_Frozen):
     def __new__(cls, a, c):
         return _init_affine1(as_rat(a).as_integer_ratio(),
                              as_rat(c).as_integer_ratio())
-
-    def __reduce__(self):
-        return (_affine1, (self.an, self.cn, self.d))
 
     def __repr__(self):
         return f"AffineMap1(a={self.a!r}, c={self.c!r})"
@@ -264,9 +303,6 @@ class PLPath(_Frozen):
 
     def __new__(cls, breaks, values):
         return _init_path(_ratios(breaks), [_ratios(v) for v in values])
-
-    def __reduce__(self):
-        return (_path, (self._t, self._v, self._vm))
 
     def __repr__(self):
         return f"PLPath(breaks={self.breaks!r}, values={self.values!r})"
@@ -408,9 +444,6 @@ class GridSheet(_Frozen):
     def __new__(cls, x_breaks, y_breaks, values):
         return _init_sheet(_ratios(x_breaks), _ratios(y_breaks),
                            [[_ratios(v) for v in col] for col in values])
-
-    def __reduce__(self):
-        return (_sheet, (self._x, self._c))
 
     def __repr__(self):
         return (f"GridSheet(x_breaks={self.x_breaks!r}, "

@@ -29,10 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
-from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from .exact import _Frozen, _set_slots
 from .shapes import output_shape
 
 
@@ -44,16 +45,15 @@ class ChainError(ValueError):
     """Two-level inputs for one strip do not chain end-to-start."""
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Frozen):
     """Composition input for one outer strip: a base element plus the
     two-level elements lying over it (none when the strip is empty)."""
 
-    base: Any
-    configs: tuple = ()
+    __slots__ = _fields = ("base", "configs")
+    _key = operator.attrgetter(*_fields)
 
-    def __post_init__(self):
-        object.__setattr__(self, "configs", tuple(self.configs))
+    def __init__(self, base: Any, configs: Iterable = ()):
+        _set_slots(self, self._fields, (base, tuple(configs)))
 
 
 def _runs(flat: Sequence, lengths: Iterable[int]) -> list:
@@ -69,46 +69,53 @@ def _runs(flat: Sequence, lengths: Iterable[int]) -> list:
 # instance bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperadInstance:
-    name: str
-    unit: Callable[[], Any]
-    arity: Callable[[Any], int]
-    compose: Callable[[Any, Sequence], Any]
-    random_element: Callable[[int, random.Random], Any]
+class OperadInstance(_Frozen):
+    __slots__ = _fields = ("name", "unit", "arity", "compose", "random_element")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, name: str, unit: Callable[[], Any],
+                 arity: Callable[[Any], int],
+                 compose: Callable[[Any, Sequence], Any],
+                 random_element: Callable[[int, random.Random], Any]):
+        _set_slots(self, self._fields, (name, unit, arity, compose, random_element))
 
 
-@dataclass(frozen=True)
-class RelTwoOperadInstance:
-    name: str
-    base: OperadInstance
-    unit: Callable[[], Any]
-    shape: Callable[[Any], tuple]
-    project: Callable[[Any], Any]
-    compose: Callable[[Any, Sequence[Block]], Any]
-    random_over: Callable[[tuple, Any, random.Random], Any]
+class RelTwoOperadInstance(_Frozen):
+    __slots__ = _fields = ("name", "base", "unit", "shape", "project", "compose",
+                           "random_over")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, name: str, base: OperadInstance, unit: Callable[[], Any],
+                 shape: Callable[[Any], tuple], project: Callable[[Any], Any],
+                 compose: Callable[[Any, Sequence[Block]], Any],
+                 random_over: Callable[[tuple, Any, random.Random], Any]):
+        _set_slots(self, self._fields,
+                   (name, base, unit, shape, project, compose, random_over))
 
 
-@dataclass(frozen=True)
-class AlgebraInstance:
+class AlgebraInstance(_Frozen):
     """Carriers (one level) and elements (two levels) acted on by a
     relative two-operad and its base."""
 
-    source: Callable[[Any], Any]
-    target: Callable[[Any], Any]
-    act_path: Callable[[Any, Sequence], Any]
-    act_sheet: Callable[[Any, Sequence], Any]
-    random_carrier: Callable[[random.Random], Any]
-    random_element: Callable[..., Any]
-    violation: Callable[[Any], Optional[str]]
+    __slots__ = _fields = ("source", "target", "act_path", "act_sheet",
+                           "random_carrier", "random_element", "violation")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, source: Callable[[Any], Any], target: Callable[[Any], Any],
+                 act_path: Callable[[Any, Sequence], Any],
+                 act_sheet: Callable[[Any, Sequence], Any],
+                 random_carrier: Callable[[random.Random], Any],
+                 random_element: Callable[..., Any],
+                 violation: Callable[[Any], Optional[str]]):
+        _set_slots(self, self._fields, (source, target, act_path, act_sheet,
+                                        random_carrier, random_element, violation))
 
 
 # ---------------------------------------------------------------------------
 # plans and elements: the skeleton and the inputs of one law instantiation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(_Frozen):
     """Arities and shapes for a composition ``outer ∘ first ∘ second``.
 
     ``s[i]`` -- arity of the first-stage element glued into slot i of the
@@ -121,23 +128,25 @@ class Plan:
     ``deep``.
     """
 
-    s: tuple
-    t: tuple = ()
-    m: tuple = ()
-    inner: tuple = ()
-    deep: tuple = ()
+    __slots__ = _fields = ("s", "t", "m", "inner", "deep")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, s: tuple, t: tuple = (), m: tuple = (), inner: tuple = (),
+                 deep: tuple = ()):
+        _set_slots(self, self._fields, (s, t, m, inner, deep))
 
 
-@dataclass(frozen=True)
-class Elements:
+class Elements(_Frozen):
     """Elements for a :class:`Plan`.  ``first[i]`` is glued into slot i of
     ``outer``: an operad element, or a :class:`Block`.  ``second[k]`` is glued
     into slot k of the first-stage composite, listed flat: an operad element,
     a :class:`Block`, or an algebra chain (a tuple) or carrier."""
 
-    outer: Any
-    first: tuple
-    second: tuple
+    __slots__ = _fields = ("outer", "first", "second")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, outer: Any, first: tuple, second: tuple):
+        _set_slots(self, self._fields, (outer, first, second))
 
 
 def random_operad_plan(rng: random.Random, max_arity: int) -> Plan:
@@ -336,22 +345,28 @@ def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 # failure records and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckFailure:
-    case: str
-    law: str
-    lhs: str
-    rhs: str
+class CheckFailure(_Frozen):
+    __slots__ = _fields = ("case", "law", "lhs", "rhs")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, case: str, law: str, lhs: str, rhs: str):
+        _set_slots(self, self._fields, (case, law, lhs, rhs))
 
 
-@dataclass
 class CheckReport:
-    instance: str
-    mode: str
-    seed: Optional[int]
-    plan: dict
-    cases_run: int
-    failures: list = field(default_factory=list)
+    """The result of one check run; :func:`_run` appends to ``failures``
+    and counts ``cases_run`` as it goes."""
+
+    __slots__ = ("instance", "mode", "seed", "plan", "cases_run", "failures")
+
+    def __init__(self, instance: str, mode: str, seed: Optional[int], plan: dict,
+                 cases_run: int, failures: Optional[list] = None):
+        self.instance = instance
+        self.mode = mode
+        self.seed = seed
+        self.plan = plan
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -359,7 +374,11 @@ class CheckReport:
         return self.cases_run > 0 and not self.failures
 
     def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {"instance": self.instance, "mode": self.mode, "seed": self.seed,
+                "plan": dict(self.plan), "cases_run": self.cases_run,
+                "failures": [{"case": f.case, "law": f.law, "lhs": f.lhs,
+                              "rhs": f.rhs} for f in self.failures],
+                "ok": self.ok}
 
     def json_bytes(self) -> bytes:
         return (json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n").encode()

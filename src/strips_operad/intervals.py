@@ -7,27 +7,31 @@ outer one.
 """
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exact import AffineMap1, IDENTITY_1, _affine1
+from .exact import AffineMap1, IDENTITY_1, _affine1, _Frozen, _set_slots
 from .framework import OperadInstance
 
 DEFAULT_DENOM = 4096
 
 
-@dataclass(frozen=True)
-class IntervalConfig:
-    embeddings: tuple
+class IntervalConfig(_Frozen):
+    __slots__ = _fields = ("embeddings",)
+    _key = operator.attrgetter(*_fields)
+    # where bench/tracer.py finds it; with __hash__, which would else be None
+    __eq__ = _Frozen.__eq__
+    __hash__ = _Frozen.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        if not self.embeddings:
+    def __init__(self, embeddings: Iterable[AffineMap1]):
+        embeddings = tuple(embeddings)
+        if not embeddings:
             raise ValueError("an interval configuration needs at least one interval")
-        for e in self.embeddings:
+        for e in embeddings:
             if not isinstance(e, AffineMap1):
                 raise TypeError(f"expected AffineMap1, got {type(e).__name__}")
+        _set_slots(self, self._fields, (embeddings,))
 
     @property
     def arity(self) -> int:
@@ -37,11 +41,15 @@ class IntervalConfig:
         return tuple(e.image() for e in self.embeddings)
 
 
+# the slot's own setter, which the frozen ``__setattr__`` does not reach
+_SET_EMBEDDINGS = IntervalConfig.embeddings.__set__
+
+
 def _intervals(embeddings: tuple) -> IntervalConfig:
     """An :class:`IntervalConfig` from a non-empty tuple of
     :class:`AffineMap1`, built without checking it again."""
     config = object.__new__(IntervalConfig)
-    config.__dict__["embeddings"] = embeddings   # the frozen dataclass's storage
+    _SET_EMBEDDINGS(config, embeddings)
     return config
 
 

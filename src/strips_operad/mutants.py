@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from . import intervals, sheets, strips, trees
@@ -42,7 +41,7 @@ def intervals_operad() -> OperadInstance:
         bad = AffineMap1(emb[-1].a, emb[-1].c + DRIFT)
         return IntervalConfig(emb[:-1] + (bad,))
 
-    return replace(intervals.intervals_operad(), compose=compose)
+    return intervals.intervals_operad()._replace(compose=compose)
 
 
 def strips_rel_operad() -> RelTwoOperadInstance:
@@ -56,7 +55,7 @@ def strips_rel_operad() -> RelTwoOperadInstance:
                 break
         return StripConfig(result.shape, result.base, tuple(rows))
 
-    return replace(strips.strips_rel_operad(), compose=compose)
+    return strips.strips_rel_operad()._replace(compose=compose)
 
 
 def trees_operad() -> OperadInstance:
@@ -64,7 +63,7 @@ def trees_operad() -> OperadInstance:
         result = graft(outer, inners)
         return next(one_step_contractions(result), result)
 
-    return replace(trees.trees_operad(), compose=compose)
+    return trees.trees_operad()._replace(compose=compose)
 
 
 def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
@@ -75,7 +74,7 @@ def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
         res = act_on_sheets(f, config, inputs)
         return SheetElement(_drifted(res.sheet), res.bottom, res.top)
 
-    return replace(sheets.sheet_algebra(f), act_sheet=act)
+    return sheets.sheet_algebra(f)._replace(act_sheet=act)
 
 
 def _drifted(sheet: GridSheet) -> GridSheet:

@@ -26,44 +26,40 @@ strips' columns, each column a splice in y.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
 from .exact import (AffineMap1, GridSheet, PLPath, _align, _columns_at,
-                    _fractions, _minimal, _over_lcm, _path, _points, _ratios,
-                    _rescaled, _sheet, _values_at, as_point)
+                    _fractions, _Frozen, _minimal, _over_lcm, _path, _points,
+                    _ratios, _rescaled, _set_slots, _sheet, _values_at,
+                    as_point)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig, interval_violation
 from .strips import StripConfig, strip_violation
 
 
-@dataclass(frozen=True)
-class PointedMap:
+class PointedMap(_Frozen):
     """Affine map between rational affine spaces with chosen basepoints.
 
     ``matrix`` has one row per output coordinate; ``apply(v) = matrix·v +
     offset``, where the offset is fixed by carrying the source basepoint to
     the target one.  The map is also kept on ints, for the actions: the
     point ``v/m`` (ints v) goes to ``(_rows·v + _shift·m) / (_den·m)``, and
-    each basepoint is held as ``(ints, denominator)`` in ``_q`` and ``_p``."""
+    each basepoint is held as ``(ints, denominator)`` in ``_q`` and ``_p``.
+    Only ``matrix``, ``dom_base`` and ``cod_base`` are compared, hashed and
+    printed; the rest follow from them."""
 
-    matrix: tuple
-    dom_base: tuple
-    cod_base: tuple
-    offset: tuple = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    _shift: tuple = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-    _q: tuple = field(init=False, repr=False, compare=False)
-    _p: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("matrix", "dom_base", "cod_base")
+    __slots__ = _fields + ("offset", "_rows", "_shift", "_den", "_q", "_p")
+    _key = operator.attrgetter(*_fields)
 
-    def __post_init__(self):
-        matrix = tuple(as_point(row) for row in self.matrix)
-        dom = as_point(self.dom_base)
-        cod = as_point(self.cod_base)
+    def __init__(self, matrix, dom_base, cod_base):
+        matrix = tuple(as_point(row) for row in matrix)
+        dom = as_point(dom_base)
+        cod = as_point(cod_base)
         if len(matrix) != len(cod):
             raise ValueError("matrix rows must match the target dimension")
         if any(len(row) != len(dom) for row in matrix):
@@ -73,12 +69,9 @@ class PointedMap:
         flat, den = _over_lcm(_ratios([a for row in matrix for a in row]
                                       + list(offset)))
         cells = len(dom) * len(cod)
-        fields = {"matrix": matrix, "dom_base": dom, "cod_base": cod,
-                  "offset": offset, "_den": den, "_q": _over_lcm(_ratios(dom)),
-                  "_p": _over_lcm(_ratios(cod)), "_shift": flat[cells:],
-                  "_rows": tuple(_points(flat, len(dom), len(cod)))}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        _set_slots(self, self.__slots__, (
+            matrix, dom, cod, offset, tuple(_points(flat, len(dom), len(cod))),
+            flat[cells:], den, _over_lcm(_ratios(dom)), _over_lcm(_ratios(cod))))
 
     @property
     def dim_in(self) -> int:
@@ -106,15 +99,19 @@ class PointedMap:
         return _fractions(self._images([v], m)[0], self._den * m)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Frozen):
     """A closed PL path."""
 
-    path: PLPath
+    __slots__ = _fields = ("path",)
+    _key = operator.attrgetter(*_fields)
+    # where bench/tracer.py finds it; with __hash__, which would else be None
+    __eq__ = _Frozen.__eq__
+    __hash__ = _Frozen.__hash__
 
-    def __post_init__(self):
-        if self.path._v[0] != self.path._v[-1]:
+    def __init__(self, path: PLPath):
+        if path._v[0] != path._v[-1]:
             raise ValueError("a loop must end where it starts")
+        _set_slots(self, self._fields, (path,))
 
     @property
     def basepoint(self) -> tuple:
@@ -145,13 +142,17 @@ def _loop_defect(f: PointedMap, loop: Loop, what: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class SheetElement:
+class SheetElement(_Frozen):
     """A sheet with its two boundary loops."""
 
-    sheet: GridSheet
-    bottom: Loop
-    top: Loop
+    __slots__ = _fields = ("sheet", "bottom", "top")
+    _key = operator.attrgetter(*_fields)
+    # where bench/tracer.py finds it; with __hash__, which would else be None
+    __eq__ = _Frozen.__eq__
+    __hash__ = _Frozen.__hash__
+
+    def __init__(self, sheet: GridSheet, bottom: Loop, top: Loop):
+        _set_slots(self, self._fields, (sheet, bottom, top))
 
 
 def push_loop(f: PointedMap, loop: Loop) -> PLPath:

@@ -12,11 +12,11 @@ inner elements of that strip, each inner element replacing one rectangle.
 """
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import IDENTITY_1, AffineMap1
+from .exact import IDENTITY_1, AffineMap1, _Frozen, _set_slots
 from .framework import Block, FiberProductError, RelTwoOperadInstance
 from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
                         interval_compose, interval_unit, interval_violation,
@@ -24,24 +24,23 @@ from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
 from .shapes import check_shape
 
 
-@dataclass(frozen=True)
-class StripConfig:
+class StripConfig(_Frozen):
     """``rects[i]`` lists the vertical embeddings of the rectangles of strip
     i, bottom to top; each rectangle's horizontal embedding is
     ``base.embeddings[i]``."""
 
-    shape: tuple
-    base: IntervalConfig
-    rects: tuple
+    __slots__ = _fields = ("shape", "base", "rects")
+    _key = operator.attrgetter(*_fields)
+    # where bench/tracer.py finds it; with __hash__, which would else be None
+    __eq__ = _Frozen.__eq__
+    __hash__ = _Frozen.__hash__
 
-    def __post_init__(self):
-        shape = check_shape(self.shape)
-        rects = tuple(tuple(row) for row in self.rects)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rects", rects)
-        if len(shape) != self.base.arity:
+    def __init__(self, shape: Sequence, base: IntervalConfig, rects: Sequence):
+        shape = check_shape(shape)
+        rects = tuple(tuple(row) for row in rects)
+        if len(shape) != base.arity:
             raise ValueError(
-                f"shape of length {len(shape)} over a base of arity {self.base.arity}")
+                f"shape of length {len(shape)} over a base of arity {base.arity}")
         if len(rects) != len(shape):
             raise ValueError("one rectangle list per strip required")
         for i, (n, row) in enumerate(zip(shape, rects)):
@@ -50,6 +49,7 @@ class StripConfig:
             for rect in row:
                 if not isinstance(rect, AffineMap1):
                     raise TypeError(f"expected AffineMap1, got {type(rect).__name__}")
+        _set_slots(self, self._fields, (shape, base, rects))
 
     @property
     def arity(self) -> int:
@@ -60,16 +60,21 @@ class StripConfig:
         return sum(self.shape)
 
 
+# the slots' own setters, which the frozen ``__setattr__`` does not reach
+_SET_SHAPE = StripConfig.shape.__set__
+_SET_BASE = StripConfig.base.__set__
+_SET_RECTS = StripConfig.rects.__set__
+
+
 def _strip(shape: tuple, base: IntervalConfig, rects: tuple) -> StripConfig:
     """A :class:`StripConfig` from parts that already hold its invariants (a
     valid shape as long as the base's arity, and a tuple of rows of
     :class:`AffineMap1`, one per strip, as long as its entry), built without
     checking them again."""
     config = object.__new__(StripConfig)
-    fields = config.__dict__          # the frozen dataclass's own storage
-    fields["shape"] = shape
-    fields["base"] = base
-    fields["rects"] = rects
+    _SET_SHAPE(config, shape)
+    _SET_BASE(config, base)
+    _SET_RECTS(config, rects)
     return config
 
 

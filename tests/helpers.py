@@ -1,7 +1,9 @@
-"""Shared test utilities: strategies, independent oracles, chain builders."""
+"""Shared test utilities: strategies, independent oracles, chain builders,
+reference reprs."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -122,3 +124,14 @@ def chain_inputs(f: PointedMap, config: StripConfig, rng: random.Random):
             chain.append(random_sheet_element(f, rng, source=chain[-1].top))
         inputs.append(tuple(chain))
     return tuple(inputs)
+
+
+# --- reference reprs -----------------------------------------------------------
+
+def dataclass_repr(class_name: str, /, **parts) -> str:
+    """The repr of a frozen dataclass called ``class_name`` with these
+    fields, as paths, sheets and the package's records printed when they
+    were dataclasses."""
+    fields = {"__annotations__": dict.fromkeys(parts, "tuple")}
+    cls = dataclass(frozen=True)(type(class_name, (), fields))
+    return repr(cls(**parts))

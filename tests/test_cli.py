@@ -544,6 +544,34 @@ def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
         build_parser.cache_clear()
 
 
+def _check_help(capsys) -> str:
+    """``check --help``, as one line per option: argparse wraps its text to
+    the terminal width."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_check_help_names_the_targets_of_each_option_from_the_table(
+        capsys, monkeypatch):
+    build_parser.cache_clear()      # the parser reads the table when built
+    try:
+        text = _check_help(capsys)
+        assert "--max-n MAX_N total rectangle bound for strips/sheets " in text
+        assert "--exhaustive trees only: all plans up to the arity bound" in text
+        monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
+            _operad, intervals_operad, mutants.intervals_operad, max_n=True,
+            exhaustive=True))
+        build_parser.cache_clear()
+        text = _check_help(capsys)
+        assert ("--max-n MAX_N total rectangle bound for "
+                "strips/sheets/intervals-x ") in text
+        assert "--exhaustive trees/intervals-x only: all plans" in text
+    finally:
+        build_parser.cache_clear()
+
+
 def test_check_looks_its_runner_up_when_it_runs(capsys, monkeypatch):
     # the benchmark's tracer rebinds module attributes: a table holding the
     # runners themselves would hide every run from it

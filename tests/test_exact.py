@@ -2,7 +2,7 @@
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from strips_operad.exact import (IDENTITY_1, AffineMap1, GridSheet, PLPath,
                                  _affine1, _minimal, _path, _segments, _sheet)
 
-from helpers import (constant_path, constant_sheet, path_presentation,
-                     positive_scales, rationals, sheet_presentation,
-                     unit_rationals)
+from helpers import (constant_path, constant_sheet, dataclass_repr,
+                     path_presentation, positive_scales, rationals,
+                     sheet_presentation, unit_rationals)
 
 
 # --- 1d affine maps ----------------------------------------------------------
@@ -693,14 +693,6 @@ def test_at_matches_fraction_interpolation_hypothesis(xcuts, ycuts, ts, rng):
 
 # --- the int storage against plain Fraction arithmetic -------------------------
 
-def _old_repr(name: str, **parts) -> str:
-    """The repr of a frozen dataclass called ``name`` with these fields, as
-    paths and sheets printed when they were dataclasses holding Fractions."""
-    cls = dataclass(frozen=True)(type(name, (), {"__annotations__":
-                                                 dict.fromkeys(parts, "tuple")}))
-    return repr(cls(**parts))
-
-
 def _reference_segment(breaks, t) -> tuple:
     """``(k, s)``: t lies in segment k, at ``s`` of the way along, in Fractions."""
     k = max(i for i in range(len(breaks) - 1) if breaks[i] <= t)
@@ -759,7 +751,8 @@ def _assert_path_storage(breaks, values, rng: random.Random) -> PLPath:
         assert all(type(c) is F for c in p.breaks)
         assert all(type(c) is F for v in p.values for c in v)
         assert p == got[0] and hash(p) == hash(got[0])
-        assert repr(p) == _old_repr("PLPath", breaks=want_breaks, values=want_values)
+        assert repr(p) == dataclass_repr("PLPath", breaks=want_breaks,
+                                         values=want_values)
         for t in _probes(breaks, rng):
             assert p.at(t) == _reference_path_at(breaks, values, t)
     return got[0]
@@ -773,8 +766,8 @@ def _assert_sheet_storage(x_breaks, y_breaks, values, rng: random.Random) -> Gri
         assert (s._x, s._c) == (got[0]._x, got[0]._c)
         assert _stored(s) == want
         assert s == got[0] and hash(s) == hash(got[0])
-        assert repr(s) == _old_repr("GridSheet", x_breaks=want[0],
-                                    y_breaks=want[1], values=want[2])
+        assert repr(s) == dataclass_repr("GridSheet", x_breaks=want[0],
+                                         y_breaks=want[1], values=want[2])
         for x in _probes(x_breaks, rng, 1):
             for y in _probes(y_breaks, rng, 1):
                 assert s.at(x, y) == _reference_sheet_at(x_breaks, y_breaks,
@@ -893,8 +886,8 @@ class ProductSheet:
         return hash(self.parts)
 
     def __repr__(self):
-        return _old_repr("GridSheet", x_breaks=self.x_breaks,
-                         y_breaks=self.y_breaks, values=self.values)
+        return dataclass_repr("GridSheet", x_breaks=self.x_breaks,
+                              y_breaks=self.y_breaks, values=self.values)
 
     def at(self, x, y):
         return _reference_sheet_at(*self.parts, x, y)

@@ -180,7 +180,6 @@ def test_shape_arithmetic_catches_a_lost_rectangle():
     # or more.  The composite is still a valid configuration, so only the
     # shape arithmetic law can see the loss; it once compared output_shape
     # with itself, and the case raised later instead.
-    from dataclasses import replace
     from strips_operad.strips import StripConfig, strip_compose
 
     def compose(outer, blocks):
@@ -192,7 +191,7 @@ def test_shape_arithmetic_catches_a_lost_rectangle():
         rows[k] = rows[k][:-1]
         return StripConfig(tuple(map(len, rows)), q.base, tuple(rows))
 
-    rel = replace(strips_rel_operad(), compose=compose)
+    rel = strips_rel_operad()._replace(compose=compose)
     report = run_rel_check(rel, seed=3, cases=30, max_r=3, max_total=5)
     laws = {f.law for f in report.failures}
     assert "shape arithmetic" in laws

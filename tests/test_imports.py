@@ -1,5 +1,9 @@
-"""Every module under ``src/`` and ``tests/`` uses each name it imports."""
+"""Every module under ``src/`` and ``tests/`` uses each name it imports,
+and the CLI starts without the standard library's heavier modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +36,29 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(ROOT)}:{line}: {name}"
               for p in paths for line, name in unused_imports(p)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# the modules loaded after importing the CLI, and again after a check of
+# every target
+COLD_START = """
+import os, sys
+import strips_operad.cli as cli
+
+def heavy():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+
+print(heavy())
+for target in cli.TARGETS:
+    cli.main(["check", target, "--cases", "1", "--out", os.devnull])
+print(heavy())
+"""
+
+
+def test_the_cli_imports_and_checks_without_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast and dis: about a quarter of the
+    # CLI's cold start, which is most of a short run's wall time
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_START],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n[]\n"

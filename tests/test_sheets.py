@@ -1,5 +1,4 @@
 """Loops, sheets, and the action of strip diagrams on them."""
-import dataclasses
 import json
 import random
 import re
@@ -916,8 +915,8 @@ def _swap_ends(alg):
     loops swapped."""
     def act_sheet(config, inputs):
         out = alg.act_sheet(config, inputs)
-        return dataclasses.replace(out, bottom=out.top, top=out.bottom)
-    return dataclasses.replace(alg, act_sheet=act_sheet)
+        return out._replace(bottom=out.top, top=out.bottom)
+    return alg._replace(act_sheet=act_sheet)
 
 
 def _unit_plays_in_half(alg):
@@ -926,7 +925,7 @@ def _unit_plays_in_half(alg):
 
     def act_path(config, loops):
         return alg.act_path(half if config == interval_unit() else config, loops)
-    return dataclasses.replace(alg, act_path=act_path)
+    return alg._replace(act_path=act_path)
 
 
 @pytest.mark.parametrize("law, broken", [
