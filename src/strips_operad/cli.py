@@ -163,8 +163,7 @@ def _check_args_error(args):
 def cmd_check(args) -> int:
     bad = _check_args_error(args)
     if bad is not None:
-        print(f"error: {bad}", file=sys.stderr)
-        return 2
+        raise ValueError(bad)
     seed = args.seed if args.seed is not None else _default_seed()
     cases = args.cases if args.cases is not None else DEFAULT_CASES
     target = TARGETS[args.target]
@@ -181,12 +180,9 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     r = args.r
     if not 2 <= r <= 8:
-        print(f"error: leaf count {r} out of range 2..8", file=sys.stderr)
-        return 2
+        raise ValueError(f"leaf count {r} out of range 2..8")
     if args.format in ("dot", "svg") and r > 5:
-        print(f"error: the face poset rendering is limited to 5 leaves, got {r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"the face poset rendering is limited to 5 leaves, got {r}")
     if args.format == "dot":
         _emit(svg.hasse_dot(r), args.out)
     elif args.format == "svg":
@@ -319,8 +315,7 @@ def cmd_render(args) -> int:
     elif "x_breaks" in payload:
         picture = svg.render_sheet(serialize.sheet_from_json(payload))
     else:
-        print("error: unrecognized input document", file=sys.stderr)
-        return 2
+        raise ValueError("unrecognized input document")
     _emit(picture, args.out)
     return 0
 
@@ -338,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact operad law checking, enumeration, and rendering.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    reach = {}      # Target.reach -> the names of the targets with it
+    for name, target in TARGETS.items():
+        reach.setdefault(target.reach, []).append(name)
     check = sub.add_parser("check", help="fuzz the laws of one instance")
     check.add_argument("target", choices=tuple(TARGETS))
     check.add_argument("--seed", type=int, default=None,
@@ -345,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cases", type=int, default=None,
                        help=f"seeded cases (default {DEFAULT_CASES}); "
                             "not with --exhaustive")
-    check.add_argument("--max-r", dest="max_r", type=int,
-                       default=3,
-                       help=f"arity bound, at most {MAX_CHECK_ARITY}: "
-                            "composites reach arity max_r**3, and sheets act "
-                            "on up to max_r**2 carriers")
+    check.add_argument("--max-r", dest="max_r", type=int, default=3,
+                       help=f"arity bound, at most {MAX_CHECK_ARITY}; it lets "
+                            + " and ".join(
+                                f"{'/'.join(names)} {text.format(f'max_r**{power}')}"
+                                for (text, power), names in reach.items()))
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
                        help="total rectangle bound for "
                             + "/".join(_targets_with("max_n")))
@@ -391,14 +389,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        bad = exc
     except RecursionError:
-        print("error: the input document nests too deeply", file=sys.stderr)
-        return 2
+        bad = "the input document nests too deeply"
     except OverflowError:
-        print("error: a coordinate is too large to draw", file=sys.stderr)
-        return 2
+        bad = "a coordinate is too large to draw"
+    print(f"error: {bad}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ the law checkers in :mod:`strips_operad.framework` rely on.  Each class
 has one private builder on ints, :func:`_affine1`, :func:`_path` or
 :func:`_sheet`.  A constructor and a JSON decoder check
 reduced int pairs in one ``_init_*`` routine, which hands them to the
-builder (:func:`_init_affine1`, whose pairs are reduced, sets the slots
-itself), so ``Fraction``s are built only where a coordinate is read: in
+builder, so ``Fraction``s are built only where a coordinate is read: in
 the public accessors, ``at``, ``repr`` and error messages.
 """
 from __future__ import annotations
@@ -228,17 +227,13 @@ _SET_D = AffineMap1.d.__set__
 
 
 def _init_affine1(a: tuple, c: tuple) -> AffineMap1:
-    """The map ``x |-> a*x + c``, checked, for reduced pairs ``(n, d)``,
-    which make the triple reduced too, so no gcd is taken."""
+    """The map ``x |-> a*x + c``, for a and c as reduced ``(n, d)`` pairs,
+    checked on ints and built by :func:`_affine1`."""
     (an, ad), (cn, cd) = a, c
     if an <= 0:
         raise ValueError(f"affine scale must be positive, got {Fraction(an, ad)}")
     d = math.lcm(ad, cd)
-    m = object.__new__(AffineMap1)
-    _SET_AN(m, an * (d // ad))
-    _SET_CN(m, cn * (d // cd))
-    _SET_D(m, d)
-    return m
+    return _affine1(an * (d // ad), cn * (d // cd), d)
 
 
 def _affine1(an: int, cn: int, d: int) -> AffineMap1:

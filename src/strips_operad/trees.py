@@ -11,7 +11,7 @@ import functools
 import itertools
 import random
 import weakref
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .framework import OperadInstance
 
@@ -122,31 +122,26 @@ def tree_to_brackets(t: PlanarTree) -> str:
 
 
 def tree_from_brackets(s: str) -> PlanarTree:
-    pos = 0
-
-    def parse() -> PlanarTree:
-        nonlocal pos
-        if pos >= len(s):
-            raise ValueError("unexpected end of tree expression")
-        ch = s[pos]
+    """The tree ``tree_to_brackets`` writes as s, read with one stack of the
+    children of the open vertices; the bottom entry holds the whole tree."""
+    stack = [[]]
+    for pos, ch in enumerate(s):
+        if len(stack) == 1 and stack[0]:
+            raise ValueError(f"trailing characters at {pos}")
         if ch == "*":
-            pos += 1
-            return LEAF
-        if ch != "(":
+            stack[-1].append(LEAF)
+        elif ch == "(":
+            stack.append([])
+        elif ch == ")" and len(stack) > 1:
+            kids = stack.pop()
+            stack[-1].append(PlanarTree(kids))
+        else:
             raise ValueError(f"unexpected character {ch!r} at {pos}")
-        pos += 1
-        kids = []
-        while pos < len(s) and s[pos] != ")":
-            kids.append(parse())
-        if pos >= len(s):
-            raise ValueError("unbalanced parentheses")
-        pos += 1
-        return PlanarTree(tuple(kids))
-
-    t = parse()
-    if pos != len(s):
-        raise ValueError(f"trailing characters at {pos}")
-    return t
+    if len(stack) > 1:
+        raise ValueError("unbalanced parentheses")
+    if not stack[0]:
+        raise ValueError("unexpected end of tree expression")
+    return stack[0][0]
 
 
 PlanarTree.parse = staticmethod(tree_from_brackets)
@@ -302,51 +297,30 @@ def one_step_contractions(t: PlanarTree) -> Iterator[PlanarTree]:
             yield PlanarTree(t.children[:k] + (sub,) + t.children[k + 1:])
 
 
-def _cut(t: PlanarTree, sizes: Sequence[int]) -> Optional[list]:
-    """Split t into consecutive subtrees with the given leaf counts by cutting
-    edges below some top cluster containing the root; None if impossible."""
-    if len(sizes) == 1:
-        return [t]
-    if t.is_leaf:
-        return None
-    pieces = []
-    pos = 0
-    for child in t.children:
-        need = child.leaves
-        group = []
-        while pos < len(sizes) and sum(group) < need:
-            group.append(sizes[pos])
-            pos += 1
-        if sum(group) != need:
-            return None
-        if len(group) == 1:
-            pieces.append(child)
-        else:
-            sub = _cut(child, group)
-            if sub is None:
-                return None
-            pieces.extend(sub)
-    return pieces
+def _spans(t: PlanarTree) -> set:
+    """The brackets of t: the leaf span ``(first, stop)`` of each internal
+    vertex below the root, as ``tree_to_brackets`` writes them inside the
+    outer pair.  They determine t among the trees with as many leaves, and
+    contracting an edge deletes one."""
+    spans = set()
+    stack = [(t, 0)]
+    while stack:
+        vertex, first = stack.pop()
+        for c in vertex.children:
+            if c.children:
+                spans.add((first, first + c.leaves))
+                stack.append((c, first))
+            first += c.leaves
+    return spans
 
 
 def contracts_to(t1: PlanarTree, t2: PlanarTree) -> bool:
-    """Whether t1 can be turned into t2 by contracting internal edges.
-
-    This is the face order: t1 <= t2 in the associahedron iff t1 contracts
-    to t2.  Every tree contracts to itself.
-    """
+    """Whether t1 can be turned into t2 by contracting internal edges, that
+    is, whether t2's brackets are some of t1's.  This is the face order:
+    t1 <= t2 in the associahedron iff t1 contracts to t2."""
     if t1.leaves != t2.leaves:
         raise ValueError("trees must have the same number of leaves")
-    if t2.is_leaf:
-        return t1.is_leaf
-    if t1 == t2:
-        return True
-    if t1.is_leaf:
-        return False
-    pieces = _cut(t1, [c.leaves for c in t2.children])
-    if pieces is None:
-        return False
-    return all(contracts_to(p, c) for p, c in zip(pieces, t2.children))
+    return _spans(t2) <= _spans(t1)
 
 
 def trees_operad() -> OperadInstance:

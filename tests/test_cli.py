@@ -16,6 +16,7 @@ from strips_operad.cli import (TARGETS, Target, _check_args_error, _operad,
                                build_parser, main)
 from strips_operad.framework import run_operad_exhaustive, run_rel_check
 from strips_operad.intervals import intervals_operad
+from strips_operad.trees import trees_operad
 
 
 def run(argv, capsys):
@@ -558,13 +559,22 @@ def test_check_help_names_the_targets_of_each_option_from_the_table(
     build_parser.cache_clear()      # the parser reads the table when built
     try:
         text = _check_help(capsys)
+        assert ("--max-r MAX_R arity bound, at most 128; it lets "
+                "intervals/strips/trees composites reach arity max_r**3 and "
+                "sheets draw max_r**2 carriers --max-n") in text
         assert "--max-n MAX_N total rectangle bound for strips/sheets " in text
         assert "--exhaustive trees only: all plans up to the arity bound" in text
         monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
             _operad, intervals_operad, mutants.intervals_operad, max_n=True,
             exhaustive=True))
+        monkeypatch.setitem(cli.TARGETS, "trees-x", Target(
+            _operad, trees_operad, mutants.trees_operad,
+            reach=("graft {} leaves", 4)))
         build_parser.cache_clear()
         text = _check_help(capsys)
+        assert ("it lets intervals/strips/trees/intervals-x composites reach "
+                "arity max_r**3 and sheets draw max_r**2 carriers and trees-x "
+                "graft max_r**4 leaves --max-n") in text
         assert ("--max-n MAX_N total rectangle bound for "
                 "strips/sheets/intervals-x ") in text
         assert "--exhaustive trees/intervals-x only: all plans" in text

@@ -206,6 +206,28 @@ def test_brackets_rejects_garbage():
             tree_from_brackets(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of tree expression"),
+    ("(**", "unbalanced parentheses"),
+    ("**", "trailing characters at 1"),
+    ("(**))", "trailing characters at 4"),
+    (")", "unexpected character ')' at 0"),
+    ("(*x*)", "unexpected character 'x' at 2"),
+    ("(*)", "unary vertices are not allowed"),
+])
+def test_brackets_name_the_defect(text, message):
+    with pytest.raises(ValueError) as exc:
+        tree_from_brackets(text)
+    assert str(exc.value) == message
+
+
+def test_brackets_parse_a_deep_caterpillar():
+    # a reader that recursed once per open parenthesis overflowed the stack
+    n = 3000
+    t = tree_from_brackets("(" * n + "**)" + "*)" * (n - 1))
+    assert (t.leaves, t.dim) == (n + 1, 0)
+
+
 # --- grafting -----------------------------------------------------------------
 
 def test_graft_counts_leaves():
@@ -304,7 +326,7 @@ def test_contracts_to_is_antisymmetric():
 
 def test_contracts_to_agrees_with_contraction_chains():
     """t1 <= t2 exactly when some chain of single contractions joins them."""
-    for r in range(2, 6):
+    for r in range(2, 7):
         ts = enumerate_trees(r)
         reachable = {t: {t} for t in ts}
         changed = True
@@ -319,6 +341,17 @@ def test_contracts_to_agrees_with_contraction_chains():
         for t1 in ts:
             for t2 in ts:
                 assert contracts_to(t1, t2) == (t2 in reachable[t1]), (t1, t2)
+
+
+def test_spans_tell_trees_apart_and_count_internal_edges():
+    assert trees._spans(LEAF) == set()
+    for r in range(2, 8):
+        seen = set()
+        for t in enumerate_trees(r):
+            spans = frozenset(trees._spans(t))
+            assert spans not in seen, t
+            seen.add(spans)
+            assert len(spans) == r - 2 - t.dim, t
 
 
 def test_grafting_is_monotone_for_contraction():
