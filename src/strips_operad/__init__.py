@@ -3,11 +3,11 @@ loop/sheet algebras they act on, associahedron face enumeration, and seeded
 law-checking tools."""
 
 from .exact import AffineMap1, GridSheet, PLPath
-from .framework import (AlgebraInstance, Block, ChainError, CheckFailure,
-                        CheckReport, FiberProductError, OperadInstance,
+from .framework import (ALGEBRA, OPERAD, REL, AlgebraInstance, Block,
+                        ChainError, CheckFailure, CheckReport,
+                        FiberProductError, Kind, OperadInstance,
                         RelTwoOperadInstance, check_algebra_laws,
-                        check_operad_laws, check_rel_laws, run_algebra_check,
-                        run_operad_check, run_operad_exhaustive, run_rel_check)
+                        check_operad_laws, check_rel_laws, run_check)
 from .intervals import (IntervalConfig, interval_compose, interval_unit,
                         interval_violation, intervals_operad, random_intervals)
 from .shapes import ShapeError, check_shape, output_shape

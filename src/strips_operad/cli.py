@@ -42,10 +42,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import mutants, serialize, sheets, svg
+from . import framework, mutants, serialize, sheets, svg
 from .exact import _Frozen, _set_slots
-from .framework import (Block, operad_plan_count, run_algebra_check,
-                        run_operad_check, run_operad_exhaustive, run_rel_check)
+from .framework import ALGEBRA, OPERAD, REL, Block, operad_plan_count
 from .intervals import interval_compose, interval_violation, intervals_operad
 from .strips import strip_compose, strip_violation, strips_rel_operad
 from .trees import enumerate_trees, f_vector, trees_operad
@@ -77,55 +76,37 @@ def _emit(text: str, out) -> None:
 # check
 # ---------------------------------------------------------------------------
 
-def _operad(make, args, seed: int, cases: int):
-    if args.exhaustive:
-        return run_operad_exhaustive(make(), max_arity=args.max_r, seed=seed)
-    return run_operad_check(make(), seed=seed, cases=cases, max_arity=args.max_r)
-
-
-def _rel(make, args, seed: int, cases: int):
-    return run_rel_check(make(), seed=seed, cases=cases, max_r=args.max_r,
-                         max_total=args.max_n)
-
-
-def _algebra(make, args, seed: int, cases: int):
-    return run_algebra_check(make, strips_rel_operad(), seed=seed, cases=cases,
-                             max_r=args.max_r, max_total=args.max_n,
-                             name=args.target)
-
-
 class Target(_Frozen):
-    """A ``check`` target; ``--mutate`` runs ``mutant`` in place of ``make``.
-    ``max_n``: --max-n bounds the run; ``exhaustive``: the target takes
-    --exhaustive; ``reach``, a pair (text, power): --max-r r reaches text of
-    r ** power, bounded at MAX_CHECK_ARITY ** power (three stages of arity r
-    compose to r ** 3)."""
+    """A ``check`` target, of ``kind``; ``--mutate`` runs ``mutant`` in place
+    of ``make``, and --max-r then --max-n fill the kind's bounds.
+    ``exhaustive``: the target takes --exhaustive; ``reach``, a pair (text,
+    power): --max-r r reaches text of r ** power, bounded at MAX_CHECK_ARITY
+    ** power (three stages of arity r compose to r ** 3)."""
 
-    __slots__ = _fields = ("run", "make", "mutant", "max_n", "exhaustive", "reach")
+    __slots__ = _fields = ("kind", "make", "mutant", "exhaustive", "reach")
     _key = operator.attrgetter(*_fields)
 
-    def __init__(self, run: Callable, make: Callable, mutant: Callable,
-                 max_n: bool = False, exhaustive: bool = False,
+    def __init__(self, kind: framework.Kind, make: Callable, mutant: Callable,
+                 exhaustive: bool = False,
                  reach: tuple = ("composites reach arity {}", 3)):
-        _set_slots(self, self._fields, (run, make, mutant, max_n, exhaustive, reach))
+        _set_slots(self, self._fields, (kind, make, mutant, exhaustive, reach))
 
 
 TARGETS = {
-    "intervals": Target(_operad, intervals_operad, mutants.intervals_operad),
-    "strips": Target(_rel, strips_rel_operad, mutants.strips_rel_operad,
-                     max_n=True),
-    "trees": Target(_operad, trees_operad, mutants.trees_operad,
-                    exhaustive=True),
+    "intervals": Target(OPERAD, intervals_operad, mutants.intervals_operad),
+    "strips": Target(REL, strips_rel_operad, mutants.strips_rel_operad),
+    "trees": Target(OPERAD, trees_operad, mutants.trees_operad, exhaustive=True),
     # one carrier or chain per output strip of the first stage
-    "sheets": Target(_algebra, sheets.random_sheet_algebra,
-                     mutants.random_sheet_algebra, max_n=True,
+    "sheets": Target(ALGEBRA,
+                     lambda: (sheets.random_sheet_algebra, strips_rel_operad()),
+                     lambda: (mutants.random_sheet_algebra, strips_rel_operad()),
                      reach=("draw {} carriers", 2)),
 }
 
 
-def _targets_with(flag: str) -> list:
-    """The names of the targets whose ``Target`` sets ``flag``."""
-    return [name for name, target in TARGETS.items() if getattr(target, flag)]
+def _targets_with(test: Callable) -> list:
+    """The names of the targets that pass ``test``."""
+    return [name for name, target in TARGETS.items() if test(target)]
 
 
 def _check_args_error(args):
@@ -135,10 +116,10 @@ def _check_args_error(args):
         return f"--cases must be at least 1, got {args.cases}"
     if args.max_r < 1:
         return f"--max-r must be at least 1, got {args.max_r}"
-    if target.max_n and args.max_n < 1:
+    if len(target.kind.bounds) > 1 and args.max_n < 1:
         return f"--max-n must be at least 1, got {args.max_n}"
     if args.exhaustive and not target.exhaustive:
-        takes = ", ".join(_targets_with("exhaustive"))
+        takes = ", ".join(_targets_with(lambda t: t.exhaustive))
         return f"--exhaustive applies only to {takes}, not {args.target}"
     if args.exhaustive and args.cases is not None:
         return "--cases does not apply with --exhaustive, which runs every plan"
@@ -167,8 +148,11 @@ def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     cases = args.cases if args.cases is not None else DEFAULT_CASES
     target = TARGETS[args.target]
-    report = target.run(target.mutant if args.mutate else target.make, args,
-                        seed, cases)
+    make = target.mutant if args.mutate else target.make
+    report = framework.run_check(
+        target.kind, make(), args.target, seed=seed,
+        cases=None if args.exhaustive else cases,
+        **dict(zip(target.kind.bounds, (args.max_r, args.max_n))))
     _emit(report.json_bytes().decode(), args.out)
     return 0 if report.ok else 1
 
@@ -349,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"{'/'.join(names)} {text.format(f'max_r**{power}')}"
                                 for (text, power), names in reach.items()))
     check.add_argument("--max-n", dest="max_n", type=int, default=5,
-                       help="total rectangle bound for "
-                            + "/".join(_targets_with("max_n")))
+                       help="total rectangle bound for " + "/".join(
+                           _targets_with(lambda t: len(t.kind.bounds) > 1)))
     check.add_argument("--mutate", action="store_true",
                        help="check a deliberately broken instance "
                             "(strips_operad.mutants); every target fails at "
                             "the defaults, but a small trees scope can miss "
                             "the mutant")
     check.add_argument("--exhaustive", action="store_true",
-                       help="/".join(_targets_with("exhaustive"))
+                       help="/".join(_targets_with(lambda t: t.exhaustive))
                             + " only: all plans up to the arity bound "
                             f"(at most {MAX_EXHAUSTIVE_PLANS} plans)")
     check.add_argument("--out", default=None, help="report path (default stdout)")

@@ -22,6 +22,8 @@ with ``==``; element types are expected to make that equality decide equality
 of the underlying functions (see :mod:`strips_operad.exact`).  Checkers append
 failures to the list they are given, so a corrupted instance yields a report
 instead of a crash; a case that raises also fails the law ``exception``.
+:func:`run_check` runs the cases of any of the three kinds, each described
+by a :class:`Kind` record: :data:`OPERAD`, :data:`REL` or :data:`ALGEBRA`.
 Deliberately broken instances are in :mod:`strips_operad.mutants`.
 """
 from __future__ import annotations
@@ -140,7 +142,8 @@ class Elements(_Frozen):
     """Elements for a :class:`Plan`.  ``first[i]`` is glued into slot i of
     ``outer``: an operad element, or a :class:`Block`.  ``second[k]`` is glued
     into slot k of the first-stage composite, listed flat: an operad element,
-    a :class:`Block`, or an algebra chain (a tuple) or carrier."""
+    a :class:`Block`, or, over an output strip of n rectangles, an algebra
+    chain of n elements (a tuple) when n > 0 and a carrier when n = 0."""
 
     __slots__ = _fields = ("outer", "first", "second")
     _key = operator.attrgetter(*_fields)
@@ -463,7 +466,7 @@ def _split_chain(alg: AlgebraInstance, chain_or_carrier, counts: Sequence):
     ``counts[a]`` rectangles of the strip belong to inner element a; an inner
     with no rectangle there receives the junction carrier at its position.
     """
-    if not isinstance(chain_or_carrier, tuple):
+    if not any(counts):
         # empty strip: every inner sees the same carrier
         return [chain_or_carrier] * len(counts)
     chain = chain_or_carrier
@@ -511,16 +514,18 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
     rhs = alg.act_sheet(outer, tuple(outer_inputs))
     _expect(fails, case, "interchange", lhs, rhs)
 
-    # boundary compatibility of the one-step action
-    firsts = tuple(alg.source(c[0]) if isinstance(c, tuple) else c for c in chains)
-    lasts = tuple(alg.target(c[-1]) if isinstance(c, tuple) else c for c in chains)
+    # boundary compatibility of the one-step action; over an empty strip of
+    # the composite the input is a carrier, over any other strip a chain
+    shape = rel.shape(composite)
+    firsts = tuple(alg.source(c[0]) if n else c for n, c in zip(shape, chains))
+    lasts = tuple(alg.target(c[-1]) if n else c for n, c in zip(shape, chains))
     _expect(fails, case, "source boundary", alg.source(lhs),
             alg.act_path(rel.project(composite), firsts))
     _expect(fails, case, "target boundary", alg.target(lhs),
             alg.act_path(rel.project(composite), lasts))
 
     # units
-    some = next((c[0] for c in chains if isinstance(c, tuple)), None)
+    some = next((c[0] for n, c in zip(shape, chains) if n), None)
     if some is not None:
         _expect(fails, case, "unit",
                 alg.act_sheet(rel.unit(), ((some,),)), some)
@@ -537,7 +542,7 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 
 
 # ---------------------------------------------------------------------------
-# the check engine and its four runners
+# the check engine: three kinds of instance, one runner
 # ---------------------------------------------------------------------------
 
 def _run(name: str, mode: str, seed: int, plan: dict,
@@ -562,57 +567,67 @@ def _run(name: str, mode: str, seed: int, plan: dict,
     return report
 
 
-def _seeded(cases: int, check: Callable) -> Iterator[tuple]:
-    return ((str(k), k, check) for k in range(cases))
+class Kind(_Frozen):
+    """One kind of instance.  ``bounds`` names its keyword bounds;
+    ``case(instance, rng, plan, label, fails, **bounds)`` draws one case (its
+    plan too when ``plan`` is None, then its elements) and checks its laws;
+    ``all_plans(**bounds)`` yields the plans of an exhaustive run, and is
+    None for a kind with none."""
+
+    __slots__ = _fields = ("bounds", "case", "all_plans")
+    _key = operator.attrgetter(*_fields)
+
+    def __init__(self, bounds: tuple, case: Callable,
+                 all_plans: Optional[Callable[..., Iterator[Plan]]] = None):
+        _set_slots(self, self._fields, (bounds, case, all_plans))
 
 
-def run_operad_check(op: OperadInstance, *, seed: int, cases: int,
-                     max_arity: int) -> CheckReport:
-    def check(rng, label, fails):
-        elems = random_operad_elements(op, random_operad_plan(rng, max_arity), rng)
-        return check_operad_laws(op, elems, label, fails)
-    return _run(op.name, "seeded", seed, {"cases": cases, "max_arity": max_arity},
-                _seeded(cases, check))
+# The cases call the samplers and checkers by their module-global names when
+# they run, so a wrapper bound to one of those names sees every case.
 
+def _operad_case(op: OperadInstance, rng, plan, label, fails, max_arity):
+    if plan is None:
+        plan = random_operad_plan(rng, max_arity)
+    return check_operad_laws(op, random_operad_elements(op, plan, rng), label, fails)
+
+
+def _rel_case(rel: RelTwoOperadInstance, rng, plan, label, fails, max_r, max_total):
+    if plan is None:
+        plan = random_rel_plan(rng, max_r, max_total)
+    return check_rel_laws(rel, random_rel_elements(rel, plan, rng), label, fails)
+
+
+def _algebra_case(instance: tuple, rng, plan, label, fails, max_r, max_total):
+    """``instance`` is ``(make_algebra, rel)``; ``make_algebra(rng)`` builds
+    the algebra first, so runs vary the underlying map with the elements."""
+    make_algebra, rel = instance
+    alg = make_algebra(rng)
+    if plan is None:
+        plan = random_algebra_plan(rng, max_r, max_total)
+    elems = random_algebra_elements(alg, rel, plan, rng)
+    return check_algebra_laws(alg, rel, elems, label, fails)
+
+
+OPERAD = Kind(("max_arity",), _operad_case, all_operad_plans)
+REL = Kind(("max_r", "max_total"), _rel_case)
+ALGEBRA = Kind(("max_r", "max_total"), _algebra_case)
 
 SAMPLES_PER_PLAN = 2    # element samples per plan in an exhaustive run
 
 
-def run_operad_exhaustive(op: OperadInstance, *, max_arity: int,
-                          seed: int = 0) -> CheckReport:
-    """Check every composition plan with arities up to ``max_arity``,
-    sampling ``SAMPLES_PER_PLAN`` element tuples per plan from the seed."""
-    def check_plan(plan):
-        return lambda rng, label, fails: check_operad_laws(
-            op, random_operad_elements(op, plan, rng), label, fails)
-    cases = ((f"plan{idx}:{v}", f"{idx}:{v}", check_plan(plan))
-             for idx, plan in enumerate(all_operad_plans(max_arity))
-             for v in range(SAMPLES_PER_PLAN))
-    return _run(op.name, "exhaustive", seed,
-                {"max_arity": max_arity, "samples_per_plan": SAMPLES_PER_PLAN},
-                cases)
-
-
-def run_rel_check(rel: RelTwoOperadInstance, *, seed: int, cases: int,
-                  max_r: int, max_total: int) -> CheckReport:
-    def check(rng, label, fails):
-        elems = random_rel_elements(rel, random_rel_plan(rng, max_r, max_total), rng)
-        return check_rel_laws(rel, elems, label, fails)
-    return _run(rel.name, "seeded", seed,
-                {"cases": cases, "max_r": max_r, "max_total": max_total},
-                _seeded(cases, check))
-
-
-def run_algebra_check(make_algebra: Callable[[random.Random], AlgebraInstance],
-                      rel: RelTwoOperadInstance, *, seed: int, cases: int,
-                      max_r: int, max_total: int, name: str) -> CheckReport:
-    """``make_algebra`` builds the algebra for each case, so runs can vary
-    the underlying map along with the elements."""
-    def check(rng, label, fails):
-        alg = make_algebra(rng)
-        plan = random_algebra_plan(rng, max_r, max_total)
-        elems = random_algebra_elements(alg, rel, plan, rng)
-        return check_algebra_laws(alg, rel, elems, label, fails)
-    return _run(name, "seeded", seed,
-                {"cases": cases, "max_r": max_r, "max_total": max_total},
-                _seeded(cases, check))
+def run_check(kind: Kind, instance: Any, name: str, *, seed: int,
+              cases: Optional[int], **bounds) -> CheckReport:
+    """Check ``instance``, of ``kind``, in ``cases`` seeded cases, or with
+    ``cases=None`` in every plan of ``kind.all_plans(**bounds)``, sampling
+    ``SAMPLES_PER_PLAN`` element tuples per plan from the seed."""
+    def check(plan):
+        return lambda rng, label, fails: kind.case(instance, rng, plan, label,
+                                                   fails, **bounds)
+    if cases is None:
+        return _run(name, "exhaustive", seed,
+                    {**bounds, "samples_per_plan": SAMPLES_PER_PLAN},
+                    ((f"plan{idx}:{v}", f"{idx}:{v}", check(plan))
+                     for idx, plan in enumerate(kind.all_plans(**bounds))
+                     for v in range(SAMPLES_PER_PLAN)))
+    return _run(name, "seeded", seed, {"cases": cases, **bounds},
+                ((str(k), k, check(None)) for k in range(cases)))

@@ -2,6 +2,7 @@
 reference reprs."""
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from strips_operad.exact import ONE, ZERO, GridSheet, PLPath, as_point
+from strips_operad.framework import AlgebraInstance
 from strips_operad.serialize import array_from_json
 from strips_operad.sheets import (Loop, PointedMap, random_loop,
                                   random_sheet_element)
@@ -124,6 +126,33 @@ def chain_inputs(f: PointedMap, config: StripConfig, rng: random.Random):
             chain.append(random_sheet_element(f, rng, source=chain[-1].top))
         inputs.append(tuple(chain))
     return tuple(inputs)
+
+
+# --- an algebra whose carriers are tuples ---------------------------------------
+
+def _word(rng: random.Random) -> tuple:
+    return tuple(rng.randrange(3) for _ in range(rng.randrange(4)))
+
+
+def words_algebra(reverse_top: bool = False) -> AlgebraInstance:
+    """Carriers are words, tuples of small ints, and an element is its
+    ``(bottom, top)`` pair of words.  A path concatenates its words; a sheet
+    concatenates each strip's first bottom and last top, and reads the word
+    w over an empty strip as ``(w, w)``.  ``reverse_top`` gives a mutant
+    whose sheets reverse their top word."""
+    def act_sheet(config, inputs):
+        bottom = top = ()
+        for n, x in zip(config.shape, inputs):
+            bottom += x[0][0] if n else x
+            top += x[-1][1] if n else x
+        return bottom, top[::-1] if reverse_top else top
+
+    def random_element(rng, source=None):
+        return _word(rng) if source is None else source, _word(rng)
+
+    return AlgebraInstance(operator.itemgetter(0), operator.itemgetter(1),
+                           lambda config, words: sum(words, ()), act_sheet,
+                           _word, random_element, lambda value: None)
 
 
 # --- reference reprs -----------------------------------------------------------

@@ -8,9 +8,7 @@ import random
 import time
 
 from strips_operad import mutants
-from strips_operad.framework import (Block, run_algebra_check,
-                                     run_operad_check, run_operad_exhaustive,
-                                     run_rel_check)
+from strips_operad.framework import ALGEBRA, OPERAD, REL, Block, run_check
 from strips_operad.intervals import intervals_operad, random_intervals
 from strips_operad.sheets import (random_pointed_map, sheet_algebra,
                                   sheet_violation)
@@ -31,8 +29,8 @@ def _line(num, ok, detail):
 
 def test_criterion_1_interval_laws():
     t0 = time.perf_counter()
-    report = run_operad_check(intervals_operad(), seed=SEED, cases=200,
-                              max_arity=4)
+    report = run_check(OPERAD, intervals_operad(), "intervals", seed=SEED,
+                       cases=200, max_arity=4)
     dt = time.perf_counter() - t0
     ok = report.ok and report.cases_run == 200 and dt < 5.0
     _line(1, ok, f"intervals: {report.cases_run} cases, arity <= 4, "
@@ -44,8 +42,8 @@ def test_criterion_1_interval_laws():
 
 def test_criterion_2_strip_laws_and_shape_witness():
     t0 = time.perf_counter()
-    report = run_rel_check(strips_rel_operad(), seed=SEED, cases=100,
-                           max_r=3, max_total=5)
+    report = run_check(REL, strips_rel_operad(), "strips", seed=SEED,
+                       cases=100, max_r=3, max_total=5)
     dt = time.perf_counter() - t0
 
     # a two-strip diagram glued onto arity-(2, 3) bases lands in (3, 1, 0, 0, 0)
@@ -74,7 +72,8 @@ def test_criterion_2_strip_laws_and_shape_witness():
 
 def test_criterion_3_tree_exhaustive_and_face_counts():
     t0 = time.perf_counter()
-    report = run_operad_exhaustive(trees_operad(), max_arity=3, seed=SEED)
+    report = run_check(OPERAD, trees_operad(), "trees", seed=SEED, cases=None,
+                       max_arity=3)
     dt = time.perf_counter() - t0
 
     counts_ok = True
@@ -100,8 +99,8 @@ def test_criterion_4_sheet_action_laws_and_closure():
         return sheet_algebra(f)
 
     t0 = time.perf_counter()
-    report = run_algebra_check(make, strips_rel_operad(), seed=SEED,
-                               cases=50, max_r=3, max_total=4, name="sheets")
+    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
+                       seed=SEED, cases=50, max_r=3, max_total=4)
     closure_rng = random.Random(SEED)
     closed = 0
     for k in range(10):
@@ -134,10 +133,10 @@ def test_criterion_5_degenerate_regimes():
     def make_no_target(rng):
         return sheet_algebra(random_pointed_map(rng, rng.randint(1, 2), 0))
 
-    r1 = run_algebra_check(make_no_source, strips_rel_operad(), seed=SEED,
-                           cases=20, max_r=3, max_total=4, name="no-source")
-    r2 = run_algebra_check(make_no_target, strips_rel_operad(), seed=SEED,
-                           cases=20, max_r=3, max_total=4, name="no-target")
+    r1 = run_check(ALGEBRA, (make_no_source, strips_rel_operad()), "no-source",
+                   seed=SEED, cases=20, max_r=3, max_total=4)
+    r2 = run_check(ALGEBRA, (make_no_target, strips_rel_operad()), "no-target",
+                   seed=SEED, cases=20, max_r=3, max_total=4)
     ok = r1.ok and r2.ok and r1.cases_run == 20 and r2.cases_run == 20
     _line(5, ok, f"degenerate regimes: source-dim 0 {len(r1.failures)} "
                  f"failures / target-dim 0 {len(r2.failures)} failures, "
@@ -147,17 +146,17 @@ def test_criterion_5_degenerate_regimes():
 
 
 def test_criterion_6_mutation_sensitivity():
-    m1 = run_operad_check(mutants.intervals_operad(), seed=SEED,
-                          cases=200, max_arity=4)
-    m2 = run_rel_check(mutants.strips_rel_operad(), seed=SEED,
-                       cases=100, max_r=3, max_total=5)
+    m1 = run_check(OPERAD, mutants.intervals_operad(), "intervals", seed=SEED,
+                   cases=200, max_arity=4)
+    m2 = run_check(REL, mutants.strips_rel_operad(), "strips", seed=SEED,
+                   cases=100, max_r=3, max_total=5)
 
     def make(rng):
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return mutants.sheet_algebra(f)
 
-    m4 = run_algebra_check(make, strips_rel_operad(), seed=SEED, cases=50,
-                           max_r=3, max_total=4, name="sheets-mutated")
+    m4 = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-mutated",
+                   seed=SEED, cases=50, max_r=3, max_total=4)
     ok = (not m1.ok) and (not m2.ok) and (not m4.ok)
     _line(6, ok, f"mutants caught: intervals {len(m1.failures)}, strips "
                  f"{len(m2.failures)}, sheets {len(m4.failures)} failures "
@@ -173,19 +172,19 @@ def test_criterion_6_mutation_sensitivity():
 def test_criterion_7_deterministic_reports():
     pairs = []
     for _ in range(2):
-        a = run_operad_check(intervals_operad(), seed=SEED, cases=50,
-                             max_arity=4).json_bytes()
-        b = run_rel_check(strips_rel_operad(), seed=SEED, cases=30,
-                          max_r=3, max_total=5).json_bytes()
-        c = run_operad_check(trees_operad(), seed=SEED, cases=50,
-                             max_arity=6).json_bytes()
+        a = run_check(OPERAD, intervals_operad(), "intervals", seed=SEED,
+                      cases=50, max_arity=4).json_bytes()
+        b = run_check(REL, strips_rel_operad(), "strips", seed=SEED, cases=30,
+                      max_r=3, max_total=5).json_bytes()
+        c = run_check(OPERAD, trees_operad(), "trees", seed=SEED, cases=50,
+                      max_arity=6).json_bytes()
 
         def make(rng):
             f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
             return sheet_algebra(f)
 
-        d = run_algebra_check(make, strips_rel_operad(), seed=SEED, cases=10,
-                              max_r=3, max_total=4, name="sheets").json_bytes()
+        d = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
+                      seed=SEED, cases=10, max_r=3, max_total=4).json_bytes()
         pairs.append((a, b, c, d))
     ok = pairs[0] == pairs[1]
     _line(7, ok, "reports byte-identical across reruns for all four checkers")

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, report files, plan documents."""
+import collections
 import hashlib
 import importlib
 import json
@@ -11,12 +12,15 @@ from random import Random
 
 import pytest
 
-from strips_operad import cli, mutants
-from strips_operad.cli import (TARGETS, Target, _check_args_error, _operad,
+from strips_operad import cli, framework, mutants
+from strips_operad.cli import (TARGETS, Target, _check_args_error,
                                build_parser, main)
-from strips_operad.framework import run_operad_exhaustive, run_rel_check
+from strips_operad.framework import ALGEBRA, OPERAD, REL, run_check
 from strips_operad.intervals import intervals_operad
+from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
+
+from helpers import words_algebra
 
 
 def run(argv, capsys):
@@ -532,15 +536,29 @@ def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
     monkeypatch.delenv("STRIPS_OPERAD_SEED", raising=False)
     build_parser.cache_clear()      # the parser reads the table when built
     monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
-        _operad, intervals_operad, mutants.intervals_operad, exhaustive=True))
+        OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True))
+    # an algebra with tuple carriers, which the laws once read as chains
+    monkeypatch.setitem(cli.TARGETS, "words", Target(
+        ALGEBRA, lambda: (lambda rng: words_algebra(), strips_rel_operad()),
+        lambda: (lambda rng: words_algebra(reverse_top=True),
+                 strips_rel_operad())))
     try:
         argv = ["check", "intervals-x", "--exhaustive", "--max-r", "2"]
-        report = run_operad_exhaustive(intervals_operad(), max_arity=2)
+        report = run_check(OPERAD, intervals_operad(), "intervals-x", seed=0,
+                           cases=None, max_arity=2)
         assert run(argv, capsys) == (0, report.json_bytes().decode(), "")
         assert run([*argv, "--mutate"], capsys)[0] == 1
         assert run(["check", "intervals", "--exhaustive"], capsys) == (
             2, "", "error: --exhaustive applies only to trees, intervals-x, "
                    "not intervals\n")
+        report = run_check(ALGEBRA, (lambda rng: words_algebra(),
+                                     strips_rel_operad()),
+                           "words", seed=5, cases=40, max_r=3, max_total=4)
+        argv = ["check", "words", "--seed", "5", "--cases", "40", "--max-n", "4"]
+        assert run(argv, capsys) == (0, report.json_bytes().decode(), "")
+        assert run([*argv, "--mutate"], capsys)[0] == 1
+        assert run(["check", "words", "--max-n", "0"], capsys) == (
+            2, "", "error: --max-n must be at least 1, got 0\n")
     finally:
         build_parser.cache_clear()
 
@@ -564,11 +582,11 @@ def test_check_help_names_the_targets_of_each_option_from_the_table(
                 "sheets draw max_r**2 carriers --max-n") in text
         assert "--max-n MAX_N total rectangle bound for strips/sheets " in text
         assert "--exhaustive trees only: all plans up to the arity bound" in text
+        # a REL kind fills --max-n into its second bound
         monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
-            _operad, intervals_operad, mutants.intervals_operad, max_n=True,
-            exhaustive=True))
+            REL, intervals_operad, mutants.intervals_operad, exhaustive=True))
         monkeypatch.setitem(cli.TARGETS, "trees-x", Target(
-            _operad, trees_operad, mutants.trees_operad,
+            OPERAD, trees_operad, mutants.trees_operad,
             reach=("graft {} leaves", 4)))
         build_parser.cache_clear()
         text = _check_help(capsys)
@@ -582,18 +600,25 @@ def test_check_help_names_the_targets_of_each_option_from_the_table(
         build_parser.cache_clear()
 
 
-def test_check_looks_its_runner_up_when_it_runs(capsys, monkeypatch):
-    # the benchmark's tracer rebinds module attributes: a table holding the
-    # runners themselves would hide every run from it
-    calls = []
+def test_check_looks_its_functions_up_when_it_runs(capsys, monkeypatch):
+    # the benchmark's tracer rebinds module attributes: a table or a kind
+    # holding these functions themselves would hide every run from it
+    calls = collections.Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return run_rel_check(*args, **kwargs)
+    def counting(name):
+        function = getattr(framework, name)
 
-    monkeypatch.setattr(cli, "run_rel_check", counting)
-    assert run(["check", "strips", "--cases", "1"], capsys)[0] == 0
-    assert len(calls) == 1
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(framework, name, counted)
+
+    for name in ("run_check", "random_rel_plan", "random_rel_elements",
+                 "check_rel_laws"):
+        counting(name)
+    assert run(["check", "strips", "--cases", "3"], capsys)[0] == 0
+    assert calls == {"run_check": 1, "random_rel_plan": 3,
+                     "random_rel_elements": 3, "check_rel_laws": 3}
 
 
 def test_check_has_no_format_option(capsys):

@@ -1,22 +1,24 @@
 """Law checkers, plan generators, and deterministic reports."""
+import collections
 import json
 import random
 
 import pytest
 
 from strips_operad import mutants
-from strips_operad.framework import (CheckFailure, FiberProductError,
-                                     Elements, all_operad_plans,
-                                     check_operad_laws, check_rel_laws,
-                                     operad_plan_count,
+from strips_operad.framework import (ALGEBRA, OPERAD, REL, CheckFailure,
+                                     FiberProductError, Elements,
+                                     all_operad_plans, check_operad_laws,
+                                     check_rel_laws, operad_plan_count,
                                      random_algebra_plan, random_operad_plan,
-                                     random_rel_elements,
-                                     random_rel_plan, run_operad_check,
-                                     run_operad_exhaustive, run_rel_check)
+                                     random_rel_elements, random_rel_plan,
+                                     run_check)
 from strips_operad.intervals import intervals_operad
 from strips_operad.shapes import output_shape
 from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
+
+from helpers import words_algebra
 
 
 # --- plans --------------------------------------------------------------------
@@ -116,7 +118,7 @@ def _broken_intervals():
 
 def test_broken_instance_reports_failures():
     op = _broken_intervals()
-    report = run_operad_check(op, seed=5, cases=10, max_arity=3)
+    report = run_check(OPERAD, op, op.name, seed=5, cases=10, max_arity=3)
     assert not report.ok
     assert report.cases_run == 10
     assert len(report.failures) >= 10
@@ -129,8 +131,8 @@ def test_broken_instance_reports_failures():
 
 def test_report_json_shape_and_determinism():
     op = intervals_operad()
-    r1 = run_operad_check(op, seed=11, cases=25, max_arity=3)
-    r2 = run_operad_check(op, seed=11, cases=25, max_arity=3)
+    r1 = run_check(OPERAD, op, op.name, seed=11, cases=25, max_arity=3)
+    r2 = run_check(OPERAD, op, op.name, seed=11, cases=25, max_arity=3)
     assert r1.json_bytes() == r2.json_bytes()
     doc = json.loads(r1.json_bytes())
     assert set(doc) == {"instance", "mode", "seed", "plan", "cases_run",
@@ -145,15 +147,15 @@ def test_report_json_shape_and_determinism():
 
 def test_report_changes_with_seed():
     op = intervals_operad()
-    r1 = run_operad_check(op, seed=1, cases=5, max_arity=3)
-    r2 = run_operad_check(op, seed=2, cases=5, max_arity=3)
+    r1 = run_check(OPERAD, op, op.name, seed=1, cases=5, max_arity=3)
+    r2 = run_check(OPERAD, op, op.name, seed=2, cases=5, max_arity=3)
     assert json.loads(r1.json_bytes())["seed"] == 1
     assert json.loads(r2.json_bytes())["seed"] == 2
 
 
 def test_exhaustive_mode_runs_every_plan():
     op = trees_operad()
-    report = run_operad_exhaustive(op, max_arity=2)
+    report = run_check(OPERAD, op, op.name, seed=0, cases=None, max_arity=2)
     assert report.mode == "exhaustive"
     assert report.ok
     assert report.cases_run == 2 * (6 + 36)
@@ -161,7 +163,8 @@ def test_exhaustive_mode_runs_every_plan():
 
 def test_run_with_no_cases_is_not_ok():
     # `check trees --exhaustive --max-r 0` once reported ok after 0 cases
-    report = run_operad_exhaustive(trees_operad(), max_arity=0)
+    report = run_check(OPERAD, trees_operad(), "trees", seed=0, cases=None,
+                       max_arity=0)
     assert report.cases_run == 0
     assert not report.failures
     assert report.ok is False
@@ -170,7 +173,7 @@ def test_run_with_no_cases_is_not_ok():
 
 def test_rel_check_runs_and_passes():
     rel = strips_rel_operad()
-    report = run_rel_check(rel, seed=3, cases=10, max_r=2, max_total=4)
+    report = run_check(REL, rel, rel.name, seed=3, cases=10, max_r=2, max_total=4)
     assert report.ok
     assert report.cases_run == 10
 
@@ -192,7 +195,7 @@ def test_shape_arithmetic_catches_a_lost_rectangle():
         return StripConfig(tuple(map(len, rows)), q.base, tuple(rows))
 
     rel = strips_rel_operad()._replace(compose=compose)
-    report = run_rel_check(rel, seed=3, cases=30, max_r=3, max_total=5)
+    report = run_check(REL, rel, rel.name, seed=3, cases=30, max_r=3, max_total=5)
     laws = {f.law for f in report.failures}
     assert "shape arithmetic" in laws
     assert "exception" not in laws
@@ -224,3 +227,35 @@ def test_empty_fiber_product_block_is_a_bare_base():
     assert strip_violation(composed) is None
     # the empty block contributes arity-many empty strips
     assert composed.shape[:2] == (0, 0)
+
+
+# --- one runner for every kind -----------------------------------------------------
+
+def _words(reverse_top=False):
+    return run_check(ALGEBRA, (lambda rng: words_algebra(reverse_top),
+                               strips_rel_operad()),
+                     "words", seed=0, cases=300, max_r=3, max_total=5)
+
+
+def test_algebra_laws_hold_for_tuple_carriers():
+    # the laws once told a carrier from a chain by isinstance(c, tuple), so
+    # 226 of these cases failed as exception: a word read as a chain
+    report = _words()
+    assert report.ok and report.cases_run == 300
+
+
+def test_a_words_mutant_fails_the_laws_that_read_top_words():
+    laws = collections.Counter(f.law for f in _words(reverse_top=True).failures)
+    assert set(laws) == {"target boundary", "interchange", "unit"}
+    assert min(laws.values()) >= 50
+
+
+def test_run_check_reports_the_bounds_of_its_kind():
+    doc = json.loads(run_check(REL, strips_rel_operad(), "strips-x", seed=4,
+                               cases=2, max_r=2, max_total=3).json_bytes())
+    assert (doc["instance"], doc["mode"], doc["plan"]) == (
+        "strips-x", "seeded", {"cases": 2, "max_r": 2, "max_total": 3})
+    doc = json.loads(run_check(OPERAD, trees_operad(), "trees", seed=4,
+                               cases=None, max_arity=1).json_bytes())
+    assert (doc["mode"], doc["plan"], doc["cases_run"]) == (
+        "exhaustive", {"max_arity": 1, "samples_per_plan": 2}, 2)

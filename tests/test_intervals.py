@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strips_operad import mutants
 from strips_operad.exact import AffineMap1
-from strips_operad.framework import run_operad_check
+from strips_operad.framework import OPERAD, run_check
 from strips_operad.intervals import (IntervalConfig, grid_embeddings,
                                      interval_compose, interval_unit,
                                      interval_violation, intervals_operad,
@@ -115,15 +115,15 @@ def test_random_intervals_denominator_bound():
 
 
 def test_associativity_and_units_seeded():
-    report = run_operad_check(intervals_operad(), seed=2024, cases=200,
-                              max_arity=4)
+    report = run_check(OPERAD, intervals_operad(), "intervals", seed=2024,
+                       cases=200, max_arity=4)
     assert report.ok
     assert report.cases_run == 200
 
 
 def test_mutated_instance_fails_every_case():
-    report = run_operad_check(mutants.intervals_operad(), seed=2024,
-                              cases=40, max_arity=4)
+    report = run_check(OPERAD, mutants.intervals_operad(), "intervals",
+                       seed=2024, cases=40, max_arity=4)
     assert not report.ok
     failed_cases = {f.case for f in report.failures}
     assert len(failed_cases) == 40

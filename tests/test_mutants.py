@@ -7,8 +7,7 @@ import pytest
 
 from strips_operad import mutants
 from strips_operad.exact import GridSheet
-from strips_operad.framework import (run_algebra_check, run_operad_check,
-                                     run_rel_check)
+from strips_operad.framework import ALGEBRA, OPERAD, REL, run_check
 from strips_operad.intervals import intervals_operad
 from strips_operad.sheets import (random_pointed_map, random_sheet_element,
                                   sheet_algebra)
@@ -24,17 +23,17 @@ def test_production_constructors_take_no_mutation():
 
 def _mutant_report(target):
     if target == "intervals":
-        return run_operad_check(mutants.intervals_operad(), seed=1, cases=5,
-                                max_arity=3)
+        return run_check(OPERAD, mutants.intervals_operad(), "intervals",
+                         seed=1, cases=5, max_arity=3)
     if target == "trees":
-        return run_operad_check(mutants.trees_operad(), seed=1, cases=5,
-                                max_arity=4)
+        return run_check(OPERAD, mutants.trees_operad(), "trees", seed=1,
+                         cases=5, max_arity=4)
     if target == "strips":
-        return run_rel_check(mutants.strips_rel_operad(), seed=1, cases=5,
-                             max_r=3, max_total=5)
-    return run_algebra_check(mutants.random_sheet_algebra, strips_rel_operad(),
-                             seed=1, cases=5, max_r=3, max_total=4,
-                             name="sheets")
+        return run_check(REL, mutants.strips_rel_operad(), "strips", seed=1,
+                         cases=5, max_r=3, max_total=5)
+    return run_check(ALGEBRA,
+                     (mutants.random_sheet_algebra, strips_rel_operad()),
+                     "sheets", seed=1, cases=5, max_r=3, max_total=4)
 
 
 @pytest.mark.parametrize("target", ["intervals", "strips", "trees", "sheets"])

@@ -10,11 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from strips_operad import mutants
-from strips_operad.cli import Target, _operad
+from strips_operad.cli import Target
 from strips_operad.exact import IDENTITY_1, AffineMap1, _Frozen
-from strips_operad.framework import (AlgebraInstance, Block, CheckFailure,
-                                     CheckReport, Elements, OperadInstance,
-                                     Plan, RelTwoOperadInstance)
+from strips_operad.framework import (OPERAD, AlgebraInstance, Block,
+                                     CheckFailure, CheckReport, Elements,
+                                     OperadInstance, Plan, RelTwoOperadInstance)
 from strips_operad.intervals import (IntervalConfig, interval_compose,
                                      interval_unit, intervals_operad,
                                      random_intervals)
@@ -40,8 +40,9 @@ def _samples() -> list:
     op = OperadInstance("intervals", interval_unit, len, interval_compose,
                         random_intervals)
     return [
-        (Target(_operad, intervals_operad, mutants.intervals_operad, exhaustive=True),
-         ("run", "make", "mutant", "max_n", "exhaustive", "reach"), {"max_n": True}),
+        (Target(OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True),
+         ("kind", "make", "mutant", "exhaustive", "reach"), {"exhaustive": False}),
+        (OPERAD, ("bounds", "case", "all_plans"), {"all_plans": None}),
         (Block(strip.base, [strip]), ("base", "configs"), {"configs": []}),
         (op, ("name", "unit", "arity", "compose", "random_element"),
          {"name": "intervals-x"}),
@@ -80,7 +81,7 @@ def _slots(record) -> list:
 
 
 def test_every_record_type_is_sampled():
-    assert len({type(r) for r, _, _ in SAMPLES}) == len(SAMPLES) == 13
+    assert len({type(r) for r, _, _ in SAMPLES}) == len(SAMPLES) == 14
     assert all(isinstance(r, _Frozen) for r, _, _ in SAMPLES)
 
 

@@ -10,8 +10,9 @@ import pytest
 from strips_operad import mutants, sheets
 from strips_operad.cli import main
 from strips_operad.exact import AffineMap1, GridSheet, PLPath
-from strips_operad.framework import (ChainError, random_algebra_elements,
-                                     random_algebra_plan, run_algebra_check)
+from strips_operad.framework import (ALGEBRA, ChainError,
+                                     random_algebra_elements,
+                                     random_algebra_plan, run_check)
 from strips_operad.intervals import (IntervalConfig, grid_embeddings,
                                      interval_unit, interval_violation)
 from strips_operad.serialize import (intervals_to_json, sheet_from_json,
@@ -890,8 +891,8 @@ def test_algebra_laws_seeded():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
         return sheet_algebra(f)
 
-    report = run_algebra_check(make, strips_rel_operad(), seed=71, cases=50,
-                               max_r=3, max_total=4, name="sheets")
+    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets", seed=71,
+                       cases=50, max_r=3, max_total=4)
     assert report.ok
     assert report.cases_run == 50
 
@@ -901,8 +902,8 @@ def test_mutated_algebra_fails():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return mutants.sheet_algebra(f)
 
-    report = run_algebra_check(make, strips_rel_operad(), seed=71, cases=20,
-                               max_r=3, max_total=4, name="sheets-mutated")
+    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-mutated",
+                       seed=71, cases=20, max_r=3, max_total=4)
     assert not report.ok
     assert len({fl.case for fl in report.failures}) == 20
     assert all(fl.law != "exception" for fl in report.failures)
@@ -939,6 +940,6 @@ def test_each_sheets_law_fails_on_an_instance_that_breaks_it(law, broken):
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return broken(sheet_algebra(f))
 
-    report = run_algebra_check(make, strips_rel_operad(), seed=71, cases=20,
-                               max_r=3, max_total=4, name="sheets-broken")
+    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-broken",
+                       seed=71, cases=20, max_r=3, max_total=4)
     assert law in {fl.law for fl in report.failures}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from strips_operad import mutants
 from strips_operad import serialize
 from strips_operad.exact import AffineMap1
-from strips_operad.framework import (Block, FiberProductError, run_rel_check)
+from strips_operad.framework import REL, Block, FiberProductError, run_check
 from strips_operad.intervals import IntervalConfig, interval_violation
 from strips_operad.strips import (StripConfig, random_strip,
                                   random_strip_over, strip_compose,
@@ -171,15 +171,15 @@ def test_compose_preserves_validity():
 
 
 def test_projection_square_and_associativity_seeded():
-    report = run_rel_check(strips_rel_operad(), seed=77, cases=100,
-                           max_r=3, max_total=5)
+    report = run_check(REL, strips_rel_operad(), "strips", seed=77, cases=100,
+                       max_r=3, max_total=5)
     assert report.ok
     assert report.cases_run == 100
 
 
 def test_mutated_strips_fail():
-    report = run_rel_check(mutants.strips_rel_operad(), seed=77,
-                           cases=30, max_r=3, max_total=5)
+    report = run_check(REL, mutants.strips_rel_operad(), "strips", seed=77,
+                       cases=30, max_r=3, max_total=5)
     assert not report.ok
     assert len({f.case for f in report.failures}) == 30
     assert all(f.law != "exception" for f in report.failures)

@@ -11,7 +11,7 @@ import pytest
 
 from strips_operad import mutants, trees
 from strips_operad.serialize import tree_to_json
-from strips_operad.framework import run_operad_check, run_operad_exhaustive
+from strips_operad.framework import OPERAD, run_check
 from strips_operad.trees import (LEAF, PlanarTree, contracts_to, corolla,
                                  enumerate_trees, f_vector, graft,
                                  one_step_contractions, random_tree,
@@ -375,19 +375,21 @@ def test_grafting_is_monotone_for_contraction():
 # --- operad laws ------------------------------------------------------------------
 
 def test_seeded_law_check():
-    report = run_operad_check(trees_operad(), seed=8, cases=200, max_arity=6)
+    report = run_check(OPERAD, trees_operad(), "trees", seed=8, cases=200,
+                       max_arity=6)
     assert report.ok
 
 
 def test_exhaustive_small_plans():
-    report = run_operad_exhaustive(trees_operad(), max_arity=2)
+    report = run_check(OPERAD, trees_operad(), "trees", seed=0, cases=None,
+                       max_arity=2)
     assert report.ok
     assert report.cases_run == 84
 
 
 def test_mutated_trees_fail():
-    report = run_operad_check(mutants.trees_operad(), seed=8, cases=60,
-                              max_arity=6)
+    report = run_check(OPERAD, mutants.trees_operad(), "trees", seed=8,
+                       cases=60, max_arity=6)
     assert not report.ok
     assert all(f.law != "exception" for f in report.failures)
 
