@@ -65,11 +65,15 @@ def _default_seed() -> int:
             f"STRIPS_OPERAD_SEED must be an integer, got {text!r}") from None
 
 
-def _emit(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text)
+def _emit(pieces, out) -> None:
+    """Write the text pieces in order to the file ``out``, or to stdout when
+    ``out`` is None, without joining them: a document formed piece by piece
+    is never held whole.  An empty path names no file, so it is refused."""
+    if out is not None:
+        with open(out, "w") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +157,7 @@ def cmd_check(args) -> int:
         target.kind, make(), args.target, seed=seed,
         cases=None if args.exhaustive else cases,
         **dict(zip(target.kind.bounds, (args.max_r, args.max_n))))
-    _emit(report.json_bytes().decode(), args.out)
+    _emit(report.json_pieces(), args.out)
     return 0 if report.ok else 1
 
 
@@ -168,12 +172,12 @@ def cmd_enumerate(args) -> int:
     if args.format in ("dot", "svg") and r > 5:
         raise ValueError(f"the face poset rendering is limited to 5 leaves, got {r}")
     if args.format == "dot":
-        _emit(svg.hasse_dot(r), args.out)
+        _emit((svg.hasse_dot(r),), args.out)
     elif args.format == "svg":
-        _emit(svg.hasse_svg(r), args.out)
+        _emit((svg.hasse_svg(r),), args.out)
     else:
-        trees = enumerate_trees(r)
-        _emit(serialize.enumeration_dumps(r, f_vector(r), trees), args.out)
+        _emit(serialize.enumeration_pieces(r, f_vector(r), enumerate_trees(r)),
+              args.out)
     return 0
 
 
@@ -277,9 +281,9 @@ def cmd_compose(args) -> int:
     else:
         raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
     result = _valid("composed result", violation, compose(outer, parts))
-    _emit(serialize.dumps(to_json(result)), args.out)
-    if args.svg:
-        Path(args.svg).write_text(svg.render_before_after(outer, result))
+    _emit((serialize.dumps(to_json(result)),), args.out)
+    if args.svg is not None:
+        _emit((svg.render_before_after(outer, result),), args.svg)
     return 0
 
 
@@ -300,7 +304,7 @@ def cmd_render(args) -> int:
         picture = svg.render_sheet(serialize.sheet_from_json(payload))
     else:
         raise ValueError("unrecognized input document")
-    _emit(picture, args.out)
+    _emit((picture,), args.out)
     return 0
 
 

@@ -383,8 +383,15 @@ class CheckReport:
                               "rhs": f.rhs} for f in self.failures],
                 "ok": self.ok}
 
+    def json_pieces(self) -> Iterator[str]:
+        """The report's JSON text (sorted keys, two-space indent, newline),
+        as the pieces the encoder forms it in."""
+        return itertools.chain(
+            json.JSONEncoder(sort_keys=True, indent=2).iterencode(self.to_json()),
+            ("\n",))
+
     def json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n").encode()
+        return "".join(self.json_pieces()).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -222,14 +222,17 @@ def tree_to_json(t: PlanarTree) -> list:
     return [tree_to_json(c) for c in t.children]
 
 
-def enumeration_dumps(leaves: int, f_vector, trees) -> str:
-    """``dumps`` of an enumeration document, written from text pieces.
+def enumeration_pieces(leaves: int, f_vector, trees):
+    """The text of an enumeration document, as a generator of pieces.
 
-    Equal to ``dumps({"leaves": leaves, "f_vector": list(f_vector),
-    "total": len(trees), "trees": [tree_to_json(t) for t in trees]})``, but
-    no nested lists are built: the indented text of each distinct subtree at
-    each nesting depth is formed once per call and joined into its parents.
-    Trees are interned, so a subtree is keyed by identity.
+    Joined, the pieces equal ``dumps({"leaves": leaves, "f_vector":
+    list(f_vector), "total": len(trees), "trees": [tree_to_json(t) for t in
+    trees]})``, but no nested lists and no whole document are built: the head
+    comes first, then each listed tree's indented text as soon as it is
+    formed, then the tail.  The text of each distinct proper subtree at each
+    nesting depth is formed once per call and joined into its parents; the
+    listed trees themselves are not kept.  Trees are interned, so a subtree
+    is keyed by identity.
     """
     memo = {}
 
@@ -245,9 +248,14 @@ def enumeration_dumps(leaves: int, f_vector, trees) -> str:
 
     head = json.dumps({"f_vector": list(f_vector), "leaves": leaves,
                        "total": len(trees)}, sort_keys=True, indent=2)
-    body = _list_text([text(t, 2) for t in trees], 1)
     # "trees" sorts after every key of head, so it goes before head's "\n}"
-    return f'{head[:-2]},\n  "trees": {body}\n}}\n'
+    yield f'{head[:-2]},\n  "trees": ['
+    sep = "\n    "
+    for t in trees:
+        yield sep
+        yield _list_text([text(c, 3) for c in t.children], 2)
+        sep = ",\n    "
+    yield "\n  ]\n}\n" if trees else "]\n}\n"
 
 
 def _list_text(items: list, depth: int) -> str:

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from random import Random
@@ -710,6 +711,30 @@ def test_enumerate_svg_range_is_tighter(capsys):
     assert code == 2
 
 
+def test_enumerate_8_never_holds_its_document_whole(tmp_path):
+    # the 897 038-byte document was held as its tree texts, their joined
+    # list, the document and its encoding: a peak of 3.7 MiB
+    path = str(tmp_path / "e8.json")
+    assert main(["enumerate", "8", "--out", path]) == 0   # warms enumerate_trees
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "8", "--out", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "8"),
+                                  ("check", "strips", "--seed", "1", "--mutate")],
+                         ids=" ".join)
+def test_out_writes_the_bytes_stdout_gets(tmp_path, capsys, argv):
+    code, out, _ = run(list(argv), capsys)
+    path = tmp_path / "out"
+    assert run([*argv, "--out", str(path)], capsys) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+
+
 # --- compose -------------------------------------------------------------------------
 
 INTERVALS_PLAN = {
@@ -729,6 +754,16 @@ def test_compose_intervals_hand_example(tmp_path, capsys):
     embs = doc["embeddings"]
     assert embs[0] == {"a": "1/6", "c": "1/4"}
     assert embs[1] == {"a": "1/6", "c": "7/12"}
+
+
+def test_an_empty_output_path_is_refused(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(INTERVALS_PLAN))
+    for argv in (["enumerate", "3", "--out", ""],
+                 ["compose", str(plan), "--out", str(tmp_path / "c.json"),
+                  "--svg", ""]):
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (2, "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_compose_rejects_invalid_input(tmp_path, capsys):
