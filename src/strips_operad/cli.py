@@ -34,6 +34,7 @@ give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import operator
@@ -65,15 +66,17 @@ def _default_seed() -> int:
             f"STRIPS_OPERAD_SEED must be an integer, got {text!r}") from None
 
 
-def _emit(pieces, out) -> None:
-    """Write the text pieces in order to the file ``out``, or to stdout when
-    ``out`` is None, without joining them: a document formed piece by piece
-    is never held whole.  An empty path names no file, so it is refused."""
-    if out is not None:
-        with open(out, "w") as f:
-            f.writelines(pieces)
+@contextlib.contextmanager
+def _output(out):
+    """The file ``out`` opened for writing, or stdout when ``out`` is None:
+    every command writes through it.  A document formed piece by piece is
+    written with ``writelines`` and never held whole.  An empty path names
+    no file, so it is refused."""
+    if out is None:
+        yield sys.stdout
     else:
-        sys.stdout.writelines(pieces)
+        with open(out, "w") as f:
+            yield f
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +156,14 @@ def cmd_check(args) -> int:
     cases = args.cases if args.cases is not None else DEFAULT_CASES
     target = TARGETS[args.target]
     make = target.mutant if args.mutate else target.make
-    report = framework.run_check(
-        target.kind, make(), args.target, seed=seed,
-        cases=None if args.exhaustive else cases,
-        **dict(zip(target.kind.bounds, (args.max_r, args.max_n))))
-    _emit(report.json_pieces(), args.out)
+    # opened before the run, so a path that cannot be written is refused
+    # before the first case; a run that is cut short leaves an empty file
+    with _output(args.out) as f:
+        report = framework.run_check(
+            target.kind, make(), args.target, seed=seed,
+            cases=None if args.exhaustive else cases,
+            **dict(zip(target.kind.bounds, (args.max_r, args.max_n))))
+        f.writelines(report.json_pieces())
     return 0 if report.ok else 1
 
 
@@ -172,12 +178,13 @@ def cmd_enumerate(args) -> int:
     if args.format in ("dot", "svg") and r > 5:
         raise ValueError(f"the face poset rendering is limited to 5 leaves, got {r}")
     if args.format == "dot":
-        _emit((svg.hasse_dot(r),), args.out)
+        pieces = (svg.hasse_dot(r),)
     elif args.format == "svg":
-        _emit((svg.hasse_svg(r),), args.out)
+        pieces = (svg.hasse_svg(r),)
     else:
-        _emit(serialize.enumeration_pieces(r, f_vector(r), enumerate_trees(r)),
-              args.out)
+        pieces = serialize.enumeration_pieces(r, f_vector(r), enumerate_trees(r))
+    with _output(args.out) as f:
+        f.writelines(pieces)
     return 0
 
 
@@ -281,9 +288,11 @@ def cmd_compose(args) -> int:
     else:
         raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
     result = _valid("composed result", violation, compose(outer, parts))
-    _emit((serialize.dumps(to_json(result)),), args.out)
+    with _output(args.out) as f:
+        f.write(serialize.dumps(to_json(result)))
     if args.svg is not None:
-        _emit((svg.render_before_after(outer, result),), args.svg)
+        with _output(args.svg) as f:
+            f.write(svg.render_before_after(outer, result))
     return 0
 
 
@@ -304,7 +313,8 @@ def cmd_render(args) -> int:
         picture = svg.render_sheet(serialize.sheet_from_json(payload))
     else:
         raise ValueError("unrecognized input document")
-    _emit((picture,), args.out)
+    with _output(args.out) as f:
+        f.write(picture)
     return 0
 
 

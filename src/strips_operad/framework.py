@@ -72,27 +72,26 @@ def _runs(flat: Sequence, lengths: Iterable[int]) -> list:
 # ---------------------------------------------------------------------------
 
 class OperadInstance(_Frozen):
-    __slots__ = _fields = ("name", "unit", "arity", "compose", "random_element")
+    __slots__ = _fields = ("unit", "arity", "compose", "random_element")
     _key = operator.attrgetter(*_fields)
 
-    def __init__(self, name: str, unit: Callable[[], Any],
+    def __init__(self, unit: Callable[[], Any],
                  arity: Callable[[Any], int],
                  compose: Callable[[Any, Sequence], Any],
                  random_element: Callable[[int, random.Random], Any]):
-        _set_slots(self, self._fields, (name, unit, arity, compose, random_element))
+        _set_slots(self, self._fields, (unit, arity, compose, random_element))
 
 
 class RelTwoOperadInstance(_Frozen):
-    __slots__ = _fields = ("name", "base", "unit", "shape", "project", "compose",
+    __slots__ = _fields = ("base", "unit", "shape", "project", "compose",
                            "random_over")
     _key = operator.attrgetter(*_fields)
 
-    def __init__(self, name: str, base: OperadInstance, unit: Callable[[], Any],
+    def __init__(self, base: OperadInstance, unit: Callable[[], Any],
                  shape: Callable[[Any], tuple], project: Callable[[Any], Any],
                  compose: Callable[[Any, Sequence[Block]], Any],
                  random_over: Callable[[tuple, Any, random.Random], Any]):
-        _set_slots(self, self._fields,
-                   (name, base, unit, shape, project, compose, random_over))
+        _set_slots(self, self._fields, (base, unit, shape, project, compose, random_over))
 
 
 class AlgebraInstance(_Frozen):
@@ -357,19 +356,19 @@ class CheckFailure(_Frozen):
 
 
 class CheckReport:
-    """The result of one check run; :func:`_run` appends to ``failures``
-    and counts ``cases_run`` as it goes."""
+    """The result of one check run; :func:`run_check` appends to
+    ``failures`` and counts ``cases_run`` as it goes."""
 
     __slots__ = ("instance", "mode", "seed", "plan", "cases_run", "failures")
 
     def __init__(self, instance: str, mode: str, seed: Optional[int], plan: dict,
-                 cases_run: int, failures: Optional[list] = None):
+                 cases_run: int):
         self.instance = instance
         self.mode = mode
         self.seed = seed
         self.plan = plan
         self.cases_run = cases_run
-        self.failures = [] if failures is None else failures
+        self.failures = []
 
     @property
     def ok(self) -> bool:
@@ -552,28 +551,6 @@ def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 # the check engine: three kinds of instance, one runner
 # ---------------------------------------------------------------------------
 
-def _run(name: str, mode: str, seed: int, plan: dict,
-         cases: Iterable[tuple]) -> CheckReport:
-    """The one loop over check cases.
-
-    ``cases`` yields ``(label, key, check)``: the label its failures carry,
-    the key of its RNG ``Random(f"{seed}:{key}")``, and
-    ``check(rng, label, fails)``, which samples the case and appends its law
-    failures to ``fails``, the report's list.  A case that raises also fails
-    the law ``exception``, recorded after the failures it appended before the
-    raise, and the run goes on.
-    """
-    report = CheckReport(name, mode, seed, plan, 0)
-    for label, key, check in cases:
-        try:
-            check(random.Random(f"{seed}:{key}"), label, report.failures)
-        except Exception as exc:
-            report.failures.append(CheckFailure(
-                label, "exception", f"{type(exc).__name__}: {exc}", "None"))
-        report.cases_run += 1
-    return report
-
-
 class Kind(_Frozen):
     """One kind of instance.  ``bounds`` names its keyword bounds;
     ``case(instance, rng, plan, label, fails, **bounds)`` draws one case (its
@@ -626,15 +603,28 @@ def run_check(kind: Kind, instance: Any, name: str, *, seed: int,
               cases: Optional[int], **bounds) -> CheckReport:
     """Check ``instance``, of ``kind``, in ``cases`` seeded cases, or with
     ``cases=None`` in every plan of ``kind.all_plans(**bounds)``, sampling
-    ``SAMPLES_PER_PLAN`` element tuples per plan from the seed."""
-    def check(plan):
-        return lambda rng, label, fails: kind.case(instance, rng, plan, label,
-                                                   fails, **bounds)
+    ``SAMPLES_PER_PLAN`` element tuples per plan from the seed.
+
+    The one loop over check cases.  Each case draws from its own RNG,
+    ``Random(f"{seed}:{key}")``, and appends its failures, labelled, to the
+    report's list.  A case that raises also fails the law ``exception``,
+    recorded after the failures it appended before the raise; the run goes on.
+    """
     if cases is None:
-        return _run(name, "exhaustive", seed,
-                    {**bounds, "samples_per_plan": SAMPLES_PER_PLAN},
-                    ((f"plan{idx}:{v}", f"{idx}:{v}", check(plan))
-                     for idx, plan in enumerate(kind.all_plans(**bounds))
-                     for v in range(SAMPLES_PER_PLAN)))
-    return _run(name, "seeded", seed, {"cases": cases, **bounds},
-                ((str(k), k, check(None)) for k in range(cases)))
+        report = CheckReport(name, "exhaustive", seed,
+                             {**bounds, "samples_per_plan": SAMPLES_PER_PLAN}, 0)
+        stream = ((f"plan{idx}:{v}", f"{idx}:{v}", plan)
+                  for idx, plan in enumerate(kind.all_plans(**bounds))
+                  for v in range(SAMPLES_PER_PLAN))
+    else:
+        report = CheckReport(name, "seeded", seed, {"cases": cases, **bounds}, 0)
+        stream = ((str(k), k, None) for k in range(cases))
+    for label, key, plan in stream:
+        try:
+            kind.case(instance, random.Random(f"{seed}:{key}"), plan, label,
+                      report.failures, **bounds)
+        except Exception as exc:
+            report.failures.append(CheckFailure(
+                label, "exception", f"{type(exc).__name__}: {exc}", "None"))
+        report.cases_run += 1
+    return report

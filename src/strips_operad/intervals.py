@@ -105,7 +105,6 @@ def random_intervals(r: int, rng: random.Random) -> IntervalConfig:
 def intervals_operad() -> OperadInstance:
     """The instance plugged into the framework checkers."""
     return OperadInstance(
-        name="intervals",
         unit=interval_unit,
         arity=lambda c: c.arity,
         compose=interval_compose,

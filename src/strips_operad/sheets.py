@@ -380,8 +380,8 @@ def _random_quarters(rng: random.Random, dim: int, spread: int = 8) -> tuple:
                   for _ in range(dim)])
 
 
-def random_point(rng: random.Random, dim: int, spread: int = 8) -> tuple:
-    return _fractions(_random_quarters(rng, dim, spread), 4)
+def random_point(rng: random.Random, dim: int) -> tuple:
+    return _fractions(_random_quarters(rng, dim, 4), 4)
 
 
 MAX_INTERIOR = 2    # interior breakpoints of a random loop, at most
@@ -443,8 +443,7 @@ def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> Pointed
     matrix = tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
                          for _ in range(dim_in))
                    for _ in range(dim_out))
-    return PointedMap(matrix, random_point(rng, dim_in, spread=4),
-                      random_point(rng, dim_out, spread=4))
+    return PointedMap(matrix, random_point(rng, dim_in), random_point(rng, dim_out))
 
 
 # ---------------------------------------------------------------------------

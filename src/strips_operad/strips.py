@@ -171,7 +171,6 @@ def random_strip(shape: Sequence, seed) -> StripConfig:
 def strips_rel_operad() -> RelTwoOperadInstance:
     """The strips instance over the intervals operad."""
     return RelTwoOperadInstance(
-        name="strips",
         base=intervals_operad(),
         unit=strip_unit,
         shape=lambda q: q.shape,

@@ -40,15 +40,15 @@ def _doc(width: int, height: int, body: str) -> str:
             f"{body}</svg>\n")
 
 
-def _rect(x, y, w, h, fill, edge=None, width="1") -> str:
-    stroke = f' stroke="{edge}" stroke-width="{width}"' if edge else ""
+def _rect(x, y, w, h, fill, edge=None) -> str:
+    stroke = f' stroke="{edge}" stroke-width="1"' if edge else ""
     return (f'<rect x="{_n(x)}" y="{_n(y)}" width="{_n(w)}" height="{_n(h)}" '
             f'fill="{fill}"{stroke}/>\n')
 
 
-def _text(x, y, s, size=11, anchor="middle") -> str:
+def _text(x, y, s) -> str:
     return (f'<text x="{_n(x)}" y="{_n(y)}" font-family="monospace" '
-            f'font-size="{size}" text-anchor="{anchor}">{s}</text>\n')
+            f'font-size="11" text-anchor="middle">{s}</text>\n')
 
 
 def _bar(config: IntervalConfig, x0: float, y0: float, width: float) -> str:

@@ -326,7 +326,6 @@ def contracts_to(t1: PlanarTree, t2: PlanarTree) -> bool:
 def trees_operad() -> OperadInstance:
     """The grafting operad instance."""
     return OperadInstance(
-        name="trees",
         unit=lambda: LEAF,
         arity=tree_leaves,
         compose=graft,

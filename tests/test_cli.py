@@ -100,6 +100,32 @@ def test_check_records_a_fault_in_one_case_and_runs_the_rest(
     assert fault["rhs"] == "None"
 
 
+def test_check_records_a_fault_in_an_exhaustive_case_and_runs_the_rest(
+        capsys, monkeypatch):
+    from strips_operad import trees
+    real = trees.graft
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        if len(calls) == 5:     # in the first case, which makes six calls
+            raise ZeroDivisionError("planted fault")
+        return real(*args)
+
+    monkeypatch.setattr(trees, "graft", faulty)
+    code, out, err = run(["check", "trees", "--exhaustive", "--max-r", "2"],
+                         capsys)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["cases_run"] == 84
+    faults = [f for f in doc["failures"] if f["law"] == "exception"]
+    assert faults == [{"case": "plan0:0", "law": "exception",
+                       "lhs": "ZeroDivisionError: planted fault", "rhs": "None"}]
+    # recorded after the failures its case appended before the raise
+    assert [f for f in doc["failures"] if f["case"] == "plan0:0"][-1] == faults[0]
+
+
 def test_check_keeps_the_failures_a_case_recorded_before_it_raised(
         tmp_path, capsys, monkeypatch):
     # the first projection (of the first-stage composite) is wrong, so the
@@ -764,6 +790,30 @@ def test_an_empty_output_path_is_refused(tmp_path, capsys):
                   "--svg", ""]):
         code, _, err = run(argv, capsys)
         assert (code, err) == (2, "error: [Errno 2] No such file or directory: ''\n")
+
+
+def test_check_refuses_an_unwritable_out_before_the_first_case(
+        tmp_path, capsys, monkeypatch):
+    # the report file was once opened after the run, so this refusal came
+    # only after every plan was checked
+    real, calls = framework.run_check, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(framework, "run_check", counted)
+    missing = tmp_path / "missing-dir" / "r.json"
+    code, out, err = run(["check", "trees", "--exhaustive", "--max-r", "2",
+                          "--out", str(missing)], capsys)
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    argv = ["check", "trees", "--seed", "2", "--cases", "5", "--mutate"]
+    code, out, _ = run(argv, capsys)
+    path = tmp_path / "r.json"
+    assert run([*argv, "--out", str(path)], capsys) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+    assert len(calls) == 2
 
 
 def test_compose_rejects_invalid_input(tmp_path, capsys):

@@ -118,7 +118,7 @@ def _broken_intervals():
 
 def test_broken_instance_reports_failures():
     op = _broken_intervals()
-    report = run_check(OPERAD, op, op.name, seed=5, cases=10, max_arity=3)
+    report = run_check(OPERAD, op, "intervals", seed=5, cases=10, max_arity=3)
     assert not report.ok
     assert report.cases_run == 10
     assert len(report.failures) >= 10
@@ -131,8 +131,8 @@ def test_broken_instance_reports_failures():
 
 def test_report_json_shape_and_determinism():
     op = intervals_operad()
-    r1 = run_check(OPERAD, op, op.name, seed=11, cases=25, max_arity=3)
-    r2 = run_check(OPERAD, op, op.name, seed=11, cases=25, max_arity=3)
+    r1 = run_check(OPERAD, op, "intervals", seed=11, cases=25, max_arity=3)
+    r2 = run_check(OPERAD, op, "intervals", seed=11, cases=25, max_arity=3)
     assert r1.json_bytes() == r2.json_bytes()
     doc = json.loads(r1.json_bytes())
     assert set(doc) == {"instance", "mode", "seed", "plan", "cases_run",
@@ -147,15 +147,15 @@ def test_report_json_shape_and_determinism():
 
 def test_report_changes_with_seed():
     op = intervals_operad()
-    r1 = run_check(OPERAD, op, op.name, seed=1, cases=5, max_arity=3)
-    r2 = run_check(OPERAD, op, op.name, seed=2, cases=5, max_arity=3)
+    r1 = run_check(OPERAD, op, "intervals", seed=1, cases=5, max_arity=3)
+    r2 = run_check(OPERAD, op, "intervals", seed=2, cases=5, max_arity=3)
     assert json.loads(r1.json_bytes())["seed"] == 1
     assert json.loads(r2.json_bytes())["seed"] == 2
 
 
 def test_exhaustive_mode_runs_every_plan():
     op = trees_operad()
-    report = run_check(OPERAD, op, op.name, seed=0, cases=None, max_arity=2)
+    report = run_check(OPERAD, op, "trees", seed=0, cases=None, max_arity=2)
     assert report.mode == "exhaustive"
     assert report.ok
     assert report.cases_run == 2 * (6 + 36)
@@ -173,7 +173,7 @@ def test_run_with_no_cases_is_not_ok():
 
 def test_rel_check_runs_and_passes():
     rel = strips_rel_operad()
-    report = run_check(REL, rel, rel.name, seed=3, cases=10, max_r=2, max_total=4)
+    report = run_check(REL, rel, "strips", seed=3, cases=10, max_r=2, max_total=4)
     assert report.ok
     assert report.cases_run == 10
 
@@ -195,7 +195,7 @@ def test_shape_arithmetic_catches_a_lost_rectangle():
         return StripConfig(tuple(map(len, rows)), q.base, tuple(rows))
 
     rel = strips_rel_operad()._replace(compose=compose)
-    report = run_check(REL, rel, rel.name, seed=3, cases=30, max_r=3, max_total=5)
+    report = run_check(REL, rel, "strips", seed=3, cases=30, max_r=3, max_total=5)
     laws = {f.law for f in report.failures}
     assert "shape arithmetic" in laws
     assert "exception" not in laws

@@ -37,18 +37,16 @@ def _samples() -> list:
     f = PointedMap(((1, 2),), (0, "1/2"), (3,))
     loop, other_loop = (random_loop(rng, 2, f.dom_base) for _ in range(2))
     elem = random_sheet_element(f, rng)
-    op = OperadInstance("intervals", interval_unit, len, interval_compose,
-                        random_intervals)
+    op = OperadInstance(interval_unit, len, interval_compose, random_intervals)
     return [
         (Target(OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True),
          ("kind", "make", "mutant", "exhaustive", "reach"), {"exhaustive": False}),
         (OPERAD, ("bounds", "case", "all_plans"), {"all_plans": None}),
         (Block(strip.base, [strip]), ("base", "configs"), {"configs": []}),
-        (op, ("name", "unit", "arity", "compose", "random_element"),
-         {"name": "intervals-x"}),
-        (RelTwoOperadInstance("strips", op, strip_unit, len, strip_project,
+        (op, ("unit", "arity", "compose", "random_element"), {"arity": abs}),
+        (RelTwoOperadInstance(op, strip_unit, len, strip_project,
                               strip_compose, random_strip_over),
-         ("name", "base", "unit", "shape", "project", "compose", "random_over"),
+         ("base", "unit", "shape", "project", "compose", "random_over"),
          {"compose": interval_compose}),
         (AlgebraInstance(len, abs, act_on_loops, act_on_sheets, random_loop,
                          random_sheet_element, sheet_violation),
