@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import operator
 import os
@@ -43,12 +44,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import framework, mutants, serialize, sheets, svg
+from . import framework
 from .exact import _Frozen, _set_slots
 from .framework import ALGEBRA, OPERAD, REL, Block, operad_plan_count
-from .intervals import interval_compose, interval_violation, intervals_operad
-from .strips import strip_compose, strip_violation, strips_rel_operad
-from .trees import enumerate_trees, f_vector, trees_operad
 
 DEFAULT_CASES = 100
 MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
@@ -71,12 +69,19 @@ def _output(out):
     """The file ``out`` opened for writing, or stdout when ``out`` is None:
     every command writes through it.  A document formed piece by piece is
     written with ``writelines`` and never held whole.  An empty path names
-    no file, so it is refused."""
+    no file, so it is refused.  A body that raises removes the file."""
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w") as f:
-            yield f
+        f = open(out, "w")
+        try:
+            with f:
+                yield f
+        except BaseException:
+            # a run cut short leaves no partial file; a device or link stays
+            if os.path.isfile(out) and not os.path.islink(out):
+                os.remove(out)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +104,24 @@ class Target(_Frozen):
         _set_slots(self, self._fields, (kind, make, mutant, exhaustive, reach))
 
 
+def _module(name: str):
+    """The package module ``name``, imported when a command first runs it."""
+    return importlib.import_module(f".{name}", __package__)
+
+
 TARGETS = {
-    "intervals": Target(OPERAD, intervals_operad, mutants.intervals_operad),
-    "strips": Target(REL, strips_rel_operad, mutants.strips_rel_operad),
-    "trees": Target(OPERAD, trees_operad, mutants.trees_operad, exhaustive=True),
+    "intervals": Target(OPERAD, lambda: _module("intervals").intervals_operad(),
+                        lambda: _module("mutants").intervals_operad()),
+    "strips": Target(REL, lambda: _module("strips").strips_rel_operad(),
+                     lambda: _module("mutants").strips_rel_operad()),
+    "trees": Target(OPERAD, lambda: _module("trees").trees_operad(),
+                    lambda: _module("mutants").trees_operad(), exhaustive=True),
     # one carrier or chain per output strip of the first stage
     "sheets": Target(ALGEBRA,
-                     lambda: (sheets.random_sheet_algebra, strips_rel_operad()),
-                     lambda: (mutants.random_sheet_algebra, strips_rel_operad()),
+                     lambda: (_module("sheets").random_sheet_algebra,
+                              _module("strips").strips_rel_operad()),
+                     lambda: (_module("mutants").random_sheet_algebra,
+                              _module("strips").strips_rel_operad()),
                      reach=("draw {} carriers", 2)),
 }
 
@@ -157,7 +172,7 @@ def cmd_check(args) -> int:
     target = TARGETS[args.target]
     make = target.mutant if args.mutate else target.make
     # opened before the run, so a path that cannot be written is refused
-    # before the first case; a run that is cut short leaves an empty file
+    # before the first case
     with _output(args.out) as f:
         report = framework.run_check(
             target.kind, make(), args.target, seed=seed,
@@ -177,12 +192,13 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"leaf count {r} out of range 2..8")
     if args.format in ("dot", "svg") and r > 5:
         raise ValueError(f"the face poset rendering is limited to 5 leaves, got {r}")
-    if args.format == "dot":
-        pieces = (svg.hasse_dot(r),)
-    elif args.format == "svg":
-        pieces = (svg.hasse_svg(r),)
-    else:
+    if args.format == "json":
+        from . import serialize
+        from .trees import enumerate_trees, f_vector
         pieces = serialize.enumeration_pieces(r, f_vector(r), enumerate_trees(r))
+    else:
+        from . import svg
+        pieces = ((svg.hasse_dot if args.format == "dot" else svg.hasse_svg)(r),)
     with _output(args.out) as f:
         f.writelines(pieces)
     return 0
@@ -260,6 +276,9 @@ def _decoded(label: str, decode, violation, doc):
 def cmd_compose(args) -> int:
     """Each document is decoded and checked before the next one is read,
     in document order, so the first defect in that order is reported."""
+    from . import serialize
+    from .intervals import interval_compose, interval_violation
+    from .strips import strip_compose, strip_violation
     plan = _load_plan(args.plan)
     kind = plan.get("kind")
     field = functools.partial(serialize.key_from_json, plan, what="the plan")
@@ -291,6 +310,7 @@ def cmd_compose(args) -> int:
     with _output(args.out) as f:
         f.write(serialize.dumps(to_json(result)))
     if args.svg is not None:
+        from . import svg
         with _output(args.svg) as f:
             f.write(svg.render_before_after(outer, result))
     return 0
@@ -301,6 +321,7 @@ def cmd_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_render(args) -> int:
+    from . import serialize, svg
     payload = _json_object(_read_json(Path(args.input), f"input {args.input!r}"),
                            "input")
     if "embeddings" in payload:

@@ -816,6 +816,55 @@ def test_check_refuses_an_unwritable_out_before_the_first_case(
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("raised", [KeyboardInterrupt, ValueError])
+def test_a_check_cut_short_leaves_no_report_file(tmp_path, capsys, monkeypatch,
+                                                raised):
+    # the report file is opened before the first case, and a run that
+    # stopped there once left it behind, empty
+    def stopped(*args, **kwargs):
+        raise raised("stopped")
+
+    monkeypatch.setattr(framework, "run_check", stopped)
+    path = tmp_path / "r.json"
+    path.write_text("an earlier report")
+    argv = ["check", "trees", "--seed", "2", "--cases", "5", "--out", str(path)]
+    if raised is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run(argv, capsys) == (2, "", "error: stopped\n")
+    assert not path.exists()
+
+
+def test_an_enumeration_cut_short_leaves_no_partial_document(
+        tmp_path, capsys, monkeypatch):
+    from strips_operad import serialize
+    real = serialize.enumeration_pieces
+
+    def stopped(*args):
+        pieces = real(*args)
+        yield next(pieces)
+        yield next(pieces)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(serialize, "enumeration_pieces", stopped)
+    path = tmp_path / "e8.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "8", "--out", str(path)])
+    assert not path.exists()
+    # a link is left in place, as a device such as /dev/null would be
+    target = tmp_path / "target.json"
+    target.write_text("")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "8", "--out", str(link)])
+    assert link.is_symlink() and target.exists()
+    monkeypatch.setattr(serialize, "enumeration_pieces", real)
+    assert run(["enumerate", "8", "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_text() == run(["enumerate", "8"], capsys)[1]
+
+
 def test_compose_rejects_invalid_input(tmp_path, capsys):
     bad = dict(INTERVALS_PLAN)
     bad["outer"] = {"embeddings": [{"a": "2", "c": "0"}]}
@@ -1073,10 +1122,10 @@ def test_compose_rejects_an_invalid_intervals_composite(tmp_path, capsys,
                                                        monkeypatch):
     # valid inputs always compose to a valid result, so stand in a compose
     # whose result leaves the unit interval
-    from strips_operad import cli
+    from strips_operad import intervals
     from strips_operad.exact import AffineMap1
     from strips_operad.intervals import IntervalConfig
-    monkeypatch.setattr(cli, "interval_compose",
+    monkeypatch.setattr(intervals, "interval_compose",
                         lambda outer, inners: IntervalConfig((AffineMap1(2, 0),)))
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(INTERVALS_PLAN))
@@ -1565,9 +1614,9 @@ def test_compose_rejection_lines_are_pinned(tmp_path, capsys, name):
 def test_compose_rejects_an_invalid_composite(tmp_path, capsys, monkeypatch):
     # valid inputs always compose to a valid result, so break the composite
     # by composing through the mutant that lifts the last rectangle by 2
-    from strips_operad import cli
+    from strips_operad import strips
     monkeypatch.setattr(mutants, "DRIFT", Fraction(2))
-    monkeypatch.setattr(cli, "strip_compose", mutants.strips_rel_operad().compose)
+    monkeypatch.setattr(strips, "strip_compose", mutants.strips_rel_operad().compose)
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(pin_strips_plan(2, 40, 8)))
     assert run(["compose", str(path)], capsys) == (
