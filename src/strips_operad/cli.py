@@ -38,15 +38,14 @@ import contextlib
 import functools
 import importlib
 import json
-import operator
 import os
 import sys
 from pathlib import Path
 from typing import Callable
 
 from . import framework
-from .exact import _Frozen, _set_slots
 from .framework import ALGEBRA, OPERAD, REL, Block, operad_plan_count
+from .records import _Frozen, _set_slots
 
 DEFAULT_CASES = 100
 MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
@@ -96,7 +95,6 @@ class Target(_Frozen):
     ** power (three stages of arity r compose to r ** 3)."""
 
     __slots__ = _fields = ("kind", "make", "mutant", "exhaustive", "reach")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, kind: framework.Kind, make: Callable, mutant: Callable,
                  exhaustive: bool = False,
@@ -307,12 +305,15 @@ def cmd_compose(args) -> int:
     else:
         raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
     result = _valid("composed result", violation, compose(outer, parts))
+    # an SVG that cannot be written removes the --out file too; the flush
+    # leaves the SVG whole when --svg names the --out file
     with _output(args.out) as f:
         f.write(serialize.dumps(to_json(result)))
-    if args.svg is not None:
-        from . import svg
-        with _output(args.svg) as f:
-            f.write(svg.render_before_after(outer, result))
+        if args.svg is not None:
+            from . import svg
+            f.flush()
+            with _output(args.svg) as picture:
+                picture.write(svg.render_before_after(outer, result))
     return 0
 
 

@@ -18,21 +18,23 @@ builds sheets on ints, one column at a time.  One pruning walk,
 finds where points fall among breaks, and one weighted sum, :func:`_sum`,
 mixes two columns.  Every value is stored in the one form its function has
 (the normal triple, or the minimal breakpoint sets, with every denominator
-reduced), so ``==`` and ``hash``, defined once in ``_Frozen`` on the
-stored slots, are those of the underlying functions.  That is the property
-the law checkers in :mod:`strips_operad.framework` rely on.  Each class
-has one private builder on ints, :func:`_affine1`, :func:`_path` or
-:func:`_sheet`.  A constructor and a JSON decoder check
-reduced int pairs in one ``_init_*`` routine, which hands them to the
-builder, so ``Fraction``s are built only where a coordinate is read: in
-the public accessors, ``at``, ``repr`` and error messages.
+reduced), so ``==`` and ``hash``, defined once in
+:class:`strips_operad.records._Frozen` on the stored slots, are those of
+the underlying functions.  That is the property the law checkers in
+:mod:`strips_operad.framework` rely on.  Each class has one private
+builder on ints, :func:`_affine1`, :func:`_path` or :func:`_sheet`.  A
+constructor and a JSON decoder check reduced int pairs in one ``_init_*``
+routine, which hands them to the builder, so ``Fraction``s are built only
+where a coordinate is read: in the public accessors, ``at``, ``repr`` and
+error messages.
 """
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
+
+from .records import _Frozen
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,74 +95,6 @@ def _fractions(point, den: int) -> tuple[Fraction, ...]:
 # affine embeddings
 # ---------------------------------------------------------------------------
 
-class _Frozen:
-    """Immutable instances: each slot is written once, through the slot's
-    own setter, by a private builder or the constructor of its class.
-    Every value has one stored form, so equality and hashing are those of
-    ``_key``, the tuple of its slots or of its ``_fields``, and a value of
-    another class is never equal.
-
-    The base of every record type in the package.  A record lists its
-    constructor's arguments in ``_fields``, and gets from here the repr a
-    frozen dataclass prints over them, pickling and copying by its slots,
-    and ``_replace``, a new record with some arguments changed."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) == other._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __setattr__(self, name, value):
-        raise _frozen_error(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise _frozen_error(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self):
-        return (_restored, (type(self), tuple([getattr(self, name)
-                                               for name in self.__slots__])))
-
-    def _replace(self, **changes):
-        """A new record of this class, built by its constructor from this
-        one's ``_fields``, with ``changes`` in place of some of them."""
-        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
-                             **changes})
-
-
-def _frozen_error(message: str) -> Exception:
-    """``dataclasses.FrozenInstanceError(message)``, the error a frozen
-    dataclass raises; its module is imported only when one is raised."""
-    from dataclasses import FrozenInstanceError
-    return FrozenInstanceError(message)
-
-
-def _restored(cls: type, values: tuple) -> _Frozen:
-    """The record of class ``cls`` whose slots hold ``values``, in the order
-    of ``cls.__slots__``: what ``_Frozen.__reduce__`` pickles."""
-    obj = object.__new__(cls)
-    _set_slots(obj, cls.__slots__, values)
-    return obj
-
-
-def _set_slots(obj: _Frozen, names: Sequence[str], values: Sequence) -> None:
-    """Write ``values`` into the slots ``names`` of ``obj``, through the
-    slots' own setters, which the frozen ``__setattr__`` does not reach."""
-    for name, value in zip(names, values):
-        object.__setattr__(obj, name, value)
-
-
 class AffineMap1(_Frozen):
     """Increasing affine map x |-> a*x + c with a > 0.
 
@@ -173,7 +107,6 @@ class AffineMap1(_Frozen):
     """
 
     __slots__ = ("an", "cn", "d")
-    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, a, c):
         return _init_affine1(as_rat(a).as_integer_ratio(),
@@ -294,7 +227,6 @@ class PLPath(_Frozen):
     """
 
     __slots__ = ("_t", "_v", "_vm")
-    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, breaks, values):
         return _init_path(_ratios(breaks), [_ratios(v) for v in values])
@@ -434,7 +366,6 @@ class GridSheet(_Frozen):
     """
 
     __slots__ = ("_x", "_c")
-    _key = operator.attrgetter(*__slots__)
 
     def __new__(cls, x_breaks, y_breaks, values):
         return _init_sheet(_ratios(x_breaks), _ratios(y_breaks),

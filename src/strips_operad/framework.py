@@ -31,11 +31,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import random
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .exact import _Frozen, _set_slots
+from .records import _Frozen, _set_slots
 from .shapes import output_shape
 
 
@@ -52,7 +51,6 @@ class Block(_Frozen):
     two-level elements lying over it (none when the strip is empty)."""
 
     __slots__ = _fields = ("base", "configs")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, base: Any, configs: Iterable = ()):
         _set_slots(self, self._fields, (base, tuple(configs)))
@@ -73,7 +71,6 @@ def _runs(flat: Sequence, lengths: Iterable[int]) -> list:
 
 class OperadInstance(_Frozen):
     __slots__ = _fields = ("unit", "arity", "compose", "random_element")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, unit: Callable[[], Any],
                  arity: Callable[[Any], int],
@@ -85,7 +82,6 @@ class OperadInstance(_Frozen):
 class RelTwoOperadInstance(_Frozen):
     __slots__ = _fields = ("base", "unit", "shape", "project", "compose",
                            "random_over")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, base: OperadInstance, unit: Callable[[], Any],
                  shape: Callable[[Any], tuple], project: Callable[[Any], Any],
@@ -100,7 +96,6 @@ class AlgebraInstance(_Frozen):
 
     __slots__ = _fields = ("source", "target", "act_path", "act_sheet",
                            "random_carrier", "random_element", "violation")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, source: Callable[[Any], Any], target: Callable[[Any], Any],
                  act_path: Callable[[Any, Sequence], Any],
@@ -130,7 +125,6 @@ class Plan(_Frozen):
     """
 
     __slots__ = _fields = ("s", "t", "m", "inner", "deep")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, s: tuple, t: tuple = (), m: tuple = (), inner: tuple = (),
                  deep: tuple = ()):
@@ -145,7 +139,6 @@ class Elements(_Frozen):
     chain of n elements (a tuple) when n > 0 and a carrier when n = 0."""
 
     __slots__ = _fields = ("outer", "first", "second")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, outer: Any, first: tuple, second: tuple):
         _set_slots(self, self._fields, (outer, first, second))
@@ -349,7 +342,6 @@ def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
 
 class CheckFailure(_Frozen):
     __slots__ = _fields = ("case", "law", "lhs", "rhs")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, case: str, law: str, lhs: str, rhs: str):
         _set_slots(self, self._fields, (case, law, lhs, rhs))
@@ -388,9 +380,6 @@ class CheckReport:
         return itertools.chain(
             json.JSONEncoder(sort_keys=True, indent=2).iterencode(self.to_json()),
             ("\n",))
-
-    def json_bytes(self) -> bytes:
-        return "".join(self.json_pieces()).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +548,6 @@ class Kind(_Frozen):
     None for a kind with none."""
 
     __slots__ = _fields = ("bounds", "case", "all_plans")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, bounds: tuple, case: Callable,
                  all_plans: Optional[Callable[..., Iterator[Plan]]] = None):

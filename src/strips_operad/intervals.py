@@ -7,19 +7,18 @@ outer one.
 """
 from __future__ import annotations
 
-import operator
 import random
 from typing import Iterable, Optional, Sequence
 
-from .exact import AffineMap1, IDENTITY_1, _affine1, _Frozen, _set_slots
+from .exact import AffineMap1, IDENTITY_1, _affine1
 from .framework import OperadInstance
+from .records import _Frozen, _set_slots
 
 DEFAULT_DENOM = 4096
 
 
 class IntervalConfig(_Frozen):
     __slots__ = _fields = ("embeddings",)
-    _key = operator.attrgetter(*_fields)
     # where bench/tracer.py finds it; with __hash__, which would else be None
     __eq__ = _Frozen.__eq__
     __hash__ = _Frozen.__hash__

@@ -26,18 +26,17 @@ strips' columns, each column a splice in y.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
 from .exact import (AffineMap1, GridSheet, PLPath, _align, _columns_at,
-                    _fractions, _Frozen, _minimal, _over_lcm, _path, _points,
-                    _ratios, _rescaled, _set_slots, _sheet, _values_at,
-                    as_point)
+                    _fractions, _minimal, _over_lcm, _path, _points, _ratios,
+                    _rescaled, _sheet, _values_at, as_point)
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig, interval_violation
+from .records import _Frozen, _set_slots
 from .strips import StripConfig, strip_violation
 
 
@@ -54,7 +53,6 @@ class PointedMap(_Frozen):
 
     _fields = ("matrix", "dom_base", "cod_base")
     __slots__ = _fields + ("offset", "_rows", "_shift", "_den", "_q", "_p")
-    _key = operator.attrgetter(*_fields)
 
     def __init__(self, matrix, dom_base, cod_base):
         matrix = tuple(as_point(row) for row in matrix)
@@ -103,7 +101,6 @@ class Loop(_Frozen):
     """A closed PL path."""
 
     __slots__ = _fields = ("path",)
-    _key = operator.attrgetter(*_fields)
     # where bench/tracer.py finds it; with __hash__, which would else be None
     __eq__ = _Frozen.__eq__
     __hash__ = _Frozen.__hash__
@@ -146,7 +143,6 @@ class SheetElement(_Frozen):
     """A sheet with its two boundary loops."""
 
     __slots__ = _fields = ("sheet", "bottom", "top")
-    _key = operator.attrgetter(*_fields)
     # where bench/tracer.py finds it; with __hash__, which would else be None
     __eq__ = _Frozen.__eq__
     __hash__ = _Frozen.__hash__

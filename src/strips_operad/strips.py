@@ -12,15 +12,15 @@ inner elements of that strip, each inner element replacing one rectangle.
 """
 from __future__ import annotations
 
-import operator
 import random
 from typing import Optional, Sequence
 
-from .exact import IDENTITY_1, AffineMap1, _Frozen, _set_slots
+from .exact import IDENTITY_1, AffineMap1
 from .framework import Block, FiberProductError, RelTwoOperadInstance
 from .intervals import (DEFAULT_DENOM, IntervalConfig, grid_embeddings,
                         interval_compose, interval_unit, interval_violation,
                         intervals_operad, random_intervals)
+from .records import _Frozen, _set_slots
 from .shapes import check_shape
 
 
@@ -30,7 +30,6 @@ class StripConfig(_Frozen):
     ``base.embeddings[i]``."""
 
     __slots__ = _fields = ("shape", "base", "rects")
-    _key = operator.attrgetter(*_fields)
     # where bench/tracer.py finds it; with __hash__, which would else be None
     __eq__ = _Frozen.__eq__
     __hash__ = _Frozen.__hash__
@@ -54,10 +53,6 @@ class StripConfig(_Frozen):
     @property
     def arity(self) -> int:
         return len(self.shape)
-
-    @property
-    def total(self) -> int:
-        return sum(self.shape)
 
 
 # the slots' own setters, which the frozen ``__setattr__`` does not reach

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from strips_operad.exact import ONE, ZERO, GridSheet, PLPath, as_point
-from strips_operad.framework import AlgebraInstance
+from strips_operad.framework import AlgebraInstance, CheckReport
 from strips_operad.serialize import array_from_json
 from strips_operad.sheets import (Loop, PointedMap, random_loop,
                                   random_sheet_element)
@@ -153,6 +153,13 @@ def words_algebra(reverse_top: bool = False) -> AlgebraInstance:
     return AlgebraInstance(operator.itemgetter(0), operator.itemgetter(1),
                            lambda config, words: sum(words, ()), act_sheet,
                            _word, random_element, lambda value: None)
+
+
+# --- check reports -------------------------------------------------------------
+
+def report_bytes(report: CheckReport) -> bytes:
+    """The report's JSON text, as ``check --out`` writes it, encoded."""
+    return "".join(report.json_pieces()).encode()
 
 
 # --- reference reprs -----------------------------------------------------------

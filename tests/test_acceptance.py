@@ -18,7 +18,8 @@ from strips_operad.strips import (random_strip, random_strip_over,
                                   strips_rel_operad)
 from strips_operad.trees import enumerate_trees, f_vector, trees_operad
 
-from helpers import catalan, chain_inputs, polygon_dissection_counts
+from helpers import (catalan, chain_inputs, polygon_dissection_counts,
+                     report_bytes)
 
 SEED = 1105
 
@@ -172,19 +173,19 @@ def test_criterion_6_mutation_sensitivity():
 def test_criterion_7_deterministic_reports():
     pairs = []
     for _ in range(2):
-        a = run_check(OPERAD, intervals_operad(), "intervals", seed=SEED,
-                      cases=50, max_arity=4).json_bytes()
-        b = run_check(REL, strips_rel_operad(), "strips", seed=SEED, cases=30,
-                      max_r=3, max_total=5).json_bytes()
-        c = run_check(OPERAD, trees_operad(), "trees", seed=SEED, cases=50,
-                      max_arity=6).json_bytes()
+        a = report_bytes(run_check(OPERAD, intervals_operad(), "intervals",
+                                   seed=SEED, cases=50, max_arity=4))
+        b = report_bytes(run_check(REL, strips_rel_operad(), "strips", seed=SEED,
+                                   cases=30, max_r=3, max_total=5))
+        c = report_bytes(run_check(OPERAD, trees_operad(), "trees", seed=SEED,
+                                   cases=50, max_arity=6))
 
         def make(rng):
             f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
             return sheet_algebra(f)
 
-        d = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
-                      seed=SEED, cases=10, max_r=3, max_total=4).json_bytes()
+        d = report_bytes(run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
+                                   seed=SEED, cases=10, max_r=3, max_total=4))
         pairs.append((a, b, c, d))
     ok = pairs[0] == pairs[1]
     _line(7, ok, "reports byte-identical across reruns for all four checkers")

@@ -21,7 +21,7 @@ from strips_operad.intervals import intervals_operad
 from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
 
-from helpers import words_algebra
+from helpers import report_bytes, words_algebra
 
 
 def run(argv, capsys):
@@ -573,7 +573,7 @@ def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
         argv = ["check", "intervals-x", "--exhaustive", "--max-r", "2"]
         report = run_check(OPERAD, intervals_operad(), "intervals-x", seed=0,
                            cases=None, max_arity=2)
-        assert run(argv, capsys) == (0, report.json_bytes().decode(), "")
+        assert run(argv, capsys) == (0, report_bytes(report).decode(), "")
         assert run([*argv, "--mutate"], capsys)[0] == 1
         assert run(["check", "intervals", "--exhaustive"], capsys) == (
             2, "", "error: --exhaustive applies only to trees, intervals-x, "
@@ -582,7 +582,7 @@ def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
                                      strips_rel_operad()),
                            "words", seed=5, cases=40, max_r=3, max_total=4)
         argv = ["check", "words", "--seed", "5", "--cases", "40", "--max-n", "4"]
-        assert run(argv, capsys) == (0, report.json_bytes().decode(), "")
+        assert run(argv, capsys) == (0, report_bytes(report).decode(), "")
         assert run([*argv, "--mutate"], capsys)[0] == 1
         assert run(["check", "words", "--max-n", "0"], capsys) == (
             2, "", "error: --max-n must be at least 1, got 0\n")
@@ -790,6 +790,29 @@ def test_an_empty_output_path_is_refused(tmp_path, capsys):
                   "--svg", ""]):
         code, _, err = run(argv, capsys)
         assert (code, err) == (2, "error: [Errno 2] No such file or directory: ''\n")
+
+
+@pytest.mark.parametrize("svg", ["missing/c.svg", ""])
+def test_compose_with_an_unwritable_svg_leaves_no_out_file(tmp_path, capsys, svg):
+    # the JSON was once written and closed before the SVG was opened, so a
+    # refused --svg left it behind
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(INTERVALS_PLAN))
+    out = tmp_path / "c.json"
+    svg = str(tmp_path / svg) if svg else svg
+    code, _, err = run(["compose", str(plan), "--out", str(out), "--svg", svg],
+                       capsys)
+    assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {svg!r}\n")
+    assert not out.exists()
+
+
+def test_compose_with_one_file_for_out_and_svg_leaves_the_svg(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(INTERVALS_PLAN))
+    both, svg = tmp_path / "both", tmp_path / "c.svg"
+    for argv in (["--out", str(both), "--svg", str(both)], ["--svg", str(svg)]):
+        assert run(["compose", str(plan), *argv], capsys)[0] == 0
+    assert both.read_bytes() == svg.read_bytes()
 
 
 def test_check_refuses_an_unwritable_out_before_the_first_case(

@@ -18,7 +18,7 @@ from strips_operad.shapes import output_shape
 from strips_operad.strips import strips_rel_operad
 from strips_operad.trees import trees_operad
 
-from helpers import words_algebra
+from helpers import report_bytes, words_algebra
 
 
 # --- plans --------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_report_json_shape_and_determinism():
     op = intervals_operad()
     r1 = run_check(OPERAD, op, "intervals", seed=11, cases=25, max_arity=3)
     r2 = run_check(OPERAD, op, "intervals", seed=11, cases=25, max_arity=3)
-    assert r1.json_bytes() == r2.json_bytes()
-    doc = json.loads(r1.json_bytes())
+    assert report_bytes(r1) == report_bytes(r2)
+    doc = json.loads(report_bytes(r1))
     assert set(doc) == {"instance", "mode", "seed", "plan", "cases_run",
                         "ok", "failures"}
     assert doc["seed"] == 11
@@ -142,15 +142,15 @@ def test_report_json_shape_and_determinism():
     assert doc["ok"] is True
     assert doc["failures"] == []
     assert doc["plan"]["max_arity"] == 3
-    assert r1.json_bytes().endswith(b"\n")
+    assert report_bytes(r1).endswith(b"\n")
 
 
 def test_report_changes_with_seed():
     op = intervals_operad()
     r1 = run_check(OPERAD, op, "intervals", seed=1, cases=5, max_arity=3)
     r2 = run_check(OPERAD, op, "intervals", seed=2, cases=5, max_arity=3)
-    assert json.loads(r1.json_bytes())["seed"] == 1
-    assert json.loads(r2.json_bytes())["seed"] == 2
+    assert json.loads(report_bytes(r1))["seed"] == 1
+    assert json.loads(report_bytes(r2))["seed"] == 2
 
 
 def test_exhaustive_mode_runs_every_plan():
@@ -168,7 +168,7 @@ def test_run_with_no_cases_is_not_ok():
     assert report.cases_run == 0
     assert not report.failures
     assert report.ok is False
-    assert json.loads(report.json_bytes())["ok"] is False
+    assert json.loads(report_bytes(report))["ok"] is False
 
 
 def test_rel_check_runs_and_passes():
@@ -251,11 +251,12 @@ def test_a_words_mutant_fails_the_laws_that_read_top_words():
 
 
 def test_run_check_reports_the_bounds_of_its_kind():
-    doc = json.loads(run_check(REL, strips_rel_operad(), "strips-x", seed=4,
-                               cases=2, max_r=2, max_total=3).json_bytes())
+    doc = json.loads(report_bytes(run_check(REL, strips_rel_operad(), "strips-x",
+                                            seed=4, cases=2, max_r=2,
+                                            max_total=3)))
     assert (doc["instance"], doc["mode"], doc["plan"]) == (
         "strips-x", "seeded", {"cases": 2, "max_r": 2, "max_total": 3})
-    doc = json.loads(run_check(OPERAD, trees_operad(), "trees", seed=4,
-                               cases=None, max_arity=1).json_bytes())
+    doc = json.loads(report_bytes(run_check(OPERAD, trees_operad(), "trees",
+                                            seed=4, cases=None, max_arity=1)))
     assert (doc["mode"], doc["plan"], doc["cases_run"]) == (
         "exhaustive", {"max_arity": 1, "samples_per_plan": 2}, 2)

@@ -72,6 +72,30 @@ def test_the_cli_imports_and_checks_without_dataclasses_or_inspect():
     assert proc.stdout == "[]\n[]\n"
 
 
+# the rational modules loaded after importing the CLI, and again after a
+# check of trees
+RATIONALS = """
+import os, sys
+import strips_operad.cli as cli
+
+def rationals():
+    return [m for m in ("fractions", "strips_operad.exact") if m in sys.modules]
+
+print(rationals())
+cli.main(["check", "trees", "--cases", "3", "--out", os.devnull])
+print(rationals())
+"""
+
+
+def test_the_cli_imports_and_checks_trees_without_exact_or_fractions():
+    # trees have no rational geometry, and a short run is mostly start-up
+    proc = subprocess.run([sys.executable, "-S", "-c", RATIONALS],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n[]\n"
+
+
 # a fresh interpreter imports the CLI, builds its parser and runs each argv
 # given; it prints the exit codes and, after the parser and after each
 # command, the package modules it has loaded
@@ -90,8 +114,8 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps([codes, steps]))
 """
 
-START = ["strips_operad", "strips_operad.cli", "strips_operad.exact",
-         "strips_operad.framework", "strips_operad.shapes"]
+START = ["strips_operad", "strips_operad.cli", "strips_operad.framework",
+         "strips_operad.records", "strips_operad.shapes"]
 
 
 def loaded_by(*argvs, cwd: Path) -> tuple:
@@ -108,14 +132,15 @@ def loaded_by(*argvs, cwd: Path) -> tuple:
 # a command -> its exit code and the package modules it adds to START
 LOADS = {
     "check trees": (0, ["trees"]),
-    "check intervals": (0, ["intervals"]),
-    "check strips --cases 3": (0, ["intervals", "strips"]),
-    "check sheets --max-n 3": (0, ["intervals", "sheets", "strips"]),
+    "check intervals": (0, ["exact", "intervals"]),
+    "check strips --cases 3": (0, ["exact", "intervals", "strips"]),
+    "check sheets --max-n 3": (0, ["exact", "intervals", "sheets", "strips"]),
     "check trees --mutate --max-r 4": (
-        1, ["intervals", "mutants", "sheets", "strips", "trees"]),
-    "enumerate 4": (0, ["intervals", "serialize", "sheets", "strips", "trees"]),
+        1, ["exact", "intervals", "mutants", "sheets", "strips", "trees"]),
+    "enumerate 4": (0, ["exact", "intervals", "serialize", "sheets", "strips",
+                        "trees"]),
     "enumerate 4 --format dot": (
-        0, ["intervals", "sheets", "strips", "svg", "trees"]),
+        0, ["exact", "intervals", "sheets", "strips", "svg", "trees"]),
 }
 
 
@@ -195,7 +220,7 @@ def test_star_import_and_dir_give_the_public_names():
 
 
 def test_the_package_imports_its_modules_and_refuses_unknown_names():
-    assert len(MODULES) == 11
+    assert len(MODULES) == 12
     for module in MODULES:
         scope = {}
         exec(f"from strips_operad import {module}", scope)

@@ -1,4 +1,4 @@
-"""The package's record types, all built on ``exact._Frozen``: each prints,
+"""The package's record types, all built on ``records._Frozen``: each prints,
 compares, hashes, refuses writes, pickles, copies and replaces fields as the
 frozen dataclass it once was."""
 import copy
@@ -11,20 +11,21 @@ import pytest
 
 from strips_operad import mutants
 from strips_operad.cli import Target
-from strips_operad.exact import IDENTITY_1, AffineMap1, _Frozen
+from strips_operad.exact import IDENTITY_1, AffineMap1
 from strips_operad.framework import (OPERAD, AlgebraInstance, Block,
                                      CheckFailure, CheckReport, Elements,
                                      OperadInstance, Plan, RelTwoOperadInstance)
 from strips_operad.intervals import (IntervalConfig, interval_compose,
                                      interval_unit, intervals_operad,
                                      random_intervals)
+from strips_operad.records import _Frozen
 from strips_operad.sheets import (Loop, PointedMap, SheetElement,
                                   act_on_loops, act_on_sheets, random_loop,
                                   random_sheet_element, sheet_violation)
 from strips_operad.strips import (StripConfig, random_strip, random_strip_over,
                                   strip_compose, strip_project, strip_unit)
 
-from helpers import dataclass_repr
+from helpers import dataclass_repr, report_bytes
 
 
 def _samples() -> list:
@@ -173,6 +174,6 @@ def test_check_report_is_mutable_and_serializes_its_fields():
                    "ok": False}
     doc["plan"]["cases"] = 7
     assert report.plan == {"cases": 2, "max_arity": 3}
-    assert report.json_bytes().startswith(b'{\n  "cases_run": 2,\n')
+    assert report_bytes(report).startswith(b'{\n  "cases_run": 2,\n')
     with pytest.raises(AttributeError):
         report.other = 1
