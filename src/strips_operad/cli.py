@@ -27,9 +27,8 @@ than ``MAX_EXHAUSTIVE_PLANS`` plans and a ``--max-r`` above
 ``MAX_CHECK_ARITY``, the bound on each target's ``reach``.  A case that
 raises is recorded in the report as a failure of the law ``exception``
 (exit 1), and the remaining cases still run.
-The default seed comes from the ``STRIPS_OPERAD_SEED`` environment
-variable (0 when unset; exit 2 when it is not an integer); identical seeds
-give byte-identical reports.
+The seed is ``--seed``, 0 when not given; identical seeds give
+byte-identical reports.
 """
 from __future__ import annotations
 
@@ -52,15 +51,6 @@ MAX_EXHAUSTIVE_PLANS = 10 ** 6      # --exhaustive --max-r 3 runs 60 879 plans
 # check intervals|strips|sheets --max-r 128 --cases 2: about 2.3, 2.4-3.0 and
 # 0.3 s on a shared 2-CPU host
 MAX_CHECK_ARITY = 128
-
-
-def _default_seed() -> int:
-    text = os.environ.get("STRIPS_OPERAD_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"STRIPS_OPERAD_SEED must be an integer, got {text!r}") from None
 
 
 @contextlib.contextmanager
@@ -165,7 +155,6 @@ def cmd_check(args) -> int:
     bad = _check_args_error(args)
     if bad is not None:
         raise ValueError(bad)
-    seed = args.seed if args.seed is not None else _default_seed()
     cases = args.cases if args.cases is not None else DEFAULT_CASES
     target = TARGETS[args.target]
     make = target.mutant if args.mutate else target.make
@@ -173,7 +162,7 @@ def cmd_check(args) -> int:
     # before the first case
     with _output(args.out) as f:
         report = framework.run_check(
-            target.kind, make(), args.target, seed=seed,
+            target.kind, make(), args.target, seed=args.seed,
             cases=None if args.exhaustive else cases,
             **dict(zip(target.kind.bounds, (args.max_r, args.max_n))))
         f.writelines(report.json_pieces())
@@ -305,15 +294,17 @@ def cmd_compose(args) -> int:
     else:
         raise ValueError(f"unknown plan kind {kind!r} (expected intervals or strips)")
     result = _valid("composed result", violation, compose(outer, parts))
-    # an SVG that cannot be written removes the --out file too; the flush
-    # leaves the SVG whole when --svg names the --out file
-    with _output(args.out) as f:
-        f.write(serialize.dumps(to_json(result)))
-        if args.svg is not None:
-            from . import svg
+    docs = [(args.out, serialize.dumps(to_json(result)))]
+    if args.svg is not None:
+        from . import svg
+        docs.append((args.svg, svg.render_before_after(outer, result)))
+    # a refused --svg removes --out, open until then, and stdout, written
+    # last, gets nothing; the flush keeps the SVG whole when --svg names --out
+    with contextlib.ExitStack() as stack:
+        for out, text in docs if args.out is not None else docs[::-1]:
+            f = stack.enter_context(_output(out))
+            f.write(text)
             f.flush()
-            with _output(args.svg) as picture:
-                picture.write(svg.render_before_after(outer, result))
     return 0
 
 
@@ -358,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         reach.setdefault(target.reach, []).append(name)
     check = sub.add_parser("check", help="fuzz the laws of one instance")
     check.add_argument("target", choices=tuple(TARGETS))
-    check.add_argument("--seed", type=int, default=None,
-                       help="default: $STRIPS_OPERAD_SEED or 0")
+    check.add_argument("--seed", type=int, default=0, help="default 0")
     check.add_argument("--cases", type=int, default=None,
                        help=f"seeded cases (default {DEFAULT_CASES}); "
                             "not with --exhaustive")

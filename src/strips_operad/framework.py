@@ -353,13 +353,12 @@ class CheckReport:
 
     __slots__ = ("instance", "mode", "seed", "plan", "cases_run", "failures")
 
-    def __init__(self, instance: str, mode: str, seed: Optional[int], plan: dict,
-                 cases_run: int):
+    def __init__(self, instance: str, mode: str, seed: Optional[int], plan: dict):
         self.instance = instance
         self.mode = mode
         self.seed = seed
         self.plan = plan
-        self.cases_run = cases_run
+        self.cases_run = 0
         self.failures = []
 
     @property
@@ -600,12 +599,12 @@ def run_check(kind: Kind, instance: Any, name: str, *, seed: int,
     """
     if cases is None:
         report = CheckReport(name, "exhaustive", seed,
-                             {**bounds, "samples_per_plan": SAMPLES_PER_PLAN}, 0)
+                             {**bounds, "samples_per_plan": SAMPLES_PER_PLAN})
         stream = ((f"plan{idx}:{v}", f"{idx}:{v}", plan)
                   for idx, plan in enumerate(kind.all_plans(**bounds))
                   for v in range(SAMPLES_PER_PLAN))
     else:
-        report = CheckReport(name, "seeded", seed, {"cases": cases, **bounds}, 0)
+        report = CheckReport(name, "seeded", seed, {"cases": cases, **bounds})
         stream = ((str(k), k, None) for k in range(cases))
     for label, key, plan in stream:
         try:

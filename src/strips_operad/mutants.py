@@ -1,8 +1,8 @@
 """Deliberately broken instances, for confirming that the checkers catch a
 broken law.
 
-Each mutant is the production instance with one callable replaced; its name
-and everything else are unchanged.  ``strips-operad check --mutate`` runs
+Each mutant is the production instance with one callable replaced and
+nothing else changed.  ``strips-operad check --mutate`` runs
 them, and so do the tests.
 
 * :func:`intervals_operad` -- every composite's last embedding drifts by

@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import math
 
-from .exact import GridSheet, _align
-from .intervals import IntervalConfig
-from .sheets import SheetElement
-from .strips import StripConfig
 from .trees import enumerate_trees, one_step_contractions, tree_dim, tree_to_brackets
 
 SQUARE = 360          # pixel size of the unit square
@@ -51,7 +47,7 @@ def _text(x, y, s) -> str:
             f'font-size="11" text-anchor="middle">{s}</text>\n')
 
 
-def _bar(config: IntervalConfig, x0: float, y0: float, width: float) -> str:
+def _bar(config, x0: float, y0: float, width: float) -> str:
     body = _rect(x0, y0 + BAR_H / 3, width, BAR_H / 3, "#eeeeee", "#999999")
     for e in config.embeddings:
         body += _rect(x0 + e.cn / e.d * width, y0, e.an / e.d * width,
@@ -59,13 +55,13 @@ def _bar(config: IntervalConfig, x0: float, y0: float, width: float) -> str:
     return body
 
 
-def render_intervals(config: IntervalConfig) -> str:
+def render_intervals(config) -> str:
     width = SQUARE + 2 * PAD
     body = _bar(config, PAD, PAD, SQUARE)
     return _doc(width, 2 * PAD + BAR_H, body)
 
 
-def _strip_body(config: StripConfig, x0: float, y0: float) -> str:
+def _strip_body(config, x0: float, y0: float) -> str:
     """Square above an interval bar, origin of the square at (x0, y0)."""
     body = _rect(x0, y0, SQUARE, SQUARE, "none", "#888888")
     strips = [(x0 + emb.cn / emb.d * SQUARE, emb.an / emb.d * SQUARE)
@@ -80,7 +76,7 @@ def _strip_body(config: StripConfig, x0: float, y0: float) -> str:
     return body
 
 
-def render_strip_config(config: StripConfig) -> str:
+def render_strip_config(config) -> str:
     width = SQUARE + 2 * PAD
     height = SQUARE + GAP + BAR_H + 2 * PAD
     return _doc(width, height, _strip_body(config, PAD, PAD))
@@ -88,6 +84,8 @@ def render_strip_config(config: StripConfig) -> str:
 
 def render_before_after(before, after) -> str:
     """Two configurations side by side (interval or strip)."""
+    from .strips import StripConfig
+
     def panel(config, x0):
         if isinstance(config, StripConfig):
             return _strip_body(config, x0, PAD + 18)
@@ -114,7 +112,7 @@ def _ramp(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def render_sheet(sheet: GridSheet) -> str:
+def render_sheet(sheet) -> str:
     """A heat grid of the first coordinate, one cell per cell of the
     minimal product grid."""
     width = SQUARE + 2 * PAD
@@ -122,6 +120,7 @@ def render_sheet(sheet: GridSheet) -> str:
     if sheet.dim == 0:
         body = _rect(PAD, PAD, SQUARE, SQUARE, "#cccccc", "#888888")
         return _doc(width, height, body)
+    from .exact import _align
     xs = sheet._x
     ys, read = _align(sheet._c)
     m = math.lcm(*[vm for _, vm in read])
@@ -153,7 +152,7 @@ def render_sheet(sheet: GridSheet) -> str:
     return _doc(width, height, body)
 
 
-def render_sheet_element(elem: SheetElement) -> str:
+def render_sheet_element(elem) -> str:
     return render_sheet(elem.sheet)
 
 

@@ -381,26 +381,15 @@ def test_strips_and_intervals_report_bytes_are_pinned(capsys, argv):
     assert digest == STRIPS_INTERVALS_OUTPUT_SHA256[argv]
 
 
-def test_check_seed_from_environment(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    monkeypatch.setenv("STRIPS_OPERAD_SEED", "123")
-    code, _, _ = run(["check", "intervals", "--cases", "5",
-                      "--out", str(a)], capsys)
-    assert code == 0
-    monkeypatch.delenv("STRIPS_OPERAD_SEED")
-    code, _, _ = run(["check", "intervals", "--seed", "123", "--cases", "5",
-                      "--out", str(b)], capsys)
-    assert code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_check_rejects_a_seed_from_environment_that_is_not_an_integer(
-        capsys, monkeypatch):
-    # once "invalid literal for int() with base 10: 'abc'"
-    monkeypatch.setenv("STRIPS_OPERAD_SEED", "abc")
-    assert run(["check", "trees", "--cases", "1"], capsys) == (
-        2, "", "error: STRIPS_OPERAD_SEED must be an integer, got 'abc'\n")
+def test_check_takes_its_seed_from_argv_alone(capsys, monkeypatch):
+    # the default seed once came from STRIPS_OPERAD_SEED, and a value that
+    # was not an integer exited 2
+    argv = ["check", "intervals", "--cases", "5"]
+    seed_0 = run([*argv, "--seed", "0"], capsys)
+    assert seed_0[0] == 0
+    for value in ("5", "abc"):
+        monkeypatch.setenv("STRIPS_OPERAD_SEED", value)
+        assert run(argv, capsys) == seed_0
 
 
 def test_check_rejects_unknown_target(capsys):
@@ -560,7 +549,6 @@ def test_check_rejection_lines_are_pinned(capsys, argv):
 def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
     # the usage line and argparse's invalid-choice message print this order
     assert tuple(TARGETS) == ("intervals", "strips", "trees", "sheets")
-    monkeypatch.delenv("STRIPS_OPERAD_SEED", raising=False)
     build_parser.cache_clear()      # the parser reads the table when built
     monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
         OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True))
@@ -804,6 +792,18 @@ def test_compose_with_an_unwritable_svg_leaves_no_out_file(tmp_path, capsys, svg
                        capsys)
     assert (code, err) == (2, f"error: [Errno 2] No such file or directory: {svg!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("svg", ["missing/e.svg", ""])
+def test_compose_to_stdout_with_an_unwritable_svg_writes_nothing(tmp_path, capsys,
+                                                                 svg):
+    # stdout was once written before the SVG was opened, so a refused --svg
+    # still printed the composed document
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(INTERVALS_PLAN))
+    svg = str(tmp_path / svg) if svg else svg
+    assert run(["compose", str(plan), "--svg", svg], capsys) == (
+        2, "", f"error: [Errno 2] No such file or directory: {svg!r}\n")
 
 
 def test_compose_with_one_file_for_out_and_svg_leaves_the_svg(tmp_path, capsys):

@@ -160,9 +160,9 @@ def test_law_side_types_define_equality_in_their_class_body(cls):
 
 def test_check_report_is_mutable_and_serializes_its_fields():
     failure = CheckFailure("0", "unit", "a", "b")
-    report = CheckReport("trees", "seeded", 4, {"cases": 2, "max_arity": 3}, 0)
-    assert report.failures == [] and not report.ok
-    assert CheckReport("trees", "seeded", 4, {}, 0).failures is not report.failures
+    report = CheckReport("trees", "seeded", 4, {"cases": 2, "max_arity": 3})
+    assert (report.cases_run, report.failures, report.ok) == (0, [], False)
+    assert CheckReport("trees", "seeded", 4, {}).failures is not report.failures
     report.cases_run += 2
     assert report.ok
     report.failures.append(failure)
