@@ -79,17 +79,16 @@ def _output(out):
 
 class Target(_Frozen):
     """A ``check`` target, of ``kind``; ``--mutate`` runs ``mutant`` in place
-    of ``make``, and --max-r then --max-n fill the kind's bounds.
-    ``exhaustive``: the target takes --exhaustive; ``reach``, a pair (text,
-    power): --max-r r reaches text of r ** power, bounded at MAX_CHECK_ARITY
-    ** power (three stages of arity r compose to r ** 3)."""
+    of ``make``, --max-r then --max-n fill the kind's bounds, and the target
+    takes --exhaustive when its kind has ``all_plans``.  ``reach``, a pair
+    (text, power): --max-r r reaches text of r ** power, bounded at
+    MAX_CHECK_ARITY ** power (three stages of arity r compose to r ** 3)."""
 
-    __slots__ = _fields = ("kind", "make", "mutant", "exhaustive", "reach")
+    __slots__ = _fields = ("kind", "make", "mutant", "reach")
 
     def __init__(self, kind: framework.Kind, make: Callable, mutant: Callable,
-                 exhaustive: bool = False,
                  reach: tuple = ("composites reach arity {}", 3)):
-        _set_slots(self, self._fields, (kind, make, mutant, exhaustive, reach))
+        _set_slots(self, self._fields, (kind, make, mutant, reach))
 
 
 def _module(name: str):
@@ -103,13 +102,10 @@ TARGETS = {
     "strips": Target(REL, lambda: _module("strips").strips_rel_operad(),
                      lambda: _module("mutants").strips_rel_operad()),
     "trees": Target(OPERAD, lambda: _module("trees").trees_operad(),
-                    lambda: _module("mutants").trees_operad(), exhaustive=True),
+                    lambda: _module("mutants").trees_operad()),
     # one carrier or chain per output strip of the first stage
-    "sheets": Target(ALGEBRA,
-                     lambda: (_module("sheets").random_sheet_algebra,
-                              _module("strips").strips_rel_operad()),
-                     lambda: (_module("mutants").random_sheet_algebra,
-                              _module("strips").strips_rel_operad()),
+    "sheets": Target(ALGEBRA, lambda: _module("sheets").random_sheet_algebra,
+                     lambda: _module("mutants").random_sheet_algebra,
                      reach=("draw {} carriers", 2)),
 }
 
@@ -128,8 +124,8 @@ def _check_args_error(args):
         return f"--max-r must be at least 1, got {args.max_r}"
     if len(target.kind.bounds) > 1 and args.max_n < 1:
         return f"--max-n must be at least 1, got {args.max_n}"
-    if args.exhaustive and not target.exhaustive:
-        takes = ", ".join(_targets_with(lambda t: t.exhaustive))
+    if args.exhaustive and target.kind.all_plans is None:
+        takes = ", ".join(_targets_with(lambda t: t.kind.all_plans))
         return f"--exhaustive applies only to {takes}, not {args.target}"
     if args.exhaustive and args.cases is not None:
         return "--cases does not apply with --exhaustive, which runs every plan"
@@ -367,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the defaults, but a small trees scope can miss "
                             "the mutant")
     check.add_argument("--exhaustive", action="store_true",
-                       help="/".join(_targets_with(lambda t: t.exhaustive))
+                       help="/".join(_targets_with(lambda t: t.kind.all_plans))
                             + " only: all plans up to the arity bound "
                             f"(at most {MAX_EXHAUSTIVE_PLANS} plans)")
     check.add_argument("--out", default=None, help="report path (default stdout)")

@@ -91,19 +91,20 @@ class RelTwoOperadInstance(_Frozen):
 
 
 class AlgebraInstance(_Frozen):
-    """Carriers (one level) and elements (two levels) acted on by a
-    relative two-operad and its base."""
+    """Carriers (one level) and elements (two levels) acted on by the
+    relative two-operad ``rel`` and its base."""
 
-    __slots__ = _fields = ("source", "target", "act_path", "act_sheet",
+    __slots__ = _fields = ("rel", "source", "target", "act_path", "act_sheet",
                            "random_carrier", "random_element", "violation")
 
-    def __init__(self, source: Callable[[Any], Any], target: Callable[[Any], Any],
+    def __init__(self, rel: RelTwoOperadInstance, source: Callable[[Any], Any],
+                 target: Callable[[Any], Any],
                  act_path: Callable[[Any, Sequence], Any],
                  act_sheet: Callable[[Any, Sequence], Any],
                  random_carrier: Callable[[random.Random], Any],
                  random_element: Callable[..., Any],
                  violation: Callable[[Any], Optional[str]]):
-        _set_slots(self, self._fields, (source, target, act_path, act_sheet,
+        _set_slots(self, self._fields, (rel, source, target, act_path, act_sheet,
                                         random_carrier, random_element, violation))
 
 
@@ -321,9 +322,9 @@ def random_rel_elements(rel: RelTwoOperadInstance, plan: Plan,
         for base, shapes in zip(bases, plan.deep)))
 
 
-def random_algebra_elements(alg: AlgebraInstance, rel: RelTwoOperadInstance,
-                            plan: Plan, rng: random.Random) -> Elements:
-    outer, first = _first_stage_elements(rel, plan, rng)
+def random_algebra_elements(alg: AlgebraInstance, plan: Plan,
+                            rng: random.Random) -> Elements:
+    outer, first = _first_stage_elements(alg.rel, plan, rng)
     chains = []
     for n in output_shape(plan.m, plan.s, plan.inner):
         if n == 0:
@@ -480,11 +481,11 @@ def _split_chain(alg: AlgebraInstance, chain_or_carrier, counts: Sequence):
     return parts
 
 
-def check_algebra_laws(alg: AlgebraInstance, rel: RelTwoOperadInstance,
-                       elems: Elements, case: str, fails: list) -> list:
+def check_algebra_laws(alg: AlgebraInstance, elems: Elements, case: str,
+                       fails: list) -> list:
     """Append to ``fails`` the failures of interchange of acting and
     composing, boundary compatibility, units, and closure, and return it."""
-    base_op = rel.base
+    rel, base_op = alg.rel, alg.rel.base
     outer, first, chains = elems.outer, elems.first, elems.second
     m = rel.shape(outer)
     composite = rel.compose(outer, first)
@@ -568,15 +569,14 @@ def _rel_case(rel: RelTwoOperadInstance, rng, plan, label, fails, max_r, max_tot
     return check_rel_laws(rel, random_rel_elements(rel, plan, rng), label, fails)
 
 
-def _algebra_case(instance: tuple, rng, plan, label, fails, max_r, max_total):
-    """``instance`` is ``(make_algebra, rel)``; ``make_algebra(rng)`` builds
-    the algebra first, so runs vary the underlying map with the elements."""
-    make_algebra, rel = instance
+def _algebra_case(make_algebra, rng, plan, label, fails, max_r, max_total):
+    """``make_algebra(rng)`` builds the algebra first, so runs vary the
+    underlying map with the elements."""
     alg = make_algebra(rng)
     if plan is None:
         plan = random_algebra_plan(rng, max_r, max_total)
-    elems = random_algebra_elements(alg, rel, plan, rng)
-    return check_algebra_laws(alg, rel, elems, label, fails)
+    return check_algebra_laws(alg, random_algebra_elements(alg, plan, rng),
+                              label, fails)
 
 
 OPERAD = Kind(("max_arity",), _operad_case, all_operad_plans)

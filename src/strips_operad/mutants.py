@@ -20,13 +20,11 @@ them, and so do the tests.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from . import intervals, sheets, strips, trees
-from .exact import (AffineMap1, GridSheet, _columns_at, _minimal, _rescaled,
-                    _segments, _sheet, _sum, _union)
-from .framework import AlgebraInstance, OperadInstance, RelTwoOperadInstance
+from .exact import (AffineMap1, _columns_at, _minimal, _rescaled, _segments,
+                    _sheet, _sum, _union)
 from .intervals import IntervalConfig, interval_compose
 from .sheets import SheetElement, act_on_sheets, random_pointed_map
 from .strips import StripConfig, strip_compose
@@ -35,7 +33,7 @@ from .trees import graft, one_step_contractions
 DRIFT = Fraction(1, 1000)
 
 
-def intervals_operad() -> OperadInstance:
+def intervals_operad():
     def compose(outer, inners):
         emb = interval_compose(outer, inners).embeddings
         bad = AffineMap1(emb[-1].a, emb[-1].c + DRIFT)
@@ -44,7 +42,7 @@ def intervals_operad() -> OperadInstance:
     return intervals.intervals_operad()._replace(compose=compose)
 
 
-def strips_rel_operad() -> RelTwoOperadInstance:
+def strips_rel_operad():
     def compose(outer, blocks):
         result = strip_compose(outer, blocks)
         rows = list(result.rects)
@@ -58,7 +56,7 @@ def strips_rel_operad() -> RelTwoOperadInstance:
     return strips.strips_rel_operad()._replace(compose=compose)
 
 
-def trees_operad() -> OperadInstance:
+def trees_operad():
     def compose(outer, inners):
         result = graft(outer, inners)
         return next(one_step_contractions(result), result)
@@ -66,7 +64,7 @@ def trees_operad() -> OperadInstance:
     return trees.trees_operad()._replace(compose=compose)
 
 
-def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
+def sheet_algebra(f: sheets.PointedMap):
     if f.dim_out < 1:
         raise ValueError("the sheets mutant needs at least one target dimension")
 
@@ -77,7 +75,7 @@ def sheet_algebra(f: sheets.PointedMap) -> AlgebraInstance:
     return sheets.sheet_algebra(f)._replace(act_sheet=act)
 
 
-def _drifted(sheet: GridSheet) -> GridSheet:
+def _drifted(sheet):
     """The sheet with its value at the centre moved by DRIFT in the first
     coordinate, on its minimal product grid with lines at 1/2 added, and
     bilinear on each cell of that grid.  The sheet is bilinear on those
@@ -109,7 +107,7 @@ def _drifted(sheet: GridSheet) -> GridSheet:
     return _sheet(xs, cols)
 
 
-def random_sheet_algebra(rng: random.Random) -> AlgebraInstance:
+def random_sheet_algebra(rng):
     """:func:`strips_operad.sheets.random_sheet_algebra` with the mutant
     :func:`sheet_algebra` and target dimension 1 or 2."""
     return sheet_algebra(random_pointed_map(rng, rng.randint(0, 2),

@@ -37,7 +37,7 @@ from .exact import (AffineMap1, GridSheet, PLPath, _align, _columns_at,
 from .framework import AlgebraInstance, ChainError
 from .intervals import IntervalConfig, interval_violation
 from .records import _Frozen, _set_slots
-from .strips import StripConfig, strip_violation
+from .strips import StripConfig, strip_violation, strips_rel_operad
 
 
 class PointedMap(_Frozen):
@@ -447,8 +447,10 @@ def random_pointed_map(rng: random.Random, dim_in: int, dim_out: int) -> Pointed
 # ---------------------------------------------------------------------------
 
 def sheet_algebra(f: PointedMap) -> AlgebraInstance:
-    """Loops and sheets over ``f``, packaged for the framework checkers."""
+    """Loops and sheets over ``f``, acted on by the strips relative
+    two-operad, packaged for the framework checkers."""
     return AlgebraInstance(
+        rel=strips_rel_operad(),
         source=lambda e: e.bottom,
         target=lambda e: e.top,
         act_path=act_on_loops,

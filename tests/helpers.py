@@ -14,7 +14,7 @@ from strips_operad.framework import AlgebraInstance, CheckReport
 from strips_operad.serialize import array_from_json
 from strips_operad.sheets import (Loop, PointedMap, random_loop,
                                   random_sheet_element)
-from strips_operad.strips import StripConfig
+from strips_operad.strips import StripConfig, strips_rel_operad
 from strips_operad.trees import LEAF, PlanarTree
 
 # --- hypothesis strategies --------------------------------------------------
@@ -150,7 +150,8 @@ def words_algebra(reverse_top: bool = False) -> AlgebraInstance:
     def random_element(rng, source=None):
         return _word(rng) if source is None else source, _word(rng)
 
-    return AlgebraInstance(operator.itemgetter(0), operator.itemgetter(1),
+    return AlgebraInstance(strips_rel_operad(), operator.itemgetter(0),
+                           operator.itemgetter(1),
                            lambda config, words: sum(words, ()), act_sheet,
                            _word, random_element, lambda value: None)
 

@@ -100,8 +100,8 @@ def test_criterion_4_sheet_action_laws_and_closure():
         return sheet_algebra(f)
 
     t0 = time.perf_counter()
-    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
-                       seed=SEED, cases=50, max_r=3, max_total=4)
+    report = run_check(ALGEBRA, make, "sheets", seed=SEED, cases=50, max_r=3,
+                       max_total=4)
     closure_rng = random.Random(SEED)
     closed = 0
     for k in range(10):
@@ -134,10 +134,10 @@ def test_criterion_5_degenerate_regimes():
     def make_no_target(rng):
         return sheet_algebra(random_pointed_map(rng, rng.randint(1, 2), 0))
 
-    r1 = run_check(ALGEBRA, (make_no_source, strips_rel_operad()), "no-source",
-                   seed=SEED, cases=20, max_r=3, max_total=4)
-    r2 = run_check(ALGEBRA, (make_no_target, strips_rel_operad()), "no-target",
-                   seed=SEED, cases=20, max_r=3, max_total=4)
+    r1 = run_check(ALGEBRA, make_no_source, "no-source", seed=SEED, cases=20,
+                   max_r=3, max_total=4)
+    r2 = run_check(ALGEBRA, make_no_target, "no-target", seed=SEED, cases=20,
+                   max_r=3, max_total=4)
     ok = r1.ok and r2.ok and r1.cases_run == 20 and r2.cases_run == 20
     _line(5, ok, f"degenerate regimes: source-dim 0 {len(r1.failures)} "
                  f"failures / target-dim 0 {len(r2.failures)} failures, "
@@ -156,8 +156,8 @@ def test_criterion_6_mutation_sensitivity():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return mutants.sheet_algebra(f)
 
-    m4 = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-mutated",
-                   seed=SEED, cases=50, max_r=3, max_total=4)
+    m4 = run_check(ALGEBRA, make, "sheets-mutated", seed=SEED, cases=50,
+                   max_r=3, max_total=4)
     ok = (not m1.ok) and (not m2.ok) and (not m4.ok)
     _line(6, ok, f"mutants caught: intervals {len(m1.failures)}, strips "
                  f"{len(m2.failures)}, sheets {len(m4.failures)} failures "
@@ -184,8 +184,8 @@ def test_criterion_7_deterministic_reports():
             f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
             return sheet_algebra(f)
 
-        d = report_bytes(run_check(ALGEBRA, (make, strips_rel_operad()), "sheets",
-                                   seed=SEED, cases=10, max_r=3, max_total=4))
+        d = report_bytes(run_check(ALGEBRA, make, "sheets", seed=SEED,
+                                   cases=10, max_r=3, max_total=4))
         pairs.append((a, b, c, d))
     ok = pairs[0] == pairs[1]
     _line(7, ok, "reports byte-identical across reruns for all four checkers")

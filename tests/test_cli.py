@@ -223,6 +223,31 @@ def test_check_trees_exhaustive(capsys):
     assert doc["mode"] == "exhaustive"
 
 
+def test_check_intervals_exhaustive_runs_every_plan(capsys):
+    # the intervals kind enumerates its plans, so the target takes the flag
+    argv = ["check", "intervals", "--exhaustive", "--max-r", "2"]
+    report = run_check(OPERAD, intervals_operad(), "intervals", seed=0,
+                       cases=None, max_arity=2)
+    assert run(argv, capsys) == (0, report_bytes(report).decode(), "")
+    assert run([*argv, "--mutate"], capsys)[0] == 1
+
+
+def test_a_rel_target_is_refused_exhaustive_by_its_kind(capsys, monkeypatch):
+    # a REL kind has no all_plans: a table field that said otherwise once
+    # sent the run to call None
+    build_parser.cache_clear()      # the parser reads the table when built
+    monkeypatch.setitem(cli.TARGETS, "strips-x", Target(
+        REL, strips_rel_operad, mutants.strips_rel_operad))
+    try:
+        assert run(["check", "strips-x", "--exhaustive"], capsys) == (
+            2, "", "error: --exhaustive applies only to intervals, trees, "
+                   "not strips-x\n")
+        assert ("--exhaustive intervals/trees only: all plans"
+                in _check_help(capsys))
+    finally:
+        build_parser.cache_clear()
+
+
 def test_check_reports_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -492,7 +517,7 @@ def test_check_rejects_total_bound_below_one(capsys, target):
     assert_usage_error(["check", target, "--max-n", "0"], capsys, "--max-n")
 
 
-@pytest.mark.parametrize("target", ["intervals", "strips", "sheets"])
+@pytest.mark.parametrize("target", ["strips", "sheets"])
 def test_check_rejects_exhaustive_outside_trees(capsys, target):
     # once ignored silently
     assert_usage_error(["check", target, "--exhaustive"], capsys, "--exhaustive")
@@ -525,9 +550,9 @@ CHECK_STDERR = {
                                    "--max-r 128 or less\n",
     ("strips", "--max-n", "0"): "error: --max-n must be at least 1, got 0\n",
     ("sheets", "--max-n", "0"): "error: --max-n must be at least 1, got 0\n",
-    **{(target, "--exhaustive"): "error: --exhaustive applies only to trees, "
-                                 f"not {target}\n"
-       for target in ("intervals", "strips", "sheets")},
+    **{(target, "--exhaustive"): "error: --exhaustive applies only to "
+                                 f"intervals, trees, not {target}\n"
+       for target in ("strips", "sheets")},
     ("trees", "--exhaustive", "--cases", "3"):
         "error: --cases does not apply with --exhaustive, which runs every plan\n",
     ("trees", "--exhaustive", "--max-r", "4"):
@@ -551,24 +576,22 @@ def test_a_new_check_target_is_one_table_entry(capsys, monkeypatch):
     assert tuple(TARGETS) == ("intervals", "strips", "trees", "sheets")
     build_parser.cache_clear()      # the parser reads the table when built
     monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
-        OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True))
+        OPERAD, intervals_operad, mutants.intervals_operad))
     # an algebra with tuple carriers, which the laws once read as chains
     monkeypatch.setitem(cli.TARGETS, "words", Target(
-        ALGEBRA, lambda: (lambda rng: words_algebra(), strips_rel_operad()),
-        lambda: (lambda rng: words_algebra(reverse_top=True),
-                 strips_rel_operad())))
+        ALGEBRA, lambda: lambda rng: words_algebra(),
+        lambda: lambda rng: words_algebra(reverse_top=True)))
     try:
         argv = ["check", "intervals-x", "--exhaustive", "--max-r", "2"]
         report = run_check(OPERAD, intervals_operad(), "intervals-x", seed=0,
                            cases=None, max_arity=2)
         assert run(argv, capsys) == (0, report_bytes(report).decode(), "")
         assert run([*argv, "--mutate"], capsys)[0] == 1
-        assert run(["check", "intervals", "--exhaustive"], capsys) == (
-            2, "", "error: --exhaustive applies only to trees, intervals-x, "
-                   "not intervals\n")
-        report = run_check(ALGEBRA, (lambda rng: words_algebra(),
-                                     strips_rel_operad()),
-                           "words", seed=5, cases=40, max_r=3, max_total=4)
+        assert run(["check", "strips", "--exhaustive"], capsys) == (
+            2, "", "error: --exhaustive applies only to intervals, trees, "
+                   "intervals-x, not strips\n")
+        report = run_check(ALGEBRA, lambda rng: words_algebra(), "words",
+                           seed=5, cases=40, max_r=3, max_total=4)
         argv = ["check", "words", "--seed", "5", "--cases", "40", "--max-n", "4"]
         assert run(argv, capsys) == (0, report_bytes(report).decode(), "")
         assert run([*argv, "--mutate"], capsys)[0] == 1
@@ -596,10 +619,11 @@ def test_check_help_names_the_targets_of_each_option_from_the_table(
                 "intervals/strips/trees composites reach arity max_r**3 and "
                 "sheets draw max_r**2 carriers --max-n") in text
         assert "--max-n MAX_N total rectangle bound for strips/sheets " in text
-        assert "--exhaustive trees only: all plans up to the arity bound" in text
+        assert ("--exhaustive intervals/trees only: all plans up to the arity "
+                "bound") in text
         # a REL kind fills --max-n into its second bound
         monkeypatch.setitem(cli.TARGETS, "intervals-x", Target(
-            REL, intervals_operad, mutants.intervals_operad, exhaustive=True))
+            REL, intervals_operad, mutants.intervals_operad))
         monkeypatch.setitem(cli.TARGETS, "trees-x", Target(
             OPERAD, trees_operad, mutants.trees_operad,
             reach=("graft {} leaves", 4)))
@@ -610,7 +634,7 @@ def test_check_help_names_the_targets_of_each_option_from_the_table(
                 "graft max_r**4 leaves --max-n") in text
         assert ("--max-n MAX_N total rectangle bound for "
                 "strips/sheets/intervals-x ") in text
-        assert "--exhaustive trees/intervals-x only: all plans" in text
+        assert "--exhaustive intervals/trees/trees-x only: all plans" in text
     finally:
         build_parser.cache_clear()
 

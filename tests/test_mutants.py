@@ -31,9 +31,8 @@ def _mutant_report(target):
     if target == "strips":
         return run_check(REL, mutants.strips_rel_operad(), "strips", seed=1,
                          cases=5, max_r=3, max_total=5)
-    return run_check(ALGEBRA,
-                     (mutants.random_sheet_algebra, strips_rel_operad()),
-                     "sheets", seed=1, cases=5, max_r=3, max_total=4)
+    return run_check(ALGEBRA, mutants.random_sheet_algebra, "sheets", seed=1,
+                     cases=5, max_r=3, max_total=4)
 
 
 @pytest.mark.parametrize("target", ["intervals", "strips", "trees", "sheets"])

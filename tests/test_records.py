@@ -39,19 +39,19 @@ def _samples() -> list:
     loop, other_loop = (random_loop(rng, 2, f.dom_base) for _ in range(2))
     elem = random_sheet_element(f, rng)
     op = OperadInstance(interval_unit, len, interval_compose, random_intervals)
+    rel = RelTwoOperadInstance(op, strip_unit, len, strip_project, strip_compose,
+                               random_strip_over)
     return [
-        (Target(OPERAD, intervals_operad, mutants.intervals_operad, exhaustive=True),
-         ("kind", "make", "mutant", "exhaustive", "reach"), {"exhaustive": False}),
+        (Target(OPERAD, intervals_operad, mutants.intervals_operad),
+         ("kind", "make", "mutant", "reach"), {"reach": ("graft {} leaves", 4)}),
         (OPERAD, ("bounds", "case", "all_plans"), {"all_plans": None}),
         (Block(strip.base, [strip]), ("base", "configs"), {"configs": []}),
         (op, ("unit", "arity", "compose", "random_element"), {"arity": abs}),
-        (RelTwoOperadInstance(op, strip_unit, len, strip_project,
-                              strip_compose, random_strip_over),
-         ("base", "unit", "shape", "project", "compose", "random_over"),
+        (rel, ("base", "unit", "shape", "project", "compose", "random_over"),
          {"compose": interval_compose}),
-        (AlgebraInstance(len, abs, act_on_loops, act_on_sheets, random_loop,
+        (AlgebraInstance(rel, len, abs, act_on_loops, act_on_sheets, random_loop,
                          random_sheet_element, sheet_violation),
-         ("source", "target", "act_path", "act_sheet", "random_carrier",
+         ("rel", "source", "target", "act_path", "act_sheet", "random_carrier",
           "random_element", "violation"), {"violation": abs}),
         (Plan((2, 1), (1, 2, 1), (1, 0), (((1, 0),), ()), ()),
          ("s", "t", "m", "inner", "deep"), {"deep": ((), (1,))}),

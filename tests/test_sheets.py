@@ -518,7 +518,7 @@ def test_actions_match_pointwise_reference_at_check_scope():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
         alg = sheet_algebra(f)
         plan = random_algebra_plan(rng, 8, 32)
-        elems = random_algebra_elements(alg, rel, plan, rng)
+        elems = random_algebra_elements(alg, plan, rng)
         composite = rel.compose(elems.outer, elems.first)
         out = _assert_matches_reference(f, composite, elems.second)
         assert sheet_violation(f, out) is None
@@ -891,8 +891,8 @@ def test_algebra_laws_seeded():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(0, 2))
         return sheet_algebra(f)
 
-    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets", seed=71,
-                       cases=50, max_r=3, max_total=4)
+    report = run_check(ALGEBRA, make, "sheets", seed=71, cases=50, max_r=3,
+                       max_total=4)
     assert report.ok
     assert report.cases_run == 50
 
@@ -902,8 +902,8 @@ def test_mutated_algebra_fails():
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return mutants.sheet_algebra(f)
 
-    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-mutated",
-                       seed=71, cases=20, max_r=3, max_total=4)
+    report = run_check(ALGEBRA, make, "sheets-mutated", seed=71, cases=20,
+                       max_r=3, max_total=4)
     assert not report.ok
     assert len({fl.case for fl in report.failures}) == 20
     assert all(fl.law != "exception" for fl in report.failures)
@@ -940,6 +940,6 @@ def test_each_sheets_law_fails_on_an_instance_that_breaks_it(law, broken):
         f = random_pointed_map(rng, rng.randint(0, 2), rng.randint(1, 2))
         return broken(sheet_algebra(f))
 
-    report = run_check(ALGEBRA, (make, strips_rel_operad()), "sheets-broken",
-                       seed=71, cases=20, max_r=3, max_total=4)
+    report = run_check(ALGEBRA, make, "sheets-broken", seed=71, cases=20,
+                       max_r=3, max_total=4)
     assert law in {fl.law for fl in report.failures}
